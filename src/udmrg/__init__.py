@@ -21,25 +21,18 @@ from .gauge import (
     ActionParams,
     CoherenceCube,
     CoherenceMatrix,
-    CurvatureField,
     GaugePotential,
     GaugePotential2D,
     action_functional,
     categorical_potential_1,
     categorical_potential_2,
-    categorified_action,
     contract_coherence_cube,
     covariant_derivative,
     curvature,
-    curvature_action,
-    curvature_field,
     default_coherence_cube,
     default_coherence_matrix,
     gauge_charge_residual,
-    gauge_potential,
     gauge_transform,
-    higher_charge_residual,
-    higher_field_strength,
     purify,
     uhlmann_potential,
 )
@@ -98,13 +91,9 @@ from .truncation import (
     POLICY_KINDS,
     TruncationPolicy,
     TruncationWeights,
-    augmented_local_objective,
     charge_first_order,
     charge_second_order,
-    coherence_eigenvalues,
-    coherence_eigenvalues_2,
     compute_weights,
-    effective_singular_values,
     select_states,
     standard_select,
 )

@@ -1,9 +1,11 @@
 """Command-line entry point: config parsing, validation, dispatch, manifests.
 
 Configs are JSON objects with an ``experiment`` key selecting the kind and
-per-kind keys documented in the README.  Validation is all-or-nothing and
-itemized: every unknown key, bad type, and broken invariant is reported in
-one pass, and nothing is written on validation failure.
+per-kind keys documented in the README.  The type each key must have is read
+from the field annotations of :class:`~udmrg.harness.ExperimentConfig`.
+Validation is all-or-nothing and itemized: every unknown key, bad type, and
+broken invariant is reported in one pass, and nothing is written on
+validation failure.
 
 Exit codes: 0 success; 1 configuration/validation failure (no outputs); 2
 numerical failure — flagged non-convergence still writes all outputs, hard
@@ -15,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Optional
@@ -22,7 +25,12 @@ from typing import Any, Optional
 from numpy.linalg import LinAlgError
 
 from ._version import __version__
-from .harness import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
+from .harness import (
+    EXPERIMENT_KINDS,
+    TABLE_METHOD_KINDS,
+    ExperimentConfig,
+    run_experiment,
+)
 from .reporting import ScanReport, sha256_file, write_json, write_report_csv
 from .truncation import TruncationPolicy
 
@@ -49,23 +57,11 @@ _KIND_KEYS: dict[str, set[str]] = {
     },
 }
 
-_INT_KEYS = {
-    "seed", "n_points", "time_steps", "n_sites", "n_fields", "max_bond",
-    "num_sweeps", "benchmark_bond", "benchmark_sweeps", "n_families",
-    "family_dim", "family_points",
-}
-_FLOAT_KEYS = {
-    "coupling", "lambda_min", "lambda_max", "sweep_rate", "coupling_j",
-    "field_min", "field_max", "crossing_center", "crossing_window",
-    "energy_tol", "benchmark_tol", "microgrid_spacing",
-}
-_BOOL_KEYS = {"grid_search"}
-_STR_KEYS = {"spin_model", "objective"}
-_FLOAT_LIST_KEYS = {
-    "gamma1_grid", "gamma2_grid", "lambda1_grid", "lambda2_grid",
-    "benchmark_fields",
-}
-_INT_LIST_KEYS = {"benchmark_sizes", "refine_time_sizes", "refine_plane_sizes"}
+#: value type of every config key, read from the ExperimentConfig annotations
+_KEY_TYPES: dict[str, Any] = typing.get_type_hints(ExperimentConfig)
+
+#: the policy kinds pec_comparison takes from ``policies`` (standard is fixed)
+_PEC_POLICY_KINDS = tuple(k for k in TABLE_METHOD_KINDS if k != "standard")
 
 _POLICY_KEYS = {"kind", "gamma1", "gamma2", "lambda1", "lambda2", "max_kept",
                 "cutoff"}
@@ -89,36 +85,31 @@ def _is_number(value: Any) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+#: scalar config types: the check a value must pass and what the error demands
+_SCALAR_CHECKS = {
+    int: (_is_int, "an integer"),
+    float: (_is_number, "a number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _check_scalar(key: str, value: Any, errors: list[str]) -> Any:
-    if key in _INT_KEYS:
-        if not _is_int(value):
-            errors.append(f"key {key!r} must be an integer, got {value!r}")
+    hint = _KEY_TYPES[key]
+    if hint in _SCALAR_CHECKS:
+        ok, demand = _SCALAR_CHECKS[hint]
+        if not ok(value):
+            errors.append(f"key {key!r} must be {demand}, got {value!r}")
             return None
-        return value
-    if key in _FLOAT_KEYS:
-        if not _is_number(value):
-            errors.append(f"key {key!r} must be a number, got {value!r}")
-            return None
-        return float(value)
-    if key in _BOOL_KEYS:
-        if not isinstance(value, bool):
-            errors.append(f"key {key!r} must be true or false, got {value!r}")
-            return None
-        return value
-    if key in _STR_KEYS:
-        if not isinstance(value, str):
-            errors.append(f"key {key!r} must be a string, got {value!r}")
-            return None
-        return value
-    if key in _FLOAT_LIST_KEYS or key in _INT_LIST_KEYS:
-        want_int = key in _INT_LIST_KEYS
-        ok = _is_int if want_int else _is_number
-        if not isinstance(value, list) or not value or not all(ok(v) for v in value):
-            kind = "integers" if want_int else "numbers"
-            errors.append(f"key {key!r} must be a non-empty list of {kind}")
-            return None
-        return tuple(value if want_int else [float(v) for v in value])
-    raise AssertionError(f"unhandled config key {key!r}")
+        return float(value) if hint is float else value
+    # the list keys are annotated tuple[int, ...] or tuple[float, ...]
+    want_int = typing.get_args(hint)[0] is int
+    ok = _is_int if want_int else _is_number
+    if not isinstance(value, list) or not value or not all(ok(v) for v in value):
+        kind = "integers" if want_int else "numbers"
+        errors.append(f"key {key!r} must be a non-empty list of {kind}")
+        return None
+    return tuple(value if want_int else [float(v) for v in value])
 
 
 def _parse_policies(raw: Any, errors: list[str]) -> Optional[list[TruncationPolicy]]:
@@ -168,6 +159,26 @@ def _parse_policies(raw: Any, errors: list[str]) -> Optional[list[TruncationPoli
     return policies if ok else None
 
 
+def _pec_policy_problems(policies: list[TruncationPolicy], grid_search: bool) -> list[str]:
+    """Explicit pec_comparison policies that the run would silently ignore."""
+    if grid_search:
+        return ["pec_comparison ignores 'policies' when grid_search is true; "
+                "set grid_search to false or drop 'policies'"]
+    problems = []
+    seen: set[str] = set()
+    for i, pol in enumerate(policies):
+        if pol.kind not in _PEC_POLICY_KINDS:
+            problems.append(
+                f"policies[{i}]: pec_comparison never runs a {pol.kind!r} policy; "
+                f"expected one of {', '.join(_PEC_POLICY_KINDS)}")
+        elif pol.kind in seen:
+            problems.append(
+                f"policies[{i}]: kind {pol.kind!r} repeats; pec_comparison runs "
+                "one policy per kind")
+        seen.add(pol.kind)
+    return problems
+
+
 def parse_config_data(data: Any) -> ExperimentConfig:
     """Validate a decoded JSON object into an ExperimentConfig."""
     errors: list[str] = []
@@ -197,6 +208,10 @@ def parse_config_data(data: Any) -> ExperimentConfig:
             parsed = _check_scalar(key, value, errors)
             if parsed is not None:
                 kwargs[key] = parsed
+    if kind == "pec_comparison" and "policies" in kwargs and (
+            "grid_search" in kwargs or "grid_search" not in data):
+        errors += _pec_policy_problems(
+            kwargs["policies"], kwargs.get("grid_search", ExperimentConfig.grid_search))
     if errors:
         raise ConfigError(errors)
     try:

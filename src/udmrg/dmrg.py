@@ -43,6 +43,7 @@ from .mps import (
     split_theta,
     to_dense,
 )
+from .spectral import second_difference_coeffs
 from .truncation import (
     TruncationPolicy,
     TruncationWeights,
@@ -195,14 +196,6 @@ class _PointData:
     gauges: list[np.ndarray]
 
 
-def _backward_second_coeffs(h1: float, h2: float) -> tuple[float, float, float]:
-    """Three-point one-sided second-difference coefficients for f(k), f(k-1), f(k-2)."""
-    a0 = 2.0 / (h1 * (h1 + h2))
-    a1 = -2.0 / (h1 * h2)
-    a2 = 2.0 / (h2 * (h1 + h2))
-    return a0, a1, a2
-
-
 def _align_columns(w: np.ndarray) -> np.ndarray:
     """Rotate each column by a unit phase making its diagonal entry real >= 0."""
     out = w.copy()
@@ -220,6 +213,32 @@ def _pad_square(w: np.ndarray, size: int) -> np.ndarray:
     cols = min(size, w.shape[1])
     out[: w.shape[0], :cols] = w[:size, :cols]
     return out
+
+
+def _bond_charges(p: np.ndarray, w1: np.ndarray, w2: Optional[np.ndarray],
+                  spacings: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First- and second-order charges of the Schmidt states at one bond.
+
+    ``p`` are the states' probabilities; ``w1`` and ``w2`` their raw overlaps
+    with the Schmidt states of the previous point and of the one before it
+    (``w2`` is ``None`` when there is no such point); ``spacings`` the grid
+    steps back to those points, most recent first.  The backward stencils
+    are ``D1 = (I - W1) / h1`` and the three-point second difference over
+    the last three points.  Returns ``(q1, q2, w1_aligned)``: the coherence
+    penalty of the scan record reuses the padded, phase-aligned ``W1``.
+    """
+    rank = p.size
+    w1 = _align_columns(_pad_square(w1, rank))
+    h1 = spacings[0]
+    d1 = (np.eye(rank) - w1) / h1
+    q1 = charge_first_order(p, d1)
+    q2 = np.zeros(rank)
+    if w2 is not None:
+        w2 = _align_columns(_pad_square(w2, rank))
+        c_oldest, c_middle, c_newest = second_difference_coeffs(spacings[1], h1)
+        d2 = c_newest * np.eye(rank) + c_middle * w1 + c_oldest * w2
+        q2 = charge_second_order(d2)
+    return q1, q2, w1
 
 
 class _ChargeContext:
@@ -275,25 +294,13 @@ class _ChargeContext:
         ``u3`` is the candidate left Schmidt tensor ``(left, phys, rank)``
         straight from the SVD, ``sigma`` the matching singular values.
         """
-        rank = sigma.size
-        total = float(np.sum(sigma**2))
-        p = sigma**2 / total if total > 0 else sigma**2
-        q1 = np.zeros(rank)
-        q2 = np.zeros(rank)
         w1 = self._overlap(0, bond, u3)
         if w1 is None:
-            return q1, q2
-        w1 = _align_columns(_pad_square(w1, rank))
-        h1 = self.spacings[0]
-        d1 = (np.eye(rank) - w1) / h1
-        q1 = charge_first_order(p, d1)
-        if len(self.references) > 1:
-            w2 = self._overlap(1, bond, u3)
-            if w2 is not None:
-                w2 = _align_columns(_pad_square(w2, rank))
-                a0, a1, a2 = _backward_second_coeffs(h1, self.spacings[1])
-                d2 = a0 * np.eye(rank) + a1 * w1 + a2 * w2
-                q2 = charge_second_order(d2)
+            return np.zeros(sigma.size), np.zeros(sigma.size)
+        w2 = self._overlap(1, bond, u3) if len(self.references) > 1 else None
+        total = float(np.sum(sigma**2))
+        p = sigma**2 / total if total > 0 else sigma**2
+        q1, q2, _ = _bond_charges(p, w1, w2, self.spacings)
         return q1, q2
 
 
@@ -451,16 +458,11 @@ def _point_gauge_record(grid_value: float, result: DmrgResult, phi, data,
         for b in range(n_bonds):
             p_cur, g_cur = data[b]
             rank = p_cur.size
-            w1 = dag(g_cur) @ envs1[b] @ prev.gauges[b]
-            w1 = _align_columns(_pad_square(w1, rank))
-            d1 = (np.eye(rank) - w1) / h1
-            charges1[b] = charge_first_order(p_cur, d1)
+            w2 = None
             if envs2 is not None:
                 w2 = dag(g_cur) @ envs2[b] @ history[1].gauges[b]
-                w2 = _align_columns(_pad_square(w2, rank))
-                a0, a1, a2 = _backward_second_coeffs(h1, spacings[1])
-                d2 = a0 * np.eye(rank) + a1 * w1 + a2 * w2
-                charges2[b] = charge_second_order(d2)
+            charges1[b], charges2[b], w1 = _bond_charges(
+                p_cur, dag(g_cur) @ envs1[b] @ prev.gauges[b], w2, spacings)
             # coherence penalty: ||i d(rho)/dt - [A, rho]||_F^2 in the current basis
             p_prev = _zero_pad(prev.probabilities[b], rank)
             rho_cur = np.diag(p_cur).astype(complex)

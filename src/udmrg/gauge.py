@@ -9,8 +9,8 @@ arbitrary purification gauge).  From the amplitudes one builds
 * first/second categorical corrections ``A1 = A + [C, rho]/i`` and
   ``A2 = A1 + [H_op, C]/i``,
 
-plus action functionals, two-axis curvature fields, and finite-difference
-charge residuals.  All derivatives are finite differences on the caller's
+plus action functionals, the pointwise field strength of a two-axis
+potential, and finite-difference charge residuals.  All derivatives are finite differences on the caller's
 grid; the pointwise operations insist on interior indices while the
 family-level constructors fall back to one-sided stencils at the ends so that
 potentials stay aligned with their grids.
@@ -22,8 +22,8 @@ actions) are unaffected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -96,21 +96,6 @@ class GaugePotential2D:
         expected = (self.axis1.size, self.axis2.size)
         if self.values1.shape[:2] != expected or self.values2.shape[:2] != expected:
             raise ValueError("component arrays must be indexed by (axis1, axis2)")
-
-
-@dataclass
-class CurvatureField:
-    """Antisymmetric-pair field strength per plaquette of a two-axis grid."""
-
-    axis1: np.ndarray
-    axis2: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.axis1 = np.asarray(self.axis1, dtype=float)
-        self.axis2 = np.asarray(self.axis2, dtype=float)
-        if self.values.shape[:2] != (self.axis1.size, self.axis2.size):
-            raise ValueError("field values must be indexed by (axis1, axis2)")
 
 
 @dataclass
@@ -189,22 +174,6 @@ def _grid_derivative(values: Sequence, grid: np.ndarray, k: int):
     if k == 0:
         return (values[1] - values[0]) / (grid[1] - grid[0])
     return (values[-1] - values[-2]) / (grid[-1] - grid[-2])
-
-
-def gauge_potential(amplitudes: Sequence, grid, k: int) -> np.ndarray:
-    """Pointwise gauge potential ``(dU U^H - U dU^H) / 2i`` at interior ``k``.
-
-    The symmetrized combination is hermitian by construction even though the
-    finite-difference ``dU`` is not exactly the derivative of a smooth path.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if len(amplitudes) != grid.size:
-        raise ValueError("amplitudes must match the grid in length")
-    if not 0 < k < grid.size - 1:
-        raise IndexError(f"gauge potential needs an interior index, got {k}")
-    u = amplitudes[k]
-    du = (amplitudes[k + 1] - amplitudes[k - 1]) / (grid[k + 1] - grid[k - 1])
-    return (du @ dag(u) - u @ dag(du)) / 2j
 
 
 def uhlmann_potential(rhos: Sequence, grid, level: str = "base") -> GaugePotential:
@@ -363,80 +332,18 @@ def action_functional(rhos: Sequence, potential: GaugePotential,
     return float(np.dot(weights, integrand))
 
 
-def categorified_action(rhos: Sequence, potential: GaugePotential,
-                        field_f: CurvatureField, field_b: CurvatureField,
-                        params: ActionParams) -> float:
-    """Diagnostic total: covariant action plus both curvature actions."""
-    kinetic = action_functional(rhos, potential,
-                                ActionParams(g1=params.g1, g2=params.g2, mode="covariant"))
-    return kinetic + curvature_action(field_f, params) + curvature_action(field_b, params)
-
-
 # ---------------------------------------------------------------------------
 # curvature
 # ---------------------------------------------------------------------------
 
-def _interior_2d(a2d: GaugePotential2D, i: int, j: int) -> None:
-    n1, n2 = a2d.axis1.size, a2d.axis2.size
-    if not (0 < i < n1 - 1 and 0 < j < n2 - 1):
-        raise IndexError(f"curvature stencil needs interior indices, got ({i}, {j})")
-
-
 def curvature(a2d: GaugePotential2D, i: int, j: int) -> np.ndarray:
-    """Field strength ``F_12 = d1 A_2 - d2 A_1 + [A_1, A_2]`` at ``(i, j)``."""
-    _interior_2d(a2d, i, j)
+    """Field strength ``F_12 = d1 A_2 - d2 A_1 + [A_1, A_2]`` at interior ``(i, j)``."""
+    if not (0 < i < a2d.axis1.size - 1 and 0 < j < a2d.axis2.size - 1):
+        raise IndexError(f"curvature stencil needs interior indices, got ({i}, {j})")
     x1, x2 = a2d.axis1, a2d.axis2
     da2_d1 = (a2d.values2[i + 1, j] - a2d.values2[i - 1, j]) / (x1[i + 1] - x1[i - 1])
     da1_d2 = (a2d.values1[i, j + 1] - a2d.values1[i, j - 1]) / (x2[j + 1] - x2[j - 1])
     return da2_d1 - da1_d2 + commutator(a2d.values1[i, j], a2d.values2[i, j])
-
-
-def curvature_field(a2d: GaugePotential2D) -> CurvatureField:
-    """Evaluate the field strength on every interior plaquette."""
-    n1, n2 = a2d.axis1.size, a2d.axis2.size
-    if n1 < 3 or n2 < 3:
-        raise ValueError("need at least 3 points per axis for curvature stencils")
-    dim = a2d.values1.shape[-1]
-    values = np.empty((n1 - 2, n2 - 2, dim, dim), dtype=complex)
-    for i in range(1, n1 - 1):
-        for j in range(1, n2 - 1):
-            values[i - 1, j - 1] = curvature(a2d, i, j)
-    return CurvatureField(axis1=a2d.axis1[1:-1], axis2=a2d.axis2[1:-1], values=values)
-
-
-def higher_field_strength(a2d: GaugePotential2D, b2d: GaugePotential2D,
-                          i: int, j: int) -> np.ndarray:
-    """Two-form field strength ``d1 B_2 - d2 B_1 + [A_1, B_2] - [A_2, B_1]``."""
-    if not (np.array_equal(a2d.axis1, b2d.axis1) and np.array_equal(a2d.axis2, b2d.axis2)):
-        raise ValueError("base and higher potentials must share both grid axes")
-    _interior_2d(a2d, i, j)
-    x1, x2 = a2d.axis1, a2d.axis2
-    db2_d1 = (b2d.values2[i + 1, j] - b2d.values2[i - 1, j]) / (x1[i + 1] - x1[i - 1])
-    db1_d2 = (b2d.values1[i, j + 1] - b2d.values1[i, j - 1]) / (x2[j + 1] - x2[j - 1])
-    return (db2_d1 - db1_d2
-            + commutator(a2d.values1[i, j], b2d.values2[i, j])
-            - commutator(a2d.values2[i, j], b2d.values1[i, j]))
-
-
-def curvature_action(field: CurvatureField, params: ActionParams) -> float:
-    """Quadrature sum of ``Tr(F^H F)/g1^2 + Tr((F^H F)^2)/g2^4`` over plaquettes.
-
-    Plaquettes are weighted by the product of per-axis trapezoid weights; a
-    single-point axis contributes unit measure.
-    """
-    if field.values.size == 0:
-        raise ValueError("empty curvature field")
-    w1 = _trapezoid_weights(field.axis1)
-    w2 = _trapezoid_weights(field.axis2)
-    total = 0.0
-    for i in range(field.axis1.size):
-        for j in range(field.axis2.size):
-            f = field.values[i, j]
-            ff = dag(f) @ f
-            quad = float(np.trace(ff).real)
-            quart = float(np.trace(ff @ ff).real)
-            total += w1[i] * w2[j] * (quad / params.g1**2 + quart / params.g2**4)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -473,48 +380,6 @@ def gauge_charge_residual(rhos: Sequence, potential: GaugePotential, k: int,
             s_plus = action_functional(rhos, GaugePotential(grid, plus), params)
             s_minus = action_functional(rhos, GaugePotential(grid, minus), params)
             residual[a, b] = (s_plus - s_minus) / (2.0 * eps)
-    return residual
-
-
-def higher_charge_residual(a2d: GaugePotential2D, b2d: GaugePotential2D,
-                           axis: int, i: int, j: int, params: ActionParams,
-                           eps: float = 1e-5) -> np.ndarray:
-    """Finite-difference derivative of the two-form action in one ``B`` entry.
-
-    Perturbs component ``axis`` (1 or 2) of the higher potential at grid node
-    ``(i, j)`` along each hermitian basis direction and differences the
-    curvature action of the resulting two-form field strength.
-    """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps!r}")
-    dim = b2d.values1.shape[-1]
-
-    def two_form_action(b_mod: GaugePotential2D) -> float:
-        n1, n2 = b_mod.axis1.size, b_mod.axis2.size
-        vals = np.empty((n1 - 2, n2 - 2, dim, dim), dtype=complex)
-        for ii in range(1, n1 - 1):
-            for jj in range(1, n2 - 1):
-                vals[ii - 1, jj - 1] = higher_field_strength(a2d, b_mod, ii, jj)
-        field = CurvatureField(b_mod.axis1[1:-1], b_mod.axis2[1:-1], vals)
-        return curvature_action(field, params)
-
-    residual = np.empty((dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            direction = hermitian_basis_element(dim, a, b)
-            values = []
-            for sign in (+1.0, -1.0):
-                v1 = b2d.values1.copy()
-                v2 = b2d.values2.copy()
-                if axis == 1:
-                    v1[i, j] = v1[i, j] + sign * eps * direction
-                else:
-                    v2[i, j] = v2[i, j] + sign * eps * direction
-                mod = GaugePotential2D(b2d.axis1, b2d.axis2, v1, v2, level=b2d.level)
-                values.append(two_form_action(mod))
-            residual[a, b] = (values[0] - values[1]) / (2.0 * eps)
     return residual
 
 

@@ -75,7 +75,11 @@ from .models import (
 )
 from .mps import random_mps
 from .reporting import ScanReport, config_hash
-from .spectral import derivative_overlaps, track_hermitian_family
+from .spectral import (
+    derivative_overlaps,
+    second_derivative_overlaps,
+    track_hermitian_family,
+)
 from .truncation import POLICY_KINDS, TruncationPolicy, compute_weights
 
 EXPERIMENT_KINDS = (
@@ -112,7 +116,8 @@ class ExperimentConfig:
     """Flat configuration covering every experiment kind.
 
     Fields irrelevant to the selected kind keep their defaults; the CLI
-    additionally rejects keys that do not belong to the chosen experiment.
+    additionally rejects keys that do not belong to the chosen experiment and
+    reads each key's type from the annotations below.
     """
 
     kind: str
@@ -219,6 +224,9 @@ class ExperimentConfig:
             errs.append("n_fields must be at least 3")
         if not self.crossing_window > 0:
             errs.append("crossing_window must be positive")
+        elif (self.kind == "pec_comparison" and self.n_fields >= 3
+              and self.field_min < self.field_max and not _pec_grid(self)[1].any()):
+            errs.append("crossing window contains no grid points; widen it")
         if self.max_bond < 1:
             errs.append("max_bond must be positive")
         if self.num_sweeps < 1:
@@ -295,19 +303,6 @@ def _crossing_grid(cfg: ExperimentConfig) -> np.ndarray:
     return np.sort(np.concatenate([keep, extras_arr]))
 
 
-def _second_overlaps_nonuniform(track, k: int) -> np.ndarray:
-    """Second-derivative overlaps on a possibly non-uniform three-point stencil."""
-    grid, pts = track.grid, track.points
-    h1 = grid[k] - grid[k - 1]
-    h2 = grid[k + 1] - grid[k]
-    c_minus = 2.0 / (h1 * (h1 + h2))
-    c_center = -2.0 / (h1 * h2)
-    c_plus = 2.0 / (h2 * (h1 + h2))
-    curv = (c_minus * pts[k - 1].vectors + c_center * pts[k].vectors
-            + c_plus * pts[k + 1].vectors)
-    return dag(pts[k].vectors) @ curv
-
-
 def _policy_labels(policies: Sequence[TruncationPolicy]) -> list[str]:
     labels: list[str] = []
     for pol in policies:
@@ -359,7 +354,7 @@ def run_crossing_scan(cfg: ExperimentConfig) -> ScanReport:
     for k in range(1, n - 1):
         d1 = derivative_overlaps(track, k)
         charges1[k] = charge_first_order(pops[k] / pops[k].sum(), d1)
-        charges2[k] = charge_second_order(_second_overlaps_nonuniform(track, k))
+        charges2[k] = charge_second_order(second_derivative_overlaps(track, k))
 
     labels = _policy_labels(cfg.policies)
     columns = [
@@ -455,6 +450,12 @@ def run_dmrg_benchmark(cfg: ExperimentConfig) -> ScanReport:
 # pec_comparison and coefficient grid search
 # ---------------------------------------------------------------------------
 
+def _pec_grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Field grid of a pec_comparison scan and its crossing-window mask."""
+    grid = np.linspace(cfg.field_min, cfg.field_max, cfg.n_fields)
+    return grid, np.abs(grid - cfg.crossing_center) <= cfg.crossing_window + 1e-12
+
+
 @dataclass
 class _PecProblem:
     grid: np.ndarray
@@ -464,11 +465,7 @@ class _PecProblem:
 
 
 def _pec_problem(cfg: ExperimentConfig) -> _PecProblem:
-    if 2**cfg.n_sites > ORACLE_LIMIT:
-        raise ValueError(
-            f"dense oracle limit is {ORACLE_LIMIT} states; reduce n_sites"
-        )
-    grid = np.linspace(cfg.field_min, cfg.field_max, cfg.n_fields)
+    grid, window = _pec_grid(cfg)
 
     def family(h: float):
         spec = SpinChainSpec(cfg.spin_model, cfg.n_sites,
@@ -481,9 +478,6 @@ def _pec_problem(cfg: ExperimentConfig) -> _PecProblem:
                           coupling=cfg.coupling_j, field=h)))[0][0])
         for h in grid
     ])
-    window = np.abs(grid - cfg.crossing_center) <= cfg.crossing_window + 1e-12
-    if not window.any():
-        raise ValueError("crossing window contains no grid points; widen it")
     return _PecProblem(grid=grid, family=family, exact_energies=exact, window=window)
 
 

@@ -75,10 +75,6 @@ def require_unitary(v, tol: float = 1e-10, name: str = "matrix") -> Matrix:
     return v
 
 
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> Matrix:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * hermitian_part(g)

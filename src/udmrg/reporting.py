@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -113,16 +113,3 @@ def sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def summarize_floats(values: Sequence[float]) -> dict[str, float]:
-    """Min/max/mean block for summary payloads."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return {"count": 0}
-    return {
-        "count": int(arr.size),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "mean": float(arr.mean()),
-    }

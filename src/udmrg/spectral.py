@@ -12,7 +12,10 @@ Conventions
 * Eigenvalues are sorted ascending at construction; tracking may permute a
   point when an adjacent-point overlap drops below the degeneracy threshold.
 * ``derivative_overlaps`` returns ``D[a, b] = <a(k)| d/dt |b(k)>`` with the
-  derivative acting on the *column* index.
+  derivative acting on the *column* index; ``second_derivative_overlaps`` is
+  its second-order analogue, built on :func:`second_difference_coeffs`, the
+  one three-point stencil the package uses (the DMRG charges apply it
+  backward over the last three scan points).
 """
 from __future__ import annotations
 
@@ -173,22 +176,27 @@ def derivative_overlaps(track: SpectralTrack, k: int, scheme: str = "central") -
     return dag(pts[k].vectors) @ diff
 
 
+def second_difference_coeffs(h_left: float, h_right: float) -> tuple[float, float, float]:
+    """Three-point second-difference weights on a possibly non-uniform grid.
+
+    For samples ``f(x - h_left), f(x), f(x + h_right)`` returns the weights
+    whose combination approximates ``f''`` (exactly for quadratics).  On a
+    uniform grid they reduce to ``(1, -2, 1) / h^2``.
+    """
+    total = h_left + h_right
+    return 2.0 / (h_left * total), -2.0 / (h_left * h_right), 2.0 / (h_right * total)
+
+
 def second_derivative_overlaps(track: SpectralTrack, k: int) -> np.ndarray:
     """Second-derivative overlaps ``D2[a, c] = <a(k)|d^2 c(k)/dt^2>``.
 
-    Uses the three-point central stencil and therefore requires uniform local
-    spacing; non-uniform grids raise rather than silently applying a wrong
-    stencil.
+    Uses the three-point stencil of :func:`second_difference_coeffs` with the
+    true spacings on either side of interior index ``k``.
     """
     grid, pts = track.grid, track.points
     _check_index(track, k, 1, len(track) - 2, "second difference")
-    h_minus = grid[k] - grid[k - 1]
-    h_plus = grid[k + 1] - grid[k]
-    if abs(h_plus - h_minus) > 1e-9 * max(h_plus, h_minus):
-        raise ValueError(
-            f"second differences require uniform spacing; got "
-            f"{h_minus:.6g} and {h_plus:.6g} around index {k}"
-        )
-    h = 0.5 * (h_minus + h_plus)
-    diff = (pts[k + 1].vectors - 2.0 * pts[k].vectors + pts[k - 1].vectors) / h**2
-    return dag(pts[k].vectors) @ diff
+    c_minus, c_center, c_plus = second_difference_coeffs(grid[k] - grid[k - 1],
+                                                         grid[k + 1] - grid[k])
+    curv = (c_minus * pts[k - 1].vectors + c_center * pts[k].vectors
+            + c_plus * pts[k + 1].vectors)
+    return dag(pts[k].vectors) @ curv

@@ -131,56 +131,27 @@ def charge_second_order(d2_overlaps, multiplicity: Optional[int] = None) -> np.n
     return m * np.sum(np.abs(d2) ** 2, axis=1)
 
 
-def effective_singular_values(sigma, charges1, charges2, policy: TruncationPolicy) -> np.ndarray:
-    """Exponentially damped singular values ``sigma * exp(-g1 Q - g2 Q2)``.
-
-    ``standard`` returns the input unchanged and ``uhlmann`` forces the
-    second-order coefficient to zero.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma < 0):
-        raise ValueError("singular values must be non-negative")
-    q1 = np.asarray(charges1, dtype=float)
-    q2 = np.asarray(charges2, dtype=float)
-    if q1.shape != sigma.shape or q2.shape != sigma.shape:
-        raise ValueError("charges must match singular values in shape")
-    if policy.kind == "standard":
-        return sigma.copy()
-    g2 = 0.0 if policy.kind == "uhlmann" else policy.gamma2
-    return sigma * np.exp(-policy.gamma1 * q1 - g2 * q2)
-
-
-def coherence_eigenvalues(p, d_overlaps, lambda1: float) -> np.ndarray:
-    """First-order shifted weights ``p + lambda1 * Q(p, D)``."""
-    if lambda1 < 0:
-        raise ValueError("lambda1 must be non-negative")
-    p = np.asarray(p, dtype=float)
-    return p + lambda1 * charge_first_order(p, d_overlaps)
-
-
-def coherence_eigenvalues_2(p, d_overlaps, d2_overlaps, lambda1: float,
-                            lambda2: float) -> np.ndarray:
-    """Second-order shifted weights ``p + lambda1 * Q + lambda2 * Q2``."""
-    if lambda1 < 0 or lambda2 < 0:
-        raise ValueError("shift coefficients must be non-negative")
-    p = np.asarray(p, dtype=float)
-    return (p + lambda1 * charge_first_order(p, d_overlaps)
-            + lambda2 * charge_second_order(d2_overlaps))
-
-
 def compute_weights(sigma, charges1, charges2, policy: TruncationPolicy) -> TruncationWeights:
     """Bundle singular values and charges into ranked weights for ``policy``.
 
-    The eigenvalue-shift kinds operate on probabilities ``p = sigma^2``
-    (normalized); the charges are taken as given -- callers are responsible
-    for computing them from the matching probability vector.
+    ``standard`` ranks by the singular values themselves; ``uhlmann`` and
+    ``categorified`` damp them to ``sigma * exp(-g1 Q - g2 Q2)``, with
+    ``uhlmann`` forcing ``g2 = 0``.  The eigenvalue-shift kinds operate on
+    probabilities ``p = sigma^2`` (normalized) and shift them to
+    ``p + L1 Q`` (``+ L2 Q2`` for ``coherence_eigenvalue_2``).  The charges
+    are taken as given -- callers are responsible for computing them from
+    the matching probability vector.
     """
     sigma = np.asarray(sigma, dtype=float)
     q1 = np.asarray(charges1, dtype=float)
     q2 = np.asarray(charges2, dtype=float)
-    if policy.kind in ("standard", "uhlmann", "categorified"):
+    if policy.kind == "standard":
         raw = sigma
-        effective = effective_singular_values(sigma, q1, q2, policy)
+        effective = sigma.copy()
+    elif policy.kind in ("uhlmann", "categorified"):
+        raw = sigma
+        g2 = policy.gamma2 if policy.kind == "categorified" else 0.0
+        effective = sigma * np.exp(-policy.gamma1 * q1 - g2 * q2)
     elif policy.kind in ("coherence_eigenvalue", "coherence_eigenvalue_2"):
         total = float(np.sum(sigma**2))
         raw = sigma**2 / total if total > 0 else sigma**2
@@ -233,16 +204,3 @@ def standard_select(max_kept: int, cutoff: float = 0.0):
         return select_states(weights, policy)
 
     return select
-
-
-def augmented_local_objective(energy: float, coherence_penalty: float,
-                              curvature_penalty: float, lambda1: float,
-                              lambda2: float) -> float:
-    """Diagnostic objective ``E + lambda1 * coherence + lambda2 * curvature``.
-
-    Recorded alongside scan results; never fed back into local eigensolves.
-    Penalties must be non-negative.
-    """
-    if coherence_penalty < 0 or curvature_penalty < 0:
-        raise ValueError("penalty terms must be non-negative")
-    return float(energy + lambda1 * coherence_penalty + lambda2 * curvature_penalty)

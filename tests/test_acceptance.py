@@ -41,8 +41,7 @@ from udmrg.truncation import (
     POLICY_KINDS,
     TruncationPolicy,
     charge_first_order,
-    coherence_eigenvalues,
-    effective_singular_values,
+    compute_weights,
 )
 
 
@@ -197,14 +196,15 @@ def test_crossing_weights_and_schrodinger_evolution():
 
 def test_truncation_hand_values_to_1e12():
     """Three pencil-and-paper spot checks of the truncation algebra."""
-    damped = effective_singular_values(
+    damped = compute_weights(
         np.array([0.5]), np.array([np.log(2.0)]), np.array([0.0]),
-        TruncationPolicy(kind="uhlmann", gamma1=1.0))[0]
-    charge = charge_first_order(np.array([0.9, 0.1]),
-                                np.array([[0.0, 2.0], [-2.0, 0.0]]))[0]
-    shifted = coherence_eigenvalues(np.array([0.9, 0.1]),
-                                    np.array([[0.0, 2.0], [-2.0, 0.0]]),
-                                    0.5)[0]
+        TruncationPolicy(kind="uhlmann", gamma1=1.0)).effective[0]
+    p = np.array([0.9, 0.1])
+    charges = charge_first_order(p, np.array([[0.0, 2.0], [-2.0, 0.0]]))
+    charge = charges[0]
+    shifted = compute_weights(
+        np.sqrt(p), charges, np.zeros(2),
+        TruncationPolicy(kind="coherence_eigenvalue", lambda1=0.5)).effective[0]
     print(f"damped sigma {damped!r}, charge {charge!r}, "
           f"shifted eigenvalue {shifted!r}")
     assert abs(damped - 0.25) <= 1e-12

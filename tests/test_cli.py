@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from numpy.linalg import LinAlgError
 
 from udmrg.cli import ConfigError, main, parse_config, parse_config_data
 from udmrg.truncation import TruncationPolicy
@@ -84,6 +85,20 @@ def test_parse_config_data_policy_errors():
     with pytest.raises(ConfigError, match=r"policies\[0\]:"):
         parse_config_data({"experiment": "crossing_scan",
                            "policies": [{"kind": "uhlmann", "gamma1": -1.0}]})
+    # pec_comparison would silently ignore these policies
+    with pytest.raises(ConfigError, match="ignores 'policies' when grid_search is true"):
+        parse_config_data({"experiment": "pec_comparison",
+                           "policies": [{"kind": "uhlmann", "gamma1": 0.7}]})
+    with pytest.raises(ConfigError) as exc:
+        parse_config_data({"experiment": "pec_comparison", "grid_search": False,
+                           "policies": [{"kind": "standard"},
+                                        {"kind": "coherence_eigenvalue"}]})
+    assert [p.split(":")[0] for p in exc.value.problems] == ["policies[0]", "policies[1]"]
+    assert all("never runs" in p for p in exc.value.problems)
+    with pytest.raises(ConfigError, match=r"policies\[1\]: kind 'uhlmann' repeats"):
+        parse_config_data({"experiment": "pec_comparison", "grid_search": False,
+                           "policies": [{"kind": "uhlmann", "gamma1": 0.7},
+                                        {"kind": "uhlmann", "gamma1": 0.2}]})
 
 
 def test_construction_problems_come_back_itemized():
@@ -175,11 +190,13 @@ def test_flagged_run_exits_2_but_still_writes(tmp_path, capsys):
     assert manifest["exit_status"] == 2
 
 
-def test_runtime_failure_exits_2_without_outputs(tmp_path, capsys):
-    # validates cleanly, but the crossing window misses every grid point
-    config = {"experiment": "pec_comparison", "n_sites": 4, "n_fields": 5,
-              "max_bond": 2, "crossing_center": 5.0, "crossing_window": 0.01}
-    path = write_config(tmp_path, "pec.json", config)
+def test_runtime_failure_exits_2_without_outputs(tmp_path, capsys, monkeypatch):
+    # the config validates cleanly; the run itself hits a hard numerical error
+    def fail(cfg):
+        raise LinAlgError("eigensolver did not converge")
+
+    monkeypatch.setattr("udmrg.cli.run_experiment", fail)
+    path = write_config(tmp_path, "gauge.json", GAUGE_TINY)
     out_dir = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out_dir)]) == 2
     assert "numerical failure" in capsys.readouterr().err

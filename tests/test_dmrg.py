@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from udmrg.dmrg import SweepConfig, continuation_scan, ground_state
+from udmrg.dmrg import SweepConfig, _bond_charges, continuation_scan, ground_state
 from udmrg.models import (
     SpinChainSpec,
     build_spin_chain_mpo,
@@ -231,3 +232,37 @@ def test_scan_disables_oracle_when_requested():
     scan = continuation_scan(family, grid, cfg, init=init,
                              compute_oracle=False)
     assert scan.fidelity_to_oracle is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank=st.integers(1, 5), extra_cols=st.integers(-2, 1),
+       seed=st.integers(0, 2**32 - 1), h1=st.floats(0.05, 1.0),
+       h2=st.floats(0.05, 1.0), second=st.booleans())
+def test_bond_charges_ignore_column_phases(rank, extra_cols, seed, h1, h2, second):
+    """Schmidt states are defined up to a phase; the charges must not see it."""
+    rng = np.random.default_rng(seed)
+    cols = max(1, rank + extra_cols)
+    p = rng.dirichlet(np.ones(rank))
+
+    def overlaps():
+        w = rng.normal(size=(rank, cols)) + 1j * rng.normal(size=(rank, cols))
+        # a diagonal entry bounded away from zero fixes its column's phase
+        idx = np.arange(min(rank, cols))
+        w[idx, idx] = rng.uniform(0.1, 1.0, idx.size) * np.exp(
+            2j * np.pi * rng.uniform(size=idx.size))
+        return w
+
+    def phases():
+        return np.exp(2j * np.pi * rng.uniform(size=cols))
+
+    w1 = overlaps()
+    w2 = overlaps() if second else None
+    q1, q2, aligned = _bond_charges(p, w1, w2, (h1, h2))
+    r1, r2, r_aligned = _bond_charges(
+        p, w1 * phases(), None if w2 is None else w2 * phases(), (h1, h2))
+    for ref, rotated in ((q1, r1), (q2, r2)):
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        np.testing.assert_allclose(rotated, ref, rtol=1e-9, atol=1e-12 * scale)
+    np.testing.assert_allclose(r_aligned, aligned, atol=1e-12)
+    if not second:
+        np.testing.assert_array_equal(q2, np.zeros(rank))

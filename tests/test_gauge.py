@@ -6,25 +6,18 @@ from udmrg.gauge import (
     ActionParams,
     CoherenceCube,
     CoherenceMatrix,
-    CurvatureField,
     GaugePotential,
     GaugePotential2D,
     action_functional,
     categorical_potential_1,
     categorical_potential_2,
-    categorified_action,
     contract_coherence_cube,
     covariant_derivative,
     curvature,
-    curvature_action,
-    curvature_field,
     default_coherence_cube,
     default_coherence_matrix,
     gauge_charge_residual,
-    gauge_potential,
     gauge_transform,
-    higher_charge_residual,
-    higher_field_strength,
     pure_gauge_potential_2d,
     purify,
     require_density_matrix,
@@ -83,24 +76,20 @@ def test_density_validation():
 # potentials
 # ---------------------------------------------------------------------------
 
-def test_gauge_potential_constant_phase_oracle():
-    """U(t) = exp(-i sz t)/sqrt(2) has the exact potential -sz/2."""
+def test_uhlmann_potential_rotating_density_oracle():
+    """rho(t) = V diag(0.9, 0.1) V^H with V = exp(-i sx t) has A = -0.2 sx.
+
+    The positive root is U = V S V^H with S = diag(sqrt 0.9, sqrt 0.1), so
+    ``(dU U^H - U dU^H) / 2i = -(sqrt 0.9 - sqrt 0.1)^2 / 2 sx`` exactly.
+    """
     h = 1e-3
     grid = np.array([-h, 0.0, h]) + 0.2
-    amps = [np.diag(np.exp(-1j * np.array([1.0, -1.0]) * t)) / np.sqrt(2.0)
-            for t in grid]
-    a = gauge_potential(amps, grid, 1)
-    np.testing.assert_allclose(a, -0.5 * PAULI_Z, atol=1e-6)
+    rho0 = np.diag([0.9, 0.1]).astype(complex)
+    rotations = [np.cos(t) * np.eye(2) - 1j * np.sin(t) * PAULI_X for t in grid]
+    rhos = [v @ rho0 @ dag(v) for v in rotations]
+    a = uhlmann_potential(rhos, grid).values[1]
+    np.testing.assert_allclose(a, -0.2 * PAULI_X, atol=1e-6)
     assert hermiticity_residual(a) < 1e-14
-
-
-def test_gauge_potential_needs_interior_index():
-    grid = np.linspace(0, 1, 3)
-    amps = [np.eye(2, dtype=complex)] * 3
-    with pytest.raises(IndexError, match="interior"):
-        gauge_potential(amps, grid, 0)
-    with pytest.raises(ValueError, match="match the grid"):
-        gauge_potential(amps[:2], grid, 1)
 
 
 def test_uhlmann_potential_is_hermitian_and_grid_aligned():
@@ -295,18 +284,6 @@ def test_curvature_constant_pauli_oracle():
     pot = constant_potential_2d(PAULI_X, PAULI_Y, axis)
     f = curvature(pot, 1, 1)
     np.testing.assert_allclose(f, 2j * PAULI_Z, atol=1e-14)
-    field = curvature_field(pot)
-    assert field.values.shape == (1, 1, 2, 2)
-    np.testing.assert_allclose(field.values[0, 0], 2j * PAULI_Z, atol=1e-14)
-
-
-def test_curvature_action_hand_value():
-    """One plaquette with F = 2i sz at unit couplings integrates to 40."""
-    field = CurvatureField(axis1=np.array([1.0]), axis2=np.array([1.0]),
-                           values=(2j * PAULI_Z).reshape(1, 1, 2, 2))
-    assert curvature_action(field, ActionParams()) == pytest.approx(40.0)
-    # g1 scales the quadratic term only: 8/4 + 32 = 34
-    assert curvature_action(field, ActionParams(g1=2.0)) == pytest.approx(34.0)
 
 
 def test_curvature_interior_and_size_checks():
@@ -314,13 +291,11 @@ def test_curvature_interior_and_size_checks():
     pot = constant_potential_2d(PAULI_X, PAULI_Y, axis)
     with pytest.raises(IndexError, match="interior"):
         curvature(pot, 0, 1)
+    with pytest.raises(IndexError, match="interior"):
+        curvature(pot, 1, 2)
     small = constant_potential_2d(PAULI_X, PAULI_Y, np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="at least 3"):
-        curvature_field(small)
-    with pytest.raises(ValueError, match="empty"):
-        curvature_action(CurvatureField(np.array([]), np.array([]),
-                                        np.zeros((0, 0, 2, 2))),
-                         ActionParams())
+    with pytest.raises(IndexError, match="interior"):
+        curvature(small, 1, 1)
 
 
 def test_pure_gauge_curvature_is_stencil_error_only():
@@ -344,38 +319,6 @@ def test_pure_gauge_potential_values_are_hermitian():
         for j in range(5):
             assert hermiticity_residual(pot.values1[i, j]) < 1e-12
             assert hermiticity_residual(pot.values2[i, j]) < 1e-12
-
-
-def test_higher_field_strength_constant_oracle():
-    """Constant A1 = sz, B2 = sx, everything else zero: F2 = [sz, sx] = 2i sy."""
-    axis = np.array([0.0, 1.0, 2.0])
-    zero = np.zeros((2, 2), dtype=complex)
-    a2d = constant_potential_2d(PAULI_Z, zero, axis)
-    b2d = constant_potential_2d(zero, PAULI_X, axis)
-    f2 = higher_field_strength(a2d, b2d, 1, 1)
-    np.testing.assert_allclose(f2, 2j * PAULI_Y, atol=1e-14)
-
-
-def test_higher_field_strength_grid_check():
-    axis = np.array([0.0, 1.0, 2.0])
-    other = np.array([0.0, 0.5, 1.0])
-    a2d = constant_potential_2d(PAULI_Z, PAULI_X, axis)
-    b2d = constant_potential_2d(PAULI_Z, PAULI_X, other)
-    with pytest.raises(ValueError, match="share both grid axes"):
-        higher_field_strength(a2d, b2d, 1, 1)
-
-
-def test_categorified_action_adds_curvature_terms():
-    rng = np.random.default_rng(10)
-    grid = np.linspace(0.0, 1.0, 7)
-    rhos = smooth_density_family(rng, 2, grid)
-    pot = uhlmann_potential(rhos, grid)
-    field = CurvatureField(axis1=np.array([1.0]), axis2=np.array([1.0]),
-                           values=(2j * PAULI_Z).reshape(1, 1, 2, 2))
-    params = ActionParams()
-    kinetic = action_functional(rhos, pot, params)
-    total = categorified_action(rhos, pot, field, field, params)
-    assert total == pytest.approx(kinetic + 80.0)
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +373,6 @@ def test_charge_residual_eps_validation():
         gauge_charge_residual(rhos, pot, 2, eps=1e-8)
     with pytest.raises(IndexError, match="interior"):
         gauge_charge_residual(rhos, pot, 0)
-
-
-def test_higher_charge_residual_responds_to_commutators():
-    axis = np.array([0.0, 1.0, 2.0])
-    zero = np.zeros((2, 2), dtype=complex)
-    a2d = constant_potential_2d(PAULI_Z, zero, axis)
-    b2d = constant_potential_2d(zero, PAULI_X, axis)
-    residual = higher_charge_residual(a2d, b2d, 2, 1, 1, ActionParams())
-    assert residual.shape == (2, 2)
-    assert np.max(np.abs(residual)) > 0.0
-    with pytest.raises(ValueError, match="axis"):
-        higher_charge_residual(a2d, b2d, 3, 1, 1, ActionParams())
 
 
 # ---------------------------------------------------------------------------

@@ -210,9 +210,8 @@ def test_pec_zero_policy_point_reports_are_byte_identical(pec_report):
 
 
 def test_pec_empty_crossing_window_raises():
-    cfg = small_pec_config(crossing_center=5.0, crossing_window=0.01)
     with pytest.raises(ValueError, match="widen it"):
-        run_pec_comparison(cfg)
+        small_pec_config(crossing_center=5.0, crossing_window=0.01)
 
 
 def test_grid_search_prefers_zero_on_ties_and_never_loses():

@@ -4,7 +4,6 @@ import pytest
 from udmrg.linalg import (
     commutator,
     dag,
-    frobenius_norm,
     hermitian_basis_element,
     hermitian_part,
     hermiticity_residual,
@@ -79,12 +78,6 @@ def test_random_unitary_is_seeded():
     a = random_unitary(np.random.default_rng(9), 4)
     b = random_unitary(np.random.default_rng(9), 4)
     np.testing.assert_array_equal(a, b)
-
-
-def test_frobenius_norm_matches_numpy():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(3, 3))
-    assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a))
 
 
 def test_hermitian_basis_is_orthonormal():

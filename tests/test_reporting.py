@@ -10,7 +10,6 @@ from udmrg.reporting import (
     config_hash,
     format_value,
     sha256_file,
-    summarize_floats,
     write_json,
     write_report_csv,
 )
@@ -91,9 +90,3 @@ def test_config_hash_is_order_insensitive_and_value_sensitive():
     assert a == b
     assert a != c
     assert len(a) == 64
-
-
-def test_summarize_floats():
-    assert summarize_floats([]) == {"count": 0}
-    block = summarize_floats([1.0, 3.0])
-    assert block == {"count": 2, "min": 1.0, "max": 3.0, "mean": 2.0}

@@ -10,6 +10,7 @@ from udmrg.spectral import (
     derivative_overlaps,
     eigh_sorted,
     max_overlap_permutation,
+    second_difference_coeffs,
     second_derivative_overlaps,
     track_hermitian_family,
 )
@@ -154,11 +155,18 @@ def test_derivative_overlaps_anti_hermitian_refinement():
         assert 3.2 < r < 4.8
 
 
-def test_second_derivative_overlaps_requires_uniform_spacing():
-    grid = np.array([0.0, 0.1, 0.3])
-    track = track_hermitian_family(grid, rotating_family(grid))
-    with pytest.raises(ValueError, match="uniform spacing"):
-        second_derivative_overlaps(track, 1)
+def test_second_difference_coeffs_exact_on_quadratics():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        h_left, h_right = rng.uniform(0.01, 2.0, size=2)
+        a, b, c, x = rng.uniform(-3.0, 3.0, size=4)
+        weights = second_difference_coeffs(h_left, h_right)
+        samples = [a * t**2 + b * t + c for t in (x - h_left, x, x + h_right)]
+        terms = [w * f for w, f in zip(weights, samples)]
+        scale = sum(abs(t) for t in terms)
+        assert abs(sum(terms) - 2.0 * a) <= 1e-13 * scale
+    # a uniform grid gives the textbook (1, -2, 1) / h^2
+    assert second_difference_coeffs(0.5, 0.5) == (4.0, -8.0, 4.0)
 
 
 def test_second_derivative_overlaps_quadratic_oracle():

@@ -6,13 +6,9 @@ from udmrg.truncation import (
     POLICY_KINDS,
     TruncationPolicy,
     TruncationWeights,
-    augmented_local_objective,
     charge_first_order,
     charge_second_order,
-    coherence_eigenvalues,
-    coherence_eigenvalues_2,
     compute_weights,
-    effective_singular_values,
     select_states,
     standard_select,
 )
@@ -103,17 +99,17 @@ def test_second_order_charge_multiplicity():
 
 def test_effective_singular_value_hand_value():
     """sigma = 0.5, gamma1 = 1, Q = ln 2 damps to exactly 0.25."""
-    out = effective_singular_values(
+    w = compute_weights(
         np.array([0.5]), np.array([np.log(2.0)]), np.array([0.0]),
         TruncationPolicy(kind="uhlmann", gamma1=1.0))
-    assert abs(out[0] - 0.25) < 1e-12
+    assert abs(w.effective[0] - 0.25) < 1e-12
 
 
 def test_effective_singular_values_standard_passthrough():
     sigma = np.array([0.9, 0.4, 0.1])
-    out = effective_singular_values(sigma, np.full(3, 7.0), np.full(3, 3.0),
-                                    TruncationPolicy(kind="standard"))
-    np.testing.assert_array_equal(out, sigma)
+    w = compute_weights(sigma, np.full(3, 7.0), np.full(3, 3.0),
+                        TruncationPolicy(kind="standard"))
+    np.testing.assert_array_equal(w.effective, sigma)
 
 
 def test_uhlmann_ignores_second_order_charge():
@@ -122,9 +118,9 @@ def test_uhlmann_ignores_second_order_charge():
     q2 = np.array([100.0, 0.0])
     pol = TruncationPolicy(kind="uhlmann", gamma1=0.3, gamma2=5.0)
     np.testing.assert_array_equal(
-        effective_singular_values(sigma, q1, q2, pol), sigma)
+        compute_weights(sigma, q1, q2, pol).effective, sigma)
     cat = TruncationPolicy(kind="categorified", gamma1=0.3, gamma2=5.0)
-    damped = effective_singular_values(sigma, q1, q2, cat)
+    damped = compute_weights(sigma, q1, q2, cat).effective
     assert damped[0] < 1e-100 and damped[1] == 1.0
 
 
@@ -132,18 +128,19 @@ def test_coherence_eigenvalues_hand_value():
     """p = 0.9 shifted by 0.5 * 0.2304 gives 1.0152."""
     p = np.array([0.9, 0.1])
     d = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    out = coherence_eigenvalues(p, d, 0.5)
-    assert abs(out[0] - 1.0152) < 1e-12
+    w = compute_weights(np.sqrt(p), charge_first_order(p, d), np.zeros(2),
+                        TruncationPolicy(kind="coherence_eigenvalue", lambda1=0.5))
+    assert abs(w.effective[0] - 1.0152) < 1e-12
     with pytest.raises(ValueError):
-        coherence_eigenvalues(p, d, -1.0)
+        TruncationPolicy(kind="coherence_eigenvalue", lambda1=-1.0)
 
 
 def test_coherence_eigenvalues_2_adds_both_orders():
     p = np.array([0.6, 0.4])
-    d = np.zeros((2, 2))
     d2 = np.array([[1.0, 0.0], [0.0, 2.0]])
-    out = coherence_eigenvalues_2(p, d, d2, 0.0, 0.5)
-    np.testing.assert_allclose(out, [0.6 + 0.5 * 2.0, 0.4 + 0.5 * 8.0])
+    w = compute_weights(np.sqrt(p), np.zeros(2), charge_second_order(d2),
+                        TruncationPolicy(kind="coherence_eigenvalue_2", lambda2=0.5))
+    np.testing.assert_allclose(w.effective, [0.6 + 0.5 * 2.0, 0.4 + 0.5 * 8.0])
 
 
 def test_compute_weights_eigenvalue_kinds_normalize():
@@ -246,9 +243,3 @@ def test_all_policies_with_zero_coefficients_match_standard():
                 np.testing.assert_allclose(
                     renorm, p / np.linalg.norm(p), atol=1e-15)
 
-
-def test_augmented_local_objective():
-    assert augmented_local_objective(1.0, 2.0, 4.0, 0.5, 0.25) == 3.0
-    assert augmented_local_objective(-3.0, 0.0, 0.0, 1.0, 1.0) == -3.0
-    with pytest.raises(ValueError, match="non-negative"):
-        augmented_local_objective(0.0, -1.0, 0.0, 1.0, 1.0)
