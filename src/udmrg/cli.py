@@ -14,20 +14,20 @@ numerical errors report to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
-import os
 import sys
 import typing
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from numpy.linalg import LinAlgError
 
 from ._version import __version__
 from .harness import (
     EXPERIMENT_KINDS,
-    TABLE_METHOD_KINDS,
     ExperimentConfig,
     run_experiment,
 )
@@ -59,9 +59,6 @@ _KIND_KEYS: dict[str, set[str]] = {
 
 #: value type of every config key, read from the ExperimentConfig annotations
 _KEY_TYPES: dict[str, Any] = typing.get_type_hints(ExperimentConfig)
-
-#: the policy kinds pec_comparison takes from ``policies`` (standard is fixed)
-_PEC_POLICY_KINDS = tuple(k for k in TABLE_METHOD_KINDS if k != "standard")
 
 _POLICY_KEYS = {"kind", "gamma1", "gamma2", "lambda1", "lambda2", "max_kept",
                 "cutoff"}
@@ -159,26 +156,6 @@ def _parse_policies(raw: Any, errors: list[str]) -> Optional[list[TruncationPoli
     return policies if ok else None
 
 
-def _pec_policy_problems(policies: list[TruncationPolicy], grid_search: bool) -> list[str]:
-    """Explicit pec_comparison policies that the run would silently ignore."""
-    if grid_search:
-        return ["pec_comparison ignores 'policies' when grid_search is true; "
-                "set grid_search to false or drop 'policies'"]
-    problems = []
-    seen: set[str] = set()
-    for i, pol in enumerate(policies):
-        if pol.kind not in _PEC_POLICY_KINDS:
-            problems.append(
-                f"policies[{i}]: pec_comparison never runs a {pol.kind!r} policy; "
-                f"expected one of {', '.join(_PEC_POLICY_KINDS)}")
-        elif pol.kind in seen:
-            problems.append(
-                f"policies[{i}]: kind {pol.kind!r} repeats; pec_comparison runs "
-                "one policy per kind")
-        seen.add(pol.kind)
-    return problems
-
-
 def parse_config_data(data: Any) -> ExperimentConfig:
     """Validate a decoded JSON object into an ExperimentConfig."""
     errors: list[str] = []
@@ -208,10 +185,6 @@ def parse_config_data(data: Any) -> ExperimentConfig:
             parsed = _check_scalar(key, value, errors)
             if parsed is not None:
                 kwargs[key] = parsed
-    if kind == "pec_comparison" and "policies" in kwargs and (
-            "grid_search" in kwargs or "grid_search" not in data):
-        errors += _pec_policy_problems(
-            kwargs["policies"], kwargs.get("grid_search", ExperimentConfig.grid_search))
     if errors:
         raise ConfigError(errors)
     try:
@@ -249,15 +222,68 @@ def _write_report(report: ScanReport, out_dir: Path) -> list[Path]:
     return written
 
 
+@functools.lru_cache(maxsize=None)
+def _bundled_openblas() -> tuple[tuple[str, Any, Any], ...]:
+    """``(package, get, set)`` thread calls of numpy's and scipy's own OpenBLAS.
+
+    numpy loads its OpenBLAS, and starts its thread pool, at import; the
+    ``*_NUM_THREADS`` variables are read only then.  A running process
+    changes the pool size through the library's own setter.  Packages built
+    against another BLAS contribute nothing.
+    """
+    import ctypes
+
+    import numpy
+    import scipy
+    import scipy.linalg  # noqa: F401  (loads scipy's own OpenBLAS)
+
+    found = []
+    for package, suffix in ((numpy, "64_"), (scipy, "")):
+        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        paths = sorted(libs.glob("libscipy_openblas*.so"))
+        if not paths:
+            continue
+        lib = ctypes.CDLL(str(paths[0]))
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        get.argtypes, get.restype = [], ctypes.c_int
+        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        put.argtypes, put.restype = [ctypes.c_int], None
+        found.append((package.__name__, get, put))
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _blas_threads(threads: Optional[int]) -> Iterator[dict[str, int]]:
+    """Cap the bundled OpenBLAS pools at ``threads`` for the ``with`` block.
+
+    Yields the thread count each library reports back, keyed by package;
+    ``None`` leaves the pools alone and only reads them.  The previous
+    counts are restored on exit.
+    """
+    libs = _bundled_openblas()
+    before = [get() for _, get, _ in libs]
+    if threads is not None:
+        for _, _, put in libs:
+            put(threads)
+    try:
+        yield {name: get() for name, get, _ in libs}
+    finally:
+        if threads is not None:
+            for (_, _, put), count in zip(libs, before):
+                put(count)
+
+
 def dispatch(cfg: ExperimentConfig, out_dir: Path,
              threads: Optional[int] = None) -> int:
-    """Run one experiment, write outputs and the manifest, return exit status."""
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+    """Run one experiment, write outputs and the manifest, return exit status.
+
+    ``threads`` caps the BLAS thread pools for the run; the manifest records
+    the cap and the count each bundled OpenBLAS reports back.
+    """
     out_dir = Path(out_dir)
     started = datetime.now(timezone.utc).isoformat()
-    report = run_experiment(cfg)
+    with _blas_threads(threads) as in_effect:
+        report = run_experiment(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = _write_report(report, out_dir)
     flagged = int(report.summary.get("flagged", 0))
@@ -269,6 +295,7 @@ def dispatch(cfg: ExperimentConfig, out_dir: Path,
         "started_utc": started,
         "finished_utc": datetime.now(timezone.utc).isoformat(),
         "threads": threads,
+        "blas_threads": in_effect,
         "exit_status": status,
         "outputs": [
             {"path": p.name, "sha256": sha256_file(p)} for p in written

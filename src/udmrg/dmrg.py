@@ -4,7 +4,12 @@ The local problem is always solved densely: the effective Hamiltonian is
 built explicitly from the environments and diagonalized with a dense
 hermitian eigensolver (lowest pair only above a size threshold).  There is no
 Lanczos path, which keeps runs deterministic at desk scale; dimensions beyond
-``dense_limit`` raise with a request for a smaller bond budget.
+``dense_limit`` raise with a request for a smaller bond budget.  Real and
+imaginary parts of the local eigenvector below ``_FLUSH_RELATIVE`` times its
+largest magnitude are set to zero before the split.  For a real MPO the
+imaginary parts otherwise shrink geometrically along a warm-started scan
+until they turn subnormal, and a dense eigensolve on a matrix with subnormal
+entries runs more than ten times slower.
 
 Continuation scans treat the scan grid as the time axis of the gauge
 machinery.  While sweeping at grid point ``k`` the engine maintains cross
@@ -15,7 +20,9 @@ bases at different points live in different left-block gauges, so the scan
 records probabilities and cross-point overlap matrices -- the gauge-invariant
 content -- rather than raw eigenvector tracks.  Branches are identified
 across points by their descending-weight rank; mismatched bond dimensions
-are padded with zero-probability states.
+are padded with zero-probability states.  A scan diagonalizes nothing
+densely: a caller that already holds the exact ground states passes them as
+``oracle`` and gets the per-point fidelities back.
 
 The augmented objective per scan point is ``E + lambda1 * coherence +
 lambda2 * curvature`` where the coherence penalty is
@@ -55,6 +62,9 @@ from .truncation import (
 
 #: effective dimensions at or below this are solved with the full eigensolver
 _FULL_EIGH_DIM = 128
+
+#: local-eigenvector parts below this fraction of its largest magnitude are zeroed
+_FLUSH_RELATIVE = 1e-100
 
 
 @dataclass(frozen=True)
@@ -181,6 +191,19 @@ def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
         return float(w[0]), v[:, 0]
     w, v = scipy.linalg.eigh(h, subset_by_index=(0, 0))
     return float(w[0]), v[:, 0]
+
+
+def _flush_tiny(vec: np.ndarray) -> np.ndarray:
+    """Zero the real and imaginary parts of ``vec`` below ``_FLUSH_RELATIVE``.
+
+    The threshold is relative to the largest magnitude of ``vec``.  Real and
+    imaginary parts are tested separately: the parts that decay toward the
+    subnormal range sit in entries whose other part is of order one.
+    """
+    floor = _FLUSH_RELATIVE * float(np.max(np.abs(vec)))
+    for part in (vec.real, vec.imag):
+        part[np.abs(part) < floor] = 0.0
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +408,7 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int, cfg: SweepConfig
                    context: Optional[_ChargeContext], center_after: str):
     heff = effective_hamiltonian(lenv, renv, ws[b], ws[b + 1], cfg.dense_limit)
     energy, vec = _lowest_eigenpair(heff)
+    vec = _flush_tiny(vec)
     l = tensors[b].shape[0]
     d1, d2 = tensors[b].shape[1], tensors[b + 1].shape[1]
     r = tensors[b + 1].shape[2]
@@ -493,21 +517,25 @@ def _final_discards(result: DmrgResult, n_bonds: int) -> list[float]:
 
 def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
                       cfg: SweepConfig, init: Optional[MatrixProductState] = None,
-                      compute_oracle: bool = True,
-                      oracle_limit: int = 4096) -> ContinuationScan:
+                      oracle: Optional[Sequence[np.ndarray]] = None) -> ContinuationScan:
     """Solve a Hamiltonian family along ``grid``, warm-starting each point.
 
     The first point always uses the standard policy (there is no earlier
     point to difference against); later points use ``cfg.policy`` with
     charges from backward stencils over the previous one or two converged
-    points.  When the dense dimension admits it and ``compute_oracle`` is
-    set, per-point overlaps with the exact ground state are recorded.
+    points.  ``oracle``, when given, holds the exact normalized ground state
+    of every grid point as a dense vector; the scan then records each
+    point's fidelity ``|<oracle|psi>|^2`` with it.  The scan diagonalizes
+    nothing densely itself: the caller owns the oracle and its cost.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("scan grid must be a non-empty 1-d array")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("scan grid must be strictly increasing")
+    if oracle is not None and len(oracle) != grid.size:
+        raise ValueError(
+            f"oracle holds {len(oracle)} states for {grid.size} grid points")
 
     results: list[DmrgResult] = []
     records: list[ScanPointRecord] = []
@@ -515,7 +543,6 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
     history: list[_PointData] = []
     spacings: list[float] = []
     state: Optional[MatrixProductState] = None
-    oracle_ok = compute_oracle
 
     for k, value in enumerate(grid):
         mpo = family(float(value))
@@ -545,18 +572,10 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
         results.append(result)
         records.append(record)
 
-        if oracle_ok:
-            dim = int(np.prod(state.physical_dims))
-            if dim <= oracle_limit:
-                from .models import exact_diagonalization
-                from .mps import mpo_to_dense
-
-                _, vecs = exact_diagonalization(mpo_to_dense(mpo), k=1)
-                dense = to_dense(state)
-                dense = dense / np.linalg.norm(dense)
-                fidelities.append(float(np.abs(np.vdot(vecs[:, 0], dense)) ** 2))
-            else:
-                oracle_ok = False
+        if oracle is not None:
+            dense = to_dense(state)
+            dense = dense / np.linalg.norm(dense)
+            fidelities.append(float(np.abs(np.vdot(oracle[k], dense)) ** 2))
 
         history.insert(0, _PointData(
             tensors=[t.copy() for t in phi.tensors],
@@ -567,5 +586,5 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
 
     return ContinuationScan(
         grid=grid, results=results, records=records,
-        fidelity_to_oracle=fidelities if oracle_ok else None,
+        fidelity_to_oracle=fidelities if oracle is not None else None,
     )

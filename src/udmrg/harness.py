@@ -12,9 +12,11 @@ Four experiments share one flat configuration type:
     Potential-energy-curve comparison: warm-started ground-state scans of a
     transverse-field Ising chain across its critical point under four
     truncation methods at equal bond budget, with per-method errors against
-    dense diagonalization, optional coefficient grid search (grids must
-    contain zero, so the searched methods can never do worse than standard),
-    and improvement percentages recomputed from the recorded errors.
+    dense diagonalization (one per field, shared by every scan), optional
+    coefficient grid search (grids must contain zero, so the searched
+    methods can never do worse than standard; all-zero cells reuse the
+    standard scan), and improvement percentages recomputed from the recorded
+    errors.
 
 ``dmrg_benchmark``
     Ground-state energies versus dense diagonalization over a size/field
@@ -92,6 +94,9 @@ EXPERIMENT_KINDS = (
 #: the four comparison-table methods, in row order
 TABLE_METHOD_KINDS = ("standard", "uhlmann", "categorified", "coherence_eigenvalue_2")
 
+#: the methods pec_comparison takes from ``policies`` (the standard row is fixed)
+PEC_POLICY_KINDS = TABLE_METHOD_KINDS[1:]
+
 METHOD_LABELS = {
     "standard": "standard",
     "uhlmann": "uhlmann",
@@ -117,7 +122,9 @@ class ExperimentConfig:
 
     Fields irrelevant to the selected kind keep their defaults; the CLI
     additionally rejects keys that do not belong to the chosen experiment and
-    reads each key's type from the annotations below.
+    reads each key's type from the annotations below.  A ``policies`` list
+    equal to :func:`default_policies` counts as unset; any other list must be
+    one that ``pec_comparison`` would actually run.
     """
 
     kind: str
@@ -194,6 +201,9 @@ class ExperimentConfig:
         for pol in self.policies:
             if not isinstance(pol, TruncationPolicy):
                 errs.append(f"policies entries must be TruncationPolicy, got {pol!r}")
+        if (self.kind == "pec_comparison" and self.policies != default_policies()
+                and all(isinstance(p, TruncationPolicy) for p in self.policies)):
+            errs += _pec_policy_problems(self.policies, self.grid_search)
         if not self.coupling > 0:
             errs.append("coupling must be positive")
         if not self.lambda_min < self.lambda_max:
@@ -272,6 +282,27 @@ class ExperimentConfig:
                     f"{name} must halve the spacing at each level (n -> 2n - 1)"
                 )
         return errs
+
+
+def _pec_policy_problems(policies: Sequence[TruncationPolicy],
+                         grid_search: bool) -> list[str]:
+    """Explicit pec_comparison policies that the run would silently ignore."""
+    if grid_search:
+        return ["pec_comparison ignores 'policies' when grid_search is true; "
+                "set grid_search to false or drop 'policies'"]
+    problems = []
+    seen: set[str] = set()
+    for i, pol in enumerate(policies):
+        if pol.kind not in PEC_POLICY_KINDS:
+            problems.append(
+                f"policies[{i}]: pec_comparison never runs a {pol.kind!r} policy; "
+                f"expected one of {', '.join(PEC_POLICY_KINDS)}")
+        elif pol.kind in seen:
+            problems.append(
+                f"policies[{i}]: kind {pol.kind!r} repeats; pec_comparison runs "
+                "one policy per kind")
+        seen.add(pol.kind)
+    return problems
 
 
 def config_payload(cfg: ExperimentConfig) -> dict:
@@ -461,24 +492,29 @@ class _PecProblem:
     grid: np.ndarray
     family: Callable
     exact_energies: np.ndarray
+    exact_states: list[np.ndarray]
     window: np.ndarray
 
 
 def _pec_problem(cfg: ExperimentConfig) -> _PecProblem:
+    """Field grid, MPO family and one dense exact ground state per field."""
     grid, window = _pec_grid(cfg)
 
-    def family(h: float):
-        spec = SpinChainSpec(cfg.spin_model, cfg.n_sites,
-                             coupling=cfg.coupling_j, field=h)
-        return build_spin_chain_mpo(spec)
+    def spec(h: float) -> SpinChainSpec:
+        return SpinChainSpec(cfg.spin_model, cfg.n_sites, coupling=cfg.coupling_j,
+                             field=h)
 
-    exact = np.array([
-        float(exact_diagonalization(dense_spin_chain(
-            SpinChainSpec(cfg.spin_model, cfg.n_sites,
-                          coupling=cfg.coupling_j, field=h)))[0][0])
-        for h in grid
-    ])
-    return _PecProblem(grid=grid, family=family, exact_energies=exact, window=window)
+    def family(h: float):
+        return build_spin_chain_mpo(spec(h))
+
+    exact = [exact_diagonalization(dense_spin_chain(spec(h))) for h in grid]
+    return _PecProblem(grid=grid, family=family,
+                       exact_energies=np.array([float(w[0]) for w, _ in exact]),
+                       exact_states=[v[:, 0] for _, v in exact], window=window)
+
+
+def _standard_policy(cfg: ExperimentConfig) -> TruncationPolicy:
+    return TruncationPolicy(kind="standard", max_kept=cfg.max_bond)
 
 
 def _scan_for_policy(cfg: ExperimentConfig, problem: _PecProblem,
@@ -487,7 +523,8 @@ def _scan_for_policy(cfg: ExperimentConfig, problem: _PecProblem,
     init = random_mps(rng, [2] * cfg.n_sites, cfg.max_bond)
     sweep_cfg = SweepConfig(max_bond=cfg.max_bond, num_sweeps=cfg.num_sweeps,
                             energy_tol=cfg.energy_tol, policy=policy)
-    return continuation_scan(problem.family, problem.grid, sweep_cfg, init=init)
+    return continuation_scan(problem.family, problem.grid, sweep_cfg, init=init,
+                             oracle=problem.exact_states)
 
 
 def _scan_errors(scan: ContinuationScan, problem: _PecProblem) -> np.ndarray:
@@ -531,19 +568,26 @@ class GridSearchResult:
 
 def grid_search_coefficients(cfg: ExperimentConfig,
                              kinds: Optional[Sequence[str]] = None,
-                             problem: Optional[_PecProblem] = None) -> GridSearchResult:
+                             problem: Optional[_PecProblem] = None,
+                             standard: Optional[ContinuationScan] = None,
+                             ) -> GridSearchResult:
     """Exhaustive coefficient search per enhanced method.
 
-    Every (method, coefficient) cell runs a full warm-started scan of the
-    validation instance and is scored by ``cfg.objective`` over the crossing
+    Every (method, coefficient) cell is a full warm-started scan of the
+    validation instance, scored by ``cfg.objective`` over the crossing
     window (energy error is minimized; fidelity is maximized).  Ties prefer
     the all-zero cell, then the earliest grid cell, making the outcome
     deterministic and never worse than the standard method.
+
+    An all-zero cell selects exactly the states the standard rule selects
+    (its cutoff is 0, and at cutoff 0 zero coefficients leave the ranking
+    unchanged), so every such cell shares one standard scan: ``standard``
+    when given, otherwise one run here on first need.
     """
     if problem is None:
         problem = _pec_problem(cfg)
     if kinds is None:
-        kinds = [k for k in TABLE_METHOD_KINDS if k != "standard"]
+        kinds = PEC_POLICY_KINDS
     for kind in kinds:
         if kind not in POLICY_KINDS or kind == "standard":
             raise ValueError(f"cannot grid-search kind {kind!r}")
@@ -561,9 +605,14 @@ def grid_search_coefficients(cfg: ExperimentConfig,
         scored = []
         for i, cell in enumerate(cells):
             policy = TruncationPolicy(kind=kind, max_kept=cfg.max_bond, **cell)
-            scan = _scan_for_policy(cfg, problem, policy)
-            score = _scan_objective(cfg, scan, problem)
             nonzero = 0 if all(v == 0 for v in cell.values()) else 1
+            if nonzero:
+                scan = _scan_for_policy(cfg, problem, policy)
+            else:
+                if standard is None:
+                    standard = _scan_for_policy(cfg, problem, _standard_policy(cfg))
+                scan = standard
+            score = _scan_objective(cfg, scan, problem)
             scored.append((score, nonzero, i, cell, policy, scan))
         best = min(scored, key=lambda s: (s[0], s[1], s[2]))
         label = METHOD_LABELS[kind]
@@ -616,9 +665,10 @@ def run_pec_comparison(cfg: ExperimentConfig) -> ScanReport:
     problem = _pec_problem(cfg)
     configured = {p.kind: p for p in cfg.policies}
 
+    standard_scan = _scan_for_policy(cfg, problem, _standard_policy(cfg))
     search: Optional[GridSearchResult] = None
     if cfg.grid_search:
-        search = grid_search_coefficients(cfg, problem=problem)
+        search = grid_search_coefficients(cfg, problem=problem, standard=standard_scan)
 
     report = ScanReport(
         name="pec_comparison",
@@ -631,8 +681,8 @@ def run_pec_comparison(cfg: ExperimentConfig) -> ScanReport:
     for kind in TABLE_METHOD_KINDS:
         label = METHOD_LABELS[kind]
         if kind == "standard":
-            policy = TruncationPolicy(kind="standard", max_kept=cfg.max_bond)
-            scan = _scan_for_policy(cfg, problem, policy)
+            policy = _standard_policy(cfg)
+            scan = standard_scan
         elif search is not None:
             policy = search.best_policies[kind]
             scan = search.best_scans[kind]

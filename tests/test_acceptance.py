@@ -87,8 +87,7 @@ def test_zero_coefficient_policies_are_exactly_degenerate():
         cfg = SweepConfig(max_bond=4, num_sweeps=12, energy_tol=1e-9,
                           policy=TruncationPolicy(kind=kind))
         init = random_mps(np.random.default_rng(7), [2] * 6, 4)
-        scan = continuation_scan(family, grid, cfg, init=init,
-                                 compute_oracle=False)
+        scan = continuation_scan(family, grid, cfg, init=init)
         energies[kind] = np.array([r.energy for r in scan.results])
         kept[kind] = [rec.kept.tolist() for r in scan.results
                       for rec in r.truncation_log]

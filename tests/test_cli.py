@@ -4,7 +4,13 @@ import json
 import pytest
 from numpy.linalg import LinAlgError
 
-from udmrg.cli import ConfigError, main, parse_config, parse_config_data
+from udmrg.cli import (
+    ConfigError,
+    _bundled_openblas,
+    main,
+    parse_config,
+    parse_config_data,
+)
 from udmrg.truncation import TruncationPolicy
 
 
@@ -219,3 +225,22 @@ def test_thread_count_must_be_positive(tmp_path, capsys):
     assert rc == 1
     assert "--threads must be at least 1" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_threads_caps_the_bundled_blas_and_the_manifest_reads_it_back(tmp_path):
+    libs = _bundled_openblas()
+    if not libs:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    before = {name: get() for name, get, _ in libs}
+    path = write_config(tmp_path, "gauge.json", GAUGE_TINY)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir), "--threads", "1"]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text("utf-8"))
+    assert manifest["threads"] == 1
+    assert manifest["blas_threads"] == {name: 1 for name in before}
+    # the cap holds for the run only
+    assert {name: get() for name, get, _ in libs} == before
+    assert main(["run", str(path), "--out", str(tmp_path / "free")]) == 0
+    manifest = json.loads((tmp_path / "free" / "manifest.json").read_text("utf-8"))
+    assert manifest["threads"] is None
+    assert manifest["blas_threads"] == before

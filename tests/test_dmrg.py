@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from udmrg import dmrg
 from udmrg.dmrg import SweepConfig, _bond_charges, continuation_scan, ground_state
 from udmrg.models import (
     SpinChainSpec,
@@ -11,7 +12,13 @@ from udmrg.models import (
     single_site_mpo,
     PAULI_Z,
 )
-from udmrg.mps import MatrixProductState, from_product_state, random_mps
+from udmrg.mps import (
+    MatrixProductState,
+    from_product_state,
+    mpo_to_dense,
+    random_mps,
+    to_dense,
+)
 from udmrg.truncation import POLICY_KINDS, TruncationPolicy
 
 
@@ -147,12 +154,19 @@ def test_scan_grid_validation():
         continuation_scan(family, [0.8, 1.0], cfg)
 
 
+def tfim_ground_states(n_sites, grid):
+    return [exact_diagonalization(dense_spin_chain(SpinChainSpec(
+        kind="tfim", n_sites=n_sites, coupling=1.0, field=float(h))))[1][:, 0]
+        for h in grid]
+
+
 def test_scan_tracks_exact_ground_states_at_full_rank():
     family = tfim_family(4)
     grid = np.array([0.6, 0.8, 1.0, 1.2])
     cfg = SweepConfig(max_bond=4, num_sweeps=10, energy_tol=1e-11)
     init = random_mps(np.random.default_rng(8), [2] * 4, 4)
-    scan = continuation_scan(family, grid, cfg, init=init)
+    scan = continuation_scan(family, grid, cfg, init=init,
+                             oracle=tfim_ground_states(4, grid))
     assert len(scan.results) == 4
     assert scan.fidelity_to_oracle is not None
     for k, value in enumerate(grid):
@@ -192,8 +206,7 @@ def test_zero_coefficient_policies_share_one_trajectory():
         cfg = SweepConfig(max_bond=4, num_sweeps=8, energy_tol=1e-10,
                           policy=TruncationPolicy(kind=kind))
         init = random_mps(np.random.default_rng(10), [2] * 4, 4)
-        scan = continuation_scan(family, grid, cfg, init=init,
-                                 compute_oracle=False)
+        scan = continuation_scan(family, grid, cfg, init=init)
         energies[kind] = [r.energy for r in scan.results]
         kept_sets[kind] = [rec.kept.tolist()
                            for r in scan.results
@@ -212,8 +225,7 @@ def test_record_objective_recomputes_from_parts():
     cfg = SweepConfig(max_bond=4, num_sweeps=8, energy_tol=1e-10,
                       policy=policy)
     init = random_mps(np.random.default_rng(11), [2] * 4, 4)
-    scan = continuation_scan(family, grid, cfg, init=init,
-                             compute_oracle=False)
+    scan = continuation_scan(family, grid, cfg, init=init)
     for rec in scan.records:
         expected = rec.energy + 0.3 * rec.coherence_penalty \
             + 0.2 * rec.curvature_penalty
@@ -229,9 +241,55 @@ def test_scan_disables_oracle_when_requested():
     grid = np.array([0.9, 1.1])
     cfg = SweepConfig(max_bond=4)
     init = random_mps(np.random.default_rng(12), [2] * 4, 4)
-    scan = continuation_scan(family, grid, cfg, init=init,
-                             compute_oracle=False)
+    scan = continuation_scan(family, grid, cfg, init=init)
     assert scan.fidelity_to_oracle is None
+
+
+def test_scan_oracle_fidelities_match_a_per_point_dense_reference():
+    """The harness's oracle (one dense eigensolve per field, built with the
+
+    Kronecker builder) gives the same fidelities, bit for bit, as the
+    per-point ``exact_diagonalization(mpo_to_dense(mpo))`` the scan once ran
+    itself."""
+    family = tfim_family(6)
+    grid = np.linspace(0.8, 1.2, 5)
+    cfg = SweepConfig(max_bond=4, num_sweeps=8, energy_tol=1e-9)
+    init = random_mps(np.random.default_rng(13), [2] * 6, 4)
+    scan = continuation_scan(family, grid, cfg, init=init,
+                             oracle=tfim_ground_states(6, grid))
+    reference = []
+    for value, result in zip(grid, scan.results):
+        _, vecs = exact_diagonalization(mpo_to_dense(family(float(value))), k=1)
+        dense = to_dense(result.state)
+        dense = dense / np.linalg.norm(dense)
+        reference.append(float(np.abs(np.vdot(vecs[:, 0], dense)) ** 2))
+    assert scan.fidelity_to_oracle == reference
+    with pytest.raises(ValueError, match="oracle holds 4 states for 5 grid points"):
+        continuation_scan(family, grid, cfg, init=init,
+                          oracle=tfim_ground_states(6, grid[:4]))
+
+
+def test_scan_local_solves_see_no_subnormal_entries(monkeypatch):
+    """For the real TFIM MPO the imaginary parts of a warm-started scan's
+
+    local eigenvectors shrink geometrically from point to point.  Unflushed,
+    they reach the subnormal range by the ninth point, where a dense
+    eigensolve runs more than ten times slower."""
+    tiny = np.finfo(float).tiny
+    subnormal = []
+    lowest = dmrg._lowest_eigenpair
+
+    def spy(h):
+        parts = np.abs(h.view(float))
+        subnormal.append(int(np.count_nonzero((parts > 0) & (parts < tiny))))
+        return lowest(h)
+
+    monkeypatch.setattr(dmrg, "_lowest_eigenpair", spy)
+    init = random_mps(np.random.default_rng(7), [2] * 4, 4)
+    continuation_scan(tfim_family(4), np.linspace(0.5, 1.5, 9),
+                      SweepConfig(max_bond=4, num_sweeps=12, energy_tol=1e-9),
+                      init=init)
+    assert subnormal and sum(subnormal) == 0
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from udmrg import harness
 from udmrg.harness import (
     EXPERIMENT_KINDS,
     METHOD_LABELS,
@@ -49,6 +50,32 @@ def test_config_reports_every_problem_at_once():
 def test_coefficient_grids_must_contain_zero():
     with pytest.raises(ValueError, match="non-inferiority"):
         ExperimentConfig(kind="pec_comparison", gamma1_grid=(0.5, 1.0))
+
+
+def test_pec_rejects_policies_the_run_would_ignore():
+    with pytest.raises(ValueError, match="ignores 'policies' when grid_search is true"):
+        ExperimentConfig(kind="pec_comparison", n_sites=4, n_fields=5, max_bond=2,
+                         num_sweeps=4,
+                         policies=[TruncationPolicy(kind="uhlmann", gamma1=0.7)])
+    with pytest.raises(ValueError, match=r"policies\[0\]: pec_comparison never runs"):
+        small_pec_config(policies=[TruncationPolicy(kind="standard")])
+    with pytest.raises(ValueError, match=r"policies\[1\]: kind 'uhlmann' repeats"):
+        small_pec_config(policies=[TruncationPolicy(kind="uhlmann", gamma1=0.7),
+                                   TruncationPolicy(kind="uhlmann")])
+    # the default list is what an unset ``policies`` means, under either mode
+    small_pec_config(grid_search=True, policies=default_policies())
+    small_pec_config(policies=default_policies())
+
+
+def test_default_config_hashes_are_unchanged():
+    expected = {
+        "crossing_scan": "bdfe9ffa4819fc3f4ef0c53b380b7d8cf695e8f56f044ea46cdfc34d1ebf2d0f",
+        "pec_comparison": "79aff15ee48e284e59cce51eec35f48b1ef594d35a640ff1c3bbd9a0924d4fce",
+        "dmrg_benchmark": "f9c7a91502601b53197c60ad60a2365f35822fb0bd76754e07fd5b3e84e4e916",
+        "gauge_diagnostics": "69fa7cf8eddefbc2ff968225cfcc760109019097c534f7b90a46eeb2d4b6577f",
+    }
+    for kind, digest in expected.items():
+        assert config_hash(config_payload(ExperimentConfig(kind=kind))) == digest
 
 
 def test_pec_requires_tfim():
@@ -228,6 +255,37 @@ def test_grid_search_prefers_zero_on_ties_and_never_loses():
     zero_row = [r for r in rows if r[1] == 0.0][0]
     obj_idx = search.table.columns.index("objective")
     assert search.best_objectives["uhlmann"] <= zero_row[obj_idx]
+
+
+def test_zero_cells_reuse_the_standard_scan(monkeypatch):
+    cfg = small_pec_config(n_fields=5, grid_search=True, gamma1_grid=(0.0, 0.5),
+                           gamma2_grid=(0.0,), lambda1_grid=(0.0,),
+                           lambda2_grid=(0.0, 0.5))
+    ran = []
+    scan_for_policy = harness._scan_for_policy
+
+    def counting(cfg, problem, policy):
+        ran.append(policy)
+        return scan_for_policy(cfg, problem, policy)
+
+    monkeypatch.setattr(harness, "_scan_for_policy", counting)
+    report = run_pec_comparison(cfg)
+    # one standard scan serves the three zero cells and the standard row;
+    # each of the three nonzero cells runs its own
+    assert [p.kind for p in ran] == ["standard", "uhlmann", "categorified",
+                                     "coherence_eigenvalue_2"]
+    assert [(p.gamma1, p.gamma2, p.lambda1, p.lambda2) for p in ran[1:]] == [
+        (0.5, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.5)]
+    table = next(a for a in report.attachments if a.name.endswith("_gridsearch"))
+    assert len(table.rows) == 6
+
+    # a zero cell run for real reports exactly what the shared scan reports
+    problem = harness._pec_problem(cfg)
+    shared = scan_for_policy(cfg, problem, TruncationPolicy(kind="standard", max_kept=2))
+    for kind in harness.PEC_POLICY_KINDS:
+        own = scan_for_policy(cfg, problem, TruncationPolicy(kind=kind, max_kept=2))
+        assert harness._points_report("p", cfg, problem, own).csv_bytes() == \
+            harness._points_report("p", cfg, problem, shared).csv_bytes()
 
 
 def test_grid_search_rejects_the_standard_kind():

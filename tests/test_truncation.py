@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udmrg.truncation import (
     PAIR_FLOOR,
@@ -216,30 +217,86 @@ def test_standard_select_keeps_top_weights():
 # zero-coefficient degeneracy
 # ---------------------------------------------------------------------------
 
-def test_all_policies_with_zero_coefficients_match_standard():
-    """1000 random spectra: every kind keeps exactly the standard set."""
-    rng = np.random.default_rng(42)
-    standard = TruncationPolicy(kind="standard", max_kept=6, cutoff=0.0)
-    for _ in range(1000):
-        n = int(rng.integers(2, 12))
-        sigma = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
-        sigma[-1] = max(sigma[-1], 1e-3)  # keep the spectrum normalizable
-        sigma = np.sort(sigma)[::-1]
-        q1 = rng.uniform(0.0, 5.0, size=n)
-        q2 = rng.uniform(0.0, 5.0, size=n)
-        ref_w = compute_weights(sigma, q1, q2, standard)
-        ref_kept, ref_renorm = select_states(ref_w, standard)
-        for kind in POLICY_KINDS:
-            pol = TruncationPolicy(kind=kind, max_kept=6, cutoff=0.0)
-            w = compute_weights(sigma, q1, q2, pol)
-            kept, renorm = select_states(w, pol)
-            np.testing.assert_array_equal(kept, ref_kept)
-            if kind in ("standard", "uhlmann", "categorified"):
-                # same raw currency (singular values): bitwise identical
-                np.testing.assert_array_equal(renorm, ref_renorm)
-            else:
-                # probability currency but the same retained set
-                p = sigma[kept] ** 2
-                np.testing.assert_allclose(
-                    renorm, p / np.linalg.norm(p), atol=1e-15)
+#: magnitudes that force exact ties, exact zeros and squares that underflow
+_TIE_VALUES = (0.0, 1e-200, 0.25, 0.5)
 
+
+@st.composite
+def spectra(draw, max_size=10):
+    """Descending singular values with a largest value of order one."""
+    lead = draw(st.floats(1e-3, 1.0))
+    rest = draw(st.lists(st.one_of(st.sampled_from(_TIE_VALUES),
+                                   st.floats(0.0, 1.0)),
+                         max_size=max_size - 1))
+    return np.sort(np.array([lead] + [min(v, lead) for v in rest]))[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), sigma=spectra(), max_kept=st.integers(1, 12))
+def test_all_policies_with_zero_coefficients_match_standard(data, sigma, max_kept):
+    """Random spectra and charges: every kind keeps exactly the standard set.
+
+    This is the identity the grid search's zero-cell reuse rests on.  It
+    needs cutoff 0: the eigenvalue-shift kinds threshold ``p = sigma^2``
+    where the standard rule thresholds ``sigma``, so at a cutoff ``c > 0``
+    they admit ``sigma >= sqrt(c) sigma_max`` instead of ``sigma >= c
+    sigma_max`` (see the test below)."""
+    charges = st.lists(st.floats(0.0, 1e6), min_size=sigma.size,
+                       max_size=sigma.size)
+    q1 = np.array(data.draw(charges))
+    q2 = np.array(data.draw(charges))
+    standard = TruncationPolicy(kind="standard", max_kept=max_kept, cutoff=0.0)
+    ref_w = compute_weights(sigma, q1, q2, standard)
+    ref_kept, ref_renorm = select_states(ref_w, standard)
+    for kind in POLICY_KINDS:
+        pol = TruncationPolicy(kind=kind, max_kept=max_kept, cutoff=0.0)
+        w = compute_weights(sigma, q1, q2, pol)
+        kept, renorm = select_states(w, pol)
+        np.testing.assert_array_equal(kept, ref_kept)
+        if kind in ("standard", "uhlmann", "categorified"):
+            # same raw currency (singular values): bitwise identical
+            np.testing.assert_array_equal(renorm, ref_renorm)
+        else:
+            # probability currency but the same retained set
+            p = sigma[kept] ** 2
+            np.testing.assert_allclose(
+                renorm, p / np.linalg.norm(p), atol=1e-15)
+
+
+def test_a_nonzero_cutoff_breaks_the_zero_coefficient_identity():
+    """sigma = (1, 0.6) at cutoff 0.5: standard admits 0.6 >= 0.5, while the
+
+    eigenvalue-shift rule compares p = (1, 0.36) / 1.36 and drops 0.36 < 0.5."""
+    sigma = np.array([1.0, 0.6])
+    zeros = np.zeros(2)
+    kept = {}
+    for kind in ("standard", "coherence_eigenvalue"):
+        pol = TruncationPolicy(kind=kind, cutoff=0.5)
+        kept[kind] = select_states(compute_weights(sigma, zeros, zeros, pol), pol)[0]
+    np.testing.assert_array_equal(kept["standard"], [0, 1])
+    np.testing.assert_array_equal(kept["coherence_eigenvalue"], [0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), sigma=spectra(), max_kept=st.integers(1, 12),
+       cutoff=st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
+def test_select_states_obeys_its_tie_break_and_cutoff_rules(
+        data, sigma, max_kept, cutoff):
+    """States rank by effective weight, ties toward the lower index; of the
+
+    states reaching ``cutoff * max(effective)``, the top ``max_kept`` stay."""
+    raw = np.maximum(sigma, 1e-3)  # no zero-weight fallback in play
+    eff = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from(_TIE_VALUES), st.floats(0.0, 1.0)),
+        min_size=raw.size, max_size=raw.size)))
+    weights = make_weights(raw, eff)
+    policy = TruncationPolicy(max_kept=max_kept, cutoff=cutoff)
+    kept, renorm = select_states(weights, policy)
+    admitted = [i for i in range(eff.size) if eff[i] >= cutoff * eff.max()]
+    assert list(kept) == sorted(set(kept))
+    assert set(kept) <= set(admitted)
+    assert kept.size == min(max_kept, len(admitted))
+    for j in kept:
+        for i in set(admitted) - set(kept):
+            assert eff[j] > eff[i] or (eff[j] == eff[i] and j < i)
+    np.testing.assert_array_equal(renorm, raw[kept] / np.linalg.norm(raw[kept]))
