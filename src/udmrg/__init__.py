@@ -37,9 +37,15 @@ from .gauge import (
     uhlmann_potential,
 )
 from .harness import (
+    CONFIG_TYPES,
     EXPERIMENT_KINDS,
+    ConfigError,
+    CrossingScanConfig,
+    DmrgBenchmarkConfig,
     ExperimentConfig,
+    GaugeDiagnosticsConfig,
     GridSearchResult,
+    PecComparisonConfig,
     default_policies,
     grid_search_coefficients,
     run_crossing_scan,
@@ -73,7 +79,6 @@ from .mps import (
     inner_product,
     mpo_to_dense,
     random_mps,
-    svd_truncate,
     to_dense,
 )
 from .reporting import ScanReport, config_hash, write_json, write_report_csv
@@ -95,7 +100,6 @@ from .truncation import (
     charge_second_order,
     compute_weights,
     select_states,
-    standard_select,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

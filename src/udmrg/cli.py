@@ -1,8 +1,8 @@
 """Command-line entry point: config parsing, validation, dispatch, manifests.
 
-Configs are JSON objects with an ``experiment`` key selecting the kind and
-per-kind keys documented in the README.  The type each key must have is read
-from the field annotations of :class:`~udmrg.harness.ExperimentConfig`.
+Configs are JSON objects with an ``experiment`` key selecting the kind.  The
+other keys a config may carry, and the type each must have, are the fields of
+that kind's configuration type in :data:`~udmrg.harness.CONFIG_TYPES`.
 Validation is all-or-nothing and itemized: every unknown key, bad type, and
 broken invariant is reported in one pass, and nothing is written on
 validation failure.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import sys
@@ -27,51 +28,24 @@ from numpy.linalg import LinAlgError
 
 from ._version import __version__
 from .harness import (
+    CONFIG_TYPES,
     EXPERIMENT_KINDS,
+    ConfigError,
     ExperimentConfig,
     run_experiment,
 )
 from .reporting import ScanReport, sha256_file, write_json, write_report_csv
 from .truncation import TruncationPolicy
 
-_COMMON_KEYS = {"experiment", "seed"}
-
-_KIND_KEYS: dict[str, set[str]] = {
-    "crossing_scan": {
-        "coupling", "lambda_min", "lambda_max", "n_points", "sweep_rate",
-        "time_steps", "policies",
-    },
-    "pec_comparison": {
-        "spin_model", "n_sites", "coupling_j", "field_min", "field_max",
-        "n_fields", "crossing_center", "crossing_window", "max_bond",
-        "num_sweeps", "energy_tol", "grid_search", "objective", "policies",
-        "gamma1_grid", "gamma2_grid", "lambda1_grid", "lambda2_grid",
-    },
-    "dmrg_benchmark": {
-        "spin_model", "coupling_j", "benchmark_sizes", "benchmark_fields",
-        "benchmark_bond", "benchmark_sweeps", "benchmark_tol",
-    },
-    "gauge_diagnostics": {
-        "n_families", "family_dim", "family_points", "microgrid_spacing",
-        "refine_time_sizes", "refine_plane_sizes",
-    },
-}
-
-#: value type of every config key, read from the ExperimentConfig annotations
-_KEY_TYPES: dict[str, Any] = typing.get_type_hints(ExperimentConfig)
-
 _POLICY_KEYS = {"kind", "gamma1", "gamma2", "lambda1", "lambda2", "max_kept",
                 "cutoff"}
 
-_CONFIG_ERROR_PREFIX = "invalid experiment configuration:\n  - "
 
-
-class ConfigError(Exception):
-    """Itemized configuration problems; nothing was accepted."""
-
-    def __init__(self, problems: list[str]):
-        self.problems = problems
-        super().__init__("configuration invalid:\n  - " + "\n  - ".join(problems))
+@functools.lru_cache(maxsize=None)
+def _key_types(config_type: type[ExperimentConfig]) -> dict[str, Any]:
+    """Settable key -> value type of one experiment, from its field annotations."""
+    hints = typing.get_type_hints(config_type)
+    return {f.name: hints[f.name] for f in dataclasses.fields(config_type)}
 
 
 def _is_int(value: Any) -> bool:
@@ -91,8 +65,7 @@ _SCALAR_CHECKS = {
 }
 
 
-def _check_scalar(key: str, value: Any, errors: list[str]) -> Any:
-    hint = _KEY_TYPES[key]
+def _check_scalar(key: str, value: Any, hint: Any, errors: list[str]) -> Any:
     if hint in _SCALAR_CHECKS:
         ok, demand = _SCALAR_CHECKS[hint]
         if not ok(value):
@@ -157,7 +130,7 @@ def _parse_policies(raw: Any, errors: list[str]) -> Optional[list[TruncationPoli
 
 
 def parse_config_data(data: Any) -> ExperimentConfig:
-    """Validate a decoded JSON object into an ExperimentConfig."""
+    """Validate a decoded JSON object into its experiment's config type."""
     errors: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError(["config root must be a JSON object"])
@@ -169,32 +142,24 @@ def parse_config_data(data: Any) -> ExperimentConfig:
             f"unknown experiment {kind!r}; expected one of "
             f"{', '.join(EXPERIMENT_KINDS)}"
         ])
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
-    for key in sorted(set(data) - allowed):
+    config_type = CONFIG_TYPES[kind]
+    key_types = _key_types(config_type)
+    for key in sorted(set(data) - set(key_types) - {"experiment"}):
         errors.append(f"unknown key {key!r} for experiment {kind}")
 
-    kwargs: dict[str, Any] = {"kind": kind}
+    kwargs: dict[str, Any] = {}
     for key, value in data.items():
-        if key == "experiment" or key not in allowed:
+        if key not in key_types:
             continue
         if key == "policies":
-            policies = _parse_policies(value, errors)
-            if policies is not None:
-                kwargs["policies"] = policies
+            parsed = _parse_policies(value, errors)
         else:
-            parsed = _check_scalar(key, value, errors)
-            if parsed is not None:
-                kwargs[key] = parsed
+            parsed = _check_scalar(key, value, key_types[key], errors)
+        if parsed is not None:
+            kwargs[key] = parsed
     if errors:
         raise ConfigError(errors)
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        message = str(exc)
-        if message.startswith(_CONFIG_ERROR_PREFIX):
-            raise ConfigError(
-                message[len(_CONFIG_ERROR_PREFIX):].split("\n  - ")) from None
-        raise ConfigError([message]) from None
+    return config_type(**kwargs)
 
 
 def parse_config(path: Path) -> ExperimentConfig:
@@ -285,6 +250,8 @@ def dispatch(cfg: ExperimentConfig, out_dir: Path,
     with _blas_threads(threads) as in_effect:
         report = run_experiment(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an earlier run's manifest would vouch for files this run overwrites
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     written = _write_report(report, out_dir)
     flagged = int(report.summary.get("flagged", 0))
     status = 2 if flagged else 0

@@ -4,9 +4,9 @@ The local problem is always solved densely: the effective Hamiltonian is
 built explicitly from the environments and diagonalized with a dense
 hermitian eigensolver (lowest pair only above a size threshold).  There is no
 Lanczos path, which keeps runs deterministic at desk scale; dimensions beyond
-``dense_limit`` raise with a request for a smaller bond budget.  Real and
-imaginary parts of the local eigenvector below ``_FLUSH_RELATIVE`` times its
-largest magnitude are set to zero before the split.  For a real MPO the
+``linalg.DENSE_LIMIT`` raise with a request for a smaller bond budget.
+Real and imaginary parts of the local eigenvector below ``_FLUSH_RELATIVE``
+times its largest magnitude are set to zero before the split.  For a real MPO the
 imaginary parts otherwise shrink geometrically along a warm-started scan
 until they turn subnormal, and a dense eigensolve on a matrix with subnormal
 entries runs more than ten times slower.
@@ -39,6 +39,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
+from . import linalg
 from .linalg import dag, commutator
 from .mps import (
     MatrixProductOperator,
@@ -75,7 +76,6 @@ class SweepConfig:
     num_sweeps: int = 12
     energy_tol: float = 1e-9
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
-    dense_limit: int = 4096
 
     def __post_init__(self) -> None:
         if self.max_bond < 1:
@@ -84,8 +84,6 @@ class SweepConfig:
             raise ValueError("num_sweeps must be positive")
         if self.energy_tol <= 0:
             raise ValueError("energy_tol must be positive")
-        if self.dense_limit < 4:
-            raise ValueError("dense_limit is unusably small")
 
 
 @dataclass
@@ -164,19 +162,19 @@ def _update_right(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def effective_hamiltonian(env_left: np.ndarray, env_right: np.ndarray,
-                          w1: np.ndarray, w2: np.ndarray,
-                          dense_limit: int = 4096) -> np.ndarray:
+                          w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Dense two-site effective Hamiltonian from its environments.
 
     Row index is the bra block ``(bl, o1, o2, br)``, column index the ket
     block ``(kl, i1, i2, kr)``.  Hermitian whenever the MPO is.  Raises when
-    the matrix dimension would exceed ``dense_limit`` (reduce ``max_bond``).
+    the matrix dimension would exceed ``linalg.DENSE_LIMIT`` (reduce
+    ``max_bond``).
     """
     dim = env_left.shape[0] * w1.shape[1] * w2.shape[1] * env_right.shape[0]
-    if dim > dense_limit:
+    if dim > linalg.DENSE_LIMIT:
         raise ValueError(
             f"effective Hamiltonian dimension {dim} exceeds the dense limit "
-            f"{dense_limit}; reduce max_bond or raise dense_limit"
+            f"{linalg.DENSE_LIMIT}; reduce max_bond"
         )
     t = np.tensordot(env_left, w1, axes=(1, 0))      # (bl, kl, o1, i1, wm)
     t = np.tensordot(t, w2, axes=(4, 0))             # (bl, kl, o1, i1, o2, i2, wr)
@@ -406,7 +404,7 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
 
 def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int, cfg: SweepConfig,
                    context: Optional[_ChargeContext], center_after: str):
-    heff = effective_hamiltonian(lenv, renv, ws[b], ws[b + 1], cfg.dense_limit)
+    heff = effective_hamiltonian(lenv, renv, ws[b], ws[b + 1])
     energy, vec = _lowest_eigenpair(heff)
     vec = _flush_tiny(vec)
     l = tensors[b].shape[0]

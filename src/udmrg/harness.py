@@ -1,6 +1,7 @@
 """Experiment orchestration and report assembly.
 
-Four experiments share one flat configuration type:
+Four experiments, each configured by its own frozen dataclass (see
+``CONFIG_TYPES``) whose fields are exactly the settings it reads:
 
 ``crossing_scan``
     Two-level avoided-crossing sweep: tracked eigensystems, Gaussian
@@ -38,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +63,14 @@ from .gauge import (
     smooth_unitary_family,
     uhlmann_potential,
 )
-from .linalg import dag, hermitian_part, hermiticity_residual, max_abs, random_unitary
+from .linalg import (
+    DENSE_LIMIT,
+    dag,
+    hermitian_part,
+    hermiticity_residual,
+    max_abs,
+    random_unitary,
+)
 from .models import (
     CROSSING_POINTS,
     SPIN_CHAIN_KINDS,
@@ -84,13 +92,6 @@ from .spectral import (
 )
 from .truncation import POLICY_KINDS, TruncationPolicy, compute_weights
 
-EXPERIMENT_KINDS = (
-    "crossing_scan",
-    "pec_comparison",
-    "dmrg_benchmark",
-    "gauge_diagnostics",
-)
-
 #: the four comparison-table methods, in row order
 TABLE_METHOD_KINDS = ("standard", "uhlmann", "categorified", "coherence_eigenvalue_2")
 
@@ -107,8 +108,8 @@ METHOD_LABELS = {
 
 OBJECTIVES = ("energy_error", "fidelity")
 
-#: dense oracle ceiling (states); matches the exact-diagonalization default
-ORACLE_LIMIT = 4096
+#: longest spin-1/2 chain the dense oracle diagonalizes
+_MAX_DENSE_SITES = DENSE_LIMIT.bit_length() - 1
 
 
 def default_policies(max_kept: int = 64) -> list[TruncationPolicy]:
@@ -116,33 +117,81 @@ def default_policies(max_kept: int = 64) -> list[TruncationPolicy]:
     return [TruncationPolicy(kind=k, max_kept=max_kept) for k in TABLE_METHOD_KINDS]
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat configuration covering every experiment kind.
+class ConfigError(ValueError):
+    """Itemized configuration problems; nothing was accepted."""
 
-    Fields irrelevant to the selected kind keep their defaults; the CLI
-    additionally rejects keys that do not belong to the chosen experiment and
-    reads each key's type from the annotations below.  A ``policies`` list
-    equal to :func:`default_policies` counts as unset; any other list must be
-    one that ``pec_comparison`` would actually run.
+    def __init__(self, problems: list[str]):
+        self.problems = problems
+        super().__init__("configuration invalid:\n  - " + "\n  - ".join(problems))
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """What every experiment's configuration shares: the seed and validation.
+
+    Each experiment has its own frozen subclass (see :data:`CONFIG_TYPES`)
+    whose fields are exactly the settings it reads; the CLI takes the keys it
+    accepts and their types from those fields.  Construction runs
+    :meth:`validate` and raises :class:`ConfigError` listing every problem.
     """
 
-    kind: str
+    kind: ClassVar[str]
     seed: int = 7
-    policies: list[TruncationPolicy] = field(default_factory=default_policies)
-    gamma1_grid: tuple[float, ...] = (0.0, 0.5, 1.0)
-    gamma2_grid: tuple[float, ...] = (0.0, 0.5)
-    lambda1_grid: tuple[float, ...] = (0.0, 0.5, 1.0)
-    lambda2_grid: tuple[float, ...] = (0.0, 0.5)
-    # crossing_scan
+
+    def __post_init__(self) -> None:
+        problems = self.validate()
+        if problems:
+            raise ConfigError(problems)
+
+    def validate(self) -> list[str]:
+        """Return every problem found, not just the first."""
+        if isinstance(self.seed, int) and self.seed >= 0:
+            return []
+        return ["seed must be a non-negative integer"]
+
+
+def _policy_type_problems(policies: Sequence) -> list[str]:
+    return [f"policies entries must be TruncationPolicy, got {pol!r}"
+            for pol in policies if not isinstance(pol, TruncationPolicy)]
+
+
+@dataclass(frozen=True)
+class CrossingScanConfig(ExperimentConfig):
+    """Settings of ``crossing_scan``; each policy adds effective-weight columns."""
+
+    kind: ClassVar[str] = "crossing_scan"
     coupling: float = 0.1
     lambda_min: float = -2.0
     lambda_max: float = 2.0
     n_points: int = 401
     sweep_rate: float = 1.0
     time_steps: int = 4000
-    # pec_comparison
-    spin_model: str = "tfim"
+    policies: list[TruncationPolicy] = field(default_factory=default_policies)
+
+    def validate(self) -> list[str]:
+        errs = super().validate() + _policy_type_problems(self.policies)
+        if not self.coupling > 0:
+            errs.append("coupling must be positive")
+        if not self.lambda_min < self.lambda_max:
+            errs.append("lambda_min must be below lambda_max")
+        if self.n_points < 5:
+            errs.append("n_points must be at least 5")
+        if not self.sweep_rate > 0:
+            errs.append("sweep_rate must be positive")
+        if self.time_steps < 10:
+            errs.append("time_steps must be at least 10")
+        return errs
+
+
+@dataclass(frozen=True)
+class PecComparisonConfig(ExperimentConfig):
+    """Settings of ``pec_comparison``, a transverse-field Ising scan.
+
+    A ``policies`` list equal to :func:`default_policies` counts as unset; any
+    other list must be one the run would actually use.
+    """
+
+    kind: ClassVar[str] = "pec_comparison"
     n_sites: int = 6
     coupling_j: float = 1.0
     field_min: float = 0.5
@@ -155,37 +204,14 @@ class ExperimentConfig:
     energy_tol: float = 1e-9
     grid_search: bool = True
     objective: str = "energy_error"
-    # dmrg_benchmark
-    benchmark_sizes: tuple[int, ...] = (6, 8, 10)
-    benchmark_fields: tuple[float, ...] = (0.5, 1.0, 1.5)
-    benchmark_bond: int = 32
-    benchmark_sweeps: int = 20
-    benchmark_tol: float = 1e-10
-    # gauge_diagnostics
-    n_families: int = 100
-    family_dim: int = 3
-    family_points: int = 21
-    microgrid_spacing: float = 3e-5
-    refine_time_sizes: tuple[int, ...] = (21, 41, 81)
-    refine_plane_sizes: tuple[int, ...] = (9, 17, 33)
-
-    def __post_init__(self) -> None:
-        problems = self.validate()
-        if problems:
-            raise ValueError(
-                "invalid experiment configuration:\n  - " + "\n  - ".join(problems)
-            )
+    policies: list[TruncationPolicy] = field(default_factory=default_policies)
+    gamma1_grid: tuple[float, ...] = (0.0, 0.5, 1.0)
+    gamma2_grid: tuple[float, ...] = (0.0, 0.5)
+    lambda1_grid: tuple[float, ...] = (0.0, 0.5, 1.0)
+    lambda2_grid: tuple[float, ...] = (0.0, 0.5)
 
     def validate(self) -> list[str]:
-        """Return every problem found, not just the first."""
-        errs: list[str] = []
-        if self.kind not in EXPERIMENT_KINDS:
-            errs.append(
-                f"unknown experiment kind {self.kind!r}; expected one of "
-                f"{', '.join(EXPERIMENT_KINDS)}"
-            )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            errs.append("seed must be a non-negative integer")
+        errs = super().validate()
         for name in ("gamma1_grid", "gamma2_grid", "lambda1_grid", "lambda2_grid"):
             grid = getattr(self, name)
             if len(grid) == 0:
@@ -198,35 +224,16 @@ class ExperimentConfig:
                     f"{name} must contain 0 so grid-searched methods can never "
                     "fall behind the standard method (non-inferiority guarantee)"
                 )
-        for pol in self.policies:
-            if not isinstance(pol, TruncationPolicy):
-                errs.append(f"policies entries must be TruncationPolicy, got {pol!r}")
-        if (self.kind == "pec_comparison" and self.policies != default_policies()
-                and all(isinstance(p, TruncationPolicy) for p in self.policies)):
+        type_problems = _policy_type_problems(self.policies)
+        errs += type_problems
+        if not type_problems and self.policies != default_policies():
             errs += _pec_policy_problems(self.policies, self.grid_search)
-        if not self.coupling > 0:
-            errs.append("coupling must be positive")
-        if not self.lambda_min < self.lambda_max:
-            errs.append("lambda_min must be below lambda_max")
-        if self.n_points < 5:
-            errs.append("n_points must be at least 5")
-        if not self.sweep_rate > 0:
-            errs.append("sweep_rate must be positive")
-        if self.time_steps < 10:
-            errs.append("time_steps must be at least 10")
-        if self.spin_model not in SPIN_CHAIN_KINDS:
-            errs.append(
-                f"unknown spin_model {self.spin_model!r}; expected one of "
-                f"{', '.join(SPIN_CHAIN_KINDS)}"
-            )
-        if self.kind == "pec_comparison" and self.spin_model != "tfim":
-            errs.append("pec_comparison scans a transverse field; spin_model must be 'tfim'")
         if self.n_sites < 2:
             errs.append("n_sites must be at least 2")
-        if self.kind == "pec_comparison" and 2**self.n_sites > ORACLE_LIMIT:
+        if self.n_sites > _MAX_DENSE_SITES:
             errs.append(
-                f"dense oracle limit is {ORACLE_LIMIT} states; reduce n_sites to "
-                f"{int(np.log2(ORACLE_LIMIT))} or fewer"
+                f"dense oracle limit is {DENSE_LIMIT} states; reduce n_sites to "
+                f"{_MAX_DENSE_SITES} or fewer"
             )
         if not self.field_min < self.field_max:
             errs.append("field_min must be below field_max")
@@ -234,8 +241,8 @@ class ExperimentConfig:
             errs.append("n_fields must be at least 3")
         if not self.crossing_window > 0:
             errs.append("crossing_window must be positive")
-        elif (self.kind == "pec_comparison" and self.n_fields >= 3
-              and self.field_min < self.field_max and not _pec_grid(self)[1].any()):
+        elif (self.n_fields >= 3 and self.field_min < self.field_max
+              and not _pec_grid(self)[1].any()):
             errs.append("crossing window contains no grid points; widen it")
         if self.max_bond < 1:
             errs.append("max_bond must be positive")
@@ -248,11 +255,34 @@ class ExperimentConfig:
                 f"unknown objective {self.objective!r}; expected one of "
                 f"{', '.join(OBJECTIVES)}"
             )
+        return errs
+
+
+@dataclass(frozen=True)
+class DmrgBenchmarkConfig(ExperimentConfig):
+    """Settings of ``dmrg_benchmark``: the size/field matrix and its budget."""
+
+    kind: ClassVar[str] = "dmrg_benchmark"
+    spin_model: str = "tfim"
+    coupling_j: float = 1.0
+    benchmark_sizes: tuple[int, ...] = (6, 8, 10)
+    benchmark_fields: tuple[float, ...] = (0.5, 1.0, 1.5)
+    benchmark_bond: int = 32
+    benchmark_sweeps: int = 20
+    benchmark_tol: float = 1e-10
+
+    def validate(self) -> list[str]:
+        errs = super().validate()
+        if self.spin_model not in SPIN_CHAIN_KINDS:
+            errs.append(
+                f"unknown spin_model {self.spin_model!r}; expected one of "
+                f"{', '.join(SPIN_CHAIN_KINDS)}"
+            )
         if any(n < 2 for n in self.benchmark_sizes) or not self.benchmark_sizes:
             errs.append("benchmark_sizes must list chain lengths of at least 2 sites")
-        if any(2**n > ORACLE_LIMIT for n in self.benchmark_sizes):
+        if any(n > _MAX_DENSE_SITES for n in self.benchmark_sizes):
             errs.append(
-                f"benchmark_sizes exceed the dense oracle limit ({ORACLE_LIMIT} states)"
+                f"benchmark_sizes exceed the dense oracle limit ({DENSE_LIMIT} states)"
             )
         if not self.benchmark_fields:
             errs.append("benchmark_fields must not be empty")
@@ -262,6 +292,23 @@ class ExperimentConfig:
             errs.append("benchmark_sweeps must be positive")
         if not self.benchmark_tol > 0:
             errs.append("benchmark_tol must be positive")
+        return errs
+
+
+@dataclass(frozen=True)
+class GaugeDiagnosticsConfig(ExperimentConfig):
+    """Settings of ``gauge_diagnostics``: family sizes and refinement levels."""
+
+    kind: ClassVar[str] = "gauge_diagnostics"
+    n_families: int = 100
+    family_dim: int = 3
+    family_points: int = 21
+    microgrid_spacing: float = 3e-5
+    refine_time_sizes: tuple[int, ...] = (21, 41, 81)
+    refine_plane_sizes: tuple[int, ...] = (9, 17, 33)
+
+    def validate(self) -> list[str]:
+        errs = super().validate()
         if self.n_families < 1:
             errs.append("n_families must be positive")
         if self.family_dim < 2:
@@ -282,6 +329,15 @@ class ExperimentConfig:
                     f"{name} must halve the spacing at each level (n -> 2n - 1)"
                 )
         return errs
+
+
+#: the configuration type of each experiment, by kind
+CONFIG_TYPES: dict[str, type[ExperimentConfig]] = {
+    t.kind: t for t in (CrossingScanConfig, PecComparisonConfig,
+                        DmrgBenchmarkConfig, GaugeDiagnosticsConfig)
+}
+
+EXPERIMENT_KINDS = tuple(CONFIG_TYPES)
 
 
 def _pec_policy_problems(policies: Sequence[TruncationPolicy],
@@ -306,8 +362,17 @@ def _pec_policy_problems(policies: Sequence[TruncationPolicy],
 
 
 def config_payload(cfg: ExperimentConfig) -> dict:
-    """Configuration as a plain dict, the input to the config hash."""
-    return dataclasses.asdict(cfg)
+    """Configuration as a plain dict, the input to the config hash.
+
+    The config's own fields are laid over the defaults of every experiment,
+    so the hash is the one the single configuration type that once held all
+    of them gave.
+    """
+    payload = {}
+    for config_type in CONFIG_TYPES.values():
+        payload.update(dataclasses.asdict(config_type()))
+    payload.update(dataclasses.asdict(cfg), kind=cfg.kind)
+    return payload
 
 
 def _provenance(cfg: ExperimentConfig) -> dict:
@@ -323,7 +388,7 @@ def _provenance(cfg: ExperimentConfig) -> dict:
 # crossing_scan
 # ---------------------------------------------------------------------------
 
-def _crossing_grid(cfg: ExperimentConfig) -> np.ndarray:
+def _crossing_grid(cfg: CrossingScanConfig) -> np.ndarray:
     """Scan grid with the diabatic degeneracy points inserted exactly."""
     base = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.n_points)
     extras = [c for c in CROSSING_POINTS if cfg.lambda_min < c < cfg.lambda_max]
@@ -347,7 +412,7 @@ def _policy_labels(policies: Sequence[TruncationPolicy]) -> list[str]:
     return labels
 
 
-def run_crossing_scan(cfg: ExperimentConfig) -> ScanReport:
+def run_crossing_scan(cfg: CrossingScanConfig) -> ScanReport:
     """Two-level avoided-crossing sweep; see the module docstring."""
     if cfg.kind != "crossing_scan":
         raise ValueError(f"config is for {cfg.kind!r}, not crossing_scan")
@@ -437,7 +502,7 @@ def run_crossing_scan(cfg: ExperimentConfig) -> ScanReport:
 # dmrg_benchmark
 # ---------------------------------------------------------------------------
 
-def run_dmrg_benchmark(cfg: ExperimentConfig) -> ScanReport:
+def run_dmrg_benchmark(cfg: DmrgBenchmarkConfig) -> ScanReport:
     """Ground-state energies versus dense diagonalization; see module docstring."""
     if cfg.kind != "dmrg_benchmark":
         raise ValueError(f"config is for {cfg.kind!r}, not dmrg_benchmark")
@@ -481,7 +546,7 @@ def run_dmrg_benchmark(cfg: ExperimentConfig) -> ScanReport:
 # pec_comparison and coefficient grid search
 # ---------------------------------------------------------------------------
 
-def _pec_grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+def _pec_grid(cfg: PecComparisonConfig) -> tuple[np.ndarray, np.ndarray]:
     """Field grid of a pec_comparison scan and its crossing-window mask."""
     grid = np.linspace(cfg.field_min, cfg.field_max, cfg.n_fields)
     return grid, np.abs(grid - cfg.crossing_center) <= cfg.crossing_window + 1e-12
@@ -496,13 +561,12 @@ class _PecProblem:
     window: np.ndarray
 
 
-def _pec_problem(cfg: ExperimentConfig) -> _PecProblem:
+def _pec_problem(cfg: PecComparisonConfig) -> _PecProblem:
     """Field grid, MPO family and one dense exact ground state per field."""
     grid, window = _pec_grid(cfg)
 
     def spec(h: float) -> SpinChainSpec:
-        return SpinChainSpec(cfg.spin_model, cfg.n_sites, coupling=cfg.coupling_j,
-                             field=h)
+        return SpinChainSpec("tfim", cfg.n_sites, coupling=cfg.coupling_j, field=h)
 
     def family(h: float):
         return build_spin_chain_mpo(spec(h))
@@ -513,11 +577,11 @@ def _pec_problem(cfg: ExperimentConfig) -> _PecProblem:
                        exact_states=[v[:, 0] for _, v in exact], window=window)
 
 
-def _standard_policy(cfg: ExperimentConfig) -> TruncationPolicy:
+def _standard_policy(cfg: PecComparisonConfig) -> TruncationPolicy:
     return TruncationPolicy(kind="standard", max_kept=cfg.max_bond)
 
 
-def _scan_for_policy(cfg: ExperimentConfig, problem: _PecProblem,
+def _scan_for_policy(cfg: PecComparisonConfig, problem: _PecProblem,
                      policy: TruncationPolicy) -> ContinuationScan:
     rng = np.random.default_rng(cfg.seed)
     init = random_mps(rng, [2] * cfg.n_sites, cfg.max_bond)
@@ -533,7 +597,7 @@ def _scan_errors(scan: ContinuationScan, problem: _PecProblem) -> np.ndarray:
     ])
 
 
-def _scan_objective(cfg: ExperimentConfig, scan: ContinuationScan,
+def _scan_objective(cfg: PecComparisonConfig, scan: ContinuationScan,
                     problem: _PecProblem) -> float:
     if cfg.objective == "energy_error":
         return float(_scan_errors(scan, problem)[problem.window].max())
@@ -541,7 +605,7 @@ def _scan_objective(cfg: ExperimentConfig, scan: ContinuationScan,
     return float(-fids[problem.window].min())
 
 
-def _coefficient_cells(kind: str, cfg: ExperimentConfig) -> list[dict]:
+def _coefficient_cells(kind: str, cfg: PecComparisonConfig) -> list[dict]:
     if kind == "uhlmann":
         return [{"gamma1": g} for g in cfg.gamma1_grid]
     if kind == "categorified":
@@ -566,7 +630,7 @@ class GridSearchResult:
     table: ScanReport
 
 
-def grid_search_coefficients(cfg: ExperimentConfig,
+def grid_search_coefficients(cfg: PecComparisonConfig,
                              kinds: Optional[Sequence[str]] = None,
                              problem: Optional[_PecProblem] = None,
                              standard: Optional[ContinuationScan] = None,
@@ -628,7 +692,7 @@ def grid_search_coefficients(cfg: ExperimentConfig,
                             table=table)
 
 
-def _points_report(name: str, cfg: ExperimentConfig, problem: _PecProblem,
+def _points_report(name: str, cfg: PecComparisonConfig, problem: _PecProblem,
                    scan: ContinuationScan) -> ScanReport:
     n_bonds = cfg.n_sites - 1
     columns = ["index", "field", "energy", "energy_exact", "abs_error",
@@ -658,7 +722,7 @@ def _points_report(name: str, cfg: ExperimentConfig, problem: _PecProblem,
     return report
 
 
-def run_pec_comparison(cfg: ExperimentConfig) -> ScanReport:
+def run_pec_comparison(cfg: PecComparisonConfig) -> ScanReport:
     """Four-method energy-error comparison across the critical region."""
     if cfg.kind != "pec_comparison":
         raise ValueError(f"config is for {cfg.kind!r}, not pec_comparison")
@@ -716,7 +780,7 @@ def run_pec_comparison(cfg: ExperimentConfig) -> ScanReport:
     if search is not None:
         report.attachments.append(search.table)
     report.summary = {
-        "model": cfg.spin_model,
+        "model": "tfim",
         "n_sites": cfg.n_sites,
         "max_bond": cfg.max_bond,
         "crossing_center": cfg.crossing_center,
@@ -765,7 +829,7 @@ def _covariance_residual(rng: np.random.Generator, rhos_micro, micro: np.ndarray
     return max_abs(d_rho_t - conjugated)
 
 
-def _refinement_norms(cfg: ExperimentConfig) -> tuple[list[float], list[float]]:
+def _refinement_norms(cfg: GaugeDiagnosticsConfig) -> tuple[list[float], list[float]]:
     overlap_norms = []
     for n_pts in cfg.refine_time_sizes:
         rng = np.random.default_rng([cfg.seed, 9001])
@@ -791,7 +855,7 @@ def _ratios(norms: Sequence[float]) -> list[float]:
             for a, b in zip(norms, norms[1:])]
 
 
-def run_gauge_diagnostics(cfg: ExperimentConfig) -> ScanReport:
+def run_gauge_diagnostics(cfg: GaugeDiagnosticsConfig) -> ScanReport:
     """Randomized gauge-machinery checks; see the module docstring."""
     if cfg.kind != "gauge_diagnostics":
         raise ValueError(f"config is for {cfg.kind!r}, not gauge_diagnostics")

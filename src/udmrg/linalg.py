@@ -10,6 +10,9 @@ from numpy.typing import NDArray
 
 Matrix = NDArray[np.complexfloating]
 
+#: largest matrix dimension any dense eigensolve here accepts (2**12 states)
+DENSE_LIMIT = 4096
+
 
 def dag(a: Matrix) -> Matrix:
     """Conjugate transpose."""

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import linalg
 from .linalg import require_hermitian
 from .mps import MatrixProductOperator
 
@@ -235,19 +236,17 @@ def single_site_mpo(op: np.ndarray, site: int, n: int) -> MatrixProductOperator:
     return MatrixProductOperator(tensors)
 
 
-def exact_diagonalization(hamiltonian, k: int = 1,
-                          dense_limit: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+def exact_diagonalization(hamiltonian, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``k`` eigenpairs of a dense hermitian matrix.
 
-    Refuses matrices above ``dense_limit`` (this is a desk-scale oracle, not a
-    sparse solver).  Returns ``(values, vectors)`` with eigenvalues ascending
-    and eigenvectors in columns.
+    Refuses matrices above ``linalg.DENSE_LIMIT`` (this is a desk-scale
+    oracle, not a sparse solver).  Returns ``(values, vectors)`` with
+    eigenvalues ascending and eigenvectors in columns.
     """
     h = require_hermitian(hamiltonian, 1e-10, "Hamiltonian")
-    if h.shape[0] > dense_limit:
-        raise ValueError(
-            f"matrix dimension {h.shape[0]} exceeds the dense limit {dense_limit}"
-        )
+    limit = linalg.DENSE_LIMIT
+    if h.shape[0] > limit:
+        raise ValueError(f"matrix dimension {h.shape[0]} exceeds the dense limit {limit}")
     if not 1 <= k <= h.shape[0]:
         raise ValueError(f"cannot request {k} eigenpairs of a {h.shape[0]}-dim matrix")
     w, v = np.linalg.eigh(h)

@@ -283,29 +283,6 @@ def split_theta(theta: np.ndarray, select: Callable, center_after: str = "right"
     return left, right, BondSpectrum(renorm, max(discarded, 0.0))
 
 
-def svd_truncate(psi: MatrixProductState, bond: int, select: Callable,
-                 center_after: str = "right"):
-    """Truncate the bond between sites ``bond`` and ``bond + 1``.
-
-    The canonical center must sit on one of the two sites so the singular
-    values are the true Schmidt coefficients.  Returns ``(state, spectrum)``;
-    the new center sits on the side named by ``center_after``.
-    """
-    if not 0 <= bond < psi.n_sites - 1:
-        raise ValueError(f"bond {bond} out of range")
-    if psi.center not in (bond, bond + 1):
-        raise ValueError(
-            f"canonical center must be adjacent to bond {bond}, is {psi.center}"
-        )
-    theta = np.tensordot(psi.tensors[bond], psi.tensors[bond + 1], axes=(2, 0))
-    left, right, spectrum = split_theta(theta, select, center_after)
-    tensors = list(psi.tensors)
-    tensors[bond] = left
-    tensors[bond + 1] = right
-    center = bond + 1 if center_after == "right" else bond
-    return MatrixProductState(tensors, center=center), spectrum
-
-
 def entanglement_spectrum(psi: MatrixProductState, bond: int) -> np.ndarray:
     """Squared Schmidt coefficients across ``bond``, descending, unit sum."""
     if not 0 <= bond < psi.n_sites - 1:
@@ -318,11 +295,6 @@ def entanglement_spectrum(psi: MatrixProductState, bond: int) -> np.ndarray:
     if total <= 0:
         raise ValueError("state has zero norm")
     return p / total
-
-
-def schmidt_values(psi: MatrixProductState, bond: int) -> np.ndarray:
-    """Schmidt coefficients (descending, unit vector norm) across ``bond``."""
-    return np.sqrt(entanglement_spectrum(psi, bond))
 
 
 # ---------------------------------------------------------------------------

@@ -192,15 +192,3 @@ def select_states(weights: TruncationWeights, policy: TruncationPolicy):
     renormalized = raw[kept] / norm
     weights.kept = kept
     return kept, renormalized
-
-
-def standard_select(max_kept: int, cutoff: float = 0.0):
-    """Plain top-``max_kept`` singular-value selector for ``svd_truncate``."""
-    policy = TruncationPolicy(kind="standard", max_kept=max_kept, cutoff=cutoff)
-
-    def select(sigma, u=None):
-        zeros = np.zeros_like(np.asarray(sigma, dtype=float))
-        weights = compute_weights(sigma, zeros, zeros, policy)
-        return select_states(weights, policy)
-
-    return select

@@ -12,7 +12,10 @@ import pytest
 
 from udmrg.dmrg import SweepConfig, continuation_scan
 from udmrg.harness import (
-    ExperimentConfig,
+    CrossingScanConfig,
+    DmrgBenchmarkConfig,
+    GaugeDiagnosticsConfig,
+    PecComparisonConfig,
     run_crossing_scan,
     run_dmrg_benchmark,
     run_gauge_diagnostics,
@@ -48,7 +51,7 @@ from udmrg.truncation import (
 @pytest.fixture(scope="module")
 def gauge_report():
     """Full-size randomized gauge diagnostics (100 families, refinements)."""
-    return run_gauge_diagnostics(ExperimentConfig(kind="gauge_diagnostics"))
+    return run_gauge_diagnostics(GaugeDiagnosticsConfig())
 
 
 def test_benchmark_energies_reach_1e8_within_two_minutes():
@@ -57,7 +60,7 @@ def test_benchmark_energies_reach_1e8_within_two_minutes():
     every ground-state energy within 1e-8 of dense diagonalization, and the
     whole matrix solved in under two minutes."""
     start = time.perf_counter()
-    report = run_dmrg_benchmark(ExperimentConfig(kind="dmrg_benchmark"))
+    report = run_dmrg_benchmark(DmrgBenchmarkConfig())
     elapsed = time.perf_counter() - start
     errs = {(row[0], row[1]): row[5] for row in report.rows}
     worst = report.summary["max_abs_error"]
@@ -100,8 +103,7 @@ def test_zero_coefficient_policies_are_exactly_degenerate():
     assert spread <= 1e-10
 
     # (b) the four-method comparison emits byte-identical per-method tables
-    report = run_pec_comparison(ExperimentConfig(
-        kind="pec_comparison", n_fields=9, grid_search=False))
+    report = run_pec_comparison(PecComparisonConfig(n_fields=9, grid_search=False))
     points = [a.csv_bytes() for a in report.attachments
               if a.name.startswith("pec_comparison_points_")]
     assert len(points) == 4
@@ -109,8 +111,7 @@ def test_zero_coefficient_policies_are_exactly_degenerate():
 
     # (c) the crossing report's effective-weight columns coincide for every
     # method whose raw currency is the Schmidt coefficient
-    crossing = run_crossing_scan(ExperimentConfig(
-        kind="crossing_scan", n_points=101, time_steps=1000))
+    crossing = run_crossing_scan(CrossingScanConfig(n_points=101, time_steps=1000))
     cols = crossing.columns
     for suffix in ("lower", "upper"):
         ref = cols.index(f"eff_standard_{suffix}")
@@ -217,8 +218,8 @@ def test_comparison_report_with_grid_search_regenerates_bytewise():
     search never lets an enhanced method fall behind the standard one, the
     improvement column recomputes from the recorded errors, and the whole
     artifact set regenerates byte-identically."""
-    cfg_kwargs = dict(kind="pec_comparison", n_fields=11, grid_search=True)
-    report = run_pec_comparison(ExperimentConfig(**cfg_kwargs))
+    cfg = PecComparisonConfig(n_fields=11, grid_search=True)
+    report = run_pec_comparison(cfg)
     cols = report.columns
     err_idx = cols.index("crossing_error")
     imp_idx = cols.index("improvement_pct")
@@ -234,7 +235,7 @@ def test_comparison_report_with_grid_search_regenerates_bytewise():
         expected = 100.0 * (standard - row[err_idx]) / standard
         assert row[imp_idx] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
-    again = run_pec_comparison(ExperimentConfig(**cfg_kwargs))
+    again = run_pec_comparison(cfg)
     assert report.csv_bytes() == again.csv_bytes()
     assert canonical_json(report.summary_payload()) == \
         canonical_json(again.summary_payload())

@@ -1,16 +1,20 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 from numpy.linalg import LinAlgError
 
+from udmrg import harness
 from udmrg.cli import (
     ConfigError,
     _bundled_openblas,
+    dispatch,
     main,
     parse_config,
     parse_config_data,
 )
+from udmrg.harness import CONFIG_TYPES
 from udmrg.truncation import TruncationPolicy
 
 
@@ -64,6 +68,32 @@ def test_parse_config_data_rejects_keys_of_other_kinds():
         in exc.value.problems
     assert "unknown key 'max_bond' for experiment gauge_diagnostics" \
         in exc.value.problems
+
+
+def test_accepted_keys_are_the_config_type_fields():
+    # every key some experiment takes, with a JSON form of its default value
+    values = {}
+    for config_type in CONFIG_TYPES.values():
+        values.update(json.loads(json.dumps(dataclasses.asdict(config_type()))))
+    for kind, config_type in CONFIG_TYPES.items():
+        accepted = {"experiment"}
+        for key, value in values.items():
+            try:
+                cfg = parse_config_data({"experiment": kind, key: value})
+            except ConfigError as exc:
+                assert exc.problems == [f"unknown key {key!r} for experiment {kind}"]
+            else:
+                assert type(cfg) is config_type
+                accepted.add(key)
+        assert accepted == {"experiment"} | {
+            f.name for f in dataclasses.fields(config_type)}
+    with pytest.raises(ConfigError, match="unknown key 'spin_model'"):
+        parse_config_data({"experiment": "pec_comparison", "spin_model": "tfim"})
+
+
+def test_config_error_is_the_harness_value_error():
+    assert ConfigError is harness.ConfigError
+    assert issubclass(ConfigError, ValueError)
 
 
 def test_parse_config_data_itemizes_type_errors():
@@ -180,6 +210,22 @@ def test_rerun_is_byte_identical_outside_the_manifest(tmp_path):
     assert main(["run", str(path), "--out", str(second)]) == 0
     for name in ("gauge_diagnostics.csv", "gauge_diagnostics_summary.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_interrupted_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    out_dir = tmp_path / "out"
+    assert dispatch(parse_config_data(GAUGE_TINY), out_dir) == 0
+    assert (out_dir / "manifest.json").is_file()
+
+    def fail(payload, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("udmrg.cli.write_json", fail)
+    with pytest.raises(OSError, match="disk full"):
+        dispatch(parse_config_data(dict(GAUGE_TINY, seed=4)), out_dir)
+    # the rerun replaced the CSV; no manifest may vouch for the old digests
+    assert (out_dir / "gauge_diagnostics.csv").is_file()
+    assert not (out_dir / "manifest.json").exists()
 
 
 def test_flagged_run_exits_2_but_still_writes(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udmrg import dmrg
+from udmrg import dmrg, linalg
 from udmrg.dmrg import SweepConfig, _bond_charges, continuation_scan, ground_state
 from udmrg.models import (
     SpinChainSpec,
@@ -10,9 +10,11 @@ from udmrg.models import (
     dense_spin_chain,
     exact_diagonalization,
     single_site_mpo,
+    PAULI_X,
     PAULI_Z,
 )
 from udmrg.mps import (
+    MatrixProductOperator,
     MatrixProductState,
     from_product_state,
     mpo_to_dense,
@@ -46,8 +48,6 @@ def test_sweep_config_validation():
         SweepConfig(num_sweeps=0)
     with pytest.raises(ValueError, match="energy_tol"):
         SweepConfig(energy_tol=0.0)
-    with pytest.raises(ValueError, match="dense_limit"):
-        SweepConfig(dense_limit=2)
 
 
 def test_ground_state_input_validation():
@@ -99,13 +99,63 @@ def test_full_rank_solve_is_numerically_exact():
     assert abs(result.energy - reference_energy(spec)) < 1e-12
 
 
-def test_dense_limit_guards_the_local_solve():
+def test_dense_limit_guards_the_local_solve(monkeypatch):
+    monkeypatch.setattr(linalg, "DENSE_LIMIT", 100)
     spec = SpinChainSpec(kind="tfim", n_sites=8, coupling=1.0, field=1.0)
     rng = np.random.default_rng(4)
-    with pytest.raises(ValueError, match="dense limit"):
+    with pytest.raises(ValueError, match="dense limit 100"):
         ground_state(build_spin_chain_mpo(spec),
                      random_mps(rng, [2] * 8, 16),
-                     SweepConfig(max_bond=16, dense_limit=100))
+                     SweepConfig(max_bond=16))
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: the ground energy at full bond on six sites
+# ---------------------------------------------------------------------------
+
+_FULL_BOND = SweepConfig(max_bond=8, num_sweeps=20, energy_tol=1e-13)
+
+_CHAINS = [SpinChainSpec(kind="tfim", n_sites=6, coupling=1.0, field=0.7),
+           SpinChainSpec(kind="heisenberg", n_sites=6, coupling=1.0)]
+
+
+def _full_bond_energy(mpo, init):
+    result = ground_state(mpo, init, _FULL_BOND)
+    assert result.converged
+    return result.energy
+
+
+@pytest.fixture(scope="module", params=_CHAINS, ids=lambda spec: spec.kind)
+def chain(request):
+    mpo = build_spin_chain_mpo(request.param)
+    init = random_mps(np.random.default_rng(11), [2] * 6, 4)
+    energy = _full_bond_energy(mpo, init)
+    assert abs(energy - reference_energy(request.param)) <= 1e-10
+    return mpo, init, energy
+
+
+def test_energy_is_unchanged_under_site_reversal(chain):
+    mpo, init, energy = chain
+    mirrored = MatrixProductOperator(
+        [w.transpose(3, 1, 2, 0) for w in reversed(mpo.tensors)])
+    mirrored_init = MatrixProductState(
+        [a.transpose(2, 1, 0) for a in reversed(init.tensors)])
+    assert abs(_full_bond_energy(mirrored, mirrored_init) - energy) <= 1e-10
+
+
+def test_energy_is_unchanged_under_a_global_x_flip_of_the_start(chain):
+    mpo, init, energy = chain
+    flipped = MatrixProductState(
+        [np.einsum("ps,lsr->lpr", PAULI_X, a) for a in init.tensors])
+    assert abs(to_dense(flipped) - to_dense(init)).max() > 0.1
+    assert abs(_full_bond_energy(mpo, flipped) - energy) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [0.5, 3.0])
+def test_energy_scales_with_the_hamiltonian(chain, scale):
+    mpo, init, energy = chain
+    scaled = MatrixProductOperator([scale * mpo.tensors[0]] + mpo.tensors[1:])
+    assert abs(_full_bond_energy(scaled, init) - scale * energy) <= 1e-10
 
 
 def test_truncation_log_bookkeeping():

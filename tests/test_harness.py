@@ -1,12 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from udmrg import harness
 from udmrg.harness import (
+    CONFIG_TYPES,
     EXPERIMENT_KINDS,
     METHOD_LABELS,
     TABLE_METHOD_KINDS,
-    ExperimentConfig,
+    ConfigError,
+    CrossingScanConfig,
+    DmrgBenchmarkConfig,
+    GaugeDiagnosticsConfig,
+    PecComparisonConfig,
     config_payload,
     default_policies,
     grid_search_coefficients,
@@ -22,16 +29,16 @@ from udmrg.truncation import TruncationPolicy
 
 
 def small_gauge_config(**overrides):
-    defaults = dict(kind="gauge_diagnostics", n_families=3, family_points=9)
+    defaults = dict(n_families=3, family_points=9)
     defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+    return GaugeDiagnosticsConfig(**defaults)
 
 
 def small_pec_config(**overrides):
-    defaults = dict(kind="pec_comparison", n_sites=4, n_fields=7,
-                    max_bond=2, num_sweeps=8, grid_search=False)
+    defaults = dict(n_sites=4, n_fields=7, max_bond=2, num_sweeps=8,
+                    grid_search=False)
     defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+    return PecComparisonConfig(**defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -39,24 +46,77 @@ def small_pec_config(**overrides):
 # ---------------------------------------------------------------------------
 
 def test_config_reports_every_problem_at_once():
-    with pytest.raises(ValueError) as exc:
-        ExperimentConfig(kind="nope", seed=-1, n_points=2)
-    message = str(exc.value)
-    assert "unknown experiment kind" in message
-    assert "seed must be a non-negative integer" in message
-    assert "n_points must be at least 5" in message
+    with pytest.raises(ConfigError) as exc:
+        CrossingScanConfig(seed=-1, n_points=2)
+    assert exc.value.problems == ["seed must be a non-negative integer",
+                                  "n_points must be at least 5"]
+    assert "n_points must be at least 5" in str(exc.value)
+
+
+def _owner_default(name):
+    return next(t() for t in CONFIG_TYPES.values()
+                if name in {f.name for f in dataclasses.fields(t)})
+
+
+def test_config_types_own_only_their_fields():
+    owned = {kind: {f.name for f in dataclasses.fields(t)}
+             for kind, t in CONFIG_TYPES.items()}
+    assert {kind: len(names) for kind, names in owned.items()} == {
+        "crossing_scan": 8, "pec_comparison": 18, "dmrg_benchmark": 8,
+        "gauge_diagnostics": 7}
+    every = set().union(*owned.values())
+    for kind, config_type in CONFIG_TYPES.items():
+        assert config_type.kind == kind
+        for name in sorted(every - owned[kind]):
+            with pytest.raises(TypeError, match=name):
+                config_type(**{name: getattr(_owner_default(name), name)})
+    # the two knobs that used to slip through on a gauge run
+    with pytest.raises(TypeError):
+        GaugeDiagnosticsConfig(max_bond=2, grid_search=False)
+
+
+def test_configs_are_frozen():
+    cfg = small_pec_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_sites = 20
+    assert cfg.n_sites == 4
+
+
+def test_shared_fields_have_one_default_that_the_payload_carries():
+    defaults = {}
+    for config_type in CONFIG_TYPES.values():
+        for name, value in dataclasses.asdict(config_type()).items():
+            defaults.setdefault(name, []).append(value)
+    shared = {name for name, values in defaults.items() if len(values) > 1}
+    assert shared == {"seed", "policies", "coupling_j"}
+    for name in shared:
+        assert all(v == defaults[name][0] for v in defaults[name]), name
+    # a kind without the field hashes with that one default
+    payload = config_payload(GaugeDiagnosticsConfig())
+    assert payload["coupling_j"] == defaults["coupling_j"][0]
+    assert payload["policies"] == defaults["policies"][0]
+    assert config_payload(DmrgBenchmarkConfig(coupling_j=2.0))["coupling_j"] == 2.0
+    assert set(payload) == set(defaults) | {"kind"}
+
+
+def test_non_default_config_hashes_are_pinned():
+    pec = PecComparisonConfig(seed=3, n_sites=8, grid_search=False)
+    bench = DmrgBenchmarkConfig(spin_model="heisenberg", benchmark_sizes=(4, 6))
+    assert config_hash(config_payload(pec)) == \
+        "60e1a2a170728ceca7aaea8d9b9bfe148ecddcd8547d9f744a6683608086d3c0"
+    assert config_hash(config_payload(bench)) == \
+        "9a733d7cd9f583a18e6557d3569912f7a304c6a3f625749754119dcd153966ba"
 
 
 def test_coefficient_grids_must_contain_zero():
     with pytest.raises(ValueError, match="non-inferiority"):
-        ExperimentConfig(kind="pec_comparison", gamma1_grid=(0.5, 1.0))
+        PecComparisonConfig(gamma1_grid=(0.5, 1.0))
 
 
 def test_pec_rejects_policies_the_run_would_ignore():
     with pytest.raises(ValueError, match="ignores 'policies' when grid_search is true"):
-        ExperimentConfig(kind="pec_comparison", n_sites=4, n_fields=5, max_bond=2,
-                         num_sweeps=4,
-                         policies=[TruncationPolicy(kind="uhlmann", gamma1=0.7)])
+        PecComparisonConfig(n_sites=4, n_fields=5, max_bond=2, num_sweeps=4,
+                            policies=[TruncationPolicy(kind="uhlmann", gamma1=0.7)])
     with pytest.raises(ValueError, match=r"policies\[0\]: pec_comparison never runs"):
         small_pec_config(policies=[TruncationPolicy(kind="standard")])
     with pytest.raises(ValueError, match=r"policies\[1\]: kind 'uhlmann' repeats"):
@@ -75,23 +135,25 @@ def test_default_config_hashes_are_unchanged():
         "gauge_diagnostics": "69fa7cf8eddefbc2ff968225cfcc760109019097c534f7b90a46eeb2d4b6577f",
     }
     for kind, digest in expected.items():
-        assert config_hash(config_payload(ExperimentConfig(kind=kind))) == digest
+        assert config_hash(config_payload(CONFIG_TYPES[kind]())) == digest
 
 
 def test_pec_requires_tfim():
-    with pytest.raises(ValueError, match="must be 'tfim'"):
-        ExperimentConfig(kind="pec_comparison", spin_model="heisenberg")
+    # the transverse-field scan has no spin model to choose
+    with pytest.raises(TypeError, match="spin_model"):
+        PecComparisonConfig(spin_model="heisenberg")
     with pytest.raises(ValueError, match="dense oracle limit"):
-        ExperimentConfig(kind="pec_comparison", n_sites=13)
+        PecComparisonConfig(n_sites=13)
+    with pytest.raises(ValueError, match="dense oracle limit"):
+        PecComparisonConfig(n_sites=10**12)  # rejected without computing 2**n
+    PecComparisonConfig(n_sites=12)
 
 
 def test_refinement_sizes_must_halve_the_spacing():
     with pytest.raises(ValueError, match="halve the spacing"):
-        ExperimentConfig(kind="gauge_diagnostics",
-                         refine_time_sizes=(21, 41, 61))
+        GaugeDiagnosticsConfig(refine_time_sizes=(21, 41, 61))
     with pytest.raises(ValueError, match="odd and at least 5"):
-        ExperimentConfig(kind="gauge_diagnostics",
-                         refine_plane_sizes=(10, 19, 37))
+        GaugeDiagnosticsConfig(refine_plane_sizes=(10, 19, 37))
 
 
 def test_config_hash_tracks_the_payload():
@@ -119,7 +181,7 @@ def test_runners_reject_mismatched_kind():
 
 @pytest.fixture(scope="module")
 def crossing_report():
-    cfg = ExperimentConfig(kind="crossing_scan", n_points=41, time_steps=400)
+    cfg = CrossingScanConfig(n_points=41, time_steps=400)
     return run_crossing_scan(cfg), cfg
 
 
@@ -173,8 +235,8 @@ def test_crossing_eff_columns_cover_all_policies(crossing_report):
 # ---------------------------------------------------------------------------
 
 def test_benchmark_small_matrix_is_numerically_exact():
-    cfg = ExperimentConfig(kind="dmrg_benchmark", benchmark_sizes=(4,),
-                           benchmark_fields=(1.0,), benchmark_bond=16)
+    cfg = DmrgBenchmarkConfig(benchmark_sizes=(4,), benchmark_fields=(1.0,),
+                              benchmark_bond=16)
     report = run_dmrg_benchmark(cfg)
     assert len(report.rows) == 1
     row = dict(zip(report.columns, report.rows[0]))
@@ -185,9 +247,9 @@ def test_benchmark_small_matrix_is_numerically_exact():
 
 
 def test_benchmark_flags_non_convergence():
-    cfg = ExperimentConfig(kind="dmrg_benchmark", benchmark_sizes=(4,),
-                           benchmark_fields=(1.0,), benchmark_bond=16,
-                           benchmark_sweeps=1, benchmark_tol=1e-15)
+    cfg = DmrgBenchmarkConfig(benchmark_sizes=(4,), benchmark_fields=(1.0,),
+                              benchmark_bond=16, benchmark_sweeps=1,
+                              benchmark_tol=1e-15)
     report = run_dmrg_benchmark(cfg)
     assert report.summary["flagged"] == 1
     row = dict(zip(report.columns, report.rows[0]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from udmrg import linalg
 from udmrg.models import (
     CROSSING_POINTS,
     PAULI_X,
@@ -199,7 +200,7 @@ def test_tfim_limits():
     assert w[0] == pytest.approx(-0.9 * 5, abs=1e-12)
 
 
-def test_exact_diagonalization_contract():
+def test_exact_diagonalization_contract(monkeypatch):
     spec = SpinChainSpec(kind="tfim", n_sites=3, coupling=1.0, field=1.0)
     h = dense_spin_chain(spec)
     w, v = exact_diagonalization(h, k=3)
@@ -207,8 +208,10 @@ def test_exact_diagonalization_contract():
     assert np.all(np.diff(w) >= 0)
     for i in range(3):
         np.testing.assert_allclose(h @ v[:, i], w[i] * v[:, i], atol=1e-10)
-    with pytest.raises(ValueError, match="exceeds the dense limit"):
-        exact_diagonalization(h, dense_limit=4)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "DENSE_LIMIT", 4)
+        with pytest.raises(ValueError, match="exceeds the dense limit 4"):
+            exact_diagonalization(h)
     with pytest.raises(ValueError, match="cannot request"):
         exact_diagonalization(h, k=9)
     with pytest.raises(ValueError, match="cannot request"):

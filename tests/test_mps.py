@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udmrg.mps import (
     BondSpectrum,
@@ -16,9 +17,7 @@ from udmrg.mps import (
     left_cross_envs,
     mpo_to_dense,
     random_mps,
-    schmidt_values,
     split_theta,
-    svd_truncate,
     to_dense,
 )
 from udmrg.linalg import dag
@@ -247,27 +246,20 @@ def test_split_theta_rejects_zero_block():
         split_theta(theta, keep_all, "left")
 
 
-def test_svd_truncate_requires_adjacent_center():
-    rng = np.random.default_rng(5)
-    psi = canonicalize(random_mps(rng, [2] * 4, 4), 0)
-    with pytest.raises(ValueError, match="adjacent"):
-        svd_truncate(psi, 2, lambda s, u: (np.arange(len(s)),
-                                           s / np.linalg.norm(s)), "left")
-
-
-def test_svd_truncate_full_rank_preserves_state():
-    rng = np.random.default_rng(6)
-    psi = canonicalize(random_mps(rng, [2] * 4, 4), 1)
-    dense = to_dense(psi)
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 4)] * 4), seed=st.integers(0, 2**32 - 1),
+       center_after=st.sampled_from(["left", "right"]))
+def test_split_theta_keeping_everything_rebuilds_theta(shape, seed, center_after):
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     def keep_all(sigma, u):
-        return np.arange(len(sigma)), sigma / np.linalg.norm(sigma)
+        return np.arange(len(sigma)), sigma
 
-    truncated, spectrum = svd_truncate(psi, 1, keep_all, "right")
-    np.testing.assert_allclose(np.abs(np.vdot(to_dense(truncated), dense)),
-                               1.0, atol=1e-12)
-    assert truncated.center == 2
-    assert spectrum.discarded_weight < 1e-12
+    left, right, spectrum = split_theta(theta, keep_all, center_after)
+    rebuilt = np.tensordot(left, right, axes=(2, 0))
+    assert np.max(np.abs(rebuilt - theta)) <= 1e-12
+    assert spectrum.discarded_weight <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +274,6 @@ def test_entanglement_spectrum_bell_and_product():
     product = from_product_state([UP, DOWN])
     np.testing.assert_allclose(entanglement_spectrum(product, 0), [1.0],
                                atol=1e-12)
-
-
-def test_schmidt_values_are_square_roots():
-    bell = from_dense_state(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0),
-                            [2, 2])
-    np.testing.assert_allclose(schmidt_values(bell, 0),
-                               [1.0 / np.sqrt(2.0)] * 2, atol=1e-12)
 
 
 def test_bond_schmidt_data_probabilities_and_gauges():

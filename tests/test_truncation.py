@@ -11,7 +11,6 @@ from udmrg.truncation import (
     charge_second_order,
     compute_weights,
     select_states,
-    standard_select,
 )
 
 
@@ -204,13 +203,6 @@ def test_select_states_falls_back_from_zero_raw_selection():
     kept, renorm = select_states(w, TruncationPolicy(max_kept=1))
     np.testing.assert_array_equal(kept, [0])
     np.testing.assert_allclose(renorm, [1.0])
-
-
-def test_standard_select_keeps_top_weights():
-    select = standard_select(2)
-    kept, renorm = select(np.array([0.9, 0.5, 0.1]))
-    np.testing.assert_array_equal(kept, [0, 1])
-    assert np.linalg.norm(renorm) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
