@@ -82,7 +82,8 @@ def _check_scalar(key: str, value: Any, hint: Any, errors: list[str]) -> Any:
     return tuple(value if want_int else [float(v) for v in value])
 
 
-def _parse_policies(raw: Any, errors: list[str]) -> Optional[list[TruncationPolicy]]:
+def _parse_policies(raw: Any,
+                    errors: list[str]) -> Optional[tuple[TruncationPolicy, ...]]:
     if not isinstance(raw, list):
         errors.append("key 'policies' must be a list of policy objects")
         return None
@@ -126,7 +127,7 @@ def _parse_policies(raw: Any, errors: list[str]) -> Optional[list[TruncationPoli
         except ValueError as exc:
             errors.append(f"policies[{i}]: {exc}")
             ok = False
-    return policies if ok else None
+    return tuple(policies) if ok else None
 
 
 def parse_config_data(data: Any) -> ExperimentConfig:

@@ -24,6 +24,17 @@ are padded with zero-probability states.  A scan diagonalizes nothing
 densely: a caller that already holds the exact ground states passes them as
 ``oracle`` and gets the per-point fidelities back.
 
+The scans of one problem -- same family, grid, start state, budget and
+oracle, different truncation policies -- can share their solves through a
+:class:`TrajectoryTree`.  A two-site step's result depends only on the state
+it starts from and the states it keeps, so a scan whose policy keeps, at
+every local step of a point, exactly the states an earlier scan kept there
+follows that scan bit for bit.  The tree holds every point solved for real,
+with each step's left singular vectors; a scan sharing it first replays the
+recorded steps through its own selection and charge context (no eigensolve,
+no SVD) and adopts the point when every kept set agrees, and otherwise
+solves the point itself and adds it to the tree.
+
 The augmented objective per scan point is ``E + lambda1 * coherence +
 lambda2 * curvature`` where the coherence penalty is
 ``||i d(rho)/dt - [A, rho]||_F^2`` on each tracked bond density and the
@@ -342,13 +353,21 @@ def ground_state(hamiltonian: MatrixProductOperator, init: MatrixProductState,
 
 
 def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
-              cfg: SweepConfig, context: Optional[_ChargeContext]) -> DmrgResult:
+              cfg: SweepConfig, context: Optional[_ChargeContext],
+              steps: Optional[list] = None) -> DmrgResult:
+    """The sweeps of :func:`ground_state`, charging against ``context``.
+
+    ``steps``, when given, receives ``(u, l, d1)`` for every local step in
+    sweep order: the SVD's left singular vectors and the left-block shape
+    they reshape to, which is what a replay of the step needs.
+    """
     if hamiltonian.physical_dims != init.physical_dims:
         raise ValueError("Hamiltonian and initial state disagree on local dimensions")
     n = init.n_sites
     if n < 2:
         raise ValueError("two-site DMRG needs at least two sites")
     ws = hamiltonian.tensors
+    policy = _capped_policy(cfg)
     psi = canonicalize(init, 0)
     norm = psi.norm()
     if norm <= 0:
@@ -379,7 +398,8 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
             if context is not None:
                 context.note_bond(b)
             local_energy, rec = _optimize_bond(
-                tensors, ws, lenvs[b], renvs[b + 1], b, sweep, cfg, context, "right")
+                tensors, ws, lenvs[b], renvs[b + 1], b, sweep, policy, context,
+                "right", steps)
             log.append(rec)
             lenvs[b + 1] = _update_left(lenvs[b], tensors[b], ws[b])
             if context is not None:
@@ -387,7 +407,8 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
         # right-to-left
         for b in range(n - 2, -1, -1):
             local_energy, rec = _optimize_bond(
-                tensors, ws, lenvs[b], renvs[b + 1], b, sweep, cfg, context, "left")
+                tensors, ws, lenvs[b], renvs[b + 1], b, sweep, policy, context,
+                "left", steps)
             log.append(rec)
             renvs[b] = _update_right(renvs[b + 1], tensors[b + 1], ws[b + 1])
         sweep_energies.append(local_energy)
@@ -402,8 +423,38 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
                       truncation_log=log, converged=converged)
 
 
-def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int, cfg: SweepConfig,
-                   context: Optional[_ChargeContext], center_after: str):
+def _capped_policy(cfg: SweepConfig) -> TruncationPolicy:
+    """``cfg.policy`` with its state budget capped at ``cfg.max_bond``."""
+    policy = cfg.policy
+    if policy.max_kept <= cfg.max_bond:
+        return policy
+    return replace(policy, max_kept=cfg.max_bond)
+
+
+def _select(sigma: np.ndarray, u: np.ndarray, l: int, d1: int, bond: int,
+            policy: TruncationPolicy,
+            context: Optional[_ChargeContext]) -> TruncationWeights:
+    """Charge, weigh and select the Schmidt states of one bond truncation.
+
+    ``sigma`` and ``u`` are the SVD's singular values and left singular
+    vectors, ``u`` reshaping to ``(l, d1, rank)``; ``policy`` is already
+    capped.  Returns the weights with ``kept`` filled in.  Both a real local
+    step and a replayed one select here.
+    """
+    rank = sigma.size
+    if context is not None and policy.kind != "standard":
+        q1, q2 = context.charges(bond, u.reshape(l, d1, rank), sigma)
+    else:
+        q1 = np.zeros(rank)
+        q2 = np.zeros(rank)
+    weights = compute_weights(sigma, q1, q2, policy)
+    select_states(weights, policy)
+    return weights
+
+
+def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
+                   policy: TruncationPolicy, context: Optional[_ChargeContext],
+                   center_after: str, steps: Optional[list]):
     heff = effective_hamiltonian(lenv, renv, ws[b], ws[b + 1])
     energy, vec = _lowest_eigenpair(heff)
     vec = _flush_tiny(vec)
@@ -415,21 +466,12 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int, cfg: SweepConfig
     captured: dict = {}
 
     def select(sigma, u):
-        policy = cfg.policy
-        rank = sigma.size
-        if context is not None and policy.kind != "standard":
-            u3 = u.reshape(l, d1, rank)
-            q1, q2 = context.charges(b, u3, sigma)
-        else:
-            q1 = np.zeros(rank)
-            q2 = np.zeros(rank)
-        capped = policy if policy.max_kept <= cfg.max_bond else replace(
-            policy, max_kept=cfg.max_bond)
-        weights = compute_weights(sigma, q1, q2, capped)
-        kept, _ = select_states(weights, capped)
+        weights = _select(sigma, u, l, d1, b, policy, context)
+        if steps is not None:
+            steps.append((u, l, d1))
+        kept = weights.kept
         sig_norm = float(np.linalg.norm(sigma[kept]))
         captured["weights"] = weights
-        captured["kept"] = kept
         captured["sigma"] = sigma
         return kept, sigma[kept] / sig_norm
 
@@ -440,7 +482,7 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int, cfg: SweepConfig
     rec = TruncationRecord(
         sweep=sweep, bond=b, singular_values=captured["sigma"],
         charges1=weights.charges1, charges2=weights.charges2,
-        effective=weights.effective, kept=captured["kept"],
+        effective=weights.effective, kept=weights.kept,
         discarded_weight=spectrum.discarded_weight,
     )
     return energy, rec
@@ -513,9 +555,129 @@ def _final_discards(result: DmrgResult, n_bonds: int) -> list[float]:
     return out
 
 
+@dataclass
+class _TrajectoryNode:
+    """One scan point solved for real, with what a replay of it needs."""
+
+    result: DmrgResult
+    steps: Optional[list[tuple[np.ndarray, int, int]]]
+    phi: MatrixProductState
+    data: list
+    point: _PointData
+    fidelity: Optional[float]
+    children: list["_TrajectoryNode"] = field(default_factory=list)
+
+
+def _arrays_equal(a: Optional[Sequence[np.ndarray]],
+                  b: Optional[Sequence[np.ndarray]]) -> bool:
+    if a is None or b is None:
+        return a is b
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TrajectoryTree:
+    """Solved scan points shared by the continuation scans of one problem.
+
+    A node is one point some scan solved for real: its result, its Schmidt
+    data and fidelity, and the left singular vectors of every local step.
+    A path from the root is one distinct trajectory; its branches are where
+    two policies first kept different states.  The first scan pins the
+    problem (family object, grid, initial state, budget apart from the
+    policy, oracle); a scan of any other problem raises ``ValueError``.
+    """
+
+    def __init__(self) -> None:
+        self.children: list[_TrajectoryNode] = []
+        self._pinned: Optional[tuple] = None
+
+    def pin(self, family, grid: np.ndarray, cfg: SweepConfig,
+            init: MatrixProductState,
+            oracle: Optional[Sequence[np.ndarray]]) -> None:
+        """Record the problem on first use; refuse any other problem later."""
+        if self._pinned is None:
+            self._pinned = (family, grid.copy(), cfg,
+                            [t.copy() for t in init.tensors],
+                            None if oracle is None else [np.array(v) for v in oracle])
+            return
+        pinned_family, pinned_grid, pinned_cfg, pinned_init, pinned_oracle = self._pinned
+        for name, same in (
+            ("family", family is pinned_family),
+            ("grid", np.array_equal(grid, pinned_grid)),
+            ("budget", replace(cfg, policy=pinned_cfg.policy) == pinned_cfg),
+            ("initial state", _arrays_equal(init.tensors, pinned_init)),
+            ("oracle", _arrays_equal(oracle, pinned_oracle)),
+        ):
+            if not same:
+                raise ValueError(f"the trajectory tree holds scans of another {name}")
+
+
+def _replay(node: _TrajectoryNode, cfg: SweepConfig,
+            context: Optional[_ChargeContext]) -> Optional[list[TruncationRecord]]:
+    """This scan's own truncation records along ``node``'s recorded steps.
+
+    Every recorded step is selected again under ``cfg``'s policy, with
+    ``context`` fed exactly as :func:`_run_dmrg` feeds it.  Returns ``None``
+    at the first step whose kept set differs from the recorded one.
+    """
+    policy = _capped_policy(cfg)
+    n_bonds = len(node.data)
+    log: list[TruncationRecord] = []
+    for i, (rec, (u, l, d1)) in enumerate(zip(node.result.truncation_log, node.steps)):
+        rightward = i % (2 * n_bonds) < n_bonds
+        if context is not None and rightward:
+            if i % (2 * n_bonds) == 0:
+                context.begin_sweep()
+            context.note_bond(rec.bond)
+        weights = _select(rec.singular_values, u, l, d1, rec.bond, policy, context)
+        if not np.array_equal(weights.kept, rec.kept):
+            return None
+        log.append(TruncationRecord(
+            sweep=rec.sweep, bond=rec.bond, singular_values=rec.singular_values,
+            charges1=weights.charges1, charges2=weights.charges2,
+            effective=weights.effective, kept=weights.kept,
+            discarded_weight=rec.discarded_weight,
+        ))
+        if context is not None and rightward:
+            kept = weights.kept
+            context.advance(rec.bond, u[:, kept].reshape(l, d1, kept.size))
+    return log
+
+
+def _adopt(children: list[_TrajectoryNode], cfg: SweepConfig,
+           context: Optional[_ChargeContext]):
+    """The first child whose replay keeps every recorded set, with its log."""
+    for child in children:
+        log = _replay(child, cfg, context)
+        if log is not None:
+            return child, log
+    return None, None
+
+
+def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
+                 cfg: SweepConfig, context: Optional[_ChargeContext],
+                 oracle_state: Optional[np.ndarray], keep_steps: bool) -> _TrajectoryNode:
+    """Solve one scan point for real."""
+    steps: Optional[list] = [] if keep_steps else None
+    result = _run_dmrg(mpo, start, cfg, context, steps)
+    phi, data = bond_schmidt_data(result.state)
+    fidelity = None
+    if oracle_state is not None:
+        dense = to_dense(result.state)
+        dense = dense / np.linalg.norm(dense)
+        fidelity = float(np.abs(np.vdot(oracle_state, dense)) ** 2)
+    point = _PointData(
+        tensors=[t.copy() for t in phi.tensors],
+        probabilities=[d[0] for d in data],
+        gauges=[d[1] for d in data],
+    )
+    return _TrajectoryNode(result=result, steps=steps, phi=phi, data=data,
+                           point=point, fidelity=fidelity)
+
+
 def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
                       cfg: SweepConfig, init: Optional[MatrixProductState] = None,
-                      oracle: Optional[Sequence[np.ndarray]] = None) -> ContinuationScan:
+                      oracle: Optional[Sequence[np.ndarray]] = None,
+                      shared: Optional[TrajectoryTree] = None) -> ContinuationScan:
     """Solve a Hamiltonian family along ``grid``, warm-starting each point.
 
     The first point always uses the standard policy (there is no earlier
@@ -525,6 +687,13 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
     of every grid point as a dense vector; the scan then records each
     point's fidelity ``|<oracle|psi>|^2`` with it.  The scan diagonalizes
     nothing densely itself: the caller owns the oracle and its cost.
+
+    ``shared``, when given, is a :class:`TrajectoryTree` that the scans of
+    one problem pass in turn.  At each point the scan adopts a solved point
+    of the tree whose every local step keeps the states its own policy
+    keeps, and solves the point itself otherwise.  The result is identical
+    to a scan without the tree; a scan of another problem than the one the
+    tree was first used for raises ``ValueError``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -534,22 +703,21 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
     if oracle is not None and len(oracle) != grid.size:
         raise ValueError(
             f"oracle holds {len(oracle)} states for {grid.size} grid points")
+    if init is None:
+        raise ValueError("an initial state is required for the first point")
+    if shared is not None:
+        shared.pin(family, grid, cfg, init, oracle)
 
     results: list[DmrgResult] = []
     records: list[ScanPointRecord] = []
     fidelities: list[float] = []
     history: list[_PointData] = []
     spacings: list[float] = []
-    state: Optional[MatrixProductState] = None
+    start = init
+    # without a shared tree the scan walks a private one that never branches
+    parent = shared if shared is not None else TrajectoryTree()
 
     for k, value in enumerate(grid):
-        mpo = family(float(value))
-        if state is None:
-            if init is None:
-                raise ValueError("an initial state is required for the first point")
-            start = init
-        else:
-            start = state
         if k == 0:
             point_cfg = replace(cfg, policy=replace(
                 cfg.policy, kind="standard", gamma1=0.0, gamma2=0.0,
@@ -562,24 +730,26 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
                 spacings.append(float(grid[k - 1] - grid[k - 2]))
             context = _ChargeContext(history[: len(spacings)], spacings,
                                      n_bonds=start.n_sites - 1)
-        result = _run_dmrg(mpo, start, point_cfg, context)
-        state = result.state
-        phi, data = bond_schmidt_data(state)
-        record = _point_gauge_record(float(value), result, phi, data, history,
-                                     spacings, cfg.policy)
+        node, log = _adopt(parent.children, point_cfg, context)
+        if node is None:
+            node = _solve_point(family(float(value)), start, point_cfg, context,
+                                None if oracle is None else oracle[k],
+                                keep_steps=shared is not None)
+            parent.children.append(node)
+            result = node.result
+        else:
+            result = DmrgResult(
+                energy=node.result.energy, state=node.result.state,
+                sweep_energies=list(node.result.sweep_energies),
+                truncation_log=log, converged=node.result.converged)
+        parent = node
+        start = result.state
         results.append(result)
-        records.append(record)
-
+        records.append(_point_gauge_record(float(value), result, node.phi, node.data,
+                                           history, spacings, cfg.policy))
         if oracle is not None:
-            dense = to_dense(state)
-            dense = dense / np.linalg.norm(dense)
-            fidelities.append(float(np.abs(np.vdot(oracle[k], dense)) ** 2))
-
-        history.insert(0, _PointData(
-            tensors=[t.copy() for t in phi.tensors],
-            probabilities=[d[0] for d in data],
-            gauges=[d[1] for d in data],
-        ))
+            fidelities.append(node.fidelity)
+        history.insert(0, node.point)
         del history[2:]
 
     return ContinuationScan(

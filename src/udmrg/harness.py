@@ -17,7 +17,10 @@ Four experiments, each configured by its own frozen dataclass (see
     coefficient grid search (grids must contain zero, so the searched
     methods can never do worse than standard; all-zero cells reuse the
     standard scan), and improvement percentages recomputed from the recorded
-    errors.
+    errors.  The scans of one run share their solved points through a
+    :class:`~udmrg.dmrg.TrajectoryTree`: a policy that keeps the states an
+    earlier scan kept at every local step of a point adopts that point
+    instead of solving it again, which changes no report byte.
 
 ``dmrg_benchmark``
     Ground-state energies versus dense diagonalization over a size/field
@@ -44,7 +47,13 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from ._version import __version__
-from .dmrg import ContinuationScan, SweepConfig, continuation_scan, ground_state
+from .dmrg import (
+    ContinuationScan,
+    SweepConfig,
+    TrajectoryTree,
+    continuation_scan,
+    ground_state,
+)
 from .gauge import (
     ActionParams,
     GaugePotential,
@@ -131,14 +140,20 @@ class ExperimentConfig:
 
     Each experiment has its own frozen subclass (see :data:`CONFIG_TYPES`)
     whose fields are exactly the settings it reads; the CLI takes the keys it
-    accepts and their types from those fields.  Construction runs
-    :meth:`validate` and raises :class:`ConfigError` listing every problem.
+    accepts and their types from those fields.  Construction turns every
+    list-valued field into a tuple, so a config cannot change after it was
+    validated, then runs :meth:`validate` and raises :class:`ConfigError`
+    listing every problem.
     """
 
     kind: ClassVar[str]
     seed: int = 7
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):
+                object.__setattr__(self, f.name, tuple(value))
         problems = self.validate()
         if problems:
             raise ConfigError(problems)
@@ -166,7 +181,7 @@ class CrossingScanConfig(ExperimentConfig):
     n_points: int = 401
     sweep_rate: float = 1.0
     time_steps: int = 4000
-    policies: list[TruncationPolicy] = field(default_factory=default_policies)
+    policies: tuple[TruncationPolicy, ...] = field(default_factory=default_policies)
 
     def validate(self) -> list[str]:
         errs = super().validate() + _policy_type_problems(self.policies)
@@ -187,8 +202,8 @@ class CrossingScanConfig(ExperimentConfig):
 class PecComparisonConfig(ExperimentConfig):
     """Settings of ``pec_comparison``, a transverse-field Ising scan.
 
-    A ``policies`` list equal to :func:`default_policies` counts as unset; any
-    other list must be one the run would actually use.
+    ``policies`` equal to :func:`default_policies` counts as unset; any other
+    policies must be ones the run would actually use.
     """
 
     kind: ClassVar[str] = "pec_comparison"
@@ -204,7 +219,7 @@ class PecComparisonConfig(ExperimentConfig):
     energy_tol: float = 1e-9
     grid_search: bool = True
     objective: str = "energy_error"
-    policies: list[TruncationPolicy] = field(default_factory=default_policies)
+    policies: tuple[TruncationPolicy, ...] = field(default_factory=default_policies)
     gamma1_grid: tuple[float, ...] = (0.0, 0.5, 1.0)
     gamma2_grid: tuple[float, ...] = (0.0, 0.5)
     lambda1_grid: tuple[float, ...] = (0.0, 0.5, 1.0)
@@ -226,7 +241,7 @@ class PecComparisonConfig(ExperimentConfig):
                 )
         type_problems = _policy_type_problems(self.policies)
         errs += type_problems
-        if not type_problems and self.policies != default_policies():
+        if not type_problems and self.policies != tuple(default_policies()):
             errs += _pec_policy_problems(self.policies, self.grid_search)
         if self.n_sites < 2:
             errs.append("n_sites must be at least 2")
@@ -554,11 +569,20 @@ def _pec_grid(cfg: PecComparisonConfig) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _PecProblem:
+    """What every scan of one pec_comparison run shares.
+
+    The field grid and its crossing-window mask, the MPO family, the dense
+    exact energies and ground states (the fidelity oracle), and the
+    trajectory tree through which the scans share their solved points
+    (``None`` makes every scan solve every point itself).
+    """
+
     grid: np.ndarray
     family: Callable
     exact_energies: np.ndarray
     exact_states: list[np.ndarray]
     window: np.ndarray
+    trajectories: Optional[TrajectoryTree]
 
 
 def _pec_problem(cfg: PecComparisonConfig) -> _PecProblem:
@@ -574,7 +598,8 @@ def _pec_problem(cfg: PecComparisonConfig) -> _PecProblem:
     exact = [exact_diagonalization(dense_spin_chain(spec(h))) for h in grid]
     return _PecProblem(grid=grid, family=family,
                        exact_energies=np.array([float(w[0]) for w, _ in exact]),
-                       exact_states=[v[:, 0] for _, v in exact], window=window)
+                       exact_states=[v[:, 0] for _, v in exact], window=window,
+                       trajectories=TrajectoryTree())
 
 
 def _standard_policy(cfg: PecComparisonConfig) -> TruncationPolicy:
@@ -588,7 +613,8 @@ def _scan_for_policy(cfg: PecComparisonConfig, problem: _PecProblem,
     sweep_cfg = SweepConfig(max_bond=cfg.max_bond, num_sweeps=cfg.num_sweeps,
                             energy_tol=cfg.energy_tol, policy=policy)
     return continuation_scan(problem.family, problem.grid, sweep_cfg, init=init,
-                             oracle=problem.exact_states)
+                             oracle=problem.exact_states,
+                             shared=problem.trajectories)
 
 
 def _scan_errors(scan: ContinuationScan, problem: _PecProblem) -> np.ndarray:

@@ -1,9 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from udmrg import dmrg, linalg
-from udmrg.dmrg import SweepConfig, _bond_charges, continuation_scan, ground_state
+from udmrg.dmrg import (
+    SweepConfig,
+    TrajectoryTree,
+    _bond_charges,
+    continuation_scan,
+    ground_state,
+)
 from udmrg.models import (
     SpinChainSpec,
     build_spin_chain_mpo,
@@ -340,6 +348,138 @@ def test_scan_local_solves_see_no_subnormal_entries(monkeypatch):
                       SweepConfig(max_bond=4, num_sweeps=12, energy_tol=1e-9),
                       init=init)
     assert subnormal and sum(subnormal) == 0
+
+
+# ---------------------------------------------------------------------------
+# scans sharing a trajectory tree
+# ---------------------------------------------------------------------------
+
+_TREE_FAMILY = tfim_family(5)
+_TREE_GRID = np.linspace(0.6, 1.4, 7)
+
+#: the standard scan first, then policies that leave its trajectory at
+#: different points (or never) on the 5-site, chi=3 problem below
+_TREE_POLICIES = [
+    TruncationPolicy(),
+    TruncationPolicy(kind="uhlmann", gamma1=5.0),  # never leaves it
+    TruncationPolicy(kind="coherence_eigenvalue", lambda1=50.0),  # leaves at point 1
+    TruncationPolicy(kind="coherence_eigenvalue_2", lambda1=0.5, lambda2=0.5),  # at 2
+    TruncationPolicy(kind="coherence_eigenvalue_2", lambda2=0.05),  # at 2
+    TruncationPolicy(kind="standard", cutoff=0.05),  # at point 0
+    TruncationPolicy(kind="uhlmann", gamma1=0.5, max_kept=2),  # at point 0
+    TruncationPolicy(kind="categorified"),  # all coefficients zero
+]
+
+
+@pytest.fixture(scope="module")
+def tree_oracle():
+    return tfim_ground_states(5, _TREE_GRID)
+
+
+def _tree_scan(policy, oracle, shared=None, family=_TREE_FAMILY, grid=_TREE_GRID,
+               seed=5, max_bond=3):
+    cfg = SweepConfig(max_bond=max_bond, num_sweeps=8, energy_tol=1e-9, policy=policy)
+    init = random_mps(np.random.default_rng(seed), [2] * 5, 3)
+    return continuation_scan(family, grid, cfg, init=init, oracle=oracle,
+                             shared=shared)
+
+
+def _assert_same_scan(a, b):
+    assert a.fidelity_to_oracle == b.fidelity_to_oracle
+    assert len(a.results) == len(b.results) == len(a.records) == len(b.records)
+    for ra, rb in zip(a.results, b.results):
+        assert (ra.energy, ra.sweep_energies, ra.converged) == \
+            (rb.energy, rb.sweep_energies, rb.converged)
+        for ta, tb in zip(ra.state.tensors, rb.state.tensors, strict=True):
+            np.testing.assert_array_equal(ta, tb)
+        assert len(ra.truncation_log) == len(rb.truncation_log)
+        for ta, tb in zip(ra.truncation_log, rb.truncation_log):
+            assert (ta.sweep, ta.bond, ta.discarded_weight) == \
+                (tb.sweep, tb.bond, tb.discarded_weight)
+            for name in ("singular_values", "charges1", "charges2", "effective", "kept"):
+                np.testing.assert_array_equal(getattr(ta, name), getattr(tb, name))
+    for pa, pb in zip(a.records, b.records):
+        for f in dataclasses.fields(pa):
+            va, vb = getattr(pa, f.name), getattr(pb, f.name)
+            if isinstance(va, list):
+                assert len(va) == len(vb), f.name
+                for x, y in zip(va, vb):
+                    np.testing.assert_array_equal(x, y)
+            else:
+                assert va == vb, f.name
+
+
+def _first_divergence(a, b):
+    """First point whose kept sets differ between two scans, or ``None``."""
+    for k, (ra, rb) in enumerate(zip(a.results, b.results)):
+        kept_a = [rec.kept.tolist() for rec in ra.truncation_log]
+        kept_b = [rec.kept.tolist() for rec in rb.truncation_log]
+        if kept_a != kept_b:
+            return k
+    return None
+
+
+def test_scans_through_a_tree_equal_scans_without_it(tree_oracle):
+    tree = TrajectoryTree()
+    shared = [_tree_scan(p, tree_oracle, shared=tree) for p in _TREE_POLICIES]
+    own = [_tree_scan(p, tree_oracle) for p in _TREE_POLICIES]
+    for a, b in zip(shared, own):
+        _assert_same_scan(a, b)
+    # the policies cover every case: staying on the standard trajectory,
+    # leaving it at point 0, 1 and 2, and following a branch another left on
+    assert [_first_divergence(own[0], scan) for scan in own] == \
+        [None, None, 1, 2, 2, 0, 0, None]
+    assert _first_divergence(own[3], own[4]) is None
+    assert len(tree.children) == 3
+
+
+def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
+    solves = []
+    heff = dmrg.effective_hamiltonian
+
+    def counting(*args):
+        solves.append(1)
+        return heff(*args)
+
+    monkeypatch.setattr(dmrg, "effective_hamiltonian", counting)
+    for policy in _TREE_POLICIES:
+        _tree_scan(policy, tree_oracle)
+    independent = len(solves)
+    solves.clear()
+    tree = TrajectoryTree()
+    first = [_tree_scan(p, tree_oracle, shared=tree) for p in _TREE_POLICIES]
+    assert 0 < len(solves) < independent
+    # one node per point solved: the standard trajectory, the branch left at
+    # point 1, the one both coherence_eigenvalue_2 policies share from point
+    # 2, and the two that leave at point 0
+    nodes, stack = 0, list(tree.children)
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        stack += node.children
+    assert nodes == 7 + 6 + 5 + 7 + 7
+    solves.clear()
+    again = [_tree_scan(p, tree_oracle, shared=tree) for p in _TREE_POLICIES]
+    assert solves == []
+    for a, b in zip(first, again):
+        _assert_same_scan(a, b)
+
+
+def test_a_tree_refuses_scans_of_another_problem(tree_oracle):
+    tree = TrajectoryTree()
+    _tree_scan(TruncationPolicy(), tree_oracle, shared=tree)
+    with pytest.raises(ValueError, match="another grid"):
+        _tree_scan(TruncationPolicy(), tree_oracle, shared=tree, grid=_TREE_GRID + 0.01)
+    with pytest.raises(ValueError, match="another initial state"):
+        _tree_scan(TruncationPolicy(), tree_oracle, shared=tree, seed=6)
+    with pytest.raises(ValueError, match="another budget"):
+        _tree_scan(TruncationPolicy(), tree_oracle, shared=tree, max_bond=2)
+    with pytest.raises(ValueError, match="another family"):
+        _tree_scan(TruncationPolicy(), tree_oracle, shared=tree, family=tfim_family(5))
+    with pytest.raises(ValueError, match="another oracle"):
+        _tree_scan(TruncationPolicy(), None, shared=tree)
+    # another policy on the same problem is what the tree is for
+    _tree_scan(_TREE_POLICIES[2], tree_oracle, shared=tree)
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from udmrg import harness
+from udmrg import dmrg, harness
 from udmrg.harness import (
     CONFIG_TYPES,
     EXPERIMENT_KINDS,
@@ -80,6 +80,20 @@ def test_configs_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.n_sites = 20
     assert cfg.n_sites == 4
+
+
+def test_config_sequences_are_frozen_tuples():
+    c = CrossingScanConfig(n_points=11, time_steps=20)
+    assert isinstance(c.policies, tuple)
+    with pytest.raises(AttributeError):
+        c.policies.append("not a policy")
+    listed = PecComparisonConfig(policies=list(default_policies()),
+                                 gamma1_grid=[0.0, 0.5])
+    assert listed.policies == tuple(default_policies())
+    assert listed.gamma1_grid == (0.0, 0.5)
+    # tuples and lists serialize alike, so the hash does not see the change
+    assert config_hash(config_payload(listed)) == config_hash(config_payload(
+        PecComparisonConfig(gamma1_grid=(0.0, 0.5))))
 
 
 def test_shared_fields_have_one_default_that_the_payload_carries():
@@ -342,12 +356,41 @@ def test_zero_cells_reuse_the_standard_scan(monkeypatch):
     assert len(table.rows) == 6
 
     # a zero cell run for real reports exactly what the shared scan reports
-    problem = harness._pec_problem(cfg)
+    problem = dataclasses.replace(harness._pec_problem(cfg), trajectories=None)
     shared = scan_for_policy(cfg, problem, TruncationPolicy(kind="standard", max_kept=2))
     for kind in harness.PEC_POLICY_KINDS:
         own = scan_for_policy(cfg, problem, TruncationPolicy(kind=kind, max_kept=2))
         assert harness._points_report("p", cfg, problem, own).csv_bytes() == \
             harness._points_report("p", cfg, problem, shared).csv_bytes()
+
+
+def test_pec_scans_share_solves_without_changing_a_byte(monkeypatch):
+    cfg = small_pec_config(policies=[
+        TruncationPolicy(kind="uhlmann", gamma1=0.7),
+        TruncationPolicy(kind="categorified", gamma1=0.4, gamma2=0.3),
+        TruncationPolicy(kind="coherence_eigenvalue_2", lambda1=0.5, lambda2=0.2)])
+    solves = []
+    heff = dmrg.effective_hamiltonian
+
+    def counting(*args):
+        solves.append(1)
+        return heff(*args)
+
+    monkeypatch.setattr(dmrg, "effective_hamiltonian", counting)
+
+    def run():
+        solves.clear()
+        report = run_pec_comparison(cfg)
+        files = [report.csv_bytes(), canonical_json(report.summary_payload())]
+        return files + [a.csv_bytes() for a in report.attachments], len(solves)
+
+    shared, shared_solves = run()
+    pec_problem = harness._pec_problem
+    monkeypatch.setattr(harness, "_pec_problem", lambda c: dataclasses.replace(
+        pec_problem(c), trajectories=None))
+    own, own_solves = run()
+    assert shared == own
+    assert 0 < shared_solves < own_solves
 
 
 def test_grid_search_rejects_the_standard_kind():
