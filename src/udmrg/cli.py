@@ -18,7 +18,9 @@ import contextlib
 import dataclasses
 import functools
 import json
+import shutil
 import sys
+import tempfile
 import typing
 from datetime import datetime, timezone
 from pathlib import Path
@@ -239,40 +241,80 @@ def _blas_threads(threads: Optional[int]) -> Iterator[dict[str, int]]:
                 put(count)
 
 
+def _replaceable(out_dir: Path) -> bool:
+    """Whether ``out_dir`` is absent, empty, or an earlier run's output."""
+    if not out_dir.exists():
+        return True
+    return out_dir.is_dir() and (
+        (out_dir / "manifest.json").is_file() or not any(out_dir.iterdir()))
+
+
+def _swap_in(staged: Path, out_dir: Path, aside: Path) -> None:
+    """Rename ``staged`` to ``out_dir``, moving an existing one to ``aside``.
+
+    If the final rename fails, the earlier ``out_dir`` is moved back.
+    """
+    if out_dir.exists():
+        out_dir.rename(aside)
+    try:
+        staged.rename(out_dir)
+    except BaseException:
+        if aside.exists():
+            aside.rename(out_dir)
+        raise
+
+
 def dispatch(cfg: ExperimentConfig, out_dir: Path,
              threads: Optional[int] = None) -> int:
     """Run one experiment, write outputs and the manifest, return exit status.
 
     ``threads`` caps the BLAS thread pools for the run; the manifest records
-    the cap and the count each bundled OpenBLAS reports back.
+    the cap and the count each bundled OpenBLAS reports back.  The outputs
+    are written into a temporary sibling of ``out_dir`` that is then renamed
+    into place, so ``out_dir`` holds either the earlier run or this one in
+    full.  An existing ``out_dir`` is replaced as a whole, so it must be
+    empty or hold an earlier run's ``manifest.json``.  A bad ``threads`` or
+    ``out_dir`` raises :class:`ConfigError` before anything runs.
     """
     out_dir = Path(out_dir)
+    problems = []
+    if threads is not None and threads < 1:
+        problems.append("--threads must be at least 1")
+    if not _replaceable(out_dir):
+        problems.append(f"output directory {out_dir} exists and holds no run "
+                        "manifest; remove it or choose another")
+    if problems:
+        raise ConfigError(problems)
     started = datetime.now(timezone.utc).isoformat()
     with _blas_threads(threads) as in_effect:
         report = run_experiment(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # an earlier run's manifest would vouch for files this run overwrites
-    (out_dir / "manifest.json").unlink(missing_ok=True)
-    written = _write_report(report, out_dir)
     flagged = int(report.summary.get("flagged", 0))
     status = 2 if flagged else 0
-    manifest = {
-        "config_hash": report.provenance["config_hash"],
-        "tool_version": __version__,
-        "experiment": cfg.kind,
-        "started_utc": started,
-        "finished_utc": datetime.now(timezone.utc).isoformat(),
-        "threads": threads,
-        "blas_threads": in_effect,
-        "exit_status": status,
-        "outputs": [
-            {"path": p.name, "sha256": sha256_file(p)} for p in written
-        ] + [{"path": "manifest.json", "sha256": None}],
-    }
-    write_json(manifest, out_dir / "manifest.json")
-    for path in written:
-        print(f"wrote {path}")
-    print(f"wrote {out_dir / 'manifest.json'}")
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    try:
+        staged = work / "new"
+        staged.mkdir()
+        written = _write_report(report, staged)
+        manifest = {
+            "config_hash": report.provenance["config_hash"],
+            "tool_version": __version__,
+            "experiment": cfg.kind,
+            "started_utc": started,
+            "finished_utc": datetime.now(timezone.utc).isoformat(),
+            "threads": threads,
+            "blas_threads": in_effect,
+            "exit_status": status,
+            "outputs": [
+                {"path": p.name, "sha256": sha256_file(p)} for p in written
+            ] + [{"path": "manifest.json", "sha256": None}],
+        }
+        write_json(manifest, staged / "manifest.json")
+        _swap_in(staged, out_dir, work / "old")
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    for entry in manifest["outputs"]:
+        print(f"wrote {out_dir / entry['path']}")
     if flagged:
         print(f"{flagged} solve(s) did not converge; outputs are flagged",
               file=sys.stderr)
@@ -310,13 +352,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"configuration OK: {cfg.kind} "
               f"(hash {config_hash(config_payload(cfg))[:12]})")
         return 0
-    if args.threads is not None and args.threads < 1:
-        print("configuration invalid:\n  - --threads must be at least 1",
-              file=sys.stderr)
-        return 1
     out_dir = args.out if args.out is not None else Path("runs") / cfg.kind
     try:
         return dispatch(cfg, out_dir, threads=args.threads)
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     except (ValueError, FloatingPointError, LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -30,10 +30,14 @@ oracle, different truncation policies -- can share their solves through a
 it starts from and the states it keeps, so a scan whose policy keeps, at
 every local step of a point, exactly the states an earlier scan kept there
 follows that scan bit for bit.  The tree holds every point solved for real,
-with each step's left singular vectors; a scan sharing it first replays the
-recorded steps through its own selection and charge context (no eigensolve,
-no SVD) and adopts the point when every kept set agrees, and otherwise
-solves the point itself and adds it to the tree.
+and its nodes carry everything about the point that no policy changes: each
+step's singular values, kept set and charges (the path fixes the charge
+context, the node fixes the step's Schmidt states), and the point's gauge
+record apart from its objective.  A scan sharing the tree replays a node by
+selection alone -- weights and kept sets from the recorded singular values
+and charges, with no eigensolve, SVD or charge evaluation -- and adopts the
+point when every kept set agrees; otherwise it solves the point itself and
+adds it to the tree.
 
 The augmented objective per scan point is ``E + lambda1 * coherence +
 lambda2 * curvature`` where the coherence penalty is
@@ -58,7 +62,6 @@ from .mps import (
     bond_schmidt_data,
     canonicalize,
     expectation,
-    inner_product,
     split_theta,
     to_dense,
 )
@@ -277,46 +280,36 @@ class _ChargeContext:
     """Cross-point Schmidt overlaps maintained during a sweep.
 
     Holds the previous one or two converged scan points; while the engine
-    sweeps left-to-right it advances one overlap environment per reference
-    and caches the per-bond values so the right-to-left half sweep (which
-    leaves the sites left of each bond untouched) can reuse them.
+    sweeps left-to-right it pushes one overlap environment per reference
+    through each updated site and caches it at the next bond, so the
+    right-to-left half sweep (which leaves the sites left of each bond
+    untouched) reuses it.
     """
 
-    def __init__(self, references: Sequence[_PointData], spacings: Sequence[float],
-                 n_bonds: int):
+    def __init__(self, references: Sequence[_PointData], spacings: Sequence[float]):
         if len(references) not in (1, 2) or len(references) != len(spacings):
             raise ValueError("context needs one or two references with spacings")
         self.references = list(references)
         self.spacings = [float(h) for h in spacings]
         if any(h <= 0 for h in self.spacings):
             raise ValueError("grid spacings must be positive")
-        self.n_bonds = n_bonds
-        self._running: list[np.ndarray] = []
-        self._cache: list[list[Optional[np.ndarray]]] = []
+        self._cache: list[list[np.ndarray]] = []
 
     def begin_sweep(self) -> None:
-        self._running = [np.ones((1, 1), dtype=complex) for _ in self.references]
-        self._cache = [[None] * self.n_bonds for _ in self.references]
-
-    def note_bond(self, bond: int) -> None:
-        """Cache the running environments as the left-to-right pass hits ``bond``."""
-        for r in range(len(self.references)):
-            self._cache[r][bond] = self._running[r]
+        self._cache = [[np.ones((1, 1), dtype=complex)] for _ in self.references]
 
     def advance(self, bond: int, new_left_tensor: np.ndarray) -> None:
-        """Push the running environments through site ``bond`` after its update."""
+        """Cache the environments at ``bond + 1``, pushed through the updated site."""
         for r, ref in enumerate(self.references):
-            self._running[r] = np.einsum(
-                "ipj,ik,kpl->jl", new_left_tensor.conj(), self._running[r],
+            self._cache[r].append(np.einsum(
+                "ipj,ik,kpl->jl", new_left_tensor.conj(), self._cache[r][bond],
                 ref.tensors[bond],
-            )
+            ))
 
-    def _overlap(self, r: int, bond: int, u3: np.ndarray) -> Optional[np.ndarray]:
-        env = self._cache[r][bond]
-        if env is None:
-            return None
+    def _overlap(self, r: int, bond: int, u3: np.ndarray) -> np.ndarray:
         ref = self.references[r]
-        cross = np.einsum("ipj,ik,kpl->jl", u3.conj(), env, ref.tensors[bond])
+        cross = np.einsum("ipj,ik,kpl->jl", u3.conj(), self._cache[r][bond],
+                          ref.tensors[bond])
         return cross @ ref.gauges[bond]
 
     def charges(self, bond: int, u3: np.ndarray,
@@ -327,8 +320,6 @@ class _ChargeContext:
         straight from the SVD, ``sigma`` the matching singular values.
         """
         w1 = self._overlap(0, bond, u3)
-        if w1 is None:
-            return np.zeros(sigma.size), np.zeros(sigma.size)
         w2 = self._overlap(1, bond, u3) if len(self.references) > 1 else None
         total = float(np.sum(sigma**2))
         p = sigma**2 / total if total > 0 else sigma**2
@@ -354,12 +345,12 @@ def ground_state(hamiltonian: MatrixProductOperator, init: MatrixProductState,
 
 def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
               cfg: SweepConfig, context: Optional[_ChargeContext],
-              steps: Optional[list] = None) -> DmrgResult:
+              charge_log: Optional[list] = None) -> DmrgResult:
     """The sweeps of :func:`ground_state`, charging against ``context``.
 
-    ``steps``, when given, receives ``(u, l, d1)`` for every local step in
-    sweep order: the SVD's left singular vectors and the left-block shape
-    they reshape to, which is what a replay of the step needs.
+    ``charge_log``, when given, receives every local step's ``(q1, q2)`` in
+    sweep order, whatever the policy (``None`` for a step without a
+    context): what a replay of the step needs besides its record.
     """
     if hamiltonian.physical_dims != init.physical_dims:
         raise ValueError("Hamiltonian and initial state disagree on local dimensions")
@@ -395,11 +386,9 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
             context.begin_sweep()
         # left-to-right
         for b in range(n - 1):
-            if context is not None:
-                context.note_bond(b)
             local_energy, rec = _optimize_bond(
                 tensors, ws, lenvs[b], renvs[b + 1], b, sweep, policy, context,
-                "right", steps)
+                "right", charge_log)
             log.append(rec)
             lenvs[b + 1] = _update_left(lenvs[b], tensors[b], ws[b])
             if context is not None:
@@ -408,7 +397,7 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
         for b in range(n - 2, -1, -1):
             local_energy, rec = _optimize_bond(
                 tensors, ws, lenvs[b], renvs[b + 1], b, sweep, policy, context,
-                "left", steps)
+                "left", charge_log)
             log.append(rec)
             renvs[b] = _update_right(renvs[b + 1], tensors[b + 1], ws[b + 1])
         sweep_energies.append(local_energy)
@@ -431,30 +420,26 @@ def _capped_policy(cfg: SweepConfig) -> TruncationPolicy:
     return replace(policy, max_kept=cfg.max_bond)
 
 
-def _select(sigma: np.ndarray, u: np.ndarray, l: int, d1: int, bond: int,
-            policy: TruncationPolicy,
-            context: Optional[_ChargeContext]) -> TruncationWeights:
-    """Charge, weigh and select the Schmidt states of one bond truncation.
+def _select(sigma: np.ndarray, charges: Optional[tuple[np.ndarray, np.ndarray]],
+            policy: TruncationPolicy) -> TruncationWeights:
+    """Weigh and select the Schmidt states of one bond truncation.
 
-    ``sigma`` and ``u`` are the SVD's singular values and left singular
-    vectors, ``u`` reshaping to ``(l, d1, rank)``; ``policy`` is already
-    capped.  Returns the weights with ``kept`` filled in.  Both a real local
-    step and a replayed one select here.
+    ``sigma`` are the singular values and ``charges`` their ``(q1, q2)``,
+    ``None`` at a step without a charge context; the standard policy ranks
+    by zero charges either way.  ``policy`` is already capped.  Returns the
+    weights with ``kept`` filled in.  Both a real local step and a replayed
+    one select here.
     """
-    rank = sigma.size
-    if context is not None and policy.kind != "standard":
-        q1, q2 = context.charges(bond, u.reshape(l, d1, rank), sigma)
-    else:
-        q1 = np.zeros(rank)
-        q2 = np.zeros(rank)
-    weights = compute_weights(sigma, q1, q2, policy)
+    if charges is None or policy.kind == "standard":
+        charges = (np.zeros(sigma.size), np.zeros(sigma.size))
+    weights = compute_weights(sigma, *charges, policy)
     select_states(weights, policy)
     return weights
 
 
 def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
                    policy: TruncationPolicy, context: Optional[_ChargeContext],
-                   center_after: str, steps: Optional[list]):
+                   center_after: str, charge_log: Optional[list]):
     heff = effective_hamiltonian(lenv, renv, ws[b], ws[b + 1])
     energy, vec = _lowest_eigenpair(heff)
     vec = _flush_tiny(vec)
@@ -466,9 +451,12 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
     captured: dict = {}
 
     def select(sigma, u):
-        weights = _select(sigma, u, l, d1, b, policy, context)
-        if steps is not None:
-            steps.append((u, l, d1))
+        charges = None
+        if context is not None and (charge_log is not None or policy.kind != "standard"):
+            charges = context.charges(b, u.reshape(l, d1, sigma.size), sigma)
+        if charge_log is not None:
+            charge_log.append(charges)
+        weights = _select(sigma, charges, policy)
         kept = weights.kept
         sig_norm = float(np.linalg.norm(sigma[kept]))
         captured["weights"] = weights
@@ -492,29 +480,28 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
 # continuation scans
 # ---------------------------------------------------------------------------
 
-def _zero_pad(p: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros(size)
-    out[: min(size, p.size)] = p[:size]
-    return out
-
-
 def _point_gauge_record(grid_value: float, result: DmrgResult, phi, data,
-                        history: list[_PointData], spacings: list[float],
-                        policy: TruncationPolicy) -> ScanPointRecord:
-    """Post-convergence bond diagnostics against up to two earlier points."""
+                        history: list[_PointData],
+                        spacings: list[float]) -> ScanPointRecord:
+    """Post-convergence bond diagnostics against up to two earlier points.
+
+    Nothing here depends on the policy, so ``objective`` is left NaN: each
+    scan reaching the point scores its own copy with :func:`_scored`.
+    """
     n_bonds = len(data)
     probs = [d[0] for d in data]
     charges1 = [np.zeros(p.size) for p in probs]
     charges2 = [np.zeros(p.size) for p in probs]
-    discarded = _final_discards(result, n_bonds)
+    discarded = [0.0] * n_bonds
+    for rec in result.truncation_log:  # the last sweep that touched each bond wins
+        discarded[rec.bond] = rec.discarded_weight
     coherence = 0.0
     curvature = 0.0
     if history:
         from .mps import left_cross_envs
 
         prev = history[0]
-        prev_state = MatrixProductState(prev.tensors)
-        envs1 = left_cross_envs(phi, prev_state)
+        envs1 = left_cross_envs(phi, MatrixProductState(prev.tensors))
         envs2 = None
         if len(history) > 1:
             envs2 = left_cross_envs(phi, MatrixProductState(history[1].tensors))
@@ -528,7 +515,8 @@ def _point_gauge_record(grid_value: float, result: DmrgResult, phi, data,
             charges1[b], charges2[b], w1 = _bond_charges(
                 p_cur, dag(g_cur) @ envs1[b] @ prev.gauges[b], w2, spacings)
             # coherence penalty: ||i d(rho)/dt - [A, rho]||_F^2 in the current basis
-            p_prev = _zero_pad(prev.probabilities[b], rank)
+            p_prev = np.zeros(rank)
+            p_prev[: min(rank, prev.probabilities[b].size)] = prev.probabilities[b][:rank]
             rho_cur = np.diag(p_cur).astype(complex)
             rho_prev = w1 @ np.diag(p_prev).astype(complex) @ dag(w1)
             u_cur = np.diag(np.sqrt(p_cur)).astype(complex)
@@ -538,31 +526,37 @@ def _point_gauge_record(grid_value: float, result: DmrgResult, phi, data,
             d_rho = 1j * (rho_cur - rho_prev) / h1 - commutator(a_bond, rho_cur)
             coherence += float(np.sum(np.abs(d_rho) ** 2))
             curvature += float(np.dot(p_cur, charges2[b]))
-    objective = result.energy + policy.lambda1 * coherence + policy.lambda2 * curvature
     return ScanPointRecord(
         grid_value=grid_value, energy=result.energy, converged=result.converged,
         bond_probabilities=probs, bond_charges1=charges1, bond_charges2=charges2,
         bond_discarded=discarded, coherence_penalty=coherence,
-        curvature_penalty=curvature, objective=objective,
+        curvature_penalty=curvature, objective=float("nan"),
     )
 
 
-def _final_discards(result: DmrgResult, n_bonds: int) -> list[float]:
-    """Discarded weight per bond from the last sweep that touched it."""
-    out = [0.0] * n_bonds
-    for rec in result.truncation_log:
-        out[rec.bond] = rec.discarded_weight
-    return out
+def _scored(base: ScanPointRecord, policy: TruncationPolicy) -> ScanPointRecord:
+    """One scan's own copy of a point's gauge record, with its objective."""
+    return replace(
+        base, bond_probabilities=list(base.bond_probabilities),
+        bond_charges1=list(base.bond_charges1), bond_charges2=list(base.bond_charges2),
+        bond_discarded=list(base.bond_discarded),
+        objective=(base.energy + policy.lambda1 * base.coherence_penalty
+                   + policy.lambda2 * base.curvature_penalty),
+    )
 
 
 @dataclass
 class _TrajectoryNode:
-    """One scan point solved for real, with what a replay of it needs."""
+    """One scan point solved for real, with everything no policy changes.
+
+    ``charges`` holds each local step's ``(q1, q2)`` (``None`` without a
+    charge context); a private tree, never replayed, keeps none.  ``record``
+    lacks only the objective.  Scans share the node's arrays, read-only.
+    """
 
     result: DmrgResult
-    steps: Optional[list[tuple[np.ndarray, int, int]]]
-    phi: MatrixProductState
-    data: list
+    charges: Optional[list[Optional[tuple[np.ndarray, np.ndarray]]]]
+    record: ScanPointRecord
     point: _PointData
     fidelity: Optional[float]
     children: list["_TrajectoryNode"] = field(default_factory=list)
@@ -578,12 +572,13 @@ def _arrays_equal(a: Optional[Sequence[np.ndarray]],
 class TrajectoryTree:
     """Solved scan points shared by the continuation scans of one problem.
 
-    A node is one point some scan solved for real: its result, its Schmidt
-    data and fidelity, and the left singular vectors of every local step.
-    A path from the root is one distinct trajectory; its branches are where
-    two policies first kept different states.  The first scan pins the
-    problem (family object, grid, initial state, budget apart from the
-    policy, oracle); a scan of any other problem raises ``ValueError``.
+    A node is one point some scan solved for real: its result with the
+    charges of every local step, its fidelity, and its gauge record apart
+    from the objective.  A path from the root is one distinct trajectory;
+    its branches are where two policies first kept different states.  The
+    first scan pins the problem (family object, grid, initial state, budget
+    apart from the policy, oracle); a scan of any other problem raises
+    ``ValueError``.
     """
 
     def __init__(self) -> None:
@@ -611,54 +606,39 @@ class TrajectoryTree:
                 raise ValueError(f"the trajectory tree holds scans of another {name}")
 
 
-def _replay(node: _TrajectoryNode, cfg: SweepConfig,
-            context: Optional[_ChargeContext]) -> Optional[list[TruncationRecord]]:
+def _replay(node: _TrajectoryNode, cfg: SweepConfig) -> Optional[list[TruncationRecord]]:
     """This scan's own truncation records along ``node``'s recorded steps.
 
-    Every recorded step is selected again under ``cfg``'s policy, with
-    ``context`` fed exactly as :func:`_run_dmrg` feeds it.  Returns ``None``
+    Every recorded step is weighed and selected again under ``cfg``'s
+    policy from its recorded singular values and charges.  Returns ``None``
     at the first step whose kept set differs from the recorded one.
     """
     policy = _capped_policy(cfg)
-    n_bonds = len(node.data)
     log: list[TruncationRecord] = []
-    for i, (rec, (u, l, d1)) in enumerate(zip(node.result.truncation_log, node.steps)):
-        rightward = i % (2 * n_bonds) < n_bonds
-        if context is not None and rightward:
-            if i % (2 * n_bonds) == 0:
-                context.begin_sweep()
-            context.note_bond(rec.bond)
-        weights = _select(rec.singular_values, u, l, d1, rec.bond, policy, context)
+    for rec, charges in zip(node.result.truncation_log, node.charges):
+        weights = _select(rec.singular_values, charges, policy)
         if not np.array_equal(weights.kept, rec.kept):
             return None
-        log.append(TruncationRecord(
-            sweep=rec.sweep, bond=rec.bond, singular_values=rec.singular_values,
-            charges1=weights.charges1, charges2=weights.charges2,
-            effective=weights.effective, kept=weights.kept,
-            discarded_weight=rec.discarded_weight,
-        ))
-        if context is not None and rightward:
-            kept = weights.kept
-            context.advance(rec.bond, u[:, kept].reshape(l, d1, kept.size))
+        log.append(replace(rec, charges1=weights.charges1, charges2=weights.charges2,
+                           effective=weights.effective, kept=weights.kept))
     return log
 
 
-def _adopt(children: list[_TrajectoryNode], cfg: SweepConfig,
-           context: Optional[_ChargeContext]):
-    """The first child whose replay keeps every recorded set, with its log."""
-    for child in children:
-        log = _replay(child, cfg, context)
-        if log is not None:
-            return child, log
-    return None, None
+def _read_only(arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
-                 cfg: SweepConfig, context: Optional[_ChargeContext],
-                 oracle_state: Optional[np.ndarray], keep_steps: bool) -> _TrajectoryNode:
-    """Solve one scan point for real."""
-    steps: Optional[list] = [] if keep_steps else None
-    result = _run_dmrg(mpo, start, cfg, context, steps)
+                 cfg: SweepConfig, grid_value: float, history: list[_PointData],
+                 spacings: list[float], oracle_state: Optional[np.ndarray],
+                 keep_charges: bool) -> _TrajectoryNode:
+    """Solve one scan point for real, charging against ``history``."""
+    context = None
+    if history:
+        context = _ChargeContext(history, spacings)
+    charges: Optional[list] = [] if keep_charges else None
+    result = _run_dmrg(mpo, start, cfg, context, charges)
     phi, data = bond_schmidt_data(result.state)
     fidelity = None
     if oracle_state is not None:
@@ -670,7 +650,14 @@ def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
         probabilities=[d[0] for d in data],
         gauges=[d[1] for d in data],
     )
-    return _TrajectoryNode(result=result, steps=steps, phi=phi, data=data,
+    record = _point_gauge_record(grid_value, result, phi, data, history, spacings)
+    for rec in result.truncation_log:
+        _read_only((rec.singular_values, rec.charges1, rec.charges2, rec.effective,
+                    rec.kept))
+    _read_only(q for pair in charges or () if pair is not None for q in pair)
+    _read_only(result.state.tensors)
+    _read_only(record.bond_probabilities + record.bond_charges1 + record.bond_charges2)
+    return _TrajectoryNode(result=result, charges=charges, record=record,
                            point=point, fidelity=fidelity)
 
 
@@ -689,11 +676,14 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
     nothing densely itself: the caller owns the oracle and its cost.
 
     ``shared``, when given, is a :class:`TrajectoryTree` that the scans of
-    one problem pass in turn.  At each point the scan adopts a solved point
-    of the tree whose every local step keeps the states its own policy
-    keeps, and solves the point itself otherwise.  The result is identical
-    to a scan without the tree; a scan of another problem than the one the
-    tree was first used for raises ``ValueError``.
+    one problem pass in turn.  At each point the scan replays the tree's
+    solved points by selection alone and adopts the first whose every local
+    step keeps the states its own policy keeps; otherwise it solves the
+    point itself, recording each step's charges whatever its policy.  Each
+    point's gauge record is computed once; a scan adds only its objective.
+    The result is identical to a scan without the tree, and no two scans
+    share a list or a writable array.  A scan of another problem than the
+    one the tree was first used for raises ``ValueError``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -722,31 +712,32 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
             point_cfg = replace(cfg, policy=replace(
                 cfg.policy, kind="standard", gamma1=0.0, gamma2=0.0,
                 lambda1=0.0, lambda2=0.0))
-            context = None
         else:
             point_cfg = cfg
             spacings = [float(grid[k] - grid[k - 1])]
             if k >= 2:
                 spacings.append(float(grid[k - 1] - grid[k - 2]))
-            context = _ChargeContext(history[: len(spacings)], spacings,
-                                     n_bonds=start.n_sites - 1)
-        node, log = _adopt(parent.children, point_cfg, context)
-        if node is None:
-            node = _solve_point(family(float(value)), start, point_cfg, context,
+        # adopt the first solved point whose replay keeps every recorded set
+        node, log = None, None
+        for node in parent.children:
+            log = _replay(node, point_cfg)
+            if log is not None:
+                break
+        if log is None:
+            node = _solve_point(family(float(value)), start, point_cfg, float(value),
+                                history, spacings,
                                 None if oracle is None else oracle[k],
-                                keep_steps=shared is not None)
+                                keep_charges=shared is not None)
             parent.children.append(node)
-            result = node.result
-        else:
-            result = DmrgResult(
-                energy=node.result.energy, state=node.result.state,
-                sweep_energies=list(node.result.sweep_energies),
-                truncation_log=log, converged=node.result.converged)
+            log = [replace(rec) for rec in node.result.truncation_log]
+        shared_state = node.result.state
+        result = replace(node.result, truncation_log=log,
+                         state=MatrixProductState(shared_state.tensors, shared_state.center),
+                         sweep_energies=list(node.result.sweep_energies))
         parent = node
         start = result.state
         results.append(result)
-        records.append(_point_gauge_record(float(value), result, node.phi, node.data,
-                                           history, spacings, cfg.policy))
+        records.append(_scored(node.record, cfg.policy))
         if oracle is not None:
             fidelities.append(node.fidelity)
         history.insert(0, node.point)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import pathlib
 
 import pytest
 from numpy.linalg import LinAlgError
@@ -212,10 +213,24 @@ def test_rerun_is_byte_identical_outside_the_manifest(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_interrupted_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _assert_matches_its_manifest(out_dir):
+    manifest = json.loads((out_dir / "manifest.json").read_text("utf-8"))
+    listed = {entry["path"] for entry in manifest["outputs"]}
+    assert listed == {p.name for p in out_dir.iterdir()}
+    for entry in manifest["outputs"]:
+        if entry["path"] != "manifest.json":
+            digest = hashlib.sha256((out_dir / entry["path"]).read_bytes())
+            assert entry["sha256"] == digest.hexdigest()
+
+
+def test_interrupted_rerun_keeps_the_previous_run_whole(tmp_path, monkeypatch):
     out_dir = tmp_path / "out"
     assert dispatch(parse_config_data(GAUGE_TINY), out_dir) == 0
-    assert (out_dir / "manifest.json").is_file()
+    previous = _snapshot(out_dir)
 
     def fail(payload, path):
         raise OSError("disk full")
@@ -223,9 +238,53 @@ def test_interrupted_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
     monkeypatch.setattr("udmrg.cli.write_json", fail)
     with pytest.raises(OSError, match="disk full"):
         dispatch(parse_config_data(dict(GAUGE_TINY, seed=4)), out_dir)
-    # the rerun replaced the CSV; no manifest may vouch for the old digests
-    assert (out_dir / "gauge_diagnostics.csv").is_file()
-    assert not (out_dir / "manifest.json").exists()
+    # exactly the previous complete run, and no temporary sibling
+    assert _snapshot(out_dir) == previous
+    _assert_matches_its_manifest(out_dir)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_failed_swap_puts_the_previous_run_back(tmp_path, monkeypatch):
+    out_dir = tmp_path / "out"
+    assert dispatch(parse_config_data(GAUGE_TINY), out_dir) == 0
+    previous = _snapshot(out_dir)
+    rename = pathlib.Path.rename
+
+    def fail_on_new(self, target):
+        if self.name == "new":
+            raise OSError("rename failed")
+        return rename(self, target)
+
+    monkeypatch.setattr(pathlib.Path, "rename", fail_on_new)
+    with pytest.raises(OSError, match="rename failed"):
+        dispatch(parse_config_data(dict(GAUGE_TINY, seed=4)), out_dir)
+    assert _snapshot(out_dir) == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_rerun_replaces_the_whole_output_directory(tmp_path):
+    out_dir = tmp_path / "out"
+    assert dispatch(parse_config_data(GAUGE_TINY), out_dir) == 0
+    (out_dir / "left_over.csv").write_text("stale\n", encoding="utf-8")
+    assert dispatch(parse_config_data(dict(GAUGE_TINY, seed=4)), out_dir) == 0
+    assert not (out_dir / "left_over.csv").exists()
+    _assert_matches_its_manifest(out_dir)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_dispatch_refuses_a_directory_without_a_manifest(tmp_path, monkeypatch):
+    out_dir = tmp_path / "mine"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("keep me\n", encoding="utf-8")
+
+    def never(cfg):
+        raise AssertionError("the experiment must not run")
+
+    monkeypatch.setattr("udmrg.cli.run_experiment", never)
+    with pytest.raises(ConfigError, match="holds no run manifest"):
+        dispatch(parse_config_data(GAUGE_TINY), out_dir)
+    assert _snapshot(out_dir) == {"notes.txt": b"keep me\n"}
+    assert [p.name for p in tmp_path.iterdir()] == ["mine"]
 
 
 def test_flagged_run_exits_2_but_still_writes(tmp_path, capsys):
@@ -271,6 +330,19 @@ def test_thread_count_must_be_positive(tmp_path, capsys):
     assert rc == 1
     assert "--threads must be at least 1" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_dispatch_refuses_threads_below_one_before_running(tmp_path, monkeypatch):
+    def never(cfg):
+        raise AssertionError("the experiment must not run")
+
+    monkeypatch.setattr("udmrg.cli.run_experiment", never)
+    out_dir = tmp_path / "out"
+    for threads in (0, -2):
+        with pytest.raises(ConfigError, match="--threads must be at least 1"):
+            dispatch(parse_config_data(GAUGE_TINY), out_dir, threads=threads)
+    assert not out_dir.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_threads_caps_the_bundled_blas_and_the_manifest_reads_it_back(tmp_path):

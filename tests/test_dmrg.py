@@ -442,6 +442,12 @@ def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
         return heff(*args)
 
     monkeypatch.setattr(dmrg, "effective_hamiltonian", counting)
+    node_work = []
+    for name in ("_bond_charges", "_point_gauge_record"):
+        def spy(*args, _fn=getattr(dmrg, name), _name=name):
+            node_work.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(dmrg, name, spy)
     for policy in _TREE_POLICIES:
         _tree_scan(policy, tree_oracle)
     independent = len(solves)
@@ -459,10 +465,53 @@ def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
         stack += node.children
     assert nodes == 7 + 6 + 5 + 7 + 7
     solves.clear()
+    node_work.clear()
     again = [_tree_scan(p, tree_oracle, shared=tree) for p in _TREE_POLICIES]
     assert solves == []
+    # charges and gauge records live on the nodes: a replay only selects
+    assert node_work == []
     for a, b in zip(first, again):
         _assert_same_scan(a, b)
+
+
+def _scan_arrays(scan):
+    """Every array a scan's results and records hold, in a fixed order."""
+    out = []
+    for res, rec in zip(scan.results, scan.records, strict=True):
+        out += res.state.tensors
+        for t in res.truncation_log:
+            out += [t.singular_values, t.charges1, t.charges2, t.effective, t.kept]
+        out += rec.bond_probabilities + rec.bond_charges1 + rec.bond_charges2
+    return out
+
+
+def test_scans_through_a_tree_share_no_mutable_container(tree_oracle):
+    tree = TrajectoryTree()
+    # the second policy follows the first one's trajectory, re-weighing by charges
+    first, second = [_tree_scan(p, tree_oracle, shared=tree) for p in _TREE_POLICIES[:2]]
+    shared = [(x, y) for x, y in zip(_scan_arrays(first), _scan_arrays(second), strict=True)
+              if np.shares_memory(x, y)]
+    assert shared
+    for x, _ in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+
+    def lists(scan):
+        return [lst for res, rec in zip(scan.results, scan.records)
+                for lst in (res.state.tensors, res.truncation_log, res.sweep_energies,
+                            rec.bond_probabilities, rec.bond_charges1,
+                            rec.bond_charges2, rec.bond_discarded)]
+
+    def contents(scan):
+        return [[id(x) for x in lst] for lst in lists(scan)]
+
+    before = contents(second)
+    for lst in lists(first) + [first.results, first.records]:
+        lst.append(None)
+    assert contents(second) == before
+    # nor did the appends reach the tree
+    _assert_same_scan(_tree_scan(_TREE_POLICIES[3], tree_oracle, shared=tree),
+                      _tree_scan(_TREE_POLICIES[3], tree_oracle))
 
 
 def test_a_tree_refuses_scans_of_another_problem(tree_oracle):

@@ -393,6 +393,29 @@ def test_pec_scans_share_solves_without_changing_a_byte(monkeypatch):
     assert 0 < shared_solves < own_solves
 
 
+def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
+    """The README's ``pec_comparison`` section states these counts."""
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        calls[name] = 0
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(harness, "continuation_scan")
+    count(dmrg, "effective_hamiltonian")
+    count(dmrg._ChargeContext, "charges")
+    count(dmrg, "_point_gauge_record")
+    run_pec_comparison(PecComparisonConfig())
+    assert calls == {"continuation_scan": 13, "effective_hamiltonian": 800,
+                     "charges": 780, "_point_gauge_record": 40}
+
+
 def test_grid_search_rejects_the_standard_kind():
     cfg = small_pec_config(grid_search=True)
     with pytest.raises(ValueError, match="cannot grid-search"):
