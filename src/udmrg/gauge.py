@@ -10,10 +10,17 @@ arbitrary purification gauge).  From the amplitudes one builds
   ``A2 = A1 + [H_op, C]/i``,
 
 plus action functionals, the pointwise field strength of a two-axis
-potential, and finite-difference charge residuals.  All derivatives are finite differences on the caller's
-grid; the pointwise operations insist on interior indices while the
-family-level constructors fall back to one-sided stencils at the ends so that
-potentials stay aligned with their grids.
+potential, and finite-difference charge residuals.  All derivatives are
+finite differences on the caller's grid; the pointwise operations insist on
+interior indices while the family-level constructors fall back to one-sided
+stencils at the ends so that potentials stay aligned with their grids.
+
+Families are handled as stacks ``(n, d, d)``: one stacked eigensolve
+purifies a whole family, and the potentials, covariant derivatives and action
+integrands are formed over the whole grid at once.  Every member is still
+validated on its own.  A charge residual perturbs one ``A_k`` at a time, so
+it computes the action integrand once and recomputes only the ``k``-th term
+for each perturbed direction.
 
 Note on hermiticity: with hermitian ``A`` and ``rho`` both terms of
 ``D rho`` are anti-hermitian, so the covariant derivative itself is
@@ -33,6 +40,7 @@ from .linalg import (
     hermitian_basis_element,
     hermitian_part,
     max_abs,
+    random_hermitian,
     require_hermitian,
     require_square,
     require_unitary,
@@ -64,7 +72,7 @@ class GaugePotential:
     """Hermitian potential sampled over a one-dimensional grid."""
 
     grid: np.ndarray
-    values: list
+    values: Sequence  # one (d, d) matrix per grid point, or an (n, d, d) stack
     level: str = "base"
 
     def __post_init__(self) -> None:
@@ -140,15 +148,27 @@ class CoherenceCube:
 # purification and potentials
 # ---------------------------------------------------------------------------
 
+def _hermitian_unit_trace(rhos, tol: float) -> np.ndarray:
+    """Hermiticity and unit trace of a density matrix, or of each member of a stack."""
+    r = require_hermitian(rhos, tol, "density matrix")
+    traces = np.trace(r, axis1=-2, axis2=-1).real
+    bad = np.flatnonzero(np.abs(traces - 1.0) > 1e-10)
+    if bad.size:
+        raise ValueError(f"density matrix trace is {float(traces.flat[bad[0]])!r}, expected 1")
+    return r
+
+
+def _require_positive(eigenvalues: np.ndarray, tol: float) -> None:
+    lowest = eigenvalues[..., 0]
+    bad = np.flatnonzero(lowest < -tol)
+    if bad.size:
+        raise ValueError(f"density matrix has negative eigenvalue {lowest.flat[bad[0]]:.3e}")
+
+
 def require_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:
     """Validate hermiticity, unit trace and positivity of a density matrix."""
-    r = require_hermitian(rho, tol, "density matrix")
-    trace = float(np.trace(r).real)
-    if abs(trace - 1.0) > 1e-10:
-        raise ValueError(f"density matrix trace is {trace!r}, expected 1")
-    w = np.linalg.eigvalsh(r)
-    if w[0] < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+    r = _hermitian_unit_trace(rho, tol)
+    _require_positive(np.linalg.eigvalsh(r), tol)
     return r
 
 
@@ -156,24 +176,19 @@ def purify(rho, tol: float = 1e-12) -> np.ndarray:
     """Principal hermitian square root ``U`` with ``U U^H = rho``.
 
     Eigenvalues inside ``[-tol, 0)`` are clipped to zero; anything more
-    negative raises an invalid-density error.
+    negative raises an invalid-density error.  A stack ``(n, d, d)`` is
+    validated member by member and purified by one stacked eigensolve,
+    whose eigenvalues also serve the positivity check.
     """
-    r = require_density_matrix(rho, tol)
+    r = _hermitian_unit_trace(rho, tol)
     w, v = np.linalg.eigh(r)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dag(v)
+    _require_positive(w, tol)
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dag(v)
 
 
-def _grid_derivative(values: Sequence, grid: np.ndarray, k: int):
-    """Central difference at interior k, one-sided two-point at the ends."""
-    n = len(values)
-    if n < 2:
-        raise ValueError("need at least two grid points to differentiate")
-    if 0 < k < n - 1:
-        return (values[k + 1] - values[k - 1]) / (grid[k + 1] - grid[k - 1])
-    if k == 0:
-        return (values[1] - values[0]) / (grid[1] - grid[0])
-    return (values[-1] - values[-2]) / (grid[-1] - grid[-2])
+def _central_differences(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``(f[k+1] - f[k-1]) / (x[k+1] - x[k-1])`` at every interior ``k`` of a stack."""
+    return (values[2:] - values[:-2]) / (grid[2:] - grid[:-2])[:, None, None]
 
 
 def uhlmann_potential(rhos: Sequence, grid, level: str = "base") -> GaugePotential:
@@ -181,19 +196,30 @@ def uhlmann_potential(rhos: Sequence, grid, level: str = "base") -> GaugePotenti
 
     Interior points use central differences; the two endpoints fall back to
     one-sided differences (first-order accurate) so the potential can be
-    integrated against the same grid as ``rhos``.
+    integrated against the same grid as ``rhos``.  The values are an
+    ``(n, d, d)`` stack.
     """
     grid = np.asarray(grid, dtype=float)
     if len(rhos) != grid.size:
         raise ValueError("density family must match the grid in length")
     if grid.size < 2:
         raise ValueError("need at least two grid points")
-    amps = [purify(r) for r in rhos]
-    values = []
-    for k in range(grid.size):
-        du = _grid_derivative(amps, grid, k)
-        values.append((du @ dag(amps[k]) - amps[k] @ dag(du)) / 2j)
+    amps = purify(rhos)
+    du = np.concatenate([
+        [(amps[1] - amps[0]) / (grid[1] - grid[0])],
+        _central_differences(amps, grid),
+        [(amps[-1] - amps[-2]) / (grid[-1] - grid[-2])],
+    ])
+    values = (du @ dag(amps) - amps @ dag(du)) / 2j
     return GaugePotential(grid=grid, values=values, level=level)
+
+
+def _covariant_derivatives(r: np.ndarray, a: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``i d(rho)/dt - [A, rho]`` at every interior point of the stack ``r``.
+
+    ``a`` holds the potential at those interior points only.
+    """
+    return 1j * _central_differences(r, grid) - commutator(a, r[1:-1])
 
 
 def covariant_derivative(rhos: Sequence, potential: GaugePotential, k: int) -> np.ndarray:
@@ -209,8 +235,9 @@ def covariant_derivative(rhos: Sequence, potential: GaugePotential, k: int) -> n
         )
     if not 0 < k < grid.size - 1:
         raise IndexError(f"covariant derivative needs an interior index, got {k}")
-    drho = (rhos[k + 1] - rhos[k - 1]) / (grid[k + 1] - grid[k - 1])
-    return 1j * drho - commutator(potential.values[k], rhos[k])
+    window = slice(k - 1, k + 2)
+    return _covariant_derivatives(np.asarray(rhos[window]),
+                                  np.asarray(potential.values[k])[None], grid[window])[0]
 
 
 def gauge_transform(rho, a, v, dv):
@@ -294,6 +321,17 @@ def _trapezoid_weights(xs: np.ndarray) -> np.ndarray:
     return w
 
 
+def _covariant_integrand(r: np.ndarray, a: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """``Tr[rho (D rho)^H (D rho)]`` at every interior point of the stack ``r``.
+
+    ``a`` holds the potential at those interior points only.  The result is
+    made contiguous: ``np.dot`` with a strided view takes another BLAS
+    kernel, which rounds differently.
+    """
+    d = _covariant_derivatives(r, a, grid)
+    return np.ascontiguousarray(np.trace(r[1:-1] @ dag(d) @ d, axis1=1, axis2=2).real)
+
+
 def action_functional(rhos: Sequence, potential: GaugePotential,
                       params: ActionParams) -> float:
     """Time integral of the gauge-kinetic density along the family.
@@ -308,28 +346,20 @@ def action_functional(rhos: Sequence, potential: GaugePotential,
     if len(rhos) != grid.size:
         raise ValueError("density family and potential must share a grid")
     n = grid.size
+    r = np.asarray(rhos)
     if params.mode == "covariant":
         if n < 3:
             raise ValueError("covariant action needs at least 3 grid points")
-        integrand = np.empty(n - 2)
-        for k in range(1, n - 1):
-            d = covariant_derivative(rhos, potential, k)
-            integrand[k - 1] = float(np.trace(rhos[k] @ dag(d) @ d).real)
-        weights = _trapezoid_weights(grid[1:-1])
-        return float(np.dot(weights, integrand))
+        integrand = _covariant_integrand(r, np.asarray(potential.values[1:-1]), grid)
+        return float(np.dot(_trapezoid_weights(grid[1:-1]), integrand))
     # scalar_like: X = i d(rho) - A rho on [1, n-2], then Y = i dX - A X
     if n < 5:
         raise ValueError("scalar-like action needs at least 5 grid points")
-    xs = [1j * _grid_derivative(rhos, grid, k) - potential.values[k] @ rhos[k]
-          for k in range(1, n - 1)]
-    inner_grid = grid[1:-1]
-    integrand = np.empty(n - 4)
-    for j in range(1, len(xs) - 1):
-        dx = (xs[j + 1] - xs[j - 1]) / (inner_grid[j + 1] - inner_grid[j - 1])
-        y = 1j * dx - potential.values[j + 1] @ xs[j]
-        integrand[j - 1] = float(np.trace(rhos[j + 1] @ y).real)
-    weights = _trapezoid_weights(grid[2:-2])
-    return float(np.dot(weights, integrand))
+    a = np.asarray(potential.values)
+    xs = 1j * _central_differences(r, grid) - a[1:-1] @ r[1:-1]
+    y = 1j * _central_differences(xs, grid[1:-1]) - a[2:-2] @ xs[1:-1]
+    integrand = np.ascontiguousarray(np.trace(r[2:-2] @ y, axis1=1, axis2=2).real)
+    return float(np.dot(_trapezoid_weights(grid[2:-2]), integrand))
 
 
 # ---------------------------------------------------------------------------
@@ -360,26 +390,35 @@ def gauge_charge_residual(rhos: Sequence, potential: GaugePotential, k: int,
     :func:`udmrg.linalg.hermitian_basis_element` for the index convention.
     Real-valued because the action is real.  ``eps`` must lie in
     ``[1e-7, 1e-3]``.
+
+    Only the ``k``-th integrand term depends on ``A_k``: the integrand and
+    the trapezoid weights are computed once, and each perturbed action
+    recomputes that one term in a copy of the integrand, so it equals the
+    full action of the perturbed potential bit for bit.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps!r}")
     grid = potential.grid
     if not 0 < k < grid.size - 1:
         raise IndexError(f"charge residual needs an interior index, got {k}")
-    params = ActionParams(mode="covariant")
-    dim = potential.values[k].shape[0]
-    base = [np.asarray(v, dtype=complex) for v in potential.values]
+    if len(rhos) != grid.size:
+        raise ValueError("density family and potential must share a grid")
+    r = np.asarray(rhos)
+    a = np.asarray(potential.values[1:-1], dtype=complex)
+    integrand = _covariant_integrand(r, a, grid)
+    weights = _trapezoid_weights(grid[1:-1])
+    window = slice(k - 1, k + 2)
+    dim = a.shape[-1]
     residual = np.empty((dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            direction = hermitian_basis_element(dim, a, b)
-            plus = list(base)
-            minus = list(base)
-            plus[k] = base[k] + eps * direction
-            minus[k] = base[k] - eps * direction
-            s_plus = action_functional(rhos, GaugePotential(grid, plus), params)
-            s_minus = action_functional(rhos, GaugePotential(grid, minus), params)
-            residual[a, b] = (s_plus - s_minus) / (2.0 * eps)
+    for i in range(dim):
+        for j in range(dim):
+            direction = hermitian_basis_element(dim, i, j)
+            actions = []
+            for a_k in (a[k - 1] + eps * direction, a[k - 1] - eps * direction):
+                terms = integrand.copy()
+                terms[k - 1] = _covariant_integrand(r[window], a_k[None], grid[window])[0]
+                actions.append(float(np.dot(weights, terms)))
+            residual[i, j] = (actions[0] - actions[1]) / (2.0 * eps)
     return residual
 
 
@@ -387,19 +426,16 @@ def gauge_charge_residual(rhos: Sequence, potential: GaugePotential, k: int,
 # seeded smooth families (shared by diagnostics and tests)
 # ---------------------------------------------------------------------------
 
-class _GeneratorExponential:
-    """Reusable ``exp(i theta G)`` with exact parameter derivative."""
+def _exponential_path(generator: np.ndarray, theta: np.ndarray,
+                      dtheta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(i theta G)`` along stacked angles, with its exact derivative.
 
-    def __init__(self, generator: np.ndarray):
-        self.w, self.v = np.linalg.eigh(generator)
-        self.g = np.asarray(generator, dtype=complex)
-
-    def at(self, theta: float) -> np.ndarray:
-        return (self.v * np.exp(1j * theta * self.w)) @ dag(self.v)
-
-    def derivative(self, theta: float, dtheta: float) -> np.ndarray:
-        # d/dt exp(i theta(t) G) = i theta'(t) G exp(i theta G)
-        return 1j * dtheta * self.g @ self.at(theta)
+    ``d/dt exp(i theta(t) G) = i theta'(t) G exp(i theta G)``.
+    """
+    w, v = np.linalg.eigh(generator)
+    u = (v * np.exp(1j * theta[:, None] * w)[:, None, :]) @ dag(v)
+    du = (1j * dtheta[:, None, None] * np.asarray(generator, dtype=complex)) @ u
+    return u, du
 
 
 @dataclass
@@ -407,8 +443,8 @@ class SmoothUnitaryFamily:
     """Unitary path with exact analytic derivatives at every grid point."""
 
     grid: np.ndarray
-    values: list
-    derivatives: list
+    values: np.ndarray  # (n, d, d)
+    derivatives: np.ndarray  # (n, d, d)
 
 
 def smooth_unitary_family(rng: np.random.Generator, dim: int, grid,
@@ -419,44 +455,33 @@ def smooth_unitary_family(rng: np.random.Generator, dim: int, grid,
     product-rule derivative is returned alongside the values.
     """
     grid = np.asarray(grid, dtype=float)
-    from .linalg import random_hermitian
-
-    exp1 = _GeneratorExponential(random_hermitian(rng, dim, scale))
-    exp2 = _GeneratorExponential(random_hermitian(rng, dim, scale))
+    generators = [random_hermitian(rng, dim, scale) for _ in range(2)]
     amp = rng.uniform(0.3, 0.8, size=2)
     freq = rng.uniform(0.5, 1.0, size=2)
     phase = rng.uniform(0.0, 2 * np.pi, size=2)
-    values, derivatives = [], []
-    for t in grid:
-        t1 = amp[0] * np.sin(freq[0] * t + phase[0])
-        t2 = amp[1] * np.sin(freq[1] * t + phase[1])
-        dt1 = amp[0] * freq[0] * np.cos(freq[0] * t + phase[0])
-        dt2 = amp[1] * freq[1] * np.cos(freq[1] * t + phase[1])
-        u1, u2 = exp1.at(t1), exp2.at(t2)
-        values.append(u1 @ u2)
-        derivatives.append(exp1.derivative(t1, dt1) @ u2 + u1 @ exp2.derivative(t2, dt2))
-    return SmoothUnitaryFamily(grid=grid, values=values, derivatives=derivatives)
+    (u1, du1), (u2, du2) = (
+        _exponential_path(g, amp[i] * np.sin(freq[i] * grid + phase[i]),
+                          amp[i] * freq[i] * np.cos(freq[i] * grid + phase[i]))
+        for i, g in enumerate(generators))
+    return SmoothUnitaryFamily(grid=grid, values=u1 @ u2,
+                               derivatives=du1 @ u2 + u1 @ du2)
 
 
 def smooth_density_family(rng: np.random.Generator, dim: int, grid,
-                          scale: float = 0.5) -> list:
-    """Random full-rank density path ``V(t) diag(p(t)) V(t)^H``.
+                          scale: float = 0.5) -> np.ndarray:
+    """Random full-rank density path ``V(t) diag(p(t)) V(t)^H``, an ``(n, d, d)`` stack.
 
     Populations follow smooth positive curves normalized to unit trace, so
     the family stays strictly inside the density simplex.
     """
     grid = np.asarray(grid, dtype=float)
-    unitaries = smooth_unitary_family(rng, dim, grid, scale=scale).values
+    v = smooth_unitary_family(rng, dim, grid, scale=scale).values
     offsets = rng.uniform(-0.5, 0.5, size=dim)
     amps = rng.uniform(0.1, 0.4, size=dim)
     freqs = rng.uniform(0.5, 1.0, size=dim)
-    rhos = []
-    for t, v in zip(grid, unitaries):
-        logits = offsets + amps * np.sin(freqs * t)
-        p = np.exp(logits)
-        p /= p.sum()
-        rhos.append((v * p) @ dag(v))
-    return rhos
+    p = np.exp(offsets + amps * np.sin(freqs * grid[:, None]))
+    p /= p.sum(axis=1, keepdims=True)
+    return (v * p[:, None, :]) @ dag(v)
 
 
 def pure_gauge_potential_2d(rng: np.random.Generator, dim: int, axis1, axis2,
@@ -474,25 +499,15 @@ def pure_gauge_potential_2d(rng: np.random.Generator, dim: int, axis1, axis2,
     """
     axis1 = np.asarray(axis1, dtype=float)
     axis2 = np.asarray(axis2, dtype=float)
-    from .linalg import random_hermitian
-
     generator = random_hermitian(rng, dim, scale)
     c = rng.uniform(0.3, 0.7, size=2)
     k = rng.uniform(0.4, 1.4, size=4)
-
-    def angle_gradient(x: float, y: float) -> tuple[float, float]:
-        d1 = c[0] * k[0] * np.cos(k[0] * x + k[1] * y) \
-            + c[1] * k[2] * np.cos(k[2] * x - k[3] * y)
-        d2 = c[0] * k[1] * np.cos(k[0] * x + k[1] * y) \
-            - c[1] * k[3] * np.cos(k[2] * x - k[3] * y)
-        return d1, d2
-
-    n1, n2 = axis1.size, axis2.size
-    values1 = np.empty((n1, n2, dim, dim), dtype=complex)
-    values2 = np.empty((n1, n2, dim, dim), dtype=complex)
-    for i, x in enumerate(axis1):
-        for j, y in enumerate(axis2):
-            d1, d2 = angle_gradient(x, y)
-            values1[i, j] = -d1 * generator
-            values2[i, j] = -d2 * generator
+    x, y = axis1[:, None], axis2[None, :]
+    # the angle gradient (d theta/dx, d theta/dy) over the whole plane
+    d1 = c[0] * k[0] * np.cos(k[0] * x + k[1] * y) \
+        + c[1] * k[2] * np.cos(k[2] * x - k[3] * y)
+    d2 = c[0] * k[1] * np.cos(k[0] * x + k[1] * y) \
+        - c[1] * k[3] * np.cos(k[2] * x - k[3] * y)
+    values1 = -d1[..., None, None] * generator
+    values2 = -d2[..., None, None] * generator
     return GaugePotential2D(axis1=axis1, axis2=axis2, values1=values1, values2=values2)

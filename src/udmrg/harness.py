@@ -434,7 +434,7 @@ def run_crossing_scan(cfg: CrossingScanConfig) -> ScanReport:
     model = TwoLevelModel(coupling=cfg.coupling)
     grid = _crossing_grid(cfg)
     n = grid.size
-    track = track_hermitian_family(grid, [two_level_hamiltonian(model, l) for l in grid])
+    track = track_hermitian_family(grid, two_level_hamiltonian(model, grid))
 
     # Schrodinger traversal lambda(t) = sweep_rate * t, resolved so that every
     # scan point is hit exactly by a substep boundary.
@@ -451,10 +451,9 @@ def run_crossing_scan(cfg: CrossingScanConfig) -> ScanReport:
         seg = times[k] - times[k - 1]
         substeps = max(1, int(np.ceil(seg / dt_target - 1e-12)))
         dt = seg / substeps
-        for j in range(substeps):
-            midpoint = times[k - 1] + (j + 0.5) * dt
-            h = two_level_hamiltonian(model, rate * midpoint)
-            psi = evolution_step(h, dt) @ psi
+        midpoints = times[k - 1] + (np.arange(substeps) + 0.5) * dt
+        for u in evolution_step(two_level_hamiltonian(model, rate * midpoints), dt):
+            psi = u @ psi
         pops[k] = np.abs(dag(track.points[k].vectors) @ psi) ** 2
         norms[k] = float(np.linalg.norm(psi))
 
@@ -829,10 +828,9 @@ def _transport_family(rng: np.random.Generator, rho0: np.ndarray,
                       grid: np.ndarray, dim: int):
     """Unitarily transported state with its exact parallel-transport potential."""
     vfam = smooth_unitary_family(rng, dim, grid)
-    rhos = [v @ rho0 @ dag(v) for v in vfam.values]
-    values = [hermitian_part(1j * dv @ dag(v))
-              for v, dv in zip(vfam.values, vfam.derivatives)]
-    return rhos, GaugePotential(grid=grid, values=values, level="base")
+    v, dv = vfam.values, vfam.derivatives
+    potential = GaugePotential(grid=grid, values=hermitian_part(1j * dv @ dag(v)), level="base")
+    return v @ rho0 @ dag(v), potential
 
 
 def _covariance_residual(rng: np.random.Generator, rhos_micro, micro: np.ndarray,
@@ -862,8 +860,7 @@ def _refinement_norms(cfg: GaugeDiagnosticsConfig) -> tuple[list[float], list[fl
         grid = np.linspace(0.0, 2.0, n_pts)
         vfam = smooth_unitary_family(rng, cfg.family_dim, grid)
         base = np.diag(np.arange(cfg.family_dim, dtype=float))
-        mats = [v @ base @ dag(v) for v in vfam.values]
-        track = track_hermitian_family(grid, mats)
+        track = track_hermitian_family(grid, vfam.values @ base @ dag(vfam.values))
         d = derivative_overlaps(track, (n_pts - 1) // 2)
         overlap_norms.append(max_abs(d + dag(d)))
     curvature_norms = []
@@ -908,7 +905,7 @@ def run_gauge_diagnostics(cfg: GaugeDiagnosticsConfig) -> ScanReport:
         else:
             rhos = smooth_density_family(rng, dim, t_grid)
         potential = uhlmann_potential(rhos, t_grid)
-        herm_a = max(hermiticity_residual(v) for v in potential.values)
+        herm_a = hermiticity_residual(potential.values)
         track = track_hermitian_family(t_grid, rhos)
         coherence = default_coherence_matrix(track, center)
         a1 = categorical_potential_1(potential.values[center], coherence,

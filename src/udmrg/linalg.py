@@ -15,8 +15,8 @@ DENSE_LIMIT = 4096
 
 
 def dag(a: Matrix) -> Matrix:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose; of each member for a stack ``(n, d, d)``."""
+    return a.conj().T if a.ndim < 3 else np.conj(np.swapaxes(a, -1, -2))
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -49,17 +49,26 @@ def require_hermitian(a, tol: float = 1e-12, name: str = "matrix") -> Matrix:
 
     Returns the exactly symmetrized matrix so downstream eigensolves see a
     hermitian input even when the caller's entries carry rounding noise.
-    Raises ``ValueError`` quoting the maximum asymmetry otherwise.
+    Raises ``ValueError`` quoting the maximum asymmetry otherwise.  A stack
+    ``(n, d, d)`` is checked member by member, each against its own scale,
+    and the first member that fails is quoted.
     """
-    a = require_square(a, name)
-    scale = max(max_abs(a), 1.0)
-    res = hermiticity_residual(a)
-    if res > tol * scale:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 3:
+        a = require_square(a, name)
+    elif a.shape[1] != a.shape[2]:
+        raise ValueError(f"{name} stack must hold square matrices, got shape {a.shape}")
+    adj = dag(a)
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
+    res = np.abs(a - adj).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(res > tol * scale)
+    if bad.size:
+        i = bad[0]
         raise ValueError(
-            f"{name} is not hermitian: max asymmetry {res:.3e} exceeds "
-            f"tolerance {tol * scale:.3e}"
+            f"{name} is not hermitian: max asymmetry {res.flat[i]:.3e} exceeds "
+            f"tolerance {tol * scale.flat[i]:.3e}"
         )
-    return hermitian_part(a)
+    return 0.5 * (a + adj)
 
 
 def unitarity_residual(v: Matrix) -> float:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .linalg import require_hermitian
+from .linalg import dag, require_hermitian
 from .mps import MatrixProductOperator
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -55,10 +55,16 @@ def diabatic_energies(lam: float) -> tuple[float, float]:
     return lam**2 - 0.5, -(lam**2) + 0.5
 
 
-def two_level_hamiltonian(model: TwoLevelModel, lam: float) -> np.ndarray:
-    """Real symmetric 2x2 Hamiltonian at parameter ``lam``."""
-    e1, e2 = diabatic_energies(lam)
-    return np.array([[e1, model.coupling], [model.coupling, e2]], dtype=complex)
+def two_level_hamiltonian(model: TwoLevelModel, lam) -> np.ndarray:
+    """Real symmetric 2x2 Hamiltonian at parameter ``lam``.
+
+    An array of parameters gives the stack ``lam.shape + (2, 2)``.
+    """
+    e1, e2 = diabatic_energies(np.asarray(lam, dtype=float))
+    h = np.empty(np.shape(lam) + (2, 2), dtype=complex)
+    h[..., 0, 0], h[..., 1, 1] = e1, e2
+    h[..., 0, 1] = h[..., 1, 0] = model.coupling
+    return h
 
 
 def gaussian_transition_probability(model: TwoLevelModel, lam: float) -> float:
@@ -99,10 +105,13 @@ class TimeGrid:
 
 
 def evolution_step(hamiltonian: np.ndarray, dt: float) -> np.ndarray:
-    """Exact unitary ``exp(-i H dt)`` of a hermitian matrix (via eigh)."""
+    """Exact unitary ``exp(-i H dt)`` of a hermitian matrix (via eigh).
+
+    A stack ``(n, d, d)`` of Hamiltonians gives the stack of their unitaries.
+    """
     h = require_hermitian(hamiltonian, 1e-10, "Hamiltonian")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * dt)) @ v.conj().T
+    return (v * np.exp(-1j * w * dt)[..., None, :]) @ dag(v)
 
 
 def tdse_propagate(h_of_t: Callable[[float], np.ndarray], psi0,

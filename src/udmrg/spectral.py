@@ -129,6 +129,8 @@ def track_hermitian_family(grid, matrices: Sequence) -> SpectralTrack:
     """Decompose and align a family of hermitian matrices over ``grid``.
 
     ``grid`` must be strictly increasing and match ``matrices`` in length.
+    Every member is validated as in :func:`eigh_sorted` and the family is
+    decomposed by one stacked eigensolve; the alignment runs point by point.
     Points where degeneracy handling fired are recorded in
     ``degenerate_points``.
     """
@@ -139,10 +141,11 @@ def track_hermitian_family(grid, matrices: Sequence) -> SpectralTrack:
         raise ValueError("empty grid")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    points = [eigh_sorted(matrices[0])]
+    w, v = np.linalg.eigh(require_hermitian(matrices, 1e-12, "input"))
+    points = [SpectralPoint(eigenvalues=w[0], vectors=v[0])]
     flagged: list[int] = []
     for k in range(1, grid.size):
-        point, degenerate = _aligned(points[-1], eigh_sorted(matrices[k]))
+        point, degenerate = _aligned(points[-1], SpectralPoint(eigenvalues=w[k], vectors=v[k]))
         if degenerate:
             flagged.append(k)
         points.append(point)

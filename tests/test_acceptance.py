@@ -5,6 +5,7 @@ stated tolerance and prints the measured numbers, so a verbose run gives one
 pass/fail line per guarantee.  Tolerances here are contractual: do not loosen
 them to make a failing build pass.
 """
+import hashlib
 import time
 
 import numpy as np
@@ -156,6 +157,19 @@ def test_discretization_norms_quarter_under_grid_halving(gauge_report):
         assert norms[0] > norms[1] > norms[2]
         for r in ratios:
             assert 0.8 * 4.0 <= r <= 1.2 * 4.0, f"{name} ratio {r} off 4x"
+
+
+def test_full_gauge_diagnostics_keeps_its_bytes(gauge_report):
+    """The default 100-family report hashes to the bytes it has always had.
+
+    A change to the gauge layer that moves any digit at roundoff fails here.
+    The hashes were recorded with numpy 2.4 and its bundled OpenBLAS, at 1
+    and 2 BLAS threads; another LAPACK build may round differently.
+    """
+    csv = hashlib.sha256(gauge_report.csv_bytes()).hexdigest()
+    summary = hashlib.sha256(canonical_json(gauge_report.summary_payload())).hexdigest()
+    assert csv == "669197e3a430bd03365e11e75db2d407236b6c64aa9f5ce254e074ac483bb5ff"
+    assert summary == "aedea025b9d038d256dad1e4d9e16afce28eeb8f511bb468de477e256e0e63c4"
 
 
 def test_crossing_weights_and_schrodinger_evolution():

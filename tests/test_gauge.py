@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -8,6 +10,7 @@ from udmrg.gauge import (
     CoherenceMatrix,
     GaugePotential,
     GaugePotential2D,
+    _trapezoid_weights,
     action_functional,
     categorical_potential_1,
     categorical_potential_2,
@@ -25,7 +28,15 @@ from udmrg.gauge import (
     smooth_unitary_family,
     uhlmann_potential,
 )
-from udmrg.linalg import dag, hermitian_part, hermiticity_residual, max_abs, random_unitary
+from udmrg.linalg import (
+    dag,
+    hermitian_basis_element,
+    hermitian_part,
+    hermiticity_residual,
+    max_abs,
+    random_hermitian,
+    random_unitary,
+)
 from udmrg.models import PAULI_X, PAULI_Y, PAULI_Z
 from udmrg.spectral import track_hermitian_family
 
@@ -101,6 +112,72 @@ def test_uhlmann_potential_is_hermitian_and_grid_aligned():
     assert pot.level == "base"
     for v in pot.values:
         assert hermiticity_residual(v) < 1e-10
+
+
+def asymmetry_message(name, m, tol=1e-12):
+    """The message a single non-hermitian matrix has always raised."""
+    res = max_abs(m - dag(m))
+    scale = max(max_abs(m), 1.0)
+    return (f"{name} is not hermitian: max asymmetry {res:.3e} exceeds "
+            f"tolerance {tol * scale:.3e}")
+
+
+def family_with(member, index=3, n=7):
+    """A smooth 2x2 density family on ``n`` points with one member replaced."""
+    grid = np.linspace(0.0, 1.0, n)
+    rhos = list(smooth_density_family(np.random.default_rng(21), 2, grid))
+    rhos[index] = np.asarray(member, dtype=complex)
+    return rhos, grid
+
+
+def test_uhlmann_potential_validates_every_member():
+    skew = np.array([[0.5, 0.3 + 1e-6], [0.3, 0.5]])
+    rhos, grid = family_with(skew)
+    with pytest.raises(ValueError, match=re.escape(asymmetry_message("density matrix", skew))):
+        uhlmann_potential(rhos, grid)
+    # with two faulty members the first one is quoted
+    worse = np.array([[0.5, 0.3 + 1e-3], [0.3, 0.5]])
+    rhos[5] = worse
+    with pytest.raises(ValueError, match=re.escape(asymmetry_message("density matrix", skew))):
+        uhlmann_potential(rhos, grid)
+
+    rhos, grid = family_with(np.diag([0.5, 0.4]))
+    with pytest.raises(ValueError, match=re.escape("density matrix trace is 0.9, expected 1")):
+        uhlmann_potential(rhos, grid)
+
+    rhos, grid = family_with(np.diag([1.001, -0.001]))
+    with pytest.raises(ValueError, match=re.escape(
+            "density matrix has negative eigenvalue -1.000e-03")):
+        uhlmann_potential(rhos, grid)
+
+
+def test_uhlmann_potential_clips_a_member_just_below_zero():
+    """An eigenvalue inside [-tol, 0) is clipped to zero, not rejected."""
+    member = np.diag([1.0 + 5e-13, -5e-13]).astype(complex)
+    rhos, grid = family_with(member)
+    pot = uhlmann_potential(rhos, grid)
+    assert len(pot) == grid.size
+    assert np.all(np.isfinite(pot.values[3]))
+    assert hermiticity_residual(pot.values[3]) < 1e-10
+    amp = purify(member)
+    assert amp[1, 1] == 0.0
+    np.testing.assert_allclose(amp, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def test_purify_of_a_stack_equals_purify_of_each_member():
+    rhos = smooth_density_family(np.random.default_rng(22), 3, np.linspace(0.0, 1.0, 6))
+    stacked = purify(rhos)
+    for rho, amp in zip(rhos, stacked):
+        np.testing.assert_array_equal(amp, purify(rho))
+
+
+def test_track_validates_every_member():
+    grid = np.linspace(0.0, 1.0, 5)
+    mats = [np.diag([t, -t]).astype(complex) for t in grid]
+    skew = np.array([[0.1, 1e-6], [0.0, -0.1]], dtype=complex)
+    mats[2] = skew
+    with pytest.raises(ValueError, match=re.escape(asymmetry_message("input", skew))):
+        track_hermitian_family(grid, mats)
 
 
 def test_uhlmann_potential_length_checks():
@@ -365,6 +442,40 @@ def test_charge_residual_vanishes_at_action_minimum():
     assert after < 1e-6
 
 
+def full_action_charge_residual(rhos, potential, k, eps):
+    """The residual as two whole covariant actions per perturbed direction."""
+    params = ActionParams(mode="covariant")
+    grid = potential.grid
+    dim = potential.values[k].shape[0]
+    base = [np.asarray(v, dtype=complex) for v in potential.values]
+    residual = np.empty((dim, dim))
+    for a in range(dim):
+        for b in range(dim):
+            direction = hermitian_basis_element(dim, a, b)
+            plus = list(base)
+            minus = list(base)
+            plus[k] = base[k] + eps * direction
+            minus[k] = base[k] - eps * direction
+            s_plus = action_functional(rhos, GaugePotential(grid, plus), params)
+            s_minus = action_functional(rhos, GaugePotential(grid, minus), params)
+            residual[a, b] = (s_plus - s_minus) / (2.0 * eps)
+    return residual
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("eps", [1e-7, 1e-3])
+def test_charge_residual_equals_the_full_action_difference(dim, eps):
+    """Recomputing only the k-th integrand term changes no bit of the residual."""
+    n = 9
+    grid = np.linspace(0.0, 1.0, n)
+    rhos = smooth_density_family(np.random.default_rng(30 + dim), dim, grid)
+    pot = uhlmann_potential(rhos, grid)
+    for k in (1, n // 2, n - 2):
+        fast = gauge_charge_residual(rhos, pot, k, eps=eps)
+        assert np.array_equal(fast, full_action_charge_residual(rhos, pot, k, eps))
+        assert np.max(np.abs(fast)) > 0.0
+
+
 def test_charge_residual_eps_validation():
     grid = np.linspace(0.0, 1.0, 5)
     rhos = [np.eye(2, dtype=complex) / 2] * 5
@@ -378,6 +489,49 @@ def test_charge_residual_eps_validation():
 # ---------------------------------------------------------------------------
 # smooth families
 # ---------------------------------------------------------------------------
+
+def looped_unitary_family(rng, dim, grid, scale=0.5):
+    """``smooth_unitary_family`` evaluated one grid point at a time."""
+    generators = [random_hermitian(rng, dim, scale) for _ in range(2)]
+    amp = rng.uniform(0.3, 0.8, size=2)
+    freq = rng.uniform(0.5, 1.0, size=2)
+    phase = rng.uniform(0.0, 2 * np.pi, size=2)
+    eigs = [np.linalg.eigh(g) for g in generators]
+    values, derivatives = [], []
+    for t in grid:
+        us, dus = [], []
+        for (w, v), g, i in zip(eigs, generators, range(2)):
+            theta = amp[i] * np.sin(freq[i] * t + phase[i])
+            dtheta = amp[i] * freq[i] * np.cos(freq[i] * t + phase[i])
+            us.append((v * np.exp(1j * theta * w)) @ dag(v))
+            dus.append(1j * dtheta * g @ us[-1])
+        values.append(us[0] @ us[1])
+        derivatives.append(dus[0] @ us[1] + us[0] @ dus[1])
+    return values, derivatives
+
+
+def test_stacked_families_equal_their_pointwise_loops():
+    """The stacked forms do the per-point arithmetic, so every bit agrees."""
+    grid = np.linspace(0.0, 1.0, 11)
+    fam = smooth_unitary_family(np.random.default_rng(40), 3, grid)
+    values, derivatives = looped_unitary_family(np.random.default_rng(40), 3, grid)
+    assert np.array_equal(fam.values, values)
+    assert np.array_equal(fam.derivatives, derivatives)
+
+    rhos = smooth_density_family(np.random.default_rng(41), 3, grid)
+    amps = [purify(rho) for rho in rhos]
+    pot = uhlmann_potential(rhos, grid)
+    for k in range(1, grid.size - 1):
+        du = (amps[k + 1] - amps[k - 1]) / (grid[k + 1] - grid[k - 1])
+        assert np.array_equal(pot.values[k], (du @ dag(amps[k]) - amps[k] @ dag(du)) / 2j)
+
+    terms = np.empty(grid.size - 2)
+    for k in range(1, grid.size - 1):
+        d = covariant_derivative(rhos, pot, k)
+        terms[k - 1] = float(np.trace(rhos[k] @ dag(d) @ d).real)
+    weights = _trapezoid_weights(grid[1:-1])
+    assert action_functional(rhos, pot, ActionParams()) == float(np.dot(weights, terms))
+
 
 def test_smooth_unitary_family_derivatives_are_exact():
     rng = np.random.default_rng(11)

@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from udmrg import dmrg, harness
+from udmrg import dmrg, gauge, harness
 from udmrg.harness import (
     CONFIG_TYPES,
     EXPERIMENT_KINDS,
@@ -224,6 +225,17 @@ def test_crossing_summary_bounds(crossing_report):
     assert s["flagged"] == 0
 
 
+def test_crossing_scan_draws_no_random_numbers(monkeypatch):
+    """The seed enters only the provenance and the config hash."""
+    def no_rng(*args, **kwargs):
+        raise AssertionError("crossing_scan drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    rows = [run_crossing_scan(CrossingScanConfig(seed=seed, n_points=41, time_steps=400)).rows
+            for seed in (1, 2, 7)]
+    assert rows[0] == rows[1] == rows[2]
+
+
 def test_crossing_standard_weights_are_schmidt_coefficients(crossing_report):
     """With zero coefficients the standard effective weights are just the
 
@@ -393,20 +405,29 @@ def test_pec_scans_share_solves_without_changing_a_byte(monkeypatch):
     assert 0 < shared_solves < own_solves
 
 
-def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
-    """The README's ``pec_comparison`` section states these counts."""
+def call_counter(monkeypatch):
+    """``(calls, count)``: ``count(owner, name)`` makes ``calls[key]`` tally
+    the calls of ``owner.name``, or the ``size`` of what they return."""
     calls = {}
 
-    def count(owner, name):
+    def count(owner, name, key=None, size=lambda result: 1):
         fn = getattr(owner, name)
-        calls[name] = 0
+        key = key or name
+        calls[key] = 0
 
         def counting(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            calls[key] += size(result)
+            return result
 
         monkeypatch.setattr(owner, name, counting)
 
+    return calls, count
+
+
+def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
+    """The README's ``pec_comparison`` section states these counts."""
+    calls, count = call_counter(monkeypatch)
     count(harness, "continuation_scan")
     count(dmrg, "effective_hamiltonian")
     count(dmrg._ChargeContext, "charges")
@@ -414,6 +435,20 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     run_pec_comparison(PecComparisonConfig())
     assert calls == {"continuation_scan": 13, "effective_hamiltonian": 800,
                      "charges": 780, "_point_gauge_record": 40}
+
+
+def test_gauge_defaults_cost_what_the_readme_says(monkeypatch):
+    """The README's ``gauge_diagnostics`` section states these counts."""
+    calls, count = call_counter(monkeypatch)
+    count(harness, "gauge_charge_residual")
+    count(harness, "covariant_derivative")
+    count(harness, "action_functional")
+    count(gauge, "action_functional", key="action_functional_in_gauge")
+    count(gauge, "_covariant_derivatives", key="covariant_derivatives_formed", size=len)
+    run_gauge_diagnostics(GaugeDiagnosticsConfig())
+    assert calls == {"gauge_charge_residual": 101, "covariant_derivative": 202,
+                     "action_functional": 302, "action_functional_in_gauge": 0,
+                     "covariant_derivatives_formed": 7758}
 
 
 def test_grid_search_rejects_the_standard_kind():
@@ -456,6 +491,26 @@ def test_gauge_diagnostics_refinement_ratios(gauge_report):
     assert len(s["curvature_ratios"]) == 2
     for ratio in s["overlap_ratios"] + s["curvature_ratios"]:
         assert 3.2 < ratio < 4.8
+
+
+def test_gauge_and_crossing_reports_keep_their_bytes(gauge_report, crossing_report):
+    """The test-size reports hash to the bytes they have always had.
+
+    Same-process determinism is tested below; these pins catch a change
+    that moves a digit of the gauge layer or the crossing scan at roundoff.
+    They were recorded with numpy 2.4 and its bundled OpenBLAS, at 1 and 2
+    BLAS threads; another LAPACK build may round differently.
+    """
+    def digests(report):
+        return (hashlib.sha256(report.csv_bytes()).hexdigest(),
+                hashlib.sha256(canonical_json(report.summary_payload())).hexdigest())
+
+    assert digests(gauge_report) == (
+        "e9831aa6bd03e89220837181deffc9906885895d07a6e2cc19267709a07e8f0d",
+        "3a64adda97042b53b52f33a694ab7d33b60ed1ad45a6e4cf9e7972e154581bbd")
+    assert digests(crossing_report[0]) == (
+        "41c6f978197ac4e1309dc4d8719003cabd8d9130bda05e610e4a272f7c569862",
+        "37ce99ccfe5e32ad3d29063569896511dd88fb32e1ffc87ed9ae6e161093a710")
 
 
 # ---------------------------------------------------------------------------
