@@ -72,10 +72,7 @@ from .mps import (
     MatrixProductOperator,
     MatrixProductState,
     canonicalize,
-    entanglement_spectrum,
     expectation,
-    from_dense_state,
-    from_product_state,
     inner_product,
     mpo_to_dense,
     random_mps,
@@ -86,9 +83,7 @@ from .spectral import (
     DEGENERACY_THRESHOLD,
     SpectralPoint,
     SpectralTrack,
-    align_phases,
     derivative_overlaps,
-    eigh_sorted,
     second_derivative_overlaps,
     track_hermitian_family,
 )

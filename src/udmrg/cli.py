@@ -192,32 +192,32 @@ def _write_report(report: ScanReport, out_dir: Path) -> list[Path]:
 
 @functools.lru_cache(maxsize=None)
 def _bundled_openblas() -> tuple[tuple[str, Any, Any], ...]:
-    """``(package, get, set)`` thread calls of numpy's and scipy's own OpenBLAS.
+    """``(package, get, set)`` thread calls of numpy's own OpenBLAS.
 
     numpy loads its OpenBLAS, and starts its thread pool, at import; the
     ``*_NUM_THREADS`` variables are read only then.  A running process
-    changes the pool size through the library's own setter.  Packages built
-    against another BLAS contribute nothing.
+    changes the pool size through the library's own setter.  The bundled
+    library's file name, ``lib<prefix>openblas[64_]...``, carries the
+    prefix and suffix of its symbols.  A numpy built against another BLAS
+    contributes nothing.
     """
     import ctypes
 
     import numpy
-    import scipy
-    import scipy.linalg  # noqa: F401  (loads scipy's own OpenBLAS)
 
-    found = []
-    for package, suffix in ((numpy, "64_"), (scipy, "")):
-        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
-        paths = sorted(libs.glob("libscipy_openblas*.so"))
-        if not paths:
-            continue
-        lib = ctypes.CDLL(str(paths[0]))
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-        get.argtypes, get.restype = [], ctypes.c_int
-        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        put.argtypes, put.restype = [ctypes.c_int], None
-        found.append((package.__name__, get, put))
-    return tuple(found)
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    paths = sorted(libs.glob("lib*openblas*.so"))
+    if not paths:
+        return ()
+    name = paths[0].name
+    prefix = name[len("lib"):name.index("openblas")]
+    suffix = "64_" if "openblas64_" in name else ""
+    lib = ctypes.CDLL(str(paths[0]))
+    get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+    get.argtypes, get.restype = [], ctypes.c_int
+    put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return (("numpy", get, put),)
 
 
 @contextlib.contextmanager

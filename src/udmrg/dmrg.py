@@ -1,10 +1,14 @@
 """Two-site DMRG with coherence-aware truncation and continuation scans.
 
-The local problem is always solved densely: the effective Hamiltonian is
-built explicitly from the environments and diagonalized with a dense
-hermitian eigensolver (lowest pair only above a size threshold).  There is no
-Lanczos path, which keeps runs deterministic at desk scale; dimensions beyond
-``linalg.DENSE_LIMIT`` raise with a request for a smaller bond budget.
+Each local step solves the two-site effective Hamiltonian, an operator over
+its environments and the two MPO tensors that is applied by four tensor
+contractions and never formed unless it is small.  At or below
+``_FULL_EIGH_DIM`` dimensions its dense form goes to a full hermitian
+eigensolver; above that a restarted Lanczos with full reorthogonalization
+(:func:`linalg.lanczos_lowest`), warm-started from the current two-site tensor,
+finds the lowest pair.  Both paths are deterministic.  A Lanczos solve that
+misses its residual tolerance within its restarts flags the result as not
+converged instead of raising.
 Real and imaginary parts of the local eigenvector below ``_FLUSH_RELATIVE``
 times its largest magnitude are set to zero before the split.  For a real MPO the
 imaginary parts otherwise shrink geometrically along a warm-started scan
@@ -52,10 +56,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from . import linalg
-from .linalg import dag, commutator
+from .linalg import commutator, dag, lanczos_lowest
 from .mps import (
     MatrixProductOperator,
     MatrixProductState,
@@ -75,7 +77,8 @@ from .truncation import (
     select_states,
 )
 
-#: effective dimensions at or below this are solved with the full eigensolver
+#: effective dimensions at or below this are solved with the full dense
+#: eigensolver, larger ones by Lanczos
 _FULL_EIGH_DIM = 128
 
 #: local-eigenvector parts below this fraction of its largest magnitude are zeroed
@@ -116,7 +119,11 @@ class TruncationRecord:
 
 @dataclass
 class DmrgResult:
-    """Converged (or flagged) ground-state solve."""
+    """Converged (or flagged) ground-state solve.
+
+    ``converged`` is false when the sweep budget ran out before the energy
+    settled, or when a local Lanczos solve missed its tolerance.
+    """
 
     energy: float
     state: MatrixProductState
@@ -175,34 +182,59 @@ def _update_right(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def effective_hamiltonian(env_left: np.ndarray, env_right: np.ndarray,
-                          w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Dense two-site effective Hamiltonian from its environments.
+@dataclass(frozen=True)
+class EffectiveHamiltonian:
+    """Two-site effective Hamiltonian over its environments and MPO tensors.
 
     Row index is the bra block ``(bl, o1, o2, br)``, column index the ket
-    block ``(kl, i1, i2, kr)``.  Hermitian whenever the MPO is.  Raises when
-    the matrix dimension would exceed ``linalg.DENSE_LIMIT`` (reduce
-    ``max_bond``).
+    block ``(kl, i1, i2, kr)``.  Hermitian whenever the MPO is.
+    :meth:`matvec` applies it by four contractions; :meth:`dense` forms it.
     """
-    dim = env_left.shape[0] * w1.shape[1] * w2.shape[1] * env_right.shape[0]
-    if dim > linalg.DENSE_LIMIT:
-        raise ValueError(
-            f"effective Hamiltonian dimension {dim} exceeds the dense limit "
-            f"{linalg.DENSE_LIMIT}; reduce max_bond"
-        )
-    t = np.tensordot(env_left, w1, axes=(1, 0))      # (bl, kl, o1, i1, wm)
-    t = np.tensordot(t, w2, axes=(4, 0))             # (bl, kl, o1, i1, o2, i2, wr)
-    t = np.tensordot(t, env_right, axes=(6, 1))      # (bl, kl, o1, i1, o2, i2, br, kr)
-    h = t.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(dim, dim)
-    return h
+
+    env_left: np.ndarray
+    env_right: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return (self.env_left.shape[0] * self.w1.shape[1] * self.w2.shape[1]
+                * self.env_right.shape[0])
+
+    def dense(self) -> np.ndarray:
+        t = np.tensordot(self.env_left, self.w1, axes=(1, 0))  # (bl, kl, o1, i1, wm)
+        t = np.tensordot(t, self.w2, axes=(4, 0))      # (bl, kl, o1, i1, o2, i2, wr)
+        t = np.tensordot(t, self.env_right, axes=(6, 1))  # (bl, kl, o1, i1, o2, i2, br, kr)
+        return t.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(self.dim, self.dim)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        x = x.reshape(self.env_left.shape[2], self.w1.shape[2], self.w2.shape[2],
+                      self.env_right.shape[2])
+        t = np.tensordot(self.env_left, x, axes=(2, 0))            # (bl, wl, i1, i2, kr)
+        t = np.tensordot(t, self.w1, axes=((1, 2), (0, 2)))        # (bl, i2, kr, o1, wm)
+        t = np.tensordot(t, self.w2, axes=((1, 4), (2, 0)))        # (bl, kr, o1, o2, wr)
+        t = np.tensordot(t, self.env_right, axes=((1, 4), (2, 1)))  # (bl, o1, o2, br)
+        return t.reshape(-1)
 
 
-def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
-    if h.shape[0] <= _FULL_EIGH_DIM:
-        w, v = np.linalg.eigh(h)
-        return float(w[0]), v[:, 0]
-    w, v = scipy.linalg.eigh(h, subset_by_index=(0, 0))
-    return float(w[0]), v[:, 0]
+def effective_hamiltonian(env_left: np.ndarray, env_right: np.ndarray,
+                          w1: np.ndarray, w2: np.ndarray) -> EffectiveHamiltonian:
+    """The two-site effective Hamiltonian of one local step, unformed."""
+    return EffectiveHamiltonian(env_left, env_right, w1, w2)
+
+
+def _lowest_eigenpair(heff: EffectiveHamiltonian, left: np.ndarray,
+                      right: np.ndarray) -> tuple[float, np.ndarray, bool]:
+    """Lowest eigenpair of ``heff`` and whether its solve converged.
+
+    At or below ``_FULL_EIGH_DIM`` dimensions the dense form is diagonalized
+    in full; above, Lanczos starts from the current two-site tensor
+    ``left . right``.
+    """
+    if heff.dim <= _FULL_EIGH_DIM:
+        w, v = np.linalg.eigh(heff.dense())
+        return float(w[0]), v[:, 0], True
+    return lanczos_lowest(heff.matvec, np.tensordot(left, right, axes=(2, 0)))
 
 
 def _flush_tiny(vec: np.ndarray) -> np.ndarray:
@@ -336,9 +368,9 @@ def ground_state(hamiltonian: MatrixProductOperator, init: MatrixProductState,
     """Two-site DMRG ground-state search.
 
     Sweeps until the per-sweep energy change drops below ``energy_tol`` or the
-    sweep budget runs out; non-convergence flags the result instead of
-    raising.  The reported energy is the exact expectation value of the final
-    state.
+    sweep budget runs out; non-convergence, of the sweeps or of a local
+    Lanczos solve, flags the result instead of raising.  The reported energy
+    is the exact expectation value of the final state.
     """
     return _run_dmrg(hamiltonian, init, cfg, context=None)
 
@@ -379,6 +411,7 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
     sweep_energies: list[float] = []
     log: list[TruncationRecord] = []
     converged = False
+    solves_converged = True
     local_energy = previous_energy
 
     for sweep in range(1, cfg.num_sweeps + 1):
@@ -386,18 +419,20 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
             context.begin_sweep()
         # left-to-right
         for b in range(n - 1):
-            local_energy, rec = _optimize_bond(
+            local_energy, rec, solved = _optimize_bond(
                 tensors, ws, lenvs[b], renvs[b + 1], b, sweep, policy, context,
                 "right", charge_log)
+            solves_converged = solves_converged and solved
             log.append(rec)
             lenvs[b + 1] = _update_left(lenvs[b], tensors[b], ws[b])
             if context is not None:
                 context.advance(b, tensors[b])
         # right-to-left
         for b in range(n - 2, -1, -1):
-            local_energy, rec = _optimize_bond(
+            local_energy, rec, solved = _optimize_bond(
                 tensors, ws, lenvs[b], renvs[b + 1], b, sweep, policy, context,
                 "left", charge_log)
+            solves_converged = solves_converged and solved
             log.append(rec)
             renvs[b] = _update_right(renvs[b + 1], tensors[b + 1], ws[b + 1])
         sweep_energies.append(local_energy)
@@ -409,7 +444,7 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
     state = MatrixProductState(tensors, center=0)
     energy = float(expectation(state, hamiltonian).real)
     return DmrgResult(energy=energy, state=state, sweep_energies=sweep_energies,
-                      truncation_log=log, converged=converged)
+                      truncation_log=log, converged=converged and solves_converged)
 
 
 def _capped_policy(cfg: SweepConfig) -> TruncationPolicy:
@@ -441,7 +476,7 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
                    policy: TruncationPolicy, context: Optional[_ChargeContext],
                    center_after: str, charge_log: Optional[list]):
     heff = effective_hamiltonian(lenv, renv, ws[b], ws[b + 1])
-    energy, vec = _lowest_eigenpair(heff)
+    energy, vec, solved = _lowest_eigenpair(heff, tensors[b], tensors[b + 1])
     vec = _flush_tiny(vec)
     l = tensors[b].shape[0]
     d1, d2 = tensors[b].shape[1], tensors[b + 1].shape[1]
@@ -473,7 +508,7 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
         effective=weights.effective, kept=weights.kept,
         discarded_weight=spectrum.discarded_weight,
     )
-    return energy, rec
+    return energy, rec, solved
 
 
 # ---------------------------------------------------------------------------

@@ -236,15 +236,6 @@ def build_spin_chain_mpo(spec: SpinChainSpec) -> MatrixProductOperator:
     return MatrixProductOperator([first] + [bulk] * (n - 2) + [last])
 
 
-def single_site_mpo(op: np.ndarray, site: int, n: int) -> MatrixProductOperator:
-    """Bond-dimension-one MPO acting with ``op`` on one site, identity elsewhere."""
-    tensors = []
-    for s in range(n):
-        local = op if s == site else ID2
-        tensors.append(np.asarray(local, dtype=complex).reshape(1, 2, 2, 1))
-    return MatrixProductOperator(tensors)
-
-
 def exact_diagonalization(hamiltonian, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``k`` eigenpairs of a dense hermitian matrix.
 

@@ -108,18 +108,6 @@ class BondSpectrum:
 # construction
 # ---------------------------------------------------------------------------
 
-def from_product_state(local_states: Sequence) -> MatrixProductState:
-    """Bond-dimension-one MPS from normalized local state vectors."""
-    tensors = []
-    for s, vec in enumerate(local_states):
-        v = np.asarray(vec, dtype=complex).ravel()
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"local state {s} has norm {norm!r}, expected 1")
-        tensors.append(v.reshape(1, v.size, 1))
-    return MatrixProductState(tensors, center=0)
-
-
 def random_mps(rng: np.random.Generator, phys_dims: Sequence[int],
                bond_dim: int) -> MatrixProductState:
     """Normalized random MPS with bonds capped at ``bond_dim`` and exact rank."""
@@ -138,25 +126,6 @@ def random_mps(rng: np.random.Generator, phys_dims: Sequence[int],
     psi = canonicalize(MatrixProductState(tensors), 0)
     psi.tensors[0] = psi.tensors[0] / psi.norm()
     return psi
-
-
-def from_dense_state(vector, phys_dims: Sequence[int]) -> MatrixProductState:
-    """Exact MPS factorization of a dense state vector via successive SVDs."""
-    dims = list(phys_dims)
-    v = np.asarray(vector, dtype=complex).ravel()
-    if v.size != int(np.prod(dims)):
-        raise ValueError("vector length does not match the physical dimensions")
-    tensors = []
-    rest = v.reshape(1, -1)
-    for d in dims[:-1]:
-        m = rest.reshape(rest.shape[0] * d, -1)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        keep = s > 1e-14 * s[0] if s.size else s > 0
-        u, s, vh = u[:, keep], s[keep], vh[keep]
-        tensors.append(u.reshape(rest.shape[0], d, -1))
-        rest = s[:, None] * vh
-    tensors.append(rest.reshape(rest.shape[0], dims[-1], 1))
-    return MatrixProductState(tensors, center=len(dims) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +201,6 @@ def canonicalize(psi: MatrixProductState, center: int) -> MatrixProductState:
     return MatrixProductState(tensors, center=center)
 
 
-def isometry_residuals(psi: MatrixProductState) -> list[float]:
-    """Per-site deviation from the isometry condition implied by the center."""
-    if psi.center is None:
-        raise ValueError("state has no canonical center")
-    residuals = []
-    for s, t in enumerate(psi.tensors):
-        l, d, r = t.shape
-        if s < psi.center:
-            m = t.reshape(l * d, r)
-            residuals.append(max_abs(dag(m) @ m - np.eye(r)))
-        elif s > psi.center:
-            m = t.reshape(l, d * r)
-            residuals.append(max_abs(m @ dag(m) - np.eye(l)))
-        else:
-            residuals.append(0.0)
-    return residuals
-
-
 # ---------------------------------------------------------------------------
 # truncation
 # ---------------------------------------------------------------------------
@@ -281,20 +232,6 @@ def split_theta(theta: np.ndarray, select: Callable, center_after: str = "right"
     else:
         raise ValueError("center_after must be 'left' or 'right'")
     return left, right, BondSpectrum(renorm, max(discarded, 0.0))
-
-
-def entanglement_spectrum(psi: MatrixProductState, bond: int) -> np.ndarray:
-    """Squared Schmidt coefficients across ``bond``, descending, unit sum."""
-    if not 0 <= bond < psi.n_sites - 1:
-        raise ValueError(f"bond {bond} out of range for {psi.n_sites} sites")
-    phi = canonicalize(psi, bond)
-    l, d, r = phi.tensors[bond].shape
-    s = np.linalg.svd(phi.tensors[bond].reshape(l * d, r), compute_uv=False)
-    p = s**2
-    total = p.sum()
-    if total <= 0:
-        raise ValueError("state has zero norm")
-    return p / total
 
 
 # ---------------------------------------------------------------------------

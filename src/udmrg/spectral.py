@@ -59,17 +59,6 @@ class SpectralTrack:
         return self.points[0].dim
 
 
-def eigh_sorted(matrix, tol: float = 1e-12) -> SpectralPoint:
-    """Eigendecompose a hermitian matrix, eigenvalues ascending.
-
-    Rejects inputs whose asymmetry exceeds ``tol`` relative to the matrix
-    scale, quoting the offending residual.
-    """
-    m = require_hermitian(matrix, tol, "input")
-    w, v = np.linalg.eigh(m)
-    return SpectralPoint(eigenvalues=w, vectors=v)
-
-
 def max_overlap_permutation(weights: np.ndarray) -> np.ndarray:
     """Greedy row-to-column assignment maximizing per-row overlap.
 
@@ -108,29 +97,13 @@ def _aligned(prev: SpectralPoint, cur: SpectralPoint,
     return SpectralPoint(eigenvalues=vals, vectors=vecs * phases[None, :]), degenerate
 
 
-def align_phases(prev: SpectralPoint, cur: SpectralPoint) -> SpectralPoint:
-    """Fix eigenvector phases of ``cur`` against ``prev``.
-
-    Each column is multiplied by a unit phase so the diagonal overlap
-    ``<a_prev|a_cur>`` has non-negative real part (in fact becomes real and
-    non-negative).  When some diagonal overlap magnitude falls below
-    ``DEGENERACY_THRESHOLD`` the columns are first reordered by
-    maximum-overlap assignment.  Idempotent.
-    """
-    if prev.vectors.shape != cur.vectors.shape:
-        raise ValueError(
-            f"dimension mismatch: {prev.vectors.shape} vs {cur.vectors.shape}"
-        )
-    point, _ = _aligned(prev, cur)
-    return point
-
-
 def track_hermitian_family(grid, matrices: Sequence) -> SpectralTrack:
     """Decompose and align a family of hermitian matrices over ``grid``.
 
     ``grid`` must be strictly increasing and match ``matrices`` in length.
-    Every member is validated as in :func:`eigh_sorted` and the family is
-    decomposed by one stacked eigensolve; the alignment runs point by point.
+    Every member is validated as hermitian to 1e-12 relative to its scale,
+    and the family is decomposed by one stacked eigensolve; the alignment
+    runs point by point.
     Points where degeneracy handling fired are recorded in
     ``degenerate_points``.
     """

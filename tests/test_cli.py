@@ -1,12 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from numpy.linalg import LinAlgError
 
-from udmrg import harness
+from udmrg import harness, linalg
 from udmrg.cli import (
     ConfigError,
     _bundled_openblas,
@@ -348,7 +351,7 @@ def test_dispatch_refuses_threads_below_one_before_running(tmp_path, monkeypatch
 def test_threads_caps_the_bundled_blas_and_the_manifest_reads_it_back(tmp_path):
     libs = _bundled_openblas()
     if not libs:
-        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        pytest.skip("numpy bundles no OpenBLAS here")
     before = {name: get() for name, get, _ in libs}
     path = write_config(tmp_path, "gauge.json", GAUGE_TINY)
     out_dir = tmp_path / "out"
@@ -362,3 +365,34 @@ def test_threads_caps_the_bundled_blas_and_the_manifest_reads_it_back(tmp_path):
     manifest = json.loads((tmp_path / "free" / "manifest.json").read_text("utf-8"))
     assert manifest["threads"] is None
     assert manifest["blas_threads"] == before
+
+
+def test_the_cli_loads_and_validates_without_scipy():
+    """scipy is a test dependency only: a fresh interpreter that imports the
+
+    CLI, validates every experiment's default config and looks up the BLAS
+    thread calls has not imported it."""
+    src = pathlib.Path(harness.__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "from udmrg import cli\n"
+            "from udmrg.harness import EXPERIMENT_KINDS\n"
+            "for kind in EXPERIMENT_KINDS:\n"
+            "    cli.parse_config_data({'experiment': kind})\n"
+            "cli._bundled_openblas()\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
+
+
+def test_an_unconverged_lanczos_solve_exits_2_with_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(linalg, "LANCZOS_RESTARTS", 1)
+    path = write_config(tmp_path, "bench.json", {
+        "experiment": "dmrg_benchmark", "benchmark_sizes": [8],
+        "benchmark_fields": [1.0], "benchmark_bond": 16})
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 2
+    assert "1 solve(s) did not converge" in capsys.readouterr().err
+    summary = json.loads((out_dir / "dmrg_benchmark_summary.json").read_text("utf-8"))
+    assert summary["summary"]["flagged"] == 1
+    assert json.loads((out_dir / "manifest.json").read_text("utf-8"))["exit_status"] == 2

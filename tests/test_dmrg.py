@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from udmrg import dmrg, linalg
 from udmrg.dmrg import (
@@ -17,19 +17,20 @@ from udmrg.models import (
     build_spin_chain_mpo,
     dense_spin_chain,
     exact_diagonalization,
-    single_site_mpo,
     PAULI_X,
     PAULI_Z,
 )
 from udmrg.mps import (
     MatrixProductOperator,
     MatrixProductState,
-    from_product_state,
+    canonicalize,
     mpo_to_dense,
     random_mps,
     to_dense,
 )
 from udmrg.truncation import POLICY_KINDS, TruncationPolicy
+
+from helpers import assert_same_eigenpair, from_product_state, single_site_mpo
 
 
 def tfim_family(n_sites, coupling=1.0):
@@ -107,24 +108,67 @@ def test_full_rank_solve_is_numerically_exact():
     assert abs(result.energy - reference_energy(spec)) < 1e-12
 
 
-def test_dense_limit_guards_the_local_solve(monkeypatch):
-    monkeypatch.setattr(linalg, "DENSE_LIMIT", 100)
+def test_an_unconverged_lanczos_solve_flags_the_result(monkeypatch):
+    """Eight sites at bond 16 give local blocks above ``_FULL_EIGH_DIM``;
+
+    one Lanczos cycle per solve is not enough, and the result says so."""
     spec = SpinChainSpec(kind="tfim", n_sites=8, coupling=1.0, field=1.0)
-    rng = np.random.default_rng(4)
-    with pytest.raises(ValueError, match="dense limit 100"):
-        ground_state(build_spin_chain_mpo(spec),
-                     random_mps(rng, [2] * 8, 16),
-                     SweepConfig(max_bond=16))
+    mpo = build_spin_chain_mpo(spec)
+    init = random_mps(np.random.default_rng(4), [2] * 8, 16)
+    cfg = SweepConfig(max_bond=16)
+    assert ground_state(mpo, init, cfg).converged
+    monkeypatch.setattr(linalg, "LANCZOS_RESTARTS", 1)
+    result = ground_state(mpo, init, cfg)
+    assert not result.converged
+    assert np.isfinite(result.energy)
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(["tfim", "heisenberg"]), n_sites=st.integers(8, 10),
+       bond_dim=st.integers(8, 16), field=st.floats(0.5, 1.5),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_lanczos_matches_dense_eigh_on_chain_environments(kind, n_sites, bond_dim,
+                                                          field, data, seed):
+    """The local problem of a random state canonical at a bond, 130 to 1024
+
+    dimensions: the warm-started Lanczos pair is the dense one."""
+    spec = SpinChainSpec(kind=kind, n_sites=n_sites, coupling=1.0, field=field)
+    ws = build_spin_chain_mpo(spec).tensors
+    bond = data.draw(st.integers(1, n_sites - 3), label="bond")
+    psi = canonicalize(random_mps(np.random.default_rng(seed), [2] * n_sites, bond_dim),
+                       bond)
+    lenv = dmrg._edge_env()
+    for s in range(bond):
+        lenv = dmrg._update_left(lenv, psi.tensors[s], ws[s])
+    renv = dmrg._edge_env()
+    for s in range(n_sites - 1, bond + 1, -1):
+        renv = dmrg._update_right(renv, psi.tensors[s], ws[s])
+    heff = dmrg.effective_hamiltonian(lenv, renv, ws[bond], ws[bond + 1])
+    assume(130 <= heff.dim <= 1024)
+    w, v = np.linalg.eigh(heff.dense())
+    assume(w[1] - w[0] >= 0.05)  # a near-degenerate pair fixes no single vector
+    energy, vector, converged = dmrg._lowest_eigenpair(
+        heff, psi.tensors[bond], psi.tensors[bond + 1])
+    assert converged
+    assert_same_eigenpair(energy, vector, w[0], v[:, 0])
 
 
 # ---------------------------------------------------------------------------
-# metamorphic relations: the ground energy at full bond on six sites
+# metamorphic relations: the ground energy at full bond on six and eight sites
 # ---------------------------------------------------------------------------
 
-_FULL_BOND = SweepConfig(max_bond=8, num_sweeps=20, energy_tol=1e-13)
+_FULL_BOND = SweepConfig(max_bond=16, num_sweeps=20, energy_tol=1e-13)
 
-_CHAINS = [SpinChainSpec(kind="tfim", n_sites=6, coupling=1.0, field=0.7),
-           SpinChainSpec(kind="heisenberg", n_sites=6, coupling=1.0)]
+#: six sites keep every local block at or below 64 dimensions (dense
+#: solves); at eight sites the central blocks have 256 (Lanczos solves)
+_CHAINS = [pytest.param(SpinChainSpec(kind="tfim", n_sites=6, coupling=1.0, field=0.7),
+                        id="tfim"),
+           pytest.param(SpinChainSpec(kind="heisenberg", n_sites=6, coupling=1.0),
+                        id="heisenberg"),
+           pytest.param(SpinChainSpec(kind="tfim", n_sites=8, coupling=1.0, field=1.2),
+                        id="tfim-8"),
+           pytest.param(SpinChainSpec(kind="heisenberg", n_sites=8, coupling=1.0),
+                        id="heisenberg-8")]
 
 
 def _full_bond_energy(mpo, init):
@@ -133,10 +177,10 @@ def _full_bond_energy(mpo, init):
     return result.energy
 
 
-@pytest.fixture(scope="module", params=_CHAINS, ids=lambda spec: spec.kind)
+@pytest.fixture(scope="module", params=_CHAINS)
 def chain(request):
     mpo = build_spin_chain_mpo(request.param)
-    init = random_mps(np.random.default_rng(11), [2] * 6, 4)
+    init = random_mps(np.random.default_rng(11), [2] * request.param.n_sites, 4)
     energy = _full_bond_energy(mpo, init)
     assert abs(energy - reference_energy(request.param)) <= 1e-10
     return mpo, init, energy
@@ -337,10 +381,10 @@ def test_scan_local_solves_see_no_subnormal_entries(monkeypatch):
     subnormal = []
     lowest = dmrg._lowest_eigenpair
 
-    def spy(h):
-        parts = np.abs(h.view(float))
+    def spy(heff, left, right):
+        parts = np.abs(heff.dense().view(float))
         subnormal.append(int(np.count_nonzero((parts > 0) & (parts < tiny))))
-        return lowest(h)
+        return lowest(heff, left, right)
 
     monkeypatch.setattr(dmrg, "_lowest_eigenpair", spy)
     init = random_mps(np.random.default_rng(7), [2] * 4, 4)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udmrg.linalg import (
     commutator,
@@ -7,6 +8,7 @@ from udmrg.linalg import (
     hermitian_basis_element,
     hermitian_part,
     hermiticity_residual,
+    lanczos_lowest,
     max_abs,
     random_hermitian,
     random_unitary,
@@ -15,6 +17,8 @@ from udmrg.linalg import (
     require_unitary,
     unitarity_residual,
 )
+
+from helpers import assert_same_eigenpair
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -105,3 +109,20 @@ def test_hermitian_basis_spans_hermitian_matrices():
             e = hermitian_basis_element(3, a, b)
             recon += np.trace(dag(e) @ target) * e
     np.testing.assert_allclose(recon, target, atol=1e-14)
+
+
+@settings(max_examples=8, deadline=None)
+@given(dim=st.integers(130, 1024), gap=st.floats(0.05, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_lanczos_matches_dense_eigh_on_random_operators(dim, gap, seed):
+    """A random hermitian operator whose lowest eigenvalue is pushed ``gap``
+    below the rest: Lanczos from a random start finds the dense pair."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, dim) / np.sqrt(dim)
+    w, v = np.linalg.eigh(h)
+    h = h - gap * np.outer(v[:, 0], v[:, 0].conj())
+    start = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    energy, vector, converged = lanczos_lowest(lambda x: h @ x, start)
+    assert converged
+    assert_same_eigenpair(energy, vector, w[0] - gap, v[:, 0])
+

@@ -8,12 +8,8 @@ from udmrg.mps import (
     MatrixProductState,
     bond_schmidt_data,
     canonicalize,
-    entanglement_spectrum,
     expectation,
-    from_dense_state,
-    from_product_state,
     inner_product,
-    isometry_residuals,
     left_cross_envs,
     mpo_to_dense,
     random_mps,
@@ -21,7 +17,15 @@ from udmrg.mps import (
     to_dense,
 )
 from udmrg.linalg import dag
-from udmrg.models import PAULI_X, PAULI_Z, build_spin_chain_mpo, single_site_mpo, SpinChainSpec
+from udmrg.models import PAULI_X, PAULI_Z, build_spin_chain_mpo, SpinChainSpec
+
+from helpers import (
+    entanglement_spectrum,
+    from_dense_state,
+    from_product_state,
+    isometry_residuals,
+    single_site_mpo,
+)
 
 UP = np.array([1.0, 0.0])
 DOWN = np.array([0.0, 1.0])

@@ -6,14 +6,19 @@ from udmrg.models import PAULI_X, PAULI_Z
 from udmrg.spectral import (
     DEGENERACY_THRESHOLD,
     SpectralPoint,
-    align_phases,
     derivative_overlaps,
-    eigh_sorted,
     max_overlap_permutation,
     second_difference_coeffs,
     second_derivative_overlaps,
     track_hermitian_family,
 )
+
+from helpers import align_phases
+
+
+def eigh_sorted(matrix):
+    """One hermitian eigensystem, as a one-point track decomposes it."""
+    return track_hermitian_family([0.0], [matrix]).points[0]
 
 
 def rotating_family(grid, omega=0.3):
@@ -23,6 +28,9 @@ def rotating_family(grid, omega=0.3):
 
 
 class TestEighSorted:
+    """A one-point track is the spectral layer's eigensolve of one hermitian
+    matrix: eigenvalues ascending, orthonormal vectors, input validated."""
+
     def test_ascending_and_orthonormal(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
