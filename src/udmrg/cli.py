@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import shutil
@@ -34,6 +33,7 @@ from .harness import (
     EXPERIMENT_KINDS,
     ConfigError,
     ExperimentConfig,
+    field_types,
     run_experiment,
 )
 from .reporting import ScanReport, sha256_file, write_json, write_report_csv
@@ -41,13 +41,6 @@ from .truncation import TruncationPolicy
 
 _POLICY_KEYS = {"kind", "gamma1", "gamma2", "lambda1", "lambda2", "max_kept",
                 "cutoff"}
-
-
-@functools.lru_cache(maxsize=None)
-def _key_types(config_type: type[ExperimentConfig]) -> dict[str, Any]:
-    """Settable key -> value type of one experiment, from its field annotations."""
-    hints = typing.get_type_hints(config_type)
-    return {f.name: hints[f.name] for f in dataclasses.fields(config_type)}
 
 
 def _is_int(value: Any) -> bool:
@@ -146,7 +139,7 @@ def parse_config_data(data: Any) -> ExperimentConfig:
             f"{', '.join(EXPERIMENT_KINDS)}"
         ])
     config_type = CONFIG_TYPES[kind]
-    key_types = _key_types(config_type)
+    key_types = field_types(config_type)
     for key in sorted(set(data) - set(key_types) - {"experiment"}):
         errors.append(f"unknown key {key!r} for experiment {kind}")
 

@@ -34,14 +34,14 @@ oracle, different truncation policies -- can share their solves through a
 it starts from and the states it keeps, so a scan whose policy keeps, at
 every local step of a point, exactly the states an earlier scan kept there
 follows that scan bit for bit.  The tree holds every point solved for real,
-and its nodes carry everything about the point that no policy changes: each
-step's singular values, kept set and charges (the path fixes the charge
-context, the node fixes the step's Schmidt states), and the point's gauge
-record apart from its objective.  A scan sharing the tree replays a node by
-selection alone -- weights and kept sets from the recorded singular values
-and charges, with no eigensolve, SVD or charge evaluation -- and adopts the
-point when every kept set agrees; otherwise it solves the point itself and
-adds it to the tree.
+and its nodes carry everything about the point that no policy changes: its
+truncation records -- each step's singular values, measured charges and kept
+set (the path fixes the charge context, the node fixes the step's Schmidt
+states) -- and its gauge record apart from the objective.  A scan sharing
+the tree replays a node by selection alone -- weights and kept sets from the
+recorded singular values and charges, with no eigensolve, SVD or charge
+evaluation -- and adopts the point, records as they are, when every kept set
+agrees; otherwise it solves the point itself and adds it to the tree.
 
 The augmented objective per scan point is ``E + lambda1 * coherence +
 lambda2 * curvature`` where the coherence penalty is
@@ -70,7 +70,6 @@ from .mps import (
 from .spectral import second_difference_coeffs
 from .truncation import (
     TruncationPolicy,
-    TruncationWeights,
     charge_first_order,
     charge_second_order,
     compute_weights,
@@ -103,16 +102,19 @@ class SweepConfig:
             raise ValueError("energy_tol must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncationRecord:
-    """One bond truncation event inside a sweep."""
+    """One bond truncation event inside a sweep.
+
+    Holds what the step measured, whatever the policy: the singular values,
+    their charges (zeros without a charge context) and the kept states.
+    """
 
     sweep: int
     bond: int
     singular_values: np.ndarray
     charges1: np.ndarray
     charges2: np.ndarray
-    effective: np.ndarray
     kept: np.ndarray
     discarded_weight: float
 
@@ -376,14 +378,8 @@ def ground_state(hamiltonian: MatrixProductOperator, init: MatrixProductState,
 
 
 def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
-              cfg: SweepConfig, context: Optional[_ChargeContext],
-              charge_log: Optional[list] = None) -> DmrgResult:
-    """The sweeps of :func:`ground_state`, charging against ``context``.
-
-    ``charge_log``, when given, receives every local step's ``(q1, q2)`` in
-    sweep order, whatever the policy (``None`` for a step without a
-    context): what a replay of the step needs besides its record.
-    """
+              cfg: SweepConfig, context: Optional[_ChargeContext]) -> DmrgResult:
+    """The sweeps of :func:`ground_state`, charging every step against ``context``."""
     if hamiltonian.physical_dims != init.physical_dims:
         raise ValueError("Hamiltonian and initial state disagree on local dimensions")
     n = init.n_sites
@@ -421,7 +417,7 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
         for b in range(n - 1):
             local_energy, rec, solved = _optimize_bond(
                 tensors, ws, lenvs[b], renvs[b + 1], b, sweep, policy, context,
-                "right", charge_log)
+                "right")
             solves_converged = solves_converged and solved
             log.append(rec)
             lenvs[b + 1] = _update_left(lenvs[b], tensors[b], ws[b])
@@ -431,7 +427,7 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
         for b in range(n - 2, -1, -1):
             local_energy, rec, solved = _optimize_bond(
                 tensors, ws, lenvs[b], renvs[b + 1], b, sweep, policy, context,
-                "left", charge_log)
+                "left")
             solves_converged = solves_converged and solved
             log.append(rec)
             renvs[b] = _update_right(renvs[b + 1], tensors[b + 1], ws[b + 1])
@@ -455,26 +451,20 @@ def _capped_policy(cfg: SweepConfig) -> TruncationPolicy:
     return replace(policy, max_kept=cfg.max_bond)
 
 
-def _select(sigma: np.ndarray, charges: Optional[tuple[np.ndarray, np.ndarray]],
-            policy: TruncationPolicy) -> TruncationWeights:
-    """Weigh and select the Schmidt states of one bond truncation.
+def _select(sigma: np.ndarray, q1: np.ndarray, q2: np.ndarray,
+            policy: TruncationPolicy) -> np.ndarray:
+    """The states ``policy`` keeps at one bond truncation, ascending.
 
-    ``sigma`` are the singular values and ``charges`` their ``(q1, q2)``,
-    ``None`` at a step without a charge context; the standard policy ranks
-    by zero charges either way.  ``policy`` is already capped.  Returns the
-    weights with ``kept`` filled in.  Both a real local step and a replayed
-    one select here.
+    ``sigma`` are the singular values and ``q1``, ``q2`` their charges;
+    ``policy`` is already capped.  Both a real local step and a replayed one
+    select here.
     """
-    if charges is None or policy.kind == "standard":
-        charges = (np.zeros(sigma.size), np.zeros(sigma.size))
-    weights = compute_weights(sigma, *charges, policy)
-    select_states(weights, policy)
-    return weights
+    return select_states(compute_weights(sigma, q1, q2, policy), policy)[0]
 
 
 def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
                    policy: TruncationPolicy, context: Optional[_ChargeContext],
-                   center_after: str, charge_log: Optional[list]):
+                   center_after: str):
     heff = effective_hamiltonian(lenv, renv, ws[b], ws[b + 1])
     energy, vec, solved = _lowest_eigenpair(heff, tensors[b], tensors[b + 1])
     vec = _flush_tiny(vec)
@@ -483,31 +473,21 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
     r = tensors[b + 1].shape[2]
     theta = vec.reshape(l, d1, d2, r)
 
-    captured: dict = {}
+    measured: dict = {}
 
     def select(sigma, u):
-        charges = None
-        if context is not None and (charge_log is not None or policy.kind != "standard"):
-            charges = context.charges(b, u.reshape(l, d1, sigma.size), sigma)
-        if charge_log is not None:
-            charge_log.append(charges)
-        weights = _select(sigma, charges, policy)
-        kept = weights.kept
-        sig_norm = float(np.linalg.norm(sigma[kept]))
-        captured["weights"] = weights
-        captured["sigma"] = sigma
-        return kept, sigma[kept] / sig_norm
+        q1, q2 = np.zeros(sigma.size), np.zeros(sigma.size)
+        if context is not None:
+            q1, q2 = context.charges(b, u.reshape(l, d1, sigma.size), sigma)
+        kept = _select(sigma, q1, q2, policy)
+        measured.update(singular_values=sigma, charges1=q1, charges2=q2, kept=kept)
+        return kept, sigma[kept] / float(np.linalg.norm(sigma[kept]))
 
     left, right, spectrum = split_theta(theta, select, center_after)
     tensors[b] = left
     tensors[b + 1] = right
-    weights: TruncationWeights = captured["weights"]
-    rec = TruncationRecord(
-        sweep=sweep, bond=b, singular_values=captured["sigma"],
-        charges1=weights.charges1, charges2=weights.charges2,
-        effective=weights.effective, kept=weights.kept,
-        discarded_weight=spectrum.discarded_weight,
-    )
+    rec = TruncationRecord(sweep=sweep, bond=b, discarded_weight=spectrum.discarded_weight,
+                           **measured)
     return energy, rec, solved
 
 
@@ -584,13 +564,12 @@ def _scored(base: ScanPointRecord, policy: TruncationPolicy) -> ScanPointRecord:
 class _TrajectoryNode:
     """One scan point solved for real, with everything no policy changes.
 
-    ``charges`` holds each local step's ``(q1, q2)`` (``None`` without a
-    charge context); a private tree, never replayed, keeps none.  ``record``
-    lacks only the objective.  Scans share the node's arrays, read-only.
+    ``result.truncation_log`` holds every local step's measured record, which
+    is all a replay reads; ``record`` lacks only the objective.  Scans share
+    the node's frozen truncation records and its arrays, read-only.
     """
 
     result: DmrgResult
-    charges: Optional[list[Optional[tuple[np.ndarray, np.ndarray]]]]
     record: ScanPointRecord
     point: _PointData
     fidelity: Optional[float]
@@ -608,12 +587,12 @@ class TrajectoryTree:
     """Solved scan points shared by the continuation scans of one problem.
 
     A node is one point some scan solved for real: its result with the
-    charges of every local step, its fidelity, and its gauge record apart
-    from the objective.  A path from the root is one distinct trajectory;
-    its branches are where two policies first kept different states.  The
-    first scan pins the problem (family object, grid, initial state, budget
-    apart from the policy, oracle); a scan of any other problem raises
-    ``ValueError``.
+    truncation record of every local step, its fidelity, and its gauge
+    record apart from the objective.  A path from the root is one distinct
+    trajectory; its branches are where two policies first kept different
+    states.  The first scan pins the problem (family object, grid, initial
+    state, budget apart from the policy, oracle); a scan of any other problem
+    raises ``ValueError``.
     """
 
     def __init__(self) -> None:
@@ -641,22 +620,16 @@ class TrajectoryTree:
                 raise ValueError(f"the trajectory tree holds scans of another {name}")
 
 
-def _replay(node: _TrajectoryNode, cfg: SweepConfig) -> Optional[list[TruncationRecord]]:
-    """This scan's own truncation records along ``node``'s recorded steps.
+def _replays(node: _TrajectoryNode, cfg: SweepConfig) -> bool:
+    """Whether ``cfg``'s policy keeps the recorded states at every step of ``node``.
 
-    Every recorded step is weighed and selected again under ``cfg``'s
-    policy from its recorded singular values and charges.  Returns ``None``
-    at the first step whose kept set differs from the recorded one.
+    Each recorded step is weighed and selected again from its recorded
+    singular values and charges, stopping at the first kept set that differs.
     """
     policy = _capped_policy(cfg)
-    log: list[TruncationRecord] = []
-    for rec, charges in zip(node.result.truncation_log, node.charges):
-        weights = _select(rec.singular_values, charges, policy)
-        if not np.array_equal(weights.kept, rec.kept):
-            return None
-        log.append(replace(rec, charges1=weights.charges1, charges2=weights.charges2,
-                           effective=weights.effective, kept=weights.kept))
-    return log
+    return all(np.array_equal(_select(rec.singular_values, rec.charges1, rec.charges2,
+                                      policy), rec.kept)
+               for rec in node.result.truncation_log)
 
 
 def _read_only(arrays) -> None:
@@ -666,14 +639,13 @@ def _read_only(arrays) -> None:
 
 def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
                  cfg: SweepConfig, grid_value: float, history: list[_PointData],
-                 spacings: list[float], oracle_state: Optional[np.ndarray],
-                 keep_charges: bool) -> _TrajectoryNode:
+                 spacings: list[float],
+                 oracle_state: Optional[np.ndarray]) -> _TrajectoryNode:
     """Solve one scan point for real, charging against ``history``."""
     context = None
     if history:
         context = _ChargeContext(history, spacings)
-    charges: Optional[list] = [] if keep_charges else None
-    result = _run_dmrg(mpo, start, cfg, context, charges)
+    result = _run_dmrg(mpo, start, cfg, context)
     phi, data = bond_schmidt_data(result.state)
     fidelity = None
     if oracle_state is not None:
@@ -687,17 +659,14 @@ def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
     )
     record = _point_gauge_record(grid_value, result, phi, data, history, spacings)
     for rec in result.truncation_log:
-        _read_only((rec.singular_values, rec.charges1, rec.charges2, rec.effective,
-                    rec.kept))
-    _read_only(q for pair in charges or () if pair is not None for q in pair)
+        _read_only((rec.singular_values, rec.charges1, rec.charges2, rec.kept))
     _read_only(result.state.tensors)
     _read_only(record.bond_probabilities + record.bond_charges1 + record.bond_charges2)
-    return _TrajectoryNode(result=result, charges=charges, record=record,
-                           point=point, fidelity=fidelity)
+    return _TrajectoryNode(result=result, record=record, point=point, fidelity=fidelity)
 
 
 def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
-                      cfg: SweepConfig, init: Optional[MatrixProductState] = None,
+                      cfg: SweepConfig, init: MatrixProductState,
                       oracle: Optional[Sequence[np.ndarray]] = None,
                       shared: Optional[TrajectoryTree] = None) -> ContinuationScan:
     """Solve a Hamiltonian family along ``grid``, warm-starting each point.
@@ -713,12 +682,12 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
     ``shared``, when given, is a :class:`TrajectoryTree` that the scans of
     one problem pass in turn.  At each point the scan replays the tree's
     solved points by selection alone and adopts the first whose every local
-    step keeps the states its own policy keeps; otherwise it solves the
-    point itself, recording each step's charges whatever its policy.  Each
-    point's gauge record is computed once; a scan adds only its objective.
-    The result is identical to a scan without the tree, and no two scans
-    share a list or a writable array.  A scan of another problem than the
-    one the tree was first used for raises ``ValueError``.
+    step keeps the states its own policy keeps, taking that point's
+    truncation records as they are; otherwise it solves the point itself.
+    Each point's gauge record is computed once; a scan adds only its
+    objective.  The result is identical to a scan without the tree, and no
+    two scans share a list or a writable array.  A scan of another problem
+    than the one the tree was first used for raises ``ValueError``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -728,8 +697,6 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
     if oracle is not None and len(oracle) != grid.size:
         raise ValueError(
             f"oracle holds {len(oracle)} states for {grid.size} grid points")
-    if init is None:
-        raise ValueError("an initial state is required for the first point")
     if shared is not None:
         shared.pin(family, grid, cfg, init, oracle)
 
@@ -753,20 +720,14 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
             if k >= 2:
                 spacings.append(float(grid[k - 1] - grid[k - 2]))
         # adopt the first solved point whose replay keeps every recorded set
-        node, log = None, None
-        for node in parent.children:
-            log = _replay(node, point_cfg)
-            if log is not None:
-                break
-        if log is None:
+        node = next((child for child in parent.children if _replays(child, point_cfg)),
+                    None)
+        if node is None:
             node = _solve_point(family(float(value)), start, point_cfg, float(value),
-                                history, spacings,
-                                None if oracle is None else oracle[k],
-                                keep_charges=shared is not None)
+                                history, spacings, None if oracle is None else oracle[k])
             parent.children.append(node)
-            log = [replace(rec) for rec in node.result.truncation_log]
         shared_state = node.result.state
-        result = replace(node.result, truncation_log=log,
+        result = replace(node.result, truncation_log=list(node.result.truncation_log),
                          state=MatrixProductState(shared_state.tensors, shared_state.center),
                          sweep_energies=list(node.result.sweep_energies))
         parent = node

@@ -52,19 +52,13 @@ ACTION_MODES = ("covariant", "scalar_like")
 
 @dataclass(frozen=True)
 class ActionParams:
-    """Couplings and mode for the action functionals."""
+    """Mode of the action functionals."""
 
-    g1: float = 1.0
-    g2: float = 1.0
     mode: str = "covariant"
 
     def __post_init__(self) -> None:
         if self.mode not in ACTION_MODES:
             raise ValueError(f"mode must be one of {ACTION_MODES}, got {self.mode!r}")
-        for name in ("g1", "g2"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -73,7 +67,6 @@ class GaugePotential:
 
     grid: np.ndarray
     values: Sequence  # one (d, d) matrix per grid point, or an (n, d, d) stack
-    level: str = "base"
 
     def __post_init__(self) -> None:
         self.grid = np.asarray(self.grid, dtype=float)
@@ -96,7 +89,6 @@ class GaugePotential2D:
     axis2: np.ndarray
     values1: np.ndarray
     values2: np.ndarray
-    level: str = "base"
 
     def __post_init__(self) -> None:
         self.axis1 = np.asarray(self.axis1, dtype=float)
@@ -165,20 +157,14 @@ def _require_positive(eigenvalues: np.ndarray, tol: float) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {lowest.flat[bad[0]]:.3e}")
 
 
-def require_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:
-    """Validate hermiticity, unit trace and positivity of a density matrix."""
-    r = _hermitian_unit_trace(rho, tol)
-    _require_positive(np.linalg.eigvalsh(r), tol)
-    return r
-
-
 def purify(rho, tol: float = 1e-12) -> np.ndarray:
     """Principal hermitian square root ``U`` with ``U U^H = rho``.
 
-    Eigenvalues inside ``[-tol, 0)`` are clipped to zero; anything more
-    negative raises an invalid-density error.  A stack ``(n, d, d)`` is
-    validated member by member and purified by one stacked eigensolve,
-    whose eigenvalues also serve the positivity check.
+    ``rho`` must be hermitian with unit trace.  Eigenvalues inside
+    ``[-tol, 0)`` are clipped to zero; anything more negative raises an
+    invalid-density error.  A stack ``(n, d, d)`` is validated member by
+    member and purified by one stacked eigensolve, whose eigenvalues also
+    serve the positivity check.
     """
     r = _hermitian_unit_trace(rho, tol)
     w, v = np.linalg.eigh(r)
@@ -191,7 +177,7 @@ def _central_differences(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return (values[2:] - values[:-2]) / (grid[2:] - grid[:-2])[:, None, None]
 
 
-def uhlmann_potential(rhos: Sequence, grid, level: str = "base") -> GaugePotential:
+def uhlmann_potential(rhos: Sequence, grid) -> GaugePotential:
     """Gauge potential of a density family, aligned with its full grid.
 
     Interior points use central differences; the two endpoints fall back to
@@ -211,7 +197,7 @@ def uhlmann_potential(rhos: Sequence, grid, level: str = "base") -> GaugePotenti
         [(amps[-1] - amps[-2]) / (grid[-1] - grid[-2])],
     ])
     values = (du @ dag(amps) - amps @ dag(du)) / 2j
-    return GaugePotential(grid=grid, values=values, level=level)
+    return GaugePotential(grid=grid, values=values)
 
 
 def _covariant_derivatives(r: np.ndarray, a: np.ndarray, grid: np.ndarray) -> np.ndarray:

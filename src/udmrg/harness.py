@@ -40,9 +40,11 @@ manifest.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Any, Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -143,7 +145,9 @@ class ExperimentConfig:
     accepts and their types from those fields.  Construction turns every
     list-valued field into a tuple, so a config cannot change after it was
     validated, then runs :meth:`validate` and raises :class:`ConfigError`
-    listing every problem.
+    listing every problem.  A ``float`` or ``tuple[float, ...]`` field
+    holding a NaN or an infinity is a problem too, reported as ``<field> must
+    be finite`` unless the field's own checks already named it.
     """
 
     kind: ClassVar[str]
@@ -155,14 +159,30 @@ class ExperimentConfig:
             if isinstance(value, list):
                 object.__setattr__(self, f.name, tuple(value))
         problems = self.validate()
+        named = {problem.split()[0] for problem in problems}
+        problems += [f"{name} must be finite" for name in self._non_finite_fields()
+                     if name not in named]
         if problems:
             raise ConfigError(problems)
+
+    def _non_finite_fields(self) -> list[str]:
+        """The float fields holding a NaN or an infinity, in field order."""
+        return [name for name, hint in field_types(type(self)).items()
+                if hint in (float, tuple[float, ...])
+                and not np.all(np.isfinite(getattr(self, name)))]
 
     def validate(self) -> list[str]:
         """Return every problem found, not just the first."""
         if isinstance(self.seed, int) and self.seed >= 0:
             return []
         return ["seed must be a non-negative integer"]
+
+
+@functools.lru_cache(maxsize=None)
+def field_types(config_type: type[ExperimentConfig]) -> dict[str, Any]:
+    """Field name -> annotated type of one experiment's configuration."""
+    hints = typing.get_type_hints(config_type)
+    return {f.name: hints[f.name] for f in dataclasses.fields(config_type)}
 
 
 def _policy_type_problems(policies: Sequence) -> list[str]:
@@ -257,6 +277,7 @@ class PecComparisonConfig(ExperimentConfig):
         if not self.crossing_window > 0:
             errs.append("crossing_window must be positive")
         elif (self.n_fields >= 3 and self.field_min < self.field_max
+              and np.all(np.isfinite((self.field_min, self.field_max, self.crossing_center)))
               and not _pec_grid(self)[1].any()):
             errs.append("crossing window contains no grid points; widen it")
         if self.max_bond < 1:
@@ -829,7 +850,7 @@ def _transport_family(rng: np.random.Generator, rho0: np.ndarray,
     """Unitarily transported state with its exact parallel-transport potential."""
     vfam = smooth_unitary_family(rng, dim, grid)
     v, dv = vfam.values, vfam.derivatives
-    potential = GaugePotential(grid=grid, values=hermitian_part(1j * dv @ dag(v)), level="base")
+    potential = GaugePotential(grid=grid, values=hermitian_part(1j * dv @ dag(v)))
     return v @ rho0 @ dag(v), potential
 
 
@@ -847,7 +868,7 @@ def _covariance_residual(rng: np.random.Generator, rhos_micro, micro: np.ndarray
                              v_values[1], v_derivs[1])
     transformed = [v @ r @ dag(v) for v, r in zip(v_values, rhos_micro)]
     zero = np.zeros_like(a_t)
-    t_pot = GaugePotential(grid=micro, values=[zero, a_t, zero], level="base")
+    t_pot = GaugePotential(grid=micro, values=[zero, a_t, zero])
     d_rho_t = covariant_derivative(transformed, t_pot, 1)
     conjugated = v_values[1] @ d_rho @ dag(v_values[1])
     return max_abs(d_rho_t - conjugated)

@@ -133,22 +133,15 @@ def _check_index(track: SpectralTrack, k: int, lo: int, hi: int, what: str) -> N
         )
 
 
-def derivative_overlaps(track: SpectralTrack, k: int, scheme: str = "central") -> np.ndarray:
+def derivative_overlaps(track: SpectralTrack, k: int) -> np.ndarray:
     """Eigenvector derivative overlaps ``D[a, b] = <a(k)|d b(k)/dt>``.
 
-    ``scheme`` is ``central`` (interior points only) or ``forward`` (all but
-    the last point).  Non-uniform grids are handled by using the true local
-    spacing of the chosen stencil.
+    A central difference at interior index ``k``; non-uniform grids are
+    handled by using the true spacing on either side.
     """
     grid, pts = track.grid, track.points
-    if scheme == "central":
-        _check_index(track, k, 1, len(track) - 2, "central difference")
-        diff = (pts[k + 1].vectors - pts[k - 1].vectors) / (grid[k + 1] - grid[k - 1])
-    elif scheme == "forward":
-        _check_index(track, k, 0, len(track) - 2, "forward difference")
-        diff = (pts[k + 1].vectors - pts[k].vectors) / (grid[k + 1] - grid[k])
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'central' or 'forward'")
+    _check_index(track, k, 1, len(track) - 2, "central difference")
+    diff = (pts[k + 1].vectors - pts[k - 1].vectors) / (grid[k + 1] - grid[k - 1])
     return dag(pts[k].vectors) @ diff
 
 

@@ -6,7 +6,7 @@ enhanced policies re-rank states using per-state coherence charges built from
 eigenvector derivative overlaps:
 
 * first-order charge  ``Q[a]  = sum_{b != a} (p_a - p_b)^2 p_a p_b / (p_a + p_b)^2 |D[a, b]|^2``
-* second-order charge ``Q2[a] = m * sum_c |D2[a, c]|^2`` with multiplicity ``m``
+* second-order charge ``Q2[a] = m * sum_c |D2[a, c]|^2``, ``m`` the basis dimension
 
 and then either damp singular values, ``sigma * exp(-g1 Q - g2 Q2)``, or shift
 probabilities, ``p + L1 Q (+ L2 Q2)``.  Effective weights are *ranking scores
@@ -16,8 +16,7 @@ the standard rule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,18 +66,14 @@ class TruncationPolicy:
 
 @dataclass
 class TruncationWeights:
-    """Raw weights, their charges, and the policy's effective ranking scores.
+    """Raw weights and the policy's effective ranking scores.
 
     ``raw`` holds singular values for the sigma-damping kinds and
     probabilities for the eigenvalue-shift kinds, descending either way.
-    ``kept`` is filled by :func:`select_states`.
     """
 
     raw: np.ndarray
-    charges1: np.ndarray
-    charges2: np.ndarray
     effective: np.ndarray
-    kept: Optional[np.ndarray] = field(default=None)
 
     def __post_init__(self) -> None:
         self.raw = np.asarray(self.raw, dtype=float)
@@ -88,11 +83,9 @@ class TruncationWeights:
             raise ValueError("raw weights must be non-negative")
         if np.any(np.diff(self.raw) > 0):
             raise ValueError("raw weights must be sorted descending")
-        for name in ("charges1", "charges2", "effective"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != self.raw.shape:
-                raise ValueError(f"{name} must match raw weights in shape")
-            setattr(self, name, arr)
+        self.effective = np.asarray(self.effective, dtype=float)
+        if self.effective.shape != self.raw.shape:
+            raise ValueError("effective must match raw weights in shape")
 
 
 def charge_first_order(p, d_overlaps) -> np.ndarray:
@@ -115,20 +108,16 @@ def charge_first_order(p, d_overlaps) -> np.ndarray:
     return np.sum(weight * np.abs(d) ** 2, axis=1)
 
 
-def charge_second_order(d2_overlaps, multiplicity: Optional[int] = None) -> np.ndarray:
+def charge_second_order(d2_overlaps) -> np.ndarray:
     """Second-order coherence charge ``Q2[a] = m * sum_c |D2[a, c]|^2``.
 
     The inner index of the rank-3 coherence data collapses to a multiplicity
-    factor ``m`` in an orthonormal basis; it defaults to the basis dimension
-    and can be overridden (``multiplicity=1`` disables the factor).
+    factor ``m`` in an orthonormal basis: the basis dimension.
     """
     d2 = np.asarray(d2_overlaps)
     if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
         raise ValueError(f"second-overlap matrix must be square, got {d2.shape}")
-    m = d2.shape[0] if multiplicity is None else int(multiplicity)
-    if m < 1:
-        raise ValueError(f"multiplicity must be positive, got {m}")
-    return m * np.sum(np.abs(d2) ** 2, axis=1)
+    return d2.shape[0] * np.sum(np.abs(d2) ** 2, axis=1)
 
 
 def compute_weights(sigma, charges1, charges2, policy: TruncationPolicy) -> TruncationWeights:
@@ -140,11 +129,14 @@ def compute_weights(sigma, charges1, charges2, policy: TruncationPolicy) -> Trun
     probabilities ``p = sigma^2`` (normalized) and shift them to
     ``p + L1 Q`` (``+ L2 Q2`` for ``coherence_eigenvalue_2``).  The charges
     are taken as given -- callers are responsible for computing them from
-    the matching probability vector.
+    the matching probability vector -- but must match ``sigma`` in shape.
     """
     sigma = np.asarray(sigma, dtype=float)
     q1 = np.asarray(charges1, dtype=float)
     q2 = np.asarray(charges2, dtype=float)
+    for name, q in (("charges1", q1), ("charges2", q2)):
+        if q.shape != sigma.shape:
+            raise ValueError(f"{name} must match raw weights in shape")
     if policy.kind == "standard":
         raw = sigma
         effective = sigma.copy()
@@ -160,7 +152,7 @@ def compute_weights(sigma, charges1, charges2, policy: TruncationPolicy) -> Trun
             effective = effective + policy.lambda2 * q2
     else:  # pragma: no cover - guarded by TruncationPolicy.__post_init__
         raise ValueError(f"unknown policy kind {policy.kind!r}")
-    return TruncationWeights(raw=raw, charges1=q1, charges2=q2, effective=effective)
+    return TruncationWeights(raw=raw, effective=effective)
 
 
 def select_states(weights: TruncationWeights, policy: TruncationPolicy):
@@ -170,7 +162,8 @@ def select_states(weights: TruncationWeights, policy: TruncationPolicy):
     lower original index); of those whose effective weight reaches
     ``cutoff * max(effective)``, at most ``max_kept`` survive.  Returns
     ``(kept, renormalized)`` with ``kept`` ascending and the retained raw
-    weights scaled to a unit vector.  Raises on an all-zero spectrum.
+    weights scaled to a unit vector; ``weights`` is left as it was.  Raises
+    on an all-zero spectrum.
     """
     raw = weights.raw
     eff = weights.effective
@@ -189,6 +182,4 @@ def select_states(weights: TruncationWeights, policy: TruncationPolicy):
         # largest raw weight so the retained block stays normalizable
         kept = np.asarray([int(np.argmax(raw))])
         norm = float(np.linalg.norm(raw[kept]))
-    renormalized = raw[kept] / norm
-    weights.kept = kept
-    return kept, renormalized
+    return kept, raw[kept] / norm

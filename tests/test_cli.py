@@ -326,6 +326,32 @@ def test_bad_config_exits_1_without_outputs(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("config, problem", [
+    ({"experiment": "pec_comparison", "n_sites": 4, "grid_search": False,
+      "coupling_j": NAN}, "coupling_j must be finite"),
+    ({"experiment": "dmrg_benchmark", "benchmark_fields": [INF]},
+     "benchmark_fields must be finite"),
+    ({"experiment": "dmrg_benchmark", "coupling_j": NAN}, "coupling_j must be finite"),
+    ({"experiment": "crossing_scan", "coupling": INF}, "coupling must be finite"),
+    ({"experiment": "crossing_scan", "lambda_max": INF}, "lambda_max must be finite"),
+])
+def test_non_finite_numbers_exit_1_without_outputs(tmp_path, capsys, config, problem):
+    # Python's json reads NaN and Infinity; validation must catch them
+    path = write_config(tmp_path, "bad.json", config)
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    assert main(["validate", str(path)]) == 1
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("configuration invalid") == 2
+    assert err.count(f"  - {problem}\n") == 2
+    assert not out_dir.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
 def test_thread_count_must_be_positive(tmp_path, capsys):
     path = write_config(tmp_path, "gauge.json", GAUGE_TINY)
     out_dir = tmp_path / "out"

@@ -222,8 +222,8 @@ def test_truncation_log_bookkeeping():
         assert 0 <= rec.bond <= 4
         assert rec.kept.size <= 4
         assert rec.discarded_weight >= 0.0
-        assert rec.effective.shape == rec.singular_values.shape
         # untracked solve: charge columns stay zero
+        assert rec.charges1.shape == rec.charges2.shape == rec.singular_values.shape
         assert np.all(rec.charges1 == 0.0)
         assert np.all(rec.charges2 == 0.0)
 
@@ -252,7 +252,7 @@ def test_scan_grid_validation():
         continuation_scan(family, [], cfg, init=init)
     with pytest.raises(ValueError, match="strictly increasing"):
         continuation_scan(family, [1.0, 1.0, 1.2], cfg, init=init)
-    with pytest.raises(ValueError, match="initial state is required"):
+    with pytest.raises(TypeError, match="init"):
         continuation_scan(family, [0.8, 1.0], cfg)
 
 
@@ -440,7 +440,7 @@ def _assert_same_scan(a, b):
         for ta, tb in zip(ra.truncation_log, rb.truncation_log):
             assert (ta.sweep, ta.bond, ta.discarded_weight) == \
                 (tb.sweep, tb.bond, tb.discarded_weight)
-            for name in ("singular_values", "charges1", "charges2", "effective", "kept"):
+            for name in ("singular_values", "charges1", "charges2", "kept"):
                 np.testing.assert_array_equal(getattr(ta, name), getattr(tb, name))
     for pa, pb in zip(a.records, b.records):
         for f in dataclasses.fields(pa):
@@ -524,7 +524,7 @@ def _scan_arrays(scan):
     for res, rec in zip(scan.results, scan.records, strict=True):
         out += res.state.tensors
         for t in res.truncation_log:
-            out += [t.singular_values, t.charges1, t.charges2, t.effective, t.kept]
+            out += [t.singular_values, t.charges1, t.charges2, t.kept]
         out += rec.bond_probabilities + rec.bond_charges1 + rec.bond_charges2
     return out
 
@@ -548,6 +548,13 @@ def test_scans_through_a_tree_share_no_mutable_container(tree_oracle):
 
     def contents(scan):
         return [[id(x) for x in lst] for lst in lists(scan)]
+
+    # the adopting scan holds the solved point's frozen records themselves
+    for ra, rb in zip(first.results, second.results, strict=True):
+        assert all(x is y
+                   for x, y in zip(ra.truncation_log, rb.truncation_log, strict=True))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        second.results[-1].truncation_log[0].kept = np.arange(1)
 
     before = contents(second)
     for lst in lists(first) + [first.results, first.records]:

@@ -23,7 +23,6 @@ from udmrg.gauge import (
     gauge_transform,
     pure_gauge_potential_2d,
     purify,
-    require_density_matrix,
     smooth_density_family,
     smooth_unitary_family,
     uhlmann_potential,
@@ -76,11 +75,11 @@ def test_purify_handles_rank_deficiency():
 
 def test_density_validation():
     with pytest.raises(ValueError, match="trace"):
-        require_density_matrix(np.diag([0.5, 0.4]))
+        purify(np.diag([0.5, 0.4]))
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        require_density_matrix(np.diag([1.1, -0.1]))
+        purify(np.diag([1.1, -0.1]))
     with pytest.raises(ValueError, match="hermitian"):
-        require_density_matrix(np.array([[0.5, 0.3], [0.0, 0.5]]))
+        purify(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,6 @@ def test_uhlmann_potential_is_hermitian_and_grid_aligned():
     rhos = smooth_density_family(rng, 3, grid)
     pot = uhlmann_potential(rhos, grid)
     assert len(pot) == 9
-    assert pot.level == "base"
     for v in pot.values:
         assert hermiticity_residual(v) < 1e-10
 
@@ -320,8 +318,6 @@ def test_default_coherence_cube_collapses_inner_index():
 def test_action_params_validation():
     with pytest.raises(ValueError, match="mode"):
         ActionParams(mode="quartic")
-    with pytest.raises(ValueError, match="g1"):
-        ActionParams(g1=0.0)
 
 
 def test_covariant_action_nonnegative_and_zero_on_constants():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,31 @@ def test_config_reports_every_problem_at_once():
 def _owner_default(name):
     return next(t() for t in CONFIG_TYPES.values()
                 if name in {f.name for f in dataclasses.fields(t)})
+
+
+def test_non_finite_floats_are_reported_once_per_field():
+    with pytest.raises(ConfigError) as exc:
+        PecComparisonConfig(coupling_j=float("nan"), gamma1_grid=(0.0, float("inf")),
+                            crossing_window=float("nan"), field_max=float("inf"))
+    assert exc.value.problems == [
+        "gamma1_grid entries must be finite and non-negative",
+        "crossing_window must be positive",
+        "coupling_j must be finite",
+        "field_max must be finite",
+    ]
+    with pytest.raises(ConfigError) as exc:
+        DmrgBenchmarkConfig(benchmark_fields=(1.0, -float("inf")))
+    assert exc.value.problems == ["benchmark_fields must be finite"]
+    # the crossing-window check builds no grid from a non-finite field
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in ("field_min", "field_max", "crossing_center"):
+            for value in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ConfigError) as exc:
+                    PecComparisonConfig(**{name: value})
+                assert not any("crossing window" in p for p in exc.value.problems)
+                if name == "crossing_center":
+                    assert exc.value.problems == ["crossing_center must be finite"]
 
 
 def test_config_types_own_only_their_fields():
@@ -432,9 +458,10 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     count(dmrg, "effective_hamiltonian")
     count(dmrg._ChargeContext, "charges")
     count(dmrg, "_point_gauge_record")
+    count(dmrg, "select_states")
     run_pec_comparison(PecComparisonConfig())
     assert calls == {"continuation_scan": 13, "effective_hamiltonian": 800,
-                     "charges": 780, "_point_gauge_record": 40}
+                     "charges": 780, "_point_gauge_record": 40, "select_states": 5469}
 
 
 def test_gauge_defaults_cost_what_the_readme_says(monkeypatch):

@@ -127,17 +127,14 @@ def test_derivative_overlaps_rotating_oracle():
     assert max_abs(np.diagonal(d)) < 1e-9
 
 
-def test_derivative_overlaps_forward_scheme_and_bounds():
+def test_derivative_overlaps_need_an_interior_index():
     grid = np.linspace(0.0, 1.0, 6)
     track = track_hermitian_family(grid, rotating_family(grid))
-    fwd = derivative_overlaps(track, 0, scheme="forward")
-    assert fwd.shape == (2, 2)
-    with pytest.raises(IndexError):
-        derivative_overlaps(track, 0)
-    with pytest.raises(IndexError):
-        derivative_overlaps(track, 5, scheme="forward")
-    with pytest.raises(ValueError, match="scheme"):
-        derivative_overlaps(track, 2, scheme="midpoint")
+    assert derivative_overlaps(track, 1).shape == (2, 2)
+    assert derivative_overlaps(track, 4).shape == (2, 2)
+    for k in (0, 5):
+        with pytest.raises(IndexError, match=r"needs grid index in \[1, 4\]"):
+            derivative_overlaps(track, k)
 
 
 def test_derivative_overlaps_anti_hermitian_refinement():

@@ -38,14 +38,18 @@ class TestPolicyValidation:
 
 def test_weights_validation():
     with pytest.raises(ValueError, match="descending"):
-        TruncationWeights(raw=np.array([0.1, 0.9]), charges1=np.zeros(2),
-                          charges2=np.zeros(2), effective=np.zeros(2))
+        TruncationWeights(raw=np.array([0.1, 0.9]), effective=np.zeros(2))
     with pytest.raises(ValueError, match="non-negative"):
-        TruncationWeights(raw=np.array([0.5, -0.1]), charges1=np.zeros(2),
-                          charges2=np.zeros(2), effective=np.zeros(2))
-    with pytest.raises(ValueError, match="shape"):
-        TruncationWeights(raw=np.array([0.9, 0.1]), charges1=np.zeros(3),
-                          charges2=np.zeros(2), effective=np.zeros(2))
+        TruncationWeights(raw=np.array([0.5, -0.1]), effective=np.zeros(2))
+    with pytest.raises(ValueError, match="effective must match raw weights in shape"):
+        TruncationWeights(raw=np.array([0.9, 0.1]), effective=np.zeros(3))
+    for kind in POLICY_KINDS:
+        with pytest.raises(ValueError, match="charges1 must match raw weights in shape"):
+            compute_weights(np.array([0.9, 0.1]), np.zeros(3), np.zeros(2),
+                            TruncationPolicy(kind=kind))
+        with pytest.raises(ValueError, match="charges2 must match raw weights in shape"):
+            compute_weights(np.array([0.9, 0.1]), np.zeros(2), np.zeros(1),
+                            TruncationPolicy(kind=kind))
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +88,9 @@ def test_first_order_charge_shape_mismatch():
 
 
 def test_second_order_charge_multiplicity():
+    # the multiplicity is the basis dimension: 2 * (5, 1) here
     d2 = np.array([[1.0, 2.0], [0.0, 1.0]])
     np.testing.assert_allclose(charge_second_order(d2), [10.0, 2.0])
-    np.testing.assert_allclose(charge_second_order(d2, multiplicity=1), [5.0, 1.0])
-    with pytest.raises(ValueError, match="multiplicity"):
-        charge_second_order(d2, multiplicity=0)
     with pytest.raises(ValueError, match="square"):
         charge_second_order(np.zeros((2, 3)))
 
@@ -157,17 +159,19 @@ def test_compute_weights_eigenvalue_kinds_normalize():
 
 def make_weights(raw, eff):
     raw = np.asarray(raw, dtype=float)
-    return TruncationWeights(raw=raw, charges1=np.zeros_like(raw),
-                             charges2=np.zeros_like(raw),
-                             effective=np.asarray(eff, dtype=float))
+    return TruncationWeights(raw=raw, effective=np.asarray(eff, dtype=float))
 
 
 def test_select_states_ranks_by_effective_weight():
     w = make_weights([0.8, 0.6], [0.8 * np.exp(-10.0), 0.6])
+    before = {name: value.copy() for name, value in vars(w).items()}
     kept, renorm = select_states(w, TruncationPolicy(max_kept=1))
     np.testing.assert_array_equal(kept, [1])
     np.testing.assert_allclose(renorm, [1.0])
-    np.testing.assert_array_equal(w.kept, [1])
+    # selection leaves its argument as it was
+    assert vars(w).keys() == before.keys() == {"raw", "effective"}
+    for name, value in before.items():
+        np.testing.assert_array_equal(getattr(w, name), value)
 
 
 def test_select_states_tie_breaks_toward_lower_index():
