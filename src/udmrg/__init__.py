@@ -3,7 +3,7 @@
 Ground-state sweeps whose bond truncation can be reweighted by gauge charges
 measured along a continuation scan, plus the supporting machinery: tracked
 eigensystems, the Uhlmann/categorical gauge algebra, tensor-network
-primitives, concrete models with dense oracles, and a reproducible
+primitives, concrete models with exact oracles, and a reproducible
 experiment harness with a CLI front end.
 """
 from ._version import __version__
@@ -64,6 +64,8 @@ from .models import (
     exact_diagonalization,
     gaussian_transition_probability,
     landau_zener_reference,
+    spin_chain_ground_state,
+    spin_chain_matvec,
     tdse_propagate,
     two_level_hamiltonian,
 )

@@ -31,9 +31,12 @@ from ._version import __version__
 from .harness import (
     CONFIG_TYPES,
     EXPERIMENT_KINDS,
+    FIELD_CHECKS,
     ConfigError,
     ExperimentConfig,
     field_types,
+    is_integer,
+    is_number,
     run_experiment,
 )
 from .reporting import ScanReport, sha256_file, write_json, write_report_csv
@@ -43,38 +46,18 @@ _POLICY_KEYS = {"kind", "gamma1", "gamma2", "lambda1", "lambda2", "max_kept",
                 "cutoff"}
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-#: scalar config types: the check a value must pass and what the error demands
-_SCALAR_CHECKS = {
-    int: (_is_int, "an integer"),
-    float: (_is_number, "a number"),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    str: (lambda v: isinstance(v, str), "a string"),
-}
-
-
 def _check_scalar(key: str, value: Any, hint: Any, errors: list[str]) -> Any:
-    if hint in _SCALAR_CHECKS:
-        ok, demand = _SCALAR_CHECKS[hint]
+    ok, demand = FIELD_CHECKS[hint]
+    if typing.get_origin(hint) is not tuple:
         if not ok(value):
             errors.append(f"key {key!r} must be {demand}, got {value!r}")
             return None
         return float(value) if hint is float else value
     # the list keys are annotated tuple[int, ...] or tuple[float, ...]
-    want_int = typing.get_args(hint)[0] is int
-    ok = _is_int if want_int else _is_number
     if not isinstance(value, list) or not value or not all(ok(v) for v in value):
-        kind = "integers" if want_int else "numbers"
-        errors.append(f"key {key!r} must be a non-empty list of {kind}")
+        errors.append(f"key {key!r} must be a non-empty list of {demand}")
         return None
-    return tuple(value if want_int else [float(v) for v in value])
+    return tuple(value if hint == tuple[int, ...] else [float(v) for v in value])
 
 
 def _parse_policies(raw: Any,
@@ -103,13 +86,13 @@ def _parse_policies(raw: Any,
         bad = False
         for key in ("gamma1", "gamma2", "lambda1", "lambda2", "cutoff"):
             if key in entry:
-                if not _is_number(entry[key]):
+                if not is_number(entry[key]):
                     errors.append(f"policies[{i}].{key} must be a number")
                     bad = True
                 else:
                     kwargs[key] = float(entry[key])
         if "max_kept" in entry:
-            if not _is_int(entry["max_kept"]):
+            if not is_integer(entry["max_kept"]):
                 errors.append(f"policies[{i}].max_kept must be an integer")
                 bad = True
             else:

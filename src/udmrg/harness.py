@@ -13,18 +13,19 @@ Four experiments, each configured by its own frozen dataclass (see
     Potential-energy-curve comparison: warm-started ground-state scans of a
     transverse-field Ising chain across its critical point under four
     truncation methods at equal bond budget, with per-method errors against
-    dense diagonalization (one per field, shared by every scan), optional
-    coefficient grid search (grids must contain zero, so the searched
-    methods can never do worse than standard; all-zero cells reuse the
-    standard scan), and improvement percentages recomputed from the recorded
-    errors.  The scans of one run share their solved points through a
+    the exact ground state (one matrix-free Lanczos solve per field, shared
+    by every scan), optional coefficient grid search (grids must contain
+    zero, so the searched methods can never do worse than standard; all-zero
+    cells reuse the standard scan), and improvement percentages recomputed
+    from the recorded errors.  The scans of one run share their solved points through a
     :class:`~udmrg.dmrg.TrajectoryTree`: a policy that keeps the states an
     earlier scan kept at every local step of a point adopts that point
     instead of solving it again, which changes no report byte.
 
 ``dmrg_benchmark``
-    Ground-state energies versus dense diagonalization over a size/field
-    matrix at a bond dimension large enough to be numerically exact.
+    Ground-state energies versus the exact (matrix-free Lanczos) ground
+    energies over a size/field matrix at a bond dimension large enough to be
+    numerically exact.
 
 ``gauge_diagnostics``
     Randomized smooth-family checks of the gauge machinery: hermiticity,
@@ -88,12 +89,13 @@ from .models import (
     SpinChainSpec,
     TwoLevelModel,
     build_spin_chain_mpo,
-    dense_spin_chain,
     evolution_step,
-    exact_diagonalization,
     gaussian_transition_probability,
+    spin_chain_ground_state,
     two_level_hamiltonian,
 )
+# no experiment calls the dense oracle; the benchmark's tracer binds both names here
+from .models import dense_spin_chain, exact_diagonalization  # noqa: F401
 from .mps import random_mps
 from .reporting import ScanReport, config_hash
 from .spectral import (
@@ -119,13 +121,37 @@ METHOD_LABELS = {
 
 OBJECTIVES = ("energy_error", "fidelity")
 
-#: longest spin-1/2 chain the dense oracle diagonalizes
+#: longest spin-1/2 chain the experiments accept (``linalg.DENSE_LIMIT`` states)
 _MAX_DENSE_SITES = DENSE_LIMIT.bit_length() - 1
 
 
 def default_policies(max_kept: int = 64) -> list[TruncationPolicy]:
     """The four comparison methods with all coefficients zero."""
     return [TruncationPolicy(kind=k, max_kept=max_kept) for k in TABLE_METHOD_KINDS]
+
+
+def is_integer(value: Any) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: Any) -> bool:
+    """An integer (see :func:`is_integer`) or a ``float``."""
+    return is_integer(value) or isinstance(value, float)
+
+
+#: each config field type: the check a value (or, for ``tuple[X, ...]``, each
+#: item) must pass, and what error messages say it must be
+FIELD_CHECKS: dict[Any, tuple[Callable[[Any], bool], str]] = {
+    int: (is_integer, "an integer"),
+    float: (is_number, "a number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple[int, ...]: (is_integer, "integers"),
+    tuple[float, ...]: (is_number, "numbers"),
+    tuple[TruncationPolicy, ...]: (lambda v: isinstance(v, TruncationPolicy),
+                                   "TruncationPolicy entries"),
+}
 
 
 class ConfigError(ValueError):
@@ -144,10 +170,12 @@ class ExperimentConfig:
     whose fields are exactly the settings it reads; the CLI takes the keys it
     accepts and their types from those fields.  Construction turns every
     list-valued field into a tuple, so a config cannot change after it was
-    validated, then runs :meth:`validate` and raises :class:`ConfigError`
-    listing every problem.  A ``float`` or ``tuple[float, ...]`` field
-    holding a NaN or an infinity is a problem too, reported as ``<field> must
-    be finite`` unless the field's own checks already named it.
+    validated.  It then checks every value's type against its field (see
+    :data:`FIELD_CHECKS`) and, when all fit, runs :meth:`validate`; it raises
+    :class:`ConfigError` listing every problem of the first stage that found
+    any.  A ``float`` or ``tuple[float, ...]`` field holding a NaN or an
+    infinity is a problem too, reported as ``<field> must be finite`` unless
+    the field's own checks already named it.
     """
 
     kind: ClassVar[str]
@@ -158,12 +186,27 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, list):
                 object.__setattr__(self, f.name, tuple(value))
-        problems = self.validate()
-        named = {problem.split()[0] for problem in problems}
-        problems += [f"{name} must be finite" for name in self._non_finite_fields()
-                     if name not in named]
+        problems = self._type_problems()
+        if not problems:
+            problems = self.validate()
+            named = {problem.split()[0] for problem in problems}
+            problems += [f"{name} must be finite" for name in self._non_finite_fields()
+                         if name not in named]
         if problems:
             raise ConfigError(problems)
+
+    def _type_problems(self) -> list[str]:
+        """A value of the wrong type per field, in field order."""
+        problems = []
+        for name, hint in field_types(type(self)).items():
+            value = getattr(self, name)
+            ok, demand = FIELD_CHECKS[hint]
+            if typing.get_origin(hint) is not tuple:
+                if not ok(value):
+                    problems.append(f"{name} must be {demand}, got {value!r}")
+            elif not isinstance(value, tuple) or not all(ok(v) for v in value):
+                problems.append(f"{name} must be a list of {demand}, got {value!r}")
+        return problems
 
     def _non_finite_fields(self) -> list[str]:
         """The float fields holding a NaN or an infinity, in field order."""
@@ -173,7 +216,7 @@ class ExperimentConfig:
 
     def validate(self) -> list[str]:
         """Return every problem found, not just the first."""
-        if isinstance(self.seed, int) and self.seed >= 0:
+        if self.seed >= 0:
             return []
         return ["seed must be a non-negative integer"]
 
@@ -183,11 +226,6 @@ def field_types(config_type: type[ExperimentConfig]) -> dict[str, Any]:
     """Field name -> annotated type of one experiment's configuration."""
     hints = typing.get_type_hints(config_type)
     return {f.name: hints[f.name] for f in dataclasses.fields(config_type)}
-
-
-def _policy_type_problems(policies: Sequence) -> list[str]:
-    return [f"policies entries must be TruncationPolicy, got {pol!r}"
-            for pol in policies if not isinstance(pol, TruncationPolicy)]
 
 
 @dataclass(frozen=True)
@@ -204,7 +242,7 @@ class CrossingScanConfig(ExperimentConfig):
     policies: tuple[TruncationPolicy, ...] = field(default_factory=default_policies)
 
     def validate(self) -> list[str]:
-        errs = super().validate() + _policy_type_problems(self.policies)
+        errs = super().validate()
         if not self.coupling > 0:
             errs.append("coupling must be positive")
         if not self.lambda_min < self.lambda_max:
@@ -259,9 +297,7 @@ class PecComparisonConfig(ExperimentConfig):
                     f"{name} must contain 0 so grid-searched methods can never "
                     "fall behind the standard method (non-inferiority guarantee)"
                 )
-        type_problems = _policy_type_problems(self.policies)
-        errs += type_problems
-        if not type_problems and self.policies != tuple(default_policies()):
+        if self.policies != tuple(default_policies()):
             errs += _pec_policy_problems(self.policies, self.grid_search)
         if self.n_sites < 2:
             errs.append("n_sites must be at least 2")
@@ -538,7 +574,7 @@ def run_crossing_scan(cfg: CrossingScanConfig) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 def run_dmrg_benchmark(cfg: DmrgBenchmarkConfig) -> ScanReport:
-    """Ground-state energies versus dense diagonalization; see module docstring."""
+    """Ground-state energies versus the exact ones; see module docstring."""
     if cfg.kind != "dmrg_benchmark":
         raise ValueError(f"config is for {cfg.kind!r}, not dmrg_benchmark")
     report = ScanReport(
@@ -560,7 +596,7 @@ def run_dmrg_benchmark(cfg: DmrgBenchmarkConfig) -> ScanReport:
                 policy=TruncationPolicy(max_kept=cfg.benchmark_bond),
             )
             result = ground_state(mpo, init, sweep_cfg)
-            exact = float(exact_diagonalization(dense_spin_chain(spec))[0][0])
+            exact = spin_chain_ground_state(spec)[0]
             err = abs(result.energy - exact)
             errors.append(err)
             flagged += 0 if result.converged else 1
@@ -591,7 +627,7 @@ def _pec_grid(cfg: PecComparisonConfig) -> tuple[np.ndarray, np.ndarray]:
 class _PecProblem:
     """What every scan of one pec_comparison run shares.
 
-    The field grid and its crossing-window mask, the MPO family, the dense
+    The field grid and its crossing-window mask, the MPO family, the
     exact energies and ground states (the fidelity oracle), and the
     trajectory tree through which the scans share their solved points
     (``None`` makes every scan solve every point itself).
@@ -606,7 +642,7 @@ class _PecProblem:
 
 
 def _pec_problem(cfg: PecComparisonConfig) -> _PecProblem:
-    """Field grid, MPO family and one dense exact ground state per field."""
+    """Field grid, MPO family and one exact ground state per field."""
     grid, window = _pec_grid(cfg)
 
     def spec(h: float) -> SpinChainSpec:
@@ -615,10 +651,10 @@ def _pec_problem(cfg: PecComparisonConfig) -> _PecProblem:
     def family(h: float):
         return build_spin_chain_mpo(spec(h))
 
-    exact = [exact_diagonalization(dense_spin_chain(spec(h))) for h in grid]
+    exact = [spin_chain_ground_state(spec(h)) for h in grid]
     return _PecProblem(grid=grid, family=family,
-                       exact_energies=np.array([float(w[0]) for w, _ in exact]),
-                       exact_states=[v[:, 0] for _, v in exact], window=window,
+                       exact_energies=np.array([e for e, _ in exact]),
+                       exact_states=[v for _, v in exact], window=window,
                        trajectories=TrajectoryTree())
 
 

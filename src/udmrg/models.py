@@ -6,9 +6,10 @@ branches are degenerate at ``lambda = +-1/sqrt(2)``, where the Gaussian
 transition weight ``P = exp(-(eps1 - eps2)^2 / (2 V^2))`` peaks at exactly 1.
 Time evolution uses hbar = 1 throughout.
 
-Spin chains come in two flavors, with dense (Kronecker-product) builders kept
-deliberately separate from the MPO builders so each can serve as the other's
-oracle:
+Spin chains come in two flavors.  Three independent builders each can serve
+as another's oracle: the MPO, the matrix-free bit-flip matvec behind the
+experiments' exact ground states, and the dense (Kronecker-product) matrix
+that tests check both against:
 
 * ``tfim``:        H = -J sum sz.sz - h sum sx
 * ``heisenberg``:  H = J sum S.S           (spin-1/2 operators S = sigma/2)
@@ -33,6 +34,11 @@ ID2 = np.eye(2, dtype=complex)
 CROSSING_POINTS = (-1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 
 SPIN_CHAIN_KINDS = ("tfim", "heisenberg")
+
+#: Krylov basis of the exact ground state's Lanczos cycles.  It is one solve
+#: per chain, so a wider basis than the local solve's is cheap; up to eight
+#: sites (every pec_comparison field, say) one cycle converges.
+_ORACLE_KRYLOV = 64
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +193,11 @@ def _embed_pair(op1: np.ndarray, op2: np.ndarray, site: int, n: int) -> np.ndarr
 
 
 def dense_spin_chain(spec: SpinChainSpec) -> np.ndarray:
-    """Dense Hamiltonian via explicit Kronecker embedding (oracle path)."""
+    """Dense Hamiltonian via explicit Kronecker embedding.
+
+    No experiment forms it; it is the reference that tests hold the MPO and
+    :func:`spin_chain_matvec` to.
+    """
     n = spec.n_sites
     h = np.zeros((2**n, 2**n), dtype=complex)
     if spec.kind == "tfim":
@@ -202,6 +212,61 @@ def dense_spin_chain(spec: SpinChainSpec) -> np.ndarray:
                                   + _embed_pair(sy, sy, s, n)
                                   + _embed_pair(sz, sz, s, n))
     return h
+
+
+def spin_chain_matvec(spec: SpinChainSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """Matrix-free ``x -> H x`` in the basis of :func:`dense_spin_chain`.
+
+    Basis state ``i`` holds site ``s`` in bit ``n - 1 - s`` (site 0 is the
+    most significant bit, as in the Kronecker order); a set bit is sz = -1/2.
+    The diagonal (the ZZ or SzSz bonds) and the bit-flip index arrays are
+    built once here, so applying H is ``diag * x`` plus one stacked gather of
+    every term: ``x[i ^ bit(s)]`` for each transverse-field site of the TFIM,
+    weighted -h, and for each Heisenberg bond the pair flip
+    ``x[i ^ (bit(s) | bit(s + 1))]``, weighted J/2 on the states whose two
+    spins are antiparallel and 0 elsewhere.
+    """
+    n = spec.n_sites
+    index = np.arange(2**n)
+    bits = [1 << (n - 1 - s) for s in range(n)]
+    z = np.stack([np.where(index & b, -1.0, 1.0) for b in bits])
+    zz = z[:-1] * z[1:]  # (bond, state)
+    if spec.kind == "tfim":
+        diag = -spec.coupling * zz.sum(axis=0)
+        weights = np.full((n, 1), -spec.field)
+        flips = np.stack([index ^ b for b in bits])
+    else:
+        diag = 0.25 * spec.coupling * zz.sum(axis=0)
+        weights = 0.5 * spec.coupling * (zz < 0)
+        flips = np.stack([index ^ (bits[s] | bits[s + 1]) for s in range(n - 1)])
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        return diag * x + (weights * x[flips]).sum(axis=0)
+
+    return matvec
+
+
+def spin_chain_ground_state(spec: SpinChainSpec) -> tuple[float, np.ndarray]:
+    """Ground energy and unit ground vector of the chain; no matrix is formed.
+
+    Runs :func:`linalg.lanczos_lowest` on :func:`spin_chain_matvec` from one
+    fixed generic start, the same for every coupling and field: a local
+    ``default_rng(0)`` normal draw.  A symmetric start can miss the ground
+    state: the uniform vector is an eigenvector of the Heisenberg chain (the
+    ferromagnet), and it is even under the spin flip, while the TFIM ground
+    state at h < 0 and odd n is odd.  The vector is in the basis of
+    :func:`dense_spin_chain`.  Raises ``LinAlgError`` when the solve does not
+    converge.
+    """
+    start = np.random.default_rng(0).standard_normal(2**spec.n_sites)
+    energy, state, converged = linalg.lanczos_lowest(spin_chain_matvec(spec), start,
+                                                     krylov=_ORACLE_KRYLOV)
+    if not converged:
+        raise np.linalg.LinAlgError(
+            f"exact ground state of the {spec.n_sites}-site {spec.kind} chain "
+            f"(J={spec.coupling!r}, h={spec.field!r}) did not converge in "
+            f"{linalg.LANCZOS_RESTARTS} Lanczos cycles")
+    return energy, state
 
 
 def build_spin_chain_mpo(spec: SpinChainSpec) -> MatrixProductOperator:

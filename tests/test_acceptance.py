@@ -29,6 +29,8 @@ from udmrg.models import (
     TimeGrid,
     TwoLevelModel,
     build_spin_chain_mpo,
+    dense_spin_chain,
+    exact_diagonalization,
     gaussian_transition_probability,
     landau_zener_reference,
     tdse_propagate,
@@ -85,6 +87,34 @@ def test_benchmark_energies_reach_1e8_within_two_minutes(monkeypatch):
     assert report.summary["flagged"] == 0
     assert (len(dims), lanczos) == (252, 96)
     assert elapsed < 120.0, f"benchmark took {elapsed:.1f} s (budget 120 s)"
+    # the matrix-free exact energies are the dense ones
+    _assert_exact_energies_are_dense(report, sizes=(6, 8))
+
+
+def _assert_exact_energies_are_dense(report, sizes):
+    model = report.summary["model"]
+    for row in report.rows:
+        n, field, exact = row[0], row[1], row[4]
+        if n in sizes:
+            spec = SpinChainSpec(kind=model, n_sites=n, coupling=1.0, field=field)
+            dense = exact_diagonalization(dense_spin_chain(spec))[0][0]
+            assert abs(exact - dense) <= 1e-12, (n, field, exact - dense)
+
+
+def test_heisenberg_benchmark_energies_reach_1e8():
+    """The oracle-checked benchmark on the Heisenberg chain, odd and even
+
+    lengths up to 10 sites: every cell within 1e-8, none flagged, and the
+    exact energies of the 6- to 8-site rows equal to dense diagonalization."""
+    report = run_dmrg_benchmark(DmrgBenchmarkConfig(spin_model="heisenberg",
+                                                    benchmark_sizes=(6, 7, 8, 10)))
+    print(f"heisenberg benchmark: {len(report.rows)} cells, "
+          f"max |dE| = {report.summary['max_abs_error']:.3e}")
+    assert len(report.rows) == 12
+    for row in report.rows:
+        assert row[5] <= 1e-8, f"cell {row[:2]}: |dE| = {row[5]:.3e} > 1e-8"
+    assert report.summary["within_tolerance"] and report.summary["flagged"] == 0
+    _assert_exact_energies_are_dense(report, sizes=(6, 7, 8))
 
 
 def test_zero_coefficient_policies_are_exactly_degenerate():

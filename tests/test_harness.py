@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from udmrg import dmrg, gauge, harness
+from udmrg import dmrg, gauge, harness, models
 from udmrg.harness import (
     CONFIG_TYPES,
     EXPERIMENT_KINDS,
@@ -53,6 +53,31 @@ def test_config_reports_every_problem_at_once():
     assert exc.value.problems == ["seed must be a non-negative integer",
                                   "n_points must be at least 5"]
     assert "n_points must be at least 5" in str(exc.value)
+
+
+def test_python_configs_itemize_values_of_the_wrong_type():
+    # a scalar field, a None value and a list field holding a string
+    cases = [
+        (CrossingScanConfig, dict(coupling="strong"),
+         ["coupling must be a number, got 'strong'"]),
+        (CrossingScanConfig, dict(coupling=None), ["coupling must be a number, got None"]),
+        (DmrgBenchmarkConfig, dict(benchmark_sizes=(6, "8"), seed=True),
+         ["seed must be an integer, got True",
+          "benchmark_sizes must be a list of integers, got (6, '8')"]),
+        (PecComparisonConfig, dict(grid_search=1, gamma1_grid=[0.0, "0.5"]),
+         ["grid_search must be true or false, got 1",
+          "gamma1_grid must be a list of numbers, got (0.0, '0.5')"]),
+        (CrossingScanConfig, dict(policies=None),
+         ["policies must be a list of TruncationPolicy entries, got None"]),
+        (GaugeDiagnosticsConfig, dict(refine_time_sizes=5),
+         ["refine_time_sizes must be a list of integers, got 5"]),
+    ]
+    for config_type, kwargs, problems in cases:
+        with pytest.raises(ConfigError) as exc:
+            config_type(**kwargs)
+        assert exc.value.problems == problems
+    # ints are numbers, and a list of them is kept as a tuple
+    assert DmrgBenchmarkConfig(benchmark_fields=[1, 2.5]).benchmark_fields == (1, 2.5)
 
 
 def _owner_default(name):
@@ -296,6 +321,21 @@ def test_benchmark_small_matrix_is_numerically_exact():
     assert row["abs_error"] < 1e-10
     assert report.summary["within_tolerance"]
     assert report.summary["flagged"] == 0
+
+
+def test_experiments_form_no_dense_hamiltonian(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense 2^n x 2^n Hamiltonian was formed")
+
+    for module in (harness, models):
+        monkeypatch.setattr(module, "dense_spin_chain", refuse)
+        monkeypatch.setattr(module, "exact_diagonalization", refuse)
+    pec = run_pec_comparison(small_pec_config(n_fields=5))
+    assert pec.summary["flagged"] == 0
+    bench = run_dmrg_benchmark(DmrgBenchmarkConfig(
+        spin_model="heisenberg", benchmark_sizes=(4, 5), benchmark_fields=(0.0,),
+        benchmark_bond=8))
+    assert bench.summary["within_tolerance"] and bench.summary["flagged"] == 0
 
 
 def test_benchmark_flags_non_convergence():

@@ -17,6 +17,8 @@ from udmrg.models import (
     exact_diagonalization,
     gaussian_transition_probability,
     landau_zener_reference,
+    spin_chain_ground_state,
+    spin_chain_matvec,
     tdse_propagate,
     two_level_hamiltonian,
 )
@@ -216,3 +218,73 @@ def test_exact_diagonalization_contract(monkeypatch):
         exact_diagonalization(h, k=9)
     with pytest.raises(ValueError, match="cannot request"):
         exact_diagonalization(h, k=0)
+
+
+# ---------------------------------------------------------------------------
+# matrix-free exact oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_specs():
+    """Both models at 2..8 sites, with J < 0, h = 0 and h < 0 at odd n."""
+    for n in range(2, 9):
+        for coupling, field in ((1.1, 0.7), (-0.8, 0.0), (1.0, -0.9)):
+            yield SpinChainSpec(kind="tfim", n_sites=n, coupling=coupling, field=field)
+        for coupling in (1.0, -0.7):
+            yield SpinChainSpec(kind="heisenberg", n_sites=n, coupling=coupling)
+
+
+def test_matvec_applies_the_dense_hamiltonian():
+    rng = np.random.default_rng(11)
+    for spec in _oracle_specs():
+        dim = 2**spec.n_sites
+        x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        np.testing.assert_allclose(spin_chain_matvec(spec)(x),
+                                   dense_spin_chain(spec) @ x, rtol=0, atol=1e-12,
+                                   err_msg=str(spec))
+
+
+def test_matvec_is_hermitian_on_probe_vectors():
+    rng = np.random.default_rng(12)
+    for spec in _oracle_specs():
+        dim = 2**spec.n_sites
+        u, v = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+        apply = spin_chain_matvec(spec)
+        lhs, rhs = np.vdot(u, apply(v)), np.vdot(apply(u), v)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), spec
+
+
+@pytest.mark.parametrize("spec", [
+    SpinChainSpec(kind="heisenberg", n_sites=n, coupling=1.0) for n in (2, 4, 6, 8)
+] + [
+    SpinChainSpec(kind="tfim", n_sites=n, coupling=1.0, field=h)
+    for n in (5, 7) for h in (-1.0, -0.8, 0.6)
+] + [
+    SpinChainSpec(kind="tfim", n_sites=8, coupling=-1.2, field=0.9),
+])
+def test_ground_state_matches_dense_eigh(spec):
+    """Every case has a non-degenerate ground state.  A symmetric start would
+
+    fail the Heisenberg chain (the uniform vector is its highest level) and
+    the TFIM at h < 0 and odd n (its ground state is odd under the spin flip)."""
+    energy, state = spin_chain_ground_state(spec)
+    w, v = np.linalg.eigh(dense_spin_chain(spec))
+    assert w[1] - w[0] > 1e-3  # non-degenerate, so the vector is determined
+    assert abs(energy - w[0]) <= 1e-12
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-14)
+    assert abs(np.vdot(v[:, 0], state)) ** 2 >= 1 - 1e-12
+
+
+def test_ground_energy_of_degenerate_chains():
+    # the odd Heisenberg doublet, the ferromagnet, and the TFIM at zero field
+    for spec in (SpinChainSpec(kind="heisenberg", n_sites=7, coupling=1.0),
+                 SpinChainSpec(kind="heisenberg", n_sites=6, coupling=-1.0),
+                 SpinChainSpec(kind="tfim", n_sites=5, coupling=1.3, field=0.0)):
+        energy, _ = spin_chain_ground_state(spec)
+        w = np.linalg.eigvalsh(dense_spin_chain(spec))
+        assert abs(energy - w[0]) <= 1e-12, spec
+
+
+def test_unconverged_ground_state_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "LANCZOS_RESTARTS", 0)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        spin_chain_ground_state(SpinChainSpec(kind="tfim", n_sites=6, field=1.0))
