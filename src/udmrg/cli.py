@@ -34,6 +34,7 @@ from .harness import (
     FIELD_CHECKS,
     ConfigError,
     ExperimentConfig,
+    field_type_problem,
     field_types,
     is_integer,
     is_number,
@@ -47,15 +48,15 @@ _POLICY_KEYS = {"kind", "gamma1", "gamma2", "lambda1", "lambda2", "max_kept",
 
 
 def _check_scalar(key: str, value: Any, hint: Any, errors: list[str]) -> Any:
-    ok, demand = FIELD_CHECKS[hint]
+    demand = field_type_problem(hint, value)
     if typing.get_origin(hint) is not tuple:
-        if not ok(value):
+        if demand is not None:
             errors.append(f"key {key!r} must be {demand}, got {value!r}")
             return None
         return float(value) if hint is float else value
     # the list keys are annotated tuple[int, ...] or tuple[float, ...]
-    if not isinstance(value, list) or not value or not all(ok(v) for v in value):
-        errors.append(f"key {key!r} must be a non-empty list of {demand}")
+    if demand is not None or not value:
+        errors.append(f"key {key!r} must be a non-empty list of {FIELD_CHECKS[hint][1]}")
         return None
     return tuple(value if hint == tuple[int, ...] else [float(v) for v in value])
 

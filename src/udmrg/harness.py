@@ -154,6 +154,20 @@ FIELD_CHECKS: dict[Any, tuple[Callable[[Any], bool], str]] = {
 }
 
 
+def field_type_problem(hint: Any, value: Any) -> Optional[str]:
+    """What a value of config field type ``hint`` must be, or ``None`` if it is.
+
+    A ``tuple[X, ...]`` field takes a list or tuple whose every item passes
+    X's check in :data:`FIELD_CHECKS`; its demand reads ``a list of ...``.
+    """
+    ok, demand = FIELD_CHECKS[hint]
+    if typing.get_origin(hint) is not tuple:
+        return None if ok(value) else demand
+    if isinstance(value, (list, tuple)) and all(ok(v) for v in value):
+        return None
+    return f"a list of {demand}"
+
+
 class ConfigError(ValueError):
     """Itemized configuration problems; nothing was accepted."""
 
@@ -200,12 +214,9 @@ class ExperimentConfig:
         problems = []
         for name, hint in field_types(type(self)).items():
             value = getattr(self, name)
-            ok, demand = FIELD_CHECKS[hint]
-            if typing.get_origin(hint) is not tuple:
-                if not ok(value):
-                    problems.append(f"{name} must be {demand}, got {value!r}")
-            elif not isinstance(value, tuple) or not all(ok(v) for v in value):
-                problems.append(f"{name} must be a list of {demand}, got {value!r}")
+            demand = field_type_problem(hint, value)
+            if demand is not None:
+                problems.append(f"{name} must be {demand}, got {value!r}")
         return problems
 
     def _non_finite_fields(self) -> list[str]:

@@ -7,7 +7,7 @@ this level.
 """
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -131,17 +131,17 @@ def hermitian_basis_element(dim: int, a: int, b: int) -> Matrix:
     return e
 
 
-def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
-                   krylov: Optional[int] = None) -> tuple[float, np.ndarray, bool]:
+def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray],
+                   start: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Lowest eigenpair of a hermitian operator by restarted Lanczos.
 
     ``matvec`` applies the operator to a flat complex vector; ``start`` is
     the first estimate, of any shape with the operator's size.  Each cycle
-    spans up to ``krylov`` (default ``LANCZOS_KRYLOV``) Krylov vectors from
-    the current estimate, orthogonalizes every new vector against all
-    earlier ones twice (full reorthogonalization), and restarts from the
-    lowest Ritz vector of the projected operator.  The solve stops once the
-    residual ``||H x - E x||`` is at most ``LANCZOS_TOL * max(1, |E|)``.  Returns
+    spans up to ``LANCZOS_KRYLOV`` Krylov vectors from the current estimate,
+    orthogonalizes every new vector against all earlier ones twice (full
+    reorthogonalization), and restarts from the lowest Ritz vector of the
+    projected operator.  The solve stops once the residual
+    ``||H x - E x||`` is at most ``LANCZOS_TOL * max(1, |E|)``.  Returns
     ``(E, x, converged)``: ``x`` of unit norm, ``E`` its Rayleigh quotient,
     and ``converged`` false when ``LANCZOS_RESTARTS`` cycles ran out first.
     No random numbers are drawn, so a solve is a pure function of its inputs.
@@ -151,7 +151,7 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray
     x = np.asarray(start, dtype=complex).reshape(-1)
     x = x / np.linalg.norm(x)
     hx = matvec(x)
-    size = min(LANCZOS_KRYLOV if krylov is None else krylov, x.size)
+    size = min(LANCZOS_KRYLOV, x.size)
     basis = np.empty((size, x.size), dtype=complex)
     images = np.empty_like(basis)  # the operator applied to each basis vector
     cycles = 0

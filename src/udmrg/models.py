@@ -35,11 +35,6 @@ CROSSING_POINTS = (-1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 
 SPIN_CHAIN_KINDS = ("tfim", "heisenberg")
 
-#: Krylov basis of the exact ground state's Lanczos cycles.  It is one solve
-#: per chain, so a wider basis than the local solve's is cheap; up to eight
-#: sites (every pec_comparison field, say) one cycle converges.
-_ORACLE_KRYLOV = 64
-
 
 # ---------------------------------------------------------------------------
 # two-level avoided crossing
@@ -255,12 +250,14 @@ def spin_chain_ground_state(spec: SpinChainSpec) -> tuple[float, np.ndarray]:
     state: the uniform vector is an eigenvector of the Heisenberg chain (the
     ferromagnet), and it is even under the spin flip, while the TFIM ground
     state at h < 0 and odd n is odd.  The vector is in the basis of
-    :func:`dense_spin_chain`.  Raises ``LinAlgError`` when the solve does not
-    converge.
+    :func:`dense_spin_chain`.  The solve has the DMRG local solve's stopping
+    rule and budget (``linalg.LANCZOS_KRYLOV``, ``LANCZOS_TOL`` and
+    ``LANCZOS_RESTARTS``); where the local solve only flags its result when
+    the cycles run out, this raises ``LinAlgError``, since an experiment has
+    nothing to measure its errors against.
     """
     start = np.random.default_rng(0).standard_normal(2**spec.n_sites)
-    energy, state, converged = linalg.lanczos_lowest(spin_chain_matvec(spec), start,
-                                                     krylov=_ORACLE_KRYLOV)
+    energy, state, converged = linalg.lanczos_lowest(spin_chain_matvec(spec), start)
     if not converged:
         raise np.linalg.LinAlgError(
             f"exact ground state of the {spec.n_sites}-site {spec.kind} chain "

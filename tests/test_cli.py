@@ -9,7 +9,7 @@ import sys
 import pytest
 from numpy.linalg import LinAlgError
 
-from udmrg import harness, linalg
+from udmrg import dmrg, harness, linalg
 from udmrg.cli import (
     ConfigError,
     _bundled_openblas,
@@ -412,7 +412,15 @@ def test_the_cli_loads_and_validates_without_scipy():
 
 
 def test_an_unconverged_lanczos_solve_exits_2_with_outputs(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(linalg, "LANCZOS_RESTARTS", 1)
+    lanczos = linalg.lanczos_lowest
+
+    def one_cycle(matvec, start):
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "LANCZOS_RESTARTS", 1)
+            return lanczos(matvec, start)
+
+    # only the DMRG local solve runs out of cycles; the exact oracle does not
+    monkeypatch.setattr(dmrg, "lanczos_lowest", one_cycle)
     path = write_config(tmp_path, "bench.json", {
         "experiment": "dmrg_benchmark", "benchmark_sizes": [8],
         "benchmark_fields": [1.0], "benchmark_bond": 16})
@@ -422,3 +430,21 @@ def test_an_unconverged_lanczos_solve_exits_2_with_outputs(tmp_path, monkeypatch
     summary = json.loads((out_dir / "dmrg_benchmark_summary.json").read_text("utf-8"))
     assert summary["summary"]["flagged"] == 1
     assert json.loads((out_dir / "manifest.json").read_text("utf-8"))["exit_status"] == 2
+
+
+def test_an_unconverged_exact_ground_state_exits_2_without_outputs(tmp_path, monkeypatch,
+                                                                     capsys):
+    """The exact oracle shares ``LANCZOS_RESTARTS`` with the local solve: an
+
+    8-site chain needs more than one cycle of it, and running out stops the
+    run as a numerical failure that names the chain."""
+    monkeypatch.setattr(linalg, "LANCZOS_RESTARTS", 1)
+    path = write_config(tmp_path, "bench.json", {
+        "experiment": "dmrg_benchmark", "benchmark_sizes": [8],
+        "benchmark_fields": [1.0], "benchmark_bond": 16})
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: exact ground state of the 8-site tfim chain "
+        "(J=1.0, h=1.0) did not converge in 1 Lanczos cycles\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["bench.json"]
