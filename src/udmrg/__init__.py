@@ -70,7 +70,6 @@ from .models import (
     two_level_hamiltonian,
 )
 from .mps import (
-    BondSpectrum,
     MatrixProductOperator,
     MatrixProductState,
     canonicalize,

@@ -28,8 +28,8 @@ are padded with zero-probability states.  A scan diagonalizes nothing
 densely: a caller that already holds the exact ground states passes them as
 ``oracle`` and gets the per-point fidelities back.
 
-The scans of one problem -- same family, grid, start state, budget and
-oracle, different truncation policies -- can share their solves through a
+The scans of one problem -- same family, grid, start state, sweep budget
+and oracle, different truncation policies -- can share their solves through a
 :class:`TrajectoryTree`.  A two-site step's result depends only on the state
 it starts from and the states it keeps, so a scan whose policy keeps, at
 every local step of a point, exactly the states an earlier scan kept there
@@ -86,16 +86,16 @@ _FLUSH_RELATIVE = 1e-100
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Budget and policy for a ground-state solve."""
+    """Sweep budget and truncation policy for a ground-state solve.
 
-    max_bond: int = 32
+    ``policy.max_kept`` is the bond budget: no truncation keeps more states.
+    """
+
     num_sweeps: int = 12
     energy_tol: float = 1e-9
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self) -> None:
-        if self.max_bond < 1:
-            raise ValueError("max_bond must be positive")
         if self.num_sweeps < 1:
             raise ValueError("num_sweeps must be positive")
         if self.energy_tol <= 0:
@@ -116,7 +116,12 @@ class TruncationRecord:
     charges1: np.ndarray
     charges2: np.ndarray
     kept: np.ndarray
-    discarded_weight: float
+
+    @property
+    def discarded_weight(self) -> float:
+        """Squared norm of the singular values the step discarded."""
+        s = self.singular_values
+        return max(float(np.sum(s**2) - np.sum(s[self.kept] ** 2)), 0.0)
 
 
 @dataclass
@@ -386,7 +391,6 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
     if n < 2:
         raise ValueError("two-site DMRG needs at least two sites")
     ws = hamiltonian.tensors
-    policy = _capped_policy(cfg)
     psi = canonicalize(init, 0)
     norm = psi.norm()
     if norm <= 0:
@@ -416,7 +420,7 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
         # left-to-right
         for b in range(n - 1):
             local_energy, rec, solved = _optimize_bond(
-                tensors, ws, lenvs[b], renvs[b + 1], b, sweep, policy, context,
+                tensors, ws, lenvs[b], renvs[b + 1], b, sweep, cfg.policy, context,
                 "right")
             solves_converged = solves_converged and solved
             log.append(rec)
@@ -426,7 +430,7 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
         # right-to-left
         for b in range(n - 2, -1, -1):
             local_energy, rec, solved = _optimize_bond(
-                tensors, ws, lenvs[b], renvs[b + 1], b, sweep, policy, context,
+                tensors, ws, lenvs[b], renvs[b + 1], b, sweep, cfg.policy, context,
                 "left")
             solves_converged = solves_converged and solved
             log.append(rec)
@@ -443,21 +447,12 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
                       truncation_log=log, converged=converged and solves_converged)
 
 
-def _capped_policy(cfg: SweepConfig) -> TruncationPolicy:
-    """``cfg.policy`` with its state budget capped at ``cfg.max_bond``."""
-    policy = cfg.policy
-    if policy.max_kept <= cfg.max_bond:
-        return policy
-    return replace(policy, max_kept=cfg.max_bond)
-
-
 def _select(sigma: np.ndarray, q1: np.ndarray, q2: np.ndarray,
             policy: TruncationPolicy) -> np.ndarray:
     """The states ``policy`` keeps at one bond truncation, ascending.
 
-    ``sigma`` are the singular values and ``q1``, ``q2`` their charges;
-    ``policy`` is already capped.  Both a real local step and a replayed one
-    select here.
+    ``sigma`` are the singular values and ``q1``, ``q2`` their charges.
+    Both a real local step and a replayed one select here.
     """
     return select_states(compute_weights(sigma, q1, q2, policy), policy)[0]
 
@@ -472,22 +467,18 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
     d1, d2 = tensors[b].shape[1], tensors[b + 1].shape[1]
     r = tensors[b + 1].shape[2]
     theta = vec.reshape(l, d1, d2, r)
-
-    measured: dict = {}
+    rec = None
 
     def select(sigma, u):
+        nonlocal rec
         q1, q2 = np.zeros(sigma.size), np.zeros(sigma.size)
         if context is not None:
             q1, q2 = context.charges(b, u.reshape(l, d1, sigma.size), sigma)
         kept = _select(sigma, q1, q2, policy)
-        measured.update(singular_values=sigma, charges1=q1, charges2=q2, kept=kept)
-        return kept, sigma[kept] / float(np.linalg.norm(sigma[kept]))
+        rec = TruncationRecord(sweep, b, sigma, q1, q2, kept)
+        return kept
 
-    left, right, spectrum = split_theta(theta, select, center_after)
-    tensors[b] = left
-    tensors[b + 1] = right
-    rec = TruncationRecord(sweep=sweep, bond=b, discarded_weight=spectrum.discarded_weight,
-                           **measured)
+    tensors[b], tensors[b + 1] = split_theta(theta, select, center_after)
     return energy, rec, solved
 
 
@@ -591,8 +582,8 @@ class TrajectoryTree:
     record apart from the objective.  A path from the root is one distinct
     trajectory; its branches are where two policies first kept different
     states.  The first scan pins the problem (family object, grid, initial
-    state, budget apart from the policy, oracle); a scan of any other problem
-    raises ``ValueError``.
+    state, sweep budget ``num_sweeps`` and ``energy_tol``, oracle); a scan of
+    any other problem raises ``ValueError``.
     """
 
     def __init__(self) -> None:
@@ -626,9 +617,8 @@ def _replays(node: _TrajectoryNode, cfg: SweepConfig) -> bool:
     Each recorded step is weighed and selected again from its recorded
     singular values and charges, stopping at the first kept set that differs.
     """
-    policy = _capped_policy(cfg)
     return all(np.array_equal(_select(rec.singular_values, rec.charges1, rec.charges2,
-                                      policy), rec.kept)
+                                      cfg.policy), rec.kept)
                for rec in node.result.truncation_log)
 
 

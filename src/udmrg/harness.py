@@ -76,7 +76,6 @@ from .gauge import (
     uhlmann_potential,
 )
 from .linalg import (
-    DENSE_LIMIT,
     dag,
     hermitian_part,
     hermiticity_residual,
@@ -103,7 +102,7 @@ from .spectral import (
     second_derivative_overlaps,
     track_hermitian_family,
 )
-from .truncation import POLICY_KINDS, TruncationPolicy, compute_weights
+from .truncation import TruncationPolicy, compute_weights
 
 #: the four comparison-table methods, in row order
 TABLE_METHOD_KINDS = ("standard", "uhlmann", "categorified", "coherence_eigenvalue_2")
@@ -121,8 +120,9 @@ METHOD_LABELS = {
 
 OBJECTIVES = ("energy_error", "fidelity")
 
-#: longest spin-1/2 chain the experiments accept (``linalg.DENSE_LIMIT`` states)
-_MAX_DENSE_SITES = DENSE_LIMIT.bit_length() - 1
+#: longest spin-1/2 chain the experiments accept; the exact oracle stores about
+#: ``n * 2**n`` bit-flip indices per field (``models.spin_chain_matvec``)
+_MAX_CHAIN_SITES = 12
 
 
 def default_policies(max_kept: int = 64) -> list[TruncationPolicy]:
@@ -312,10 +312,10 @@ class PecComparisonConfig(ExperimentConfig):
             errs += _pec_policy_problems(self.policies, self.grid_search)
         if self.n_sites < 2:
             errs.append("n_sites must be at least 2")
-        if self.n_sites > _MAX_DENSE_SITES:
+        if self.n_sites > _MAX_CHAIN_SITES:
             errs.append(
-                f"dense oracle limit is {DENSE_LIMIT} states; reduce n_sites to "
-                f"{_MAX_DENSE_SITES} or fewer"
+                f"chain length limit is {_MAX_CHAIN_SITES} sites; reduce n_sites to "
+                f"{_MAX_CHAIN_SITES} or fewer"
             )
         if not self.field_min < self.field_max:
             errs.append("field_min must be below field_max")
@@ -363,9 +363,9 @@ class DmrgBenchmarkConfig(ExperimentConfig):
             )
         if any(n < 2 for n in self.benchmark_sizes) or not self.benchmark_sizes:
             errs.append("benchmark_sizes must list chain lengths of at least 2 sites")
-        if any(n > _MAX_DENSE_SITES for n in self.benchmark_sizes):
+        if any(n > _MAX_CHAIN_SITES for n in self.benchmark_sizes):
             errs.append(
-                f"benchmark_sizes exceed the dense oracle limit ({DENSE_LIMIT} states)"
+                f"benchmark_sizes exceed the chain length limit ({_MAX_CHAIN_SITES} sites)"
             )
         if not self.benchmark_fields:
             errs.append("benchmark_fields must not be empty")
@@ -602,8 +602,7 @@ def run_dmrg_benchmark(cfg: DmrgBenchmarkConfig) -> ScanReport:
             rng = np.random.default_rng(cfg.seed)
             init = random_mps(rng, [2] * n, cfg.benchmark_bond)
             sweep_cfg = SweepConfig(
-                max_bond=cfg.benchmark_bond, num_sweeps=cfg.benchmark_sweeps,
-                energy_tol=cfg.benchmark_tol,
+                num_sweeps=cfg.benchmark_sweeps, energy_tol=cfg.benchmark_tol,
                 policy=TruncationPolicy(max_kept=cfg.benchmark_bond),
             )
             result = ground_state(mpo, init, sweep_cfg)
@@ -677,8 +676,8 @@ def _scan_for_policy(cfg: PecComparisonConfig, problem: _PecProblem,
                      policy: TruncationPolicy) -> ContinuationScan:
     rng = np.random.default_rng(cfg.seed)
     init = random_mps(rng, [2] * cfg.n_sites, cfg.max_bond)
-    sweep_cfg = SweepConfig(max_bond=cfg.max_bond, num_sweeps=cfg.num_sweeps,
-                            energy_tol=cfg.energy_tol, policy=policy)
+    sweep_cfg = SweepConfig(num_sweeps=cfg.num_sweeps, energy_tol=cfg.energy_tol,
+                            policy=policy)
     return continuation_scan(problem.family, problem.grid, sweep_cfg, init=init,
                              oracle=problem.exact_states,
                              shared=problem.trajectories)
@@ -699,17 +698,14 @@ def _scan_objective(cfg: PecComparisonConfig, scan: ContinuationScan,
 
 
 def _coefficient_cells(kind: str, cfg: PecComparisonConfig) -> list[dict]:
+    """The coefficient grid of one of :data:`PEC_POLICY_KINDS`."""
     if kind == "uhlmann":
         return [{"gamma1": g} for g in cfg.gamma1_grid]
     if kind == "categorified":
         return [{"gamma1": a, "gamma2": b}
                 for a, b in product(cfg.gamma1_grid, cfg.gamma2_grid)]
-    if kind == "coherence_eigenvalue":
-        return [{"lambda1": a} for a in cfg.lambda1_grid]
-    if kind == "coherence_eigenvalue_2":
-        return [{"lambda1": a, "lambda2": b}
-                for a, b in product(cfg.lambda1_grid, cfg.lambda2_grid)]
-    return [{}]
+    return [{"lambda1": a, "lambda2": b}
+            for a, b in product(cfg.lambda1_grid, cfg.lambda2_grid)]
 
 
 @dataclass
@@ -724,11 +720,10 @@ class GridSearchResult:
 
 
 def grid_search_coefficients(cfg: PecComparisonConfig,
-                             kinds: Optional[Sequence[str]] = None,
                              problem: Optional[_PecProblem] = None,
                              standard: Optional[ContinuationScan] = None,
                              ) -> GridSearchResult:
-    """Exhaustive coefficient search per enhanced method.
+    """Exhaustive coefficient search for each of :data:`PEC_POLICY_KINDS`.
 
     Every (method, coefficient) cell is a full warm-started scan of the
     validation instance, scored by ``cfg.objective`` over the crossing
@@ -743,11 +738,6 @@ def grid_search_coefficients(cfg: PecComparisonConfig,
     """
     if problem is None:
         problem = _pec_problem(cfg)
-    if kinds is None:
-        kinds = PEC_POLICY_KINDS
-    for kind in kinds:
-        if kind not in POLICY_KINDS or kind == "standard":
-            raise ValueError(f"cannot grid-search kind {kind!r}")
     table = ScanReport(
         name=f"{cfg.kind}_gridsearch",
         columns=["method", "gamma1", "gamma2", "lambda1", "lambda2",
@@ -757,7 +747,7 @@ def grid_search_coefficients(cfg: PecComparisonConfig,
     best_policies: dict[str, TruncationPolicy] = {}
     best_scans: dict[str, ContinuationScan] = {}
     best_objectives: dict[str, float] = {}
-    for kind in kinds:
+    for kind in PEC_POLICY_KINDS:
         cells = _coefficient_cells(kind, cfg)
         scored = []
         for i, cell in enumerate(cells):

@@ -15,9 +15,8 @@ from numpy.typing import NDArray
 Matrix = NDArray[np.complexfloating]
 
 #: largest matrix ``models.exact_diagonalization`` diagonalizes (2**12
-#: states); it also caps the chain lengths the experiments accept.  Their
-#: exact ground states are matrix-free, and the DMRG local solve has no such
-#: limit either.
+#: states).  It bounds nothing else: the experiments' exact ground states are
+#: matrix-free, and the DMRG local solve has no such limit.
 DENSE_LIMIT = 4096
 
 #: Krylov basis size of one Lanczos cycle, and cycles allowed per solve

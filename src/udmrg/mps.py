@@ -12,7 +12,6 @@ new objects; tensors are treated as immutable by convention.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -85,23 +84,6 @@ class MatrixProductOperator:
     @property
     def physical_dims(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.tensors)
-
-
-@dataclass
-class BondSpectrum:
-    """Retained singular values (descending, unit norm) and what was dropped."""
-
-    singular_values: np.ndarray
-    discarded_weight: float
-
-    def __post_init__(self) -> None:
-        self.singular_values = np.asarray(self.singular_values, dtype=float)
-        if np.any(self.singular_values < 0):
-            raise ValueError("singular values must be non-negative")
-        if np.any(np.diff(self.singular_values) > 1e-12):
-            raise ValueError("singular values must be sorted descending")
-        if self.discarded_weight < -1e-14:
-            raise ValueError("discarded weight must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +188,21 @@ def canonicalize(psi: MatrixProductState, center: int) -> MatrixProductState:
 # ---------------------------------------------------------------------------
 
 def split_theta(theta: np.ndarray, select: Callable, center_after: str = "right"):
-    """SVD-split a two-site block with a selection hook.
+    """SVD-split a two-site block, keeping the states a selection hook picks.
 
     ``select(sigma, u)`` receives the descending singular values and the left
-    singular vectors and returns ``(kept_indices, renormalized_sigma)`` with
-    ``kept_indices`` ascending.  Returns ``(left, right, spectrum)`` where the
-    renormalized weights have been absorbed into the side named by
-    ``center_after``.
+    singular vectors and returns the kept indices, ascending.  The kept
+    singular values, renormalized to a unit vector, are absorbed into the
+    side named by ``center_after``.  Returns ``(left, right)``.
     """
     l, d1, d2, r = theta.shape
     m = theta.reshape(l * d1, d2 * r)
     if max_abs(m) == 0.0:
         raise ValueError("zero block at this bond; state has no weight here")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    kept, renorm = select(s, u)
-    kept = np.asarray(kept, dtype=int)
+    kept = np.asarray(select(s, u), dtype=int)
+    renorm = s[kept] / float(np.linalg.norm(s[kept]))
     u_k, vh_k = u[:, kept], vh[kept, :]
-    discarded = float(np.sum(s**2) - np.sum(s[kept] ** 2))
     if center_after == "right":
         left = u_k.reshape(l, d1, kept.size)
         right = (renorm[:, None] * vh_k).reshape(kept.size, d2, r)
@@ -231,7 +211,7 @@ def split_theta(theta: np.ndarray, select: Callable, center_after: str = "right"
         right = vh_k.reshape(kept.size, d2, r)
     else:
         raise ValueError("center_after must be 'left' or 'right'")
-    return left, right, BondSpectrum(renorm, max(discarded, 0.0))
+    return left, right
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ the standard rule.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,9 @@ class TruncationPolicy:
     ``gamma1``/``gamma2`` damp singular values exponentially; ``lambda1`` /
     ``lambda2`` shift eigenvalue weights additively.  A policy only reads the
     coefficients its kind uses: ``standard`` ignores all of them, ``uhlmann``
-    ignores everything but ``gamma1``, and so on.
+    ignores everything but ``gamma1``, and so on.  ``max_kept`` is the bond
+    budget, the most states a truncation keeps; it is an ``int`` and the
+    coefficients and ``cutoff`` are real numbers, none of them a ``bool``.
     """
 
     kind: str = "standard"
@@ -54,38 +57,32 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
-        for name in ("gamma1", "gamma2", "lambda1", "lambda2"):
+        for name in ("gamma1", "gamma2", "lambda1", "lambda2", "cutoff"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if name != "cutoff" and (not np.isfinite(value) or value < 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if isinstance(self.max_kept, bool) or not isinstance(self.max_kept, int):
+            raise ValueError(f"max_kept must be an integer, got {self.max_kept!r}")
         if self.max_kept < 1:
             raise ValueError(f"max_kept must be positive, got {self.max_kept}")
         if not 0.0 <= self.cutoff < 1.0:
             raise ValueError(f"cutoff must lie in [0, 1), got {self.cutoff}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncationWeights:
     """Raw weights and the policy's effective ranking scores.
 
     ``raw`` holds singular values for the sigma-damping kinds and
-    probabilities for the eigenvalue-shift kinds, descending either way.
+    probabilities for the eigenvalue-shift kinds, descending either way;
+    ``effective`` has its shape.  The record checks nothing itself:
+    :func:`compute_weights` validates its inputs before it builds one.
     """
 
     raw: np.ndarray
     effective: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.raw = np.asarray(self.raw, dtype=float)
-        if self.raw.ndim != 1 or self.raw.size == 0:
-            raise ValueError("raw weights must be a non-empty 1-d array")
-        if np.any(self.raw < 0):
-            raise ValueError("raw weights must be non-negative")
-        if np.any(np.diff(self.raw) > 0):
-            raise ValueError("raw weights must be sorted descending")
-        self.effective = np.asarray(self.effective, dtype=float)
-        if self.effective.shape != self.raw.shape:
-            raise ValueError("effective must match raw weights in shape")
 
 
 def charge_first_order(p, d_overlaps) -> np.ndarray:
@@ -127,16 +124,23 @@ def compute_weights(sigma, charges1, charges2, policy: TruncationPolicy) -> Trun
     ``categorified`` damp them to ``sigma * exp(-g1 Q - g2 Q2)``, with
     ``uhlmann`` forcing ``g2 = 0``.  The eigenvalue-shift kinds operate on
     probabilities ``p = sigma^2`` (normalized) and shift them to
-    ``p + L1 Q`` (``+ L2 Q2`` for ``coherence_eigenvalue_2``).  The charges
-    are taken as given -- callers are responsible for computing them from
-    the matching probability vector -- but must match ``sigma`` in shape.
+    ``p + L1 Q`` (``+ L2 Q2`` for ``coherence_eigenvalue_2``).  ``sigma``
+    must be a non-empty 1-d array, non-negative and sorted descending.  The
+    charges are taken as given -- callers are responsible for computing them
+    from the matching probability vector -- but must match ``sigma`` in shape.
     """
     sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 1 or sigma.size == 0:
+        raise ValueError("sigma must be a non-empty 1-d array")
+    if np.any(sigma < 0):
+        raise ValueError("sigma must be non-negative")
+    if np.any(np.diff(sigma) > 0):
+        raise ValueError("sigma must be sorted descending")
     q1 = np.asarray(charges1, dtype=float)
     q2 = np.asarray(charges2, dtype=float)
     for name, q in (("charges1", q1), ("charges2", q2)):
         if q.shape != sigma.shape:
-            raise ValueError(f"{name} must match raw weights in shape")
+            raise ValueError(f"{name} must match sigma in shape")
     if policy.kind == "standard":
         raw = sigma
         effective = sigma.copy()
@@ -160,7 +164,10 @@ def select_states(weights: TruncationWeights, policy: TruncationPolicy):
 
     States are ranked by effective weight descending (ties resolved toward the
     lower original index); of those whose effective weight reaches
-    ``cutoff * max(effective)``, at most ``max_kept`` survive.  Returns
+    ``cutoff * max(effective)``, at most ``max_kept`` survive.  If those are
+    all of zero raw weight (an eigenvalue shift can rank such a state first),
+    the state of largest raw weight is kept alone instead, so the retained
+    block stays normalizable.  Returns
     ``(kept, renormalized)`` with ``kept`` ascending and the retained raw
     weights scaled to a unit vector; ``weights`` is left as it was.  Raises
     on an all-zero spectrum.
@@ -170,16 +177,10 @@ def select_states(weights: TruncationWeights, policy: TruncationPolicy):
     if not np.any(raw > 0):
         raise ValueError("all-zero spectrum: nothing to keep at this bond")
     order = np.lexsort((np.arange(eff.size), -eff))
-    threshold = policy.cutoff * float(np.max(eff))
-    admitted = [i for i in order if eff[i] >= threshold]
-    kept = np.sort(np.asarray(admitted[: policy.max_kept], dtype=int))
-    if kept.size == 0:
-        # max(effective) always passes its own threshold; guard anyway
-        kept = np.asarray([int(order[0])])
+    admitted = order[eff[order] >= policy.cutoff * float(np.max(eff))]
+    kept = np.sort(admitted[: policy.max_kept])
     norm = float(np.linalg.norm(raw[kept]))
     if norm == 0.0:
-        # effective ranking admitted only zero-weight states; fall back to the
-        # largest raw weight so the retained block stays normalizable
         kept = np.asarray([int(np.argmax(raw))])
         norm = float(np.linalg.norm(raw[kept]))
     return kept, raw[kept] / norm

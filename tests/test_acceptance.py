@@ -89,6 +89,12 @@ def test_benchmark_energies_reach_1e8_within_two_minutes(monkeypatch):
     assert elapsed < 120.0, f"benchmark took {elapsed:.1f} s (budget 120 s)"
     # the matrix-free exact energies are the dense ones
     _assert_exact_energies_are_dense(report)
+    # and the report keeps its bytes (numpy 2.4, bundled OpenBLAS, 1 and 2
+    # BLAS threads; another LAPACK build may round differently)
+    csv = hashlib.sha256(report.csv_bytes()).hexdigest()
+    summary = hashlib.sha256(canonical_json(report.summary_payload())).hexdigest()
+    assert csv == "4bd4ddb2399a0c9145fd4ee4a854d69356ec32486f79022cdd606c4eae1c2499"
+    assert summary == "5782ed595dbd263949911cadd5d155f80da3951e3b423c853b426ed8b447725f"
 
 
 def _assert_exact_energies_are_dense(report):
@@ -135,8 +141,8 @@ def test_zero_coefficient_policies_are_exactly_degenerate():
     energies = {}
     kept = {}
     for kind in POLICY_KINDS:
-        cfg = SweepConfig(max_bond=4, num_sweeps=12, energy_tol=1e-9,
-                          policy=TruncationPolicy(kind=kind))
+        cfg = SweepConfig(num_sweeps=12, energy_tol=1e-9,
+                          policy=TruncationPolicy(kind=kind, max_kept=4))
         init = random_mps(np.random.default_rng(7), [2] * 6, 4)
         scan = continuation_scan(family, grid, cfg, init=init)
         energies[kind] = np.array([r.energy for r in scan.results])

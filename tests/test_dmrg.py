@@ -8,6 +8,7 @@ from udmrg import dmrg, linalg
 from udmrg.dmrg import (
     SweepConfig,
     TrajectoryTree,
+    TruncationRecord,
     _bond_charges,
     continuation_scan,
     ground_state,
@@ -51,8 +52,6 @@ def reference_energy(spec):
 
 def test_sweep_config_validation():
     SweepConfig()
-    with pytest.raises(ValueError, match="max_bond"):
-        SweepConfig(max_bond=0)
     with pytest.raises(ValueError, match="num_sweeps"):
         SweepConfig(num_sweeps=0)
     with pytest.raises(ValueError, match="energy_tol"):
@@ -82,7 +81,7 @@ def test_tfim_ground_state_matches_exact_diagonalization():
     rng = np.random.default_rng(1)
     result = ground_state(build_spin_chain_mpo(spec),
                           random_mps(rng, [2] * 6, 8),
-                          SweepConfig(max_bond=8))
+                          SweepConfig(policy=TruncationPolicy(max_kept=8)))
     assert result.converged
     assert abs(result.energy - reference_energy(spec)) <= 1e-8
 
@@ -92,7 +91,7 @@ def test_heisenberg_ground_state_matches_exact_diagonalization():
     rng = np.random.default_rng(2)
     result = ground_state(build_spin_chain_mpo(spec),
                           random_mps(rng, [2] * 6, 16),
-                          SweepConfig(max_bond=16))
+                          SweepConfig(policy=TruncationPolicy(max_kept=16)))
     assert result.converged
     assert abs(result.energy - reference_energy(spec)) <= 1e-8
 
@@ -102,7 +101,7 @@ def test_full_rank_solve_is_numerically_exact():
     rng = np.random.default_rng(3)
     result = ground_state(build_spin_chain_mpo(spec),
                           random_mps(rng, [2] * 4, 4),
-                          SweepConfig(max_bond=4))
+                          SweepConfig(policy=TruncationPolicy(max_kept=4)))
     assert result.converged
     assert len(result.sweep_energies) == 2
     assert abs(result.energy - reference_energy(spec)) < 1e-12
@@ -115,7 +114,7 @@ def test_an_unconverged_lanczos_solve_flags_the_result(monkeypatch):
     spec = SpinChainSpec(kind="tfim", n_sites=8, coupling=1.0, field=1.0)
     mpo = build_spin_chain_mpo(spec)
     init = random_mps(np.random.default_rng(4), [2] * 8, 16)
-    cfg = SweepConfig(max_bond=16)
+    cfg = SweepConfig(policy=TruncationPolicy(max_kept=16))
     assert ground_state(mpo, init, cfg).converged
     monkeypatch.setattr(linalg, "LANCZOS_RESTARTS", 1)
     result = ground_state(mpo, init, cfg)
@@ -157,7 +156,8 @@ def test_lanczos_matches_dense_eigh_on_chain_environments(kind, n_sites, bond_di
 # metamorphic relations: the ground energy at full bond on six and eight sites
 # ---------------------------------------------------------------------------
 
-_FULL_BOND = SweepConfig(max_bond=16, num_sweeps=20, energy_tol=1e-13)
+_FULL_BOND = SweepConfig(num_sweeps=20, energy_tol=1e-13,
+                         policy=TruncationPolicy(max_kept=16))
 
 #: six sites keep every local block at or below 64 dimensions (dense
 #: solves); at eight sites the central blocks have 256 (Lanczos solves)
@@ -213,7 +213,7 @@ def test_energy_scales_with_the_hamiltonian(chain, scale):
 def test_truncation_log_bookkeeping():
     spec = SpinChainSpec(kind="tfim", n_sites=6, coupling=1.0, field=1.2)
     rng = np.random.default_rng(5)
-    cfg = SweepConfig(max_bond=4, num_sweeps=3, energy_tol=1e-12)
+    cfg = SweepConfig(num_sweeps=3, energy_tol=1e-12, policy=TruncationPolicy(max_kept=4))
     result = ground_state(build_spin_chain_mpo(spec),
                           random_mps(rng, [2] * 6, 4), cfg)
     assert result.truncation_log
@@ -228,13 +228,29 @@ def test_truncation_log_bookkeeping():
         assert np.all(rec.charges2 == 0.0)
 
 
+def test_truncation_record_discarded_weight():
+    """The squared weight of the singular values a step did not keep: of
+
+    0.8 and 0.6, keeping either one drops 0.36 or 0.64, keeping both nothing."""
+    sigma = np.array([0.8, 0.6])
+
+    def record(kept):
+        return TruncationRecord(sweep=1, bond=0, singular_values=sigma,
+                                charges1=np.zeros(2), charges2=np.zeros(2),
+                                kept=np.array(kept))
+
+    assert record([0]).discarded_weight == pytest.approx(0.36, abs=1e-12)
+    assert record([1]).discarded_weight == pytest.approx(0.64, abs=1e-12)
+    assert record([0, 1]).discarded_weight == pytest.approx(0.0, abs=1e-12)
+
+
 def test_non_convergence_is_flagged_not_raised():
     spec = SpinChainSpec(kind="tfim", n_sites=6, coupling=1.0, field=1.0)
     rng = np.random.default_rng(6)
     result = ground_state(build_spin_chain_mpo(spec),
                           random_mps(rng, [2] * 6, 8),
-                          SweepConfig(max_bond=8, num_sweeps=1,
-                                      energy_tol=1e-15))
+                          SweepConfig(num_sweeps=1, energy_tol=1e-15,
+                                      policy=TruncationPolicy(max_kept=8)))
     assert not result.converged
     assert len(result.sweep_energies) == 1
     assert np.isfinite(result.energy)
@@ -246,7 +262,7 @@ def test_non_convergence_is_flagged_not_raised():
 
 def test_scan_grid_validation():
     family = tfim_family(4)
-    cfg = SweepConfig(max_bond=4)
+    cfg = SweepConfig(policy=TruncationPolicy(max_kept=4))
     init = random_mps(np.random.default_rng(7), [2] * 4, 4)
     with pytest.raises(ValueError, match="non-empty"):
         continuation_scan(family, [], cfg, init=init)
@@ -265,7 +281,7 @@ def tfim_ground_states(n_sites, grid):
 def test_scan_tracks_exact_ground_states_at_full_rank():
     family = tfim_family(4)
     grid = np.array([0.6, 0.8, 1.0, 1.2])
-    cfg = SweepConfig(max_bond=4, num_sweeps=10, energy_tol=1e-11)
+    cfg = SweepConfig(num_sweeps=10, energy_tol=1e-11, policy=TruncationPolicy(max_kept=4))
     init = random_mps(np.random.default_rng(8), [2] * 4, 4)
     scan = continuation_scan(family, grid, cfg, init=init,
                              oracle=tfim_ground_states(4, grid))
@@ -282,9 +298,8 @@ def test_scan_first_point_runs_without_charge_tracking():
     family = tfim_family(4)
     grid = np.array([0.8, 1.0, 1.2])
     policy = TruncationPolicy(kind="coherence_eigenvalue", gamma1=0.2,
-                              lambda1=0.1)
-    cfg = SweepConfig(max_bond=4, num_sweeps=8, energy_tol=1e-10,
-                      policy=policy)
+                              lambda1=0.1, max_kept=4)
+    cfg = SweepConfig(num_sweeps=8, energy_tol=1e-10, policy=policy)
     init = random_mps(np.random.default_rng(9), [2] * 4, 4)
     scan = continuation_scan(family, grid, cfg, init=init)
     first = scan.records[0]
@@ -305,8 +320,8 @@ def test_zero_coefficient_policies_share_one_trajectory():
     energies = {}
     kept_sets = {}
     for kind in POLICY_KINDS:
-        cfg = SweepConfig(max_bond=4, num_sweeps=8, energy_tol=1e-10,
-                          policy=TruncationPolicy(kind=kind))
+        cfg = SweepConfig(num_sweeps=8, energy_tol=1e-10,
+                          policy=TruncationPolicy(kind=kind, max_kept=4))
         init = random_mps(np.random.default_rng(10), [2] * 4, 4)
         scan = continuation_scan(family, grid, cfg, init=init)
         energies[kind] = [r.energy for r in scan.results]
@@ -323,9 +338,8 @@ def test_record_objective_recomputes_from_parts():
     family = tfim_family(4)
     grid = np.array([0.7, 0.9, 1.1, 1.3])
     policy = TruncationPolicy(kind="coherence_eigenvalue_2", gamma1=0.05,
-                              gamma2=0.05, lambda1=0.3, lambda2=0.2)
-    cfg = SweepConfig(max_bond=4, num_sweeps=8, energy_tol=1e-10,
-                      policy=policy)
+                              gamma2=0.05, lambda1=0.3, lambda2=0.2, max_kept=4)
+    cfg = SweepConfig(num_sweeps=8, energy_tol=1e-10, policy=policy)
     init = random_mps(np.random.default_rng(11), [2] * 4, 4)
     scan = continuation_scan(family, grid, cfg, init=init)
     for rec in scan.records:
@@ -341,7 +355,7 @@ def test_record_objective_recomputes_from_parts():
 def test_scan_disables_oracle_when_requested():
     family = tfim_family(4)
     grid = np.array([0.9, 1.1])
-    cfg = SweepConfig(max_bond=4)
+    cfg = SweepConfig(policy=TruncationPolicy(max_kept=4))
     init = random_mps(np.random.default_rng(12), [2] * 4, 4)
     scan = continuation_scan(family, grid, cfg, init=init)
     assert scan.fidelity_to_oracle is None
@@ -355,7 +369,7 @@ def test_scan_oracle_fidelities_match_a_per_point_dense_reference():
     itself."""
     family = tfim_family(6)
     grid = np.linspace(0.8, 1.2, 5)
-    cfg = SweepConfig(max_bond=4, num_sweeps=8, energy_tol=1e-9)
+    cfg = SweepConfig(num_sweeps=8, energy_tol=1e-9, policy=TruncationPolicy(max_kept=4))
     init = random_mps(np.random.default_rng(13), [2] * 6, 4)
     scan = continuation_scan(family, grid, cfg, init=init,
                              oracle=tfim_ground_states(6, grid))
@@ -389,7 +403,8 @@ def test_scan_local_solves_see_no_subnormal_entries(monkeypatch):
     monkeypatch.setattr(dmrg, "_lowest_eigenpair", spy)
     init = random_mps(np.random.default_rng(7), [2] * 4, 4)
     continuation_scan(tfim_family(4), np.linspace(0.5, 1.5, 9),
-                      SweepConfig(max_bond=4, num_sweeps=12, energy_tol=1e-9),
+                      SweepConfig(num_sweeps=12, energy_tol=1e-9,
+                                  policy=TruncationPolicy(max_kept=4)),
                       init=init)
     assert subnormal and sum(subnormal) == 0
 
@@ -421,8 +436,9 @@ def tree_oracle():
 
 
 def _tree_scan(policy, oracle, shared=None, family=_TREE_FAMILY, grid=_TREE_GRID,
-               seed=5, max_bond=3):
-    cfg = SweepConfig(max_bond=max_bond, num_sweeps=8, energy_tol=1e-9, policy=policy)
+               seed=5, max_bond=3, num_sweeps=8):
+    policy = dataclasses.replace(policy, max_kept=min(policy.max_kept, max_bond))
+    cfg = SweepConfig(num_sweeps=num_sweeps, energy_tol=1e-9, policy=policy)
     init = random_mps(np.random.default_rng(seed), [2] * 5, 3)
     return continuation_scan(family, grid, cfg, init=init, oracle=oracle,
                              shared=shared)
@@ -475,6 +491,26 @@ def test_scans_through_a_tree_equal_scans_without_it(tree_oracle):
         [None, None, 1, 2, 2, 0, 0, None]
     assert _first_divergence(own[3], own[4]) is None
     assert len(tree.children) == 3
+
+
+def test_scans_of_different_budgets_share_a_tree(tree_oracle):
+    """The budget reaches a step only through its kept set, so scans that
+
+    differ only in ``max_kept`` share one tree and still equal their own
+    scans bit for bit.  On five sites no bond exceeds four states, so the
+    budgets 4 and 64 keep the same states and share every node."""
+    budgets = [2, 3, 4, 64]
+    tree = TrajectoryTree()
+    shared = [_tree_scan(TruncationPolicy(max_kept=k), tree_oracle, shared=tree,
+                         max_bond=64) for k in budgets]
+    own = [_tree_scan(TruncationPolicy(max_kept=k), tree_oracle, max_bond=64)
+           for k in budgets]
+    for a, b in zip(shared, own):
+        _assert_same_scan(a, b)
+    # 2 and 3 branch off at point 0; 64 replays every point 4 solved
+    assert len(tree.children) == 3
+    assert all(np.shares_memory(x.state.tensors[0], y.state.tensors[0])
+               for x, y in zip(shared[2].results, shared[3].results, strict=True))
 
 
 def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
@@ -573,7 +609,7 @@ def test_a_tree_refuses_scans_of_another_problem(tree_oracle):
     with pytest.raises(ValueError, match="another initial state"):
         _tree_scan(TruncationPolicy(), tree_oracle, shared=tree, seed=6)
     with pytest.raises(ValueError, match="another budget"):
-        _tree_scan(TruncationPolicy(), tree_oracle, shared=tree, max_bond=2)
+        _tree_scan(TruncationPolicy(), tree_oracle, shared=tree, num_sweeps=9)
     with pytest.raises(ValueError, match="another family"):
         _tree_scan(TruncationPolicy(), tree_oracle, shared=tree, family=tfim_family(5))
     with pytest.raises(ValueError, match="another oracle"):

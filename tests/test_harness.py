@@ -30,6 +30,12 @@ from udmrg.reporting import canonical_json, config_hash
 from udmrg.truncation import TruncationPolicy
 
 
+def report_digests(report):
+    """sha256 of a report's CSV and of its canonical summary payload."""
+    return (hashlib.sha256(report.csv_bytes()).hexdigest(),
+            hashlib.sha256(canonical_json(report.summary_payload())).hexdigest())
+
+
 def small_gauge_config(**overrides):
     defaults = dict(n_families=3, family_points=9)
     defaults.update(overrides)
@@ -208,11 +214,20 @@ def test_pec_requires_tfim():
     # the transverse-field scan has no spin model to choose
     with pytest.raises(TypeError, match="spin_model"):
         PecComparisonConfig(spin_model="heisenberg")
-    with pytest.raises(ValueError, match="dense oracle limit"):
+    with pytest.raises(ValueError, match="chain length limit is 12 sites"):
         PecComparisonConfig(n_sites=13)
-    with pytest.raises(ValueError, match="dense oracle limit"):
+    with pytest.raises(ValueError, match="chain length limit is 12 sites"):
         PecComparisonConfig(n_sites=10**12)  # rejected without computing 2**n
     PecComparisonConfig(n_sites=12)
+
+
+def test_benchmark_sizes_respect_the_chain_length_limit():
+    with pytest.raises(ValueError, match=r"benchmark_sizes exceed the chain length "
+                                         r"limit \(12 sites\)"):
+        DmrgBenchmarkConfig(benchmark_sizes=(6, 13))
+    with pytest.raises(ValueError, match="chain length limit"):
+        DmrgBenchmarkConfig(benchmark_sizes=(10**12,))  # no 2**n computed
+    DmrgBenchmarkConfig(benchmark_sizes=(12,))
 
 
 def test_refinement_sizes_must_halve_the_spacing():
@@ -399,9 +414,9 @@ def test_grid_search_prefers_zero_on_ties_and_never_loses():
     cfg = small_pec_config(n_fields=5, grid_search=True,
                            gamma1_grid=(0.0, 50.0), gamma2_grid=(0.0,),
                            lambda1_grid=(0.0,), lambda2_grid=(0.0,))
-    search = grid_search_coefficients(cfg, kinds=["uhlmann"])
+    search = grid_search_coefficients(cfg)
     assert search.best_cells["uhlmann"]["gamma1"] == 0.0
-    rows = search.table.rows
+    rows = [r for r in search.table.rows if r[0] == "uhlmann"]
     assert len(rows) == 2
     selected = [r for r in rows if r[-1] is True]
     assert len(selected) == 1 and selected[0][1] == 0.0
@@ -499,9 +514,23 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     count(dmrg._ChargeContext, "charges")
     count(dmrg, "_point_gauge_record")
     count(dmrg, "select_states")
-    run_pec_comparison(PecComparisonConfig())
+    report = run_pec_comparison(PecComparisonConfig())
     assert calls == {"continuation_scan": 13, "effective_hamiltonian": 800,
                      "charges": 780, "_point_gauge_record": 40, "select_states": 5469}
+    # the default report keeps its bytes, pinned as the gauge and crossing
+    # reports are below (numpy 2.4, bundled OpenBLAS, 1 and 2 BLAS threads)
+    assert report_digests(report) == (
+        "5d6bf0fb2981f1c1ddb4bafad1a7e11b026a6fde09dfdc395906d71ff05c213d",
+        "b79f4bbe29a04498ab731ed536a5c2bc64b83f30ccd9c35bc77df8432cd421f1")
+    points = "87ec462564468ca99f7b0d17eae6fbe07dbd7e7f163330356dfb2858fa35f028"
+    assert {a.name: hashlib.sha256(a.csv_bytes()).hexdigest()
+            for a in report.attachments} == {
+        "pec_comparison_points_standard": points,
+        "pec_comparison_points_uhlmann": points,
+        "pec_comparison_points_categorified": points,
+        "pec_comparison_points_higher_categorical": points,
+        "pec_comparison_gridsearch":
+            "3ad740eb1e7a87a28828e45d4244d71efe9f14920aeaafae02b7644f04fcbeea"}
 
 
 def test_gauge_defaults_cost_what_the_readme_says(monkeypatch):
@@ -516,12 +545,6 @@ def test_gauge_defaults_cost_what_the_readme_says(monkeypatch):
     assert calls == {"gauge_charge_residual": 101, "covariant_derivative": 202,
                      "action_functional": 302, "action_functional_in_gauge": 0,
                      "covariant_derivatives_formed": 7758}
-
-
-def test_grid_search_rejects_the_standard_kind():
-    cfg = small_pec_config(grid_search=True)
-    with pytest.raises(ValueError, match="cannot grid-search"):
-        grid_search_coefficients(cfg, kinds=["standard"])
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +591,10 @@ def test_gauge_and_crossing_reports_keep_their_bytes(gauge_report, crossing_repo
     They were recorded with numpy 2.4 and its bundled OpenBLAS, at 1 and 2
     BLAS threads; another LAPACK build may round differently.
     """
-    def digests(report):
-        return (hashlib.sha256(report.csv_bytes()).hexdigest(),
-                hashlib.sha256(canonical_json(report.summary_payload())).hexdigest())
-
-    assert digests(gauge_report) == (
+    assert report_digests(gauge_report) == (
         "e9831aa6bd03e89220837181deffc9906885895d07a6e2cc19267709a07e8f0d",
         "3a64adda97042b53b52f33a694ab7d33b60ed1ad45a6e4cf9e7972e154581bbd")
-    assert digests(crossing_report[0]) == (
+    assert report_digests(crossing_report[0]) == (
         "41c6f978197ac4e1309dc4d8719003cabd8d9130bda05e610e4a272f7c569862",
         "37ce99ccfe5e32ad3d29063569896511dd88fb32e1ffc87ed9ae6e161093a710")
 

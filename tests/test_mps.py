@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from udmrg.mps import (
-    BondSpectrum,
     MatrixProductOperator,
     MatrixProductState,
     bond_schmidt_data,
@@ -72,16 +71,6 @@ def test_mpo_constructor_validation():
     with pytest.raises(ValueError, match="bond mismatch"):
         MatrixProductOperator([np.zeros((1, 2, 2, 3)),
                                np.zeros((2, 2, 2, 1))])
-
-
-def test_bond_spectrum_validation():
-    BondSpectrum(np.array([0.8, 0.2]), 0.0)
-    with pytest.raises(ValueError, match="descending"):
-        BondSpectrum(np.array([0.2, 0.8]), 0.0)
-    with pytest.raises(ValueError, match="negative"):
-        BondSpectrum(np.array([0.5, -0.1]), 0.0)
-    with pytest.raises(ValueError, match="discarded"):
-        BondSpectrum(np.array([1.0]), -1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -203,48 +192,36 @@ def test_split_theta_full_rank_is_exact():
     theta = rng.normal(size=(2, 2, 2, 3)) + 1j * rng.normal(size=(2, 2, 2, 3))
 
     def keep_all(sigma, u):
-        kept = np.arange(len(sigma))
-        return kept, sigma / np.linalg.norm(sigma)
+        return np.arange(len(sigma))
 
-    left, right, spectrum = split_theta(theta, keep_all, "left")
+    left, right = split_theta(theta, keep_all, "left")
     rebuilt = np.einsum("ipj,jqk->ipqk", left, right)
     np.testing.assert_allclose(rebuilt, theta / np.linalg.norm(theta),
                                atol=1e-12)
-    assert spectrum.discarded_weight == pytest.approx(0.0, abs=1e-12)
 
 
-def test_split_theta_reports_discarded_weight():
+def test_split_theta_can_reorder_states():
+    """A selector may emphasize the smaller singular value; either kept
+
+    state comes back with unit weight."""
     # rank-2 theta with known schmidt coefficients 0.8 and 0.6
     theta = np.zeros((1, 2, 2, 1), dtype=complex)
     theta[0, 0, 0, 0] = 0.8
     theta[0, 1, 1, 0] = 0.6
 
-    def keep_one(sigma, u):
-        return np.array([0]), np.array([1.0])
-
-    _, _, spectrum = split_theta(theta, keep_one, "right")
-    assert spectrum.discarded_weight == pytest.approx(0.36, abs=1e-12)
-    np.testing.assert_allclose(spectrum.singular_values, [1.0], atol=1e-14)
-
-
-def test_split_theta_can_reorder_states():
-    """A selector may emphasize the smaller singular value."""
-    theta = np.zeros((1, 2, 2, 1), dtype=complex)
-    theta[0, 0, 0, 0] = 0.8
-    theta[0, 1, 1, 0] = 0.6
-
-    def keep_swapped(sigma, u):
-        return np.array([1]), np.array([1.0])
-
-    _, _, spectrum = split_theta(theta, keep_swapped, "right")
-    assert spectrum.discarded_weight == pytest.approx(0.64, abs=1e-12)
+    for kept, spins in (([0], (0, 0)), ([1], (1, 1))):
+        left, right = split_theta(theta, lambda sigma, u: np.array(kept), "right")
+        expected = np.zeros_like(theta)
+        expected[0, spins[0], spins[1], 0] = 1.0
+        np.testing.assert_allclose(np.tensordot(left, right, axes=(2, 0)), expected,
+                                   atol=1e-14)
 
 
 def test_split_theta_rejects_zero_block():
     theta = np.zeros((1, 2, 2, 1), dtype=complex)
 
     def keep_all(sigma, u):
-        return np.arange(len(sigma)), sigma
+        return np.arange(len(sigma))
 
     with pytest.raises(ValueError, match="zero"):
         split_theta(theta, keep_all, "left")
@@ -258,12 +235,12 @@ def test_split_theta_keeping_everything_rebuilds_theta(shape, seed, center_after
     theta = rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     def keep_all(sigma, u):
-        return np.arange(len(sigma)), sigma
+        return np.arange(len(sigma))
 
-    left, right, spectrum = split_theta(theta, keep_all, center_after)
-    rebuilt = np.tensordot(left, right, axes=(2, 0))
+    left, right = split_theta(theta, keep_all, center_after)
+    # the split renormalizes what it keeps
+    rebuilt = np.tensordot(left, right, axes=(2, 0)) * np.linalg.norm(theta)
     assert np.max(np.abs(rebuilt - theta)) <= 1e-12
-    assert spectrum.discarded_weight <= 1e-12
 
 
 # ---------------------------------------------------------------------------

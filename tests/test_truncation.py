@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,21 +37,45 @@ class TestPolicyValidation:
         with pytest.raises(ValueError, match="cutoff"):
             TruncationPolicy(cutoff=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_kept", 2.5), ("max_kept", True), ("max_kept", np.int64(2)),
+        ("gamma1", True), ("gamma1", "x"), ("lambda2", None), ("cutoff", None),
+        ("cutoff", False)])
+    def test_field_types(self, field, value):
+        """A budget that is no ``int`` would fail mid-sweep, and a bool is no
+
+        number; each fails here, naming its field."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TruncationPolicy(**{field: value})
+
+    def test_coefficients_take_any_real_number(self):
+        pol = TruncationPolicy(kind="categorified", gamma1=1, gamma2=np.float64(0.5),
+                               cutoff=np.float32(0.25))
+        assert (pol.gamma1, pol.gamma2, pol.cutoff) == (1, 0.5, 0.25)
+
 
 def test_weights_validation():
-    with pytest.raises(ValueError, match="descending"):
-        TruncationWeights(raw=np.array([0.1, 0.9]), effective=np.zeros(2))
-    with pytest.raises(ValueError, match="non-negative"):
-        TruncationWeights(raw=np.array([0.5, -0.1]), effective=np.zeros(2))
-    with pytest.raises(ValueError, match="effective must match raw weights in shape"):
-        TruncationWeights(raw=np.array([0.9, 0.1]), effective=np.zeros(3))
+    """``compute_weights`` checks its singular values and charges once, for
+
+    every kind; the weights it returns are a plain record."""
     for kind in POLICY_KINDS:
-        with pytest.raises(ValueError, match="charges1 must match raw weights in shape"):
-            compute_weights(np.array([0.9, 0.1]), np.zeros(3), np.zeros(2),
-                            TruncationPolicy(kind=kind))
-        with pytest.raises(ValueError, match="charges2 must match raw weights in shape"):
-            compute_weights(np.array([0.9, 0.1]), np.zeros(2), np.zeros(1),
-                            TruncationPolicy(kind=kind))
+        policy = TruncationPolicy(kind=kind)
+        with pytest.raises(ValueError, match="sigma must be sorted descending"):
+            compute_weights(np.array([0.1, 0.9]), np.zeros(2), np.zeros(2), policy)
+        with pytest.raises(ValueError, match="sigma must be non-negative"):
+            compute_weights(np.array([0.5, -0.1]), np.zeros(2), np.zeros(2), policy)
+        with pytest.raises(ValueError, match="sigma must be a non-empty 1-d array"):
+            compute_weights(np.zeros(0), np.zeros(0), np.zeros(0), policy)
+        with pytest.raises(ValueError, match="sigma must be a non-empty 1-d array"):
+            compute_weights(np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), policy)
+        with pytest.raises(ValueError, match="charges1 must match sigma in shape"):
+            compute_weights(np.array([0.9, 0.1]), np.zeros(3), np.zeros(2), policy)
+        with pytest.raises(ValueError, match="charges2 must match sigma in shape"):
+            compute_weights(np.array([0.9, 0.1]), np.zeros(2), np.zeros(1), policy)
+    weights = compute_weights(np.array([0.9, 0.1]), np.zeros(2), np.zeros(2),
+                              TruncationPolicy())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        weights.raw = np.zeros(2)
 
 
 # ---------------------------------------------------------------------------
