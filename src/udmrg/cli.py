@@ -1,11 +1,14 @@
 """Command-line entry point: config parsing, validation, dispatch, manifests.
 
 Configs are JSON objects with an ``experiment`` key selecting the kind.  The
-other keys a config may carry, and the type each must have, are the fields of
-that kind's configuration type in :data:`~udmrg.harness.CONFIG_TYPES`.
-Validation is all-or-nothing and itemized: every unknown key, bad type, and
-broken invariant is reported in one pass, and nothing is written on
-validation failure.
+other keys a config may carry are the fields of that kind's configuration
+type in :data:`~udmrg.harness.CONFIG_TYPES`, and policy objects take the
+fields of :class:`~udmrg.truncation.TruncationPolicy`.  This module checks
+only that structure; the configuration types themselves check and normalize
+every value, for a JSON config as for one built in Python.  Validation is
+all-or-nothing and itemized: the structural problems and those the config
+type reports come back in one :class:`ConfigError`, and nothing is written
+on validation failure.
 
 Exit codes: 0 success; 1 configuration/validation failure (no outputs); 2
 numerical failure — flagged non-convergence still writes all outputs, hard
@@ -15,12 +18,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import shutil
 import sys
 import tempfile
-import typing
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterator, Optional
@@ -31,87 +34,54 @@ from ._version import __version__
 from .harness import (
     CONFIG_TYPES,
     EXPERIMENT_KINDS,
-    FIELD_CHECKS,
     ConfigError,
     ExperimentConfig,
-    field_type_problem,
     field_types,
-    is_integer,
-    is_number,
     run_experiment,
 )
 from .reporting import ScanReport, sha256_file, write_json, write_report_csv
 from .truncation import TruncationPolicy
 
-_POLICY_KEYS = {"kind", "gamma1", "gamma2", "lambda1", "lambda2", "max_kept",
-                "cutoff"}
 
+def _build_policies(kwargs: dict[str, Any], errors: list[str]) -> None:
+    """Build the decoded policy objects in ``kwargs['policies']`` in place.
 
-def _check_scalar(key: str, value: Any, hint: Any, errors: list[str]) -> Any:
-    demand = field_type_problem(hint, value)
-    if typing.get_origin(hint) is not tuple:
-        if demand is not None:
-            errors.append(f"key {key!r} must be {demand}, got {value!r}")
-            return None
-        return float(value) if hint is float else value
-    # the list keys are annotated tuple[int, ...] or tuple[float, ...]
-    if demand is not None or not value:
-        errors.append(f"key {key!r} must be a non-empty list of {FIELD_CHECKS[hint][1]}")
-        return None
-    return tuple(value if hint == tuple[int, ...] else [float(v) for v in value])
-
-
-def _parse_policies(raw: Any,
-                    errors: list[str]) -> Optional[tuple[TruncationPolicy, ...]]:
+    A value that is not a list is left for the config type to reject.  If
+    any entry fails, its problems go to ``errors`` and the key is dropped, so
+    the config type still checks every other key.
+    """
+    raw = kwargs.get("policies")
     if not isinstance(raw, list):
-        errors.append("key 'policies' must be a list of policy objects")
-        return None
+        return
+    keys = {f.name for f in dataclasses.fields(TruncationPolicy)}
     policies = []
-    ok = True
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             errors.append(f"policies[{i}] must be an object")
-            ok = False
-            continue
-        unknown = sorted(set(entry) - _POLICY_KEYS)
-        for key in unknown:
-            errors.append(f"policies[{i}] has unknown key {key!r}")
-        if unknown:
-            ok = False
-            continue
-        if "kind" not in entry or not isinstance(entry["kind"], str):
+        elif set(entry) - keys:
+            errors += [f"policies[{i}] has unknown key {key!r}"
+                       for key in sorted(set(entry) - keys)]
+        elif not isinstance(entry.get("kind"), str):
             errors.append(f"policies[{i}] needs a string 'kind'")
-            ok = False
-            continue
-        kwargs: dict[str, Any] = {"kind": entry["kind"]}
-        bad = False
-        for key in ("gamma1", "gamma2", "lambda1", "lambda2", "cutoff"):
-            if key in entry:
-                if not is_number(entry[key]):
-                    errors.append(f"policies[{i}].{key} must be a number")
-                    bad = True
-                else:
-                    kwargs[key] = float(entry[key])
-        if "max_kept" in entry:
-            if not is_integer(entry["max_kept"]):
-                errors.append(f"policies[{i}].max_kept must be an integer")
-                bad = True
-            else:
-                kwargs["max_kept"] = entry["max_kept"]
-        if bad:
-            ok = False
-            continue
-        try:
-            policies.append(TruncationPolicy(**kwargs))
-        except ValueError as exc:
-            errors.append(f"policies[{i}]: {exc}")
-            ok = False
-    return tuple(policies) if ok else None
+        else:
+            try:
+                policies.append(TruncationPolicy(**entry))
+            except ValueError as exc:
+                errors.append(f"policies[{i}]: {exc}")
+    if len(policies) == len(raw):
+        kwargs["policies"] = policies
+    else:
+        del kwargs["policies"]
 
 
 def parse_config_data(data: Any) -> ExperimentConfig:
-    """Validate a decoded JSON object into its experiment's config type."""
-    errors: list[str] = []
+    """Validate a decoded JSON object into its experiment's config type.
+
+    The CLI checks only the structure: the root, ``experiment``, unknown
+    keys, and the policy objects.  Every value goes to the config type as
+    decoded, and its problems join the structural ones in one
+    :class:`ConfigError`.
+    """
     if not isinstance(data, dict):
         raise ConfigError(["config root must be a JSON object"])
     if "experiment" not in data:
@@ -123,23 +93,18 @@ def parse_config_data(data: Any) -> ExperimentConfig:
             f"{', '.join(EXPERIMENT_KINDS)}"
         ])
     config_type = CONFIG_TYPES[kind]
-    key_types = field_types(config_type)
-    for key in sorted(set(data) - set(key_types) - {"experiment"}):
-        errors.append(f"unknown key {key!r} for experiment {kind}")
-
-    kwargs: dict[str, Any] = {}
-    for key, value in data.items():
-        if key not in key_types:
-            continue
-        if key == "policies":
-            parsed = _parse_policies(value, errors)
-        else:
-            parsed = _check_scalar(key, value, key_types[key], errors)
-        if parsed is not None:
-            kwargs[key] = parsed
+    fields = field_types(config_type)
+    errors = [f"unknown key {key!r} for experiment {kind}"
+              for key in sorted(set(data) - set(fields) - {"experiment"})]
+    kwargs = {key: value for key, value in data.items() if key in fields}
+    _build_policies(kwargs, errors)
+    try:
+        config = config_type(**kwargs)
+    except ConfigError as exc:
+        errors += exc.problems
     if errors:
         raise ConfigError(errors)
-    return config_type(**kwargs)
+    return config
 
 
 def parse_config(path: Path) -> ExperimentConfig:

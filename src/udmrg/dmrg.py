@@ -57,7 +57,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import commutator, dag, lanczos_lowest
+from .linalg import commutator, dag, lanczos_lowest, unit_sum
 from .mps import (
     MatrixProductOperator,
     MatrixProductState,
@@ -360,9 +360,7 @@ class _ChargeContext:
         """
         w1 = self._overlap(0, bond, u3)
         w2 = self._overlap(1, bond, u3) if len(self.references) > 1 else None
-        total = float(np.sum(sigma**2))
-        p = sigma**2 / total if total > 0 else sigma**2
-        q1, q2, _ = _bond_charges(p, w1, w2, self.spacings)
+        q1, q2, _ = _bond_charges(unit_sum(sigma**2), w1, w2, self.spacings)
         return q1, q2
 
 

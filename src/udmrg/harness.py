@@ -130,42 +130,28 @@ def default_policies(max_kept: int = 64) -> list[TruncationPolicy]:
     return [TruncationPolicy(kind=k, max_kept=max_kept) for k in TABLE_METHOD_KINDS]
 
 
-def is_integer(value: Any) -> bool:
+def _is_integer(value: Any) -> bool:
     """An ``int`` that is not a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def is_number(value: Any) -> bool:
-    """An integer (see :func:`is_integer`) or a ``float``."""
-    return is_integer(value) or isinstance(value, float)
+def _is_number(value: Any) -> bool:
+    """An integer (see :func:`_is_integer`) or a ``float``."""
+    return _is_integer(value) or isinstance(value, float)
 
 
 #: each config field type: the check a value (or, for ``tuple[X, ...]``, each
 #: item) must pass, and what error messages say it must be
-FIELD_CHECKS: dict[Any, tuple[Callable[[Any], bool], str]] = {
-    int: (is_integer, "an integer"),
-    float: (is_number, "a number"),
+_FIELD_CHECKS: dict[Any, tuple[Callable[[Any], bool], str]] = {
+    int: (_is_integer, "an integer"),
+    float: (_is_number, "a number"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     str: (lambda v: isinstance(v, str), "a string"),
-    tuple[int, ...]: (is_integer, "integers"),
-    tuple[float, ...]: (is_number, "numbers"),
+    tuple[int, ...]: (_is_integer, "a list of integers"),
+    tuple[float, ...]: (_is_number, "a list of numbers"),
     tuple[TruncationPolicy, ...]: (lambda v: isinstance(v, TruncationPolicy),
-                                   "TruncationPolicy entries"),
+                                   "a list of TruncationPolicy entries"),
 }
-
-
-def field_type_problem(hint: Any, value: Any) -> Optional[str]:
-    """What a value of config field type ``hint`` must be, or ``None`` if it is.
-
-    A ``tuple[X, ...]`` field takes a list or tuple whose every item passes
-    X's check in :data:`FIELD_CHECKS`; its demand reads ``a list of ...``.
-    """
-    ok, demand = FIELD_CHECKS[hint]
-    if typing.get_origin(hint) is not tuple:
-        return None if ok(value) else demand
-    if isinstance(value, (list, tuple)) and all(ok(v) for v in value):
-        return None
-    return f"a list of {demand}"
 
 
 class ConfigError(ValueError):
@@ -181,26 +167,41 @@ class ExperimentConfig:
     """What every experiment's configuration shares: the seed and validation.
 
     Each experiment has its own frozen subclass (see :data:`CONFIG_TYPES`)
-    whose fields are exactly the settings it reads; the CLI takes the keys it
-    accepts and their types from those fields.  Construction turns every
-    list-valued field into a tuple, so a config cannot change after it was
-    validated.  It then checks every value's type against its field (see
-    :data:`FIELD_CHECKS`) and, when all fit, runs :meth:`validate`; it raises
-    :class:`ConfigError` listing every problem of the first stage that found
-    any.  A ``float`` or ``tuple[float, ...]`` field holding a NaN or an
-    infinity is a problem too, reported as ``<field> must be finite`` unless
-    the field's own checks already named it.
+    whose fields are exactly the settings it reads.  These types check and
+    normalize every value, for a config built in Python as for one the CLI
+    read from JSON.  Construction turns every list-valued field into a
+    tuple, so a config cannot change after it was validated, and checks
+    every value's type against its field (see :data:`_FIELD_CHECKS`).  A
+    value that fits a ``float`` field, or an item of a ``tuple[float, ...]``
+    field, is stored as a ``float``, so ``coupling=1`` hashes and reports
+    like ``coupling=1.0``.  When every value fits it runs :meth:`validate`;
+    it raises :class:`ConfigError` listing every problem of the first stage
+    that found any.  A ``float`` or ``tuple[float, ...]`` field holding a NaN
+    or an infinity is a problem too, reported as ``<field> must be finite``
+    unless the field's own checks already named it.
     """
 
     kind: ClassVar[str]
     seed: int = 7
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+        problems = []
+        for name, hint in field_types(type(self)).items():
+            value = getattr(self, name)
             if isinstance(value, list):
-                object.__setattr__(self, f.name, tuple(value))
-        problems = self._type_problems()
+                value = tuple(value)
+            ok, demand = _FIELD_CHECKS[hint]
+            if typing.get_origin(hint) is tuple:
+                fits = isinstance(value, tuple) and all(map(ok, value))
+            else:
+                fits = ok(value)
+            if not fits:
+                problems.append(f"{name} must be {demand}, got {value!r}")
+            elif hint is float:
+                value = float(value)
+            elif hint == tuple[float, ...]:
+                value = tuple(map(float, value))
+            object.__setattr__(self, name, value)
         if not problems:
             problems = self.validate()
             named = {problem.split()[0] for problem in problems}
@@ -208,16 +209,6 @@ class ExperimentConfig:
                          if name not in named]
         if problems:
             raise ConfigError(problems)
-
-    def _type_problems(self) -> list[str]:
-        """A value of the wrong type per field, in field order."""
-        problems = []
-        for name, hint in field_types(type(self)).items():
-            value = getattr(self, name)
-            demand = field_type_problem(hint, value)
-            if demand is not None:
-                problems.append(f"{name} must be {demand}, got {value!r}")
-        return problems
 
     def _non_finite_fields(self) -> list[str]:
         """The float fields holding a NaN or an infinity, in field order."""

@@ -44,6 +44,12 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def unit_sum(w: np.ndarray) -> np.ndarray:
+    """``w`` scaled to sum to one; an all-zero ``w`` comes back as it is."""
+    total = float(np.sum(w))
+    return w / total if total > 0 else w
+
+
 def hermiticity_residual(a: Matrix) -> float:
     """Largest entrywise deviation of ``a`` from its conjugate transpose."""
     return max_abs(a - dag(a))

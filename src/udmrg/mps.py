@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import dag, max_abs
+from .linalg import dag, max_abs, unit_sum
 
 
 class MatrixProductState:
@@ -242,9 +242,7 @@ def bond_schmidt_data(psi: MatrixProductState):
         rho = 0.5 * (env + dag(env)) / norm_sq
         w, g = np.linalg.eigh(rho)
         w, g = w[::-1].copy(), g[:, ::-1].copy()
-        w = np.clip(w, 0.0, None)
-        total = w.sum()
-        data[s - 1] = (w / total if total > 0 else w, g)
+        data[s - 1] = (unit_sum(np.clip(w, 0.0, None)), g)
     return phi, data
 
 

@@ -21,14 +21,12 @@ import numpy as np
 
 def format_value(value: Any) -> str:
     """Render a cell deterministically; floats via shortest round-trip repr."""
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import unit_sum
+
 #: supported policy kinds, in documentation order
 POLICY_KINDS = (
     "standard",
@@ -44,6 +46,9 @@ class TruncationPolicy:
     ignores everything but ``gamma1``, and so on.  ``max_kept`` is the bond
     budget, the most states a truncation keeps; it is an ``int`` and the
     coefficients and ``cutoff`` are real numbers, none of them a ``bool``.
+    Construction checks every value, raising :class:`ValueError` at the
+    first problem, and stores the coefficients and ``cutoff`` as ``float``,
+    so ``gamma1=1`` hashes and reports like ``gamma1=1.0``.
     """
 
     kind: str = "standard"
@@ -63,6 +68,7 @@ class TruncationPolicy:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if name != "cutoff" and (not np.isfinite(value) or value < 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if isinstance(self.max_kept, bool) or not isinstance(self.max_kept, int):
             raise ValueError(f"max_kept must be an integer, got {self.max_kept!r}")
         if self.max_kept < 1:
@@ -149,8 +155,7 @@ def compute_weights(sigma, charges1, charges2, policy: TruncationPolicy) -> Trun
         g2 = policy.gamma2 if policy.kind == "categorified" else 0.0
         effective = sigma * np.exp(-policy.gamma1 * q1 - g2 * q2)
     elif policy.kind in ("coherence_eigenvalue", "coherence_eigenvalue_2"):
-        total = float(np.sum(sigma**2))
-        raw = sigma**2 / total if total > 0 else sigma**2
+        raw = unit_sum(sigma**2)
         effective = raw + policy.lambda1 * q1
         if policy.kind == "coherence_eigenvalue_2":
             effective = effective + policy.lambda2 * q2

@@ -18,7 +18,8 @@ from udmrg.cli import (
     parse_config,
     parse_config_data,
 )
-from udmrg.harness import CONFIG_TYPES
+from udmrg.harness import CONFIG_TYPES, config_payload
+from udmrg.reporting import canonical_json, config_hash
 from udmrg.truncation import TruncationPolicy
 
 
@@ -105,8 +106,20 @@ def test_parse_config_data_itemizes_type_errors():
         parse_config_data({"experiment": "crossing_scan",
                            "n_points": "many", "coupling": "strong"})
     problems = "\n".join(exc.value.problems)
-    assert "'n_points' must be an integer" in problems
-    assert "'coupling' must be a number" in problems
+    assert "n_points must be an integer, got 'many'" in problems
+    assert "coupling must be a number, got 'strong'" in problems
+
+
+def test_structural_policy_and_value_problems_come_back_in_one_error():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_data({"experiment": "crossing_scan", "speed": 3,
+                           "n_points": "many",
+                           "policies": [{"kind": "uhlmann", "gamma1": "big"}]})
+    assert exc.value.problems == [
+        "unknown key 'speed' for experiment crossing_scan",
+        "policies[0]: gamma1 must be a real number, got 'big'",
+        "n_points must be an integer, got 'many'",
+    ]
 
 
 def test_parse_config_data_rejects_bool_as_integer():
@@ -147,6 +160,111 @@ def test_construction_problems_come_back_itemized():
                            "coupling": -0.5})
     assert "n_points must be at least 5" in exc.value.problems
     assert "coupling must be positive" in exc.value.problems
+
+
+#: per kind, an integer for every real-valued field (and a policy with an
+#: integer coefficient where the kind takes policies), all of them valid
+INT_VALUED = {
+    "crossing_scan": dict(coupling=1, lambda_min=-2, lambda_max=2, sweep_rate=1,
+                          policies=[{"kind": "uhlmann", "gamma1": 1}]),
+    "pec_comparison": dict(n_sites=4, grid_search=False, coupling_j=1, field_min=0,
+                           field_max=2, crossing_center=1, crossing_window=1,
+                           energy_tol=1, gamma1_grid=[0, 1], gamma2_grid=[0],
+                           lambda1_grid=[0, 2], lambda2_grid=[0],
+                           policies=[{"kind": "uhlmann", "gamma1": 1}]),
+    "dmrg_benchmark": dict(coupling_j=1, benchmark_fields=[0, 1], benchmark_tol=1),
+}
+
+
+def _python_built(kind, settings):
+    """The config type built from ``settings``, its policies as objects."""
+    settings = dict(settings)
+    if "policies" in settings:
+        settings["policies"] = [TruncationPolicy(**p) for p in settings["policies"]]
+    return CONFIG_TYPES[kind](**settings)
+
+
+def test_python_and_json_configs_with_integer_reals_are_twins():
+    for kind, settings in INT_VALUED.items():
+        reals = {name for name, hint in harness.field_types(CONFIG_TYPES[kind]).items()
+                 if hint in (float, tuple[float, ...])}
+        assert reals <= set(settings)
+        from_python = _python_built(kind, settings)
+        from_json = parse_config_data(json.loads(json.dumps({"experiment": kind,
+                                                             **settings})))
+        assert from_python == from_json
+        assert config_hash(config_payload(from_python)) == \
+            config_hash(config_payload(from_json))
+    # gauge_diagnostics' one real field takes no valid integer; both sides
+    # reject one with the same problem
+    problems = []
+    for build in (lambda: harness.GaugeDiagnosticsConfig(microgrid_spacing=1),
+                  lambda: parse_config_data({"experiment": "gauge_diagnostics",
+                                             "microgrid_spacing": 1})):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        problems.append(exc.value.problems)
+    assert problems[0] == problems[1] == ["microgrid_spacing must lie in (0, 1e-2]"]
+
+
+def test_python_and_json_built_reports_are_byte_identical():
+    settings = dict(n_sites=4, grid_search=False,
+                    policies=[{"kind": "uhlmann", "gamma1": 1}])
+    from_python = harness.run_experiment(_python_built("pec_comparison", settings))
+    from_json = harness.run_experiment(parse_config_data(
+        {"experiment": "pec_comparison", **settings}))
+    assert from_python.csv_bytes() == from_json.csv_bytes()
+    assert canonical_json(from_python.summary_payload()) == \
+        canonical_json(from_json.summary_payload())
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_json_built_pec_report_keeps_its_bytes():
+    """A small JSON-built comparison with explicit policies hashes as pinned.
+
+    Recorded with numpy 2.4 and its bundled OpenBLAS, at 1 and 2 BLAS
+    threads; another LAPACK build may round differently.
+    """
+    cfg = parse_config_data({
+        "experiment": "pec_comparison", "n_sites": 4, "n_fields": 9,
+        "max_bond": 2, "grid_search": False,
+        "policies": [{"kind": "uhlmann", "gamma1": 0.7},
+                     {"kind": "categorified", "gamma1": 0.4, "gamma2": 0.3},
+                     {"kind": "coherence_eigenvalue_2", "lambda1": 0.5,
+                      "lambda2": 0.2}]})
+    report = harness.run_experiment(cfg)
+    assert _sha(report.csv_bytes()) == \
+        "851ec430ae1def41d0cc312694e622cbc5d092edda5360d9bccf032743f7280b"
+    assert _sha(canonical_json(report.summary_payload())) == \
+        "5cc4aaeea70403386e0b13ccddde2ed59b9a7e21b69396901bc08b6ccd49ceb1"
+    points = {a.name.removeprefix("pec_comparison_points_"): _sha(a.csv_bytes())
+              for a in report.attachments
+              if a.name.startswith("pec_comparison_points_")}
+    same = "9af168215163aacb4e902e56c2c20dd9821b0db7da13e669029c5fce95ee8d65"
+    assert points == {
+        "standard": same, "uhlmann": same, "categorified": same,
+        "higher_categorical":
+            "edc7c29abd822c8d81f5d883db8979714831b6e051f7be631f83e3aeab750084"}
+
+
+def test_json_built_crossing_report_keeps_its_bytes():
+    """A JSON crossing scan with integer-valued real keys hashes as pinned
+
+    (numpy 2.4, bundled OpenBLAS, 1 and 2 BLAS threads)."""
+    cfg = parse_config_data({
+        "experiment": "crossing_scan", "n_points": 41, "time_steps": 200,
+        "coupling": 1,
+        "policies": [{"kind": "uhlmann", "gamma1": 0.5},
+                     {"kind": "coherence_eigenvalue_2", "lambda1": 1,
+                      "lambda2": 0.2}]})
+    report = harness.run_experiment(cfg)
+    assert _sha(report.csv_bytes()) == \
+        "dbf641846275b70c6052d24ce52711ab3b77e5f9aec7b90f86997e943c1c8526"
+    assert _sha(canonical_json(report.summary_payload())) == \
+        "cdf2c621789d51c75e83a4b209b97d9345002a3ebfcb8b100482f39f5a854bac"
 
 
 def test_parse_config_file_errors(tmp_path):

@@ -15,6 +15,7 @@ from udmrg.linalg import (
     require_hermitian,
     require_square,
     require_unitary,
+    unit_sum,
     unitarity_residual,
 )
 
@@ -45,6 +46,12 @@ def test_hermitian_part_symmetrizes():
 def test_max_abs_handles_empty():
     assert max_abs(np.array([])) == 0.0
     assert max_abs(np.array([[1.0, -3.0], [2.0, 0.5]])) == 3.0
+
+
+def test_unit_sum_normalizes_and_passes_zeros_through():
+    np.testing.assert_array_equal(unit_sum(np.array([3.0, 1.0])), [0.75, 0.25])
+    zeros = np.zeros(3)
+    assert unit_sum(zeros) is zeros
 
 
 def test_require_square_rejects_rectangles():

@@ -31,6 +31,13 @@ def test_format_value_non_floats():
     assert format_value("label") == "label"
 
 
+def test_format_value_renders_numpy_bools_like_json():
+    # a numpy bool reads the same in a CSV cell as in the summary JSON
+    assert format_value(np.True_) == "true"
+    assert format_value(np.False_) == "false"
+    assert json.loads(canonical_json({"x": np.True_}))["x"] is True
+
+
 def test_add_row_enforces_arity():
     report = ScanReport(name="t", columns=["a", "b"])
     report.add_row(1, 2)

@@ -53,6 +53,13 @@ class TestPolicyValidation:
                                cutoff=np.float32(0.25))
         assert (pol.gamma1, pol.gamma2, pol.cutoff) == (1, 0.5, 0.25)
 
+    def test_real_fields_are_stored_as_floats(self):
+        # so a policy hashes and reports the same whatever real type built it
+        pol = TruncationPolicy(kind="uhlmann", gamma1=1, cutoff=np.float32(0.25))
+        assert type(pol.gamma1) is float and pol.gamma1 == 1.0
+        assert type(pol.cutoff) is float and type(pol.lambda2) is float
+        assert pol == TruncationPolicy(kind="uhlmann", gamma1=1.0, cutoff=0.25)
+
 
 def test_weights_validation():
     """``compute_weights`` checks its singular values and charges once, for
