@@ -35,13 +35,20 @@ it starts from and the states it keeps, so a scan whose policy keeps, at
 every local step of a point, exactly the states an earlier scan kept there
 follows that scan bit for bit.  The tree holds every point solved for real,
 and its nodes carry everything about the point that no policy changes: its
-truncation records -- each step's singular values, measured charges and kept
-set (the path fixes the charge context, the node fixes the step's Schmidt
-states) -- and its gauge record apart from the objective.  A scan sharing
-the tree replays a node by selection alone -- weights and kept sets from the
-recorded singular values and charges, with no eigensolve, SVD or charge
-evaluation -- and adopts the point, records as they are, when every kept set
-agrees; otherwise it solves the point itself and adds it to the tree.
+truncation records -- each step's singular values, charges and kept set (the
+path fixes the charge context, the node fixes the step's Schmidt states) --
+and its gauge record apart from the objective.  A scan sharing the tree
+replays a node by selection alone -- weights and kept sets from the recorded
+singular values and charges, with no eigensolve, SVD or charge evaluation --
+and adopts the point when every kept set agrees; otherwise it solves the
+point itself and adds it to the tree.
+
+A step has a choice only when it has more candidate states than
+``max_kept`` or its policy has a cutoff above 0.  Without one every policy
+keeps every state, so the step is neither charged nor weighed and its record
+holds no charges; a replay passes it when the record kept every state.  A
+policy with a choice at a step whose charges were never measured solves the
+point itself.
 
 The augmented objective per scan point is ``E + lambda1 * coherence +
 lambda2 * curvature`` where the coherence penalty is
@@ -106,15 +113,17 @@ class SweepConfig:
 class TruncationRecord:
     """One bond truncation event inside a sweep.
 
-    Holds what the step measured, whatever the policy: the singular values,
-    their charges (zeros without a charge context) and the kept states.
+    Holds what the step measured: the singular values, their charges and
+    the kept states.  Charges are measured only at a step with a choice (see
+    :func:`_has_choice`), and are zeros there without a charge context; at a
+    step without one both are ``None`` and every state is kept.
     """
 
     sweep: int
     bond: int
     singular_values: np.ndarray
-    charges1: np.ndarray
-    charges2: np.ndarray
+    charges1: Optional[np.ndarray]
+    charges2: Optional[np.ndarray]
     kept: np.ndarray
 
     @property
@@ -445,6 +454,15 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
                       truncation_log=log, converged=converged and solves_converged)
 
 
+def _has_choice(n: int, policy: TruncationPolicy) -> bool:
+    """Whether ``policy`` can discard any of ``n`` candidate states.
+
+    At cutoff 0 every kind's effective weight is non-negative, so every state
+    is admitted and ``n <= max_kept`` keeps them all, whatever the charges.
+    """
+    return n > policy.max_kept or policy.cutoff > 0
+
+
 def _select(sigma: np.ndarray, q1: np.ndarray, q2: np.ndarray,
             policy: TruncationPolicy) -> np.ndarray:
     """The states ``policy`` keeps at one bond truncation, ascending.
@@ -469,6 +487,9 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
 
     def select(sigma, u):
         nonlocal rec
+        if not _has_choice(sigma.size, policy):
+            rec = TruncationRecord(sweep, b, sigma, None, None, np.arange(sigma.size))
+            return rec.kept
         q1, q2 = np.zeros(sigma.size), np.zeros(sigma.size)
         if context is not None:
             q1, q2 = context.charges(b, u.reshape(l, d1, sigma.size), sigma)
@@ -576,8 +597,9 @@ class TrajectoryTree:
     """Solved scan points shared by the continuation scans of one problem.
 
     A node is one point some scan solved for real: its result with the
-    truncation record of every local step, its fidelity, and its gauge
-    record apart from the objective.  A path from the root is one distinct
+    truncation record of every local step (charged only at steps where the
+    solving policy had a choice), its fidelity, and its gauge record apart
+    from the objective.  A path from the root is one distinct
     trajectory; its branches are where two policies first kept different
     states.  The first scan pins the problem (family object, grid, initial
     state, sweep budget ``num_sweeps`` and ``energy_tol``, oracle); a scan of
@@ -612,17 +634,40 @@ class TrajectoryTree:
 def _replays(node: _TrajectoryNode, cfg: SweepConfig) -> bool:
     """Whether ``cfg``'s policy keeps the recorded states at every step of ``node``.
 
-    Each recorded step is weighed and selected again from its recorded
-    singular values and charges, stopping at the first kept set that differs.
+    Stops at the first step whose kept set would differ.  Where the policy has
+    no choice it keeps every state, so the step replays exactly when the
+    record kept them all.  Where it has a choice, the step is weighed and
+    selected again from its recorded singular values and charges; a record
+    whose charges were not measured does not replay, and the point is solved
+    for real.
     """
-    return all(np.array_equal(_select(rec.singular_values, rec.charges1, rec.charges2,
-                                      cfg.policy), rec.kept)
-               for rec in node.result.truncation_log)
+    for rec in node.result.truncation_log:
+        n = rec.singular_values.size
+        if not _has_choice(n, cfg.policy):
+            if rec.kept.size != n:
+                return False
+        elif rec.charges1 is None or not np.array_equal(
+                _select(rec.singular_values, rec.charges1, rec.charges2, cfg.policy),
+                rec.kept):
+            return False
+    return True
+
+
+def _as_own_record(rec: TruncationRecord, policy: TruncationPolicy) -> TruncationRecord:
+    """``rec`` as ``policy``'s own solve would have recorded it.
+
+    A node solved by a policy with a choice at a step carries charges that a
+    policy without one never measures there; the adopting scan drops them.
+    """
+    if rec.charges1 is None or _has_choice(rec.singular_values.size, policy):
+        return rec
+    return replace(rec, charges1=None, charges2=None)
 
 
 def _read_only(arrays) -> None:
     for a in arrays:
-        a.flags.writeable = False
+        if a is not None:
+            a.flags.writeable = False
 
 
 def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
@@ -671,7 +716,8 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
     one problem pass in turn.  At each point the scan replays the tree's
     solved points by selection alone and adopts the first whose every local
     step keeps the states its own policy keeps, taking that point's
-    truncation records as they are; otherwise it solves the point itself.
+    truncation records as they are, less the charges of steps where its own
+    policy has no choice; otherwise it solves the point itself.
     Each point's gauge record is computed once; a scan adds only its
     objective.  The result is identical to a scan without the tree, and no
     two scans share a list or a writable array.  A scan of another problem
@@ -715,7 +761,9 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
                                 history, spacings, None if oracle is None else oracle[k])
             parent.children.append(node)
         shared_state = node.result.state
-        result = replace(node.result, truncation_log=list(node.result.truncation_log),
+        result = replace(node.result,
+                         truncation_log=[_as_own_record(rec, point_cfg.policy)
+                                         for rec in node.result.truncation_log],
                          state=MatrixProductState(shared_state.tensors, shared_state.center),
                          sweep_energies=list(node.result.sweep_energies))
         parent = node

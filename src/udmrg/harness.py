@@ -102,7 +102,7 @@ from .spectral import (
     second_derivative_overlaps,
     track_hermitian_family,
 )
-from .truncation import TruncationPolicy, compute_weights
+from .truncation import TruncationPolicy, compute_weights, is_integer, is_real
 
 #: the four comparison-table methods, in row order
 TABLE_METHOD_KINDS = ("standard", "uhlmann", "categorified", "coherence_eigenvalue_2")
@@ -130,25 +130,15 @@ def default_policies(max_kept: int = 64) -> list[TruncationPolicy]:
     return [TruncationPolicy(kind=k, max_kept=max_kept) for k in TABLE_METHOD_KINDS]
 
 
-def _is_integer(value: Any) -> bool:
-    """An ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    """An integer (see :func:`_is_integer`) or a ``float``."""
-    return _is_integer(value) or isinstance(value, float)
-
-
 #: each config field type: the check a value (or, for ``tuple[X, ...]``, each
 #: item) must pass, and what error messages say it must be
 _FIELD_CHECKS: dict[Any, tuple[Callable[[Any], bool], str]] = {
-    int: (_is_integer, "an integer"),
-    float: (_is_number, "a number"),
+    int: (is_integer, "an integer"),
+    float: (is_real, "a number"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     str: (lambda v: isinstance(v, str), "a string"),
-    tuple[int, ...]: (_is_integer, "a list of integers"),
-    tuple[float, ...]: (_is_number, "a list of numbers"),
+    tuple[int, ...]: (is_integer, "a list of integers"),
+    tuple[float, ...]: (is_real, "a list of numbers"),
     tuple[TruncationPolicy, ...]: (lambda v: isinstance(v, TruncationPolicy),
                                    "a list of TruncationPolicy entries"),
 }
@@ -172,13 +162,15 @@ class ExperimentConfig:
     read from JSON.  Construction turns every list-valued field into a
     tuple, so a config cannot change after it was validated, and checks
     every value's type against its field (see :data:`_FIELD_CHECKS`).  A
-    value that fits a ``float`` field, or an item of a ``tuple[float, ...]``
-    field, is stored as a ``float``, so ``coupling=1`` hashes and reports
-    like ``coupling=1.0``.  When every value fits it runs :meth:`validate`;
-    it raises :class:`ConfigError` listing every problem of the first stage
-    that found any.  A ``float`` or ``tuple[float, ...]`` field holding a NaN
-    or an infinity is a problem too, reported as ``<field> must be finite``
-    unless the field's own checks already named it.
+    value that fits an ``int`` or ``float`` field, or an item of a
+    ``tuple[int, ...]`` or ``tuple[float, ...]`` field, is stored as that
+    type, so ``coupling=1`` hashes and reports like ``coupling=1.0`` and
+    ``n_points=np.int64(41)`` like ``n_points=41``.  When every value fits
+    it runs :meth:`validate`; it raises :class:`ConfigError` listing every
+    problem of the first stage that found any.  A ``float`` or
+    ``tuple[float, ...]`` field holding a NaN or an infinity is a problem
+    too, reported as ``<field> must be finite`` unless the field's own
+    checks already named it.
     """
 
     kind: ClassVar[str]
@@ -197,10 +189,10 @@ class ExperimentConfig:
                 fits = ok(value)
             if not fits:
                 problems.append(f"{name} must be {demand}, got {value!r}")
-            elif hint is float:
-                value = float(value)
-            elif hint == tuple[float, ...]:
-                value = tuple(map(float, value))
+            elif hint in (int, float):
+                value = hint(value)
+            elif hint in (tuple[int, ...], tuple[float, ...]):
+                value = tuple(map(typing.get_args(hint)[0], value))
             object.__setattr__(self, name, value)
         if not problems:
             problems = self.validate()

@@ -36,6 +36,19 @@ POLICY_KINDS = (
 PAIR_FLOOR = 1e-14
 
 
+def is_integer(value) -> bool:
+    """An integer of any type, ``numpy`` scalars included, but not a ``bool``.
+
+    With :func:`is_real` the one rule for numbers in a configuration.
+    """
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number of any type, ``numpy`` scalars included, but not a ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Selection rule plus its coefficients and budget.
@@ -45,10 +58,12 @@ class TruncationPolicy:
     coefficients its kind uses: ``standard`` ignores all of them, ``uhlmann``
     ignores everything but ``gamma1``, and so on.  ``max_kept`` is the bond
     budget, the most states a truncation keeps; it is an ``int`` and the
-    coefficients and ``cutoff`` are real numbers, none of them a ``bool``.
-    Construction checks every value, raising :class:`ValueError` at the
-    first problem, and stores the coefficients and ``cutoff`` as ``float``,
-    so ``gamma1=1`` hashes and reports like ``gamma1=1.0``.
+    coefficients and ``cutoff`` are real numbers (see :func:`is_integer` and
+    :func:`is_real`).  Construction checks every value, raising
+    :class:`ValueError` at the first problem, and stores the coefficients and
+    ``cutoff`` as ``float`` and ``max_kept`` as ``int``, so ``gamma1=1``
+    hashes and reports like ``gamma1=1.0`` and a ``numpy`` scalar like the
+    number it holds.
     """
 
     kind: str = "standard"
@@ -64,13 +79,14 @@ class TruncationPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
         for name in ("gamma1", "gamma2", "lambda1", "lambda2", "cutoff"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if name != "cutoff" and (not np.isfinite(value) or value < 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
             object.__setattr__(self, name, float(value))
-        if isinstance(self.max_kept, bool) or not isinstance(self.max_kept, int):
+        if not is_integer(self.max_kept):
             raise ValueError(f"max_kept must be an integer, got {self.max_kept!r}")
+        object.__setattr__(self, "max_kept", int(self.max_kept))
         if self.max_kept < 1:
             raise ValueError(f"max_kept must be positive, got {self.max_kept}")
         if not 0.0 <= self.cutoff < 1.0:

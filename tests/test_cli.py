@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
@@ -205,6 +206,25 @@ def test_python_and_json_configs_with_integer_reals_are_twins():
             build()
         problems.append(exc.value.problems)
     assert problems[0] == problems[1] == ["microgrid_spacing must lie in (0, 1e-2]"]
+
+
+def test_numpy_scalars_build_the_twin_of_a_json_config():
+    """Config fields and policies take numpy scalars by one rule and store
+
+    them as Python numbers, so the config hashes like its JSON twin."""
+    from_python = harness.CrossingScanConfig(
+        coupling=np.float32(0.5), n_points=np.int64(41),
+        policies=[TruncationPolicy(kind="uhlmann", gamma1=np.float32(0.5),
+                                   max_kept=np.int64(4))])
+    assert type(from_python.coupling) is float and type(from_python.n_points) is int
+    from_json = parse_config_data({
+        "experiment": "crossing_scan", "coupling": 0.5, "n_points": 41,
+        "policies": [{"kind": "uhlmann", "gamma1": 0.5, "max_kept": 4}]})
+    assert from_python == from_json
+    assert config_hash(config_payload(from_python)) == \
+        config_hash(config_payload(from_json))
+    sizes = harness.DmrgBenchmarkConfig(benchmark_sizes=[np.int64(6), 8]).benchmark_sizes
+    assert sizes == (6, 8) and type(sizes[0]) is int
 
 
 def test_python_and_json_built_reports_are_byte_identical():

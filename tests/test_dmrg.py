@@ -217,15 +217,23 @@ def test_truncation_log_bookkeeping():
     result = ground_state(build_spin_chain_mpo(spec),
                           random_mps(rng, [2] * 6, 4), cfg)
     assert result.truncation_log
+    choices = set()
     for rec in result.truncation_log:
         assert 1 <= rec.sweep <= 3
         assert 0 <= rec.bond <= 4
         assert rec.kept.size <= 4
         assert rec.discarded_weight >= 0.0
-        # untracked solve: charge columns stay zero
-        assert rec.charges1.shape == rec.charges2.shape == rec.singular_values.shape
-        assert np.all(rec.charges1 == 0.0)
-        assert np.all(rec.charges2 == 0.0)
+        choices.add(rec.singular_values.size > 4)
+        if rec.singular_values.size <= 4:
+            # no choice at cutoff 0: every state kept, no charges measured
+            np.testing.assert_array_equal(rec.kept, np.arange(rec.singular_values.size))
+            assert rec.charges1 is None and rec.charges2 is None
+        else:
+            # untracked solve: charge columns stay zero
+            assert rec.charges1.shape == rec.charges2.shape == rec.singular_values.shape
+            assert np.all(rec.charges1 == 0.0)
+            assert np.all(rec.charges2 == 0.0)
+    assert choices == {False, True}
 
 
 def test_truncation_record_discarded_weight():
@@ -491,6 +499,69 @@ def test_scans_through_a_tree_equal_scans_without_it(tree_oracle):
         [None, None, 1, 2, 2, 0, 0, None]
     assert _first_divergence(own[3], own[4]) is None
     assert len(tree.children) == 3
+
+
+def test_policies_with_a_choice_solve_steps_a_tree_never_charged(tree_oracle):
+    """Cutoff-0 scans charge no step within the budget, so a scan that has a
+
+    choice there -- a cutoff above 0, or a smaller budget -- cannot replay
+    those steps and solves the point itself; each still equals its own scan.
+    The cutoff-1e-12 scan keeps the standard sets, yet branches at point 0;
+    the uhlmann one with a cutoff then replays that branch."""
+    policies = [TruncationPolicy(), TruncationPolicy(kind="uhlmann", gamma1=5.0),
+                TruncationPolicy(cutoff=1e-12),
+                TruncationPolicy(kind="uhlmann", gamma1=5.0, cutoff=1e-9),
+                TruncationPolicy(max_kept=2),
+                TruncationPolicy(kind="coherence_eigenvalue_2", lambda1=0.5,
+                                 lambda2=0.5, cutoff=0.05)]
+    tree = TrajectoryTree()
+    branches = []
+    for policy in policies:
+        _assert_same_scan(_tree_scan(policy, tree_oracle, shared=tree),
+                          _tree_scan(policy, tree_oracle))
+        branches.append(len(tree.children))
+    assert branches == [1, 1, 2, 2, 3, 4]
+    own = [_tree_scan(p, tree_oracle) for p in policies[:3]]
+    assert _first_divergence(own[0], own[2]) is None
+    assert any(rec.charges1 is None for res in own[0].results for rec in res.truncation_log)
+    assert all(rec.charges1 is not None for res in own[2].results
+               for rec in res.truncation_log)
+
+
+def test_a_scan_adopting_a_charged_point_drops_the_charges_it_never_measures(tree_oracle):
+    """A cutoff-0 scan replays the points a cutoff-1e-12 scan solved, and
+
+    holds their records as its own solve would: no charges within the budget."""
+    tree = TrajectoryTree()
+    first = _tree_scan(TruncationPolicy(cutoff=1e-12), tree_oracle, shared=tree)
+    adopted = _tree_scan(TruncationPolicy(), tree_oracle, shared=tree)
+    assert len(tree.children) == 1
+    _assert_same_scan(adopted, _tree_scan(TruncationPolicy(), tree_oracle))
+    for ra, rb in zip(first.results, adopted.results, strict=True):
+        for ta, tb in zip(ra.truncation_log, rb.truncation_log, strict=True):
+            assert ta.charges1 is not None
+            assert (tb.charges1 is None) == (tb.singular_values.size <= 3)
+            assert tb.kept is ta.kept
+
+
+def test_a_scan_charges_only_steps_with_more_states_than_the_budget(monkeypatch,
+                                                                     tree_oracle):
+    sizes = []
+    charges = dmrg._ChargeContext.charges
+
+    def spy(self, bond, u3, sigma):
+        sizes.append(sigma.size)
+        return charges(self, bond, u3, sigma)
+
+    monkeypatch.setattr(dmrg._ChargeContext, "charges", spy)
+    scan = _tree_scan(TruncationPolicy(kind="uhlmann", gamma1=5.0), tree_oracle)
+    # point 0 has no earlier point to charge against
+    over_budget = [rec.singular_values.size for res in scan.results[1:]
+                   for rec in res.truncation_log if rec.singular_values.size > 3]
+    assert over_budget and sizes == over_budget
+    for res in scan.results:
+        for rec in res.truncation_log:
+            assert (rec.charges1 is None) == (rec.singular_values.size <= 3)
 
 
 def test_scans_of_different_budgets_share_a_tree(tree_oracle):

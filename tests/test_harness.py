@@ -516,7 +516,7 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     count(dmrg, "select_states")
     report = run_pec_comparison(PecComparisonConfig())
     assert calls == {"continuation_scan": 13, "effective_hamiltonian": 800,
-                     "charges": 780, "_point_gauge_record": 40, "select_states": 5469}
+                     "charges": 156, "_point_gauge_record": 40, "select_states": 1095}
     # the default report keeps its bytes, pinned as the gauge and crossing
     # reports are below (numpy 2.4, bundled OpenBLAS, 1 and 2 BLAS threads)
     assert report_digests(report) == (
@@ -531,6 +531,24 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
         "pec_comparison_points_higher_categorical": points,
         "pec_comparison_gridsearch":
             "3ad740eb1e7a87a28828e45d4244d71efe9f14920aeaafae02b7644f04fcbeea"}
+
+
+def test_eight_site_pec_report_keeps_its_bytes():
+    """Eight sites without the grid search: three bonds have more candidate
+
+    states than the budget, so replays weigh and select at two bonds the
+    six-site default never cuts.  The summary
+    carries its provenance, config hash included.  Recorded with numpy 2.4 and
+    its bundled OpenBLAS, at 1 and 2 BLAS threads."""
+    report = run_experiment(PecComparisonConfig(n_sites=8, grid_search=False))
+    assert report_digests(report) == (
+        "1732c19ebd13e592d938ded2fa56ed4dc33d061dce752b6acecdf793001ea984",
+        "9ccba4cca78b73e63c012603c1ef9d649a78e96c0c527f21f49a2a3dede102f8")
+    points = "23fa3f870f42ad8b24f6f08836935bf0a430f3a9df425ad464458a935f286d3a"
+    assert {a.name: hashlib.sha256(a.csv_bytes()).hexdigest()
+            for a in report.attachments} == {
+        f"pec_comparison_points_{name}": points
+        for name in ("standard", "uhlmann", "categorified", "higher_categorical")}
 
 
 def test_gauge_defaults_cost_what_the_readme_says(monkeypatch):

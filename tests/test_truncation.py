@@ -38,7 +38,7 @@ class TestPolicyValidation:
             TruncationPolicy(cutoff=1.0)
 
     @pytest.mark.parametrize("field, value", [
-        ("max_kept", 2.5), ("max_kept", True), ("max_kept", np.int64(2)),
+        ("max_kept", 2.5), ("max_kept", True), ("max_kept", np.float64(2.0)),
         ("gamma1", True), ("gamma1", "x"), ("lambda2", None), ("cutoff", None),
         ("cutoff", False)])
     def test_field_types(self, field, value):
@@ -59,6 +59,12 @@ class TestPolicyValidation:
         assert type(pol.gamma1) is float and pol.gamma1 == 1.0
         assert type(pol.cutoff) is float and type(pol.lambda2) is float
         assert pol == TruncationPolicy(kind="uhlmann", gamma1=1.0, cutoff=0.25)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        pol = TruncationPolicy(kind="uhlmann", gamma1=np.float32(0.5),
+                               max_kept=np.int64(4))
+        assert type(pol.gamma1) is float and type(pol.max_kept) is int
+        assert pol == TruncationPolicy(kind="uhlmann", gamma1=0.5, max_kept=4)
 
 
 def test_weights_validation():
@@ -329,3 +335,33 @@ def test_select_states_obeys_its_tie_break_and_cutoff_rules(
         for i in set(admitted) - set(kept):
             assert eff[j] > eff[i] or (eff[j] == eff[i] and j < i)
     np.testing.assert_array_equal(renorm, raw[kept] / np.linalg.norm(raw[kept]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), sigma=spectra(), kind=st.sampled_from(POLICY_KINDS),
+       extra=st.integers(0, 3))
+def test_a_step_within_the_budget_keeps_every_state_at_cutoff_0(data, sigma, kind, extra):
+    """With ``n <= max_kept`` states and cutoff 0, every kind keeps them all,
+
+    whatever its coefficients and the (finite, non-negative) charges: every
+    effective weight is non-negative, so every state is admitted.  The DMRG
+    step relies on this to skip weighing and charging such a bond."""
+    coefficient = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+    charges = st.lists(st.floats(0.0, 1e6), min_size=sigma.size, max_size=sigma.size)
+    pol = TruncationPolicy(kind=kind, max_kept=sigma.size + extra, cutoff=0.0,
+                           **{name: data.draw(coefficient)
+                              for name in ("gamma1", "gamma2", "lambda1", "lambda2")})
+    q1, q2 = np.array(data.draw(charges)), np.array(data.draw(charges))
+    kept = select_states(compute_weights(sigma, q1, q2, pol), pol)[0]
+    np.testing.assert_array_equal(kept, np.arange(sigma.size))
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_a_cutoff_drops_a_state_within_the_budget(kind):
+    """sigma = (1, 0.1) fits a budget of 4, but cutoff 0.2 drops the second
+
+    state for every kind: 0.1 < 0.2, and p = 0.01 / 1.01 < 0.2 * 1 / 1.01."""
+    pol = TruncationPolicy(kind=kind, max_kept=4, cutoff=0.2)
+    zeros = np.zeros(2)
+    kept = select_states(compute_weights(np.array([1.0, 0.1]), zeros, zeros, pol), pol)[0]
+    np.testing.assert_array_equal(kept, [0])
