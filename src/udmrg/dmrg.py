@@ -13,7 +13,10 @@ Real and imaginary parts of the local eigenvector below ``_FLUSH_RELATIVE``
 times its largest magnitude are set to zero before the split.  For a real MPO the
 imaginary parts otherwise shrink geometrically along a warm-started scan
 until they turn subnormal, and a dense eigensolve on a matrix with subnormal
-entries runs more than ten times slower.
+entries runs more than ten times slower.  A complex eigenvector with no
+imaginary part left after the flush comes back float64, the one place a value
+sets a dtype; numpy's type promotion then keeps the split, the environments
+and the next eigensolves real wherever the MPO is real too.
 
 Continuation scans treat the scan grid as the time axis of the gauge
 machinery.  While sweeping at grid point ``k`` the engine maintains cross
@@ -179,7 +182,7 @@ class ContinuationScan:
 # ---------------------------------------------------------------------------
 
 def _edge_env() -> np.ndarray:
-    return np.ones((1, 1, 1), dtype=complex)
+    return np.ones((1, 1, 1))
 
 
 def _update_left(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -258,12 +261,14 @@ def _flush_tiny(vec: np.ndarray) -> np.ndarray:
 
     The threshold is relative to the largest magnitude of ``vec``.  Real and
     imaginary parts are tested separately: the parts that decay toward the
-    subnormal range sit in entries whose other part is of order one.
+    subnormal range sit in entries whose other part is of order one.  A
+    complex ``vec`` left with no imaginary part comes back as its real part.
     """
     floor = _FLUSH_RELATIVE * float(np.max(np.abs(vec)))
-    for part in (vec.real, vec.imag):
+    parts = (vec.real, vec.imag) if np.iscomplexobj(vec) else (vec,)
+    for part in parts:
         part[np.abs(part) < floor] = 0.0
-    return vec
+    return vec.real.copy() if np.iscomplexobj(vec) and not vec.imag.any() else vec
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +297,7 @@ def _align_columns(w: np.ndarray) -> np.ndarray:
 
 def _pad_square(w: np.ndarray, size: int) -> np.ndarray:
     """Clip/zero-pad the column index so the overlap block is ``size`` square."""
-    out = np.zeros((size, size), dtype=complex)
+    out = np.zeros((size, size), dtype=w.dtype)
     cols = min(size, w.shape[1])
     out[: w.shape[0], :cols] = w[:size, :cols]
     return out
@@ -344,7 +349,7 @@ class _ChargeContext:
         self._cache: list[list[np.ndarray]] = []
 
     def begin_sweep(self) -> None:
-        self._cache = [[np.ones((1, 1), dtype=complex)] for _ in self.references]
+        self._cache = [[np.ones((1, 1))] for _ in self.references]
 
     def advance(self, bond: int, new_left_tensor: np.ndarray) -> None:
         """Cache the environments at ``bond + 1``, pushed through the updated site."""

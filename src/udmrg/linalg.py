@@ -1,9 +1,9 @@
 """Small dense linear-algebra helpers shared across the package.
 
-Everything here operates on plain complex ``numpy`` arrays.  Operators are
-square matrices, except for :func:`lanczos_lowest`, which sees its operator
-only through a matrix-vector product; no wrapper classes are introduced at
-this level.
+Everything here operates on plain real or complex ``numpy`` arrays.  Operators
+are square matrices, except for :func:`lanczos_lowest`, which sees its
+operator only through a matrix-vector product; no wrapper classes are
+introduced at this level.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-Matrix = NDArray[np.complexfloating]
+Matrix = NDArray[np.inexact]
 
 #: largest matrix ``models.exact_diagonalization`` diagonalizes (2**12
 #: states).  It bounds nothing else: the experiments' exact ground states are
@@ -140,8 +140,9 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray],
                    start: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Lowest eigenpair of a hermitian operator by restarted Lanczos.
 
-    ``matvec`` applies the operator to a flat complex vector; ``start`` is
-    the first estimate, of any shape with the operator's size.  Each cycle
+    ``matvec`` applies the operator to a flat vector; ``start`` is the first
+    estimate, of any shape with the operator's size, and the Krylov basis
+    takes the result type of the start and its image.  Each cycle
     spans up to ``LANCZOS_KRYLOV`` Krylov vectors from the current estimate,
     orthogonalizes every new vector against all earlier ones twice (full
     reorthogonalization), and restarts from the lowest Ritz vector of the
@@ -153,11 +154,11 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray],
     A start orthogonal to the lowest eigenvector (say, in another symmetry
     sector) finds the lowest pair it is not orthogonal to.
     """
-    x = np.asarray(start, dtype=complex).reshape(-1)
+    x = np.asarray(start).reshape(-1)
     x = x / np.linalg.norm(x)
     hx = matvec(x)
     size = min(LANCZOS_KRYLOV, x.size)
-    basis = np.empty((size, x.size), dtype=complex)
+    basis = np.empty((size, x.size), dtype=np.result_type(x, hx))
     images = np.empty_like(basis)  # the operator applied to each basis vector
     cycles = 0
     while True:

@@ -267,29 +267,29 @@ def spin_chain_ground_state(spec: SpinChainSpec) -> tuple[float, np.ndarray]:
 
 
 def build_spin_chain_mpo(spec: SpinChainSpec) -> MatrixProductOperator:
-    """MPO with the standard first-order bond algebra (3 for tfim, 5 for SU(2))."""
+    """Real MPO with the standard first-order bond algebra (3 for tfim, 5 for SU(2))."""
     n = spec.n_sites
     if spec.kind == "tfim":
-        w = np.zeros((3, 2, 2, 3), dtype=complex)
-        w[0, :, :, 0] = ID2
-        w[0, :, :, 1] = PAULI_Z
-        w[0, :, :, 2] = -spec.field * PAULI_X
-        w[1, :, :, 2] = -spec.coupling * PAULI_Z
-        w[2, :, :, 2] = ID2
+        w = np.zeros((3, 2, 2, 3))
+        w[0, :, :, 0] = ID2.real
+        w[0, :, :, 1] = PAULI_Z.real
+        w[0, :, :, 2] = -spec.field * PAULI_X.real
+        w[1, :, :, 2] = -spec.coupling * PAULI_Z.real
+        w[2, :, :, 2] = ID2.real
     else:
-        sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # S+
-        sm = sp.T.conj()
-        sz = 0.5 * PAULI_Z
+        sp = np.array([[0.0, 1.0], [0.0, 0.0]])  # S+
+        sm = sp.T
+        sz = 0.5 * PAULI_Z.real
         j = spec.coupling
-        w = np.zeros((5, 2, 2, 5), dtype=complex)
-        w[0, :, :, 0] = ID2
+        w = np.zeros((5, 2, 2, 5))
+        w[0, :, :, 0] = ID2.real
         w[0, :, :, 1] = sp
         w[0, :, :, 2] = sm
         w[0, :, :, 3] = sz
         w[1, :, :, 4] = 0.5 * j * sm
         w[2, :, :, 4] = 0.5 * j * sp
         w[3, :, :, 4] = j * sz
-        w[4, :, :, 4] = ID2
+        w[4, :, :, 4] = ID2.real
     bulk = w
     first = bulk[:1, :, :, :]
     last = bulk[:, :, :, -1:]

@@ -9,6 +9,10 @@ Boundary bonds have dimension one.  A state may carry a canonical center
 ``c``: sites left of ``c`` are left isometries, sites right of it right
 isometries, and the tensor at ``c`` holds the norm.  Every operation returns
 new objects; tensors are treated as immutable by convention.
+
+Tensors keep the field of their data, stored as float64 when real and as
+complex otherwise.  Every contraction follows numpy's type promotion, so a
+real state under a real operator never leaves real arithmetic.
 """
 from __future__ import annotations
 
@@ -19,13 +23,18 @@ import numpy as np
 from .linalg import dag, max_abs, unit_sum
 
 
+def _inexact(t) -> np.ndarray:
+    t = np.asarray(t)
+    return t.astype(np.result_type(t, np.float64), copy=False)
+
+
 class MatrixProductState:
     """Open-boundary MPS over arbitrary local dimensions."""
 
     def __init__(self, tensors: Sequence[np.ndarray], center: Optional[int] = None):
         if len(tensors) == 0:
             raise ValueError("an MPS needs at least one site")
-        self.tensors = [np.asarray(t, dtype=complex) for t in tensors]
+        self.tensors = [_inexact(t) for t in tensors]
         for s, t in enumerate(self.tensors):
             if t.ndim != 3:
                 raise ValueError(f"site {s} tensor must be rank 3, got shape {t.shape}")
@@ -67,7 +76,7 @@ class MatrixProductOperator:
     def __init__(self, tensors: Sequence[np.ndarray]):
         if len(tensors) == 0:
             raise ValueError("an MPO needs at least one site")
-        self.tensors = [np.asarray(t, dtype=complex) for t in tensors]
+        self.tensors = [_inexact(t) for t in tensors]
         for s, t in enumerate(self.tensors):
             if t.ndim != 4:
                 raise ValueError(f"site {s} tensor must be rank 4, got shape {t.shape}")
@@ -118,7 +127,7 @@ def inner_product(bra: MatrixProductState, ket: MatrixProductState) -> complex:
     """``<bra|ket>`` by left-to-right transfer contraction."""
     if bra.physical_dims != ket.physical_dims:
         raise ValueError("states live on different local Hilbert spaces")
-    env = np.ones((1, 1), dtype=complex)
+    env = np.ones((1, 1))
     for a, b in zip(bra.tensors, ket.tensors):
         t = np.tensordot(env, b, axes=(1, 0))          # (bra_bond, d, ket_right)
         env = np.tensordot(a.conj(), t, axes=((0, 1), (0, 1)))
@@ -127,7 +136,7 @@ def inner_product(bra: MatrixProductState, ket: MatrixProductState) -> complex:
 
 def to_dense(psi: MatrixProductState) -> np.ndarray:
     """Dense state vector (big-endian site ordering)."""
-    v = np.ones((1, 1), dtype=complex)
+    v = np.ones((1, 1))
     for t in psi.tensors:
         v = np.einsum("pb,bdr->pdr", v, t).reshape(-1, t.shape[2])
     return v[:, 0]
@@ -135,7 +144,7 @@ def to_dense(psi: MatrixProductState) -> np.ndarray:
 
 def mpo_to_dense(op: MatrixProductOperator) -> np.ndarray:
     """Dense matrix of an MPO (same site ordering as :func:`to_dense`)."""
-    m = np.ones((1, 1, 1), dtype=complex)
+    m = np.ones((1, 1, 1))
     for t in op.tensors:
         m = np.einsum("xyb,boir->xoyir", m, t)
         m = m.reshape(m.shape[0] * m.shape[1], m.shape[2] * m.shape[3], m.shape[4])
@@ -146,9 +155,9 @@ def expectation(psi: MatrixProductState, op: MatrixProductOperator) -> complex:
     """Normalized expectation ``<psi|op|psi> / <psi|psi>``."""
     if psi.physical_dims != op.physical_dims:
         raise ValueError("state and operator live on different local Hilbert spaces")
-    env = np.ones((1, 1, 1), dtype=complex)  # (bra, mpo, ket)
+    env = np.ones((1, 1, 1))  # (bra, mpo, ket)
     for a, w in zip(psi.tensors, op.tensors):
-        t = np.tensordot(env, a, axes=(2, 0))            # (bra, mpo, d_in_ket?, kr) -> (bra, mpo, d, kr)
+        t = np.tensordot(env, a, axes=(2, 0))            # (bra, mpo, d, kr)
         t = np.tensordot(t, w, axes=((1, 2), (0, 2)))    # (bra, kr, out, wr)
         env = np.tensordot(a.conj(), t, axes=((0, 1), (0, 2)))  # (br, kr, wr)
         env = env.transpose(0, 2, 1)
@@ -235,7 +244,7 @@ def bond_schmidt_data(psi: MatrixProductState):
     norm_sq = inner_product(phi, phi).real
     n = phi.n_sites
     data: list = [None] * (n - 1)
-    env = np.ones((1, 1), dtype=complex)
+    env = np.ones((1, 1))
     for s in range(n - 1, 0, -1):
         t = phi.tensors[s]
         env = np.einsum("idr,rs,jds->ij", t, env, t.conj())
@@ -254,7 +263,7 @@ def left_cross_envs(bra: MatrixProductState, ket: MatrixProductState) -> list[np
     """
     if bra.physical_dims != ket.physical_dims:
         raise ValueError("states live on different local Hilbert spaces")
-    env = np.ones((1, 1), dtype=complex)
+    env = np.ones((1, 1))
     envs = []
     for s in range(bra.n_sites - 1):
         env = np.einsum("ipj,ik,kpl->jl", bra.tensors[s].conj(), env, ket.tensors[s])

@@ -93,8 +93,8 @@ def test_benchmark_energies_reach_1e8_within_two_minutes(monkeypatch):
     # BLAS threads; another LAPACK build may round differently)
     csv = hashlib.sha256(report.csv_bytes()).hexdigest()
     summary = hashlib.sha256(canonical_json(report.summary_payload())).hexdigest()
-    assert csv == "4bd4ddb2399a0c9145fd4ee4a854d69356ec32486f79022cdd606c4eae1c2499"
-    assert summary == "5782ed595dbd263949911cadd5d155f80da3951e3b423c853b426ed8b447725f"
+    assert csv == "5a53b0752e127f4ab4cbaf02d5adf4561d2d278840750feb90dcf5b3e1f154a6"
+    assert summary == "65fc0110a1fd993e13ba759371e7f7691f5105e6ce7f2f8b8eed46f53f68f0ca"
 
 
 def _assert_exact_energies_are_dense(report):

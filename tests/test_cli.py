@@ -257,17 +257,17 @@ def test_json_built_pec_report_keeps_its_bytes():
                       "lambda2": 0.2}]})
     report = harness.run_experiment(cfg)
     assert _sha(report.csv_bytes()) == \
-        "851ec430ae1def41d0cc312694e622cbc5d092edda5360d9bccf032743f7280b"
+        "ac88b3785f8ea9d37d8a62029c3b151e8ed62a7498a1cdf362a161a5aad79b22"
     assert _sha(canonical_json(report.summary_payload())) == \
-        "5cc4aaeea70403386e0b13ccddde2ed59b9a7e21b69396901bc08b6ccd49ceb1"
+        "cf274fd99e270d0d7c13ff4809c7512982d4fc693cb3c82a17e718c1cf00946b"
     points = {a.name.removeprefix("pec_comparison_points_"): _sha(a.csv_bytes())
               for a in report.attachments
               if a.name.startswith("pec_comparison_points_")}
-    same = "9af168215163aacb4e902e56c2c20dd9821b0db7da13e669029c5fce95ee8d65"
+    same = "a32f6f0ce881c488cde0e2015f1187ef151d51f07c23421364304777131df425"
     assert points == {
         "standard": same, "uhlmann": same, "categorified": same,
         "higher_categorical":
-            "edc7c29abd822c8d81f5d883db8979714831b6e051f7be631f83e3aeab750084"}
+            "af06d4ac5a507e70e65fed9a6ebb85ebf0dd6f6cbfe2b0d798ab1cf706ad8b33"}
 
 
 def test_json_built_crossing_report_keeps_its_bytes():

@@ -417,6 +417,73 @@ def test_scan_local_solves_see_no_subnormal_entries(monkeypatch):
     assert subnormal and sum(subnormal) == 0
 
 
+def test_flush_zeroes_tiny_entries_of_a_real_vector():
+    vec = np.array([1.0, 1e-120, -0.5, -3e-105, 2e-90])
+    out = dmrg._flush_tiny(vec)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, [1.0, 0.0, -0.5, 0.0, 2e-90])
+
+
+def test_flush_returns_a_complex_vector_with_no_imaginary_part_as_real():
+    vec = np.array([1.0 + 1e-120j, -0.5 + 0j, 3e-130 - 2e-140j, 2e-90 + 0j])
+    out = dmrg._flush_tiny(vec)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, [1.0, -0.5, 0.0, 2e-90])
+
+
+def test_flush_keeps_a_complex_vector_with_an_imaginary_part_complex():
+    vec = np.array([1.0 + 1e-120j, -0.5 + 0j, 3e-130 + 1e-60j])
+    out = dmrg._flush_tiny(vec)
+    assert out.dtype == np.complex128
+    np.testing.assert_array_equal(out, [1.0, -0.5, 1e-60j])
+
+
+def test_a_real_mpo_scans_like_its_complex_twin(monkeypatch):
+    """The float64 TFIM MPO and the same tensors cast to complex128 give one
+    6-site scan with a re-ranking policy: the same states kept at every step,
+    energies and fidelities within 1e-12.  The real run ends in float64
+    tensors and real local problems; every local problem of the complex run
+    is complex (its state may still turn real, once a flushed eigenvector has
+    no imaginary part left)."""
+    grid = np.linspace(0.5, 1.5, 11)
+    real = tfim_family(6)
+
+    def twin(field):
+        return MatrixProductOperator([w.astype(np.complex128)
+                                      for w in real(field).tensors])
+
+    build = dmrg.effective_hamiltonian
+    dtypes = []
+
+    def spy(*args):
+        dtypes.append(np.result_type(*args))
+        return build(*args)
+
+    monkeypatch.setattr(dmrg, "effective_hamiltonian", spy)
+    cfg = SweepConfig(num_sweeps=8, energy_tol=1e-9, policy=TruncationPolicy(
+        kind="coherence_eigenvalue", lambda1=50.0, max_kept=3))
+    oracle = tfim_ground_states(6, grid)
+    scans, solves = [], []
+    for family in (real, twin):
+        dtypes.clear()
+        init = random_mps(np.random.default_rng(14), [2] * 6, 3)
+        scans.append(continuation_scan(family, grid, cfg, init=init, oracle=oracle))
+        solves.append(list(dtypes))
+    a, b = scans
+    kept_a, kept_b = ([[rec.kept.tolist() for rec in r.truncation_log] for r in s.results]
+                      for s in (a, b))
+    assert kept_a == kept_b
+    assert any(k != list(range(len(k))) for steps in kept_a for k in steps)  # re-ranked
+    np.testing.assert_allclose([r.energy for r in a.results],
+                               [r.energy for r in b.results], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a.fidelity_to_oracle, b.fidelity_to_oracle,
+                               rtol=0, atol=1e-12)
+    last = len(a.results[-1].truncation_log)
+    assert {t.dtype for t in a.results[-1].state.tensors} == {np.dtype(np.float64)}
+    assert set(solves[0][-last:]) == {np.dtype(np.float64)}
+    assert set(solves[1]) == {np.dtype(np.complex128)}
+
+
 # ---------------------------------------------------------------------------
 # scans sharing a trajectory tree
 # ---------------------------------------------------------------------------

@@ -520,9 +520,9 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     # the default report keeps its bytes, pinned as the gauge and crossing
     # reports are below (numpy 2.4, bundled OpenBLAS, 1 and 2 BLAS threads)
     assert report_digests(report) == (
-        "5d6bf0fb2981f1c1ddb4bafad1a7e11b026a6fde09dfdc395906d71ff05c213d",
-        "b79f4bbe29a04498ab731ed536a5c2bc64b83f30ccd9c35bc77df8432cd421f1")
-    points = "87ec462564468ca99f7b0d17eae6fbe07dbd7e7f163330356dfb2858fa35f028"
+        "1b6aa39cd31978b7b1689920f0d03bc1cffc6d32201f06329342861be23787ef",
+        "dd129ec08996289a456749b89e9e5fc6b3c99035bc66b4d584ef055c1ce1063f")
+    points = "1848b16763f17a914700e39b8fe0c2351938ecb6500738632a3a48e86d8b45ac"
     assert {a.name: hashlib.sha256(a.csv_bytes()).hexdigest()
             for a in report.attachments} == {
         "pec_comparison_points_standard": points,
@@ -530,7 +530,7 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
         "pec_comparison_points_categorified": points,
         "pec_comparison_points_higher_categorical": points,
         "pec_comparison_gridsearch":
-            "3ad740eb1e7a87a28828e45d4244d71efe9f14920aeaafae02b7644f04fcbeea"}
+            "6c8c35f06d451004de7a668d4184a2781564b22dcdb00e3b5d61cb77672bdf2d"}
 
 
 def test_eight_site_pec_report_keeps_its_bytes():
@@ -544,7 +544,7 @@ def test_eight_site_pec_report_keeps_its_bytes():
     assert report_digests(report) == (
         "1732c19ebd13e592d938ded2fa56ed4dc33d061dce752b6acecdf793001ea984",
         "9ccba4cca78b73e63c012603c1ef9d649a78e96c0c527f21f49a2a3dede102f8")
-    points = "23fa3f870f42ad8b24f6f08836935bf0a430f3a9df425ad464458a935f286d3a"
+    points = "c00963bf6c47ee95780a2197eb193ed7d214a2d2ba4a4da213a0d8ed59ba0fcd"
     assert {a.name: hashlib.sha256(a.csv_bytes()).hexdigest()
             for a in report.attachments} == {
         f"pec_comparison_points_{name}": points

@@ -133,3 +133,34 @@ def test_lanczos_matches_dense_eigh_on_random_operators(dim, gap, seed):
     assert converged
     assert_same_eigenpair(energy, vector, w[0] - gap, v[:, 0])
 
+
+
+def test_lanczos_real_start_under_a_complex_operator_solves_in_complex():
+    """The Krylov basis takes the dtype of the start and its image: a real
+    start under a complex hermitian operator must not drop imaginary parts,
+    and solves exactly as the same start cast to complex."""
+    rng = np.random.default_rng(21)
+    h = random_hermitian(rng, 150) / np.sqrt(150)
+    w, v = np.linalg.eigh(h)
+    h = h - 0.5 * np.outer(v[:, 0], v[:, 0].conj())
+    start = rng.normal(size=150)
+    energy, vector, converged = lanczos_lowest(lambda x: h @ x, start)
+    ref_energy, ref_vector, ref_converged = lanczos_lowest(
+        lambda x: h @ x, start.astype(complex))
+    assert converged and ref_converged
+    assert vector.dtype == np.complex128
+    assert abs(energy - ref_energy) <= 1e-12
+    assert max_abs(vector - ref_vector) <= 1e-12
+    assert_same_eigenpair(energy, vector, w[0] - 0.5, v[:, 0])
+
+
+def test_lanczos_real_start_under_a_real_operator_stays_real():
+    rng = np.random.default_rng(22)
+    g = rng.normal(size=(150, 150))
+    h = (g + g.T) / np.sqrt(600)
+    w, v = np.linalg.eigh(h)
+    h = h - 0.5 * np.outer(v[:, 0], v[:, 0])
+    energy, vector, converged = lanczos_lowest(lambda x: h @ x, rng.normal(size=150))
+    assert converged
+    assert vector.dtype == np.float64
+    assert_same_eigenpair(energy, vector, w[0] - 0.5, v[:, 0])

@@ -24,6 +24,8 @@ from udmrg.models import (
 )
 from udmrg.mps import mpo_to_dense
 
+from helpers import assert_same_eigenpair
+
 
 def linear_sweep_hamiltonian(v, coupling):
     """Two-level Hamiltonian whose diabatic gap closes at rate ``v``."""
@@ -288,3 +290,17 @@ def test_unconverged_ground_state_raises(monkeypatch):
     monkeypatch.setattr(linalg, "LANCZOS_RESTARTS", 0)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         spin_chain_ground_state(SpinChainSpec(kind="tfim", n_sites=6, field=1.0))
+
+
+@pytest.mark.parametrize("spec", [
+    SpinChainSpec(kind="tfim", n_sites=6, coupling=1.0, field=0.8),
+    SpinChainSpec(kind="heisenberg", n_sites=6, coupling=1.0),
+])
+def test_real_chains_have_real_mpos_and_real_ground_states(spec):
+    """Both chains are real in the sz basis: the MPO is float64, and so is the
+    exact ground vector, which matches dense ``eigh`` to 1e-12."""
+    assert {w.dtype for w in build_spin_chain_mpo(spec).tensors} == {np.dtype(np.float64)}
+    energy, state = spin_chain_ground_state(spec)
+    assert state.dtype == np.float64
+    w, v = np.linalg.eigh(dense_spin_chain(spec))
+    assert_same_eigenpair(energy, state, w[0], v[:, 0], tol=1e-12)
