@@ -32,7 +32,8 @@ Four experiments, each configured by its own frozen dataclass (see
     action values and positivity, gauge covariance on a fine three-point
     microgrid, parallel-transport actions, charge residuals, and
     finite-difference refinement ratios for derivative overlaps and
-    pure-gauge curvature.
+    pure-gauge curvature.  The families run as one stack: each stage of the
+    gauge and spectral layers runs once over all of them.
 
 All artifacts are deterministic functions of the configuration: seeded
 generators, repr-formatted floats, and no wall-clock values outside the run
@@ -865,33 +866,29 @@ def run_pec_comparison(cfg: PecComparisonConfig) -> ScanReport:
 # gauge_diagnostics
 # ---------------------------------------------------------------------------
 
-def _transport_family(rng: np.random.Generator, rho0: np.ndarray,
-                      grid: np.ndarray, dim: int):
-    """Unitarily transported state with its exact parallel-transport potential."""
-    vfam = smooth_unitary_family(rng, dim, grid)
+def _transport_families(rngs: Sequence[np.random.Generator], rho0: np.ndarray,
+                        grid: np.ndarray, dim: int):
+    """Unitarily transported states with their exact parallel-transport
+    potentials: one family per generator, each starting from its ``rho0``."""
+    vfam = smooth_unitary_family(rngs, dim, grid)
     v, dv = vfam.values, vfam.derivatives
     potential = GaugePotential(grid=grid, values=hermitian_part(1j * dv @ dag(v)))
-    return v @ rho0 @ dag(v), potential
+    return v @ rho0[:, None] @ dag(v), potential
 
 
-def _covariance_residual(rng: np.random.Generator, rhos_micro, micro: np.ndarray,
-                         constant: bool, dim: int) -> float:
+def _covariance_residuals(rhos_micro: np.ndarray, micro: np.ndarray, v: np.ndarray,
+                          dv: np.ndarray) -> np.ndarray:
+    """``max |D(V rho V^H) - V (D rho) V^H|`` at the middle of each microgrid
+    family, with the potential gauge-transformed by ``(v, dv)``."""
     potential = uhlmann_potential(rhos_micro, micro)
     d_rho = covariant_derivative(rhos_micro, potential, 1)
-    if constant:
-        v_values = [random_unitary(rng, dim)] * 3
-        v_derivs = [np.zeros((dim, dim), dtype=complex)] * 3
-    else:
-        vfam = smooth_unitary_family(rng, dim, micro)
-        v_values, v_derivs = vfam.values, vfam.derivatives
-    _, a_t = gauge_transform(rhos_micro[1], potential.values[1],
-                             v_values[1], v_derivs[1])
-    transformed = [v @ r @ dag(v) for v, r in zip(v_values, rhos_micro)]
+    _, a_t = gauge_transform(rhos_micro[:, 1], potential.values[:, 1], v[:, 1], dv[:, 1])
+    transformed = v @ rhos_micro @ dag(v)
     zero = np.zeros_like(a_t)
-    t_pot = GaugePotential(grid=micro, values=[zero, a_t, zero])
+    t_pot = GaugePotential(grid=micro, values=np.stack([zero, a_t, zero], axis=1))
     d_rho_t = covariant_derivative(transformed, t_pot, 1)
-    conjugated = v_values[1] @ d_rho @ dag(v_values[1])
-    return max_abs(d_rho_t - conjugated)
+    conjugated = v[:, 1] @ d_rho @ dag(v[:, 1])
+    return np.abs(d_rho_t - conjugated).max(axis=(-2, -1))
 
 
 def _refinement_norms(cfg: GaugeDiagnosticsConfig) -> tuple[list[float], list[float]]:
@@ -937,38 +934,41 @@ def run_gauge_diagnostics(cfg: GaugeDiagnosticsConfig) -> ScanReport:
                  "transport_action", "charge_residual_max"],
     )
     params = ActionParams()
+    # All families run as one stack; family 0, the constant one, holds its
+    # t = 0 member at every point.  Each family keeps its own generator,
+    # drawn in the order it always was: density, microgrid density, gauge,
+    # transport (the constant family: density, then its constant gauge).
+    rngs = [np.random.default_rng([cfg.seed, idx]) for idx in range(cfg.n_families + 1)]
+    const_rng, random_rngs = rngs[0], rngs[1:]
+    rho0 = smooth_density_family(const_rng, dim, np.array([0.0]))[0]
+    rhos = np.concatenate([np.broadcast_to(rho0, (1, cfg.family_points, dim, dim)),
+                           smooth_density_family(random_rngs, dim, t_grid)])
+    potential = uhlmann_potential(rhos, t_grid)
+    herm_a = hermiticity_residual(potential.values).max(axis=-1)
+    track = track_hermitian_family(t_grid, rhos)
+    coherence = default_coherence_matrix(track, center)
+    a1 = categorical_potential_1(potential.values[:, center], coherence, rhos[:, center])
+    h_op = contract_coherence_cube(default_coherence_cube(track, center))
+    a2 = categorical_potential_2(a1, h_op, coherence)
+    action_cov = action_functional(rhos, potential, params)
+    action_scl = action_functional(rhos, potential, ActionParams(mode="scalar_like"))
+
+    micro_shape = (1, 3, dim, dim)
+    rhos_micro = np.concatenate([np.broadcast_to(rhos[0, center], micro_shape),
+                                 smooth_density_family(random_rngs, dim, micro)])
+    u0 = random_unitary(const_rng, dim)
+    vfam = smooth_unitary_family(random_rngs, dim, micro)
+    cov_res = _covariance_residuals(
+        rhos_micro, micro, np.concatenate([np.broadcast_to(u0, micro_shape), vfam.values]),
+        np.concatenate([np.zeros(micro_shape, dtype=complex), vfam.derivatives]))
+    t_rhos, t_pot = _transport_families(random_rngs, rhos[1:, 0], transport_grid, dim)
+    transport_action = np.concatenate([[0.0], action_functional(t_rhos, t_pot, params)])
+    residual = gauge_charge_residual(rhos, potential, center, eps=1e-5)
+    columns = (herm_a, hermiticity_residual(a1), hermiticity_residual(a2), action_cov,
+               action_scl, cov_res, transport_action, np.abs(residual).max(axis=(-2, -1)))
     for idx in range(cfg.n_families + 1):
-        rng = np.random.default_rng([cfg.seed, idx])
-        constant = idx == 0
-        if constant:
-            rho0 = smooth_density_family(rng, dim, np.array([0.0]))[0]
-            rhos = [rho0] * cfg.family_points
-        else:
-            rhos = smooth_density_family(rng, dim, t_grid)
-        potential = uhlmann_potential(rhos, t_grid)
-        herm_a = hermiticity_residual(potential.values)
-        track = track_hermitian_family(t_grid, rhos)
-        coherence = default_coherence_matrix(track, center)
-        a1 = categorical_potential_1(potential.values[center], coherence,
-                                     rhos[center])
-        h_op = contract_coherence_cube(default_coherence_cube(track, center))
-        a2 = categorical_potential_2(a1, h_op, coherence)
-        action_cov = action_functional(rhos, potential, params)
-        action_scl = action_functional(
-            rhos, potential, ActionParams(mode="scalar_like"))
-        rhos_micro = [rhos[center]] * 3 if constant else \
-            smooth_density_family(rng, dim, micro)
-        cov_res = _covariance_residual(rng, rhos_micro, micro, constant, dim)
-        if constant:
-            transport_action = 0.0
-        else:
-            t_rhos, t_pot = _transport_family(rng, rhos[0], transport_grid, dim)
-            transport_action = action_functional(t_rhos, t_pot, params)
-        residual = gauge_charge_residual(rhos, potential, center, eps=1e-5)
-        report.add_row(idx, "constant" if constant else "random", herm_a,
-                       hermiticity_residual(a1), hermiticity_residual(a2),
-                       action_cov, action_scl, cov_res, transport_action,
-                       float(np.max(np.abs(residual))))
+        report.add_row(idx, "constant" if idx == 0 else "random",
+                       *(float(column[idx]) for column in columns))
 
     overlap_norms, curvature_norms = _refinement_norms(cfg)
     rows = report.rows

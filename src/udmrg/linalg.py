@@ -3,7 +3,9 @@
 Everything here operates on plain real or complex ``numpy`` arrays.  Operators
 are square matrices, except for :func:`lanczos_lowest`, which sees its
 operator only through a matrix-vector product; no wrapper classes are
-introduced at this level.
+introduced at this level.  The conjugate transpose, the validators and the
+residuals also take a stack ``(..., d, d)`` with any leading axes and act on
+each member; a 2-D input is the one-member case.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ LANCZOS_TOL = 1e-12
 
 
 def dag(a: Matrix) -> Matrix:
-    """Conjugate transpose; of each member for a stack ``(n, d, d)``."""
+    """Conjugate transpose; of each member for a stack ``(..., d, d)``."""
     return a.conj().T if a.ndim < 3 else np.conj(np.swapaxes(a, -1, -2))
 
 
@@ -50,15 +52,22 @@ def unit_sum(w: np.ndarray) -> np.ndarray:
     return w / total if total > 0 else w
 
 
-def hermiticity_residual(a: Matrix) -> float:
-    """Largest entrywise deviation of ``a`` from its conjugate transpose."""
-    return max_abs(a - dag(a))
+def hermiticity_residual(a: Matrix):
+    """Largest entrywise deviation of ``a`` from its conjugate transpose.
+
+    A float for one matrix; for a stack ``(..., d, d)`` an array holding the
+    residual of each member.
+    """
+    res = np.abs(a - dag(a)).max(axis=(-2, -1), initial=0.0)
+    return float(res) if res.ndim == 0 else res
 
 
 def require_square(a, name: str = "matrix") -> Matrix:
+    """``a`` as a complex square matrix, or as a stack ``(..., d, d)`` of them."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        what = "stack must hold square matrices" if a.ndim > 2 else "must be a square matrix"
+        raise ValueError(f"{name} {what}, got shape {a.shape}")
     return a
 
 
@@ -68,14 +77,11 @@ def require_hermitian(a, tol: float = 1e-12, name: str = "matrix") -> Matrix:
     Returns the exactly symmetrized matrix so downstream eigensolves see a
     hermitian input even when the caller's entries carry rounding noise.
     Raises ``ValueError`` quoting the maximum asymmetry otherwise.  A stack
-    ``(n, d, d)`` is checked member by member, each against its own scale,
-    and the first member that fails is quoted.
+    ``(..., d, d)`` with any leading axes is checked member by member, each
+    against its own scale, and the first member that fails (in C order) is
+    quoted.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 3:
-        a = require_square(a, name)
-    elif a.shape[1] != a.shape[2]:
-        raise ValueError(f"{name} stack must hold square matrices, got shape {a.shape}")
+    a = require_square(a, name)
     adj = dag(a)
     scale = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
     res = np.abs(a - adj).max(axis=(-2, -1), initial=0.0)
@@ -90,12 +96,14 @@ def require_hermitian(a, tol: float = 1e-12, name: str = "matrix") -> Matrix:
 
 
 def unitarity_residual(v: Matrix) -> float:
+    """Largest entry of ``|V^H V - I|``, over every member of a stack ``(..., d, d)``."""
     v = np.asarray(v, dtype=complex)
-    eye = np.eye(v.shape[1])
+    eye = np.eye(v.shape[-1])
     return max_abs(dag(v) @ v - eye)
 
 
 def require_unitary(v, tol: float = 1e-10, name: str = "matrix") -> Matrix:
+    """Validate unitarity within ``tol``; a stack fails on its worst member."""
     v = require_square(v, name)
     res = unitarity_residual(v)
     if res > tol:

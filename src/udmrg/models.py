@@ -261,7 +261,7 @@ def spin_chain_ground_state(spec: SpinChainSpec) -> tuple[float, np.ndarray]:
     if not converged:
         raise np.linalg.LinAlgError(
             f"exact ground state of the {spec.n_sites}-site {spec.kind} chain "
-            f"(J={spec.coupling!r}, h={spec.field!r}) did not converge in "
+            f"(J={float(spec.coupling)!r}, h={float(spec.field)!r}) did not converge in "
             f"{linalg.LANCZOS_RESTARTS} Lanczos cycles")
     return energy, state
 

@@ -1,11 +1,18 @@
 """Eigen-decompositions tracked smoothly over a parameter grid.
 
 A :class:`SpectralPoint` is one sorted hermitian eigensystem; a
-:class:`SpectralTrack` is a sequence of them over a strictly increasing grid,
-with each point phase-aligned to its predecessor so that eigenvector
-derivatives can be formed by finite differences.  The grid parameter is
-abstract -- time and Hamiltonian parameters are treated identically, and any
-physical rate conversion is the caller's responsibility.
+:class:`SpectralTrack` holds them over a strictly increasing grid, with each
+point phase-aligned to its predecessor so that eigenvector derivatives can be
+formed by finite differences.  The grid parameter is abstract -- time and
+Hamiltonian parameters are treated identically, and any physical rate
+conversion is the caller's responsibility.
+
+A family is an ``(n, d, d)`` stack of matrices over an ``n``-point grid.
+Leading axes stack families that share a grid, ``(..., n, d, d)``: one
+eigensolve decomposes all of them, each alignment step runs on every family
+at once, and the overlaps come back with the same leading axes.  A single
+family is the case without leading axes; stacking changes no bit of any
+member's result.
 
 Conventions
 -----------
@@ -19,8 +26,8 @@ Conventions
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,18 +52,44 @@ class SpectralPoint:
 
 @dataclass
 class SpectralTrack:
-    """Eigensystems over a strictly increasing grid, aligned point-to-point."""
+    """Eigensystems over a strictly increasing grid, aligned point-to-point.
+
+    ``eigenvalues`` is ``(..., n, d)`` and ``vectors`` ``(..., n, d, d)``;
+    ``degenerate`` ``(..., n)`` flags the points where degeneracy handling
+    fired.  Leading axes index the families of a stacked track.
+    """
 
     grid: np.ndarray
-    points: list[SpectralPoint]
-    degenerate_points: list[int] = field(default_factory=list)
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    degenerate: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.grid.size
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim
+        return self.vectors.shape[-1]
+
+    @cached_property
+    def points(self) -> list[SpectralPoint]:
+        """The points of a one-family track, in grid order."""
+        if self.vectors.ndim != 3:
+            raise ValueError("points are defined for a one-family track")
+        return [SpectralPoint(eigenvalues=w, vectors=v)
+                for w, v in zip(self.eigenvalues, self.vectors)]
+
+    @property
+    def degenerate_points(self) -> list:
+        """Grid indices where degeneracy handling fired; one list per family
+        of a stacked track."""
+        return _flagged_indices(self.degenerate)
+
+
+def _flagged_indices(flags: np.ndarray) -> list:
+    if flags.ndim == 1:
+        return np.flatnonzero(flags).tolist()
+    return [_flagged_indices(f) for f in flags]
 
 
 def max_overlap_permutation(weights: np.ndarray) -> np.ndarray:
@@ -80,49 +113,60 @@ def max_overlap_permutation(weights: np.ndarray) -> np.ndarray:
     return perm
 
 
-def _aligned(prev: SpectralPoint, cur: SpectralPoint,
-             threshold: float = DEGENERACY_THRESHOLD) -> tuple[SpectralPoint, bool]:
-    overlaps = dag(prev.vectors) @ cur.vectors
-    vals, vecs = cur.eigenvalues, cur.vectors
-    degenerate = bool(np.any(np.abs(np.diagonal(overlaps)) < threshold))
-    if degenerate:
-        perm = max_overlap_permutation(np.abs(overlaps))
-        vals, vecs = vals[perm], vecs[:, perm]
-        overlaps = overlaps[:, perm]
-    d = np.diagonal(overlaps).copy()
+def _aligned(prev: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+             threshold: float = DEGENERACY_THRESHOLD
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Align the eigensystems ``(vals, vecs)`` to the aligned vectors ``prev``.
+
+    Takes one point, ``(d,)`` and ``(d, d)``, or a stack of them with
+    leading axes.  A member with a diagonal overlap magnitude below
+    ``threshold`` is degenerate: its columns are first reordered by
+    :func:`max_overlap_permutation`, one member at a time.  Every column is
+    then multiplied by the unit phase that makes its diagonal overlap real
+    and non-negative.  Returns the aligned values and vectors and the
+    degeneracy flag of each member; the inputs are not modified.
+    """
+    overlaps = dag(prev) @ vecs
+    degenerate = np.any(np.abs(np.diagonal(overlaps, axis1=-2, axis2=-1)) < threshold,
+                        axis=-1)
+    if degenerate.any():
+        vals, vecs = vals.copy(), vecs.copy()
+        for i in map(tuple, np.argwhere(degenerate)):
+            perm = max_overlap_permutation(np.abs(overlaps[i]))
+            vals[i], vecs[i] = vals[i][perm], vecs[i][:, perm]
+            overlaps[i] = overlaps[i][:, perm]
+    d = np.diagonal(overlaps, axis1=-2, axis2=-1)
     mag = np.abs(d)
     phases = np.ones_like(d)
     nz = mag > 0
     phases[nz] = np.conj(d[nz]) / mag[nz]
-    return SpectralPoint(eigenvalues=vals, vectors=vecs * phases[None, :]), degenerate
+    return vals, vecs * phases[..., None, :], degenerate
 
 
-def track_hermitian_family(grid, matrices: Sequence) -> SpectralTrack:
+def track_hermitian_family(grid, matrices) -> SpectralTrack:
     """Decompose and align a family of hermitian matrices over ``grid``.
 
-    ``grid`` must be strictly increasing and match ``matrices`` in length.
-    Every member is validated as hermitian to 1e-12 relative to its scale,
-    and the family is decomposed by one stacked eigensolve; the alignment
-    runs point by point.
-    Points where degeneracy handling fired are recorded in
-    ``degenerate_points``.
+    ``grid`` must be strictly increasing and match ``matrices``, an
+    ``(..., n, d, d)`` stack, in length ``n``.  Every member is validated as
+    hermitian to 1e-12 relative to its scale, and all members are decomposed
+    by one stacked eigensolve.  The alignment runs point by point along the
+    grid, each step on every family of the stack at once.  Points where
+    degeneracy handling fired are flagged in ``degenerate``.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size != len(matrices):
-        raise ValueError("grid and matrices must have matching lengths")
     if grid.size == 0:
         raise ValueError("empty grid")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
+    shape = np.shape(matrices)
+    if grid.ndim != 1 or len(shape) < 3 or shape[-3] != grid.size:
+        raise ValueError("grid and matrices must have matching lengths")
+    if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     w, v = np.linalg.eigh(require_hermitian(matrices, 1e-12, "input"))
-    points = [SpectralPoint(eigenvalues=w[0], vectors=v[0])]
-    flagged: list[int] = []
+    degenerate = np.zeros(w.shape[:-1], dtype=bool)
     for k in range(1, grid.size):
-        point, degenerate = _aligned(points[-1], SpectralPoint(eigenvalues=w[k], vectors=v[k]))
-        if degenerate:
-            flagged.append(k)
-        points.append(point)
-    return SpectralTrack(grid=grid, points=points, degenerate_points=flagged)
+        w[..., k, :], v[..., k, :, :], degenerate[..., k] = _aligned(
+            v[..., k - 1, :, :], w[..., k, :], v[..., k, :, :])
+    return SpectralTrack(grid=grid, eigenvalues=w, vectors=v, degenerate=degenerate)
 
 
 def _check_index(track: SpectralTrack, k: int, lo: int, hi: int, what: str) -> None:
@@ -139,10 +183,10 @@ def derivative_overlaps(track: SpectralTrack, k: int) -> np.ndarray:
     A central difference at interior index ``k``; non-uniform grids are
     handled by using the true spacing on either side.
     """
-    grid, pts = track.grid, track.points
+    grid, v = track.grid, track.vectors
     _check_index(track, k, 1, len(track) - 2, "central difference")
-    diff = (pts[k + 1].vectors - pts[k - 1].vectors) / (grid[k + 1] - grid[k - 1])
-    return dag(pts[k].vectors) @ diff
+    diff = (v[..., k + 1, :, :] - v[..., k - 1, :, :]) / (grid[k + 1] - grid[k - 1])
+    return dag(v[..., k, :, :]) @ diff
 
 
 def second_difference_coeffs(h_left: float, h_right: float) -> tuple[float, float, float]:
@@ -162,10 +206,10 @@ def second_derivative_overlaps(track: SpectralTrack, k: int) -> np.ndarray:
     Uses the three-point stencil of :func:`second_difference_coeffs` with the
     true spacings on either side of interior index ``k``.
     """
-    grid, pts = track.grid, track.points
+    grid, v = track.grid, track.vectors
     _check_index(track, k, 1, len(track) - 2, "second difference")
     c_minus, c_center, c_plus = second_difference_coeffs(grid[k] - grid[k - 1],
                                                          grid[k + 1] - grid[k])
-    curv = (c_minus * pts[k - 1].vectors + c_center * pts[k].vectors
-            + c_plus * pts[k + 1].vectors)
-    return dag(pts[k].vectors) @ curv
+    curv = (c_minus * v[..., k - 1, :, :] + c_center * v[..., k, :, :]
+            + c_plus * v[..., k + 1, :, :])
+    return dag(v[..., k, :, :]) @ curv

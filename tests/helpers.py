@@ -104,8 +104,8 @@ def align_phases(prev: SpectralPoint, cur: SpectralPoint) -> SpectralPoint:
         raise ValueError(
             f"dimension mismatch: {prev.vectors.shape} vs {cur.vectors.shape}"
         )
-    point, _ = _aligned(prev, cur)
-    return point
+    vals, vecs, _ = _aligned(prev.vectors, cur.eigenvalues, cur.vectors)
+    return SpectralPoint(eigenvalues=vals, vectors=vecs)
 
 
 def assert_same_eigenpair(energy: float, vector: np.ndarray, ref_energy: float,

@@ -529,6 +529,55 @@ def test_stacked_families_equal_their_pointwise_loops():
     assert action_functional(rhos, pot, ActionParams()) == float(np.dot(weights, terms))
 
 
+def test_families_drawn_in_a_stack_equal_families_drawn_alone():
+    """Each generator draws its own parameters in its own order, so a stack
+    of families is, bit for bit, the families drawn one at a time."""
+    grid = np.linspace(0.0, 1.0, 7)
+    seeds = [50, 51, 52]
+    stacked = smooth_density_family([np.random.default_rng(s) for s in seeds], 3, grid)
+    unitaries = smooth_unitary_family([np.random.default_rng(s) for s in seeds], 3, grid)
+    assert stacked.shape == (3, 7, 3, 3)
+    for f, seed in enumerate(seeds):
+        assert np.array_equal(stacked[f],
+                              smooth_density_family(np.random.default_rng(seed), 3, grid))
+        alone = smooth_unitary_family(np.random.default_rng(seed), 3, grid)
+        assert np.array_equal(unitaries.values[f], alone.values)
+        assert np.array_equal(unitaries.derivatives[f], alone.derivatives)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stacked_gauge_stages_equal_their_families_one_by_one(dim):
+    """Potentials, covariant derivatives, both actions and the charge
+    residuals of a stack -- a constant family among random ones -- equal
+    the one-family results bit for bit."""
+    n = 9
+    grid = np.linspace(0.0, 1.0, n)
+    rng = np.random.default_rng(60 + dim)
+    constant = np.broadcast_to(smooth_density_family(rng, dim, grid[:1]), (n, dim, dim))
+    families = np.array([smooth_density_family(rng, dim, grid) for _ in range(3)]
+                        + [constant])
+    potential = uhlmann_potential(families, grid)
+    modes = [ActionParams(), ActionParams(mode="scalar_like")]
+    actions = [action_functional(families, potential, params) for params in modes]
+    residuals = gauge_charge_residual(families, potential, n // 2)
+    d_rho = covariant_derivative(families, potential, 2)
+    assert residuals.shape == (4, dim, dim)
+    for f, rhos in enumerate(families):
+        pot = uhlmann_potential(rhos, grid)
+        assert np.array_equal(potential.values[f], pot.values)
+        assert np.array_equal(d_rho[f], covariant_derivative(rhos, pot, 2))
+        for params, stacked in zip(modes, actions):
+            assert stacked[f] == action_functional(rhos, pot, params)
+        assert np.array_equal(residuals[f], gauge_charge_residual(rhos, pot, n // 2))
+    # two leading axes run the same arithmetic
+    pairs = families.reshape((2, 2) + families.shape[1:])
+    pair_potential = uhlmann_potential(pairs, grid)
+    assert np.array_equal(gauge_charge_residual(pairs, pair_potential, n // 2),
+                          residuals.reshape(2, 2, dim, dim))
+    assert np.array_equal(action_functional(pairs, pair_potential, modes[1]),
+                          actions[1].reshape(2, 2))
+
+
 def test_smooth_unitary_family_derivatives_are_exact():
     rng = np.random.default_rng(11)
     grid = np.linspace(0.0, 1.0, 9)

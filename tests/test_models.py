@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,16 @@ def test_unconverged_ground_state_raises(monkeypatch):
     monkeypatch.setattr(linalg, "LANCZOS_RESTARTS", 0)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         spin_chain_ground_state(SpinChainSpec(kind="tfim", n_sites=6, field=1.0))
+
+
+def test_an_ordered_chain_that_does_not_converge_names_its_field_as_a_number():
+    """Deep in the ordered phase the two lowest TFIM states are nearly
+    degenerate: at 9 sites and h = 0.1 the oracle runs out of Lanczos
+    cycles.  A field taken from a numpy grid prints as a plain number."""
+    spec = SpinChainSpec(kind="tfim", n_sites=9, coupling=1.0, field=np.float64(0.1))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=re.escape("9-site tfim chain (J=1.0, h=0.1) did not converge")):
+        spin_chain_ground_state(spec)
 
 
 @pytest.mark.parametrize("spec", [

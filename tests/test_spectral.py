@@ -115,6 +115,60 @@ def test_track_smooth_family_has_no_degenerate_points():
     assert track.dim == 2
 
 
+def crossing_family(grid, rng):
+    """``diag(t, -t, 1)`` in a fixed random basis: two levels cross at t = 0."""
+    u = random_unitary(rng, 3)
+    return np.array([u @ np.diag([t, -t, 1.0]) @ dag(u) for t in grid])
+
+
+def rotating_basis_family(grid, rng):
+    """``diag(0, 1, 2)`` carried by ``exp(-i G t)``: no level crosses."""
+    w, u = np.linalg.eigh(random_hermitian(rng, 3, scale=0.4))
+    vs = [(u * np.exp(-1j * w * t)) @ dag(u) for t in grid]
+    return np.array([v @ np.diag([0.0, 1.0, 2.0]) @ dag(v) for v in vs])
+
+
+def test_a_stacked_track_equals_its_families_tracked_one_by_one():
+    """Families that cross (the permutation branch fires) stacked with
+    smooth ones: every eigenvalue, vector and flag of the stacked track
+    equals the one-family track bit for bit, under one or two leading axes."""
+    grid = np.array([-0.25, -0.15, -0.05, 0.05, 0.15, 0.25])
+    rng = np.random.default_rng(17)
+    families = np.array([crossing_family(grid, rng), rotating_basis_family(grid, rng),
+                         crossing_family(grid, rng), rotating_basis_family(grid, rng),
+                         rotating_basis_family(grid, rng), crossing_family(grid, rng)])
+    singles = [track_hermitian_family(grid, f) for f in families]
+    assert [bool(t.degenerate_points) for t in singles] == [True, False, True,
+                                                            False, False, True]
+    for stack in (families, families.reshape((2, 3) + families.shape[1:])):
+        track = track_hermitian_family(grid, stack)
+        assert track.vectors.shape == stack.shape
+        eigenvalues = track.eigenvalues.reshape((6,) + track.eigenvalues.shape[-2:])
+        vectors = track.vectors.reshape(families.shape)
+        for f, single in enumerate(singles):
+            assert np.array_equal(eigenvalues[f], single.eigenvalues)
+            assert np.array_equal(vectors[f], single.vectors)
+            for k in (1, 3, 4):
+                assert np.array_equal(
+                    derivative_overlaps(track, k).reshape(6, 3, 3)[f],
+                    derivative_overlaps(single, k))
+                assert np.array_equal(
+                    second_derivative_overlaps(track, k).reshape(6, 3, 3)[f],
+                    second_derivative_overlaps(single, k))
+        expected = [t.degenerate_points for t in singles]
+        if stack.ndim == 5:
+            expected = [expected[:3], expected[3:]]
+        assert track.degenerate_points == expected
+
+
+def test_a_stacked_track_has_no_one_family_points():
+    grid = np.linspace(0.0, 1.0, 4)
+    track = track_hermitian_family(grid, np.array([rotating_family(grid)] * 2))
+    assert track.degenerate_points == [[], []]
+    with pytest.raises(ValueError, match="one-family"):
+        track.points
+
+
 def test_derivative_overlaps_rotating_oracle():
     """The off-diagonal overlap of the rotating family is omega / 2 exactly."""
     omega, h = 0.3, 1e-3
