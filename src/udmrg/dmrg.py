@@ -67,7 +67,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import commutator, dag, lanczos_lowest, unit_sum
+from .linalg import commutator, contract, dag, lanczos_lowest, unit_sum
 from .mps import (
     MatrixProductOperator,
     MatrixProductState,
@@ -187,17 +187,17 @@ def _edge_env() -> np.ndarray:
 
 def _update_left(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Absorb one site into a left environment (legs bra, mpo, ket)."""
-    t = np.tensordot(env, a, axes=(2, 0))            # (bra, wl, d, kr)
-    t = np.tensordot(t, w, axes=((1, 2), (0, 2)))    # (bra, kr, o, wr)
-    out = np.tensordot(a.conj(), t, axes=((0, 1), (0, 2)))  # (br, kr, wr)
+    t = contract(env, a, axes=(2, 0))            # (bra, wl, d, kr)
+    t = contract(t, w, axes=((1, 2), (0, 2)))    # (bra, kr, o, wr)
+    out = contract(a.conj(), t, axes=((0, 1), (0, 2)))  # (br, kr, wr)
     return out.transpose(0, 2, 1)
 
 
 def _update_right(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Absorb one site into a right environment (legs bra, mpo, ket)."""
-    t = np.tensordot(a, env, axes=(2, 2))            # (kl, d, bra, wr)
-    t = np.tensordot(w, t, axes=((2, 3), (1, 3)))    # (wl, o, kl, bra)
-    out = np.tensordot(a.conj(), t, axes=((1, 2), (1, 3)))  # (bl, wl, kl)
+    t = contract(a, env, axes=(2, 2))            # (kl, d, bra, wr)
+    t = contract(w, t, axes=((2, 3), (1, 3)))    # (wl, o, kl, bra)
+    out = contract(a.conj(), t, axes=((1, 2), (1, 3)))  # (bl, wl, kl)
     return out
 
 
@@ -221,18 +221,18 @@ class EffectiveHamiltonian:
                 * self.env_right.shape[0])
 
     def dense(self) -> np.ndarray:
-        t = np.tensordot(self.env_left, self.w1, axes=(1, 0))  # (bl, kl, o1, i1, wm)
-        t = np.tensordot(t, self.w2, axes=(4, 0))      # (bl, kl, o1, i1, o2, i2, wr)
-        t = np.tensordot(t, self.env_right, axes=(6, 1))  # (bl, kl, o1, i1, o2, i2, br, kr)
+        t = contract(self.env_left, self.w1, axes=(1, 0))  # (bl, kl, o1, i1, wm)
+        t = contract(t, self.w2, axes=(4, 0))      # (bl, kl, o1, i1, o2, i2, wr)
+        t = contract(t, self.env_right, axes=(6, 1))  # (bl, kl, o1, i1, o2, i2, br, kr)
         return t.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(self.dim, self.dim)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = x.reshape(self.env_left.shape[2], self.w1.shape[2], self.w2.shape[2],
                       self.env_right.shape[2])
-        t = np.tensordot(self.env_left, x, axes=(2, 0))            # (bl, wl, i1, i2, kr)
-        t = np.tensordot(t, self.w1, axes=((1, 2), (0, 2)))        # (bl, i2, kr, o1, wm)
-        t = np.tensordot(t, self.w2, axes=((1, 4), (2, 0)))        # (bl, kr, o1, o2, wr)
-        t = np.tensordot(t, self.env_right, axes=((1, 4), (2, 1)))  # (bl, o1, o2, br)
+        t = contract(self.env_left, x, axes=(2, 0))            # (bl, wl, i1, i2, kr)
+        t = contract(t, self.w1, axes=((1, 2), (0, 2)))        # (bl, i2, kr, o1, wm)
+        t = contract(t, self.w2, axes=((1, 4), (2, 0)))        # (bl, kr, o1, o2, wr)
+        t = contract(t, self.env_right, axes=((1, 4), (2, 1)))  # (bl, o1, o2, br)
         return t.reshape(-1)
 
 
@@ -253,7 +253,7 @@ def _lowest_eigenpair(heff: EffectiveHamiltonian, left: np.ndarray,
     if heff.dim <= _FULL_EIGH_DIM:
         w, v = np.linalg.eigh(heff.dense())
         return float(w[0]), v[:, 0], True
-    return lanczos_lowest(heff.matvec, np.tensordot(left, right, axes=(2, 0)))
+    return lanczos_lowest(heff.matvec, contract(left, right, axes=(2, 0)))
 
 
 def _flush_tiny(vec: np.ndarray) -> np.ndarray:

@@ -480,32 +480,26 @@ def _unitary_draws(rng: np.random.Generator, dim: int, scale: float) -> tuple:
             rng.uniform(0.0, 2 * np.pi, size=2))
 
 
-def _exponential_path(generator: np.ndarray, theta: np.ndarray,
-                      dtheta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``exp(i theta G)`` along stacked angles, with its exact derivative.
+def _exponential_path(generator: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``exp(i theta G)`` along stacked angles.
 
-    ``generator`` is ``(..., d, d)`` and the angles ``(..., n)``;
-    ``d/dt exp(i theta(t) G) = i theta'(t) G exp(i theta G)``.
+    ``generator`` is ``(..., d, d)`` and the angles ``(..., n)``.
     """
     w, v = np.linalg.eigh(generator)
     phases = np.exp(1j * theta[..., :, None] * w[..., None, :])
-    u = (v[..., None, :, :] * phases[..., :, None, :]) @ dag(v)[..., None, :, :]
-    du = (1j * dtheta[..., :, None, None]
-          * np.asarray(generator, dtype=complex)[..., None, :, :]) @ u
-    return u, du
+    return (v[..., None, :, :] * phases[..., :, None, :]) @ dag(v)[..., None, :, :]
 
 
-def _unitary_path(generators: np.ndarray, amp: np.ndarray, freq: np.ndarray,
-                  phase: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and exact derivatives of ``exp(i t1(t) G1) exp(i t2(t) G2)``."""
-    (u1, du1), (u2, du2) = (
-        _exponential_path(
-            generators[..., i, :, :],
-            amp[..., i, None] * np.sin(freq[..., i, None] * grid + phase[..., i, None]),
-            amp[..., i, None] * freq[..., i, None]
-            * np.cos(freq[..., i, None] * grid + phase[..., i, None]))
-        for i in range(2))
-    return u1 @ u2, du1 @ u2 + u1 @ du2
+def _unitary_factors(generators: np.ndarray, amp: np.ndarray, freq: np.ndarray,
+                     phase: np.ndarray, grid: np.ndarray) -> list[np.ndarray]:
+    """The factors of ``exp(i t1(t) G1) exp(i t2(t) G2)``, ``t_k = a_k sin(w_k t + phi_k)``.
+
+    Values only: a density path never needs the derivatives.
+    """
+    return [_exponential_path(generators[..., k, :, :],
+                              amp[..., k, None]
+                              * np.sin(freq[..., k, None] * grid + phase[..., k, None]))
+            for k in range(2)]
 
 
 @dataclass
@@ -526,9 +520,20 @@ def smooth_unitary_family(rng, dim: int, grid, scale: float = 0.5) -> SmoothUnit
     own parameters, and the paths are evaluated together.
     """
     grid = np.asarray(grid, dtype=float)
-    values, derivatives = _unitary_path(
-        *_per_family(rng, lambda g: _unitary_draws(g, dim, scale)), grid)
-    return SmoothUnitaryFamily(grid=grid, values=values, derivatives=derivatives)
+    generators, amp, freq, phase = _per_family(rng, lambda g: _unitary_draws(g, dim, scale))
+    u1, u2 = _unitary_factors(generators, amp, freq, phase, grid)
+
+    def factor_derivative(k: int, u: np.ndarray) -> np.ndarray:
+        # d/dt exp(i t_k(t) G_k) = i t_k'(t) G_k exp(i t_k G_k)
+        dtheta = amp[..., k, None] * freq[..., k, None] * np.cos(
+            freq[..., k, None] * grid + phase[..., k, None])
+        return (1j * dtheta[..., :, None, None]
+                * np.asarray(generators[..., k, :, :], dtype=complex)[..., None, :, :]) @ u
+
+    # the product rule, one factor derivative alive at a time
+    derivatives = factor_derivative(0, u1) @ u2
+    derivatives += u1 @ factor_derivative(1, u2)
+    return SmoothUnitaryFamily(grid=grid, values=u1 @ u2, derivatives=derivatives)
 
 
 def _density_draws(rng: np.random.Generator, dim: int, scale: float) -> tuple:
@@ -547,7 +552,7 @@ def smooth_density_family(rng, dim: int, grid, scale: float = 0.5) -> np.ndarray
     """
     grid = np.asarray(grid, dtype=float)
     *path, offsets, amps, freqs = _per_family(rng, lambda g: _density_draws(g, dim, scale))
-    v, _ = _unitary_path(*path, grid)
+    v = np.matmul(*_unitary_factors(*path, grid))
     p = np.exp(offsets[..., None, :]
                + amps[..., None, :] * np.sin(freqs[..., None, :] * grid[:, None]))
     p /= p.sum(axis=-1, keepdims=True)

@@ -6,9 +6,19 @@ operator only through a matrix-vector product; no wrapper classes are
 introduced at this level.  The conjugate transpose, the validators and the
 residuals also take a stack ``(..., d, d)`` with any leading axes and act on
 each member; a 2-D input is the one-member case.
+
+:func:`contract` is the engine's one tensor contraction.  It runs the same
+numpy operations as ``np.tensordot`` in the same order -- transpose and
+reshape each operand to a matrix, one ``np.dot``, reshape the product -- so
+its result equals ``np.tensordot``'s bit for bit, dtype included.  The
+permutations and shapes are planned once per shape signature
+``(a.shape, b.shape, axes)`` and reused; at the engine's small bond
+dimensions that bookkeeping, not the product, is most of a call.
 """
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable
 
 import numpy as np
@@ -142,6 +152,47 @@ def hermitian_basis_element(dim: int, a: int, b: int) -> Matrix:
         e[b, a] = 1j / np.sqrt(2.0)
         e[a, b] = -1j / np.sqrt(2.0)
     return e
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction_plan(shape_a: tuple[int, ...], shape_b: tuple[int, ...], axes):
+    """``(perm_a, matrix_a, perm_b, matrix_b, out_shape)`` of one contraction.
+
+    The plan ``np.tensordot`` derives on every call: the summed axes of
+    ``a`` go last and those of ``b`` first, in the order ``axes`` lists
+    them.  Distinct shapes are few (bond dimensions up to the kept-state
+    budget, small physical and MPO bonds), so the cache stays small.
+    """
+    if isinstance(axes, int):
+        axes_a, axes_b = tuple(range(-axes, 0)), tuple(range(axes))
+    else:
+        axes_a, axes_b = (ax if isinstance(ax, tuple) else (ax,) for ax in axes)
+    # indexing the shapes rejects an axis out of range, as np.tensordot does;
+    # a repeated axis makes a permutation that ``transpose`` rejects
+    if (len(axes_a) != len(axes_b)
+            or any(shape_a[i] != shape_b[j] for i, j in zip(axes_a, axes_b))):
+        raise ValueError(f"cannot contract axes {axes} of shapes {shape_a} and {shape_b}")
+    axes_a = tuple(i % len(shape_a) for i in axes_a)
+    axes_b = tuple(j % len(shape_b) for j in axes_b)
+    free_a = tuple(k for k in range(len(shape_a)) if k not in axes_a)
+    free_b = tuple(k for k in range(len(shape_b)) if k not in axes_b)
+    summed = math.prod(shape_a[k] for k in axes_a)
+    return (free_a + axes_a, (math.prod(shape_a[k] for k in free_a), summed),
+            axes_b + free_b, (summed, math.prod(shape_b[k] for k in free_b)),
+            tuple(shape_a[k] for k in free_a) + tuple(shape_b[k] for k in free_b))
+
+
+def contract(a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
+    """``np.tensordot(a, b, axes)`` with its axis bookkeeping planned once.
+
+    ``axes`` takes ``np.tensordot``'s forms with hashable members: an int
+    ``n`` (the last ``n`` axes of ``a`` against the first ``n`` of ``b``), or
+    a pair whose members are each an int or a tuple of ints.  The result is
+    the same array ``np.tensordot`` returns, bit for bit.
+    """
+    perm_a, mat_a, perm_b, mat_b, out = _contraction_plan(a.shape, b.shape, axes)
+    return np.dot(a.transpose(perm_a).reshape(mat_a),
+                  b.transpose(perm_b).reshape(mat_b)).reshape(out)
 
 
 def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray],

@@ -12,7 +12,13 @@ new objects; tensors are treated as immutable by convention.
 
 Tensors keep the field of their data, stored as float64 when real and as
 complex otherwise.  Every contraction follows numpy's type promotion, so a
-real state under a real operator never leaves real arithmetic.
+real state under a real operator never leaves real arithmetic.  Every
+pairwise contraction here and in the sweep engine goes through
+:func:`linalg.contract`, ``np.tensordot`` with its axis plan cached per
+shape signature, so its bytes are ``np.tensordot``'s.  The multi-operand
+``np.einsum`` contractions (dense forms, Schmidt data, cross overlaps)
+stay as they are: rewritten as matrix products they would sum in another
+order.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import dag, max_abs, unit_sum
+from .linalg import contract, dag, max_abs, unit_sum
 
 
 def _inexact(t) -> np.ndarray:
@@ -57,14 +63,6 @@ class MatrixProductState:
     @property
     def physical_dims(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.tensors)
-
-    @property
-    def bond_dims(self) -> tuple[int, ...]:
-        """Internal bond dimensions (length ``n_sites - 1``)."""
-        return tuple(t.shape[2] for t in self.tensors[:-1])
-
-    def copy(self) -> "MatrixProductState":
-        return MatrixProductState([t.copy() for t in self.tensors], self.center)
 
     def norm(self) -> float:
         return float(np.sqrt(max(inner_product(self, self).real, 0.0)))
@@ -129,8 +127,8 @@ def inner_product(bra: MatrixProductState, ket: MatrixProductState) -> complex:
         raise ValueError("states live on different local Hilbert spaces")
     env = np.ones((1, 1))
     for a, b in zip(bra.tensors, ket.tensors):
-        t = np.tensordot(env, b, axes=(1, 0))          # (bra_bond, d, ket_right)
-        env = np.tensordot(a.conj(), t, axes=((0, 1), (0, 1)))
+        t = contract(env, b, axes=(1, 0))          # (bra_bond, d, ket_right)
+        env = contract(a.conj(), t, axes=((0, 1), (0, 1)))
     return complex(env[0, 0])
 
 
@@ -157,9 +155,9 @@ def expectation(psi: MatrixProductState, op: MatrixProductOperator) -> complex:
         raise ValueError("state and operator live on different local Hilbert spaces")
     env = np.ones((1, 1, 1))  # (bra, mpo, ket)
     for a, w in zip(psi.tensors, op.tensors):
-        t = np.tensordot(env, a, axes=(2, 0))            # (bra, mpo, d, kr)
-        t = np.tensordot(t, w, axes=((1, 2), (0, 2)))    # (bra, kr, out, wr)
-        env = np.tensordot(a.conj(), t, axes=((0, 1), (0, 2)))  # (br, kr, wr)
+        t = contract(env, a, axes=(2, 0))            # (bra, mpo, d, kr)
+        t = contract(t, w, axes=((1, 2), (0, 2)))    # (bra, kr, out, wr)
+        env = contract(a.conj(), t, axes=((0, 1), (0, 2)))  # (br, kr, wr)
         env = env.transpose(0, 2, 1)
     value = complex(env[0, 0, 0])
     norm_sq = inner_product(psi, psi).real
@@ -182,13 +180,13 @@ def canonicalize(psi: MatrixProductState, center: int) -> MatrixProductState:
         l, d, r = tensors[s].shape
         q, rr = np.linalg.qr(tensors[s].reshape(l * d, r))
         tensors[s] = q.reshape(l, d, q.shape[1])
-        tensors[s + 1] = np.tensordot(rr, tensors[s + 1], axes=(1, 0))
+        tensors[s + 1] = contract(rr, tensors[s + 1], axes=(1, 0))
     for s in range(n - 1, center, -1):
         l, d, r = tensors[s].shape
         q, rr = np.linalg.qr(tensors[s].reshape(l, d * r).conj().T)
         k = q.shape[1]
         tensors[s] = q.conj().T.reshape(k, d, r)
-        tensors[s - 1] = np.tensordot(tensors[s - 1], rr.conj().T, axes=(2, 0))
+        tensors[s - 1] = contract(tensors[s - 1], rr.conj().T, axes=(2, 0))
     return MatrixProductState(tensors, center=center)
 
 

@@ -49,6 +49,16 @@ def from_dense_state(vector, phys_dims: Sequence[int]) -> MatrixProductState:
     return MatrixProductState(tensors, center=len(dims) - 1)
 
 
+def bond_dims(psi: MatrixProductState) -> tuple[int, ...]:
+    """Internal bond dimensions (length ``n_sites - 1``)."""
+    return tuple(t.shape[2] for t in psi.tensors[:-1])
+
+
+def copy_state(psi: MatrixProductState) -> MatrixProductState:
+    """An independent copy of ``psi``: its tensors copied, its center kept."""
+    return MatrixProductState([t.copy() for t in psi.tensors], psi.center)
+
+
 def isometry_residuals(psi: MatrixProductState) -> list[float]:
     """Per-site deviation from the isometry condition implied by the center."""
     if psi.center is None:

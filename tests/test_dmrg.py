@@ -24,7 +24,9 @@ from udmrg.models import (
 from udmrg.mps import (
     MatrixProductOperator,
     MatrixProductState,
+    bond_schmidt_data,
     canonicalize,
+    expectation,
     mpo_to_dense,
     random_mps,
     to_dense,
@@ -788,3 +790,45 @@ def test_bond_charges_ignore_column_phases(rank, extra_cols, seed, h1, h2, secon
     np.testing.assert_allclose(r_aligned, aligned, atol=1e-12)
     if not second:
         np.testing.assert_array_equal(q2, np.zeros(rank))
+
+
+# ---------------------------------------------------------------------------
+# every engine contraction goes through the planned kernel
+# ---------------------------------------------------------------------------
+
+def test_engine_contractions_never_reach_np_tensordot(monkeypatch):
+    """With ``np.tensordot`` raising, a charged scan, a Lanczos ground state
+    and the state operations still run: they all contract through
+    ``linalg.contract``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.tensordot called by engine code")
+
+    lanczos_solves = []
+
+    def counted(*args):
+        lanczos_solves.append(1)
+        return linalg.lanczos_lowest(*args)
+
+    monkeypatch.setattr(np, "tensordot", refuse)
+    monkeypatch.setattr(dmrg, "lanczos_lowest", counted)
+
+    policy = TruncationPolicy(kind="uhlmann", gamma1=0.5, max_kept=2)
+    scan = continuation_scan(tfim_family(4), np.linspace(0.6, 1.4, 5),
+                             SweepConfig(num_sweeps=4, policy=policy),
+                             init=random_mps(np.random.default_rng(2), [2] * 4, 2))
+    assert len(scan.results) == 5
+    assert any(rec.charges1 is not None and np.any(rec.charges1)
+               for result in scan.results[1:] for rec in result.truncation_log)
+
+    mpo = build_spin_chain_mpo(SpinChainSpec(kind="tfim", n_sites=8, coupling=1.0,
+                                             field=1.0))
+    init = random_mps(np.random.default_rng(4), [2] * 8, 8)
+    result = ground_state(mpo, init, SweepConfig(num_sweeps=2,
+                                                 policy=TruncationPolicy(max_kept=8)))
+    assert lanczos_solves  # the central blocks have 256 > _FULL_EIGH_DIM dimensions
+    assert np.isfinite(result.energy)
+
+    psi = canonicalize(result.state, 3)
+    assert abs(expectation(psi, mpo).real - result.energy) <= 1e-8
+    phi, data = bond_schmidt_data(psi)
+    assert len(data) == 7 and phi.n_sites == 8

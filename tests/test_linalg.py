@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from udmrg import linalg
 from udmrg.linalg import (
     commutator,
+    contract,
     dag,
     hermitian_basis_element,
     hermitian_part,
@@ -164,3 +166,96 @@ def test_lanczos_real_start_under_a_real_operator_stays_real():
     assert converged
     assert vector.dtype == np.float64
     assert_same_eigenpair(energy, vector, w[0] - 0.5, v[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# the planned contraction kernel
+# ---------------------------------------------------------------------------
+
+def _operand(rng, shape, dtype, layout):
+    """A random array of ``shape`` and ``dtype``, laid out as ``layout`` says:
+    contiguous, a conjugate, a transposed view or a strided view."""
+    def draw(shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if dtype == complex else x
+    if layout == "transposed":
+        return draw(shape[::-1]).T
+    if layout == "strided":
+        return draw(shape[:-1] + (2 * shape[-1],))[..., ::2]
+    x = draw(shape)
+    return x.conj() if layout == "conj" else x
+
+
+@st.composite
+def contractions(draw):
+    """Two 1-4-leg operands' shapes and ``axes`` in one of ``np.tensordot``'s forms."""
+    nda, ndb = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.integers(0, min(nda, ndb)))
+    form = draw(st.sampled_from(["int", "pair", "negative"]))
+    if form == "int":
+        axes_a, axes_b = list(range(nda - k, nda)), list(range(k))
+    else:
+        axes_a = draw(st.permutations(range(nda)))[:k]
+        axes_b = draw(st.permutations(range(ndb)))[:k]
+    shape_a = [draw(st.integers(1, 3)) for _ in range(nda)]
+    shape_b = [draw(st.integers(1, 3)) for _ in range(ndb)]
+    for i, j in zip(axes_a, axes_b):
+        shape_b[j] = shape_a[i]
+    if form == "int":
+        axes = k
+    else:
+        if form == "negative":
+            axes_a = [i - nda for i in axes_a]
+        axes = tuple(ax[0] if len(ax) == 1 and draw(st.booleans()) else tuple(ax)
+                     for ax in (axes_a, axes_b))
+    return tuple(shape_a), tuple(shape_b), axes
+
+
+_LAYOUTS = st.sampled_from(["contiguous", "conj", "transposed", "strided"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=contractions(), dtypes=st.tuples(*[st.sampled_from([float, complex])] * 2),
+       layouts=st.tuples(_LAYOUTS, _LAYOUTS), seed=st.integers(0, 2**32 - 1))
+def test_contract_equals_tensordot_bit_for_bit(case, dtypes, layouts, seed):
+    """Same array and dtype as ``np.tensordot``, also when a second call reuses
+    the plan on new data."""
+    shape_a, shape_b, axes = case
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        a = _operand(rng, shape_a, dtypes[0], layouts[0])
+        b = _operand(rng, shape_b, dtypes[1], layouts[1])
+        expected = np.tensordot(a, b, axes)
+        got = contract(a, b, axes)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
+def test_contract_reuses_one_plan_per_shape_signature():
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(5, 2, 7)), rng.normal(size=(7, 2, 6))
+    contract(a, b, (2, 0))
+    before = linalg._contraction_plan.cache_info()
+    for _ in range(3):
+        a, b = rng.normal(size=(5, 2, 7)), rng.normal(size=(7, 2, 6))
+        assert np.array_equal(contract(a, b, (2, 0)), np.tensordot(a, b, (2, 0)))
+    after = linalg._contraction_plan.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+    # the same axes on other shapes get a plan of their own
+    wide = (rng.normal(size=(5, 2, 9)), rng.normal(size=(9, 3)))
+    assert np.array_equal(contract(*wide, (2, 0)), np.tensordot(*wide, (2, 0)))
+    assert linalg._contraction_plan.cache_info().misses == after.misses + 1
+    assert (linalg._contraction_plan((5, 2, 9), (9, 3), (2, 0))
+            != linalg._contraction_plan((5, 2, 7), (7, 2, 6), (2, 0)))
+
+
+def test_contract_rejects_what_tensordot_rejects():
+    a, b = np.ones((2, 3)), np.ones((3, 4))
+    for axes in [(0, 0), ((0, 1), (0,)), ((1, 1), (0, 0))]:
+        with pytest.raises(ValueError):
+            np.tensordot(a, b, axes)
+        with pytest.raises(ValueError):
+            contract(a, b, axes)
+    with pytest.raises(IndexError):
+        contract(a, b, (2, 0))

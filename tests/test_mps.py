@@ -19,6 +19,8 @@ from udmrg.linalg import dag
 from udmrg.models import PAULI_X, PAULI_Z, build_spin_chain_mpo, SpinChainSpec
 
 from helpers import (
+    bond_dims,
+    copy_state,
     entanglement_spectrum,
     from_dense_state,
     from_product_state,
@@ -121,7 +123,7 @@ def test_random_mps_is_normalized_and_capped():
     psi = random_mps(rng, [2] * 6, bond_dim=4)
     assert psi.norm() == pytest.approx(1.0, abs=1e-12)
     # exact-rank envelope near the edges, the cap in the middle
-    assert psi.bond_dims == (2, 4, 4, 4, 2)
+    assert bond_dims(psi) == (2, 4, 4, 4, 2)
     assert psi.physical_dims == (2,) * 6
 
 
@@ -169,7 +171,7 @@ def test_expectation_of_single_site_paulis():
 
 def test_expectation_normalizes_by_the_state_norm():
     psi = from_product_state([UP, UP])
-    scaled = psi.copy()
+    scaled = copy_state(psi)
     scaled.tensors[0] = 3.0 * scaled.tensors[0]
     z0 = single_site_mpo(PAULI_Z, 0, 2)
     assert expectation(scaled, z0) == pytest.approx(1.0, abs=1e-12)
