@@ -14,8 +14,8 @@ Tensors keep the field of their data, stored as float64 when real and as
 complex otherwise.  Every contraction follows numpy's type promotion, so a
 real state under a real operator never leaves real arithmetic.  Every
 pairwise contraction here and in the sweep engine goes through
-:func:`linalg.contract`, ``np.tensordot`` with its axis plan cached per
-shape signature, so its bytes are ``np.tensordot``'s.  The multi-operand
+:func:`linalg.contract`, numpy's ``tensordot`` with its axis plan cached
+per shape signature, so its bytes are ``tensordot``'s.  The multi-operand
 ``np.einsum`` contractions (dense forms, Schmidt data, cross overlaps)
 stay as they are: rewritten as matrix products they would sum in another
 order.
