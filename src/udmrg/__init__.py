@@ -82,7 +82,6 @@ from .mps import (
 from .reporting import ScanReport, config_hash, write_json, write_report_csv
 from .spectral import (
     DEGENERACY_THRESHOLD,
-    SpectralPoint,
     SpectralTrack,
     derivative_overlaps,
     second_derivative_overlaps,

@@ -74,10 +74,13 @@ from .mps import (
     bond_schmidt_data,
     canonicalize,
     expectation,
+    extend_cross_env,
+    extend_left_env,
+    extend_right_env,
     split_theta,
     to_dense,
 )
-from .spectral import second_difference_coeffs
+from .spectral import diagonal_phases, second_difference_coeffs
 from .truncation import (
     TruncationPolicy,
     charge_first_order,
@@ -185,22 +188,6 @@ def _edge_env() -> np.ndarray:
     return np.ones((1, 1, 1))
 
 
-def _update_left(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Absorb one site into a left environment (legs bra, mpo, ket)."""
-    t = contract(env, a, axes=(2, 0))            # (bra, wl, d, kr)
-    t = contract(t, w, axes=((1, 2), (0, 2)))    # (bra, kr, o, wr)
-    out = contract(a.conj(), t, axes=((0, 1), (0, 2)))  # (br, kr, wr)
-    return out.transpose(0, 2, 1)
-
-
-def _update_right(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Absorb one site into a right environment (legs bra, mpo, ket)."""
-    t = contract(a, env, axes=(2, 2))            # (kl, d, bra, wr)
-    t = contract(w, t, axes=((2, 3), (1, 3)))    # (wl, o, kl, bra)
-    out = contract(a.conj(), t, axes=((1, 2), (1, 3)))  # (bl, wl, kl)
-    return out
-
-
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
     """Two-site effective Hamiltonian over its environments and MPO tensors.
@@ -284,23 +271,13 @@ class _PointData:
     gauges: list[np.ndarray]
 
 
-def _align_columns(w: np.ndarray) -> np.ndarray:
-    """Rotate each column by a unit phase making its diagonal entry real >= 0."""
-    out = w.copy()
-    n = min(w.shape)
-    for b in range(n):
-        mag = abs(out[b, b])
-        if mag > 0:
-            out[:, b] *= np.conj(out[b, b]) / mag
-    return out
-
-
-def _pad_square(w: np.ndarray, size: int) -> np.ndarray:
-    """Clip/zero-pad the column index so the overlap block is ``size`` square."""
+def _aligned_square(w: np.ndarray, size: int) -> np.ndarray:
+    """``w`` clipped or zero-padded to ``size`` square, each column rotated by
+    its :func:`spectral.diagonal_phases` phase."""
     out = np.zeros((size, size), dtype=w.dtype)
     cols = min(size, w.shape[1])
     out[: w.shape[0], :cols] = w[:size, :cols]
-    return out
+    return out * diagonal_phases(out)
 
 
 def _bond_charges(p: np.ndarray, w1: np.ndarray, w2: Optional[np.ndarray],
@@ -316,13 +293,13 @@ def _bond_charges(p: np.ndarray, w1: np.ndarray, w2: Optional[np.ndarray],
     penalty of the scan record reuses the padded, phase-aligned ``W1``.
     """
     rank = p.size
-    w1 = _align_columns(_pad_square(w1, rank))
+    w1 = _aligned_square(w1, rank)
     h1 = spacings[0]
     d1 = (np.eye(rank) - w1) / h1
     q1 = charge_first_order(p, d1)
     q2 = np.zeros(rank)
     if w2 is not None:
-        w2 = _align_columns(_pad_square(w2, rank))
+        w2 = _aligned_square(w2, rank)
         c_oldest, c_middle, c_newest = second_difference_coeffs(spacings[1], h1)
         d2 = c_newest * np.eye(rank) + c_middle * w1 + c_oldest * w2
         q2 = charge_second_order(d2)
@@ -354,16 +331,12 @@ class _ChargeContext:
     def advance(self, bond: int, new_left_tensor: np.ndarray) -> None:
         """Cache the environments at ``bond + 1``, pushed through the updated site."""
         for r, ref in enumerate(self.references):
-            self._cache[r].append(np.einsum(
-                "ipj,ik,kpl->jl", new_left_tensor.conj(), self._cache[r][bond],
-                ref.tensors[bond],
-            ))
+            self._cache[r].append(extend_cross_env(
+                self._cache[r][bond], new_left_tensor, ref.tensors[bond]))
 
     def _overlap(self, r: int, bond: int, u3: np.ndarray) -> np.ndarray:
         ref = self.references[r]
-        cross = np.einsum("ipj,ik,kpl->jl", u3.conj(), self._cache[r][bond],
-                          ref.tensors[bond])
-        return cross @ ref.gauges[bond]
+        return extend_cross_env(self._cache[r][bond], u3, ref.tensors[bond]) @ ref.gauges[bond]
 
     def charges(self, bond: int, u3: np.ndarray,
                 sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,7 +386,7 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
     renvs: list[Optional[np.ndarray]] = [None] * n
     renvs[n - 1] = _edge_env()
     for s in range(n - 1, 0, -1):
-        renvs[s - 1] = _update_right(renvs[s], tensors[s], ws[s])
+        renvs[s - 1] = extend_right_env(renvs[s], tensors[s], ws[s])
     lenvs: list[Optional[np.ndarray]] = [None] * n
     lenvs[0] = _edge_env()
 
@@ -436,7 +409,7 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
                 "right")
             solves_converged = solves_converged and solved
             log.append(rec)
-            lenvs[b + 1] = _update_left(lenvs[b], tensors[b], ws[b])
+            lenvs[b + 1] = extend_left_env(lenvs[b], tensors[b], ws[b])
             if context is not None:
                 context.advance(b, tensors[b])
         # right-to-left
@@ -446,7 +419,7 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
                 "left")
             solves_converged = solves_converged and solved
             log.append(rec)
-            renvs[b] = _update_right(renvs[b + 1], tensors[b + 1], ws[b + 1])
+            renvs[b] = extend_right_env(renvs[b + 1], tensors[b + 1], ws[b + 1])
         sweep_energies.append(local_energy)
         if abs(local_energy - previous_energy) < cfg.energy_tol:
             converged = True
@@ -691,7 +664,7 @@ def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
         dense = dense / np.linalg.norm(dense)
         fidelity = float(np.abs(np.vdot(oracle_state, dense)) ** 2)
     point = _PointData(
-        tensors=[t.copy() for t in phi.tensors],
+        tensors=phi.tensors,
         probabilities=[d[0] for d in data],
         gauges=[d[1] for d in data],
     )

@@ -493,11 +493,11 @@ def run_crossing_scan(cfg: CrossingScanConfig) -> ScanReport:
     rate = cfg.sweep_rate
     times = grid / rate
     dt_target = (times[-1] - times[0]) / cfg.time_steps
-    psi = track.points[0].vectors[:, 0].astype(complex)
+    psi = track.vectors[0][:, 0].astype(complex)
     psi /= np.linalg.norm(psi)
     pops = np.empty((n, 2))
     norms = np.empty(n)
-    pops[0] = np.abs(dag(track.points[0].vectors) @ psi) ** 2
+    pops[0] = np.abs(dag(track.vectors[0]) @ psi) ** 2
     norms[0] = float(np.linalg.norm(psi))
     for k in range(1, n):
         seg = times[k] - times[k - 1]
@@ -506,7 +506,7 @@ def run_crossing_scan(cfg: CrossingScanConfig) -> ScanReport:
         midpoints = times[k - 1] + (np.arange(substeps) + 0.5) * dt
         for u in evolution_step(two_level_hamiltonian(model, rate * midpoints), dt):
             psi = u @ psi
-        pops[k] = np.abs(dag(track.points[k].vectors) @ psi) ** 2
+        pops[k] = np.abs(dag(track.vectors[k]) @ psi) ** 2
         norms[k] = float(np.linalg.norm(psi))
 
     from .truncation import charge_first_order, charge_second_order
@@ -530,7 +530,7 @@ def run_crossing_scan(cfg: CrossingScanConfig) -> ScanReport:
     report = ScanReport(name="crossing_scan", columns=columns)
     p_gauss = np.array([gaussian_transition_probability(model, l) for l in grid])
     for k in range(n):
-        evals = track.points[k].eigenvalues
+        evals = track.eigenvalues[k]
         row = [
             k, grid[k], float(evals[0]), float(evals[1]),
             float(evals[1] - evals[0]), float(p_gauss[k]),
@@ -558,7 +558,7 @@ def run_crossing_scan(cfg: CrossingScanConfig) -> ScanReport:
         "final_pop_lower": float(pops[-1][0]),
         "final_pop_upper": float(pops[-1][1]),
         "max_norm_drift": drift,
-        "degenerate_points": len(track.degenerate_points),
+        "degenerate_points": int(np.count_nonzero(track.degenerate)),
         "flagged": int(drift > 1e-10),
     }
     return report

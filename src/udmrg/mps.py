@@ -18,7 +18,11 @@ pairwise contraction here and in the sweep engine goes through
 per shape signature, so its bytes are ``tensordot``'s.  The multi-operand
 ``np.einsum`` contractions (dense forms, Schmidt data, cross overlaps)
 stay as they are: rewritten as matrix products they would sum in another
-order.
+order.  The one-site environment steps live here and nowhere else:
+:func:`extend_left_env` and :func:`extend_right_env` for ``<psi|W|psi>``
+environments (the sweep engine's and :func:`expectation`'s), and
+:func:`extend_cross_env` for the overlap of two states' left-block bases
+(:func:`left_cross_envs` and the sweep engine's cross-point charges).
 """
 from __future__ import annotations
 
@@ -149,16 +153,34 @@ def mpo_to_dense(op: MatrixProductOperator) -> np.ndarray:
     return m[:, :, 0]
 
 
+def extend_left_env(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Absorb one site into a left environment (legs bra, mpo, ket)."""
+    t = contract(env, a, axes=(2, 0))            # (bra, wl, d, kr)
+    t = contract(t, w, axes=((1, 2), (0, 2)))    # (bra, kr, o, wr)
+    out = contract(a.conj(), t, axes=((0, 1), (0, 2)))  # (br, kr, wr)
+    return out.transpose(0, 2, 1)
+
+
+def extend_right_env(env: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Absorb one site into a right environment (legs bra, mpo, ket)."""
+    t = contract(a, env, axes=(2, 2))            # (kl, d, bra, wr)
+    t = contract(w, t, axes=((2, 3), (1, 3)))    # (wl, o, kl, bra)
+    return contract(a.conj(), t, axes=((1, 2), (1, 3)))  # (bl, wl, kl)
+
+
+def extend_cross_env(env: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """Absorb one site into a left overlap environment ``(bra, ket)`` of two
+    states, from the bra's and the ket's site tensors."""
+    return np.einsum("ipj,ik,kpl->jl", bra.conj(), env, ket)
+
+
 def expectation(psi: MatrixProductState, op: MatrixProductOperator) -> complex:
     """Normalized expectation ``<psi|op|psi> / <psi|psi>``."""
     if psi.physical_dims != op.physical_dims:
         raise ValueError("state and operator live on different local Hilbert spaces")
     env = np.ones((1, 1, 1))  # (bra, mpo, ket)
     for a, w in zip(psi.tensors, op.tensors):
-        t = contract(env, a, axes=(2, 0))            # (bra, mpo, d, kr)
-        t = contract(t, w, axes=((1, 2), (0, 2)))    # (bra, kr, out, wr)
-        env = contract(a.conj(), t, axes=((0, 1), (0, 2)))  # (br, kr, wr)
-        env = env.transpose(0, 2, 1)
+        env = extend_left_env(env, a, w)
     value = complex(env[0, 0, 0])
     norm_sq = inner_product(psi, psi).real
     if norm_sq <= 0:
@@ -175,7 +197,7 @@ def canonicalize(psi: MatrixProductState, center: int) -> MatrixProductState:
     n = psi.n_sites
     if not 0 <= center < n:
         raise ValueError(f"center {center} out of range for {n} sites")
-    tensors = [t.copy() for t in psi.tensors]
+    tensors = list(psi.tensors)
     for s in range(center):
         l, d, r = tensors[s].shape
         q, rr = np.linalg.qr(tensors[s].reshape(l * d, r))
@@ -225,11 +247,6 @@ def split_theta(theta: np.ndarray, select: Callable, center_after: str = "right"
 # bond eigendata for cross-state tracking
 # ---------------------------------------------------------------------------
 
-def left_canonical(psi: MatrixProductState) -> MatrixProductState:
-    """All-left-isometric form (center on the last site)."""
-    return canonicalize(psi, psi.n_sites - 1)
-
-
 def bond_schmidt_data(psi: MatrixProductState):
     """Left-canonical tensors plus per-bond Schmidt bases.
 
@@ -238,7 +255,7 @@ def bond_schmidt_data(psi: MatrixProductState):
     unitary rotating the bond-``b`` left-isometry basis into the Schmidt
     eigenbasis (columns ordered like ``p``).
     """
-    phi = left_canonical(psi)
+    phi = canonicalize(psi, psi.n_sites - 1)
     norm_sq = inner_product(phi, phi).real
     n = phi.n_sites
     data: list = [None] * (n - 1)
@@ -264,6 +281,6 @@ def left_cross_envs(bra: MatrixProductState, ket: MatrixProductState) -> list[np
     env = np.ones((1, 1))
     envs = []
     for s in range(bra.n_sites - 1):
-        env = np.einsum("ipj,ik,kpl->jl", bra.tensors[s].conj(), env, ket.tensors[s])
+        env = extend_cross_env(env, bra.tensors[s], ket.tensors[s])
         envs.append(env)
     return envs

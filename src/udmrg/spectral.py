@@ -1,11 +1,13 @@
 """Eigen-decompositions tracked smoothly over a parameter grid.
 
-A :class:`SpectralPoint` is one sorted hermitian eigensystem; a
-:class:`SpectralTrack` holds them over a strictly increasing grid, with each
-point phase-aligned to its predecessor so that eigenvector derivatives can be
+A :class:`SpectralTrack` holds sorted hermitian eigensystems over a strictly
+increasing grid, as arrays of eigenvalues and vectors, with each point
+phase-aligned to its predecessor so that eigenvector derivatives can be
 formed by finite differences.  The grid parameter is abstract -- time and
 Hamiltonian parameters are treated identically, and any physical rate
-conversion is the caller's responsibility.
+conversion is the caller's responsibility.  :func:`diagonal_phases` is the
+package's one phase rule; the DMRG charges align their cross-point overlaps
+with it too.
 
 A family is an ``(n, d, d)`` stack of matrices over an ``n``-point grid.
 Leading axes stack families that share a grid, ``(..., n, d, d)``: one
@@ -27,7 +29,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,18 +37,6 @@ from .linalg import dag, require_hermitian
 #: adjacent-point overlap magnitude below which maximum-overlap reordering
 #: kicks in and the point is flagged as degenerate.
 DEGENERACY_THRESHOLD = 0.1
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One hermitian eigensystem: ascending eigenvalues, orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
 
 
 @dataclass
@@ -71,26 +60,6 @@ class SpectralTrack:
     def dim(self) -> int:
         return self.vectors.shape[-1]
 
-    @cached_property
-    def points(self) -> list[SpectralPoint]:
-        """The points of a one-family track, in grid order."""
-        if self.vectors.ndim != 3:
-            raise ValueError("points are defined for a one-family track")
-        return [SpectralPoint(eigenvalues=w, vectors=v)
-                for w, v in zip(self.eigenvalues, self.vectors)]
-
-    @property
-    def degenerate_points(self) -> list:
-        """Grid indices where degeneracy handling fired; one list per family
-        of a stacked track."""
-        return _flagged_indices(self.degenerate)
-
-
-def _flagged_indices(flags: np.ndarray) -> list:
-    if flags.ndim == 1:
-        return np.flatnonzero(flags).tolist()
-    return [_flagged_indices(f) for f in flags]
-
 
 def max_overlap_permutation(weights: np.ndarray) -> np.ndarray:
     """Greedy row-to-column assignment maximizing per-row overlap.
@@ -113,6 +82,21 @@ def max_overlap_permutation(weights: np.ndarray) -> np.ndarray:
     return perm
 
 
+def diagonal_phases(m: np.ndarray) -> np.ndarray:
+    """Unit phases that make each diagonal entry of ``m`` real and >= 0.
+
+    ``m`` is one matrix or a stack of them with leading axes; the phases come
+    back with shape ``(..., d)`` and ``m``'s dtype, 1 where an entry is 0.
+    Multiplying column ``b`` of ``m`` by phase ``b`` aligns that entry.
+    """
+    d = np.diagonal(m, axis1=-2, axis2=-1)
+    mag = np.abs(d)
+    phases = np.ones_like(d)
+    nz = mag > 0
+    phases[nz] = np.conj(d[nz]) / mag[nz]
+    return phases
+
+
 def _aligned(prev: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
              threshold: float = DEGENERACY_THRESHOLD
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,8 +106,8 @@ def _aligned(prev: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
     leading axes.  A member with a diagonal overlap magnitude below
     ``threshold`` is degenerate: its columns are first reordered by
     :func:`max_overlap_permutation`, one member at a time.  Every column is
-    then multiplied by the unit phase that makes its diagonal overlap real
-    and non-negative.  Returns the aligned values and vectors and the
+    then multiplied by its :func:`diagonal_phases` phase, which makes its
+    diagonal overlap real and non-negative.  Returns the aligned values and vectors and the
     degeneracy flag of each member; the inputs are not modified.
     """
     overlaps = dag(prev) @ vecs
@@ -135,12 +119,7 @@ def _aligned(prev: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
             perm = max_overlap_permutation(np.abs(overlaps[i]))
             vals[i], vecs[i] = vals[i][perm], vecs[i][:, perm]
             overlaps[i] = overlaps[i][:, perm]
-    d = np.diagonal(overlaps, axis1=-2, axis2=-1)
-    mag = np.abs(d)
-    phases = np.ones_like(d)
-    nz = mag > 0
-    phases[nz] = np.conj(d[nz]) / mag[nz]
-    return vals, vecs * phases[..., None, :], degenerate
+    return vals, vecs * diagonal_phases(overlaps)[..., None, :], degenerate
 
 
 def track_hermitian_family(grid, matrices) -> SpectralTrack:

@@ -2,9 +2,9 @@
 
 They build states and operators by hand (product states, exact
 factorizations of dense vectors, single-site operators) and inspect them
-(isometry residuals, entanglement spectra, phase alignment of a spectral
-point) so the tests can check the package against independent references,
-and compare an iterative eigenpair with a dense one.
+(isometry residuals, entanglement spectra, phase alignment of one
+eigensystem) so the tests can check the package against independent
+references, and compare an iterative eigenpair with a dense one.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import numpy as np
 from udmrg.linalg import dag, max_abs
 from udmrg.models import ID2
 from udmrg.mps import MatrixProductOperator, MatrixProductState, canonicalize
-from udmrg.spectral import SpectralPoint, _aligned
+from udmrg.spectral import _aligned
 
 
 def from_product_state(local_states: Sequence) -> MatrixProductState:
@@ -100,22 +100,22 @@ def single_site_mpo(op: np.ndarray, site: int, n: int) -> MatrixProductOperator:
     return MatrixProductOperator(tensors)
 
 
-def align_phases(prev: SpectralPoint, cur: SpectralPoint) -> SpectralPoint:
-    """Fix eigenvector phases of ``cur`` against ``prev``.
+def align_phases(prev_vectors: np.ndarray, eigenvalues: np.ndarray,
+                 vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fix the eigenvector phases of ``(eigenvalues, vectors)`` against
+    ``prev_vectors``, the aligned vectors of the previous point.
 
     Each column is multiplied by a unit phase so the diagonal overlap
     ``<a_prev|a_cur>`` becomes real and non-negative.  When some diagonal
     overlap magnitude falls below ``DEGENERACY_THRESHOLD`` the columns are
     first reordered by maximum-overlap assignment.  Idempotent.  This is the
     alignment step :func:`udmrg.spectral.track_hermitian_family` applies
-    between neighbouring points.
+    between neighbouring points; returns the aligned eigenvalues and vectors.
     """
-    if prev.vectors.shape != cur.vectors.shape:
-        raise ValueError(
-            f"dimension mismatch: {prev.vectors.shape} vs {cur.vectors.shape}"
-        )
-    vals, vecs, _ = _aligned(prev.vectors, cur.eigenvalues, cur.vectors)
-    return SpectralPoint(eigenvalues=vals, vectors=vecs)
+    if prev_vectors.shape != vectors.shape:
+        raise ValueError(f"dimension mismatch: {prev_vectors.shape} vs {vectors.shape}")
+    vals, vecs, _ = _aligned(prev_vectors, eigenvalues, vectors)
+    return vals, vecs
 
 
 def assert_same_eigenpair(energy: float, vector: np.ndarray, ref_energy: float,

@@ -27,11 +27,19 @@ from udmrg.mps import (
     bond_schmidt_data,
     canonicalize,
     expectation,
+    extend_left_env,
+    extend_right_env,
     mpo_to_dense,
     random_mps,
     to_dense,
 )
-from udmrg.truncation import POLICY_KINDS, TruncationPolicy
+from udmrg.spectral import second_difference_coeffs
+from udmrg.truncation import (
+    POLICY_KINDS,
+    TruncationPolicy,
+    charge_first_order,
+    charge_second_order,
+)
 
 from helpers import assert_same_eigenpair, from_product_state, single_site_mpo
 
@@ -140,10 +148,10 @@ def test_lanczos_matches_dense_eigh_on_chain_environments(kind, n_sites, bond_di
                        bond)
     lenv = dmrg._edge_env()
     for s in range(bond):
-        lenv = dmrg._update_left(lenv, psi.tensors[s], ws[s])
+        lenv = extend_left_env(lenv, psi.tensors[s], ws[s])
     renv = dmrg._edge_env()
     for s in range(n_sites - 1, bond + 1, -1):
-        renv = dmrg._update_right(renv, psi.tensors[s], ws[s])
+        renv = extend_right_env(renv, psi.tensors[s], ws[s])
     heff = dmrg.effective_hamiltonian(lenv, renv, ws[bond], ws[bond + 1])
     assume(130 <= heff.dim <= 1024)
     w, v = np.linalg.eigh(heff.dense())
@@ -790,6 +798,66 @@ def test_bond_charges_ignore_column_phases(rank, extra_cols, seed, h1, h2, secon
     np.testing.assert_allclose(r_aligned, aligned, atol=1e-12)
     if not second:
         np.testing.assert_array_equal(q2, np.zeros(rank))
+
+
+def _per_column_aligned(w: np.ndarray) -> np.ndarray:
+    """The column alignment the charges used before the phase rule had one
+    home: each column rotated, one at a time, by the unit phase making its
+    diagonal entry real and non-negative."""
+    out = w.copy()
+    for b in range(min(w.shape)):
+        mag = abs(out[b, b])
+        if mag > 0:
+            out[:, b] *= np.conj(out[b, b]) / mag
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank=st.integers(1, 5), extra_cols=st.integers(-2, 1),
+       seed=st.integers(0, 2**32 - 1), real=st.booleans(), second=st.booleans())
+def test_bond_charges_align_like_the_per_column_loop(rank, extra_cols, seed, real,
+                                                      second):
+    """On padded, non-unitary overlaps with zero diagonal entries, the aligned
+    overlap and both charges are the per-column loop's: bit for bit on real
+    overlaps, and to roundoff on complex ones, whose diagonal magnitudes
+    ``np.abs`` rounds on an array as the spectral tracks always have, where
+    the loop's scalar ``abs`` rounds like ``hypot``."""
+    rng = np.random.default_rng(seed)
+    cols = max(1, rank + extra_cols)
+    p = rng.dirichlet(np.ones(rank))
+    h1, h2 = rng.uniform(0.05, 1.0, size=2)
+
+    def overlaps():
+        w = rng.normal(size=(rank, cols))
+        if not real:
+            w = w + 1j * rng.normal(size=(rank, cols))
+        w[rng.integers(rank), rng.integers(cols)] = 0.0
+        return w
+
+    def reference(w):
+        padded = np.zeros((rank, rank), dtype=w.dtype)
+        padded[:, :min(rank, cols)] = w[:, :rank]
+        return _per_column_aligned(padded)
+
+    w1 = overlaps()
+    w2 = overlaps() if second else None
+    q1, q2, aligned = _bond_charges(p, w1, w2, (h1, h2))
+    a1 = reference(w1)
+    r1 = charge_first_order(p, (np.eye(rank) - a1) / h1)
+    r2 = np.zeros(rank)
+    if second:
+        c_oldest, c_middle, c_newest = second_difference_coeffs(h2, h1)
+        r2 = charge_second_order(c_newest * np.eye(rank) + c_middle * a1
+                                 + c_oldest * reference(w2))
+    assert aligned.dtype == w1.dtype
+    if real:
+        for got, want in ((aligned, a1), (q1, r1), (q2, r2)):
+            assert np.array_equal(got, want)
+        return
+    np.testing.assert_allclose(aligned, a1, rtol=1e-15, atol=1e-15 * linalg.max_abs(a1))
+    for got, want in ((q1, r1), (q2, r2)):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

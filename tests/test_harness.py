@@ -623,6 +623,15 @@ def test_gauge_and_crossing_reports_keep_their_bytes(gauge_report, crossing_repo
         "37ce99ccfe5e32ad3d29063569896511dd88fb32e1ffc87ed9ae6e161093a710")
 
 
+def test_default_crossing_report_keeps_its_bytes():
+    """The default crossing scan, 401 points and 4000 time steps, where the
+    pin above runs a 41-point grid.  Recorded with numpy 2.4 and its bundled
+    OpenBLAS, at 1 and 2 BLAS threads."""
+    assert report_digests(run_crossing_scan(CrossingScanConfig())) == (
+        "2e710849f3f1dd12cf75c95a1255bca9d9d4064cdbef2e6d761e6a0b163cd0f3",
+        "53e05189520134aa2cfe9b41387acbe97871c4bc48495811f6bf09a153bedd38")
+
+
 @pytest.mark.parametrize("overrides, digests", [
     ({}, ("ee176bfe2aec21c0ec30db213d4f713167de09e045b0798e3825e5c6feaee90c",
           "bc6d2595db901851333df78b58e9969183857e031b0a680d581d437afe02bf0a")),

@@ -5,8 +5,8 @@ from udmrg.linalg import dag, max_abs, random_hermitian, random_unitary
 from udmrg.models import PAULI_X, PAULI_Z
 from udmrg.spectral import (
     DEGENERACY_THRESHOLD,
-    SpectralPoint,
     derivative_overlaps,
+    diagonal_phases,
     max_overlap_permutation,
     second_difference_coeffs,
     second_derivative_overlaps,
@@ -17,8 +17,10 @@ from helpers import align_phases
 
 
 def eigh_sorted(matrix):
-    """One hermitian eigensystem, as a one-point track decomposes it."""
-    return track_hermitian_family([0.0], [matrix]).points[0]
+    """One hermitian eigensystem ``(eigenvalues, vectors)``, as a one-point
+    track decomposes it."""
+    track = track_hermitian_family([0.0], [matrix])
+    return track.eigenvalues[0], track.vectors[0]
 
 
 def rotating_family(grid, omega=0.3):
@@ -34,9 +36,9 @@ class TestEighSorted:
     def test_ascending_and_orthonormal(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            point = eigh_sorted(random_hermitian(rng, 5))
-            assert np.all(np.diff(point.eigenvalues) >= 0)
-            assert max_abs(dag(point.vectors) @ point.vectors - np.eye(5)) < 1e-13
+            w, v = eigh_sorted(random_hermitian(rng, 5))
+            assert np.all(np.diff(w) >= 0)
+            assert max_abs(dag(v) @ v - np.eye(5)) < 1e-13
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not hermitian"):
@@ -44,9 +46,8 @@ class TestEighSorted:
 
     def test_reconstructs_input(self):
         h = random_hermitian(np.random.default_rng(1), 4)
-        p = eigh_sorted(h)
-        np.testing.assert_allclose((p.vectors * p.eigenvalues) @ dag(p.vectors),
-                                   h, atol=1e-13)
+        w, v = eigh_sorted(h)
+        np.testing.assert_allclose((v * w) @ dag(v), h, atol=1e-13)
 
 
 def test_max_overlap_permutation_recovers_permutation():
@@ -66,23 +67,54 @@ def test_max_overlap_permutation_greedy_order():
 
 def test_align_phases_makes_diagonal_real_nonnegative():
     rng = np.random.default_rng(2)
-    prev = eigh_sorted(random_hermitian(rng, 4))
+    w, v = eigh_sorted(random_hermitian(rng, 4))
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
-    cur = SpectralPoint(eigenvalues=prev.eigenvalues,
-                        vectors=prev.vectors * phases[None, :])
-    fixed = align_phases(prev, cur)
-    overlap = np.diagonal(dag(prev.vectors) @ fixed.vectors)
+    _, fixed = align_phases(v, w, v * phases[None, :])
+    overlap = np.diagonal(dag(v) @ fixed)
     assert np.all(overlap.real > 1 - 1e-12)
     assert max_abs(overlap.imag) < 1e-12
-    again = align_phases(prev, fixed)
-    np.testing.assert_allclose(again.vectors, fixed.vectors, atol=1e-14)
+    _, again = align_phases(v, w, fixed)
+    np.testing.assert_allclose(again, fixed, atol=1e-14)
 
 
 def test_align_phases_dimension_mismatch():
-    a = eigh_sorted(np.eye(2))
-    b = eigh_sorted(np.eye(3))
+    _, a = eigh_sorted(np.eye(2))
+    w, b = eigh_sorted(np.eye(3))
     with pytest.raises(ValueError, match="mismatch"):
-        align_phases(a, b)
+        align_phases(a, w, b)
+
+
+def test_diagonal_phases_give_one_at_a_zero_entry():
+    m = np.array([[0.0, 1.0], [1j, -2j]])
+    phases = diagonal_phases(m)
+    np.testing.assert_array_equal(phases, [1.0, 1j])
+    np.testing.assert_array_equal(np.diagonal(m * phases), [0.0, 2.0])
+
+
+def test_diagonal_phases_keep_real_input_real():
+    """A float64 overlap gets float64 phases of exactly +1 and -1."""
+    m = np.random.default_rng(3).normal(size=(5, 5))
+    m[2, 2] = 0.0
+    phases = diagonal_phases(m)
+    assert phases.dtype == np.float64
+    np.testing.assert_array_equal(phases, np.where(np.diagonal(m) < 0, -1.0, 1.0))
+    assert np.all(np.diagonal(m * phases) >= 0)
+
+
+def test_diagonal_phases_of_a_stack_are_its_members_phases():
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    stack[0, 1, 3, 3] = 0.0
+    stack[1, 2, 0, 0] = 0.0
+    phases = diagonal_phases(stack)
+    assert phases.shape == (2, 3, 4)
+    for i in np.ndindex(2, 3):
+        assert np.array_equal(phases[i], diagonal_phases(stack[i]))
+    aligned = np.diagonal(stack * phases[..., None, :], axis1=-2, axis2=-1)
+    assert np.all(aligned.real >= 0)
+    assert max_abs(aligned.imag) < 1e-15
+    np.testing.assert_allclose(aligned.real, np.abs(np.diagonal(stack, axis1=-2, axis2=-1)),
+                               rtol=1e-15)
 
 
 def test_track_validates_grid():
@@ -102,15 +134,15 @@ def test_track_follows_diabatic_branches_through_crossing():
                                           for t in grid])
     # every post-crossing point needs the max-overlap reordering because the
     # raw eigh output re-sorts ascending against the tracked order
-    assert track.degenerate_points == [3, 4, 5]
-    for t, point in zip(grid, track.points):
-        np.testing.assert_allclose(point.eigenvalues, [t, -t], atol=1e-14)
+    assert np.flatnonzero(track.degenerate).tolist() == [3, 4, 5]
+    for t, eigenvalues in zip(grid, track.eigenvalues):
+        np.testing.assert_allclose(eigenvalues, [t, -t], atol=1e-14)
 
 
 def test_track_smooth_family_has_no_degenerate_points():
     grid = np.linspace(0.0, 1.0, 11)
     track = track_hermitian_family(grid, rotating_family(grid))
-    assert track.degenerate_points == []
+    assert not track.degenerate.any()
     assert len(track) == 11
     assert track.dim == 2
 
@@ -138,16 +170,18 @@ def test_a_stacked_track_equals_its_families_tracked_one_by_one():
                          crossing_family(grid, rng), rotating_basis_family(grid, rng),
                          rotating_basis_family(grid, rng), crossing_family(grid, rng)])
     singles = [track_hermitian_family(grid, f) for f in families]
-    assert [bool(t.degenerate_points) for t in singles] == [True, False, True,
-                                                            False, False, True]
+    assert [bool(t.degenerate.any()) for t in singles] == [True, False, True,
+                                                           False, False, True]
     for stack in (families, families.reshape((2, 3) + families.shape[1:])):
         track = track_hermitian_family(grid, stack)
         assert track.vectors.shape == stack.shape
         eigenvalues = track.eigenvalues.reshape((6,) + track.eigenvalues.shape[-2:])
         vectors = track.vectors.reshape(families.shape)
+        degenerate = track.degenerate.reshape(6, grid.size)
         for f, single in enumerate(singles):
             assert np.array_equal(eigenvalues[f], single.eigenvalues)
             assert np.array_equal(vectors[f], single.vectors)
+            assert np.array_equal(degenerate[f], single.degenerate)
             for k in (1, 3, 4):
                 assert np.array_equal(
                     derivative_overlaps(track, k).reshape(6, 3, 3)[f],
@@ -155,18 +189,6 @@ def test_a_stacked_track_equals_its_families_tracked_one_by_one():
                 assert np.array_equal(
                     second_derivative_overlaps(track, k).reshape(6, 3, 3)[f],
                     second_derivative_overlaps(single, k))
-        expected = [t.degenerate_points for t in singles]
-        if stack.ndim == 5:
-            expected = [expected[:3], expected[3:]]
-        assert track.degenerate_points == expected
-
-
-def test_a_stacked_track_has_no_one_family_points():
-    grid = np.linspace(0.0, 1.0, 4)
-    track = track_hermitian_family(grid, np.array([rotating_family(grid)] * 2))
-    assert track.degenerate_points == [[], []]
-    with pytest.raises(ValueError, match="one-family"):
-        track.points
 
 
 def test_derivative_overlaps_rotating_oracle():
