@@ -57,9 +57,14 @@ def max_abs(a) -> float:
 
 
 def unit_sum(w: np.ndarray) -> np.ndarray:
-    """``w`` scaled to sum to one; an all-zero ``w`` comes back as it is."""
-    total = float(np.sum(w))
-    return w / total if total > 0 else w
+    """``w`` scaled to sum to one along its last axis, row by row.
+
+    A row whose sum is not positive (all zeros) keeps its values, and a
+    ``w`` with no row to scale comes back as it is.
+    """
+    total = np.sum(w, axis=-1, keepdims=True)
+    positive = total > 0
+    return w / np.where(positive, total, 1.0) if positive.any() else w
 
 
 def hermiticity_residual(a: Matrix):

@@ -148,47 +148,56 @@ def track_hermitian_family(grid, matrices) -> SpectralTrack:
     return SpectralTrack(grid=grid, eigenvalues=w, vectors=v, degenerate=degenerate)
 
 
-def _check_index(track: SpectralTrack, k: int, lo: int, hi: int, what: str) -> None:
-    if not lo <= k <= hi:
+def _interior(track: SpectralTrack, k, what: str) -> np.ndarray:
+    """``k`` as an index array, after checking every entry is interior."""
+    k = np.asarray(k)
+    hi = len(track) - 2
+    bad = k[(k < 1) | (k > hi)]
+    if bad.size:
         raise IndexError(
-            f"{what} needs grid index in [{lo}, {hi}], got {k} "
+            f"{what} needs grid index in [1, {hi}], got {bad.flat[0]} "
             f"(track has {len(track)} points)"
         )
+    return k
 
 
-def derivative_overlaps(track: SpectralTrack, k: int) -> np.ndarray:
+def derivative_overlaps(track: SpectralTrack, k) -> np.ndarray:
     """Eigenvector derivative overlaps ``D[a, b] = <a(k)|d b(k)/dt>``.
 
     A central difference at interior index ``k``; non-uniform grids are
-    handled by using the true spacing on either side.
+    handled by using the true spacing on either side.  An array of indices
+    gives the overlaps at each, ``(..., *k.shape, d, d)`` for a track with
+    leading axes ``...``, the same bits as one call per index.
     """
     grid, v = track.grid, track.vectors
-    _check_index(track, k, 1, len(track) - 2, "central difference")
-    diff = (v[..., k + 1, :, :] - v[..., k - 1, :, :]) / (grid[k + 1] - grid[k - 1])
-    return dag(v[..., k, :, :]) @ diff
+    k = _interior(track, k, "central difference")
+    spacing = (grid[k + 1] - grid[k - 1])[..., None, None]
+    return dag(v[..., k, :, :]) @ ((v[..., k + 1, :, :] - v[..., k - 1, :, :]) / spacing)
 
 
-def second_difference_coeffs(h_left: float, h_right: float) -> tuple[float, float, float]:
+def second_difference_coeffs(h_left, h_right) -> tuple:
     """Three-point second-difference weights on a possibly non-uniform grid.
 
     For samples ``f(x - h_left), f(x), f(x + h_right)`` returns the weights
     whose combination approximates ``f''`` (exactly for quadratics).  On a
-    uniform grid they reduce to ``(1, -2, 1) / h^2``.
+    uniform grid they reduce to ``(1, -2, 1) / h^2``.  Arrays of spacings
+    give arrays of weights.
     """
     total = h_left + h_right
     return 2.0 / (h_left * total), -2.0 / (h_left * h_right), 2.0 / (h_right * total)
 
 
-def second_derivative_overlaps(track: SpectralTrack, k: int) -> np.ndarray:
+def second_derivative_overlaps(track: SpectralTrack, k) -> np.ndarray:
     """Second-derivative overlaps ``D2[a, c] = <a(k)|d^2 c(k)/dt^2>``.
 
     Uses the three-point stencil of :func:`second_difference_coeffs` with the
-    true spacings on either side of interior index ``k``.
+    true spacings on either side of interior index ``k``.  An array of
+    indices gives the overlaps at each, as :func:`derivative_overlaps` does.
     """
     grid, v = track.grid, track.vectors
-    _check_index(track, k, 1, len(track) - 2, "second difference")
-    c_minus, c_center, c_plus = second_difference_coeffs(grid[k] - grid[k - 1],
-                                                         grid[k + 1] - grid[k])
+    k = _interior(track, k, "second difference")
+    c_minus, c_center, c_plus = (c[..., None, None] for c in second_difference_coeffs(
+        grid[k] - grid[k - 1], grid[k + 1] - grid[k]))
     curv = (c_minus * v[..., k - 1, :, :] + c_center * v[..., k, :, :]
             + c_plus * v[..., k + 1, :, :])
     return dag(v[..., k, :, :]) @ curv

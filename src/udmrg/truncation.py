@@ -13,6 +13,10 @@ probabilities, ``p + L1 Q (+ L2 Q2)``.  Effective weights are *ranking scores
 only*: the retained amplitudes are always the raw singular values,
 renormalized.  With all coefficients zero every policy degenerates exactly to
 the standard rule.
+
+The charges and the weights take one spectrum or a stack of them with
+leading axes (a scan's points, say): every row comes out as a call of its
+own would give it.  :func:`select_states` picks from one spectrum.
 """
 from __future__ import annotations
 
@@ -113,30 +117,33 @@ def charge_first_order(p, d_overlaps) -> np.ndarray:
     ``p`` are the probabilities of the tracked spectrum and ``d_overlaps`` the
     derivative-overlap matrix ``D[a, b] = <a|db/dt>``.  Pairs with
     ``p_a + p_b < 1e-14`` contribute zero.  The diagonal never contributes
-    because its pair weight vanishes identically.
+    because its pair weight vanishes identically.  Leading axes stack
+    spectra: ``p`` is ``(..., d)`` and ``d_overlaps`` ``(..., d, d)``, and
+    each member's charges are the ones a call of its own would give.
     """
     p = np.asarray(p, dtype=float)
     d = np.asarray(d_overlaps)
-    if d.shape != (p.size, p.size):
-        raise ValueError(f"overlap matrix shape {d.shape} does not match {p.size} states")
-    pa = p[:, None]
-    pb = p[None, :]
+    if p.ndim == 0 or d.shape != p.shape + p.shape[-1:]:
+        raise ValueError(f"overlap matrix shape {d.shape} does not match states {p.shape}")
+    pa = p[..., :, None]
+    pb = p[..., None, :]
     total = pa + pb
     safe = np.where(total < PAIR_FLOOR, 1.0, total)
     weight = np.where(total < PAIR_FLOOR, 0.0, (pa - pb) ** 2 * pa * pb / safe**2)
-    return np.sum(weight * np.abs(d) ** 2, axis=1)
+    return np.sum(weight * np.abs(d) ** 2, axis=-1)
 
 
 def charge_second_order(d2_overlaps) -> np.ndarray:
     """Second-order coherence charge ``Q2[a] = m * sum_c |D2[a, c]|^2``.
 
     The inner index of the rank-3 coherence data collapses to a multiplicity
-    factor ``m`` in an orthonormal basis: the basis dimension.
+    factor ``m`` in an orthonormal basis: the basis dimension.  Leading axes
+    stack matrices, ``(..., m, m)``, with the charges ``(..., m)``.
     """
     d2 = np.asarray(d2_overlaps)
-    if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
+    if d2.ndim < 2 or d2.shape[-2] != d2.shape[-1]:
         raise ValueError(f"second-overlap matrix must be square, got {d2.shape}")
-    return d2.shape[0] * np.sum(np.abs(d2) ** 2, axis=1)
+    return d2.shape[-1] * np.sum(np.abs(d2) ** 2, axis=-1)
 
 
 def compute_weights(sigma, charges1, charges2, policy: TruncationPolicy) -> TruncationWeights:
@@ -147,16 +154,18 @@ def compute_weights(sigma, charges1, charges2, policy: TruncationPolicy) -> Trun
     ``uhlmann`` forcing ``g2 = 0``.  The eigenvalue-shift kinds operate on
     probabilities ``p = sigma^2`` (normalized) and shift them to
     ``p + L1 Q`` (``+ L2 Q2`` for ``coherence_eigenvalue_2``).  ``sigma``
-    must be a non-empty 1-d array, non-negative and sorted descending.  The
-    charges are taken as given -- callers are responsible for computing them
-    from the matching probability vector -- but must match ``sigma`` in shape.
+    must be a non-empty 1-d array, or a stack of them with leading axes, and
+    every row non-negative and sorted descending; each row is checked,
+    normalized and weighed as a call of its own would be.  The charges are taken as given --
+    callers are responsible for computing them from the matching probability
+    vector -- but must match ``sigma`` in shape.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 1 or sigma.size == 0:
-        raise ValueError("sigma must be a non-empty 1-d array")
+    if sigma.ndim == 0 or sigma.size == 0:
+        raise ValueError("sigma must be a non-empty 1-d array or a stack of them")
     if np.any(sigma < 0):
         raise ValueError("sigma must be non-negative")
-    if np.any(np.diff(sigma) > 0):
+    if np.any(np.diff(sigma, axis=-1) > 0):
         raise ValueError("sigma must be sorted descending")
     q1 = np.asarray(charges1, dtype=float)
     q2 = np.asarray(charges2, dtype=float)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from udmrg import dmrg, gauge, harness, models
+from udmrg import dmrg, gauge, harness, models, truncation
 from udmrg.harness import (
     CONFIG_TYPES,
     EXPERIMENT_KINDS,
@@ -569,6 +569,23 @@ def test_gauge_defaults_cost_what_the_readme_says(monkeypatch):
                      "action_functional": 3, "track_hermitian_family": 4,
                      "action_functional_in_gauge": 0, "_covariant_derivatives": 6,
                      "covariant_derivatives_formed": 7758}
+
+
+def test_crossing_defaults_cost_what_the_readme_says(monkeypatch):
+    """The README's ``crossing_scan`` section states these counts: every
+    per-point stage runs once over all 401 points, and the weights once per
+    policy."""
+    calls, count = call_counter(monkeypatch)
+    count(harness, "evolution_step")
+    count(harness, "evolution_step", key="substeps", size=len)
+    for name in ("derivative_overlaps", "second_derivative_overlaps", "compute_weights"):
+        count(harness, name)
+    count(truncation, "charge_first_order")
+    count(truncation, "charge_second_order")
+    run_crossing_scan(CrossingScanConfig())
+    assert calls == {"evolution_step": 1, "substeps": 4002, "derivative_overlaps": 1,
+                     "second_derivative_overlaps": 1, "charge_first_order": 1,
+                     "charge_second_order": 1, "compute_weights": 4}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udmrg import linalg
 from udmrg.models import (
@@ -71,6 +72,21 @@ def test_transition_probability_at_origin_closed_form():
     assert abs(value - expected) <= 1e-12 * expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(lams=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
+       coupling=st.floats(0.01, 2.0))
+def test_transition_probability_of_an_array_equals_its_points_one_by_one(lams, coupling):
+    """An array of parameters, the crossings among them, gives each point's
+    own weight bit for bit, and exactly 1.0 at the crossings."""
+    model = TwoLevelModel(coupling=coupling)
+    lam = np.array(lams + list(CROSSING_POINTS))
+    p = gaussian_transition_probability(model, lam)
+    assert p.shape == lam.shape
+    assert np.array_equal(p, [gaussian_transition_probability(model, x) for x in lam])
+    assert np.all(p[-2:] == 1.0)
+    assert np.array_equal(gaussian_transition_probability(model, lam.reshape(1, -1))[0], p)
+
+
 def test_transition_probability_requires_coupling():
     with pytest.raises(ValueError, match="zero coupling"):
         gaussian_transition_probability(TwoLevelModel(coupling=0.0), 0.3)
@@ -107,6 +123,39 @@ def test_evolution_step_is_unitary_for_random_hamiltonians():
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
     with pytest.raises(ValueError, match="not hermitian"):
         evolution_step(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.integers(1, 12), dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       per_member=st.booleans())
+def test_a_stack_of_evolution_steps_equals_its_members_one_by_one(members, dim, seed, per_member):
+    """A stack with one ``dt`` per member (or one ``dt`` for all) gives each
+    member's own unitary bit for bit, under one or two leading axes."""
+    rng = np.random.default_rng(seed)
+    h = np.array([linalg.random_hermitian(rng, dim) for _ in range(members)])
+    dt = rng.uniform(0.001, 2.0, members) if per_member else rng.uniform(0.001, 2.0)
+    u = evolution_step(h, dt)
+    assert u.shape == h.shape
+    for i in range(members):
+        assert np.array_equal(u[i], evolution_step(h[i], dt[i] if per_member else dt))
+    split = np.asarray(dt).reshape(-1, 1) if per_member else dt
+    assert np.array_equal(evolution_step(h[:, None], split)[:, 0], u)
+
+
+def test_tdse_propagate_equals_the_step_by_step_loop():
+    """The stacked steps reproduce, bit for bit, the loop that built one
+    unitary per step from a time accumulated step by step."""
+    grid = TimeGrid(-5.0, 5.0, 300)
+    h_of_t = linear_sweep_hamiltonian(1.0, 0.3)
+    psi = np.array([1.0, 0.0], dtype=complex)
+    expected = [psi]
+    t = grid.t0
+    for _ in range(grid.steps):
+        psi = evolution_step(h_of_t(t + 0.5 * grid.dt), grid.dt) @ psi
+        expected.append(psi)
+        t += grid.dt
+    assert np.array_equal(tdse_propagate(h_of_t, np.array([1.0, 0.0]), grid),
+                          np.array(expected))
 
 
 def test_tdse_constant_hamiltonian_closed_form():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udmrg.linalg import dag, max_abs, random_hermitian, random_unitary
 from udmrg.models import PAULI_X, PAULI_Z
@@ -211,6 +212,38 @@ def test_derivative_overlaps_need_an_interior_index():
     for k in (0, 5):
         with pytest.raises(IndexError, match=r"needs grid index in \[1, 4\]"):
             derivative_overlaps(track, k)
+
+
+def test_overlaps_reject_an_index_array_with_one_exterior_entry():
+    grid = np.linspace(0.0, 1.0, 6)
+    track = track_hermitian_family(grid, rotating_family(grid))
+    assert derivative_overlaps(track, np.arange(1, 5)).shape == (4, 2, 2)
+    for k in ([1, 2, 0], [[4, 5], [2, 3]], [-1]):
+        for overlaps in (derivative_overlaps, second_derivative_overlaps):
+            with pytest.raises(IndexError, match=r"needs grid index in \[1, 4\]"):
+                overlaps(track, np.array(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(3, 9), families=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_overlaps_at_an_index_array_equal_one_call_per_index(data, n, families, seed):
+    """On a non-uniform grid, with or without a leading family axis, the
+    overlaps at an index array equal one call per index bit for bit."""
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.uniform(0.05, 0.3, n))
+    stack = np.array([rotating_basis_family(grid, rng) for _ in range(max(families, 1))])
+    track = track_hermitian_family(grid, stack if families else stack[0])
+    k = np.array(data.draw(st.lists(st.integers(1, n - 2), min_size=1, max_size=6)))
+    if data.draw(st.booleans()) and k.size % 2 == 0:
+        k = k.reshape(2, -1)
+    lead = track.vectors.shape[:-3]
+    for overlaps in (derivative_overlaps, second_derivative_overlaps):
+        got = overlaps(track, k)
+        assert got.shape == lead + k.shape + (3, 3)
+        for idx in np.ndindex(k.shape):
+            assert np.array_equal(got[(...,) + idx + (slice(None),) * 2],
+                                  overlaps(track, int(k[idx])))
 
 
 def test_derivative_overlaps_anti_hermitian_refinement():

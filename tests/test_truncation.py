@@ -80,7 +80,16 @@ def test_weights_validation():
         with pytest.raises(ValueError, match="sigma must be a non-empty 1-d array"):
             compute_weights(np.zeros(0), np.zeros(0), np.zeros(0), policy)
         with pytest.raises(ValueError, match="sigma must be a non-empty 1-d array"):
-            compute_weights(np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), policy)
+            compute_weights(np.float64(0.5), np.float64(0.0), np.float64(0.0), policy)
+        # a stack is checked row by row: one bad row fails it
+        stack = np.array([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7]])
+        with pytest.raises(ValueError, match="sigma must be sorted descending"):
+            compute_weights(stack, np.zeros((3, 2)), np.zeros((3, 2)), policy)
+        stack[2] = [0.3, -0.1]
+        with pytest.raises(ValueError, match="sigma must be non-negative"):
+            compute_weights(stack, np.zeros((3, 2)), np.zeros((3, 2)), policy)
+        with pytest.raises(ValueError, match="charges2 must match sigma in shape"):
+            compute_weights(stack[:2], np.zeros((2, 2)), np.zeros(2), policy)
         with pytest.raises(ValueError, match="charges1 must match sigma in shape"):
             compute_weights(np.array([0.9, 0.1]), np.zeros(3), np.zeros(2), policy)
         with pytest.raises(ValueError, match="charges2 must match sigma in shape"):
@@ -365,3 +374,73 @@ def test_a_cutoff_drops_a_state_within_the_budget(kind):
     zeros = np.zeros(2)
     kept = select_states(compute_weights(np.array([1.0, 0.1]), zeros, zeros, pol), pol)[0]
     np.testing.assert_array_equal(kept, [0])
+
+
+# ---------------------------------------------------------------------------
+# stacks: every row as a call of its own
+# ---------------------------------------------------------------------------
+
+#: probabilities that put pairs on both sides of ``PAIR_FLOOR``
+_SMALL_PROBS = (0.0, 1e-16, 4e-15, 1e-14, 0.5)
+
+
+@st.composite
+def spectrum_stacks(draw, max_rows=5, max_size=6):
+    """A ``(rows, n)`` stack of descending spectra, some rows possibly all zero."""
+    rows, size = draw(st.integers(1, max_rows)), draw(st.integers(1, max_size))
+    values = st.one_of(st.sampled_from(_TIE_VALUES), st.floats(0.0, 1.0))
+    stack = np.array(draw(st.lists(values, min_size=rows * size, max_size=rows * size)))
+    stack = -np.sort(-stack.reshape(rows, size), axis=1)
+    for r in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        stack[r] = 0.0
+    return stack
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), sigma=spectrum_stacks(), kind=st.sampled_from(POLICY_KINDS))
+def test_stacked_weights_equal_one_call_per_row(data, sigma, kind):
+    """Raw and effective weights of a stack, under one or two leading axes,
+    equal each row's own call bit for bit, all-zero rows included."""
+    charges = st.lists(st.floats(0.0, 1e6), min_size=sigma.size, max_size=sigma.size)
+    q1 = np.array(data.draw(charges)).reshape(sigma.shape)
+    q2 = np.array(data.draw(charges)).reshape(sigma.shape)
+    coefficient = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    pol = TruncationPolicy(kind=kind, **{name: data.draw(coefficient)
+                                         for name in ("gamma1", "gamma2", "lambda1", "lambda2")})
+    rows = [compute_weights(s, a, b, pol) for s, a, b in zip(sigma, q1, q2)]
+    stacked = compute_weights(sigma, q1, q2, pol)
+    assert np.array_equal(stacked.raw, [w.raw for w in rows])
+    assert np.array_equal(stacked.effective, [w.effective for w in rows])
+    split = (sigma.shape[0], 1, sigma.shape[1])
+    twice = compute_weights(sigma.reshape(split), q1.reshape(split), q2.reshape(split), pol)
+    assert np.array_equal(twice.effective.reshape(sigma.shape), stacked.effective)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 5), size=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_charges_equal_one_call_per_row(data, rows, size, seed):
+    """Both charges of a stack equal each member's own call bit for bit, with
+    probability pairs on both sides of ``PAIR_FLOOR``."""
+    p = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from(_SMALL_PROBS), st.floats(0.0, 1.0)),
+        min_size=rows * size, max_size=rows * size))).reshape(rows, size)
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(rows, size, size)) + 1j * rng.normal(size=(rows, size, size))
+    q1 = charge_first_order(p, d)
+    q2 = charge_second_order(d)
+    assert q1.shape == q2.shape == (rows, size)
+    for r in range(rows):
+        assert np.array_equal(q1[r], charge_first_order(p[r], d[r]))
+        assert np.array_equal(q2[r], charge_second_order(d[r]))
+    assert np.array_equal(charge_first_order(p[None], d[None])[0], q1)
+    assert np.array_equal(charge_second_order(d[None])[0], q2)
+
+
+def test_stacked_charges_check_their_shapes():
+    with pytest.raises(ValueError, match="does not match"):
+        charge_first_order(np.full((3, 2), 0.5), np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="does not match"):
+        charge_first_order(np.float64(1.0), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="must be square"):
+        charge_second_order(np.zeros((3, 2, 1)))
