@@ -18,9 +18,6 @@ from .dmrg import (
     ground_state,
 )
 from .gauge import (
-    ActionParams,
-    CoherenceCube,
-    CoherenceMatrix,
     GaugePotential,
     GaugePotential2D,
     action_functional,
@@ -56,7 +53,6 @@ from .harness import (
 )
 from .models import (
     SpinChainSpec,
-    TimeGrid,
     TwoLevelModel,
     build_spin_chain_mpo,
     dense_spin_chain,
@@ -64,9 +60,10 @@ from .models import (
     exact_diagonalization,
     gaussian_transition_probability,
     landau_zener_reference,
+    midpoint_schedule,
+    propagate,
     spin_chain_ground_state,
     spin_chain_matvec,
-    tdse_propagate,
     two_level_hamiltonian,
 )
 from .mps import (

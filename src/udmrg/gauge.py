@@ -46,23 +46,11 @@ from .linalg import (
     max_abs,
     random_hermitian,
     require_hermitian,
-    require_square,
     require_unitary,
 )
 from .spectral import SpectralTrack, derivative_overlaps, second_derivative_overlaps
 
 ACTION_MODES = ("covariant", "scalar_like")
-
-
-@dataclass(frozen=True)
-class ActionParams:
-    """Mode of the action functionals."""
-
-    mode: str = "covariant"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ACTION_MODES:
-            raise ValueError(f"mode must be one of {ACTION_MODES}, got {self.mode!r}")
 
 
 @dataclass
@@ -82,9 +70,6 @@ class GaugePotential:
         self.values = np.asarray(self.values)
         if self.values.ndim < 3 or self.values.shape[-3] != self.grid.size:
             raise ValueError("potential values must match the grid in length")
-
-    def __len__(self) -> int:
-        return self.grid.size
 
 
 @dataclass
@@ -106,47 +91,6 @@ class GaugePotential2D:
         expected = (self.axis1.size, self.axis2.size)
         if self.values1.shape[:2] != expected or self.values2.shape[:2] != expected:
             raise ValueError("component arrays must be indexed by (axis1, axis2)")
-
-
-@dataclass
-class CoherenceMatrix:
-    """Hermitian coherence operator ``C``, or a stack ``(..., d, d)`` of them;
-    symmetrized at construction."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.entries = hermitian_part(require_square(self.entries, "coherence matrix"))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[-1]
-
-
-@dataclass
-class CoherenceCube:
-    """Rank-3 coherence data ``H[a, b, c]``, real at construction.
-
-    A stack ``(..., d, d, d)`` holds one cube per leading index.
-
-    The literal operator contraction ``sum_{abc} H_abc <b|c> |a><a|`` in an
-    orthonormal basis collapses the middle index against the third and yields
-    a real diagonal operator; see :func:`contract_coherence_cube`.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries)
-        if e.ndim < 3 or len(set(e.shape[-3:])) != 1:
-            raise ValueError(f"coherence cube must be cubic rank-3, got shape {e.shape}")
-        if np.iscomplexobj(e) and max_abs(e.imag) > 1e-12:
-            raise ValueError("coherence cube entries must be real")
-        self.entries = e.real.astype(float)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +209,7 @@ def gauge_transform(rho, a, v, dv):
 
 def categorical_potential_1(a, coherence, rho) -> np.ndarray:
     """First categorical correction ``A + [C, rho] / i``."""
-    c = coherence.entries if isinstance(coherence, CoherenceMatrix) else np.asarray(coherence)
+    c = np.asarray(coherence)
     a = np.asarray(a, dtype=complex)
     if a.shape != c.shape or a.shape != np.asarray(rho).shape:
         raise ValueError("potential, coherence matrix and density must share a shape")
@@ -278,7 +222,7 @@ def categorical_potential_2(a1, h_op, coherence) -> np.ndarray:
     ``h_op`` is the already-contracted coherence-cube operator, e.g. from
     :func:`contract_coherence_cube`.
     """
-    c = coherence.entries if isinstance(coherence, CoherenceMatrix) else np.asarray(coherence)
+    c = np.asarray(coherence)
     a1 = np.asarray(a1, dtype=complex)
     h_op = np.asarray(h_op, dtype=complex)
     if a1.shape != c.shape or a1.shape != h_op.shape:
@@ -286,33 +230,40 @@ def categorical_potential_2(a1, h_op, coherence) -> np.ndarray:
     return a1 + commutator(h_op, c) / 1j
 
 
-def default_coherence_matrix(track: SpectralTrack, k: int) -> CoherenceMatrix:
-    """Hermitian coherence matrix from first-derivative overlaps.
+def default_coherence_matrix(track: SpectralTrack, k: int) -> np.ndarray:
+    """Hermitian coherence matrix ``C`` from first-derivative overlaps.
 
     With ``D`` split as ``D = H + iK`` (``H``, ``K`` hermitian) the default
     convention maps the track data to ``C = H + K``, i.e. the hermitian part
-    plus the hermitized anti-hermitian part.
+    plus the hermitized anti-hermitian part.  A stacked track gives the
+    stack ``(..., d, d)``.
     """
     d = derivative_overlaps(track, k)
-    c = (d + dag(d)) / 2.0 + (d - dag(d)) / 2j
-    return CoherenceMatrix(entries=c)
+    return hermitian_part((d + dag(d)) / 2.0 + (d - dag(d)) / 2j)
 
 
-def default_coherence_cube(track: SpectralTrack, k: int) -> CoherenceCube:
-    """Coherence cube ``H[a, b, c] = Re(D2[a, c]) delta_{bc}`` from a track."""
+def default_coherence_cube(track: SpectralTrack, k: int) -> np.ndarray:
+    """Real coherence cube ``H[a, b, c] = Re(D2[a, c]) delta_{bc}`` from a track.
+
+    A stacked track gives the stack ``(..., d, d, d)``.
+    """
     d2 = second_derivative_overlaps(track, k)
-    n = d2.shape[-1]
-    entries = np.einsum("...ac,bc->...abc", d2.real, np.eye(n))
-    return CoherenceCube(entries=entries)
+    return np.einsum("...ac,bc->...abc", d2.real, np.eye(d2.shape[-1]))
 
 
-def contract_coherence_cube(cube: CoherenceCube) -> np.ndarray:
+def contract_coherence_cube(cube) -> np.ndarray:
     """Contract ``sum_{abc} H_abc <b|c> |a><a|`` to its diagonal operator.
 
+    ``cube`` is a real ``(..., d, d, d)`` array, one cube per leading index.
     In an orthonormal basis ``<b|c> = delta_{bc}``, so the result is
     ``diag(sum_b H[a, b, b])`` -- real diagonal, hence hermitian.
     """
-    diag = np.einsum("...abb->...a", cube.entries)
+    e = np.asarray(cube)
+    if e.ndim < 3 or len(set(e.shape[-3:])) != 1:
+        raise ValueError(f"coherence cube must be cubic rank-3, got shape {e.shape}")
+    if np.iscomplexobj(e) and max_abs(e.imag) > 1e-12:
+        raise ValueError("coherence cube entries must be real")
+    diag = np.einsum("...abb->...a", e.real)
     n = diag.shape[-1]
     out = np.zeros(diag.shape + (n,), dtype=complex)
     out[..., np.arange(n), np.arange(n)] = diag
@@ -364,7 +315,7 @@ def _covariant_integrand(r: np.ndarray, a: np.ndarray, grid: np.ndarray) -> np.n
     return _traces(r[..., 1:-1, :, :] @ dag(d) @ d)
 
 
-def action_functional(rhos, potential: GaugePotential, params: ActionParams):
+def action_functional(rhos, potential: GaugePotential, mode: str = "covariant"):
     """Time integral of the gauge-kinetic density along the family.
 
     ``covariant`` mode integrates ``Tr[rho (D rho)^H (D rho)]`` (real,
@@ -374,13 +325,15 @@ def action_functional(rhos, potential: GaugePotential, params: ActionParams):
     nodes their stencils support.  A float for one family; an array over the
     leading axes for a stack.
     """
+    if mode not in ACTION_MODES:
+        raise ValueError(f"mode must be one of {ACTION_MODES}, got {mode!r}")
     grid = potential.grid
     r = _family(rhos)
     if r.shape[-3] != grid.size:
         raise ValueError("density family and potential must share a grid")
     n = grid.size
     a = potential.values
-    if params.mode == "covariant":
+    if mode == "covariant":
         if n < 3:
             raise ValueError("covariant action needs at least 3 grid points")
         integrand = _covariant_integrand(r, a[..., 1:-1, :, :], grid)

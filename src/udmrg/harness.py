@@ -59,7 +59,6 @@ from .dmrg import (
     ground_state,
 )
 from .gauge import (
-    ActionParams,
     GaugePotential,
     action_functional,
     categorical_potential_1,
@@ -92,6 +91,8 @@ from .models import (
     build_spin_chain_mpo,
     evolution_step,
     gaussian_transition_probability,
+    midpoint_schedule,
+    propagate,
     spin_chain_ground_state,
     two_level_hamiltonian,
 )
@@ -494,24 +495,15 @@ def run_crossing_scan(cfg: CrossingScanConfig) -> ScanReport:
     rate = cfg.sweep_rate
     times = grid / rate
     dt_target = (times[-1] - times[0]) / cfg.time_steps
-    seg = np.diff(times)
-    substeps = np.maximum(1, np.ceil(seg / dt_target - 1e-12).astype(int))
-    ends = np.cumsum(substeps)
-    dt = np.repeat(seg / substeps, substeps)
-    j = np.arange(ends[-1]) - np.repeat(ends - substeps, substeps)
-    midpoints = np.repeat(times[:-1], substeps) + (j + 0.5) * dt
+    substeps = np.maximum(1, np.ceil(np.diff(times) / dt_target - 1e-12).astype(int))
+    midpoints, dt = midpoint_schedule(times, substeps)
     steps = evolution_step(two_level_hamiltonian(model, rate * midpoints), dt)
     psi = track.vectors[0][:, 0].astype(complex)
     psi /= np.linalg.norm(psi)
-    pops = np.empty((n, 2))
-    norms = np.empty(n)
-    pops[0] = np.abs(dag(track.vectors[0]) @ psi) ** 2
-    norms[0] = float(np.linalg.norm(psi))
-    for k, segment in enumerate(np.split(steps, ends[:-1]), start=1):
-        for u in segment:
-            psi = u @ psi
-        pops[k] = np.abs(dag(track.vectors[k]) @ psi) ** 2
-        norms[k] = float(np.linalg.norm(psi))
+    states = propagate(steps, psi)[np.r_[0, np.cumsum(substeps)]]
+    # one product and one norm per point: stacking either rounds differently
+    pops = np.array([np.abs(dag(v) @ s) ** 2 for v, s in zip(track.vectors, states)])
+    norms = np.array([np.linalg.norm(s) for s in states])
 
     # looked up at call time, so wrappers set on the truncation module (the
     # benchmark's tracer) see these calls
@@ -701,10 +693,8 @@ def _coefficient_cells(kind: str, cfg: PecComparisonConfig) -> list[dict]:
 class GridSearchResult:
     """Best coefficients per method plus the exhaustive evaluation table."""
 
-    best_cells: dict[str, dict]
     best_policies: dict[str, TruncationPolicy]
     best_scans: dict[str, ContinuationScan]
-    best_objectives: dict[str, float]
     table: ScanReport
 
 
@@ -732,14 +722,11 @@ def grid_search_coefficients(cfg: PecComparisonConfig,
         columns=["method", "gamma1", "gamma2", "lambda1", "lambda2",
                  "objective", "selected"],
     )
-    best_cells: dict[str, dict] = {}
     best_policies: dict[str, TruncationPolicy] = {}
     best_scans: dict[str, ContinuationScan] = {}
-    best_objectives: dict[str, float] = {}
     for kind in PEC_POLICY_KINDS:
-        cells = _coefficient_cells(kind, cfg)
         scored = []
-        for i, cell in enumerate(cells):
+        for i, cell in enumerate(_coefficient_cells(kind, cfg)):
             policy = TruncationPolicy(kind=kind, max_kept=cfg.max_bond, **cell)
             nonzero = 0 if all(v == 0 for v in cell.values()) else 1
             if nonzero:
@@ -749,19 +736,14 @@ def grid_search_coefficients(cfg: PecComparisonConfig,
                     standard = _scan_for_policy(cfg, problem, _standard_policy(cfg))
                 scan = standard
             score = _scan_objective(cfg, scan, problem)
-            scored.append((score, nonzero, i, cell, policy, scan))
-        best = min(scored, key=lambda s: (s[0], s[1], s[2]))
+            scored.append((score, nonzero, i, policy, scan))
+        best = min(scored, key=lambda s: s[:3])
         label = METHOD_LABELS[kind]
-        best_cells[kind] = best[3]
-        best_policies[kind] = best[4]
-        best_scans[kind] = best[5]
-        best_objectives[kind] = best[0]
-        for score, _, i, cell, policy, _scan in scored:
+        best_policies[kind], best_scans[kind] = best[3:]
+        for score, _, i, policy, _scan in scored:
             table.add_row(label, policy.gamma1, policy.gamma2, policy.lambda1,
                           policy.lambda2, score, i == best[2])
-    return GridSearchResult(best_cells=best_cells, best_policies=best_policies,
-                            best_scans=best_scans, best_objectives=best_objectives,
-                            table=table)
+    return GridSearchResult(best_policies=best_policies, best_scans=best_scans, table=table)
 
 
 def _points_report(name: str, cfg: PecComparisonConfig, problem: _PecProblem,
@@ -938,7 +920,6 @@ def run_gauge_diagnostics(cfg: GaugeDiagnosticsConfig) -> ScanReport:
                  "action_covariant", "action_scalar_like", "covariance_residual",
                  "transport_action", "charge_residual_max"],
     )
-    params = ActionParams()
     # All families run as one stack; family 0, the constant one, holds its
     # t = 0 member at every point.  Each family keeps its own generator,
     # drawn in the order it always was: density, microgrid density, gauge,
@@ -955,8 +936,8 @@ def run_gauge_diagnostics(cfg: GaugeDiagnosticsConfig) -> ScanReport:
     a1 = categorical_potential_1(potential.values[:, center], coherence, rhos[:, center])
     h_op = contract_coherence_cube(default_coherence_cube(track, center))
     a2 = categorical_potential_2(a1, h_op, coherence)
-    action_cov = action_functional(rhos, potential, params)
-    action_scl = action_functional(rhos, potential, ActionParams(mode="scalar_like"))
+    action_cov = action_functional(rhos, potential)
+    action_scl = action_functional(rhos, potential, mode="scalar_like")
 
     micro_shape = (1, 3, dim, dim)
     rhos_micro = np.concatenate([np.broadcast_to(rhos[0, center], micro_shape),
@@ -967,7 +948,7 @@ def run_gauge_diagnostics(cfg: GaugeDiagnosticsConfig) -> ScanReport:
         rhos_micro, micro, np.concatenate([np.broadcast_to(u0, micro_shape), vfam.values]),
         np.concatenate([np.zeros(micro_shape, dtype=complex), vfam.derivatives]))
     t_rhos, t_pot = _transport_families(random_rngs, rhos[1:, 0], transport_grid, dim)
-    transport_action = np.concatenate([[0.0], action_functional(t_rhos, t_pot, params)])
+    transport_action = np.concatenate([[0.0], action_functional(t_rhos, t_pot)])
     residual = gauge_charge_residual(rhos, potential, center, eps=1e-5)
     columns = (herm_a, hermiticity_residual(a1), hermiticity_residual(a2), action_cov,
                action_scl, cov_res, transport_action, np.abs(residual).max(axis=(-2, -1)))

@@ -26,11 +26,6 @@ from numpy.typing import NDArray
 
 Matrix = NDArray[np.inexact]
 
-#: largest matrix ``models.exact_diagonalization`` diagonalizes (2**12
-#: states).  It bounds nothing else: the experiments' exact ground states are
-#: matrix-free, and the DMRG local solve has no such limit.
-DENSE_LIMIT = 4096
-
 #: Krylov basis size of one Lanczos cycle, and cycles allowed per solve
 LANCZOS_KRYLOV = 24
 LANCZOS_RESTARTS = 100

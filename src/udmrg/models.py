@@ -35,6 +35,11 @@ CROSSING_POINTS = (-1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 
 SPIN_CHAIN_KINDS = ("tfim", "heisenberg")
 
+#: largest matrix :func:`exact_diagonalization` diagonalizes (2**12 states).
+#: It bounds nothing else: the experiments' exact ground states are
+#: matrix-free, and the DMRG local solve has no such limit.
+DENSE_LIMIT = 4096
+
 
 # ---------------------------------------------------------------------------
 # two-level avoided crossing
@@ -86,26 +91,30 @@ def gaussian_transition_probability(model: TwoLevelModel, lam):
 # time evolution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time grid with ``steps`` intervals between ``t0`` and ``t1``."""
+def midpoint_schedule(times, substeps=1) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and lengths of the steps that split each interval of ``times``.
 
-    t0: float
-    t1: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError("need at least one time step")
-        if not self.t1 > self.t0:
-            raise ValueError("time grid must run forward")
-
-    @property
-    def dt(self) -> float:
-        return (self.t1 - self.t0) / self.steps
-
-    def times(self) -> np.ndarray:
-        return np.linspace(self.t0, self.t1, self.steps + 1)
+    Interval ``k`` splits into ``substeps[k]`` equal steps of
+    ``dt_k = (times[k+1] - times[k]) / substeps[k]`` with midpoints
+    ``times[k] + (j + 0.5) dt_k``; ``substeps`` is one count for every
+    interval or one per interval.  Taking ``exp(-i H(mid) dt)`` per step
+    (:func:`evolution_step`, then :func:`propagate`) is the midpoint rule:
+    exactly norm-preserving and second-order accurate in ``dt``.  Every
+    ``times[k]`` is hit exactly by a step boundary.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise ValueError("need at least two times")
+    seg = np.diff(times)
+    if not np.all(seg > 0):
+        raise ValueError("times must run forward, strictly increasing")
+    substeps = np.broadcast_to(substeps, seg.shape)
+    if np.any(substeps < 1):
+        raise ValueError("need at least one time step per interval")
+    ends = np.cumsum(substeps)
+    dt = np.repeat(seg / substeps, substeps)
+    j = np.arange(ends[-1]) - np.repeat(ends - substeps, substeps)
+    return np.repeat(times[:-1], substeps) + (j + 0.5) * dt, dt
 
 
 def evolution_step(hamiltonian: np.ndarray, dt) -> np.ndarray:
@@ -122,28 +131,20 @@ def evolution_step(hamiltonian: np.ndarray, dt) -> np.ndarray:
     return (v * np.exp(-1j * w * np.asarray(dt)[..., None])[..., None, :]) @ dag(v)
 
 
-def tdse_propagate(h_of_t: Callable[[float], np.ndarray], psi0,
-                   grid: TimeGrid) -> np.ndarray:
-    """Propagate the Schrodinger equation with the midpoint-exponential rule.
+def propagate(unitaries, psi0) -> np.ndarray:
+    """States along a ``(steps, d, d)`` stack of step unitaries.
 
-    Each step applies ``exp(-i H(t + dt/2) dt)``, so the trajectory is exactly
-    norm-preserving and second-order accurate in ``dt``.  One
-    :func:`evolution_step` call builds every step's unitary, which the state
-    then takes one product at a time.  Returns the ``(steps + 1, dim)``
-    array of states including the initial one.
+    ``psi0`` must have unit norm.  The state takes one ``u @ psi`` product
+    per step.  Returns the ``(steps + 1, d)`` array of states including the
+    initial one.
     """
     psi = np.asarray(psi0, dtype=complex).ravel()
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"initial state has norm {norm!r}, expected 1")
-    dt, t = grid.dt, grid.t0
-    hamiltonians = []
-    for _ in range(grid.steps):
-        hamiltonians.append(h_of_t(t + 0.5 * dt))
-        t += dt
-    out = np.empty((grid.steps + 1, psi.size), dtype=complex)
+    out = np.empty((len(unitaries) + 1, psi.size), dtype=complex)
     out[0] = psi
-    for n, u in enumerate(evolution_step(np.array(hamiltonians), dt), start=1):
+    for n, u in enumerate(unitaries, start=1):
         out[n] = psi = u @ psi
     return out
 
@@ -310,14 +311,14 @@ def build_spin_chain_mpo(spec: SpinChainSpec) -> MatrixProductOperator:
 def exact_diagonalization(hamiltonian, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``k`` eigenpairs of a dense hermitian matrix.
 
-    Refuses matrices above ``linalg.DENSE_LIMIT`` (this is a desk-scale
+    Refuses matrices above ``DENSE_LIMIT`` (this is a desk-scale
     oracle, not a sparse solver).  Returns ``(values, vectors)`` with
     eigenvalues ascending and eigenvectors in columns.
     """
     h = require_hermitian(hamiltonian, 1e-10, "Hamiltonian")
-    limit = linalg.DENSE_LIMIT
-    if h.shape[0] > limit:
-        raise ValueError(f"matrix dimension {h.shape[0]} exceeds the dense limit {limit}")
+    if h.shape[0] > DENSE_LIMIT:
+        raise ValueError(
+            f"matrix dimension {h.shape[0]} exceeds the dense limit {DENSE_LIMIT}")
     if not 1 <= k <= h.shape[0]:
         raise ValueError(f"cannot request {k} eigenpairs of a {h.shape[0]}-dim matrix")
     w, v = np.linalg.eigh(h)

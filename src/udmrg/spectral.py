@@ -56,10 +56,6 @@ class SpectralTrack:
     def __len__(self) -> int:
         return self.grid.size
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[-1]
-
 
 def max_overlap_permutation(weights: np.ndarray) -> np.ndarray:
     """Greedy row-to-column assignment maximizing per-row overlap.

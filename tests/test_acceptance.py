@@ -26,13 +26,14 @@ from udmrg.harness import (
 from udmrg.models import (
     CROSSING_POINTS,
     SpinChainSpec,
-    TimeGrid,
     TwoLevelModel,
     build_spin_chain_mpo,
     dense_spin_chain,
+    evolution_step,
     gaussian_transition_probability,
     landau_zener_reference,
-    tdse_propagate,
+    midpoint_schedule,
+    propagate,
 )
 from udmrg.mps import (
     MatrixProductOperator,
@@ -228,7 +229,8 @@ def test_full_gauge_diagnostics_keeps_its_bytes(gauge_report):
 def test_crossing_weights_and_schrodinger_evolution():
     """Gaussian crossing weights hit 1 exactly at the degeneracies and
 
-    exp(-50) at the origin to 1e-12 relative; the propagator preserves norm
+    exp(-50) at the origin to 1e-12 relative; the crossing scan's propagator
+    (``midpoint_schedule``, ``evolution_step``, ``propagate``) preserves norm
     to 1e-10; three linear sweeps land within 2% of exp(-2 pi V^2 / v)."""
     model = TwoLevelModel(coupling=0.1)
     for lam in CROSSING_POINTS:
@@ -241,13 +243,12 @@ def test_crossing_weights_and_schrodinger_evolution():
 
     worst_drift = 0.0
     worst_rel = 0.0
+    midpoints, dt = midpoint_schedule([-200.0, 200.0], 20000)
     for v, coupling in ((0.5, 0.15), (1.0, 0.2), (2.0, 0.3)):
-        def h_of_t(t, v=v, c=coupling):
-            return np.array([[0.5 * v * t, c], [c, -0.5 * v * t]],
-                            dtype=complex)
-
-        traj = tdse_propagate(h_of_t, np.array([1.0, 0.0]),
-                              TimeGrid(-200.0, 200.0, 20000))
+        h = np.empty(midpoints.shape + (2, 2), dtype=complex)
+        h[:, 0, 0], h[:, 1, 1] = 0.5 * v * midpoints, -0.5 * v * midpoints
+        h[:, 0, 1] = h[:, 1, 0] = coupling
+        traj = propagate(evolution_step(h, dt), np.array([1.0, 0.0]))
         norms = np.linalg.norm(traj, axis=1)
         worst_drift = max(worst_drift, float(np.max(np.abs(norms - 1.0))))
         survival = float(abs(traj[-1, 0]) ** 2)

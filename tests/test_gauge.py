@@ -5,9 +5,6 @@ import pytest
 from scipy.optimize import minimize
 
 from udmrg.gauge import (
-    ActionParams,
-    CoherenceCube,
-    CoherenceMatrix,
     GaugePotential,
     GaugePotential2D,
     _trapezoid_weights,
@@ -107,7 +104,7 @@ def test_uhlmann_potential_is_hermitian_and_grid_aligned():
     grid = np.linspace(0.0, 1.0, 9)
     rhos = smooth_density_family(rng, 3, grid)
     pot = uhlmann_potential(rhos, grid)
-    assert len(pot) == 9
+    assert pot.grid.size == 9
     for v in pot.values:
         assert hermiticity_residual(v) < 1e-10
 
@@ -154,7 +151,7 @@ def test_uhlmann_potential_clips_a_member_just_below_zero():
     member = np.diag([1.0 + 5e-13, -5e-13]).astype(complex)
     rhos, grid = family_with(member)
     pot = uhlmann_potential(rhos, grid)
-    assert len(pot) == grid.size
+    assert pot.values.shape[0] == grid.size
     assert np.all(np.isfinite(pot.values[3]))
     assert hermiticity_residual(pot.values[3]) < 1e-10
     amp = purify(member)
@@ -198,7 +195,7 @@ def test_covariant_derivative_vanishes_on_transported_family():
     pot = GaugePotential(grid=grid, values=values)
     for k in (1, 5, 9):
         assert max_abs(covariant_derivative(rhos, pot, k)) < 1e-4
-    assert action_functional(rhos, pot, ActionParams()) < 1e-8
+    assert action_functional(rhos, pot) < 1e-8
 
 
 def test_covariant_derivative_index_and_grid_checks():
@@ -249,7 +246,7 @@ def test_gauge_covariance_of_covariant_derivative():
 def test_categorical_potential_1_hand_value():
     """A = 0, C = sx, rho = diag(0.9, 0.1): A1 = [C, rho]/i = -0.8 sy."""
     rho = np.diag([0.9, 0.1]).astype(complex)
-    a1 = categorical_potential_1(np.zeros((2, 2)), CoherenceMatrix(PAULI_X), rho)
+    a1 = categorical_potential_1(np.zeros((2, 2)), PAULI_X, rho)
     np.testing.assert_allclose(a1, -0.8 * PAULI_Y, atol=1e-14)
     assert hermiticity_residual(a1) < 1e-14
 
@@ -257,17 +254,16 @@ def test_categorical_potential_1_hand_value():
 def test_categorical_potential_2_hand_value():
     """H_op = sz, C = sx: A2 - A1 = [sz, sx]/i = 2 sy."""
     a1 = np.zeros((2, 2), dtype=complex)
-    a2 = categorical_potential_2(a1, PAULI_Z, CoherenceMatrix(PAULI_X))
+    a2 = categorical_potential_2(a1, PAULI_Z, PAULI_X)
     np.testing.assert_allclose(a2, 2.0 * PAULI_Y, atol=1e-14)
 
 
 def test_categorical_potentials_shape_checks():
     with pytest.raises(ValueError, match="share a shape"):
-        categorical_potential_1(np.zeros((2, 2)), CoherenceMatrix(np.eye(3)),
+        categorical_potential_1(np.zeros((2, 2)), np.eye(3),
                                 np.eye(3) / 3)
     with pytest.raises(ValueError, match="share a shape"):
-        categorical_potential_2(np.zeros((2, 2)), np.eye(3),
-                                CoherenceMatrix(np.eye(2)))
+        categorical_potential_2(np.zeros((2, 2)), np.eye(3), np.eye(2))
 
 
 def test_default_coherence_matrix_rotating_oracle():
@@ -278,25 +274,24 @@ def test_default_coherence_matrix_rotating_oracle():
             for t in grid]
     track = track_hermitian_family(grid, mats)
     c = default_coherence_matrix(track, 2)
-    np.testing.assert_allclose(c.entries, (omega / 2) * PAULI_Y, atol=1e-8)
-    assert c.dim == 2
+    np.testing.assert_allclose(c, (omega / 2) * PAULI_Y, atol=1e-8)
+    assert c.shape == (2, 2)
+    assert np.array_equal(c, dag(c))
 
 
 def test_coherence_cube_contraction():
-    entries = np.arange(8, dtype=float).reshape(2, 2, 2)
-    cube = CoherenceCube(entries)
-    h_op = contract_coherence_cube(cube)
+    h_op = contract_coherence_cube(np.arange(8, dtype=float).reshape(2, 2, 2))
     # diag entries are H[a, 0, 0] + H[a, 1, 1]
     np.testing.assert_allclose(h_op, np.diag([0.0 + 3.0, 4.0 + 7.0]), atol=1e-15)
 
 
 def test_coherence_cube_validation():
     with pytest.raises(ValueError, match="cubic"):
-        CoherenceCube(np.zeros((2, 2)))
+        contract_coherence_cube(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="cubic"):
-        CoherenceCube(np.zeros((2, 3, 2)))
+        contract_coherence_cube(np.zeros((2, 3, 2)))
     with pytest.raises(ValueError, match="real"):
-        CoherenceCube(np.full((2, 2, 2), 1j))
+        contract_coherence_cube(np.full((2, 2, 2), 1j))
 
 
 def test_default_coherence_cube_collapses_inner_index():
@@ -305,10 +300,10 @@ def test_default_coherence_cube_collapses_inner_index():
     rhos = smooth_density_family(rng, 3, grid)
     track = track_hermitian_family(grid, rhos)
     cube = default_coherence_cube(track, 3)
-    assert cube.entries.shape == (3, 3, 3)
-    # inner structure: entries[a, b, c] = Re(D2[a, c]) delta_{bc}
-    assert np.all(cube.entries[:, 0, 1] == 0.0)
-    assert np.all(cube.entries[:, 2, 1] == 0.0)
+    assert cube.shape == (3, 3, 3) and cube.dtype == float
+    # inner structure: cube[a, b, c] = Re(D2[a, c]) delta_{bc}
+    assert np.all(cube[:, 0, 1] == 0.0)
+    assert np.all(cube[:, 2, 1] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +311,10 @@ def test_default_coherence_cube_collapses_inner_index():
 # ---------------------------------------------------------------------------
 
 def test_action_params_validation():
+    grid = np.linspace(0.0, 1.0, 5)
+    rhos = smooth_density_family(np.random.default_rng(6), 2, grid)
     with pytest.raises(ValueError, match="mode"):
-        ActionParams(mode="quartic")
+        action_functional(rhos, uhlmann_potential(rhos, grid), mode="quartic")
 
 
 def test_covariant_action_nonnegative_and_zero_on_constants():
@@ -325,11 +322,11 @@ def test_covariant_action_nonnegative_and_zero_on_constants():
     grid = np.linspace(0.0, 1.0, 9)
     rhos = smooth_density_family(rng, 3, grid)
     pot = uhlmann_potential(rhos, grid)
-    assert action_functional(rhos, pot, ActionParams()) >= 0.0
+    assert action_functional(rhos, pot) >= 0.0
 
     const = [rhos[0]] * 9
     const_pot = uhlmann_potential(const, grid)
-    assert action_functional(const, const_pot, ActionParams()) == 0.0
+    assert action_functional(const, const_pot) == 0.0
 
 
 def test_scalar_like_action_runs_and_differs():
@@ -337,14 +334,13 @@ def test_scalar_like_action_runs_and_differs():
     grid = np.linspace(0.0, 1.0, 11)
     rhos = smooth_density_family(rng, 2, grid)
     pot = uhlmann_potential(rhos, grid)
-    value = action_functional(rhos, pot, ActionParams(mode="scalar_like"))
+    value = action_functional(rhos, pot, mode="scalar_like")
     assert isinstance(value, float)
     with pytest.raises(ValueError, match="at least 5"):
         action_functional(rhos[:4], GaugePotential(grid[:4], pot.values[:4]),
-                          ActionParams(mode="scalar_like"))
+                          mode="scalar_like")
     with pytest.raises(ValueError, match="at least 3"):
-        action_functional(rhos[:2], GaugePotential(grid[:2], pot.values[:2]),
-                          ActionParams())
+        action_functional(rhos[:2], GaugePotential(grid[:2], pot.values[:2]))
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +418,7 @@ def test_charge_residual_vanishes_at_action_minimum():
     def objective(x):
         values = list(pot.values)
         values[center] = unpack(x)
-        return action_functional(rhos, GaugePotential(grid, values),
-                                 ActionParams())
+        return action_functional(rhos, GaugePotential(grid, values))
 
     a0 = pot.values[center]
     x0 = np.array([a0[0, 0].real, a0[1, 1].real, a0[0, 1].real, a0[0, 1].imag])
@@ -440,7 +435,6 @@ def test_charge_residual_vanishes_at_action_minimum():
 
 def full_action_charge_residual(rhos, potential, k, eps):
     """The residual as two whole covariant actions per perturbed direction."""
-    params = ActionParams(mode="covariant")
     grid = potential.grid
     dim = potential.values[k].shape[0]
     base = [np.asarray(v, dtype=complex) for v in potential.values]
@@ -452,8 +446,8 @@ def full_action_charge_residual(rhos, potential, k, eps):
             minus = list(base)
             plus[k] = base[k] + eps * direction
             minus[k] = base[k] - eps * direction
-            s_plus = action_functional(rhos, GaugePotential(grid, plus), params)
-            s_minus = action_functional(rhos, GaugePotential(grid, minus), params)
+            s_plus = action_functional(rhos, GaugePotential(grid, plus))
+            s_minus = action_functional(rhos, GaugePotential(grid, minus))
             residual[a, b] = (s_plus - s_minus) / (2.0 * eps)
     return residual
 
@@ -526,7 +520,7 @@ def test_stacked_families_equal_their_pointwise_loops():
         d = covariant_derivative(rhos, pot, k)
         terms[k - 1] = float(np.trace(rhos[k] @ dag(d) @ d).real)
     weights = _trapezoid_weights(grid[1:-1])
-    assert action_functional(rhos, pot, ActionParams()) == float(np.dot(weights, terms))
+    assert action_functional(rhos, pot) == float(np.dot(weights, terms))
 
 
 def test_families_drawn_in_a_stack_equal_families_drawn_alone():
@@ -557,8 +551,8 @@ def test_stacked_gauge_stages_equal_their_families_one_by_one(dim):
     families = np.array([smooth_density_family(rng, dim, grid) for _ in range(3)]
                         + [constant])
     potential = uhlmann_potential(families, grid)
-    modes = [ActionParams(), ActionParams(mode="scalar_like")]
-    actions = [action_functional(families, potential, params) for params in modes]
+    modes = ["covariant", "scalar_like"]
+    actions = [action_functional(families, potential, mode) for mode in modes]
     residuals = gauge_charge_residual(families, potential, n // 2)
     d_rho = covariant_derivative(families, potential, 2)
     assert residuals.shape == (4, dim, dim)
@@ -566,8 +560,8 @@ def test_stacked_gauge_stages_equal_their_families_one_by_one(dim):
         pot = uhlmann_potential(rhos, grid)
         assert np.array_equal(potential.values[f], pot.values)
         assert np.array_equal(d_rho[f], covariant_derivative(rhos, pot, 2))
-        for params, stacked in zip(modes, actions):
-            assert stacked[f] == action_functional(rhos, pot, params)
+        for mode, stacked in zip(modes, actions):
+            assert stacked[f] == action_functional(rhos, pot, mode)
         assert np.array_equal(residuals[f], gauge_charge_residual(rhos, pot, n // 2))
     # two leading axes run the same arithmetic
     pairs = families.reshape((2, 2) + families.shape[1:])

@@ -415,7 +415,7 @@ def test_grid_search_prefers_zero_on_ties_and_never_loses():
                            gamma1_grid=(0.0, 50.0), gamma2_grid=(0.0,),
                            lambda1_grid=(0.0,), lambda2_grid=(0.0,))
     search = grid_search_coefficients(cfg)
-    assert search.best_cells["uhlmann"]["gamma1"] == 0.0
+    assert search.best_policies["uhlmann"].gamma1 == 0.0
     rows = [r for r in search.table.rows if r[0] == "uhlmann"]
     assert len(rows) == 2
     selected = [r for r in rows if r[-1] is True]
@@ -423,7 +423,7 @@ def test_grid_search_prefers_zero_on_ties_and_never_loses():
     # the surviving objective can never exceed the zero cell's score
     zero_row = [r for r in rows if r[1] == 0.0][0]
     obj_idx = search.table.columns.index("objective")
-    assert search.best_objectives["uhlmann"] <= zero_row[obj_idx]
+    assert selected[0][obj_idx] <= zero_row[obj_idx]
 
 
 def test_zero_cells_reuse_the_standard_scan(monkeypatch):
@@ -578,12 +578,14 @@ def test_crossing_defaults_cost_what_the_readme_says(monkeypatch):
     calls, count = call_counter(monkeypatch)
     count(harness, "evolution_step")
     count(harness, "evolution_step", key="substeps", size=len)
-    for name in ("derivative_overlaps", "second_derivative_overlaps", "compute_weights"):
+    for name in ("midpoint_schedule", "propagate", "derivative_overlaps",
+                 "second_derivative_overlaps", "compute_weights"):
         count(harness, name)
     count(truncation, "charge_first_order")
     count(truncation, "charge_second_order")
     run_crossing_scan(CrossingScanConfig())
-    assert calls == {"evolution_step": 1, "substeps": 4002, "derivative_overlaps": 1,
+    assert calls == {"evolution_step": 1, "substeps": 4002, "midpoint_schedule": 1,
+                     "propagate": 1, "derivative_overlaps": 1,
                      "second_derivative_overlaps": 1, "charge_first_order": 1,
                      "charge_second_order": 1, "compute_weights": 4}
 

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udmrg import linalg
+from udmrg import linalg, models
 from udmrg.models import (
     CROSSING_POINTS,
     PAULI_X,
     PAULI_Z,
     SPIN_CHAIN_KINDS,
     SpinChainSpec,
-    TimeGrid,
     TwoLevelModel,
     build_spin_chain_mpo,
     dense_spin_chain,
@@ -20,9 +19,10 @@ from udmrg.models import (
     exact_diagonalization,
     gaussian_transition_probability,
     landau_zener_reference,
+    midpoint_schedule,
+    propagate,
     spin_chain_ground_state,
     spin_chain_matvec,
-    tdse_propagate,
     two_level_hamiltonian,
 )
 from udmrg.mps import mpo_to_dense
@@ -30,14 +30,20 @@ from udmrg.mps import mpo_to_dense
 from helpers import assert_same_eigenpair
 
 
-def linear_sweep_hamiltonian(v, coupling):
-    """Two-level Hamiltonian whose diabatic gap closes at rate ``v``."""
+def linear_sweep_hamiltonian(v, coupling, t):
+    """Two-level Hamiltonian whose diabatic gap closes at rate ``v``; an
+    array of times gives the stack of Hamiltonians."""
+    t = np.asarray(t, dtype=float)
+    h = np.empty(t.shape + (2, 2), dtype=complex)
+    h[..., 0, 0], h[..., 1, 1] = 0.5 * v * t, -0.5 * v * t
+    h[..., 0, 1] = h[..., 1, 0] = coupling
+    return h
 
-    def h_of_t(t):
-        return np.array([[0.5 * v * t, coupling],
-                         [coupling, -0.5 * v * t]], dtype=complex)
 
-    return h_of_t
+def midpoint_trajectory(h_of_t, psi0, t0, t1, steps):
+    """States of the midpoint rule over ``steps`` equal steps from ``t0`` to ``t1``."""
+    midpoints, dt = midpoint_schedule([t0, t1], steps)
+    return propagate(evolution_step(h_of_t(midpoints), dt), psi0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +101,26 @@ def test_transition_probability_requires_coupling():
 
 
 # ---------------------------------------------------------------------------
-# time grids and propagation
+# midpoint schedules and propagation
 # ---------------------------------------------------------------------------
 
-def test_time_grid_validation_and_accessors():
-    grid = TimeGrid(-1.0, 1.0, 4)
-    assert grid.dt == pytest.approx(0.5)
-    np.testing.assert_allclose(grid.times(), [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_midpoint_schedule_validation_and_values():
+    midpoints, dt = midpoint_schedule([-1.0, 1.0], 4)
+    np.testing.assert_allclose(dt, [0.5] * 4)
+    np.testing.assert_allclose(midpoints, [-0.75, -0.25, 0.25, 0.75])
+    midpoints, dt = midpoint_schedule([0.0, 1.0, 3.0], [2, 1])
+    np.testing.assert_allclose(dt, [0.5, 0.5, 2.0])
+    np.testing.assert_allclose(midpoints, [0.25, 0.75, 2.0])
     with pytest.raises(ValueError, match="at least one"):
-        TimeGrid(0.0, 1.0, 0)
+        midpoint_schedule([0.0, 1.0], 0)
+    with pytest.raises(ValueError, match="at least one"):
+        midpoint_schedule([0.0, 1.0, 2.0], [3, 0])
     with pytest.raises(ValueError, match="forward"):
-        TimeGrid(1.0, 0.0, 10)
+        midpoint_schedule([1.0, 0.0], 10)
+    with pytest.raises(ValueError, match="forward"):
+        midpoint_schedule([0.0, 1.0, 1.0], 10)
+    with pytest.raises(ValueError, match="at least two"):
+        midpoint_schedule([0.0], 10)
 
 
 def test_evolution_step_diagonal_phase():
@@ -142,66 +157,61 @@ def test_a_stack_of_evolution_steps_equals_its_members_one_by_one(members, dim, 
     assert np.array_equal(evolution_step(h[:, None], split)[:, 0], u)
 
 
-def test_tdse_propagate_equals_the_step_by_step_loop():
-    """The stacked steps reproduce, bit for bit, the loop that built one
-    unitary per step from a time accumulated step by step."""
-    grid = TimeGrid(-5.0, 5.0, 300)
-    h_of_t = linear_sweep_hamiltonian(1.0, 0.3)
+def test_propagate_equals_one_evolution_step_per_step():
+    """On a schedule with uneven substeps, the stacked unitaries give, bit
+    for bit, the states of one step unitary built and applied at a time."""
+    times = np.array([-5.0, -2.0, 0.5, 5.0])
+    midpoints, dt = midpoint_schedule(times, [70, 3, 227])
+    assert midpoints.shape == dt.shape == (300,)
     psi = np.array([1.0, 0.0], dtype=complex)
     expected = [psi]
-    t = grid.t0
-    for _ in range(grid.steps):
-        psi = evolution_step(h_of_t(t + 0.5 * grid.dt), grid.dt) @ psi
+    for mid, step in zip(midpoints, dt):
+        psi = evolution_step(linear_sweep_hamiltonian(1.0, 0.3, mid), step) @ psi
         expected.append(psi)
-        t += grid.dt
-    assert np.array_equal(tdse_propagate(h_of_t, np.array([1.0, 0.0]), grid),
-                          np.array(expected))
+    unitaries = evolution_step(linear_sweep_hamiltonian(1.0, 0.3, midpoints), dt)
+    assert np.array_equal(propagate(unitaries, np.array([1.0, 0.0])), np.array(expected))
 
 
 def test_tdse_constant_hamiltonian_closed_form():
-    grid = TimeGrid(0.0, 1.0, 200)
     psi0 = np.array([1.0, 0.0])
-    traj = tdse_propagate(lambda t: PAULI_X, psi0, grid)
+    traj = midpoint_trajectory(lambda t: np.broadcast_to(PAULI_X, t.shape + (2, 2)),
+                               psi0, 0.0, 1.0, 200)
     assert traj.shape == (201, 2)
     # exp(-i sx t) |0> = cos(t)|0> - i sin(t)|1>
     for n in (50, 100, 200):
-        t = grid.times()[n]
+        t = np.linspace(0.0, 1.0, 201)[n]
         expected = np.array([np.cos(t), -1j * np.sin(t)])
         np.testing.assert_allclose(traj[n], expected, atol=1e-12)
 
 
 def test_tdse_preserves_norm_to_machine_precision():
-    grid = TimeGrid(-5.0, 5.0, 500)
-    traj = tdse_propagate(linear_sweep_hamiltonian(1.0, 0.3),
-                          np.array([1.0, 0.0]), grid)
+    traj = midpoint_trajectory(lambda t: linear_sweep_hamiltonian(1.0, 0.3, t),
+                               np.array([1.0, 0.0]), -5.0, 5.0, 500)
     norms = np.linalg.norm(traj, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
 
 
 def test_tdse_rejects_unnormalized_initial_state():
     with pytest.raises(ValueError, match="expected 1"):
-        tdse_propagate(lambda t: PAULI_X, np.array([1.0, 1.0]),
-                       TimeGrid(0.0, 1.0, 10))
+        propagate(evolution_step(PAULI_X, 0.1)[None], np.array([1.0, 1.0]))
 
 
 def test_slow_sweep_stays_in_the_instantaneous_ground_state():
     omega = 0.02
 
     def h_of_t(t):
-        return 0.5 * (np.cos(omega * t) * PAULI_Z
-                      + np.sin(omega * t) * PAULI_X)
+        t = np.asarray(t)[..., None, None]
+        return 0.5 * (np.cos(omega * t) * PAULI_Z + np.sin(omega * t) * PAULI_X)
 
-    grid = TimeGrid(0.0, 50.0, 2000)
-    traj = tdse_propagate(h_of_t, np.array([0.0, 1.0]), grid)
-    _, v = np.linalg.eigh(h_of_t(grid.t1))
+    traj = midpoint_trajectory(h_of_t, np.array([0.0, 1.0]), 0.0, 50.0, 2000)
+    _, v = np.linalg.eigh(h_of_t(50.0))
     ground_pop = abs(np.vdot(v[:, 0], traj[-1])) ** 2
     assert ground_pop >= 0.99
 
 
 def test_fast_sweep_follows_the_diabatic_branch():
-    grid = TimeGrid(-200.0, 200.0, 20000)
-    traj = tdse_propagate(linear_sweep_hamiltonian(1.0, 0.2),
-                          np.array([1.0, 0.0]), grid)
+    traj = midpoint_trajectory(lambda t: linear_sweep_hamiltonian(1.0, 0.2, t),
+                               np.array([1.0, 0.0]), -200.0, 200.0, 20000)
     survival = abs(traj[-1, 0]) ** 2
     reference = landau_zener_reference(1.0, 0.2)
     assert abs(survival - reference) / reference < 0.02
@@ -264,7 +274,7 @@ def test_exact_diagonalization_contract(monkeypatch):
     for i in range(3):
         np.testing.assert_allclose(h @ v[:, i], w[i] * v[:, i], atol=1e-10)
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "DENSE_LIMIT", 4)
+        patch.setattr(models, "DENSE_LIMIT", 4)
         with pytest.raises(ValueError, match="exceeds the dense limit 4"):
             exact_diagonalization(h)
     with pytest.raises(ValueError, match="cannot request"):

@@ -145,7 +145,7 @@ def test_track_smooth_family_has_no_degenerate_points():
     track = track_hermitian_family(grid, rotating_family(grid))
     assert not track.degenerate.any()
     assert len(track) == 11
-    assert track.dim == 2
+    assert track.vectors.shape == (11, 2, 2)
 
 
 def crossing_family(grid, rng):
