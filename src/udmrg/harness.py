@@ -124,7 +124,8 @@ METHOD_LABELS = {
 OBJECTIVES = ("energy_error", "fidelity")
 
 #: longest spin-1/2 chain the experiments accept; the exact oracle stores about
-#: ``n * 2**n`` bit-flip indices per field (``models.spin_chain_matvec``)
+#: ``n * 2**n`` bit-flip indices and as many weights per field
+#: (``models.spin_chain_matvec``)
 _MAX_CHAIN_SITES = 12
 
 
@@ -355,6 +356,8 @@ class DmrgBenchmarkConfig(ExperimentConfig):
             )
         if not self.benchmark_fields:
             errs.append("benchmark_fields must not be empty")
+        if self.spin_model == "heisenberg" and any(h != 0 for h in self.benchmark_fields):
+            errs.append("benchmark_fields must all be 0: the heisenberg chain has no field")
         if self.benchmark_bond < 1:
             errs.append("benchmark_bond must be positive")
         if self.benchmark_sweeps < 1:

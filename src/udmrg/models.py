@@ -6,17 +6,18 @@ branches are degenerate at ``lambda = +-1/sqrt(2)``, where the Gaussian
 transition weight ``P = exp(-(eps1 - eps2)^2 / (2 V^2))`` peaks at exactly 1.
 Time evolution uses hbar = 1 throughout.
 
-Spin chains come in two flavors.  Three independent builders each can serve
-as another's oracle: the MPO, the matrix-free bit-flip matvec behind the
-experiments' exact ground states, and the dense (Kronecker-product) matrix
-that tests check both against:
+Each spin chain is written once, as a table of site and bond terms in
+:data:`SPIN_CHAIN_TERMS`, and read three ways: the MPO the DMRG runs on, the
+matrix-free bit-flip matvec behind the experiments' exact ground states, and
+the dense (Kronecker-product) matrix that tests check both against:
 
-* ``tfim``:        H = -J sum sz.sz - h sum sx
-* ``heisenberg``:  H = J sum S.S           (spin-1/2 operators S = sigma/2)
+* ``tfim``:        H = -J sum Z.Z - h sum X
+* ``heisenberg``:  H = J sum (S+S- + S-S+) / 2 + Sz.Sz   (= J sum S.S, S = sigma/2)
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,20 @@ ID2 = np.eye(2, dtype=complex)
 #: diabatic degeneracy points of the two-level model
 CROSSING_POINTS = (-1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 
-SPIN_CHAIN_KINDS = ("tfim", "heisenberg")
+_S_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # takes bit 1 (spin down) to bit 0
+
+#: Each spin chain as one table of terms, in the coupling ``j`` and field ``h``:
+#: ``(c, A)`` is ``c A_s`` on every site, ``(c, A, B)`` is ``c A_s B_{s+1}`` on
+#: every bond.  Every operator is real 2x2 with at most one nonzero in each row
+#: and column (I, X, Z, S+, S- or Sz), so a placed term maps a basis state to
+#: one other.  The MPO, the exact oracle's matvec and the dense reference all
+#: read this table, and the bond terms' order is the MPO's channel order.
+SPIN_CHAIN_TERMS = {
+    "tfim": lambda j, h: [(-j, PAULI_Z.real, PAULI_Z.real), (-h, PAULI_X.real)],
+    "heisenberg": lambda j, h: [(0.5 * j, _S_PLUS, _S_PLUS.T), (0.5 * j, _S_PLUS.T, _S_PLUS),
+                                (j, 0.5 * PAULI_Z.real, 0.5 * PAULI_Z.real)],
+}
+SPIN_CHAIN_KINDS = tuple(SPIN_CHAIN_TERMS)
 
 #: largest matrix :func:`exact_diagonalization` diagonalizes (2**12 states).
 #: It bounds nothing else: the experiments' exact ground states are
@@ -83,7 +97,7 @@ def gaussian_transition_probability(model: TwoLevelModel, lam):
     if model.coupling == 0.0:
         raise ValueError("transition probability undefined for zero coupling")
     e1, e2 = diabatic_energies(np.asarray(lam, dtype=float))
-    p = np.exp(-((e1 - e2) ** 2) / (2.0 * model.coupling**2))
+    p = np.exp(-np.square(e1 - e2) / (2.0 * model.coupling**2))
     return float(p) if p.ndim == 0 else p
 
 
@@ -177,45 +191,26 @@ class SpinChainSpec:
             raise ValueError(f"kind must be one of {SPIN_CHAIN_KINDS}, got {self.kind!r}")
         if self.n_sites < 2:
             raise ValueError("spin chains need at least two sites")
+        if self.kind == "heisenberg" and self.field != 0:
+            raise ValueError(f"the heisenberg chain has no field, got field={self.field!r}")
 
-
-def _kron_chain(ops: list[np.ndarray]) -> np.ndarray:
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
-
-
-def _embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    return _kron_chain([op if s == site else ID2 for s in range(n)])
-
-
-def _embed_pair(op1: np.ndarray, op2: np.ndarray, site: int, n: int) -> np.ndarray:
-    ops = [ID2] * n
-    ops[site] = op1
-    ops[site + 1] = op2
-    return _kron_chain(ops)
+    @property
+    def terms(self) -> list[tuple]:
+        """The chain's terms, as :data:`SPIN_CHAIN_TERMS` gives them."""
+        return SPIN_CHAIN_TERMS[self.kind](self.coupling, self.field)
 
 
 def dense_spin_chain(spec: SpinChainSpec) -> np.ndarray:
-    """Dense Hamiltonian via explicit Kronecker embedding.
+    """Dense complex Hamiltonian: ``c`` times the Kronecker product of every placed term.
 
     No experiment forms it; it is the reference that tests hold the MPO and
     :func:`spin_chain_matvec` to.
     """
     n = spec.n_sites
     h = np.zeros((2**n, 2**n), dtype=complex)
-    if spec.kind == "tfim":
-        for s in range(n - 1):
-            h -= spec.coupling * _embed_pair(PAULI_Z, PAULI_Z, s, n)
-        for s in range(n):
-            h -= spec.field * _embed(PAULI_X, s, n)
-    else:
-        sx, sy, sz = 0.5 * PAULI_X, 0.5 * PAULI_Y, 0.5 * PAULI_Z
-        for s in range(n - 1):
-            h += spec.coupling * (_embed_pair(sx, sx, s, n)
-                                  + _embed_pair(sy, sy, s, n)
-                                  + _embed_pair(sz, sz, s, n))
+    for c, *ops in spec.terms:
+        for s in range(n - len(ops) + 1):
+            h += c * reduce(np.kron, [ID2] * s + ops + [ID2] * (n - s - len(ops)))
     return h
 
 
@@ -224,26 +219,35 @@ def spin_chain_matvec(spec: SpinChainSpec) -> Callable[[np.ndarray], np.ndarray]
 
     Basis state ``i`` holds site ``s`` in bit ``n - 1 - s`` (site 0 is the
     most significant bit, as in the Kronecker order); a set bit is sz = -1/2.
-    The diagonal (the ZZ or SzSz bonds) and the bit-flip index arrays are
-    built once here, so applying H is ``diag * x`` plus one stacked gather of
-    every term: ``x[i ^ bit(s)]`` for each transverse-field site of the TFIM,
-    weighted -h, and for each Heisenberg bond the pair flip
-    ``x[i ^ (bit(s) | bit(s + 1))]``, weighted J/2 on the states whose two
-    spins are antiparallel and 0 elsewhere.
+    A placed term maps ``i`` to ``i ^ mask``, flipping the sites whose
+    operator is off-diagonal, with weight ``c`` times the product of the
+    operators' entries in row ``i``.  Diagonal terms are summed over their
+    placements, then scaled by ``c``, into ``diag``.  Terms that flip the
+    same sites (both flip terms of a Heisenberg bond) add, in table order,
+    into one gather row per placement; the rows run in table order, then
+    site order.  Applying H is ``diag * x`` plus one stacked gather.
     """
     n = spec.n_sites
     index = np.arange(2**n)
-    bits = [1 << (n - 1 - s) for s in range(n)]
-    z = np.stack([np.where(index & b, -1.0, 1.0) for b in bits])
-    zz = z[:-1] * z[1:]  # (bond, state)
-    if spec.kind == "tfim":
-        diag = -spec.coupling * zz.sum(axis=0)
-        weights = np.full((n, 1), -spec.field)
-        flips = np.stack([index ^ b for b in bits])
-    else:
-        diag = 0.25 * spec.coupling * zz.sum(axis=0)
-        weights = 0.5 * spec.coupling * (zz < 0)
-        flips = np.stack([index ^ (bits[s] | bits[s + 1]) for s in range(n - 1)])
+    terms = spec.terms
+    # the configuration of k sites at each placement: site s is bit n - 1 - s
+    local = {k: index >> np.arange(n - k, -1, -1)[:, None] & (2**k - 1)
+             for k in {len(term) - 1 for term in terms}}
+    parts = {}  # 0 for the diagonal, (term length, flip pattern) for the gathers
+    for c, *ops in terms:
+        k = len(ops)
+        flip = [int(op[0, 0] == op[1, 1] == 0) for op in ops]  # 1: the op flips its site
+        mask = sum(f << (k - 1 - j) for j, f in enumerate(flip))
+        # the weight of each configuration of the k sites: entry (r, r ^ f) of each op
+        weight = reduce(np.multiply.outer,
+                        [op[[0, 1], [f, 1 - f]] for op, f in zip(ops, flip)]).ravel()
+        key, row = (((k, mask), (c * weight)[local[k]]) if mask
+                    else (0, c * weight[local[k]].sum(axis=0)))
+        parts[key] = parts[key] + row if key in parts else row
+    diag = parts.pop(0)
+    flips = np.concatenate([index ^ (mask << np.arange(n - k, -1, -1))[:, None]
+                            for k, mask in parts])
+    weights = np.concatenate(list(parts.values()))
 
     def matvec(x: np.ndarray) -> np.ndarray:
         return diag * x + (weights * x[flips]).sum(axis=0)
@@ -277,35 +281,24 @@ def spin_chain_ground_state(spec: SpinChainSpec) -> tuple[float, np.ndarray]:
 
 
 def build_spin_chain_mpo(spec: SpinChainSpec) -> MatrixProductOperator:
-    """Real MPO with the standard first-order bond algebra (3 for tfim, 5 for SU(2))."""
-    n = spec.n_sites
-    if spec.kind == "tfim":
-        w = np.zeros((3, 2, 2, 3))
-        w[0, :, :, 0] = ID2.real
-        w[0, :, :, 1] = PAULI_Z.real
-        w[0, :, :, 2] = -spec.field * PAULI_X.real
-        w[1, :, :, 2] = -spec.coupling * PAULI_Z.real
-        w[2, :, :, 2] = ID2.real
-    else:
-        sp = np.array([[0.0, 1.0], [0.0, 0.0]])  # S+
-        sm = sp.T
-        sz = 0.5 * PAULI_Z.real
-        j = spec.coupling
-        w = np.zeros((5, 2, 2, 5))
-        w[0, :, :, 0] = ID2.real
-        w[0, :, :, 1] = sp
-        w[0, :, :, 2] = sm
-        w[0, :, :, 3] = sz
-        w[1, :, :, 4] = 0.5 * j * sm
-        w[2, :, :, 4] = 0.5 * j * sp
-        w[3, :, :, 4] = j * sz
-        w[4, :, :, 4] = ID2.real
-    bulk = w
-    first = bulk[:1, :, :, :]
-    last = bulk[:, :, :, -1:]
-    if n == 2:
-        return MatrixProductOperator([first, last])
-    return MatrixProductOperator([first] + [bulk] * (n - 2) + [last])
+    """Real MPO in finite-state-machine form, one channel per bond term.
+
+    The ``ch``-th bond term of the table (counting from 1) puts ``A`` in row 0
+    and ``c B`` in the last column of channel ``ch``; the site terms sum into
+    the corner, and the identity sits at both ends of the diagonal: bond
+    dimension 3 for the TFIM, 5 for the Heisenberg chain.
+    """
+    terms = spec.terms
+    bond = [term for term in terms if len(term) == 3]
+    site = [term[0] * term[1] for term in terms if len(term) == 2]
+    d = len(bond) + 2
+    w = np.zeros((d, 2, 2, d))
+    w[0, :, :, 0] = w[-1, :, :, -1] = np.eye(2)
+    for ch, (c, a, b) in enumerate(bond, start=1):
+        w[0, :, :, ch], w[ch, :, :, -1] = a, c * b
+    if site:
+        w[0, :, :, -1] = reduce(np.add, site)
+    return MatrixProductOperator([w[:1]] + [w] * (spec.n_sites - 2) + [w[:, :, :, -1:]])
 
 
 def exact_diagonalization(hamiltonian, k: int = 1) -> tuple[np.ndarray, np.ndarray]:

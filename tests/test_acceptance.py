@@ -116,12 +116,14 @@ def test_heisenberg_benchmark_energies_reach_1e8():
     """The oracle-checked benchmark on the Heisenberg chain, odd and even
 
     lengths up to 10 sites: every cell within 1e-8, none flagged, and every
-    exact energy equal to dense diagonalization."""
+    exact energy equal to dense diagonalization.  The chain has no field, so
+    there is one cell per length."""
     report = run_dmrg_benchmark(DmrgBenchmarkConfig(spin_model="heisenberg",
-                                                    benchmark_sizes=(6, 7, 8, 10)))
+                                                    benchmark_sizes=(6, 7, 8, 10),
+                                                    benchmark_fields=(0.0,)))
     print(f"heisenberg benchmark: {len(report.rows)} cells, "
           f"max |dE| = {report.summary['max_abs_error']:.3e}")
-    assert len(report.rows) == 12
+    assert len(report.rows) == 4
     for row in report.rows:
         assert row[5] <= 1e-8, f"cell {row[:2]}: |dE| = {row[5]:.3e} > 1e-8"
     assert report.summary["within_tolerance"] and report.summary["flagged"] == 0

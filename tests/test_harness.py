@@ -173,11 +173,12 @@ def test_shared_fields_have_one_default_that_the_payload_carries():
 
 def test_non_default_config_hashes_are_pinned():
     pec = PecComparisonConfig(seed=3, n_sites=8, grid_search=False)
-    bench = DmrgBenchmarkConfig(spin_model="heisenberg", benchmark_sizes=(4, 6))
+    bench = DmrgBenchmarkConfig(spin_model="heisenberg", benchmark_sizes=(4, 6),
+                                benchmark_fields=(0.0,))
     assert config_hash(config_payload(pec)) == \
         "60e1a2a170728ceca7aaea8d9b9bfe148ecddcd8547d9f744a6683608086d3c0"
     assert config_hash(config_payload(bench)) == \
-        "9a733d7cd9f583a18e6557d3569912f7a304c6a3f625749754119dcd153966ba"
+        "3b03b31b773664b598577443b360066a7c38390ace7ac21ce21d2c13a634db3c"
 
 
 def test_coefficient_grids_must_contain_zero():
@@ -228,6 +229,15 @@ def test_benchmark_sizes_respect_the_chain_length_limit():
     with pytest.raises(ValueError, match="chain length limit"):
         DmrgBenchmarkConfig(benchmark_sizes=(10**12,))  # no 2**n computed
     DmrgBenchmarkConfig(benchmark_sizes=(12,))
+
+
+def test_heisenberg_benchmark_fields_must_be_zero():
+    # the heisenberg chain has no field term, so a field would change nothing
+    with pytest.raises(ValueError, match="benchmark_fields must all be 0: the heisenberg "
+                                         "chain has no field"):
+        DmrgBenchmarkConfig(spin_model="heisenberg", benchmark_fields=(0.0, 0.5))
+    DmrgBenchmarkConfig(spin_model="tfim", benchmark_fields=(0.0, 0.5))
+    DmrgBenchmarkConfig(spin_model="heisenberg", benchmark_fields=(0.0,))
 
 
 def test_refinement_sizes_must_halve_the_spacing():

@@ -1,8 +1,9 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from udmrg import linalg, models
 from udmrg.models import (
@@ -10,6 +11,7 @@ from udmrg.models import (
     PAULI_X,
     PAULI_Z,
     SPIN_CHAIN_KINDS,
+    SPIN_CHAIN_TERMS,
     SpinChainSpec,
     TwoLevelModel,
     build_spin_chain_mpo,
@@ -81,9 +83,11 @@ def test_transition_probability_at_origin_closed_form():
 @settings(max_examples=100, deadline=None)
 @given(lams=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=12),
        coupling=st.floats(0.01, 2.0))
+@example(lams=[2.534643545289106], coupling=1.0)
 def test_transition_probability_of_an_array_equals_its_points_one_by_one(lams, coupling):
     """An array of parameters, the crossings among them, gives each point's
-    own weight bit for bit, and exactly 1.0 at the crossings."""
+    own weight bit for bit, and exactly 1.0 at the crossings.  The example's
+    squared gap rounds differently under a scalar ``** 2`` than under ``x * x``."""
     model = TwoLevelModel(coupling=coupling)
     lam = np.array(lams + list(CROSSING_POINTS))
     p = gaussian_transition_probability(model, lam)
@@ -236,13 +240,64 @@ def test_spin_chain_spec_validation():
         SpinChainSpec(kind="xy", n_sites=4)
     with pytest.raises(ValueError, match="at least two sites"):
         SpinChainSpec(kind="tfim", n_sites=1)
+    with pytest.raises(ValueError, match="the heisenberg chain has no field, got field=0.5"):
+        SpinChainSpec(kind="heisenberg", n_sites=4, field=0.5)
+    SpinChainSpec(kind="heisenberg", n_sites=4, field=0.0)
+
+
+def test_every_table_operator_maps_a_basis_state_to_one_other():
+    """The matvec reads each operator as a bit flip with a row-dependent
+    weight; that holds for real 2x2 operators with at most one nonzero in
+    each row and column."""
+    for kind, table in SPIN_CHAIN_TERMS.items():
+        terms = table(1.3, -0.7)
+        assert terms and all(len(term) in (2, 3) for term in terms), kind
+        for _, *ops in terms:
+            for op in ops:
+                assert op.shape == (2, 2) and op.dtype == np.float64, (kind, op)
+                nonzero = op != 0
+                assert nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1, \
+                    (kind, op)
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.shape}{a.dtype.str}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind,coupling,field,bond_dim,mpo_digest,matvec_digest", [
+    ("tfim", 1.1, 0.7, 3,
+     "716517971474af7a3d225cd3456c52f29bb123256e8d3fdd90f4327d7242d7f6",
+     "3e33bac17985b9459c3d5deaa7ae7a5bd956094ca9b420658211a0e7b7d669bc"),
+    ("heisenberg", -0.7, 0.0, 5,
+     "cf6c47cc4ce480d67767c0c8cb64870096a94637c56295edf86f057a7b856ae9",
+     "abfe6f2064ceb617315a202bd7a7455e6791ba80513cb97fb7ddf499fbfbf072"),
+], ids=["tfim", "heisenberg"])
+def test_mpo_and_matvec_keep_their_bits(kind, coupling, field, bond_dim, mpo_digest,
+                                        matvec_digest):
+    """``allclose`` against the dense reference would miss a changed summation
+    order; these digests, with each array's shape and dtype, would not.  They
+    were recorded from the per-kind builders the term table replaced."""
+    tensors = build_spin_chain_mpo(SpinChainSpec(kind, 5, coupling, field)).tensors
+    assert [w.shape for w in tensors] == \
+        [(1, 2, 2, bond_dim)] + [(bond_dim, 2, 2, bond_dim)] * 3 + [(bond_dim, 2, 2, 1)]
+    assert {w.dtype for w in tensors} == {np.dtype(np.float64)}
+    assert _digest(tensors) == mpo_digest
+    x = np.random.default_rng(0).standard_normal(2**8)
+    y = spin_chain_matvec(SpinChainSpec(kind, 8, coupling, field))(x)
+    assert y.dtype == np.float64
+    assert _digest([y]) == matvec_digest
 
 
 @pytest.mark.parametrize("kind,sizes", [("tfim", (2, 3, 4, 5)),
                                         ("heisenberg", (2, 3, 4))])
 def test_mpo_matches_dense_builder(kind, sizes):
     for n in sizes:
-        spec = SpinChainSpec(kind=kind, n_sites=n, coupling=1.1, field=0.7)
+        spec = SpinChainSpec(kind=kind, n_sites=n, coupling=1.1,
+                             field=0.7 if kind == "tfim" else 0.0)
         dense = dense_spin_chain(spec)
         from_mpo = mpo_to_dense(build_spin_chain_mpo(spec))
         np.testing.assert_allclose(from_mpo, dense, atol=1e-12)
