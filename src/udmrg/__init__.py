@@ -59,7 +59,6 @@ from .models import (
     diabatic_energies,
     exact_diagonalization,
     gaussian_transition_probability,
-    landau_zener_reference,
     midpoint_schedule,
     propagate,
     spin_chain_ground_state,

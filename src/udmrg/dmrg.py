@@ -158,10 +158,8 @@ class DmrgResult:
 class ScanPointRecord:
     """Per-grid-point gauge diagnostics of a continuation scan."""
 
-    grid_value: float
     energy: float
     converged: bool
-    bond_probabilities: list[np.ndarray]
     bond_charges1: list[np.ndarray]
     bond_charges2: list[np.ndarray]
     bond_discarded: list[float]
@@ -483,8 +481,7 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
 # continuation scans
 # ---------------------------------------------------------------------------
 
-def _point_gauge_record(grid_value: float, result: DmrgResult, phi, data,
-                        history: list[_PointData],
+def _point_gauge_record(result: DmrgResult, phi, data, history: list[_PointData],
                         spacings: list[float]) -> ScanPointRecord:
     """Post-convergence bond diagnostics against up to two earlier points.
 
@@ -492,9 +489,8 @@ def _point_gauge_record(grid_value: float, result: DmrgResult, phi, data,
     scan reaching the point scores its own copy with :func:`_scored`.
     """
     n_bonds = len(data)
-    probs = [d[0] for d in data]
-    charges1 = [np.zeros(p.size) for p in probs]
-    charges2 = [np.zeros(p.size) for p in probs]
+    charges1 = [np.zeros(p.size) for p, _ in data]
+    charges2 = [np.zeros(p.size) for p, _ in data]
     discarded = [0.0] * n_bonds
     for rec in result.truncation_log:  # the last sweep that touched each bond wins
         discarded[rec.bond] = rec.discarded_weight
@@ -530,8 +526,8 @@ def _point_gauge_record(grid_value: float, result: DmrgResult, phi, data,
             coherence += float(np.sum(np.abs(d_rho) ** 2))
             curvature += float(np.dot(p_cur, charges2[b]))
     return ScanPointRecord(
-        grid_value=grid_value, energy=result.energy, converged=result.converged,
-        bond_probabilities=probs, bond_charges1=charges1, bond_charges2=charges2,
+        energy=result.energy, converged=result.converged,
+        bond_charges1=charges1, bond_charges2=charges2,
         bond_discarded=discarded, coherence_penalty=coherence,
         curvature_penalty=curvature, objective=float("nan"),
     )
@@ -540,8 +536,7 @@ def _point_gauge_record(grid_value: float, result: DmrgResult, phi, data,
 def _scored(base: ScanPointRecord, policy: TruncationPolicy) -> ScanPointRecord:
     """One scan's own copy of a point's gauge record, with its objective."""
     return replace(
-        base, bond_probabilities=list(base.bond_probabilities),
-        bond_charges1=list(base.bond_charges1), bond_charges2=list(base.bond_charges2),
+        base, bond_charges1=list(base.bond_charges1), bond_charges2=list(base.bond_charges2),
         bond_discarded=list(base.bond_discarded),
         objective=(base.energy + policy.lambda1 * base.coherence_penalty
                    + policy.lambda2 * base.curvature_penalty),
@@ -649,7 +644,7 @@ def _read_only(arrays) -> None:
 
 
 def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
-                 cfg: SweepConfig, grid_value: float, history: list[_PointData],
+                 cfg: SweepConfig, history: list[_PointData],
                  spacings: list[float],
                  oracle_state: Optional[np.ndarray]) -> _TrajectoryNode:
     """Solve one scan point for real, charging against ``history``."""
@@ -668,11 +663,11 @@ def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
         probabilities=[d[0] for d in data],
         gauges=[d[1] for d in data],
     )
-    record = _point_gauge_record(grid_value, result, phi, data, history, spacings)
+    record = _point_gauge_record(result, phi, data, history, spacings)
     for rec in result.truncation_log:
         _read_only((rec.singular_values, rec.charges1, rec.charges2, rec.kept))
     _read_only(result.state.tensors)
-    _read_only(record.bond_probabilities + record.bond_charges1 + record.bond_charges2)
+    _read_only(record.bond_charges1 + record.bond_charges2)
     return _TrajectoryNode(result=result, record=record, point=point, fidelity=fidelity)
 
 
@@ -735,8 +730,8 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
         node = next((child for child in parent.children if _replays(child, point_cfg)),
                     None)
         if node is None:
-            node = _solve_point(family(float(value)), start, point_cfg, float(value),
-                                history, spacings, None if oracle is None else oracle[k])
+            node = _solve_point(family(float(value)), start, point_cfg, history, spacings,
+                                None if oracle is None else oracle[k])
             parent.children.append(node)
         shared_state = node.result.state
         result = replace(node.result,

@@ -15,12 +15,14 @@ Four experiments, each configured by its own frozen dataclass (see
     truncation methods at equal bond budget, with per-method errors against
     the exact ground state (one matrix-free Lanczos solve per field, shared
     by every scan), optional coefficient grid search (grids must contain
-    zero, so the searched methods can never do worse than standard; all-zero
-    cells reuse the standard scan), and improvement percentages recomputed
-    from the recorded errors.  The scans of one run share their solved points through a
-    :class:`~udmrg.dmrg.TrajectoryTree`: a policy that keeps the states an
-    earlier scan kept at every local step of a point adopts that point
-    instead of solving it again, which changes no report byte.
+    zero, so the searched methods can never do worse than standard), and
+    improvement percentages recomputed from the recorded errors.  A method
+    whose policy, searched or configured, has all coefficients and cutoff 0
+    reuses the standard scan.  The scans of one run share their solved
+    points through a :class:`~udmrg.dmrg.TrajectoryTree`: a policy that
+    keeps the states an earlier scan kept at every local step of a point
+    adopts that point instead of solving it again, which changes no report
+    byte.
 
 ``dmrg_benchmark``
     Ground-state energies versus the exact (matrix-free Lanczos) ground
@@ -681,15 +683,25 @@ def _scan_objective(cfg: PecComparisonConfig, scan: ContinuationScan,
     return float(-fids[problem.window].min())
 
 
-def _coefficient_cells(kind: str, cfg: PecComparisonConfig) -> list[dict]:
-    """The coefficient grid of one of :data:`PEC_POLICY_KINDS`."""
+def _candidate_policies(kind: str, cfg: PecComparisonConfig) -> list[TruncationPolicy]:
+    """The policies one of :data:`PEC_POLICY_KINDS` competes with, at ``max_bond``.
+
+    Under grid search, the kind's coefficient grid; otherwise its one entry
+    in ``cfg.policies``, all zero when that holds none.
+    """
+    if not cfg.grid_search:
+        configured = next((p for p in cfg.policies if p.kind == kind),
+                          TruncationPolicy(kind=kind))
+        return [dataclasses.replace(configured, max_kept=cfg.max_bond)]
     if kind == "uhlmann":
-        return [{"gamma1": g} for g in cfg.gamma1_grid]
-    if kind == "categorified":
-        return [{"gamma1": a, "gamma2": b}
-                for a, b in product(cfg.gamma1_grid, cfg.gamma2_grid)]
-    return [{"lambda1": a, "lambda2": b}
-            for a, b in product(cfg.lambda1_grid, cfg.lambda2_grid)]
+        cells = [{"gamma1": g} for g in cfg.gamma1_grid]
+    elif kind == "categorified":
+        cells = [{"gamma1": a, "gamma2": b}
+                 for a, b in product(cfg.gamma1_grid, cfg.gamma2_grid)]
+    else:
+        cells = [{"lambda1": a, "lambda2": b}
+                 for a, b in product(cfg.lambda1_grid, cfg.lambda2_grid)]
+    return [TruncationPolicy(kind=kind, max_kept=cfg.max_bond, **cell) for cell in cells]
 
 
 @dataclass
@@ -701,25 +713,20 @@ class GridSearchResult:
     table: ScanReport
 
 
-def grid_search_coefficients(cfg: PecComparisonConfig,
-                             problem: Optional[_PecProblem] = None,
-                             standard: Optional[ContinuationScan] = None,
-                             ) -> GridSearchResult:
-    """Exhaustive coefficient search for each of :data:`PEC_POLICY_KINDS`.
+def grid_search_coefficients(cfg: PecComparisonConfig, problem: _PecProblem,
+                             standard: ContinuationScan) -> GridSearchResult:
+    """Best of each :data:`PEC_POLICY_KINDS` kind's candidate policies.
 
-    Every (method, coefficient) cell is a full warm-started scan of the
-    validation instance, scored by ``cfg.objective`` over the crossing
+    Every candidate (see :func:`_candidate_policies`) is a full warm-started
+    scan of ``problem``, scored by ``cfg.objective`` over the crossing
     window (energy error is minimized; fidelity is maximized).  Ties prefer
-    the all-zero cell, then the earliest grid cell, making the outcome
+    the all-zero candidate, then the earliest one, making the outcome
     deterministic and never worse than the standard method.
 
-    An all-zero cell selects exactly the states the standard rule selects
-    (its cutoff is 0, and at cutoff 0 zero coefficients leave the ranking
-    unchanged), so every such cell shares one standard scan: ``standard``
-    when given, otherwise one run here on first need.
+    A candidate whose coefficients and cutoff are all 0 selects exactly the
+    states the standard rule selects and scores its points alike, so every
+    such candidate shares ``standard``, the standard scan of ``problem``.
     """
-    if problem is None:
-        problem = _pec_problem(cfg)
     table = ScanReport(
         name=f"{cfg.kind}_gridsearch",
         columns=["method", "gamma1", "gamma2", "lambda1", "lambda2",
@@ -729,17 +736,11 @@ def grid_search_coefficients(cfg: PecComparisonConfig,
     best_scans: dict[str, ContinuationScan] = {}
     for kind in PEC_POLICY_KINDS:
         scored = []
-        for i, cell in enumerate(_coefficient_cells(kind, cfg)):
-            policy = TruncationPolicy(kind=kind, max_kept=cfg.max_bond, **cell)
-            nonzero = 0 if all(v == 0 for v in cell.values()) else 1
-            if nonzero:
-                scan = _scan_for_policy(cfg, problem, policy)
-            else:
-                if standard is None:
-                    standard = _scan_for_policy(cfg, problem, _standard_policy(cfg))
-                scan = standard
-            score = _scan_objective(cfg, scan, problem)
-            scored.append((score, nonzero, i, policy, scan))
+        for i, policy in enumerate(_candidate_policies(kind, cfg)):
+            nonzero = int(any((policy.gamma1, policy.gamma2, policy.lambda1,
+                               policy.lambda2, policy.cutoff)))
+            scan = _scan_for_policy(cfg, problem, policy) if nonzero else standard
+            scored.append((_scan_objective(cfg, scan, problem), nonzero, i, policy, scan))
         best = min(scored, key=lambda s: s[:3])
         label = METHOD_LABELS[kind]
         best_policies[kind], best_scans[kind] = best[3:]
@@ -784,12 +785,11 @@ def run_pec_comparison(cfg: PecComparisonConfig) -> ScanReport:
     if cfg.kind != "pec_comparison":
         raise ValueError(f"config is for {cfg.kind!r}, not pec_comparison")
     problem = _pec_problem(cfg)
-    configured = {p.kind: p for p in cfg.policies}
-
-    standard_scan = _scan_for_policy(cfg, problem, _standard_policy(cfg))
-    search: Optional[GridSearchResult] = None
-    if cfg.grid_search:
-        search = grid_search_coefficients(cfg, problem=problem, standard=standard_scan)
+    standard_policy = _standard_policy(cfg)
+    standard_scan = _scan_for_policy(cfg, problem, standard_policy)
+    search = grid_search_coefficients(cfg, problem, standard_scan)
+    policies = {"standard": standard_policy, **search.best_policies}
+    scans = {"standard": standard_scan, **search.best_scans}
 
     report = ScanReport(
         name="pec_comparison",
@@ -798,28 +798,14 @@ def run_pec_comparison(cfg: PecComparisonConfig) -> ScanReport:
     )
     methods: dict[str, dict] = {}
     flagged = 0
-    standard_error = None
+    standard_error = float(_scan_errors(standard_scan, problem)[problem.window].max())
     for kind in TABLE_METHOD_KINDS:
         label = METHOD_LABELS[kind]
-        if kind == "standard":
-            policy = _standard_policy(cfg)
-            scan = standard_scan
-        elif search is not None:
-            policy = search.best_policies[kind]
-            scan = search.best_scans[kind]
-        else:
-            base = configured.get(kind, TruncationPolicy(kind=kind))
-            policy = dataclasses.replace(base, max_kept=cfg.max_bond)
-            scan = _scan_for_policy(cfg, problem, policy)
-        errors = _scan_errors(scan, problem)
-        window_error = float(errors[problem.window].max())
-        if kind == "standard":
-            standard_error = window_error
-            improvement = 0.0
-        elif standard_error and standard_error > 0:
+        policy, scan = policies[kind], scans[kind]
+        window_error = float(_scan_errors(scan, problem)[problem.window].max())
+        improvement = 0.0
+        if standard_error > 0:
             improvement = 100.0 * (standard_error - window_error) / standard_error
-        else:
-            improvement = 0.0
         flagged += sum(0 if r.converged else 1 for r in scan.results)
         report.add_row(label, kind, policy.gamma1, policy.gamma2, policy.lambda1,
                        policy.lambda2, window_error, improvement)
@@ -834,7 +820,7 @@ def run_pec_comparison(cfg: PecComparisonConfig) -> ScanReport:
             "crossing_error": window_error,
             "improvement_pct": improvement,
         }
-    if search is not None:
+    if cfg.grid_search:
         report.attachments.append(search.table)
     report.summary = {
         "model": "tfim",

@@ -27,7 +27,6 @@ from .linalg import dag, require_hermitian
 from .mps import MatrixProductOperator
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
@@ -161,16 +160,6 @@ def propagate(unitaries, psi0) -> np.ndarray:
     for n, u in enumerate(unitaries, start=1):
         out[n] = psi = u @ psi
     return out
-
-
-def landau_zener_reference(v: float, coupling: float) -> float:
-    """Asymptotic diabatic survival probability ``exp(-2 pi V^2 / v)``.
-
-    ``v`` is the sweep velocity of the diabatic gap (``d(eps1 - eps2)/dt``).
-    """
-    if v <= 0:
-        raise ValueError("sweep velocity must be positive")
-    return float(np.exp(-2.0 * np.pi * coupling**2 / v))
 
 
 # ---------------------------------------------------------------------------

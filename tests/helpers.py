@@ -4,7 +4,9 @@ They build states and operators by hand (product states, exact
 factorizations of dense vectors, single-site operators) and inspect them
 (isometry residuals, entanglement spectra, phase alignment of one
 eigensystem) so the tests can check the package against independent
-references, and compare an iterative eigenpair with a dense one.
+references, and compare an iterative eigenpair with a dense one.  The
+Pauli Y matrix and the Landau-Zener survival probability are references
+of the same kind.
 """
 from __future__ import annotations
 
@@ -16,6 +18,18 @@ from udmrg.linalg import dag, max_abs
 from udmrg.models import ID2
 from udmrg.mps import MatrixProductOperator, MatrixProductState, canonicalize
 from udmrg.spectral import _aligned
+
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+def landau_zener_reference(v: float, coupling: float) -> float:
+    """Asymptotic diabatic survival probability ``exp(-2 pi V^2 / v)``.
+
+    ``v`` is the sweep velocity of the diabatic gap (``d(eps1 - eps2)/dt``).
+    """
+    if v <= 0:
+        raise ValueError("sweep velocity must be positive")
+    return float(np.exp(-2.0 * np.pi * coupling**2 / v))
 
 
 def from_product_state(local_states: Sequence) -> MatrixProductState:

@@ -31,7 +31,6 @@ from udmrg.models import (
     dense_spin_chain,
     evolution_step,
     gaussian_transition_probability,
-    landau_zener_reference,
     midpoint_schedule,
     propagate,
 )
@@ -50,6 +49,8 @@ from udmrg.truncation import (
     charge_first_order,
     compute_weights,
 )
+
+from helpers import landau_zener_reference
 
 
 @pytest.fixture(scope="module")

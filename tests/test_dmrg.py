@@ -711,7 +711,7 @@ def _scan_arrays(scan):
         out += res.state.tensors
         for t in res.truncation_log:
             out += [t.singular_values, t.charges1, t.charges2, t.kept]
-        out += rec.bond_probabilities + rec.bond_charges1 + rec.bond_charges2
+        out += rec.bond_charges1 + rec.bond_charges2
     return out
 
 
@@ -729,8 +729,7 @@ def test_scans_through_a_tree_share_no_mutable_container(tree_oracle):
     def lists(scan):
         return [lst for res, rec in zip(scan.results, scan.records)
                 for lst in (res.state.tensors, res.truncation_log, res.sweep_energies,
-                            rec.bond_probabilities, rec.bond_charges1,
-                            rec.bond_charges2, rec.bond_discarded)]
+                            rec.bond_charges1, rec.bond_charges2, rec.bond_discarded)]
 
     def contents(scan):
         return [[id(x) for x in lst] for lst in lists(scan)]

@@ -33,8 +33,10 @@ from udmrg.linalg import (
     random_hermitian,
     random_unitary,
 )
-from udmrg.models import PAULI_X, PAULI_Y, PAULI_Z
+from udmrg.models import PAULI_X, PAULI_Z
 from udmrg.spectral import track_hermitian_family
+
+from helpers import PAULI_Y
 
 
 def constant_potential_2d(a1, a2, axis):

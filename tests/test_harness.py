@@ -424,7 +424,9 @@ def test_grid_search_prefers_zero_on_ties_and_never_loses():
     cfg = small_pec_config(n_fields=5, grid_search=True,
                            gamma1_grid=(0.0, 50.0), gamma2_grid=(0.0,),
                            lambda1_grid=(0.0,), lambda2_grid=(0.0,))
-    search = grid_search_coefficients(cfg)
+    problem = harness._pec_problem(cfg)
+    standard = harness._scan_for_policy(cfg, problem, harness._standard_policy(cfg))
+    search = grid_search_coefficients(cfg, problem, standard)
     assert search.best_policies["uhlmann"].gamma1 == 0.0
     rows = [r for r in search.table.rows if r[0] == "uhlmann"]
     assert len(rows) == 2
@@ -437,9 +439,6 @@ def test_grid_search_prefers_zero_on_ties_and_never_loses():
 
 
 def test_zero_cells_reuse_the_standard_scan(monkeypatch):
-    cfg = small_pec_config(n_fields=5, grid_search=True, gamma1_grid=(0.0, 0.5),
-                           gamma2_grid=(0.0,), lambda1_grid=(0.0,),
-                           lambda2_grid=(0.0, 0.5))
     ran = []
     scan_for_policy = harness._scan_for_policy
 
@@ -448,15 +447,31 @@ def test_zero_cells_reuse_the_standard_scan(monkeypatch):
         return scan_for_policy(cfg, problem, policy)
 
     monkeypatch.setattr(harness, "_scan_for_policy", counting)
-    report = run_pec_comparison(cfg)
-    # one standard scan serves the three zero cells and the standard row;
-    # each of the three nonzero cells runs its own
-    assert [p.kind for p in ran] == ["standard", "uhlmann", "categorified",
-                                     "coherence_eigenvalue_2"]
-    assert [(p.gamma1, p.gamma2, p.lambda1, p.lambda2) for p in ran[1:]] == [
-        (0.5, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.5)]
-    table = next(a for a in report.attachments if a.name.endswith("_gridsearch"))
-    assert len(table.rows) == 6
+    for overrides, own_scans, tables in [
+        # one standard scan serves the three zero cells and the standard row;
+        # each of the three nonzero cells runs its own
+        (dict(grid_search=True, gamma1_grid=(0.0, 0.5), gamma2_grid=(0.0,),
+              lambda1_grid=(0.0,), lambda2_grid=(0.0, 0.5)),
+         [TruncationPolicy(kind="uhlmann", gamma1=0.5, max_kept=2),
+          TruncationPolicy(kind="categorified", gamma1=0.5, max_kept=2),
+          TruncationPolicy(kind="coherence_eigenvalue_2", lambda2=0.5, max_kept=2)],
+         [6]),
+        # without the search the all-zero entry shares the standard scan too;
+        # a cutoff alone, or a lambda1 alone (which the uhlmann objective
+        # column reads), makes a policy run its own
+        (dict(policies=[TruncationPolicy(kind="uhlmann", lambda1=0.5),
+                        TruncationPolicy(kind="categorified", cutoff=0.01),
+                        TruncationPolicy(kind="coherence_eigenvalue_2")]),
+         [TruncationPolicy(kind="uhlmann", lambda1=0.5, max_kept=2),
+          TruncationPolicy(kind="categorified", cutoff=0.01, max_kept=2)],
+         []),
+    ]:
+        cfg = small_pec_config(n_fields=5, **overrides)
+        ran.clear()
+        report = run_pec_comparison(cfg)
+        assert ran == [TruncationPolicy(kind="standard", max_kept=2), *own_scans]
+        assert [len(a.rows) for a in report.attachments
+                if a.name.endswith("_gridsearch")] == tables
 
     # a zero cell run for real reports exactly what the shared scan reports
     problem = dataclasses.replace(harness._pec_problem(cfg), trajectories=None)
@@ -541,6 +556,20 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
         "pec_comparison_points_higher_categorical": points,
         "pec_comparison_gridsearch":
             "6c8c35f06d451004de7a668d4184a2781564b22dcdb00e3b5d61cb77672bdf2d"}
+
+
+def test_eight_site_pec_without_search_costs_what_the_readme_says(monkeypatch):
+    """The README's ``pec_comparison`` section states these counts: every
+    method's policy is all zero, so all four rows share one scan."""
+    calls, count = call_counter(monkeypatch)
+    count(harness, "continuation_scan")
+    count(dmrg, "effective_hamiltonian")
+    count(dmrg._ChargeContext, "charges")
+    count(dmrg, "_point_gauge_record")
+    count(dmrg, "select_states")
+    run_pec_comparison(PecComparisonConfig(n_sites=8, grid_search=False))
+    assert calls == {"continuation_scan": 1, "effective_hamiltonian": 602,
+                     "charges": 240, "_point_gauge_record": 21, "select_states": 258}
 
 
 def test_eight_site_pec_report_keeps_its_bytes():

@@ -20,7 +20,6 @@ from udmrg.models import (
     evolution_step,
     exact_diagonalization,
     gaussian_transition_probability,
-    landau_zener_reference,
     midpoint_schedule,
     propagate,
     spin_chain_ground_state,
@@ -29,7 +28,7 @@ from udmrg.models import (
 )
 from udmrg.mps import mpo_to_dense
 
-from helpers import assert_same_eigenpair
+from helpers import assert_same_eigenpair, landau_zener_reference
 
 
 def linear_sweep_hamiltonian(v, coupling, t):
