@@ -9,14 +9,17 @@ eigensolver; above that a restarted Lanczos with full reorthogonalization
 finds the lowest pair.  Both paths are deterministic.  A Lanczos solve that
 misses its residual tolerance within its restarts flags the result as not
 converged instead of raising.
+A real MPO and a real start, such as :func:`mps.random_mps` draws, keep every
+environment, local eigensolve and split in float64 from the first sweep.
 Real and imaginary parts of the local eigenvector below ``_FLUSH_RELATIVE``
-times its largest magnitude are set to zero before the split.  For a real MPO the
-imaginary parts otherwise shrink geometrically along a warm-started scan
-until they turn subnormal, and a dense eigensolve on a matrix with subnormal
-entries runs more than ten times slower.  A complex eigenvector with no
-imaginary part left after the flush comes back float64, the one place a value
-sets a dtype; numpy's type promotion then keeps the split, the environments
-and the next eigensolves real wherever the MPO is real too.
+times its largest magnitude are set to zero before the split.  That matters
+only for a complex start that a caller passes: under a real MPO its
+imaginary parts shrink geometrically along a warm-started scan until they
+turn subnormal, and a dense eigensolve on a matrix with subnormal entries
+runs more than ten times slower.  A complex eigenvector with no imaginary
+part left after the flush comes back float64, the one place a value sets a
+dtype; numpy's type promotion then keeps the split, the environments and the
+next eigensolves real wherever the MPO is real too.
 
 Continuation scans treat the scan grid as the time axis of the gauge
 machinery.  While sweeping at grid point ``k`` the engine maintains cross
@@ -77,6 +80,7 @@ from .mps import (
     extend_cross_env,
     extend_left_env,
     extend_right_env,
+    left_cross_envs,
     split_theta,
     to_dense,
 )
@@ -381,9 +385,11 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
     psi.tensors[0] = psi.tensors[0] / norm
     tensors = psi.tensors
 
+    # step b reads lenvs[b] and renvs[b + 1], so lenvs[n - 1] and renvs[0]
+    # are never built
     renvs: list[Optional[np.ndarray]] = [None] * n
     renvs[n - 1] = _edge_env()
-    for s in range(n - 1, 0, -1):
+    for s in range(n - 1, 1, -1):
         renvs[s - 1] = extend_right_env(renvs[s], tensors[s], ws[s])
     lenvs: list[Optional[np.ndarray]] = [None] * n
     lenvs[0] = _edge_env()
@@ -407,9 +413,10 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
                 "right")
             solves_converged = solves_converged and solved
             log.append(rec)
-            lenvs[b + 1] = extend_left_env(lenvs[b], tensors[b], ws[b])
-            if context is not None:
-                context.advance(b, tensors[b])
+            if b < n - 2:
+                lenvs[b + 1] = extend_left_env(lenvs[b], tensors[b], ws[b])
+                if context is not None:
+                    context.advance(b, tensors[b])
         # right-to-left
         for b in range(n - 2, -1, -1):
             local_energy, rec, solved = _optimize_bond(
@@ -417,7 +424,8 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
                 "left")
             solves_converged = solves_converged and solved
             log.append(rec)
-            renvs[b] = extend_right_env(renvs[b + 1], tensors[b + 1], ws[b + 1])
+            if b > 0:
+                renvs[b] = extend_right_env(renvs[b + 1], tensors[b + 1], ws[b + 1])
         sweep_energies.append(local_energy)
         if abs(local_energy - previous_energy) < cfg.energy_tol:
             converged = True
@@ -497,8 +505,6 @@ def _point_gauge_record(result: DmrgResult, phi, data, history: list[_PointData]
     coherence = 0.0
     curvature = 0.0
     if history:
-        from .mps import left_cross_envs
-
         prev = history[0]
         envs1 = left_cross_envs(phi, MatrixProductState(prev.tensors))
         envs2 = None

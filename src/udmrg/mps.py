@@ -12,7 +12,9 @@ new objects; tensors are treated as immutable by convention.
 
 Tensors keep the field of their data, stored as float64 when real and as
 complex otherwise.  Every contraction follows numpy's type promotion, so a
-real state under a real operator never leaves real arithmetic.  Every
+real state under a real operator never leaves real arithmetic;
+:func:`random_mps` draws real tensors, so only a complex operator or a
+complex state that a caller builds brings complex numbers in.  Every
 pairwise contraction here and in the sweep engine goes through
 :func:`linalg.contract`, numpy's ``tensordot`` with its axis plan cached
 per shape signature, so its bytes are ``tensordot``'s.  The multi-operand
@@ -103,7 +105,12 @@ class MatrixProductOperator:
 
 def random_mps(rng: np.random.Generator, phys_dims: Sequence[int],
                bond_dim: int) -> MatrixProductState:
-    """Normalized random MPS with bonds capped at ``bond_dim`` and exact rank."""
+    """Normalized random MPS with bonds capped at ``bond_dim`` and exact rank.
+
+    Each site draws one real standard normal per entry from ``rng``, so the
+    tensors are float64 and a sweep of a real Hamiltonian from this start
+    stays in real arithmetic.
+    """
     dims = list(phys_dims)
     n = len(dims)
     bonds = [1]
@@ -115,7 +122,7 @@ def random_mps(rng: np.random.Generator, phys_dims: Sequence[int],
     tensors = []
     for s in range(n):
         shape = (bonds[s], dims[s], bonds[s + 1])
-        tensors.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        tensors.append(rng.normal(size=shape))
     psi = canonicalize(MatrixProductState(tensors), 0)
     psi.tensors[0] = psi.tensors[0] / psi.norm()
     return psi

@@ -1,7 +1,8 @@
 """Construction and inspection helpers that only the tests use.
 
 They build states and operators by hand (product states, exact
-factorizations of dense vectors, single-site operators) and inspect them
+factorizations of dense vectors, complex random states, single-site
+operators) and inspect them
 (isometry residuals, entanglement spectra, phase alignment of one
 eigensystem) so the tests can check the package against independent
 references, and compare an iterative eigenpair with a dense one.  The
@@ -61,6 +62,32 @@ def from_dense_state(vector, phys_dims: Sequence[int]) -> MatrixProductState:
         rest = s[:, None] * vh
     tensors.append(rest.reshape(rest.shape[0], dims[-1], 1))
     return MatrixProductState(tensors, center=len(dims) - 1)
+
+
+def complex_random_mps(rng: np.random.Generator, phys_dims: Sequence[int],
+                       bond_dim: int) -> MatrixProductState:
+    """Normalized random MPS with complex tensors and the bonds of
+    :func:`udmrg.mps.random_mps`.
+
+    Each site draws a real part, then an imaginary part, from ``rng``.  For
+    the tests whose premise is a complex state: conjugation checks, and scans
+    of a real MPO whose local problems start complex.
+    """
+    dims = list(phys_dims)
+    n = len(dims)
+    bonds = [1]
+    for s in range(1, n):
+        left = int(np.prod(dims[:s]))
+        right = int(np.prod(dims[s:]))
+        bonds.append(min(bond_dim, left, right))
+    bonds.append(1)
+    tensors = []
+    for s in range(n):
+        shape = (bonds[s], dims[s], bonds[s + 1])
+        tensors.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    psi = canonicalize(MatrixProductState(tensors), 0)
+    psi.tensors[0] = psi.tensors[0] / psi.norm()
+    return psi
 
 
 def bond_dims(psi: MatrixProductState) -> tuple[int, ...]:

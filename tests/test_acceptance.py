@@ -50,7 +50,7 @@ from udmrg.truncation import (
     compute_weights,
 )
 
-from helpers import landau_zener_reference
+from helpers import complex_random_mps, landau_zener_reference
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +95,8 @@ def test_benchmark_energies_reach_1e8_within_two_minutes(monkeypatch):
     # BLAS threads; another LAPACK build may round differently)
     csv = hashlib.sha256(report.csv_bytes()).hexdigest()
     summary = hashlib.sha256(canonical_json(report.summary_payload())).hexdigest()
-    assert csv == "5a53b0752e127f4ab4cbaf02d5adf4561d2d278840750feb90dcf5b3e1f154a6"
-    assert summary == "65fc0110a1fd993e13ba759371e7f7691f5105e6ce7f2f8b8eed46f53f68f0ca"
+    assert csv == "2eb794f143b5aec851c969b30a3e39f1982585457255ec8fee0b5be99033eb3b"
+    assert summary == "5782ed595dbd263949911cadd5d155f80da3951e3b423c853b426ed8b447725f"
 
 
 def _assert_exact_energies_are_dense(report):
@@ -334,8 +334,8 @@ def test_random_tensor_network_contractions_match_dense():
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(2, 9))
-        bra = random_mps(rng, [2] * n, int(rng.integers(2, 9)))
-        ket = random_mps(rng, [2] * n, int(rng.integers(2, 9)))
+        bra = complex_random_mps(rng, [2] * n, int(rng.integers(2, 9)))
+        ket = complex_random_mps(rng, [2] * n, int(rng.integers(2, 9)))
         op = random_mpo(rng, n)
         vb, vk = to_dense(bra), to_dense(ket)
         dense_op = mpo_to_dense(op)

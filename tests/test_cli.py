@@ -257,17 +257,17 @@ def test_json_built_pec_report_keeps_its_bytes():
                       "lambda2": 0.2}]})
     report = harness.run_experiment(cfg)
     assert _sha(report.csv_bytes()) == \
-        "ac88b3785f8ea9d37d8a62029c3b151e8ed62a7498a1cdf362a161a5aad79b22"
+        "d43ca8c18c90026290c7bccd2e5674cf7d180a9b3b8bf085c1b4ab5e5f2e61bd"
     assert _sha(canonical_json(report.summary_payload())) == \
-        "cf274fd99e270d0d7c13ff4809c7512982d4fc693cb3c82a17e718c1cf00946b"
+        "26334e13b1fc908c94aca38e54b5cc08c4706056aa6f159c07095561f68e5fb2"
     points = {a.name.removeprefix("pec_comparison_points_"): _sha(a.csv_bytes())
               for a in report.attachments
               if a.name.startswith("pec_comparison_points_")}
-    same = "a32f6f0ce881c488cde0e2015f1187ef151d51f07c23421364304777131df425"
+    same = "e9619501f1dad8a3ca6904645a834fb8d4171f4eacb3ba454d23654b3605915e"
     assert points == {
         "standard": same, "uhlmann": same, "categorified": same,
         "higher_categorical":
-            "af06d4ac5a507e70e65fed9a6ebb85ebf0dd6f6cbfe2b0d798ab1cf706ad8b33"}
+            "e897331b94d247caebb165d7f769e65efc5ca0a6325e026108b5c43a1ebc62d9"}
 
 
 def test_json_built_crossing_report_keeps_its_bytes():

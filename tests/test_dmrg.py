@@ -41,7 +41,12 @@ from udmrg.truncation import (
     charge_second_order,
 )
 
-from helpers import assert_same_eigenpair, from_product_state, single_site_mpo
+from helpers import (
+    assert_same_eigenpair,
+    complex_random_mps,
+    from_product_state,
+    single_site_mpo,
+)
 
 
 def tfim_family(n_sites, coupling=1.0):
@@ -248,6 +253,35 @@ def test_truncation_log_bookkeeping():
     assert choices == {False, True}
 
 
+@pytest.mark.parametrize("n_sites", [2, 3, 6])
+def test_sweeps_build_only_the_environments_their_steps_read(monkeypatch, n_sites):
+    """Step ``b`` reads the left environment at ``b``, the right one at
+
+    ``b + 1`` and the charge context's overlaps at ``b``, for ``b <= n - 2``.
+    So the first right build and each half sweep extend ``n - 2`` of them."""
+    calls = {"left": 0, "right": 0, "advance": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(dmrg, "extend_left_env", counting("left", dmrg.extend_left_env))
+    monkeypatch.setattr(dmrg, "extend_right_env", counting("right", dmrg.extend_right_env))
+    monkeypatch.setattr(dmrg._ChargeContext, "advance",
+                        counting("advance", dmrg._ChargeContext.advance))
+    cfg = SweepConfig(num_sweeps=6, energy_tol=1e-9, policy=TruncationPolicy(max_kept=2))
+    scan = continuation_scan(tfim_family(n_sites), np.linspace(0.8, 1.2, 3), cfg,
+                             init=random_mps(np.random.default_rng(3), [2] * n_sites, 2))
+    sweeps = [len(res.sweep_energies) for res in scan.results]
+    assert sum(sweeps) > len(sweeps)
+    # the first point has no charge context to advance
+    assert calls == {"left": (n_sites - 2) * sum(sweeps),
+                     "right": (n_sites - 2) * (sum(sweeps) + len(sweeps)),
+                     "advance": (n_sites - 2) * sum(sweeps[1:])}
+
+
 def test_truncation_record_discarded_weight():
     """The squared weight of the singular values a step did not keep: of
 
@@ -406,11 +440,11 @@ def test_scan_oracle_fidelities_match_a_per_point_dense_reference():
 
 
 def test_scan_local_solves_see_no_subnormal_entries(monkeypatch):
-    """For the real TFIM MPO the imaginary parts of a warm-started scan's
+    """From a complex start, the imaginary parts of a warm-started scan's
 
-    local eigenvectors shrink geometrically from point to point.  Unflushed,
-    they reach the subnormal range by the ninth point, where a dense
-    eigensolve runs more than ten times slower."""
+    local eigenvectors shrink geometrically from point to point under the
+    real TFIM MPO.  Unflushed, they reach the subnormal range by the ninth
+    point, where a dense eigensolve runs more than ten times slower."""
     tiny = np.finfo(float).tiny
     subnormal = []
     lowest = dmrg._lowest_eigenpair
@@ -421,7 +455,7 @@ def test_scan_local_solves_see_no_subnormal_entries(monkeypatch):
         return lowest(heff, left, right)
 
     monkeypatch.setattr(dmrg, "_lowest_eigenpair", spy)
-    init = random_mps(np.random.default_rng(7), [2] * 4, 4)
+    init = complex_random_mps(np.random.default_rng(7), [2] * 4, 4)
     continuation_scan(tfim_family(4), np.linspace(0.5, 1.5, 9),
                       SweepConfig(num_sweeps=12, energy_tol=1e-9,
                                   policy=TruncationPolicy(max_kept=4)),
@@ -451,12 +485,13 @@ def test_flush_keeps_a_complex_vector_with_an_imaginary_part_complex():
 
 
 def test_a_real_mpo_scans_like_its_complex_twin(monkeypatch):
-    """The float64 TFIM MPO and the same tensors cast to complex128 give one
-    6-site scan with a re-ranking policy: the same states kept at every step,
-    energies and fidelities within 1e-12.  The real run ends in float64
-    tensors and real local problems; every local problem of the complex run
-    is complex (its state may still turn real, once a flushed eigenvector has
-    no imaginary part left)."""
+    """The float64 TFIM MPO from a real start, and the same tensors cast to
+    complex128 from that start times a global phase, give one 6-site scan
+    with a re-ranking policy: the same states kept at every step, energies and
+    fidelities within 1e-12.  Every local problem of the real run is real, and
+    it ends in float64 tensors; every local problem of the complex run is
+    complex (its state may still turn real, once a flushed eigenvector has no
+    imaginary part left)."""
     grid = np.linspace(0.5, 1.5, 11)
     real = tfim_family(6)
 
@@ -476,10 +511,11 @@ def test_a_real_mpo_scans_like_its_complex_twin(monkeypatch):
         kind="coherence_eigenvalue", lambda1=50.0, max_kept=3))
     oracle = tfim_ground_states(6, grid)
     scans, solves = [], []
-    for family in (real, twin):
+    init = random_mps(np.random.default_rng(14), [2] * 6, 3)
+    phased = MatrixProductState([np.exp(0.3j) * init.tensors[0]] + init.tensors[1:])
+    for family, start in ((real, init), (twin, phased)):
         dtypes.clear()
-        init = random_mps(np.random.default_rng(14), [2] * 6, 3)
-        scans.append(continuation_scan(family, grid, cfg, init=init, oracle=oracle))
+        scans.append(continuation_scan(family, grid, cfg, init=start, oracle=oracle))
         solves.append(list(dtypes))
     a, b = scans
     kept_a, kept_b = ([[rec.kept.tolist() for rec in r.truncation_log] for r in s.results]
@@ -490,9 +526,8 @@ def test_a_real_mpo_scans_like_its_complex_twin(monkeypatch):
                                [r.energy for r in b.results], rtol=0, atol=1e-12)
     np.testing.assert_allclose(a.fidelity_to_oracle, b.fidelity_to_oracle,
                                rtol=0, atol=1e-12)
-    last = len(a.results[-1].truncation_log)
     assert {t.dtype for t in a.results[-1].state.tensors} == {np.dtype(np.float64)}
-    assert set(solves[0][-last:]) == {np.dtype(np.float64)}
+    assert set(solves[0]) == {np.dtype(np.float64)}
     assert set(solves[1]) == {np.dtype(np.complex128)}
 
 
@@ -504,7 +539,8 @@ _TREE_FAMILY = tfim_family(5)
 _TREE_GRID = np.linspace(0.6, 1.4, 7)
 
 #: the standard scan first, then policies that leave its trajectory at
-#: different points (or never) on the 5-site, chi=3 problem below
+#: different points (or never) on the 5-site, chi=3 problem below, when it
+#: starts from ``complex_random_mps``
 _TREE_POLICIES = [
     TruncationPolicy(),
     TruncationPolicy(kind="uhlmann", gamma1=5.0),  # never leaves it
@@ -523,10 +559,10 @@ def tree_oracle():
 
 
 def _tree_scan(policy, oracle, shared=None, family=_TREE_FAMILY, grid=_TREE_GRID,
-               seed=5, max_bond=3, num_sweeps=8):
+               seed=5, max_bond=3, num_sweeps=8, draw=random_mps):
     policy = dataclasses.replace(policy, max_kept=min(policy.max_kept, max_bond))
     cfg = SweepConfig(num_sweeps=num_sweeps, energy_tol=1e-9, policy=policy)
-    init = random_mps(np.random.default_rng(seed), [2] * 5, 3)
+    init = draw(np.random.default_rng(seed), [2] * 5, 3)
     return continuation_scan(family, grid, cfg, init=init, oracle=oracle,
                              shared=shared)
 
@@ -568,8 +604,9 @@ def _first_divergence(a, b):
 
 def test_scans_through_a_tree_equal_scans_without_it(tree_oracle):
     tree = TrajectoryTree()
-    shared = [_tree_scan(p, tree_oracle, shared=tree) for p in _TREE_POLICIES]
-    own = [_tree_scan(p, tree_oracle) for p in _TREE_POLICIES]
+    shared = [_tree_scan(p, tree_oracle, shared=tree, draw=complex_random_mps)
+              for p in _TREE_POLICIES]
+    own = [_tree_scan(p, tree_oracle, draw=complex_random_mps) for p in _TREE_POLICIES]
     for a, b in zip(shared, own):
         _assert_same_scan(a, b)
     # the policies cover every case: staying on the standard trajectory,
@@ -679,11 +716,12 @@ def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
             return _fn(*args)
         monkeypatch.setattr(dmrg, name, spy)
     for policy in _TREE_POLICIES:
-        _tree_scan(policy, tree_oracle)
+        _tree_scan(policy, tree_oracle, draw=complex_random_mps)
     independent = len(solves)
     solves.clear()
     tree = TrajectoryTree()
-    first = [_tree_scan(p, tree_oracle, shared=tree) for p in _TREE_POLICIES]
+    first = [_tree_scan(p, tree_oracle, shared=tree, draw=complex_random_mps)
+             for p in _TREE_POLICIES]
     assert 0 < len(solves) < independent
     # one node per point solved: the standard trajectory, the branch left at
     # point 1, the one both coherence_eigenvalue_2 policies share from point
@@ -696,7 +734,8 @@ def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
     assert nodes == 7 + 6 + 5 + 7 + 7
     solves.clear()
     node_work.clear()
-    again = [_tree_scan(p, tree_oracle, shared=tree) for p in _TREE_POLICIES]
+    again = [_tree_scan(p, tree_oracle, shared=tree, draw=complex_random_mps)
+             for p in _TREE_POLICIES]
     assert solves == []
     # charges and gauge records live on the nodes: a replay only selects
     assert node_work == []

@@ -545,9 +545,9 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     # the default report keeps its bytes, pinned as the gauge and crossing
     # reports are below (numpy 2.4, bundled OpenBLAS, 1 and 2 BLAS threads)
     assert report_digests(report) == (
-        "1b6aa39cd31978b7b1689920f0d03bc1cffc6d32201f06329342861be23787ef",
-        "dd129ec08996289a456749b89e9e5fc6b3c99035bc66b4d584ef055c1ce1063f")
-    points = "1848b16763f17a914700e39b8fe0c2351938ecb6500738632a3a48e86d8b45ac"
+        "76311b91bc4345a515f2322f00f476c8b496f010634a41e598833a62d085487f",
+        "45b192b58272d2b89e07cafa3b3ba960e597e2c89d46a83b77da31e6de4ecbf3")
+    points = "2cff6c641540d8449b81bbe80ffb2b6156d3f3a9f069a95472a777cd19011172"
     assert {a.name: hashlib.sha256(a.csv_bytes()).hexdigest()
             for a in report.attachments} == {
         "pec_comparison_points_standard": points,
@@ -555,7 +555,7 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
         "pec_comparison_points_categorified": points,
         "pec_comparison_points_higher_categorical": points,
         "pec_comparison_gridsearch":
-            "6c8c35f06d451004de7a668d4184a2781564b22dcdb00e3b5d61cb77672bdf2d"}
+            "ba5fbb5890d5b72844adc290f79168fff13d62872074504b4d39def59ba22d3e"}
 
 
 def test_eight_site_pec_without_search_costs_what_the_readme_says(monkeypatch):
@@ -572,6 +572,30 @@ def test_eight_site_pec_without_search_costs_what_the_readme_says(monkeypatch):
                      "charges": 240, "_point_gauge_record": 21, "select_states": 258}
 
 
+@pytest.mark.parametrize("config", [
+    PecComparisonConfig(n_sites=8, grid_search=False),
+    DmrgBenchmarkConfig(benchmark_sizes=(6, 9), benchmark_fields=(0.5, 1.5),
+                        benchmark_bond=16),
+    DmrgBenchmarkConfig(spin_model="heisenberg", benchmark_sizes=(5,),
+                        benchmark_fields=(0.0,), benchmark_bond=8),
+], ids=["pec_comparison", "dmrg_benchmark_tfim", "dmrg_benchmark_heisenberg"])
+def test_every_local_problem_of_a_spin_chain_run_is_real(monkeypatch, config):
+    """Both spin chains' MPOs are float64 and ``random_mps`` draws a float64
+
+    start, so a run solves every local problem, dense or Lanczos, in real
+    arithmetic from its first sweep."""
+    dtypes = []
+    build = dmrg.effective_hamiltonian
+
+    def spy(*args):
+        dtypes.append(np.result_type(*args))
+        return build(*args)
+
+    monkeypatch.setattr(dmrg, "effective_hamiltonian", spy)
+    run_experiment(config)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
 def test_eight_site_pec_report_keeps_its_bytes():
     """Eight sites without the grid search: three bonds have more candidate
 
@@ -583,7 +607,7 @@ def test_eight_site_pec_report_keeps_its_bytes():
     assert report_digests(report) == (
         "1732c19ebd13e592d938ded2fa56ed4dc33d061dce752b6acecdf793001ea984",
         "9ccba4cca78b73e63c012603c1ef9d649a78e96c0c527f21f49a2a3dede102f8")
-    points = "c00963bf6c47ee95780a2197eb193ed7d214a2d2ba4a4da213a0d8ed59ba0fcd"
+    points = "3b4e1f7e809d939d4e76dfeeb40d3a1da8d4fbaa6d3920a8e97a01f3e29f3103"
     assert {a.name: hashlib.sha256(a.csv_bytes()).hexdigest()
             for a in report.attachments} == {
         f"pec_comparison_points_{name}": points

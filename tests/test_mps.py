@@ -20,6 +20,7 @@ from udmrg.models import PAULI_X, PAULI_Z, build_spin_chain_mpo, SpinChainSpec
 
 from helpers import (
     bond_dims,
+    complex_random_mps,
     copy_state,
     entanglement_spectrum,
     from_dense_state,
@@ -125,6 +126,8 @@ def test_random_mps_is_normalized_and_capped():
     # exact-rank envelope near the edges, the cap in the middle
     assert bond_dims(psi) == (2, 4, 4, 4, 2)
     assert psi.physical_dims == (2,) * 6
+    # a real draw, so a real Hamiltonian's sweeps stay real
+    assert {t.dtype for t in psi.tensors} == {np.dtype(np.float64)}
 
 
 def test_random_mps_is_seed_reproducible():
@@ -151,8 +154,8 @@ def test_canonicalize_moves_center_and_preserves_state():
 
 def test_inner_product_matches_dense_and_conjugates():
     rng = np.random.default_rng(3)
-    a = random_mps(rng, [2] * 4, 5)
-    b = random_mps(rng, [2] * 4, 5)
+    a = complex_random_mps(rng, [2] * 4, 5)
+    b = complex_random_mps(rng, [2] * 4, 5)
     dense = np.vdot(to_dense(a), to_dense(b))
     assert inner_product(a, b) == pytest.approx(dense, abs=1e-12)
     assert inner_product(b, a) == pytest.approx(np.conj(dense), abs=1e-12)
@@ -289,8 +292,8 @@ def test_random_contractions_match_dense_linear_algebra():
     rng = np.random.default_rng(9)
     for _ in range(20):
         n = int(rng.integers(2, 7))
-        bra = random_mps(rng, [2] * n, int(rng.integers(2, 6)))
-        ket = random_mps(rng, [2] * n, int(rng.integers(2, 6)))
+        bra = complex_random_mps(rng, [2] * n, int(rng.integers(2, 6)))
+        ket = complex_random_mps(rng, [2] * n, int(rng.integers(2, 6)))
         op = random_mpo(rng, n)
         dense_op = mpo_to_dense(op)
         vb, vk = to_dense(bra), to_dense(ket)
