@@ -80,7 +80,9 @@ def parse_config_data(data: Any) -> ExperimentConfig:
     The CLI checks only the structure: the root, ``experiment``, unknown
     keys, and the policy objects.  Every value goes to the config type as
     decoded, and its problems join the structural ones in one
-    :class:`ConfigError`.
+    :class:`ConfigError`.  A ``dmrg_benchmark`` of the ``heisenberg`` chain
+    that omits ``benchmark_fields`` gets the one field 0, since that chain
+    has no field; the config type's default stays the TFIM's.
     """
     if not isinstance(data, dict):
         raise ConfigError(["config root must be a JSON object"])
@@ -97,6 +99,8 @@ def parse_config_data(data: Any) -> ExperimentConfig:
     errors = [f"unknown key {key!r} for experiment {kind}"
               for key in sorted(set(data) - set(fields) - {"experiment"})]
     kwargs = {key: value for key, value in data.items() if key in fields}
+    if kind == "dmrg_benchmark" and data.get("spin_model") == "heisenberg":
+        kwargs.setdefault("benchmark_fields", (0.0,))
     _build_policies(kwargs, errors)
     try:
         config = config_type(**kwargs)

@@ -2,13 +2,15 @@
 
 Each local step solves the two-site effective Hamiltonian, an operator over
 its environments and the two MPO tensors that is applied by four tensor
-contractions and never formed unless it is small.  At or below
-``_FULL_EIGH_DIM`` dimensions its dense form goes to a full hermitian
-eigensolver; above that a restarted Lanczos with full reorthogonalization
-(:func:`linalg.lanczos_lowest`), warm-started from the current two-site tensor,
-finds the lowest pair.  Both paths are deterministic.  A Lanczos solve that
-misses its residual tolerance within its restarts flags the result as not
-converged instead of raising.
+contractions and never formed unless it is small.  Only its lowest pair is
+sought, from the current two-site tensor and under Lanczos's residual rule.
+At or below ``_FULL_EIGH_DIM`` dimensions the dense form gives the lowest
+eigenvalue without vectors, and inverse iteration shifted by it, one or two
+linear solves, gives the vector; a block that defeats both solves is
+diagonalized in full.  Above that a restarted Lanczos with full
+reorthogonalization (:func:`linalg.lanczos_lowest`) finds the pair.  Both
+paths are deterministic.  A Lanczos solve that misses its residual tolerance
+within its restarts flags the result as not converged instead of raising.
 A real MPO and a real start, such as :func:`mps.random_mps` draws, keep every
 environment, local eigensolve and split in float64 from the first sweep.
 Real and imaginary parts of the local eigenvector below ``_FLUSH_RELATIVE``
@@ -70,7 +72,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import commutator, contract, dag, lanczos_lowest, unit_sum
+from .linalg import LANCZOS_TOL, commutator, contract, dag, lanczos_lowest, unit_sum
 from .mps import (
     MatrixProductOperator,
     MatrixProductState,
@@ -93,8 +95,8 @@ from .truncation import (
     select_states,
 )
 
-#: effective dimensions at or below this are solved with the full dense
-#: eigensolver, larger ones by Lanczos
+#: effective dimensions at or below this are solved densely (lowest
+#: eigenvalue, then inverse iteration), larger ones by Lanczos
 _FULL_EIGH_DIM = 128
 
 #: local-eigenvector parts below this fraction of its largest magnitude are zeroed
@@ -196,7 +198,8 @@ class EffectiveHamiltonian:
 
     Row index is the bra block ``(bl, o1, o2, br)``, column index the ket
     block ``(kl, i1, i2, kr)``.  Hermitian whenever the MPO is.
-    :meth:`matvec` applies it by four contractions; :meth:`dense` forms it.
+    :meth:`matvec` applies it by four contractions; :meth:`dense` forms it,
+    as a new array on every call.
     """
 
     env_left: np.ndarray
@@ -235,14 +238,37 @@ def _lowest_eigenpair(heff: EffectiveHamiltonian, left: np.ndarray,
                       right: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Lowest eigenpair of ``heff`` and whether its solve converged.
 
-    At or below ``_FULL_EIGH_DIM`` dimensions the dense form is diagonalized
-    in full; above, Lanczos starts from the current two-site tensor
-    ``left . right``.
+    Both paths start from the current two-site tensor ``left . right`` and
+    accept a pair ``(E, x)`` on Lanczos's rule, ``||H x - E x|| <=
+    LANCZOS_TOL * max(1, |E|)``.  Above ``_FULL_EIGH_DIM`` dimensions Lanczos
+    solves.  At or below, ``eigvalsh`` of the dense form gives the lowest
+    eigenvalue ``E0``, and inverse iteration shifted by ``E0`` gives ``x``
+    and ``E = E0 + <x|H - E0|x>``, which must also lie within the tolerance
+    of ``E0``.  It makes one solve, and a second from the first's result
+    when a start with little ground-state weight leaves the first short.  If
+    both miss, or the shift leaves an exact zero pivot (a diagonal ``H``),
+    the dense form is diagonalized in full.
     """
-    if heff.dim <= _FULL_EIGH_DIM:
-        w, v = np.linalg.eigh(heff.dense())
-        return float(w[0]), v[:, 0], True
-    return lanczos_lowest(heff.matvec, contract(left, right, axes=(2, 0)))
+    start = contract(left, right, axes=(2, 0)).reshape(-1)
+    if heff.dim > _FULL_EIGH_DIM:
+        return lanczos_lowest(heff.matvec, start)
+    shifted = heff.dense()
+    lowest = float(np.linalg.eigvalsh(shifted)[0])
+    shifted.flat[:: heff.dim + 1] -= lowest
+    x = start
+    for _ in range(2):
+        try:
+            x = np.linalg.solve(shifted, x)
+        except np.linalg.LinAlgError:  # an exact zero pivot
+            break
+        x = x / np.linalg.norm(x)
+        hx = shifted @ x
+        gap = float(np.vdot(x, hx).real)
+        tol = LANCZOS_TOL * max(1.0, abs(lowest + gap))
+        if abs(gap) <= tol and np.linalg.norm(hx - gap * x) <= tol:
+            return lowest + gap, x, True
+    w, v = np.linalg.eigh(heff.dense())  # the shift overwrote the first dense form
+    return float(w[0]), v[:, 0], True
 
 
 def _flush_tiny(vec: np.ndarray) -> np.ndarray:

@@ -30,6 +30,10 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
+#: cell types the CSV writer renders as :func:`format_value` does
+_PLAIN_CELLS = frozenset((float, int, str))
+
+
 def _plain(value: Any) -> Any:
     """Coerce numpy scalars/arrays into JSON-serializable builtins."""
     if isinstance(value, (np.floating, np.integer, np.bool_)):
@@ -67,11 +71,16 @@ class ScanReport:
         self.rows.append(list(values))
 
     def csv_bytes(self) -> bytes:
+        """The rows as CSV, each cell as :func:`format_value` renders it.
+
+        A cell of exactly ``float``, ``int`` or ``str`` goes to the writer as
+        it is: the writer renders it as ``repr`` and ``str`` would.
+        """
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([format_value(v) for v in row])
+        writer.writerows([v if type(v) in _PLAIN_CELLS else format_value(v) for v in row]
+                         for row in self.rows)
         return buf.getvalue().encode("utf-8")
 
     def summary_payload(self) -> dict[str, Any]:

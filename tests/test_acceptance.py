@@ -95,8 +95,8 @@ def test_benchmark_energies_reach_1e8_within_two_minutes(monkeypatch):
     # BLAS threads; another LAPACK build may round differently)
     csv = hashlib.sha256(report.csv_bytes()).hexdigest()
     summary = hashlib.sha256(canonical_json(report.summary_payload())).hexdigest()
-    assert csv == "2eb794f143b5aec851c969b30a3e39f1982585457255ec8fee0b5be99033eb3b"
-    assert summary == "5782ed595dbd263949911cadd5d155f80da3951e3b423c853b426ed8b447725f"
+    assert csv == "e55a74b8841e185753df1d9c544f57c4453841ab0092f9ffded7a2ffb5570d8b"
+    assert summary == "65fc0110a1fd993e13ba759371e7f7691f5105e6ce7f2f8b8eed46f53f68f0ca"
 
 
 def _assert_exact_energies_are_dense(report):

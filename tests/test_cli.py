@@ -57,6 +57,29 @@ def test_parse_config_data_parses_policies():
     assert all(isinstance(p, TruncationPolicy) for p in cfg.policies)
 
 
+def test_a_heisenberg_benchmark_without_fields_gets_the_one_field_zero():
+    """The Heisenberg chain has no field: a JSON config that omits the key
+    validates, and hashes like its twin that spells out ``[0]``.  The config
+    type's default, which every config hash carries, stays the TFIM's."""
+    cfg = parse_config_data({"experiment": "dmrg_benchmark", "spin_model": "heisenberg"})
+    assert cfg.benchmark_fields == (0.0,)
+    spelled = parse_config_data({"experiment": "dmrg_benchmark",
+                                 "spin_model": "heisenberg", "benchmark_fields": [0]})
+    assert cfg == spelled
+    assert config_hash(config_payload(cfg)) == config_hash(config_payload(spelled))
+    assert parse_config_data({"experiment": "dmrg_benchmark"}).benchmark_fields == \
+        (0.5, 1.0, 1.5)
+    assert harness.DmrgBenchmarkConfig().benchmark_fields == (0.5, 1.0, 1.5)
+
+
+def test_a_heisenberg_benchmark_with_a_nonzero_field_still_fails():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_data({"experiment": "dmrg_benchmark", "spin_model": "heisenberg",
+                           "benchmark_fields": [0, 0.5]})
+    assert exc.value.problems == [
+        "benchmark_fields must all be 0: the heisenberg chain has no field"]
+
+
 def test_parse_config_data_rejects_structural_problems():
     with pytest.raises(ConfigError, match="root must be a JSON object"):
         parse_config_data(["not", "an", "object"])
@@ -257,17 +280,17 @@ def test_json_built_pec_report_keeps_its_bytes():
                       "lambda2": 0.2}]})
     report = harness.run_experiment(cfg)
     assert _sha(report.csv_bytes()) == \
-        "d43ca8c18c90026290c7bccd2e5674cf7d180a9b3b8bf085c1b4ab5e5f2e61bd"
+        "c0db0faf8acb8ad011bd90937e3d76e99de9b38e996a8c31134f2963e0674948"
     assert _sha(canonical_json(report.summary_payload())) == \
-        "26334e13b1fc908c94aca38e54b5cc08c4706056aa6f159c07095561f68e5fb2"
+        "5f38da2675f5c09b1bfeb93d6884a4bc072441721abbb73130b262fff4c58604"
     points = {a.name.removeprefix("pec_comparison_points_"): _sha(a.csv_bytes())
               for a in report.attachments
               if a.name.startswith("pec_comparison_points_")}
-    same = "e9619501f1dad8a3ca6904645a834fb8d4171f4eacb3ba454d23654b3605915e"
+    same = "ea9de87f50cffe0044cc084188a18b7a8539e535e030232a76a91c564b0494b8"
     assert points == {
         "standard": same, "uhlmann": same, "categorified": same,
         "higher_categorical":
-            "e897331b94d247caebb165d7f769e65efc5ca0a6325e026108b5c43a1ebc62d9"}
+            "0d96c3771970fdc48f02db311ac3799012d3aba13d739fb9e4bb2a2c3ad62a3f"}
 
 
 def test_json_built_crossing_report_keeps_its_bytes():

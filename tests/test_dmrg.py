@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from udmrg.dmrg import (
     continuation_scan,
     ground_state,
 )
+from udmrg.harness import PecComparisonConfig, run_experiment
 from udmrg.models import (
     SpinChainSpec,
     build_spin_chain_mpo,
@@ -167,6 +169,129 @@ def test_lanczos_matches_dense_eigh_on_chain_environments(kind, n_sites, bond_di
         heff, psi.tensors[bond], psi.tensors[bond + 1])
     assert converged
     assert_same_eigenpair(energy, vector, w[0], v[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# the dense local solve: the lowest eigenvalue, then inverse iteration
+# ---------------------------------------------------------------------------
+
+#: (dimension, first-site dimension, complex) of the dense blocks tested
+DENSE_BLOCKS = [(dim, d1, cplx) for dim, d1 in ((16, 4), (32, 4), (64, 8), (128, 8))
+                for cplx in (False, True)]
+
+
+def _block_of(h, d1):
+    """The effective Hamiltonian whose dense form is ``h``, bit for bit, with
+    sites of ``d1`` and ``len(h) // d1`` dimensions under unit environments."""
+    d2 = h.shape[0] // d1
+    w1 = np.zeros((1, d1, d1, d1 * d1))
+    w1[0].reshape(d1 * d1, d1 * d1)[np.diag_indices(d1 * d1)] = 1.0
+    w2 = h.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, d2, d2, 1)
+    heff = dmrg.effective_hamiltonian(dmrg._edge_env(), dmrg._edge_env(), w1, w2)
+    assert np.array_equal(heff.dense(), h)
+    return heff
+
+
+def _random_hermitian(rng, dim, cplx):
+    g = rng.normal(size=(dim, dim))
+    if cplx:
+        g = g + 1j * rng.normal(size=(dim, dim))
+    return (g + g.conj().T) / 2
+
+
+def _solve_from(heff, start, d1):
+    """``_lowest_eigenpair`` warm-started from the two-site tensor ``start``."""
+    d2 = start.size // d1
+    return dmrg._lowest_eigenpair(heff, start.reshape(1, d1, d2),
+                                  np.eye(d2).reshape(d2, d2, 1))
+
+
+@pytest.fixture
+def dense_path(monkeypatch):
+    """Counts of the linear solves and of the full ``eigh`` fallbacks that
+    ``_lowest_eigenpair`` makes."""
+    counts = {"solve": 0, "eigh": 0}
+    solve, eigh = np.linalg.solve, np.linalg.eigh
+
+    def counted(name, function):
+        def spy(*args, **kwargs):
+            if sys._getframe(1).f_code is dmrg._lowest_eigenpair.__code__:
+                counts[name] += 1
+            return function(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    return counts
+
+
+def _assert_lowest(energy, vector, h):
+    w, v = np.linalg.eigh(h)
+    assert abs(energy - w[0]) <= 1e-12
+    assert abs(np.vdot(v[:, 0], vector)) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("dim,d1,cplx", DENSE_BLOCKS)
+def test_dense_solve_from_a_random_start(dense_path, dim, d1, cplx):
+    rng = np.random.default_rng(dim + cplx)
+    h = _random_hermitian(rng, dim, cplx)
+    energy, vector, converged = _solve_from(_block_of(h, d1), rng.normal(size=dim), d1)
+    assert converged
+    _assert_lowest(energy, vector, h)
+    assert dense_path["eigh"] == 0
+
+
+@pytest.mark.parametrize("dim,d1,cplx", DENSE_BLOCKS)
+def test_dense_solve_from_a_start_orthogonal_to_the_ground_state(dense_path, dim, d1,
+                                                                 cplx):
+    """The first solve from a start with no ground-state weight misses the
+    residual rule; the second, from its result, meets it."""
+    rng = np.random.default_rng(dim + cplx)
+    h = _random_hermitian(rng, dim, cplx)
+    ground = np.linalg.eigh(h)[1][:, 0]
+    start = rng.normal(size=dim)
+    start = start - ground * np.vdot(ground, start)
+    energy, vector, converged = _solve_from(_block_of(h, d1), start, d1)
+    assert converged
+    _assert_lowest(energy, vector, h)
+    assert dense_path == {"solve": 2, "eigh": 0}
+
+
+@pytest.mark.parametrize("dim,d1,cplx", DENSE_BLOCKS)
+def test_dense_solve_on_an_exactly_degenerate_lowest_level(dense_path, dim, d1, cplx):
+    """``B (x) 1`` repeats every level of ``B`` exactly: the vector lies in the
+    lowest eigenspace and meets the residual rule."""
+    rng = np.random.default_rng(dim + cplx)
+    b = _random_hermitian(rng, dim // 2, cplx)
+    h = np.kron(b, np.eye(2))
+    energy, vector, converged = _solve_from(_block_of(h, d1), rng.normal(size=dim), d1)
+    assert converged
+    lowest, ground = np.linalg.eigh(b)
+    assert abs(energy - lowest[0]) <= 1e-12
+    in_space = np.kron(np.outer(ground[:, 0], ground[:, 0].conj()), np.eye(2)) @ vector
+    assert np.linalg.norm(in_space) >= 1 - 1e-12
+    assert np.linalg.norm(h @ vector - energy * vector) <= \
+        linalg.LANCZOS_TOL * max(1.0, abs(energy))
+    assert dense_path["eigh"] == 0
+
+
+@pytest.mark.parametrize("dim,d1,cplx", DENSE_BLOCKS)
+def test_dense_solve_of_a_diagonal_block_falls_back_to_eigh(dense_path, dim, d1, cplx):
+    """Shifted by its lowest entry, a diagonal block has an exact zero pivot."""
+    rng = np.random.default_rng(dim + cplx)
+    h = np.diag(rng.normal(size=dim)).astype(complex if cplx else float)
+    energy, vector, converged = _solve_from(_block_of(h, d1), rng.normal(size=dim), d1)
+    assert converged
+    _assert_lowest(energy, vector, h)
+    assert dense_path == {"solve": 1, "eigh": 1}
+
+
+def test_eight_site_oracle_config_never_falls_back_to_eigh(dense_path):
+    """Every one of the 602 dense local solves of ``pec_comparison`` at 8 sites
+    without the grid search is accepted by inverse iteration."""
+    run_experiment(PecComparisonConfig(n_sites=8, grid_search=False))
+    assert dense_path["solve"] >= 602
+    assert dense_path["eigh"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -545,9 +545,9 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     # the default report keeps its bytes, pinned as the gauge and crossing
     # reports are below (numpy 2.4, bundled OpenBLAS, 1 and 2 BLAS threads)
     assert report_digests(report) == (
-        "76311b91bc4345a515f2322f00f476c8b496f010634a41e598833a62d085487f",
-        "45b192b58272d2b89e07cafa3b3ba960e597e2c89d46a83b77da31e6de4ecbf3")
-    points = "2cff6c641540d8449b81bbe80ffb2b6156d3f3a9f069a95472a777cd19011172"
+        "2ca84be3dba2bf136aebcbf8b23b41014988516f66bcc392dc0c17023cf9a3f4",
+        "2128859efcfc5f31d03358096c34fa6130e8b460b97d7ffb0921205b65d32d42")
+    points = "9f5e6f6665010534d1e15bac176e719817d7bd9fb113366d42500435bbacbd0e"
     assert {a.name: hashlib.sha256(a.csv_bytes()).hexdigest()
             for a in report.attachments} == {
         "pec_comparison_points_standard": points,
@@ -555,7 +555,7 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
         "pec_comparison_points_categorified": points,
         "pec_comparison_points_higher_categorical": points,
         "pec_comparison_gridsearch":
-            "ba5fbb5890d5b72844adc290f79168fff13d62872074504b4d39def59ba22d3e"}
+            "5548938a8c56cb5f293633a240047a796f2a76adfc91ba0409a8d0c518e33707"}
 
 
 def test_eight_site_pec_without_search_costs_what_the_readme_says(monkeypatch):
@@ -605,9 +605,9 @@ def test_eight_site_pec_report_keeps_its_bytes():
     its bundled OpenBLAS, at 1 and 2 BLAS threads."""
     report = run_experiment(PecComparisonConfig(n_sites=8, grid_search=False))
     assert report_digests(report) == (
-        "1732c19ebd13e592d938ded2fa56ed4dc33d061dce752b6acecdf793001ea984",
-        "9ccba4cca78b73e63c012603c1ef9d649a78e96c0c527f21f49a2a3dede102f8")
-    points = "3b4e1f7e809d939d4e76dfeeb40d3a1da8d4fbaa6d3920a8e97a01f3e29f3103"
+        "fa4e1084a04ce28788c5b5b73b548c2f49ce9dea46f68d78f17f931147e89210",
+        "6940e0398a466b209fb620a3886228fe7d2ac5b74a51ffff027d6dbbbd32a7b7")
+    points = "67298bb1f1509a04bdf06ac22c18b6fdd4b795eee2cd030251fcdcd194375e02"
     assert {a.name: hashlib.sha256(a.csv_bytes()).hexdigest()
             for a in report.attachments} == {
         f"pec_comparison_points_{name}": points

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -52,6 +54,22 @@ def test_csv_bytes_layout():
     assert report.csv_bytes() == (
         b"index,value,ok\n0,0.5,true\n1,1e-10,false\n"
     )
+
+
+def test_csv_bytes_render_every_cell_as_format_value_does():
+    """Plain floats, ints and strings skip ``format_value``; the bytes are
+    those of formatting every cell first."""
+    row = [0.1, np.float64(1 / 3), 7, np.int64(-3), True, np.False_, "a,b \"c\"",
+           float("nan"), float("-inf"), np.float64("inf"), 1e-300, -0.0]
+    report = ScanReport(name="t", columns=[f"c{i}" for i in range(len(row))])
+    report.add_row(*row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(report.columns)
+    writer.writerow([format_value(v) for v in row])
+    assert report.csv_bytes() == buf.getvalue().encode("utf-8")
+    assert report.csv_bytes().splitlines()[1] == (
+        b'0.1,0.3333333333333333,7,-3,true,false,"a,b ""c""",nan,-inf,inf,1e-300,-0.0')
 
 
 def test_canonical_json_is_sorted_and_newline_terminated():
