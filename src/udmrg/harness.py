@@ -506,9 +506,8 @@ def run_crossing_scan(cfg: CrossingScanConfig) -> ScanReport:
     psi = track.vectors[0][:, 0].astype(complex)
     psi /= np.linalg.norm(psi)
     states = propagate(steps, psi)[np.r_[0, np.cumsum(substeps)]]
-    # one product and one norm per point: stacking either rounds differently
-    pops = np.array([np.abs(dag(v) @ s) ** 2 for v, s in zip(track.vectors, states)])
-    norms = np.array([np.linalg.norm(s) for s in states])
+    pops = np.abs(dag(track.vectors) @ states[..., None])[..., 0] ** 2
+    norms = np.linalg.norm(states, axis=-1)
 
     # looked up at call time, so wrappers set on the truncation module (the
     # benchmark's tracer) see these calls

@@ -95,7 +95,7 @@ def require_hermitian(a, tol: float = 1e-12, name: str = "matrix") -> Matrix:
     adj = dag(a)
     scale = np.maximum(np.abs(a).max(axis=(-2, -1), initial=0.0), 1.0)
     res = np.abs(a - adj).max(axis=(-2, -1), initial=0.0)
-    bad = np.flatnonzero(res > tol * scale)
+    bad = np.flatnonzero(~(res <= tol * scale))  # NaN fails too
     if bad.size:
         i = bad[0]
         raise ValueError(
@@ -116,7 +116,7 @@ def require_unitary(v, tol: float = 1e-10, name: str = "matrix") -> Matrix:
     """Validate unitarity within ``tol``; a stack fails on its worst member."""
     v = require_square(v, name)
     res = unitarity_residual(v)
-    if res > tol:
+    if not res <= tol:  # NaN fails too
         raise ValueError(
             f"{name} is not unitary: max |V^H V - I| = {res:.3e} exceeds {tol:.1e}"
         )

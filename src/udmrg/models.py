@@ -75,7 +75,8 @@ def diabatic_energies(lam: float) -> tuple[float, float]:
 
 
 def two_level_hamiltonian(model: TwoLevelModel, lam) -> np.ndarray:
-    """Real symmetric 2x2 Hamiltonian at parameter ``lam``.
+    """Hermitian 2x2 Hamiltonian at parameter ``lam``, real-valued entries in
+    complex dtype.
 
     An array of parameters gives the stack ``lam.shape + (2, 2)``.
     """

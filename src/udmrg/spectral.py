@@ -7,14 +7,16 @@ formed by finite differences.  The grid parameter is abstract -- time and
 Hamiltonian parameters are treated identically, and any physical rate
 conversion is the caller's responsibility.  :func:`diagonal_phases` is the
 package's one phase rule; the DMRG charges align their cross-point overlaps
-with it too.
+with it too, and the tracker applies its entrywise form to the diagonal
+neighbour overlaps it forms without the full matrices.
 
 A family is an ``(n, d, d)`` stack of matrices over an ``n``-point grid.
 Leading axes stack families that share a grid, ``(..., n, d, d)``: one
-eigensolve decomposes all of them, each alignment step runs on every family
-at once, and the overlaps come back with the same leading axes.  A single
-family is the case without leading axes; stacking changes no bit of any
-member's result.
+eigensolve decomposes all of them, one stacked pass forms the diagonal
+neighbour overlaps, the phases of the whole track come from one cumulative
+product along the grid, and the overlaps come back with the same leading
+axes.  A single family is the case without leading axes; stacking changes
+no bit of any member's result.
 
 Conventions
 -----------
@@ -60,22 +62,37 @@ class SpectralTrack:
 def max_overlap_permutation(weights: np.ndarray) -> np.ndarray:
     """Greedy row-to-column assignment maximizing per-row overlap.
 
-    Rows are processed in order of descending row maximum (ties by ascending
-    index); each takes its best still-unassigned column.  ``perm[i]`` is the
-    column assigned to row ``i``.
+    ``weights`` are non-negative, such as overlap magnitudes.  Rows are
+    processed in order of descending row maximum (ties by ascending index);
+    each takes its best still-unassigned column, the lowest on a tie.
+    ``perm[i]`` is the column assigned to row ``i``.  A stack ``(..., d, d)``
+    is assigned member by member, all members at once, and gives
+    ``(..., d)``.
     """
     w = np.asarray(weights, dtype=float)
-    n = w.shape[0]
-    order = sorted(range(n), key=lambda i: (-w[i].max(), i))
-    taken = np.zeros(n, dtype=bool)
-    perm = np.empty(n, dtype=int)
-    for i in order:
-        row = w[i].copy()
-        row[taken] = -np.inf
-        j = int(np.argmax(row))
-        perm[i] = j
-        taken[j] = True
-    return perm
+    d = w.shape[-1]
+    flat = w.reshape(-1, d, d)
+    members = np.arange(flat.shape[0])
+    row_max = flat.max(axis=-1)
+    taken = np.zeros(row_max.shape, dtype=bool)
+    perm = np.empty(row_max.shape, dtype=int)
+    for _ in range(d):
+        i = np.argmax(row_max, axis=-1)
+        row_max[members, i] = -np.inf
+        j = np.argmax(np.where(taken, -np.inf, flat[members, i]), axis=-1)
+        perm[members, i] = j
+        taken[members, j] = True
+    return perm.reshape(w.shape[:-1])
+
+
+def _unit_phases(z: np.ndarray) -> np.ndarray:
+    """Unit phases that make each entry of ``z`` real and >= 0, with ``z``'s
+    shape and dtype; 1 where an entry is 0."""
+    mag = np.abs(z)
+    phases = np.ones_like(z)
+    nz = mag > 0
+    phases[nz] = np.conj(z[nz]) / mag[nz]
+    return phases
 
 
 def diagonal_phases(m: np.ndarray) -> np.ndarray:
@@ -85,37 +102,7 @@ def diagonal_phases(m: np.ndarray) -> np.ndarray:
     back with shape ``(..., d)`` and ``m``'s dtype, 1 where an entry is 0.
     Multiplying column ``b`` of ``m`` by phase ``b`` aligns that entry.
     """
-    d = np.diagonal(m, axis1=-2, axis2=-1)
-    mag = np.abs(d)
-    phases = np.ones_like(d)
-    nz = mag > 0
-    phases[nz] = np.conj(d[nz]) / mag[nz]
-    return phases
-
-
-def _aligned(prev: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
-             threshold: float = DEGENERACY_THRESHOLD
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Align the eigensystems ``(vals, vecs)`` to the aligned vectors ``prev``.
-
-    Takes one point, ``(d,)`` and ``(d, d)``, or a stack of them with
-    leading axes.  A member with a diagonal overlap magnitude below
-    ``threshold`` is degenerate: its columns are first reordered by
-    :func:`max_overlap_permutation`, one member at a time.  Every column is
-    then multiplied by its :func:`diagonal_phases` phase, which makes its
-    diagonal overlap real and non-negative.  Returns the aligned values and vectors and the
-    degeneracy flag of each member; the inputs are not modified.
-    """
-    overlaps = dag(prev) @ vecs
-    degenerate = np.any(np.abs(np.diagonal(overlaps, axis1=-2, axis2=-1)) < threshold,
-                        axis=-1)
-    if degenerate.any():
-        vals, vecs = vals.copy(), vecs.copy()
-        for i in map(tuple, np.argwhere(degenerate)):
-            perm = max_overlap_permutation(np.abs(overlaps[i]))
-            vals[i], vecs[i] = vals[i][perm], vecs[i][:, perm]
-            overlaps[i] = overlaps[i][:, perm]
-    return vals, vecs * diagonal_phases(overlaps)[..., None, :], degenerate
+    return _unit_phases(np.diagonal(m, axis1=-2, axis2=-1))
 
 
 def track_hermitian_family(grid, matrices) -> SpectralTrack:
@@ -124,9 +111,14 @@ def track_hermitian_family(grid, matrices) -> SpectralTrack:
     ``grid`` must be strictly increasing and match ``matrices``, an
     ``(..., n, d, d)`` stack, in length ``n``.  Every member is validated as
     hermitian to 1e-12 relative to its scale, and all members are decomposed
-    by one stacked eigensolve.  The alignment runs point by point along the
-    grid, each step on every family of the stack at once.  Points where
-    degeneracy handling fired are flagged in ``degenerate``.
+    by one stacked eigensolve.  A point whose diagonal overlap magnitude with
+    its predecessor's columns falls below ``DEGENERACY_THRESHOLD`` is flagged
+    in ``degenerate`` and reordered by :func:`max_overlap_permutation`; only
+    these reorders walk the grid, from the first flagged step on.  Each
+    column's phase is then the running product along the grid of its
+    neighbour-overlap phases (discrete parallel transport), which makes every
+    neighbour diagonal overlap real and non-negative; a column whose overlap
+    is exactly 0 keeps its phase.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -137,10 +129,24 @@ def track_hermitian_family(grid, matrices) -> SpectralTrack:
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     w, v = np.linalg.eigh(require_hermitian(matrices, 1e-12, "input"))
+    # links[..., k, a] = <a(k)|a(k + 1)>
+    links = np.vecdot(v[..., :-1, :, :], v[..., 1:, :, :], axis=-2)
     degenerate = np.zeros(w.shape[:-1], dtype=bool)
-    for k in range(1, grid.size):
-        w[..., k, :], v[..., k, :, :], degenerate[..., k] = _aligned(
-            v[..., k - 1, :, :], w[..., k, :], v[..., k, :, :])
+    flagged = np.abs(links) < DEGENERACY_THRESHOLD
+    steps = np.flatnonzero(np.any(flagged, axis=tuple(range(flagged.ndim - 2)) + (-1,)))
+    if steps.size:
+        for k in range(steps[0] + 1, grid.size):
+            mag = np.abs(dag(v[..., k - 1, :, :]) @ v[..., k, :, :])
+            flag = np.any(np.diagonal(mag, axis1=-2, axis2=-1) < DEGENERACY_THRESHOLD, axis=-1)
+            if flag.any():
+                perm = max_overlap_permutation(mag[flag])
+                w[..., k, :][flag] = np.take_along_axis(w[..., k, :][flag], perm, axis=-1)
+                v[..., k, :, :][flag] = np.take_along_axis(v[..., k, :, :][flag],
+                                                           perm[:, None, :], axis=-1)
+            degenerate[..., k] = flag
+        links[..., steps[0]:, :] = np.vecdot(v[..., steps[0]:-1, :, :],
+                                             v[..., steps[0] + 1:, :, :], axis=-2)
+    v[..., 1:, :, :] *= np.cumprod(_unit_phases(links), axis=-2)[..., None, :]
     return SpectralTrack(grid=grid, eigenvalues=w, vectors=v, degenerate=degenerate)
 
 

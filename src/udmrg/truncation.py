@@ -163,7 +163,7 @@ def compute_weights(sigma, charges1, charges2, policy: TruncationPolicy) -> Trun
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim == 0 or sigma.size == 0:
         raise ValueError("sigma must be a non-empty 1-d array or a stack of them")
-    if np.any(sigma < 0):
+    if not np.all(sigma >= 0):  # NaN fails too
         raise ValueError("sigma must be non-negative")
     if np.any(np.diff(sigma, axis=-1) > 0):
         raise ValueError("sigma must be sorted descending")

@@ -6,7 +6,8 @@ operators) and inspect them
 (isometry residuals, entanglement spectra, phase alignment of one
 eigensystem) so the tests can check the package against independent
 references, and compare an iterative eigenpair with a dense one.  The
-Pauli Y matrix and the Landau-Zener survival probability are references
+point-by-point spectral tracker (:func:`sequential_track`), the Pauli Y
+matrix and the Landau-Zener survival probability are references
 of the same kind.
 """
 from __future__ import annotations
@@ -15,10 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from udmrg.linalg import dag, max_abs
+from udmrg.linalg import dag, max_abs, require_hermitian
 from udmrg.models import ID2
 from udmrg.mps import MatrixProductOperator, MatrixProductState, canonicalize
-from udmrg.spectral import _aligned
+from udmrg.spectral import (DEGENERACY_THRESHOLD, SpectralTrack, diagonal_phases,
+                             max_overlap_permutation)
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
@@ -141,6 +143,53 @@ def single_site_mpo(op: np.ndarray, site: int, n: int) -> MatrixProductOperator:
     return MatrixProductOperator(tensors)
 
 
+def aligned_step(prev: np.ndarray, vals: np.ndarray, vecs: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Align the eigensystems ``(vals, vecs)`` to the aligned vectors ``prev``.
+
+    The per-point alignment step of the sequential reference tracker.  Takes
+    one point, ``(d,)`` and ``(d, d)``, or a stack of them with leading axes.
+    A member with a diagonal overlap magnitude below ``DEGENERACY_THRESHOLD``
+    is degenerate: its columns are first reordered by
+    :func:`udmrg.spectral.max_overlap_permutation`, one member at a time.
+    Every column is then multiplied by its
+    :func:`udmrg.spectral.diagonal_phases` phase, which makes its diagonal
+    overlap with ``prev`` real and non-negative.  Returns the aligned values
+    and vectors, the column order taken from ``vecs`` and the degeneracy flag
+    of each member; the inputs are not modified.
+    """
+    overlaps = dag(prev) @ vecs
+    degenerate = np.any(np.abs(np.diagonal(overlaps, axis1=-2, axis2=-1))
+                        < DEGENERACY_THRESHOLD, axis=-1)
+    order = np.broadcast_to(np.arange(vals.shape[-1]), vals.shape).copy()
+    if degenerate.any():
+        vals, vecs = vals.copy(), vecs.copy()
+        for i in map(tuple, np.argwhere(degenerate)):
+            perm = max_overlap_permutation(np.abs(overlaps[i]))
+            vals[i], vecs[i], order[i] = vals[i][perm], vecs[i][:, perm], perm
+            overlaps[i] = overlaps[i][:, perm]
+    return vals, vecs * diagonal_phases(overlaps)[..., None, :], order, degenerate
+
+
+def sequential_track(grid, matrices) -> tuple[SpectralTrack, np.ndarray]:
+    """The point-by-point reference for
+    :func:`udmrg.spectral.track_hermitian_family`.
+
+    The same validation and stacked eigensolve, then :func:`aligned_step`
+    from each point to the next along the grid, every family of the stack at
+    once.  Returns the track and the column order ``(..., n, d)`` each point
+    took from the eigensolve.
+    """
+    grid = np.asarray(grid, dtype=float)
+    w, v = np.linalg.eigh(require_hermitian(matrices, 1e-12, "input"))
+    order = np.broadcast_to(np.arange(w.shape[-1]), w.shape).copy()
+    degenerate = np.zeros(w.shape[:-1], dtype=bool)
+    for k in range(1, grid.size):
+        (w[..., k, :], v[..., k, :, :], order[..., k, :],
+         degenerate[..., k]) = aligned_step(v[..., k - 1, :, :], w[..., k, :], v[..., k, :, :])
+    return SpectralTrack(grid=grid, eigenvalues=w, vectors=v, degenerate=degenerate), order
+
+
 def align_phases(prev_vectors: np.ndarray, eigenvalues: np.ndarray,
                  vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fix the eigenvector phases of ``(eigenvalues, vectors)`` against
@@ -150,12 +199,12 @@ def align_phases(prev_vectors: np.ndarray, eigenvalues: np.ndarray,
     ``<a_prev|a_cur>`` becomes real and non-negative.  When some diagonal
     overlap magnitude falls below ``DEGENERACY_THRESHOLD`` the columns are
     first reordered by maximum-overlap assignment.  Idempotent.  This is the
-    alignment step :func:`udmrg.spectral.track_hermitian_family` applies
-    between neighbouring points; returns the aligned eigenvalues and vectors.
+    step :func:`aligned_step` takes between neighbouring points; returns the
+    aligned eigenvalues and vectors.
     """
     if prev_vectors.shape != vectors.shape:
         raise ValueError(f"dimension mismatch: {prev_vectors.shape} vs {vectors.shape}")
-    vals, vecs, _ = _aligned(prev_vectors, eigenvalues, vectors)
+    vals, vecs, _, _ = aligned_step(prev_vectors, eigenvalues, vectors)
     return vals, vecs
 
 

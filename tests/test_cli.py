@@ -305,9 +305,9 @@ def test_json_built_crossing_report_keeps_its_bytes():
                       "lambda2": 0.2}]})
     report = harness.run_experiment(cfg)
     assert _sha(report.csv_bytes()) == \
-        "dbf641846275b70c6052d24ce52711ab3b77e5f9aec7b90f86997e943c1c8526"
+        "8d1b90938129fd5fa1a2e26db7daf69046f50eadf105cf533c131b3ec20c581e"
     assert _sha(canonical_json(report.summary_payload())) == \
-        "cdf2c621789d51c75e83a4b209b97d9345002a3ebfcb8b100482f39f5a854bac"
+        "265888607197a2a5f9eb0ec0cd9cdd2e9dec4cd86529967e210eec4e66347921"
 
 
 def test_parse_config_file_errors(tmp_path):

@@ -80,6 +80,18 @@ def test_require_unitary():
         require_unitary(2.0 * v)
 
 
+def test_validators_reject_nan():
+    """A NaN entry fails every comparison, so it fails the checks too."""
+    with pytest.raises(ValueError, match="not hermitian"):
+        require_hermitian([[1.0, np.nan], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="not hermitian"):
+        require_hermitian(np.array([SZ, [[np.nan, 0.0], [0.0, 1.0]]]))
+    v = random_unitary(np.random.default_rng(2), 3)
+    v[1, 2] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        require_unitary(v)
+
+
 def test_random_hermitian_is_hermitian_and_seeded():
     a = random_hermitian(np.random.default_rng(3), 6, scale=0.7)
     b = random_hermitian(np.random.default_rng(3), 6, scale=0.7)

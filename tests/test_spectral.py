@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udmrg.linalg import dag, max_abs, random_hermitian, random_unitary
+from udmrg import harness
+from udmrg.linalg import dag, max_abs, random_hermitian, random_unitary, require_hermitian
 from udmrg.models import PAULI_X, PAULI_Z
 from udmrg.spectral import (
     DEGENERACY_THRESHOLD,
@@ -14,7 +15,7 @@ from udmrg.spectral import (
     track_hermitian_family,
 )
 
-from helpers import align_phases
+from helpers import align_phases, sequential_track
 
 
 def eigh_sorted(matrix):
@@ -64,6 +65,34 @@ def test_max_overlap_permutation_greedy_order():
     w = np.array([[0.6, 0.5],
                   [0.9, 0.4]])
     np.testing.assert_array_equal(max_overlap_permutation(w), [1, 0])
+
+
+def greedy_reference(w):
+    """The greedy assignment row by row in plain Python: rows by descending
+    maximum, ties by ascending index, each taking its first best free column."""
+    n = w.shape[0]
+    perm, taken = [0] * n, set()
+    for i in sorted(range(n), key=lambda i: (-w[i].max(), i)):
+        j = max((c for c in range(n) if c not in taken), key=lambda c: (w[i, c], -c))
+        perm[i] = j
+        taken.add(j)
+    return perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5),
+       lead=st.sampled_from([(), (1,), (7,), (2, 3)]))
+def test_a_stacked_permutation_equals_row_by_row_calls(seed, d, lead):
+    """Weights drawn from four values tie within rows and between row
+    maxima; every member of the stack is assigned as a call of its own
+    would assign it, and as the plain greedy rule does."""
+    rng = np.random.default_rng(seed)
+    w = rng.choice([0.0, 0.25, 0.5, 1.0], size=lead + (d, d))
+    perm = max_overlap_permutation(w)
+    assert perm.shape == lead + (d,)
+    for i in np.ndindex(lead):
+        assert np.array_equal(perm[i], max_overlap_permutation(w[i]))
+        assert perm[i].tolist() == greedy_reference(w[i])
 
 
 def test_align_phases_makes_diagonal_real_nonnegative():
@@ -190,6 +219,77 @@ def test_a_stacked_track_equals_its_families_tracked_one_by_one():
                 assert np.array_equal(
                     second_derivative_overlaps(track, k).reshape(6, 3, 3)[f],
                     second_derivative_overlaps(single, k))
+
+
+def assert_tracks_as_the_reference(grid, matrices):
+    """The stacked tracker against the point-by-point reference: the same
+    flags, column orders and eigenvalues exactly, vectors to 1e-13, and
+    every neighbour diagonal overlap real and non-negative to 1e-13.
+    Returns the reference's column orders."""
+    ref, ref_order = sequential_track(grid, matrices)
+    track = track_hermitian_family(grid, matrices)
+    assert np.array_equal(track.degenerate, ref.degenerate)
+    assert np.array_equal(track.eigenvalues, ref.eigenvalues)
+    raw = np.linalg.eigh(require_hermitian(matrices, 1e-12))[1]
+    assert np.array_equal(np.argmax(np.abs(dag(raw) @ track.vectors), axis=-2), ref_order)
+    assert max_abs(track.vectors - ref.vectors) <= 1e-13
+    links = np.diagonal(dag(track.vectors[..., :-1, :, :]) @ track.vectors[..., 1:, :, :],
+                        axis1=-2, axis2=-1)
+    assert max_abs(links.imag) <= 1e-13
+    assert links.real.min() >= -1e-13
+    return ref_order
+
+
+def first_track_input(run, cfg):
+    """The ``(grid, matrices)`` of the first stack ``run(cfg)`` tracks."""
+    seen = []
+
+    def recording(grid, matrices):
+        seen.append((grid, matrices))
+        return track_hermitian_family(grid, matrices)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "track_hermitian_family", recording)
+        run(cfg)
+    return seen[0]
+
+
+def test_the_default_gauge_stack_tracks_as_the_reference():
+    """The 101 families of ``gauge_diagnostics``: many members reorder, at
+    most of the 20 steps."""
+    grid, rhos = first_track_input(harness.run_gauge_diagnostics,
+                                   harness.GaugeDiagnosticsConfig())
+    assert rhos.shape == (101, 21, 3, 3)
+    order = assert_tracks_as_the_reference(grid, rhos)
+    assert np.count_nonzero(np.any(order != np.arange(3), axis=-1)) > 100
+
+
+def test_the_default_crossing_grid_tracks_as_the_reference():
+    """The 403 points of the default ``crossing_scan``: no point reorders."""
+    grid, h = first_track_input(harness.run_crossing_scan, harness.CrossingScanConfig())
+    assert h.shape == (403, 2, 2)
+    order = assert_tracks_as_the_reference(grid, h)
+    assert np.array_equal(order, np.broadcast_to([0, 1], order.shape))
+
+
+def test_a_reorder_carried_over_many_points_tracks_as_the_reference():
+    """Past a crossing the eigensolve's ascending order is the tracked order
+    swapped, so every later point reorders again; crossing families stacked
+    with smooth ones."""
+    grid = np.linspace(-0.35, 0.35, 8)
+    rng = np.random.default_rng(23)
+    families = np.array([crossing_family(grid, rng), rotating_basis_family(grid, rng),
+                         crossing_family(grid, rng)])
+    order = assert_tracks_as_the_reference(grid, families)
+    moved = np.any(order != np.arange(3), axis=-1)
+    assert moved.tolist() == [[False] * 4 + [True] * 4, [False] * 8,
+                              [False] * 4 + [True] * 4]
+
+
+def test_a_nan_member_fails_validation():
+    mats = np.array([np.eye(2), [[1.0, np.nan], [np.nan, 0.0]]])
+    with pytest.raises(ValueError, match="input is not hermitian"):
+        track_hermitian_family([0.0, 1.0], mats)
 
 
 def test_derivative_overlaps_rotating_oracle():

@@ -77,6 +77,8 @@ def test_weights_validation():
             compute_weights(np.array([0.1, 0.9]), np.zeros(2), np.zeros(2), policy)
         with pytest.raises(ValueError, match="sigma must be non-negative"):
             compute_weights(np.array([0.5, -0.1]), np.zeros(2), np.zeros(2), policy)
+        with pytest.raises(ValueError, match="sigma must be non-negative"):
+            compute_weights(np.array([np.nan, 0.5]), np.zeros(2), np.zeros(2), policy)
         with pytest.raises(ValueError, match="sigma must be a non-empty 1-d array"):
             compute_weights(np.zeros(0), np.zeros(0), np.zeros(0), policy)
         with pytest.raises(ValueError, match="sigma must be a non-empty 1-d array"):
