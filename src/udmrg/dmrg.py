@@ -45,11 +45,11 @@ follows that scan bit for bit.  The tree holds every point solved for real,
 and its nodes carry everything about the point that no policy changes: its
 truncation records -- each step's singular values, charges and kept set (the
 path fixes the charge context, the node fixes the step's Schmidt states) --
-and its gauge record apart from the objective.  A scan sharing the tree
-replays a node by selection alone -- weights and kept sets from the recorded
-singular values and charges, with no eigensolve, SVD or charge evaluation --
-and adopts the point when every kept set agrees; otherwise it solves the
-point itself and adds it to the tree.
+and its frozen gauge record.  A scan sharing the tree replays a node by
+selection alone -- weights and kept sets from the recorded singular values
+and charges, with no eigensolve, SVD or charge evaluation -- and adopts the
+point when every kept set agrees; otherwise it solves the point itself and
+adds it to the tree.
 
 A step has a choice only when it has more candidate states than
 ``max_kept`` or its policy has a cutoff above 0.  Without one every policy
@@ -57,13 +57,6 @@ keeps every state, so the step is neither charged nor weighed and its record
 holds no charges; a replay passes it when the record kept every state.  A
 policy with a choice at a step whose charges were never measured solves the
 point itself.
-
-The augmented objective per scan point is ``E + lambda1 * coherence +
-lambda2 * curvature`` where the coherence penalty is
-``||i d(rho)/dt - [A, rho]||_F^2`` on each tracked bond density and the
-curvature penalty is the probability-weighted second-order charge sum.  Both
-are diagnostics recorded in the scan log; neither ever perturbs a local
-eigensolve.
 """
 from __future__ import annotations
 
@@ -72,7 +65,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import LANCZOS_TOL, commutator, contract, dag, lanczos_lowest, unit_sum
+from .gauge import covariant_rate, potential_from_amplitudes
+from .linalg import LANCZOS_TOL, contract, dag, lanczos_lowest, unit_sum
 from .mps import (
     MatrixProductOperator,
     MatrixProductState,
@@ -160,18 +154,20 @@ class DmrgResult:
     converged: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanPointRecord:
-    """Per-grid-point gauge diagnostics of a continuation scan."""
+    """Per-grid-point gauge diagnostics of a continuation scan.
+
+    No policy changes them, so every scan that reaches the point shares one.
+    """
 
     energy: float
     converged: bool
-    bond_charges1: list[np.ndarray]
-    bond_charges2: list[np.ndarray]
-    bond_discarded: list[float]
+    bond_charges1: tuple[np.ndarray, ...]
+    bond_charges2: tuple[np.ndarray, ...]
+    bond_discarded: tuple[float, ...]
     coherence_penalty: float
     curvature_penalty: float
-    objective: float
 
 
 @dataclass
@@ -517,11 +513,7 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
 
 def _point_gauge_record(result: DmrgResult, phi, data, history: list[_PointData],
                         spacings: list[float]) -> ScanPointRecord:
-    """Post-convergence bond diagnostics against up to two earlier points.
-
-    Nothing here depends on the policy, so ``objective`` is left NaN: each
-    scan reaching the point scores its own copy with :func:`_scored`.
-    """
+    """Post-convergence bond diagnostics against up to two earlier points."""
     n_bonds = len(data)
     charges1 = [np.zeros(p.size) for p, _ in data]
     charges2 = [np.zeros(p.size) for p, _ in data]
@@ -552,26 +544,15 @@ def _point_gauge_record(result: DmrgResult, phi, data, history: list[_PointData]
             rho_prev = w1 @ np.diag(p_prev).astype(complex) @ dag(w1)
             u_cur = np.diag(np.sqrt(p_cur)).astype(complex)
             u_prev = w1 @ np.diag(np.sqrt(p_prev)).astype(complex) @ dag(w1)
-            du = (u_cur - u_prev) / h1
-            a_bond = (du @ dag(u_cur) - u_cur @ dag(du)) / 2j
-            d_rho = 1j * (rho_cur - rho_prev) / h1 - commutator(a_bond, rho_cur)
+            a_bond = potential_from_amplitudes(u_cur, (u_cur - u_prev) / h1)
+            d_rho = covariant_rate(rho_cur, (rho_cur - rho_prev) / h1, a_bond)
             coherence += float(np.sum(np.abs(d_rho) ** 2))
             curvature += float(np.dot(p_cur, charges2[b]))
     return ScanPointRecord(
         energy=result.energy, converged=result.converged,
-        bond_charges1=charges1, bond_charges2=charges2,
-        bond_discarded=discarded, coherence_penalty=coherence,
-        curvature_penalty=curvature, objective=float("nan"),
-    )
-
-
-def _scored(base: ScanPointRecord, policy: TruncationPolicy) -> ScanPointRecord:
-    """One scan's own copy of a point's gauge record, with its objective."""
-    return replace(
-        base, bond_charges1=list(base.bond_charges1), bond_charges2=list(base.bond_charges2),
-        bond_discarded=list(base.bond_discarded),
-        objective=(base.energy + policy.lambda1 * base.coherence_penalty
-                   + policy.lambda2 * base.curvature_penalty),
+        bond_charges1=tuple(charges1), bond_charges2=tuple(charges2),
+        bond_discarded=tuple(discarded), coherence_penalty=coherence,
+        curvature_penalty=curvature,
     )
 
 
@@ -580,8 +561,8 @@ class _TrajectoryNode:
     """One scan point solved for real, with everything no policy changes.
 
     ``result.truncation_log`` holds every local step's measured record, which
-    is all a replay reads; ``record`` lacks only the objective.  Scans share
-    the node's frozen truncation records and its arrays, read-only.
+    is all a replay reads.  Scans share the node's frozen truncation and
+    gauge records and its arrays, read-only.
     """
 
     result: DmrgResult
@@ -603,12 +584,12 @@ class TrajectoryTree:
 
     A node is one point some scan solved for real: its result with the
     truncation record of every local step (charged only at steps where the
-    solving policy had a choice), its fidelity, and its gauge record apart
-    from the objective.  A path from the root is one distinct
-    trajectory; its branches are where two policies first kept different
-    states.  The first scan pins the problem (family object, grid, initial
-    state, sweep budget ``num_sweeps`` and ``energy_tol``, oracle); a scan of
-    any other problem raises ``ValueError``.
+    solving policy had a choice), its fidelity, and its gauge record.  A
+    path from the root is one distinct trajectory; its branches are where
+    two policies first kept different states.  The first scan pins the
+    problem (family object, grid, initial state, sweep budget ``num_sweeps``
+    and ``energy_tol``, oracle); a scan of any other problem raises
+    ``ValueError``.
     """
 
     def __init__(self) -> None:
@@ -723,10 +704,10 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
     step keeps the states its own policy keeps, taking that point's
     truncation records as they are, less the charges of steps where its own
     policy has no choice; otherwise it solves the point itself.
-    Each point's gauge record is computed once; a scan adds only its
-    objective.  The result is identical to a scan without the tree, and no
-    two scans share a list or a writable array.  A scan of another problem
-    than the one the tree was first used for raises ``ValueError``.
+    Each point's gauge record is computed once and shared, frozen.  The
+    result is identical to a scan without the tree, and no two scans share a
+    list or a writable array.  A scan of another problem than the one the
+    tree was first used for raises ``ValueError``.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -774,7 +755,7 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
         parent = node
         start = result.state
         results.append(result)
-        records.append(_scored(node.record, cfg.policy))
+        records.append(node.record)
         if oracle is not None:
             fidelities.append(node.fidelity)
         history.insert(0, node.point)

@@ -88,6 +88,8 @@ class GaugePotential2D:
     def __post_init__(self) -> None:
         self.axis1 = np.asarray(self.axis1, dtype=float)
         self.axis2 = np.asarray(self.axis2, dtype=float)
+        self.values1 = np.asarray(self.values1)
+        self.values2 = np.asarray(self.values2)
         expected = (self.axis1.size, self.axis2.size)
         if self.values1.shape[:2] != expected or self.values2.shape[:2] != expected:
             raise ValueError("component arrays must be indexed by (axis1, axis2)")
@@ -163,8 +165,17 @@ def uhlmann_potential(rhos, grid) -> GaugePotential:
         _central_differences(amps, grid),
         (amps[..., -1:, :, :] - amps[..., -2:-1, :, :]) / (grid[-1] - grid[-2]),
     ], axis=-3)
-    values = (du @ dag(amps) - amps @ dag(du)) / 2j
-    return GaugePotential(grid=grid, values=values)
+    return GaugePotential(grid=grid, values=potential_from_amplitudes(amps, du))
+
+
+def potential_from_amplitudes(u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """``A = (dU U^H - U dU^H) / 2i`` from a derivative ``du`` the caller formed."""
+    return (du @ dag(u) - u @ dag(du)) / 2j
+
+
+def covariant_rate(rho: np.ndarray, d_rho: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``D rho = i d(rho) - [A, rho]`` from a derivative ``d_rho`` the caller formed."""
+    return 1j * d_rho - commutator(a, rho)
 
 
 def _covariant_derivatives(r: np.ndarray, a: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -172,7 +183,7 @@ def _covariant_derivatives(r: np.ndarray, a: np.ndarray, grid: np.ndarray) -> np
 
     ``a`` holds the potential at those interior points only.
     """
-    return 1j * _central_differences(r, grid) - commutator(a, r[..., 1:-1, :, :])
+    return covariant_rate(r[..., 1:-1, :, :], _central_differences(r, grid), a)
 
 
 def covariant_derivative(rhos, potential: GaugePotential, k: int) -> np.ndarray:

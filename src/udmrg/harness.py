@@ -22,7 +22,11 @@ Four experiments, each configured by its own frozen dataclass (see
     points through a :class:`~udmrg.dmrg.TrajectoryTree`: a policy that
     keeps the states an earlier scan kept at every local step of a point
     adopts that point instead of solving it again, which changes no report
-    byte.
+    byte.  Each points table scores its policy's augmented objective ``E +
+    lambda1 * coherence + lambda2 * curvature``: the coherence penalty is
+    ``||i d(rho)/dt - [A, rho]||_F^2`` on each bond density, the curvature
+    penalty the probability-weighted second-order charge sum.  Neither ever
+    perturbs a local eigensolve.
 
 ``dmrg_benchmark``
     Ground-state energies versus the exact (matrix-free Lanczos) ground
@@ -750,7 +754,7 @@ def grid_search_coefficients(cfg: PecComparisonConfig, problem: _PecProblem,
 
 
 def _points_report(name: str, cfg: PecComparisonConfig, problem: _PecProblem,
-                   scan: ContinuationScan) -> ScanReport:
+                   scan: ContinuationScan, policy: TruncationPolicy) -> ScanReport:
     n_bonds = cfg.n_sites - 1
     columns = ["index", "field", "energy", "energy_exact", "abs_error",
                "fidelity", "converged", "coherence_penalty",
@@ -765,7 +769,9 @@ def _points_report(name: str, cfg: PecComparisonConfig, problem: _PecProblem,
             k, float(problem.grid[k]), rec.energy,
             float(problem.exact_energies[k]), float(errors[k]),
             float(scan.fidelity_to_oracle[k]), rec.converged,
-            rec.coherence_penalty, rec.curvature_penalty, rec.objective,
+            rec.coherence_penalty, rec.curvature_penalty,
+            rec.energy + policy.lambda1 * rec.coherence_penalty
+            + policy.lambda2 * rec.curvature_penalty,
         ]
         for b in range(n_bonds):
             q1 = rec.bond_charges1[b]
@@ -809,7 +815,7 @@ def run_pec_comparison(cfg: PecComparisonConfig) -> ScanReport:
         report.add_row(label, kind, policy.gamma1, policy.gamma2, policy.lambda1,
                        policy.lambda2, window_error, improvement)
         report.attachments.append(
-            _points_report(f"pec_comparison_points_{label}", cfg, problem, scan))
+            _points_report(f"pec_comparison_points_{label}", cfg, problem, scan, policy))
         methods[label] = {
             "kind": kind,
             "coefficients": {
@@ -938,28 +944,26 @@ def run_gauge_diagnostics(cfg: GaugeDiagnosticsConfig) -> ScanReport:
     t_rhos, t_pot = _transport_families(random_rngs, rhos[1:, 0], transport_grid, dim)
     transport_action = np.concatenate([[0.0], action_functional(t_rhos, t_pot)])
     residual = gauge_charge_residual(rhos, potential, center, eps=1e-5)
-    columns = (herm_a, hermiticity_residual(a1), hermiticity_residual(a2), action_cov,
-               action_scl, cov_res, transport_action, np.abs(residual).max(axis=(-2, -1)))
+    herm = (herm_a, hermiticity_residual(a1), hermiticity_residual(a2))
+    charge_max = np.abs(residual).max(axis=(-2, -1))
+    columns = (*herm, action_cov, action_scl, cov_res, transport_action, charge_max)
     for idx in range(cfg.n_families + 1):
         report.add_row(idx, "constant" if idx == 0 else "random",
                        *(float(column[idx]) for column in columns))
 
     overlap_norms, curvature_norms = _refinement_norms(cfg)
-    rows = report.rows
-    random_rows = [r for r in rows if r[1] == "random"]
-    constant_row = rows[0]
     report.summary = {
         "families": cfg.n_families,
         "dim": dim,
-        "max_hermiticity_residual": float(max(max(r[2], r[3], r[4]) for r in rows)),
-        "min_covariant_action": float(min(r[5] for r in rows)),
-        "max_covariance_residual": float(max(r[7] for r in rows)),
-        "max_transport_action": float(max(r[8] for r in random_rows)),
+        "max_hermiticity_residual": float(max(h.max() for h in herm)),
+        "min_covariant_action": float(action_cov.min()),
+        "max_covariance_residual": float(cov_res.max()),
+        "max_transport_action": float(transport_action[1:].max()),
         "constant_family": {
-            "action_covariant": constant_row[5],
-            "action_scalar_like": constant_row[6],
-            "covariance_residual": constant_row[7],
-            "charge_residual_max": constant_row[9],
+            "action_covariant": float(action_cov[0]),
+            "action_scalar_like": float(action_scl[0]),
+            "covariance_residual": float(cov_res[0]),
+            "charge_residual_max": float(charge_max[0]),
         },
         "overlap_residuals": overlap_norms,
         "overlap_ratios": _ratios(overlap_norms),

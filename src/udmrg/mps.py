@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import contract, dag, max_abs, unit_sum
+from .linalg import contract, hermitian_part, max_abs, unit_sum
 
 
 def _inexact(t) -> np.ndarray:
@@ -270,7 +270,7 @@ def bond_schmidt_data(psi: MatrixProductState):
     for s in range(n - 1, 0, -1):
         t = phi.tensors[s]
         env = np.einsum("idr,rs,jds->ij", t, env, t.conj())
-        rho = 0.5 * (env + dag(env)) / norm_sq
+        rho = hermitian_part(env) / norm_sq
         w, g = np.linalg.eigh(rho)
         w, g = w[::-1].copy(), g[:, ::-1].copy()
         data[s - 1] = (unit_sum(np.clip(w, 0.0, None)), g)

@@ -513,22 +513,22 @@ def test_zero_coefficient_policies_share_one_trajectory():
         assert kept_sets[kind] == kept_sets["standard"]
 
 
-def test_record_objective_recomputes_from_parts():
-    family = tfim_family(4)
-    grid = np.array([0.7, 0.9, 1.1, 1.3])
-    policy = TruncationPolicy(kind="coherence_eigenvalue_2", gamma1=0.05,
-                              gamma2=0.05, lambda1=0.3, lambda2=0.2, max_kept=4)
-    cfg = SweepConfig(num_sweeps=8, energy_tol=1e-10, policy=policy)
-    init = random_mps(np.random.default_rng(11), [2] * 4, 4)
-    scan = continuation_scan(family, grid, cfg, init=init)
+@pytest.mark.parametrize("max_kept", [4, 8])
+def test_a_constant_family_has_no_gauge_penalty_or_charge(max_kept):
+    """The same MPO at every grid point: each point's state is the last one's,
+
+    so the coherence and curvature penalties and every bond charge vanish to
+    roundoff squared (measured at most 3.1e-26, 2.0e-23 and 3.6e-23)."""
+    mpo = tfim_family(6)(1.0)
+    cfg = SweepConfig(num_sweeps=10, energy_tol=1e-10,
+                      policy=TruncationPolicy(max_kept=max_kept))
+    init = random_mps(np.random.default_rng(13), [2] * 6, max_kept)
+    scan = continuation_scan(lambda _: mpo, np.linspace(0.8, 1.2, 5), cfg, init=init)
     for rec in scan.records:
-        expected = rec.energy + 0.3 * rec.coherence_penalty \
-            + 0.2 * rec.curvature_penalty
-        assert rec.objective == pytest.approx(expected, rel=1e-12, abs=1e-12)
-        assert rec.coherence_penalty >= 0.0
-    # second-order charges need two earlier points
-    assert all(np.all(q == 0.0) for q in scan.records[1].bond_charges2)
-    assert any(np.any(q != 0.0) for q in scan.records[2].bond_charges1)
+        assert 0.0 <= rec.coherence_penalty <= 1e-20
+        assert abs(rec.curvature_penalty) <= 1e-20
+        for q in rec.bond_charges1 + rec.bond_charges2:
+            assert np.all(np.abs(q) <= 1e-20)
 
 
 def test_scan_disables_oracle_when_requested():
@@ -709,7 +709,7 @@ def _assert_same_scan(a, b):
     for pa, pb in zip(a.records, b.records):
         for f in dataclasses.fields(pa):
             va, vb = getattr(pa, f.name), getattr(pb, f.name)
-            if isinstance(va, list):
+            if isinstance(va, tuple):
                 assert len(va) == len(vb), f.name
                 for x, y in zip(va, vb):
                     np.testing.assert_array_equal(x, y)
@@ -891,9 +891,8 @@ def test_scans_through_a_tree_share_no_mutable_container(tree_oracle):
             x[...] = 0
 
     def lists(scan):
-        return [lst for res, rec in zip(scan.results, scan.records)
-                for lst in (res.state.tensors, res.truncation_log, res.sweep_energies,
-                            rec.bond_charges1, rec.bond_charges2, rec.bond_discarded)]
+        return [lst for res in scan.results
+                for lst in (res.state.tensors, res.truncation_log, res.sweep_energies)]
 
     def contents(scan):
         return [[id(x) for x in lst] for lst in lists(scan)]
@@ -904,6 +903,14 @@ def test_scans_through_a_tree_share_no_mutable_container(tree_oracle):
                    for x, y in zip(ra.truncation_log, rb.truncation_log, strict=True))
     with pytest.raises(dataclasses.FrozenInstanceError):
         second.results[-1].truncation_log[0].kept = np.arange(1)
+    # and each node's frozen gauge record itself
+    node_records, children = [], tree.children
+    while children:
+        node_records.append(children[0].record)
+        children = children[0].children
+    assert all(x is y for x, y in zip(second.records, node_records, strict=True))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        second.records[-1].coherence_penalty = 0.0
 
     before = contents(second)
     for lst in lists(first) + [first.results, first.records]:

@@ -357,6 +357,19 @@ def test_curvature_constant_pauli_oracle():
     np.testing.assert_allclose(f, 2j * PAULI_Z, atol=1e-14)
 
 
+def test_potential_2d_takes_nested_lists():
+    """List components become arrays, as ``GaugePotential`` values do."""
+    axis = np.array([0.0, 1.0, 2.0])
+    pot = constant_potential_2d(PAULI_X, PAULI_Y, axis)
+    listed = GaugePotential2D(axis1=list(axis), axis2=list(axis),
+                              values1=pot.values1.tolist(), values2=pot.values2.tolist())
+    assert isinstance(listed.values1, np.ndarray) and isinstance(listed.values2, np.ndarray)
+    np.testing.assert_array_equal(curvature(listed, 1, 1), curvature(pot, 1, 1))
+    with pytest.raises(ValueError, match="indexed by"):
+        GaugePotential2D(axis1=axis, axis2=axis, values1=pot.values1[:2].tolist(),
+                         values2=pot.values2.tolist())
+
+
 def test_curvature_interior_and_size_checks():
     axis = np.array([0.0, 1.0, 2.0])
     pot = constant_potential_2d(PAULI_X, PAULI_Y, axis)

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import warnings
 
 import numpy as np
@@ -415,6 +417,28 @@ def test_pec_zero_policy_point_reports_are_byte_identical(pec_report):
         "standard", "uhlmann", "categorified", "higher_categorical"}
 
 
+def test_record_objective_recomputes_from_parts():
+    """Each points table scores its own policy: the objective column is
+
+    exactly ``energy + lambda1 * coherence + lambda2 * curvature``."""
+    policy = TruncationPolicy(kind="coherence_eigenvalue_2", lambda1=0.3, lambda2=0.2)
+    report = run_pec_comparison(small_pec_config(n_fields=5, policies=[policy]))
+    tables = {a.name: list(csv.DictReader(io.StringIO(a.csv_bytes().decode())))
+              for a in report.attachments}
+    higher = tables["pec_comparison_points_higher_categorical"]
+    for row in higher:
+        energy, coherence, curvature = (float(row[c]) for c in (
+            "energy", "coherence_penalty", "curvature_penalty"))
+        assert float(row["objective"]) == energy + 0.3 * coherence + 0.2 * curvature
+        assert coherence >= 0.0
+    assert any(float(r["coherence_penalty"]) > 0.0 for r in higher)
+    for row in tables["pec_comparison_points_standard"]:
+        assert float(row["objective"]) == float(row["energy"])
+    # second-order charges need two earlier points
+    assert all(float(v) == 0.0 for k, v in higher[1].items() if k.startswith("q2max"))
+    assert any(float(v) != 0.0 for k, v in higher[2].items() if k.startswith("q1max"))
+
+
 def test_pec_empty_crossing_window_raises():
     with pytest.raises(ValueError, match="widen it"):
         small_pec_config(crossing_center=5.0, crossing_window=0.01)
@@ -477,9 +501,10 @@ def test_zero_cells_reuse_the_standard_scan(monkeypatch):
     problem = dataclasses.replace(harness._pec_problem(cfg), trajectories=None)
     shared = scan_for_policy(cfg, problem, TruncationPolicy(kind="standard", max_kept=2))
     for kind in harness.PEC_POLICY_KINDS:
-        own = scan_for_policy(cfg, problem, TruncationPolicy(kind=kind, max_kept=2))
-        assert harness._points_report("p", cfg, problem, own).csv_bytes() == \
-            harness._points_report("p", cfg, problem, shared).csv_bytes()
+        policy = TruncationPolicy(kind=kind, max_kept=2)
+        own = scan_for_policy(cfg, problem, policy)
+        assert harness._points_report("p", cfg, problem, own, policy).csv_bytes() == \
+            harness._points_report("p", cfg, problem, shared, policy).csv_bytes()
 
 
 def test_pec_scans_share_solves_without_changing_a_byte(monkeypatch):
