@@ -116,7 +116,7 @@ def parse_config(path: Path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config file {path}: {exc}"]) from None
     try:
         data = json.loads(text)

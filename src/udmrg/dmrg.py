@@ -159,10 +159,9 @@ class ScanPointRecord:
     """Per-grid-point gauge diagnostics of a continuation scan.
 
     No policy changes them, so every scan that reaches the point shares one.
+    The point's energy and convergence flag are its :class:`DmrgResult`'s.
     """
 
-    energy: float
-    converged: bool
     bond_charges1: tuple[np.ndarray, ...]
     bond_charges2: tuple[np.ndarray, ...]
     bond_discarded: tuple[float, ...]
@@ -286,15 +285,6 @@ def _flush_tiny(vec: np.ndarray) -> np.ndarray:
 # cross-point coherence context
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _PointData:
-    """Converged scan point: left-canonical tensors plus Schmidt bases."""
-
-    tensors: list[np.ndarray]
-    probabilities: list[np.ndarray]
-    gauges: list[np.ndarray]
-
-
 def _aligned_square(w: np.ndarray, size: int) -> np.ndarray:
     """``w`` clipped or zero-padded to ``size`` square, each column rotated by
     its :func:`spectral.diagonal_phases` phase."""
@@ -333,14 +323,15 @@ def _bond_charges(p: np.ndarray, w1: np.ndarray, w2: Optional[np.ndarray],
 class _ChargeContext:
     """Cross-point Schmidt overlaps maintained during a sweep.
 
-    Holds the previous one or two converged scan points; while the engine
+    Holds the previous one or two solved scan points, most recent first, and
+    reads each one's left-canonical state and Schmidt bases; while the engine
     sweeps left-to-right it pushes one overlap environment per reference
     through each updated site and caches it at the next bond, so the
     right-to-left half sweep (which leaves the sites left of each bond
     untouched) reuses it.
     """
 
-    def __init__(self, references: Sequence[_PointData], spacings: Sequence[float]):
+    def __init__(self, references: Sequence[_TrajectoryNode], spacings: Sequence[float]):
         if len(references) not in (1, 2) or len(references) != len(spacings):
             raise ValueError("context needs one or two references with spacings")
         self.references = list(references)
@@ -356,11 +347,12 @@ class _ChargeContext:
         """Cache the environments at ``bond + 1``, pushed through the updated site."""
         for r, ref in enumerate(self.references):
             self._cache[r].append(extend_cross_env(
-                self._cache[r][bond], new_left_tensor, ref.tensors[bond]))
+                self._cache[r][bond], new_left_tensor, ref.phi.tensors[bond]))
 
     def _overlap(self, r: int, bond: int, u3: np.ndarray) -> np.ndarray:
         ref = self.references[r]
-        return extend_cross_env(self._cache[r][bond], u3, ref.tensors[bond]) @ ref.gauges[bond]
+        return (extend_cross_env(self._cache[r][bond], u3, ref.phi.tensors[bond])
+                @ ref.schmidt[bond][1])
 
     def charges(self, bond: int, u3: np.ndarray,
                 sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -425,28 +417,23 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
     solves_converged = True
     local_energy = previous_energy
 
+    # left-to-right, then right-to-left
+    schedule = ([(b, "right") for b in range(n - 1)]
+                + [(b, "left") for b in range(n - 2, -1, -1)])
     for sweep in range(1, cfg.num_sweeps + 1):
         if context is not None:
             context.begin_sweep()
-        # left-to-right
-        for b in range(n - 1):
+        for b, center_after in schedule:
             local_energy, rec, solved = _optimize_bond(
                 tensors, ws, lenvs[b], renvs[b + 1], b, sweep, cfg.policy, context,
-                "right")
+                center_after)
             solves_converged = solves_converged and solved
             log.append(rec)
-            if b < n - 2:
+            if center_after == "right" and b < n - 2:
                 lenvs[b + 1] = extend_left_env(lenvs[b], tensors[b], ws[b])
                 if context is not None:
                     context.advance(b, tensors[b])
-        # right-to-left
-        for b in range(n - 2, -1, -1):
-            local_energy, rec, solved = _optimize_bond(
-                tensors, ws, lenvs[b], renvs[b + 1], b, sweep, cfg.policy, context,
-                "left")
-            solves_converged = solves_converged and solved
-            log.append(rec)
-            if b > 0:
+            elif center_after == "left" and b > 0:
                 renvs[b] = extend_right_env(renvs[b + 1], tensors[b + 1], ws[b + 1])
         sweep_energies.append(local_energy)
         if abs(local_energy - previous_energy) < cfg.energy_tol:
@@ -511,12 +498,13 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
 # continuation scans
 # ---------------------------------------------------------------------------
 
-def _point_gauge_record(result: DmrgResult, phi, data, history: list[_PointData],
+def _point_gauge_record(result: DmrgResult, phi, schmidt, history: list[_TrajectoryNode],
                         spacings: list[float]) -> ScanPointRecord:
-    """Post-convergence bond diagnostics against up to two earlier points."""
-    n_bonds = len(data)
-    charges1 = [np.zeros(p.size) for p, _ in data]
-    charges2 = [np.zeros(p.size) for p, _ in data]
+    """Bond diagnostics of a point's :func:`mps.bond_schmidt_data` ``(phi,
+    schmidt)`` against up to two earlier nodes, most recent first."""
+    n_bonds = len(schmidt)
+    charges1 = [np.zeros(p.size) for p, _ in schmidt]
+    charges2 = [np.zeros(p.size) for p, _ in schmidt]
     discarded = [0.0] * n_bonds
     for rec in result.truncation_log:  # the last sweep that touched each bond wins
         discarded[rec.bond] = rec.discarded_weight
@@ -524,22 +512,23 @@ def _point_gauge_record(result: DmrgResult, phi, data, history: list[_PointData]
     curvature = 0.0
     if history:
         prev = history[0]
-        envs1 = left_cross_envs(phi, MatrixProductState(prev.tensors))
+        envs1 = left_cross_envs(phi, prev.phi)
         envs2 = None
         if len(history) > 1:
-            envs2 = left_cross_envs(phi, MatrixProductState(history[1].tensors))
+            envs2 = left_cross_envs(phi, history[1].phi)
         h1 = spacings[0]
         for b in range(n_bonds):
-            p_cur, g_cur = data[b]
+            p_cur, g_cur = schmidt[b]
+            p_ref, g_ref = prev.schmidt[b]
             rank = p_cur.size
             w2 = None
             if envs2 is not None:
-                w2 = dag(g_cur) @ envs2[b] @ history[1].gauges[b]
+                w2 = dag(g_cur) @ envs2[b] @ history[1].schmidt[b][1]
             charges1[b], charges2[b], w1 = _bond_charges(
-                p_cur, dag(g_cur) @ envs1[b] @ prev.gauges[b], w2, spacings)
+                p_cur, dag(g_cur) @ envs1[b] @ g_ref, w2, spacings)
             # coherence penalty: ||i d(rho)/dt - [A, rho]||_F^2 in the current basis
             p_prev = np.zeros(rank)
-            p_prev[: min(rank, prev.probabilities[b].size)] = prev.probabilities[b][:rank]
+            p_prev[: min(rank, p_ref.size)] = p_ref[:rank]
             rho_cur = np.diag(p_cur).astype(complex)
             rho_prev = w1 @ np.diag(p_prev).astype(complex) @ dag(w1)
             u_cur = np.diag(np.sqrt(p_cur)).astype(complex)
@@ -549,7 +538,6 @@ def _point_gauge_record(result: DmrgResult, phi, data, history: list[_PointData]
             coherence += float(np.sum(np.abs(d_rho) ** 2))
             curvature += float(np.dot(p_cur, charges2[b]))
     return ScanPointRecord(
-        energy=result.energy, converged=result.converged,
         bond_charges1=tuple(charges1), bond_charges2=tuple(charges2),
         bond_discarded=tuple(discarded), coherence_penalty=coherence,
         curvature_penalty=curvature,
@@ -561,13 +549,16 @@ class _TrajectoryNode:
     """One scan point solved for real, with everything no policy changes.
 
     ``result.truncation_log`` holds every local step's measured record, which
-    is all a replay reads.  Scans share the node's frozen truncation and
-    gauge records and its arrays, read-only.
+    is all a replay reads.  ``phi`` and ``schmidt`` are the left-canonical
+    state and per-bond ``(p, g)`` list of :func:`mps.bond_schmidt_data`, which
+    the next two points charge against.  Scans share the node's frozen
+    truncation and gauge records and its arrays, read-only.
     """
 
     result: DmrgResult
     record: ScanPointRecord
-    point: _PointData
+    phi: MatrixProductState
+    schmidt: list[tuple[np.ndarray, np.ndarray]]
     fidelity: Optional[float]
     children: list["_TrajectoryNode"] = field(default_factory=list)
 
@@ -584,7 +575,8 @@ class TrajectoryTree:
 
     A node is one point some scan solved for real: its result with the
     truncation record of every local step (charged only at steps where the
-    solving policy had a choice), its fidelity, and its gauge record.  A
+    solving policy had a choice), its left-canonical state and per-bond
+    Schmidt data, its fidelity, and its gauge record.  A
     path from the root is one distinct trajectory; its branches are where
     two policies first kept different states.  The first scan pins the
     problem (family object, grid, initial state, sweep budget ``num_sweeps``
@@ -657,7 +649,7 @@ def _read_only(arrays) -> None:
 
 
 def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
-                 cfg: SweepConfig, history: list[_PointData],
+                 cfg: SweepConfig, history: list[_TrajectoryNode],
                  spacings: list[float],
                  oracle_state: Optional[np.ndarray]) -> _TrajectoryNode:
     """Solve one scan point for real, charging against ``history``."""
@@ -665,23 +657,19 @@ def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
     if history:
         context = _ChargeContext(history, spacings)
     result = _run_dmrg(mpo, start, cfg, context)
-    phi, data = bond_schmidt_data(result.state)
+    phi, schmidt = bond_schmidt_data(result.state)
     fidelity = None
     if oracle_state is not None:
         dense = to_dense(result.state)
         dense = dense / np.linalg.norm(dense)
         fidelity = float(np.abs(np.vdot(oracle_state, dense)) ** 2)
-    point = _PointData(
-        tensors=phi.tensors,
-        probabilities=[d[0] for d in data],
-        gauges=[d[1] for d in data],
-    )
-    record = _point_gauge_record(result, phi, data, history, spacings)
+    record = _point_gauge_record(result, phi, schmidt, history, spacings)
     for rec in result.truncation_log:
         _read_only((rec.singular_values, rec.charges1, rec.charges2, rec.kept))
     _read_only(result.state.tensors)
     _read_only(record.bond_charges1 + record.bond_charges2)
-    return _TrajectoryNode(result=result, record=record, point=point, fidelity=fidelity)
+    return _TrajectoryNode(result=result, record=record, phi=phi, schmidt=schmidt,
+                           fidelity=fidelity)
 
 
 def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
@@ -703,8 +691,10 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
     solved points by selection alone and adopts the first whose every local
     step keeps the states its own policy keeps, taking that point's
     truncation records as they are, less the charges of steps where its own
-    policy has no choice; otherwise it solves the point itself.
-    Each point's gauge record is computed once and shared, frozen.  The
+    policy has no choice; otherwise it solves the point itself.  Each point
+    is held once, by its node: the result, the left-canonical state and
+    per-bond Schmidt data the next two points charge against, the fidelity,
+    and the gauge record, computed once and shared, frozen.  The
     result is identical to a scan without the tree, and no two scans share a
     list or a writable array.  A scan of another problem than the one the
     tree was first used for raises ``ValueError``.
@@ -721,24 +711,17 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
         shared.pin(family, grid, cfg, init, oracle)
 
     results: list[DmrgResult] = []
-    records: list[ScanPointRecord] = []
-    fidelities: list[float] = []
-    history: list[_PointData] = []
-    spacings: list[float] = []
+    nodes: list[_TrajectoryNode] = []
     start = init
     # without a shared tree the scan walks a private one that never branches
     parent = shared if shared is not None else TrajectoryTree()
 
     for k, value in enumerate(grid):
-        if k == 0:
-            point_cfg = replace(cfg, policy=replace(
-                cfg.policy, kind="standard", gamma1=0.0, gamma2=0.0,
-                lambda1=0.0, lambda2=0.0))
-        else:
-            point_cfg = cfg
-            spacings = [float(grid[k] - grid[k - 1])]
-            if k >= 2:
-                spacings.append(float(grid[k - 1] - grid[k - 2]))
+        # the standard kind reads no coefficient
+        point_cfg = cfg if k else replace(cfg, policy=replace(cfg.policy, kind="standard"))
+        # the last two points, most recent first, and the grid steps back to them
+        history = nodes[::-1][:2]
+        spacings = [float(grid[k - j] - grid[k - j - 1]) for j in range(len(history))]
         # adopt the first solved point whose replay keeps every recorded set
         node = next((child for child in parent.children if _replays(child, point_cfg)),
                     None)
@@ -755,13 +738,9 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
         parent = node
         start = result.state
         results.append(result)
-        records.append(node.record)
-        if oracle is not None:
-            fidelities.append(node.fidelity)
-        history.insert(0, node.point)
-        del history[2:]
+        nodes.append(node)
 
     return ContinuationScan(
-        grid=grid, results=results, records=records,
-        fidelity_to_oracle=fidelities if oracle is not None else None,
+        grid=grid, results=results, records=[node.record for node in nodes],
+        fidelity_to_oracle=None if oracle is None else [node.fidelity for node in nodes],
     )

@@ -47,6 +47,7 @@ manifest.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import typing
@@ -318,7 +319,7 @@ class PecComparisonConfig(ExperimentConfig):
             errs.append("crossing_window must be positive")
         elif (self.n_fields >= 3 and self.field_min < self.field_max
               and np.all(np.isfinite((self.field_min, self.field_max, self.crossing_center)))
-              and not _pec_grid(self)[1].any()):
+              and not _window_holds_a_grid_point(self)):
             errs.append("crossing window contains no grid points; widen it")
         if self.max_bond < 1:
             errs.append("max_bond must be positive")
@@ -395,6 +396,9 @@ class GaugeDiagnosticsConfig(ExperimentConfig):
             errs.append("family_points must be at least 5")
         if not 0 < self.microgrid_spacing <= 1e-2:
             errs.append("microgrid_spacing must lie in (0, 1e-2]")
+        elif not 0.5 - self.microgrid_spacing < 0.5 < 0.5 + self.microgrid_spacing:
+            errs.append(f"microgrid_spacing {self.microgrid_spacing!r} is below float "
+                        "resolution: 0.5 - spacing, 0.5 and 0.5 + spacing must differ")
         for name in ("refine_time_sizes", "refine_plane_sizes"):
             sizes = getattr(self, name)
             if len(sizes) < 3:
@@ -622,6 +626,23 @@ def _pec_grid(cfg: PecComparisonConfig) -> tuple[np.ndarray, np.ndarray]:
     return grid, np.abs(grid - cfg.crossing_center) <= cfg.crossing_window + 1e-12
 
 
+def _window_holds_a_grid_point(cfg: PecComparisonConfig) -> bool:
+    """Whether the mask of :func:`_pec_grid` holds a point, without the grid.
+
+    ``np.linspace``'s points ``i * step + field_min``, the last ``field_max``,
+    ascend, so the nearest to ``crossing_center`` is one of the two around it
+    or, when ``step`` overflows, an end."""
+    n, centre = cfg.n_fields, cfg.crossing_center
+    step = (cfg.field_max - cfg.field_min) / (n - 1)
+
+    def point(i: int) -> float:
+        return cfg.field_max if i == n - 1 else i * step + cfg.field_min
+
+    above = bisect.bisect_left(range(n), centre, key=point)
+    return any(abs(point(i) - centre) <= cfg.crossing_window + 1e-12
+               for i in {0, above - 1, above, n - 1} if 0 <= i < n)
+
+
 @dataclass
 class _PecProblem:
     """What every scan of one pec_comparison run shares.
@@ -755,29 +776,26 @@ def grid_search_coefficients(cfg: PecComparisonConfig, problem: _PecProblem,
 
 def _points_report(name: str, cfg: PecComparisonConfig, problem: _PecProblem,
                    scan: ContinuationScan, policy: TruncationPolicy) -> ScanReport:
-    n_bonds = cfg.n_sites - 1
     columns = ["index", "field", "energy", "energy_exact", "abs_error",
                "fidelity", "converged", "coherence_penalty",
                "curvature_penalty", "objective"]
-    for b in range(n_bonds):
+    for b in range(cfg.n_sites - 1):
         columns += [f"discard_b{b}", f"q1max_b{b}", f"q2max_b{b}"]
     report = ScanReport(name=name, columns=columns)
     errors = _scan_errors(scan, problem)
-    for k in range(problem.grid.size):
-        rec = scan.records[k]
+    for k, (res, rec) in enumerate(zip(scan.results, scan.records)):
         row = [
-            k, float(problem.grid[k]), rec.energy,
+            k, float(problem.grid[k]), res.energy,
             float(problem.exact_energies[k]), float(errors[k]),
-            float(scan.fidelity_to_oracle[k]), rec.converged,
+            float(scan.fidelity_to_oracle[k]), res.converged,
             rec.coherence_penalty, rec.curvature_penalty,
-            rec.energy + policy.lambda1 * rec.coherence_penalty
+            res.energy + policy.lambda1 * rec.coherence_penalty
             + policy.lambda2 * rec.curvature_penalty,
         ]
-        for b in range(n_bonds):
-            q1 = rec.bond_charges1[b]
-            q2 = rec.bond_charges2[b]
+        for discarded, q1, q2 in zip(rec.bond_discarded, rec.bond_charges1,
+                                     rec.bond_charges2):
             row += [
-                float(rec.bond_discarded[b]),
+                float(discarded),
                 float(q1.max()) if q1.size else 0.0,
                 float(q2.max()) if q2.size else 0.0,
             ]

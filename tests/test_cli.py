@@ -319,6 +319,27 @@ def test_parse_config_file_errors(tmp_path):
         parse_config(bad)
 
 
+def test_readme_configs_and_key_table_match_the_config_schema():
+    """Every JSON example in the README validates, and its key table lists
+
+    each experiment's config fields other than ``seed``, in field order."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    examples = readme.split("```json\n")[1:]
+    assert len(examples) == 4
+    for example in examples:
+        parse_config_data(json.loads(example.split("```")[0]))
+    table = readme.split("| Experiment | Keys besides `experiment` and `seed` |\n")[1]
+    rows = {}
+    for line in table.splitlines()[1:]:
+        if not line.startswith("|"):
+            break
+        kind, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[kind.strip("`")] = [key.strip("` ") for key in keys.split(",")]
+    assert rows == {kind: [f.name for f in dataclasses.fields(t) if f.name != "seed"]
+                    for kind, t in CONFIG_TYPES.items()}
+
+
 # ---------------------------------------------------------------------------
 # command-line surface
 # ---------------------------------------------------------------------------
@@ -337,6 +358,15 @@ def test_validate_command_rejects_bad_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration invalid" in err
     assert "n_points must be at least 5" in err
+
+
+def test_validate_command_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"experiment": "gauge_diagnostics", "seed": 3}\xff')
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration invalid" in err
+    assert f"cannot read config file {path}: 'utf-8' codec can't decode byte 0xff" in err
 
 
 def test_run_writes_reports_and_verifiable_manifest(tmp_path, capsys):

@@ -2,10 +2,12 @@ import csv
 import dataclasses
 import hashlib
 import io
+import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udmrg import dmrg, gauge, harness, models, spectral, truncation
 from udmrg.harness import (
@@ -116,6 +118,40 @@ def test_non_finite_floats_are_reported_once_per_field():
                 assert not any("crossing window" in p for p in exc.value.problems)
                 if name == "crossing_center":
                     assert exc.value.problems == ["crossing_center must be finite"]
+
+
+def test_crossing_window_validation_builds_no_field_grid():
+    # a grid of 10**12 fields would take 7.3 TiB; the default window holds a point
+    assert PecComparisonConfig(n_fields=10**12).n_fields == 10**12
+    with pytest.raises(ConfigError) as exc:
+        PecComparisonConfig(n_fields=10**12, crossing_center=2.0, crossing_window=0.4)
+    assert exc.value.problems == ["crossing window contains no grid points; widen it"]
+    # a step that overflows leaves only the ends finite, and field_max is in the window
+    assert PecComparisonConfig(field_min=-1e308, field_max=1e308,
+                               crossing_center=1e308).field_max == 1e308
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2, unique=True),
+       center=st.floats(-5.0, 5.0), window=st.floats(1e-13, 2.0),
+       n_fields=st.integers(3, 40))
+def test_crossing_window_rule_agrees_with_the_field_grid(ends, center, window, n_fields):
+    # both read only these fields, and an empty window must not fail construction
+    cfg = types.SimpleNamespace(field_min=min(ends), field_max=max(ends),
+                                crossing_center=center, crossing_window=window,
+                                n_fields=n_fields)
+    assert harness._window_holds_a_grid_point(cfg) == harness._pec_grid(cfg)[1].any()
+
+
+def test_a_microgrid_below_float_resolution_fails_validation():
+    for spacing in (1e-17, 5e-17):
+        with pytest.raises(ConfigError) as exc:
+            GaugeDiagnosticsConfig(microgrid_spacing=spacing)
+        assert exc.value.problems == [
+            f"microgrid_spacing {spacing!r} is below float resolution: "
+            "0.5 - spacing, 0.5 and 0.5 + spacing must differ"]
+    for spacing in (6e-17, GaugeDiagnosticsConfig().microgrid_spacing):
+        assert GaugeDiagnosticsConfig(microgrid_spacing=spacing).microgrid_spacing == spacing
 
 
 def test_config_types_own_only_their_fields():
