@@ -4,13 +4,18 @@ Each local step solves the two-site effective Hamiltonian, an operator over
 its environments and the two MPO tensors that is applied by four tensor
 contractions and never formed unless it is small.  Only its lowest pair is
 sought, from the current two-site tensor and under Lanczos's residual rule.
-At or below ``_FULL_EIGH_DIM`` dimensions the dense form gives the lowest
-eigenvalue without vectors, and inverse iteration shifted by it, one or two
-linear solves, gives the vector; a block that defeats both solves is
-diagonalized in full.  Above that a restarted Lanczos with full
-reorthogonalization (:func:`linalg.lanczos_lowest`) finds the pair.  Both
-paths are deterministic.  A Lanczos solve that misses its residual tolerance
-within its restarts flags the result as not converged instead of raising.
+At or below ``_FULL_EIGH_DIM`` dimensions the dense form is built once.  A
+warm start that already meets the rule is accepted once a Cholesky
+factorization proves its Rayleigh quotient lies within the tolerance of the
+lowest eigenvalue; a start close to the ground state takes up to three
+Rayleigh-quotient solves under the same proof.  Only a step that both miss
+computes the lowest eigenvalue, without vectors, and inverse iteration
+shifted by it, one or two linear solves, gives the vector; a block that
+defeats these too is diagonalized in full.  Above that a restarted Lanczos
+with full reorthogonalization (:func:`linalg.lanczos_lowest`) finds the
+pair.  Both paths are deterministic.  A Lanczos solve that misses its
+residual tolerance within its restarts flags the result as not converged
+instead of raising.
 A real MPO and a real start, such as :func:`mps.random_mps` draws, keep every
 environment, local eigensolve and split in float64 from the first sweep.
 Real and imaginary parts of the local eigenvector below ``_FLUSH_RELATIVE``
@@ -89,8 +94,8 @@ from .truncation import (
     select_states,
 )
 
-#: effective dimensions at or below this are solved densely (lowest
-#: eigenvalue, then inverse iteration), larger ones by Lanczos
+#: effective dimensions at or below this are solved densely (see
+#: :func:`_lowest_eigenpair`), larger ones by Lanczos
 _FULL_EIGH_DIM = 128
 
 #: local-eigenvector parts below this fraction of its largest magnitude are zeroed
@@ -235,21 +240,67 @@ def _lowest_eigenpair(heff: EffectiveHamiltonian, left: np.ndarray,
 
     Both paths start from the current two-site tensor ``left . right`` and
     accept a pair ``(E, x)`` on Lanczos's rule, ``||H x - E x|| <=
-    LANCZOS_TOL * max(1, |E|)``.  Above ``_FULL_EIGH_DIM`` dimensions Lanczos
-    solves.  At or below, ``eigvalsh`` of the dense form gives the lowest
-    eigenvalue ``E0``, and inverse iteration shifted by ``E0`` gives ``x``
-    and ``E = E0 + <x|H - E0|x>``, which must also lie within the tolerance
-    of ``E0``.  It makes one solve, and a second from the first's result
-    when a start with little ground-state weight leaves the first short.  If
-    both miss, or the shift leaves an exact zero pivot (a diagonal ``H``),
-    the dense form is diagonalized in full.
+    LANCZOS_TOL * max(1, |E|)``, with ``E`` within that tolerance ``tol`` of
+    the lowest eigenvalue ``E0``.  Above ``_FULL_EIGH_DIM`` dimensions
+    Lanczos solves.  At or below, the dense form ``H`` is built once and
+    tried in three tiers, each taken only when the one before it fails:
+
+    1. Rayleigh-quotient iteration from the start ``x``, at most three
+       solves, each shifted by the current Rayleigh quotient ``theta``.  A
+       Cholesky factorization of ``H - s`` succeeds exactly when every
+       eigenvalue lies above ``s``, and so proves ``E0 > s`` without
+       computing ``E0``.  A pair is accepted when its residual meets the rule
+       and ``H - (theta - tol)`` factors: ``E0 <= theta`` holds for any
+       Rayleigh quotient, so ``theta`` is within ``tol`` of ``E0``.  A start
+       that meets both costs no solve.  A start that misses the rule
+       iterates only when ``H - (theta - r - tol)`` factors, for its residual
+       ``r``: Weinstein's bound puts an eigenvalue within ``r`` of ``theta``,
+       and the factorization proves that ``E0`` is the one.  Otherwise, and
+       when the iteration ends at an excited pair, the next tier solves.
+    2. ``eigvalsh`` gives ``E0``, and inverse iteration shifted by it gives
+       ``x`` and ``E = E0 + <x|H - E0|x>``, which must also lie within
+       ``tol`` of ``E0``.  It makes one solve, and a second from the first's
+       result when a start with little ground-state weight leaves the first
+       short.
+    3. If both miss, or the shift leaves an exact zero pivot (a diagonal
+       ``H``), ``H`` is diagonalized in full.
+
+    Like ``eigvalsh``, numpy's ``cholesky`` reads only the lower triangle.
+    It factors ``H - s`` up to a backward error of about ``n eps ||H||``,
+    which at these sizes lies far below ``tol``.
     """
     start = contract(left, right, axes=(2, 0)).reshape(-1)
     if heff.dim > _FULL_EIGH_DIM:
         return lanczos_lowest(heff.matvec, start)
-    shifted = heff.dense()
-    lowest = float(np.linalg.eigvalsh(shifted)[0])
-    shifted.flat[:: heff.dim + 1] -= lowest
+    dense = heff.dense()
+    diagonal = dense.diagonal()
+    shifted = dense.copy()
+    x = start / np.linalg.norm(start)
+    for solves in range(4):
+        if solves:
+            shifted.flat[:: heff.dim + 1] = diagonal - energy
+            try:
+                x = np.linalg.solve(shifted, x)
+            except np.linalg.LinAlgError:  # theta is an eigenvalue to the last bit
+                break
+            x = x / np.linalg.norm(x)
+        hx = dense @ x
+        energy = float(np.vdot(x, hx).real)
+        residual = float(np.linalg.norm(hx - energy * x))
+        tol = LANCZOS_TOL * max(1.0, abs(energy))
+        converged = residual <= tol
+        if not converged and solves:
+            continue
+        floor = energy - tol if converged else energy - residual - tol
+        shifted.flat[:: heff.dim + 1] = diagonal - floor
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:  # an eigenvalue lies at or below the floor
+            break
+        if converged:
+            return energy, x, True
+    lowest = float(np.linalg.eigvalsh(dense)[0])
+    shifted.flat[:: heff.dim + 1] = diagonal - lowest
     x = start
     for _ in range(2):
         try:
@@ -262,7 +313,7 @@ def _lowest_eigenpair(heff: EffectiveHamiltonian, left: np.ndarray,
         tol = LANCZOS_TOL * max(1.0, abs(lowest + gap))
         if abs(gap) <= tol and np.linalg.norm(hx - gap * x) <= tol:
             return lowest + gap, x, True
-    w, v = np.linalg.eigh(heff.dense())  # the shift overwrote the first dense form
+    w, v = np.linalg.eigh(dense)
     return float(w[0]), v[:, 0], True
 
 

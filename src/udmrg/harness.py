@@ -135,6 +135,10 @@ OBJECTIVES = ("energy_error", "fidelity")
 #: (``models.spin_chain_matvec``)
 _MAX_CHAIN_SITES = 12
 
+#: the largest value an integer setting other than ``seed`` may hold: numpy
+#: sizes and indexes its arrays with ``intp``
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
 
 def default_policies(max_kept: int = 64) -> list[TruncationPolicy]:
     """The four comparison methods with all coefficients zero."""
@@ -221,9 +225,14 @@ class ExperimentConfig:
 
     def validate(self) -> list[str]:
         """Return every problem found, not just the first."""
-        if self.seed >= 0:
-            return []
-        return ["seed must be a non-negative integer"]
+        errs = [] if self.seed >= 0 else ["seed must be a non-negative integer"]
+        for name, hint in field_types(type(self)).items():
+            value = getattr(self, name)
+            if name != "seed" and hint in (int, tuple[int, ...]) and any(
+                    v > _MAX_COUNT for v in ((value,) if hint is int else value)):
+                errs.append(f"{name} must not exceed {_MAX_COUNT}, numpy's largest "
+                            "array size")
+        return errs
 
 
 @functools.lru_cache(maxsize=None)
@@ -317,7 +326,7 @@ class PecComparisonConfig(ExperimentConfig):
             errs.append("n_fields must be at least 3")
         if not self.crossing_window > 0:
             errs.append("crossing_window must be positive")
-        elif (self.n_fields >= 3 and self.field_min < self.field_max
+        elif (3 <= self.n_fields <= _MAX_COUNT and self.field_min < self.field_max
               and np.all(np.isfinite((self.field_min, self.field_max, self.crossing_center)))
               and not _window_holds_a_grid_point(self)):
             errs.append("crossing window contains no grid points; widen it")

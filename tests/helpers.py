@@ -5,17 +5,21 @@ factorizations of dense vectors, complex random states, single-site
 operators) and inspect them
 (isometry residuals, entanglement spectra, phase alignment of one
 eigensystem) so the tests can check the package against independent
-references, and compare an iterative eigenpair with a dense one.  The
-point-by-point spectral tracker (:func:`sequential_track`), the Pauli Y
+references, and compare an iterative eigenpair with a dense one.  Two spies
+(:func:`count_dense_calls`, :func:`count_dense_tiers`) count what the dense
+local solve of :mod:`udmrg.dmrg` computes.  The point-by-point spectral
+tracker (:func:`sequential_track`), the Pauli Y
 matrix and the Landau-Zener survival probability are references
 of the same kind.
 """
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 import numpy as np
 
+from udmrg import dmrg
 from udmrg.linalg import dag, max_abs, require_hermitian
 from udmrg.models import ID2
 from udmrg.mps import MatrixProductOperator, MatrixProductState, canonicalize
@@ -215,3 +219,47 @@ def assert_same_eigenpair(energy: float, vector: np.ndarray, ref_energy: float,
     assert abs(energy - ref_energy) <= tol
     overlap = np.vdot(ref_vector, vector)
     assert max_abs(vector - overlap / abs(overlap) * ref_vector) <= tol
+
+
+#: the ``np.linalg`` routines the dense local solve calls, as the spies name them
+DENSE_CALLS = ("solve", "cholesky", "eigvalsh", "eigh")
+
+
+def count_dense_calls(monkeypatch) -> dict[str, int]:
+    """Counts, by name, of the :data:`DENSE_CALLS` that
+    ``dmrg._lowest_eigenpair`` makes itself, kept up to date as it runs."""
+    counts = dict.fromkeys(DENSE_CALLS, 0)
+    code = dmrg._lowest_eigenpair.__code__
+
+    def counted(name, function):
+        def spy(*args, **kwargs):
+            if sys._getframe(1).f_code is code:
+                counts[name] += 1
+            return function(*args, **kwargs)
+        return spy
+
+    for name in DENSE_CALLS:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return counts
+
+
+def count_dense_tiers(monkeypatch) -> dict[str, int]:
+    """How many dense local solves ``dmrg._lowest_eigenpair`` accepted at the
+    warm start (``start``), by Rayleigh-quotient iteration (``rqi``), by
+    inverse iteration shifted by ``eigvalsh`` (``eigvalsh``) and by the full
+    ``eigh`` (``eigh``), kept up to date as it runs."""
+    calls = count_dense_calls(monkeypatch)
+    tiers = dict.fromkeys(("start", "rqi", "eigvalsh", "eigh"), 0)
+    lowest_eigenpair = dmrg._lowest_eigenpair
+
+    def spy(heff, left, right):
+        before = dict(calls)
+        result = lowest_eigenpair(heff, left, right)
+        if heff.dim <= dmrg._FULL_EIGH_DIM:
+            made = {name: calls[name] - before[name] for name in DENSE_CALLS}
+            tiers["eigh" if made["eigh"] else "eigvalsh" if made["eigvalsh"]
+                  else "rqi" if made["solve"] else "start"] += 1
+        return result
+
+    monkeypatch.setattr(dmrg, "_lowest_eigenpair", spy)
+    return tiers

@@ -95,8 +95,8 @@ def test_benchmark_energies_reach_1e8_within_two_minutes(monkeypatch):
     # BLAS threads; another LAPACK build may round differently)
     csv = hashlib.sha256(report.csv_bytes()).hexdigest()
     summary = hashlib.sha256(canonical_json(report.summary_payload())).hexdigest()
-    assert csv == "e55a74b8841e185753df1d9c544f57c4453841ab0092f9ffded7a2ffb5570d8b"
-    assert summary == "65fc0110a1fd993e13ba759371e7f7691f5105e6ce7f2f8b8eed46f53f68f0ca"
+    assert csv == "0bffebaecd2f394a0883ee57ecb525b6e132c63127eeb447d2935a757b6d79d6"
+    assert summary == "7daa5267c889b5500feec695dd6cbaed5e4d12300c6fd909fdbd35613d631a9a"
 
 
 def _assert_exact_energies_are_dense(report):

@@ -280,17 +280,17 @@ def test_json_built_pec_report_keeps_its_bytes():
                       "lambda2": 0.2}]})
     report = harness.run_experiment(cfg)
     assert _sha(report.csv_bytes()) == \
-        "c0db0faf8acb8ad011bd90937e3d76e99de9b38e996a8c31134f2963e0674948"
+        "ef58135ecbce6cdb0975c9139d4ab999bca7f62bada4cd05dbb714ce009ebc40"
     assert _sha(canonical_json(report.summary_payload())) == \
-        "5f38da2675f5c09b1bfeb93d6884a4bc072441721abbb73130b262fff4c58604"
+        "f0238d5f538e76390f2957b2227980eff961b96b4c12a3bb29e8354abc67fe7b"
     points = {a.name.removeprefix("pec_comparison_points_"): _sha(a.csv_bytes())
               for a in report.attachments
               if a.name.startswith("pec_comparison_points_")}
-    same = "ea9de87f50cffe0044cc084188a18b7a8539e535e030232a76a91c564b0494b8"
+    same = "8a248f864467593d80768977517c308334f9f8ae4259902951c8faae77c0202a"
     assert points == {
         "standard": same, "uhlmann": same, "categorified": same,
         "higher_categorical":
-            "0d96c3771970fdc48f02db311ac3799012d3aba13d739fb9e4bb2a2c3ad62a3f"}
+            "4ff5b566e0c423d15d7554960b5554c840306fc0e671c8e3011a5b698b17ad51"}
 
 
 def test_json_built_crossing_report_keeps_its_bytes():
@@ -541,6 +541,25 @@ def test_non_finite_numbers_exit_1_without_outputs(tmp_path, capsys, config, pro
     assert err.count(f"  - {problem}\n") == 2
     assert not out_dir.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+@pytest.mark.parametrize("config, name", [
+    ({"experiment": "crossing_scan", "n_points": 10**400}, "n_points"),
+    ({"experiment": "pec_comparison", "n_fields": 10**400}, "n_fields"),
+])
+def test_counts_beyond_numpy_sizes_exit_1_without_outputs(tmp_path, capsys, config,
+                                                          name):
+    # a grid of 10**400 points fails at validation, not in np.linspace
+    path = write_config(tmp_path, "big.json", config)
+    assert main(["validate", str(path)]) == 1
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("configuration invalid") == 2
+    assert err.count(f"  - {name} must not exceed {np.iinfo(np.intp).max}, "
+                     "numpy's largest array size\n") == 2
+    assert not out_dir.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
 
 
 def test_thread_count_must_be_positive(tmp_path, capsys):

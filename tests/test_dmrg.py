@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -46,6 +45,8 @@ from udmrg.truncation import (
 from helpers import (
     assert_same_eigenpair,
     complex_random_mps,
+    count_dense_calls,
+    count_dense_tiers,
     from_product_state,
     single_site_mpo,
 )
@@ -172,7 +173,7 @@ def test_lanczos_matches_dense_eigh_on_chain_environments(kind, n_sites, bond_di
 
 
 # ---------------------------------------------------------------------------
-# the dense local solve: the lowest eigenvalue, then inverse iteration
+# the dense local solve: a certified warm start, then the lowest eigenvalue
 # ---------------------------------------------------------------------------
 
 #: (dimension, first-site dimension, complex) of the dense blocks tested
@@ -208,21 +209,9 @@ def _solve_from(heff, start, d1):
 
 @pytest.fixture
 def dense_path(monkeypatch):
-    """Counts of the linear solves and of the full ``eigh`` fallbacks that
-    ``_lowest_eigenpair`` makes."""
-    counts = {"solve": 0, "eigh": 0}
-    solve, eigh = np.linalg.solve, np.linalg.eigh
-
-    def counted(name, function):
-        def spy(*args, **kwargs):
-            if sys._getframe(1).f_code is dmrg._lowest_eigenpair.__code__:
-                counts[name] += 1
-            return function(*args, **kwargs)
-        return spy
-
-    monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
-    return counts
+    """Counts of the linear solves, Cholesky factorizations, ``eigvalsh``
+    calls and full ``eigh`` fallbacks that ``_lowest_eigenpair`` makes."""
+    return count_dense_calls(monkeypatch)
 
 
 def _assert_lowest(energy, vector, h):
@@ -254,7 +243,54 @@ def test_dense_solve_from_a_start_orthogonal_to_the_ground_state(dense_path, dim
     energy, vector, converged = _solve_from(_block_of(h, d1), start, d1)
     assert converged
     _assert_lowest(energy, vector, h)
-    assert dense_path == {"solve": 2, "eigh": 0}
+    assert dense_path == {"solve": 2, "cholesky": 1, "eigvalsh": 1, "eigh": 0}
+
+
+@pytest.mark.parametrize("dim,d1,cplx", DENSE_BLOCKS)
+def test_dense_solve_from_an_excited_eigenvector(dense_path, dim, d1, cplx):
+    """A start at the second eigenvector meets the residual rule, but the
+    Cholesky certificate refuses its Rayleigh quotient ``E1``: ``eigvalsh``
+    and inverse iteration find ``E0``."""
+    rng = np.random.default_rng(dim + cplx)
+    h = _random_hermitian(rng, dim, cplx)
+    levels, vectors = np.linalg.eigh(h)
+    excited = vectors[:, 1]
+    assert np.linalg.norm(h @ excited - levels[1] * excited) <= \
+        linalg.LANCZOS_TOL * max(1.0, abs(levels[1]))
+    energy, vector, converged = _solve_from(_block_of(h, d1), excited, d1)
+    assert converged
+    _assert_lowest(energy, vector, h)
+    assert dense_path["cholesky"] == dense_path["eigvalsh"] == 1
+
+
+@pytest.mark.parametrize("dim,d1,cplx", DENSE_BLOCKS)
+def test_dense_solve_from_the_ground_state_costs_one_cholesky(dense_path, dim, d1,
+                                                              cplx):
+    """A converged start is certified as it stands: no solve, no eigensolve."""
+    rng = np.random.default_rng(dim + cplx)
+    h = _random_hermitian(rng, dim, cplx)
+    ground = np.linalg.eigh(h)[1][:, 0]
+    energy, vector, converged = _solve_from(_block_of(h, d1), ground, d1)
+    assert converged
+    _assert_lowest(energy, vector, h)
+    assert dense_path == {"solve": 0, "cholesky": 1, "eigvalsh": 0, "eigh": 0}
+
+
+@pytest.mark.parametrize("dim,d1,cplx", DENSE_BLOCKS)
+def test_dense_solve_near_the_ground_state_takes_the_rayleigh_shift(dense_path, dim,
+                                                                   d1, cplx):
+    """The ground state plus a perturbation of norm 1e-3 passes the Weinstein
+    gate, and Rayleigh-quotient iteration converges without ``eigvalsh``."""
+    rng = np.random.default_rng(dim + cplx)
+    h = _random_hermitian(rng, dim, cplx)
+    ground = np.linalg.eigh(h)[1][:, 0]
+    kick = rng.normal(size=dim) + (1j * rng.normal(size=dim) if cplx else 0.0)
+    start = ground + 1e-3 * kick / np.linalg.norm(kick)
+    energy, vector, converged = _solve_from(_block_of(h, d1), start, d1)
+    assert converged
+    _assert_lowest(energy, vector, h)
+    assert dense_path["solve"] <= 3
+    assert dense_path["eigvalsh"] == dense_path["eigh"] == 0
 
 
 @pytest.mark.parametrize("dim,d1,cplx", DENSE_BLOCKS)
@@ -283,15 +319,16 @@ def test_dense_solve_of_a_diagonal_block_falls_back_to_eigh(dense_path, dim, d1,
     energy, vector, converged = _solve_from(_block_of(h, d1), rng.normal(size=dim), d1)
     assert converged
     _assert_lowest(energy, vector, h)
-    assert dense_path == {"solve": 1, "eigh": 1}
+    assert dense_path == {"solve": 1, "cholesky": 1, "eigvalsh": 1, "eigh": 1}
 
 
-def test_eight_site_oracle_config_never_falls_back_to_eigh(dense_path):
-    """Every one of the 602 dense local solves of ``pec_comparison`` at 8 sites
-    without the grid search is accepted by inverse iteration."""
+def test_eight_site_oracle_config_never_falls_back_to_eigh(monkeypatch):
+    """None of the 602 dense local solves of ``pec_comparison`` at 8 sites
+    without the grid search needs the full ``eigh``; most never reach
+    ``eigvalsh`` either.  The README states this split."""
+    tiers = count_dense_tiers(monkeypatch)
     run_experiment(PecComparisonConfig(n_sites=8, grid_search=False))
-    assert dense_path["solve"] >= 602
-    assert dense_path["eigh"] == 0
+    assert tiers == {"start": 216, "rqi": 380, "eigvalsh": 6, "eigh": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from udmrg.models import CROSSING_POINTS
 from udmrg.reporting import canonical_json, config_hash
 from udmrg.truncation import TruncationPolicy
 
+from helpers import count_dense_tiers
+
 
 def report_digests(report):
     """sha256 of a report's CSV and of its canonical summary payload."""
@@ -141,6 +143,25 @@ def test_crossing_window_rule_agrees_with_the_field_grid(ends, center, window, n
                                 crossing_center=center, crossing_window=window,
                                 n_fields=n_fields)
     assert harness._window_holds_a_grid_point(cfg) == harness._pec_grid(cfg)[1].any()
+
+
+def test_integer_settings_beyond_numpy_sizes_fail_validation():
+    """Every integer setting but the seed, scalar or list, is bounded by
+    numpy's largest array size; at the bound that check is silent."""
+    largest = int(np.iinfo(np.intp).max)
+    for config_type in CONFIG_TYPES.values():
+        for name, hint in harness.field_types(config_type).items():
+            if name == "seed" or hint not in (int, tuple[int, ...]):
+                continue
+            for value, refused in ((10**400, True), (largest + 1, True), (largest, False)):
+                kwargs = {name: value if hint is int else (value,) * 3}
+                try:
+                    config_type(**kwargs)
+                    problems = []
+                except ConfigError as exc:
+                    problems = exc.problems
+                bound = f"{name} must not exceed {largest}, numpy's largest array size"
+                assert (bound in problems) == refused, (config_type.kind, name, value)
 
 
 def test_a_microgrid_below_float_resolution_fails_validation():
@@ -600,15 +621,19 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     count(dmrg._ChargeContext, "charges")
     count(dmrg, "_point_gauge_record")
     count(dmrg, "select_states")
+    tiers = count_dense_tiers(monkeypatch)
     report = run_pec_comparison(PecComparisonConfig())
     assert calls == {"continuation_scan": 13, "effective_hamiltonian": 800,
                      "charges": 156, "_point_gauge_record": 40, "select_states": 1095}
+    # how each dense local solve was accepted: at the warm start, by
+    # Rayleigh-quotient iteration, after eigvalsh, by the full eigh
+    assert tiers == {"start": 400, "rqi": 246, "eigvalsh": 152, "eigh": 2}
     # the default report keeps its bytes, pinned as the gauge and crossing
     # reports are below (numpy 2.4, bundled OpenBLAS, 1 and 2 BLAS threads)
     assert report_digests(report) == (
-        "2ca84be3dba2bf136aebcbf8b23b41014988516f66bcc392dc0c17023cf9a3f4",
-        "2128859efcfc5f31d03358096c34fa6130e8b460b97d7ffb0921205b65d32d42")
-    points = "9f5e6f6665010534d1e15bac176e719817d7bd9fb113366d42500435bbacbd0e"
+        "5769f3b69888c3a84417bfcaac9d8f92f6d945d285fdb6b9e477efe1edc558dd",
+        "49cefe6e0af779f3d92126859aaf837c835a7b172319cff0d94fb22ddbc852ab")
+    points = "cc711e5becd5884744c0c906d79f06515e78af1879c244cb074ab58ad6b6a70c"
     assert {a.name: hashlib.sha256(a.csv_bytes()).hexdigest()
             for a in report.attachments} == {
         "pec_comparison_points_standard": points,
@@ -616,7 +641,7 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
         "pec_comparison_points_categorified": points,
         "pec_comparison_points_higher_categorical": points,
         "pec_comparison_gridsearch":
-            "5548938a8c56cb5f293633a240047a796f2a76adfc91ba0409a8d0c518e33707"}
+            "19304c89aa174318623583478a6103e031e1fc60185ed7aafdb53d661a774886"}
 
 
 def test_eight_site_pec_without_search_costs_what_the_readme_says(monkeypatch):
@@ -666,9 +691,9 @@ def test_eight_site_pec_report_keeps_its_bytes():
     its bundled OpenBLAS, at 1 and 2 BLAS threads."""
     report = run_experiment(PecComparisonConfig(n_sites=8, grid_search=False))
     assert report_digests(report) == (
-        "fa4e1084a04ce28788c5b5b73b548c2f49ce9dea46f68d78f17f931147e89210",
-        "6940e0398a466b209fb620a3886228fe7d2ac5b74a51ffff027d6dbbbd32a7b7")
-    points = "67298bb1f1509a04bdf06ac22c18b6fdd4b795eee2cd030251fcdcd194375e02"
+        "1732c19ebd13e592d938ded2fa56ed4dc33d061dce752b6acecdf793001ea984",
+        "9ccba4cca78b73e63c012603c1ef9d649a78e96c0c527f21f49a2a3dede102f8")
+    points = "8811486aad6addf5907203b9538aa17b79c848cde2a7dd4e5ee50ce0ca7b2bd8"
     assert {a.name: hashlib.sha256(a.csv_bytes()).hexdigest()
             for a in report.attachments} == {
         f"pec_comparison_points_{name}": points
