@@ -61,7 +61,7 @@ from .models import (
     gaussian_transition_probability,
     midpoint_schedule,
     propagate,
-    spin_chain_ground_state,
+    spin_chain_ground_states,
     spin_chain_matvec,
     two_level_hamiltonian,
 )

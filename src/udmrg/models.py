@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -245,29 +245,63 @@ def spin_chain_matvec(spec: SpinChainSpec) -> Callable[[np.ndarray], np.ndarray]
     return matvec
 
 
-def spin_chain_ground_state(spec: SpinChainSpec) -> tuple[float, np.ndarray]:
-    """Ground energy and unit ground vector of the chain; no matrix is formed.
+def _ground_sector(spec: SpinChainSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """Orthogonal projector onto the symmetry sector that holds the ground state.
 
-    Runs :func:`linalg.lanczos_lowest` on :func:`spin_chain_matvec` from one
-    fixed generic start, the same for every coupling and field: a local
-    ``default_rng(0)`` normal draw.  A symmetric start can miss the ground
-    state: the uniform vector is an eigenvector of the Heisenberg chain (the
-    ferromagnet), and it is even under the spin flip, while the TFIM ground
-    state at h < 0 and odd n is odd.  The vector is in the basis of
-    :func:`dense_spin_chain`.  The solve has the DMRG local solve's stopping
-    rule and budget (``linalg.LANCZOS_KRYLOV``, ``LANCZOS_TOL`` and
-    ``LANCZOS_RESTARTS``); where the local solve only flags its result when
-    the cycles run out, this raises ``LinAlgError``, since an experiment has
-    nothing to measure its errors against.
+    The TFIM commutes with the global spin flip, which reverses the array.
+    For h != 0 its ground state is unique, with flip parity +1 at h > 0 and
+    (-1)^n at h < 0 (Perron-Frobenius, whatever the sign of J); at h = 0 the
+    parity +1 member of the ground pair is taken.  The projector is
+    ``(x + s x[::-1]) / 2``.  The Heisenberg chain conserves S^z: the
+    projector keeps the configurations with ``n // 2`` set bits, S^z = 0
+    for even n and the S^z = +1/2 member of the ground doublet for odd n.
     """
-    start = np.random.default_rng(0).standard_normal(2**spec.n_sites)
-    energy, state, converged = linalg.lanczos_lowest(spin_chain_matvec(spec), start)
-    if not converged:
-        raise np.linalg.LinAlgError(
-            f"exact ground state of the {spec.n_sites}-site {spec.kind} chain "
-            f"(J={float(spec.coupling)!r}, h={float(spec.field)!r}) did not converge in "
-            f"{linalg.LANCZOS_RESTARTS} Lanczos cycles")
-    return energy, state
+    n = spec.n_sites
+    if spec.kind == "heisenberg":
+        keep = np.bitwise_count(np.arange(2**n)) == n // 2
+        return lambda x: keep * x
+    parity = -1.0 if spec.field < 0 and n % 2 else 1.0
+    return lambda x: 0.5 * (x + parity * x[::-1])
+
+
+def spin_chain_ground_states(specs: Sequence[SpinChainSpec]
+                             ) -> list[tuple[float, np.ndarray]]:
+    """Ground energy and unit ground vector of each chain, in order; no matrix is formed.
+
+    Runs :func:`linalg.lanczos_lowest` on :func:`spin_chain_matvec` inside
+    the symmetry sector of the ground state (:func:`_ground_sector`), which
+    drops the nearly degenerate partner of the ordered TFIM phase.  Each
+    chain starts from the previous chain's vector projected into its own
+    sector, so a scan grid continues from field to field.  The first chain,
+    one of another length, and one whose sector keeps less than half the
+    previous vector's norm (the flip parity changes sign with h on an odd
+    chain) start from a fixed generic vector instead: a local
+    ``default_rng(0)`` normal draw projected into the sector.  A symmetric
+    start can miss the ground state: the uniform vector is an eigenvector of
+    the Heisenberg chain (the ferromagnet).  For the odd Heisenberg chain
+    the returned vector is the S^z = +1/2 member of the ground doublet, so
+    any fidelity against it depends on that choice.  Vectors are in the
+    basis of :func:`dense_spin_chain`.  Each solve has the DMRG local
+    solve's stopping rule and budget (``linalg.LANCZOS_KRYLOV``,
+    ``LANCZOS_TOL`` and ``LANCZOS_RESTARTS``); where the local solve only
+    flags its result when the cycles run out, this raises ``LinAlgError``,
+    since an experiment has nothing to measure its errors against.
+    """
+    solved: list[tuple[float, np.ndarray]] = []
+    state = None
+    for spec in specs:
+        sector = _ground_sector(spec)
+        start = sector(state) if state is not None and state.size == 2**spec.n_sites else None
+        if start is None or np.linalg.norm(start) < 0.5:  # ``state`` has unit norm
+            start = sector(np.random.default_rng(0).standard_normal(2**spec.n_sites))
+        energy, state, converged = linalg.lanczos_lowest(spin_chain_matvec(spec), start)
+        if not converged:
+            raise np.linalg.LinAlgError(
+                f"exact ground state of the {spec.n_sites}-site {spec.kind} chain "
+                f"(J={float(spec.coupling)!r}, h={float(spec.field)!r}) did not converge in "
+                f"{linalg.LANCZOS_RESTARTS} Lanczos cycles")
+        solved.append((energy, state))
+    return solved
 
 
 def build_spin_chain_mpo(spec: SpinChainSpec) -> MatrixProductOperator:

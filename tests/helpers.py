@@ -9,8 +9,8 @@ references, and compare an iterative eigenpair with a dense one.  Two spies
 (:func:`count_dense_calls`, :func:`count_dense_tiers`) count what the dense
 local solve of :mod:`udmrg.dmrg` computes.  The point-by-point spectral
 tracker (:func:`sequential_track`), the Pauli Y
-matrix and the Landau-Zener survival probability are references
-of the same kind.
+matrix, the Landau-Zener survival probability and the free-fermion TFIM
+ground energy are references of the same kind.
 """
 from __future__ import annotations
 
@@ -37,6 +37,18 @@ def landau_zener_reference(v: float, coupling: float) -> float:
     if v <= 0:
         raise ValueError("sweep velocity must be positive")
     return float(np.exp(-2.0 * np.pi * coupling**2 / v))
+
+
+def free_fermion_tfim_energy(n_sites: int, coupling: float, field: float) -> float:
+    """Ground energy of the open TFIM chain ``-J sum Z.Z - h sum X`` as free fermions.
+
+    ``E0 = -sum svd(B)``, where ``B`` is the ``n x n`` bidiagonal matrix with
+    ``B_ii = h`` and ``B_i,i+1 = J`` (Lieb, Schultz & Mattis, Ann. Phys. 16,
+    407 (1961); Pfeuty, Ann. Phys. 57, 79 (1970)).
+    """
+    b = np.diag(np.full(n_sites, float(field)))
+    b += np.diag(np.full(n_sites - 1, float(coupling)), 1)
+    return float(-np.linalg.svd(b, compute_uv=False).sum())
 
 
 def from_product_state(local_states: Sequence) -> MatrixProductState:

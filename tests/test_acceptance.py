@@ -95,8 +95,8 @@ def test_benchmark_energies_reach_1e8_within_two_minutes(monkeypatch):
     # BLAS threads; another LAPACK build may round differently)
     csv = hashlib.sha256(report.csv_bytes()).hexdigest()
     summary = hashlib.sha256(canonical_json(report.summary_payload())).hexdigest()
-    assert csv == "0bffebaecd2f394a0883ee57ecb525b6e132c63127eeb447d2935a757b6d79d6"
-    assert summary == "7daa5267c889b5500feec695dd6cbaed5e4d12300c6fd909fdbd35613d631a9a"
+    assert csv == "25117189d786ae3d880b3c9e6ab8a3948f97c8398fbfcb3b60b32270c5c62318"
+    assert summary == "5782ed595dbd263949911cadd5d155f80da3951e3b423c853b426ed8b447725f"
 
 
 def _assert_exact_energies_are_dense(report):

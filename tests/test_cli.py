@@ -286,11 +286,11 @@ def test_json_built_pec_report_keeps_its_bytes():
     points = {a.name.removeprefix("pec_comparison_points_"): _sha(a.csv_bytes())
               for a in report.attachments
               if a.name.startswith("pec_comparison_points_")}
-    same = "8a248f864467593d80768977517c308334f9f8ae4259902951c8faae77c0202a"
+    same = "7a838792290c7095b7d2d7ed1b1ddb0c758bbbf5fe66ddd85a6d56e404184499"
     assert points == {
         "standard": same, "uhlmann": same, "categorified": same,
         "higher_categorical":
-            "4ff5b566e0c423d15d7554960b5554c840306fc0e671c8e3011a5b698b17ad51"}
+            "aa2cdb23130371da4c823267bbbe03d03610ecfacc2764d530fcd21cc4178acf"}
 
 
 def test_json_built_crossing_report_keeps_its_bytes():
@@ -395,6 +395,24 @@ def test_run_writes_reports_and_verifiable_manifest(tmp_path, capsys):
 
     stdout = capsys.readouterr().out
     assert stdout.count("wrote ") == 3
+
+
+def test_an_ordered_phase_pec_run_exits_0_and_writes_its_outputs(tmp_path):
+    """At 9 sites and h = 0.1 the two lowest TFIM levels are nearly
+
+    degenerate; the exact oracle solves in the ground state's spin-flip
+    sector, so the run completes.  Its fidelities are not asserted: the
+    chi = 4 DMRG state there can be symmetry-broken (README)."""
+    path = write_config(tmp_path, "ordered.json", {
+        "experiment": "pec_comparison", "n_sites": 9, "field_min": 0.1,
+        "field_max": 0.5, "n_fields": 5, "crossing_center": 0.3,
+        "grid_search": False})
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text("utf-8"))
+    assert manifest["exit_status"] == 0
+    assert len(manifest["outputs"]) == 7  # two reports, four points tables, the manifest
+    assert all((out_dir / entry["path"]).is_file() for entry in manifest["outputs"])
 
 
 def test_rerun_is_byte_identical_outside_the_manifest(tmp_path):

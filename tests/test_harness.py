@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from udmrg import dmrg, gauge, harness, models, spectral, truncation
+from udmrg import dmrg, gauge, harness, linalg, models, spectral, truncation
 from udmrg.harness import (
     CONFIG_TYPES,
     EXPERIMENT_KINDS,
@@ -29,7 +29,7 @@ from udmrg.harness import (
     run_gauge_diagnostics,
     run_pec_comparison,
 )
-from udmrg.models import CROSSING_POINTS
+from udmrg.models import CROSSING_POINTS, SpinChainSpec, spin_chain_ground_states
 from udmrg.reporting import canonical_json, config_hash
 from udmrg.truncation import TruncationPolicy
 
@@ -501,6 +501,71 @@ def test_pec_empty_crossing_window_raises():
         small_pec_config(crossing_center=5.0, crossing_window=0.01)
 
 
+@pytest.mark.parametrize("config", [
+    PecComparisonConfig(n_sites=7, field_min=-0.5, field_max=1.5),
+    PecComparisonConfig(),
+    PecComparisonConfig(n_sites=8),
+], ids=["7_sites_across_zero", "defaults", "8_sites"])
+def test_the_continued_oracle_matches_independent_solves(monkeypatch, config):
+    """The oracle solves a scan grid in order, each field starting from the
+
+    previous field's vector, and finds what a solve of each field alone
+    finds.  Only the first field starts from the fixed draw, and on the
+    7-site grid also the first field at h >= 0, where the spin-flip parity of
+    the ground state changes sign and the previous vector has no weight in
+    the new sector."""
+    starts = []
+    lanczos = linalg.lanczos_lowest
+
+    def spy(matvec, start):
+        starts.append(start)
+        return lanczos(matvec, start)
+
+    monkeypatch.setattr(linalg, "lanczos_lowest", spy)
+    problem = harness._pec_problem(config)
+    n = config.n_sites
+    draw = np.random.default_rng(0).standard_normal(2**n)
+    sectors = [d / np.linalg.norm(d) for d in (draw + draw[::-1], draw - draw[::-1])]
+    fresh = [i for i, x in enumerate(starts)
+             if max(abs(np.vdot(x, d)) for d in sectors) >= (1 - 1e-12) * np.linalg.norm(x)]
+    expected = [0]
+    if problem.grid[0] < 0:
+        expected.append(int(np.argmax(problem.grid >= 0)))
+    assert fresh == expected
+    for h, energy, state in zip(problem.grid, problem.exact_energies, problem.exact_states):
+        spec = SpinChainSpec("tfim", n, coupling=config.coupling_j, field=h)
+        [(ref_energy, ref_state)] = spin_chain_ground_states([spec])
+        assert abs(energy - ref_energy) <= 1e-12
+        assert abs(np.vdot(ref_state, state)) ** 2 >= 1 - 1e-12
+
+
+def test_the_pec_oracle_costs_what_the_readme_says(monkeypatch):
+    """The README's ``pec_comparison`` section states these counts: the 21
+
+    fields of the grid take 527 matrix-vector products at the defaults and
+    918 at 8 sites (1194 and 1815 when every field started from the same
+    random vector)."""
+    calls = 0
+    build = models.spin_chain_matvec
+
+    def counting(spec):
+        matvec = build(spec)
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return matvec(x)
+        return counted
+
+    monkeypatch.setattr(models, "spin_chain_matvec", counting)
+    counts = []
+    for n_sites in (6, 8):
+        calls = 0
+        harness._pec_problem(PecComparisonConfig(n_sites=n_sites))
+        counts.append(calls)
+    assert counts == [527, 918]
+
+
 def test_grid_search_prefers_zero_on_ties_and_never_loses():
     cfg = small_pec_config(n_fields=5, grid_search=True,
                            gamma1_grid=(0.0, 50.0), gamma2_grid=(0.0,),
@@ -633,7 +698,7 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     assert report_digests(report) == (
         "5769f3b69888c3a84417bfcaac9d8f92f6d945d285fdb6b9e477efe1edc558dd",
         "49cefe6e0af779f3d92126859aaf837c835a7b172319cff0d94fb22ddbc852ab")
-    points = "cc711e5becd5884744c0c906d79f06515e78af1879c244cb074ab58ad6b6a70c"
+    points = "119729789a72415972e7b49247d8f80397287956ff342b8c56a701413b255b19"
     assert {a.name: hashlib.sha256(a.csv_bytes()).hexdigest()
             for a in report.attachments} == {
         "pec_comparison_points_standard": points,
@@ -641,7 +706,7 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
         "pec_comparison_points_categorified": points,
         "pec_comparison_points_higher_categorical": points,
         "pec_comparison_gridsearch":
-            "19304c89aa174318623583478a6103e031e1fc60185ed7aafdb53d661a774886"}
+            "4eb2f515b02efe845cf14a1a356e109fdb6015960da7a900df4f468d3356e230"}
 
 
 def test_eight_site_pec_without_search_costs_what_the_readme_says(monkeypatch):
@@ -691,9 +756,9 @@ def test_eight_site_pec_report_keeps_its_bytes():
     its bundled OpenBLAS, at 1 and 2 BLAS threads."""
     report = run_experiment(PecComparisonConfig(n_sites=8, grid_search=False))
     assert report_digests(report) == (
-        "1732c19ebd13e592d938ded2fa56ed4dc33d061dce752b6acecdf793001ea984",
-        "9ccba4cca78b73e63c012603c1ef9d649a78e96c0c527f21f49a2a3dede102f8")
-    points = "8811486aad6addf5907203b9538aa17b79c848cde2a7dd4e5ee50ce0ca7b2bd8"
+        "0d8c1387299755fd25e32918afcd4c54de39625d48c01533684d82297045d52b",
+        "611421b67de074c8a04c42140179658e41302fe855cafd475b630fa27be97bb3")
+    points = "84c73fb74271a8b4809b0057f78f1759edf4e322c782e514fdf38873d824aa24"
     assert {a.name: hashlib.sha256(a.csv_bytes()).hexdigest()
             for a in report.attachments} == {
         f"pec_comparison_points_{name}": points

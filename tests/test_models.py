@@ -22,13 +22,13 @@ from udmrg.models import (
     gaussian_transition_probability,
     midpoint_schedule,
     propagate,
-    spin_chain_ground_state,
+    spin_chain_ground_states,
     spin_chain_matvec,
     two_level_hamiltonian,
 )
 from udmrg.mps import mpo_to_dense
 
-from helpers import assert_same_eigenpair, landau_zener_reference
+from helpers import assert_same_eigenpair, free_fermion_tfim_energy, landau_zener_reference
 
 
 def linear_sweep_hamiltonian(v, coupling, t):
@@ -383,7 +383,7 @@ def test_ground_state_matches_dense_eigh(spec):
 
     fail the Heisenberg chain (the uniform vector is its highest level) and
     the TFIM at h < 0 and odd n (its ground state is odd under the spin flip)."""
-    energy, state = spin_chain_ground_state(spec)
+    [(energy, state)] = spin_chain_ground_states([spec])
     w, v = np.linalg.eigh(dense_spin_chain(spec))
     assert w[1] - w[0] > 1e-3  # non-degenerate, so the vector is determined
     assert abs(energy - w[0]) <= 1e-12
@@ -396,7 +396,7 @@ def test_ground_energy_of_degenerate_chains():
     for spec in (SpinChainSpec(kind="heisenberg", n_sites=7, coupling=1.0),
                  SpinChainSpec(kind="heisenberg", n_sites=6, coupling=-1.0),
                  SpinChainSpec(kind="tfim", n_sites=5, coupling=1.3, field=0.0)):
-        energy, _ = spin_chain_ground_state(spec)
+        [(energy, _)] = spin_chain_ground_states([spec])
         w = np.linalg.eigvalsh(dense_spin_chain(spec))
         assert abs(energy - w[0]) <= 1e-12, spec
 
@@ -404,17 +404,47 @@ def test_ground_energy_of_degenerate_chains():
 def test_unconverged_ground_state_raises(monkeypatch):
     monkeypatch.setattr(linalg, "LANCZOS_RESTARTS", 0)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        spin_chain_ground_state(SpinChainSpec(kind="tfim", n_sites=6, field=1.0))
+        spin_chain_ground_states([SpinChainSpec(kind="tfim", n_sites=6, field=1.0)])
 
 
-def test_an_ordered_chain_that_does_not_converge_names_its_field_as_a_number():
+def test_an_ordered_chain_that_does_not_converge_names_its_field_as_a_number(monkeypatch):
     """Deep in the ordered phase the two lowest TFIM states are nearly
-    degenerate: at 9 sites and h = 0.1 the oracle runs out of Lanczos
-    cycles.  A field taken from a numpy grid prints as a plain number."""
+    degenerate, but they lie in opposite spin-flip sectors: at 9 sites and
+    h = 0.1 the oracle, started in the ground state's sector, converges to
+    the free-fermion energy.  When it runs out of Lanczos cycles, a field
+    taken from a numpy grid prints as a plain number."""
     spec = SpinChainSpec(kind="tfim", n_sites=9, coupling=1.0, field=np.float64(0.1))
+    [(energy, _)] = spin_chain_ground_states([spec])
+    assert abs(energy - free_fermion_tfim_energy(9, 1.0, 0.1)) <= 1e-10
+    monkeypatch.setattr(linalg, "LANCZOS_RESTARTS", 0)
     with pytest.raises(np.linalg.LinAlgError,
                        match=re.escape("9-site tfim chain (J=1.0, h=0.1) did not converge")):
-        spin_chain_ground_state(spec)
+        spin_chain_ground_states([spec])
+
+
+@pytest.mark.parametrize("n_sites, coupling, field", [
+    (n, 1.0, h) for n in (2, 5, 8, 9, 10, 12) for h in (-1.3, -0.4, 0.7)
+] + [(9, 1.0, -0.1), (7, -0.8, 0.6), (9, 1.0, 0.1), (10, 1.0, 0.2), (12, 1.0, 0.3)])
+def test_tfim_oracle_matches_free_fermions(n_sites, coupling, field):
+    """The oracle's energy is the free-fermion one to 1e-10 on both sides of
+    h = 0, odd chains at h < 0 (whose ground state is odd under the spin
+    flip) and the ordered phase included."""
+    spec = SpinChainSpec(kind="tfim", n_sites=n_sites, coupling=coupling, field=field)
+    [(energy, _)] = spin_chain_ground_states([spec])
+    assert abs(energy - free_fermion_tfim_energy(n_sites, coupling, field)) <= 1e-10
+
+
+@pytest.mark.parametrize("n_sites", [5, 6, 7, 8])
+@pytest.mark.parametrize("coupling", [1.0, -1.0])
+def test_heisenberg_oracle_starts_in_the_ground_sz_sector(n_sites, coupling):
+    """The Heisenberg oracle solves in the sector of ``n // 2`` down spins:
+    its energy is the dense lowest level for both signs of J, and its vector
+    has S^z = 0 (even n) or +1/2 (odd n, one member of the ground doublet)."""
+    spec = SpinChainSpec(kind="heisenberg", n_sites=n_sites, coupling=coupling)
+    [(energy, state)] = spin_chain_ground_states([spec])
+    assert abs(energy - np.linalg.eigvalsh(dense_spin_chain(spec))[0]) <= 1e-12
+    down = np.array([bin(i).count("1") for i in range(2**n_sites)])
+    assert np.all(state[down != n_sites // 2] == 0)
 
 
 @pytest.mark.parametrize("spec", [
@@ -425,7 +455,7 @@ def test_real_chains_have_real_mpos_and_real_ground_states(spec):
     """Both chains are real in the sz basis: the MPO is float64, and so is the
     exact ground vector, which matches dense ``eigh`` to 1e-12."""
     assert {w.dtype for w in build_spin_chain_mpo(spec).tensors} == {np.dtype(np.float64)}
-    energy, state = spin_chain_ground_state(spec)
+    [(energy, state)] = spin_chain_ground_states([spec])
     assert state.dtype == np.float64
     w, v = np.linalg.eigh(dense_spin_chain(spec))
     assert_same_eigenpair(energy, state, w[0], v[:, 0], tol=1e-12)
