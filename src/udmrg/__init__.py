@@ -12,6 +12,7 @@ from .dmrg import (
     DmrgResult,
     ScanPointRecord,
     SweepConfig,
+    TrajectoryTree,
     TruncationRecord,
     continuation_scan,
     effective_hamiltonian,

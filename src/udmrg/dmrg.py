@@ -38,21 +38,22 @@ records probabilities and cross-point overlap matrices -- the gauge-invariant
 content -- rather than raw eigenvector tracks.  Branches are identified
 across points by their descending-weight rank; mismatched bond dimensions
 are padded with zero-probability states.  A scan diagonalizes nothing
-densely: a caller that already holds the exact ground states passes them as
-``oracle`` and gets the per-point fidelities back.
+densely: a caller that already holds the exact ground states passes them to
+the scan's :class:`TrajectoryTree` as ``oracle`` and gets the per-point
+fidelities back.
 
-The scans of one problem -- same family, grid, start state, sweep budget
-and oracle, different truncation policies -- can share their solves through a
-:class:`TrajectoryTree`.  A two-site step's result depends only on the state
-it starts from and the states it keeps, so a scan whose policy keeps, at
-every local step of a point, exactly the states an earlier scan kept there
-follows that scan bit for bit.  The tree holds every point solved for real,
-and its nodes carry everything about the point that no policy changes: its
-truncation records -- each step's singular values, charges and kept set (the
-path fixes the charge context, the node fixes the step's Schmidt states) --
-and its frozen gauge record.  A scan sharing the tree replays a node by
-selection alone -- weights and kept sets from the recorded singular values
-and charges, with no eigensolve, SVD or charge evaluation -- and adopts the
+A :class:`TrajectoryTree` states one scan problem -- family, grid, start
+state, sweep budget and oracle -- and :func:`continuation_scan` solves it
+under one truncation policy.  A two-site step's result depends only on the
+state it starts from and the states it keeps, so a scan whose policy keeps,
+at every local step of a point, exactly the states an earlier scan kept
+there follows that scan bit for bit.  The tree holds every point solved for
+real, and its nodes carry everything about the point that no policy changes:
+its truncation records -- each step's singular values, charges and kept set
+(the path fixes the charge context, the node fixes the step's Schmidt
+states) -- and its frozen gauge record.  A scan replays a node by selection
+alone -- weights and kept sets from the recorded singular values and
+charges, with no eigensolve, SVD or charge evaluation -- and adopts the
 point when every kept set agrees; otherwise it solves the point itself and
 adds it to the tree.
 
@@ -382,13 +383,9 @@ class _ChargeContext:
     untouched) reuses it.
     """
 
-    def __init__(self, references: Sequence[_TrajectoryNode], spacings: Sequence[float]):
-        if len(references) not in (1, 2) or len(references) != len(spacings):
-            raise ValueError("context needs one or two references with spacings")
-        self.references = list(references)
-        self.spacings = [float(h) for h in spacings]
-        if any(h <= 0 for h in self.spacings):
-            raise ValueError("grid spacings must be positive")
+    def __init__(self, references: list[_TrajectoryNode], spacings: list[float]):
+        self.references = references
+        self.spacings = spacings
         self._cache: list[list[np.ndarray]] = []
 
     def begin_sweep(self) -> None:
@@ -614,50 +611,44 @@ class _TrajectoryNode:
     children: list["_TrajectoryNode"] = field(default_factory=list)
 
 
-def _arrays_equal(a: Optional[Sequence[np.ndarray]],
-                  b: Optional[Sequence[np.ndarray]]) -> bool:
-    if a is None or b is None:
-        return a is b
-    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
 class TrajectoryTree:
-    """Solved scan points shared by the continuation scans of one problem.
+    """One scan problem and the points its continuation scans solved.
+
+    The problem is a family ``h -> MPO``, a strictly increasing ``grid``, a
+    start state ``init``, a sweep budget (``num_sweeps`` and
+    ``energy_tol``) and, optionally, an ``oracle``: the exact normalized
+    ground state of every grid point as a dense vector.  The tree checks the
+    grid and the oracle's length once, here, and keeps read-only copies of
+    the grid, of ``init``'s tensors and of the oracle vectors, so no later
+    change to the caller's arrays reaches a scan.
 
     A node is one point some scan solved for real: its result with the
     truncation record of every local step (charged only at steps where the
     solving policy had a choice), its left-canonical state and per-bond
-    Schmidt data, its fidelity, and its gauge record.  A
-    path from the root is one distinct trajectory; its branches are where
-    two policies first kept different states.  The first scan pins the
-    problem (family object, grid, initial state, sweep budget ``num_sweeps``
-    and ``energy_tol``, oracle); a scan of any other problem raises
-    ``ValueError``.
+    Schmidt data, its fidelity, and its gauge record.  A path from the root
+    is one distinct trajectory; its branches are where two policies first
+    kept different states.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, family: Callable[[float], MatrixProductOperator], grid,
+                 init: MatrixProductState, num_sweeps: int, energy_tol: float,
+                 oracle: Optional[Sequence[np.ndarray]] = None) -> None:
+        grid = np.array(grid, dtype=float)
+        if grid.ndim != 1 or grid.size == 0:
+            raise ValueError("scan grid must be a non-empty 1-d array")
+        if grid.size > 1 and np.any(np.diff(grid) <= 0):
+            raise ValueError("scan grid must be strictly increasing")
+        if oracle is not None and len(oracle) != grid.size:
+            raise ValueError(
+                f"oracle holds {len(oracle)} states for {grid.size} grid points")
+        self.family = family
+        self.grid = grid
+        self.init = MatrixProductState([np.array(t) for t in init.tensors], init.center)
+        self.num_sweeps = num_sweeps
+        self.energy_tol = energy_tol
+        self.oracle = None if oracle is None else [np.array(v) for v in oracle]
+        _read_only([grid, *self.init.tensors, *(self.oracle or ())])
         self.children: list[_TrajectoryNode] = []
-        self._pinned: Optional[tuple] = None
-
-    def pin(self, family, grid: np.ndarray, cfg: SweepConfig,
-            init: MatrixProductState,
-            oracle: Optional[Sequence[np.ndarray]]) -> None:
-        """Record the problem on first use; refuse any other problem later."""
-        if self._pinned is None:
-            self._pinned = (family, grid.copy(), cfg,
-                            [t.copy() for t in init.tensors],
-                            None if oracle is None else [np.array(v) for v in oracle])
-            return
-        pinned_family, pinned_grid, pinned_cfg, pinned_init, pinned_oracle = self._pinned
-        for name, same in (
-            ("family", family is pinned_family),
-            ("grid", np.array_equal(grid, pinned_grid)),
-            ("budget", replace(cfg, policy=pinned_cfg.policy) == pinned_cfg),
-            ("initial state", _arrays_equal(init.tensors, pinned_init)),
-            ("oracle", _arrays_equal(oracle, pinned_oracle)),
-        ):
-            if not same:
-                raise ValueError(f"the trajectory tree holds scans of another {name}")
 
 
 def _replays(node: _TrajectoryNode, cfg: SweepConfig) -> bool:
@@ -723,49 +714,34 @@ def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
                            fidelity=fidelity)
 
 
-def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
-                      cfg: SweepConfig, init: MatrixProductState,
-                      oracle: Optional[Sequence[np.ndarray]] = None,
-                      shared: Optional[TrajectoryTree] = None) -> ContinuationScan:
-    """Solve a Hamiltonian family along ``grid``, warm-starting each point.
+def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy) -> ContinuationScan:
+    """Solve ``tree``'s problem under ``policy``, warm-starting each point.
 
     The first point always uses the standard policy (there is no earlier
-    point to difference against); later points use ``cfg.policy`` with
-    charges from backward stencils over the previous one or two converged
-    points.  ``oracle``, when given, holds the exact normalized ground state
-    of every grid point as a dense vector; the scan then records each
-    point's fidelity ``|<oracle|psi>|^2`` with it.  The scan diagonalizes
-    nothing densely itself: the caller owns the oracle and its cost.
+    point to difference against); later points use ``policy`` with charges
+    from backward stencils over the previous one or two converged points.
+    With an oracle, the scan records each point's fidelity
+    ``|<oracle|psi>|^2``.  The scan diagonalizes nothing densely itself: the
+    caller owns the oracle and its cost.
 
-    ``shared``, when given, is a :class:`TrajectoryTree` that the scans of
-    one problem pass in turn.  At each point the scan replays the tree's
-    solved points by selection alone and adopts the first whose every local
-    step keeps the states its own policy keeps, taking that point's
-    truncation records as they are, less the charges of steps where its own
-    policy has no choice; otherwise it solves the point itself.  Each point
-    is held once, by its node: the result, the left-canonical state and
-    per-bond Schmidt data the next two points charge against, the fidelity,
-    and the gauge record, computed once and shared, frozen.  The
-    result is identical to a scan without the tree, and no two scans share a
-    list or a writable array.  A scan of another problem than the one the
-    tree was first used for raises ``ValueError``.
+    At each point the scan replays the tree's solved points by selection
+    alone and adopts the first whose every local step keeps the states its
+    own policy keeps, taking that point's truncation records as they are,
+    less the charges of steps where its own policy has no choice; otherwise
+    it solves the point itself and adds it to the tree.  Each point is held
+    once, by its node: the result, the left-canonical state and per-bond
+    Schmidt data the next two points charge against, the fidelity, and the
+    gauge record, computed once and shared, frozen.  The result is identical
+    to a scan through a fresh tree of the same problem, and no two scans
+    share a list or a writable array.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("scan grid must be a non-empty 1-d array")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise ValueError("scan grid must be strictly increasing")
-    if oracle is not None and len(oracle) != grid.size:
-        raise ValueError(
-            f"oracle holds {len(oracle)} states for {grid.size} grid points")
-    if shared is not None:
-        shared.pin(family, grid, cfg, init, oracle)
-
+    grid, oracle = tree.grid, tree.oracle
+    cfg = SweepConfig(num_sweeps=tree.num_sweeps, energy_tol=tree.energy_tol,
+                      policy=policy)
     results: list[DmrgResult] = []
     nodes: list[_TrajectoryNode] = []
-    start = init
-    # without a shared tree the scan walks a private one that never branches
-    parent = shared if shared is not None else TrajectoryTree()
+    start = tree.init
+    parent = tree
 
     for k, value in enumerate(grid):
         # the standard kind reads no coefficient
@@ -777,8 +753,8 @@ def continuation_scan(family: Callable[[float], MatrixProductOperator], grid,
         node = next((child for child in parent.children if _replays(child, point_cfg)),
                     None)
         if node is None:
-            node = _solve_point(family(float(value)), start, point_cfg, history, spacings,
-                                None if oracle is None else oracle[k])
+            node = _solve_point(tree.family(float(value)), start, point_cfg, history,
+                                spacings, None if oracle is None else oracle[k])
             parent.children.append(node)
         shared_state = node.result.state
         result = replace(node.result,

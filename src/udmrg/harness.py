@@ -14,12 +14,13 @@ Four experiments, each configured by its own frozen dataclass (see
     transverse-field Ising chain across its critical point under four
     truncation methods at equal bond budget, with per-method errors against
     the exact ground state (one matrix-free Lanczos solve per field, each
-    starting from the previous field's, shared by every scan), optional coefficient grid search (grids must contain
-    zero, so the searched methods can never do worse than standard), and
-    improvement percentages recomputed from the recorded errors.  A method
-    whose policy, searched or configured, has all coefficients and cutoff 0
-    reuses the standard scan.  The scans of one run share their solved
-    points through a :class:`~udmrg.dmrg.TrajectoryTree`: a policy that
+    starting from the previous field's, shared by every scan), optional
+    coefficient grid search (grids must contain zero, so the searched
+    methods can never do worse than standard), and improvement percentages
+    recomputed from the recorded errors.  A method whose policy, searched or
+    configured, has all coefficients and cutoff 0 reuses the standard scan.
+    One :class:`~udmrg.dmrg.TrajectoryTree` states the scan problem of a
+    run, and every scan solves it, sharing its solved points: a policy that
     keeps the states an earlier scan kept at every local step of a point
     adopts that point instead of solving it again, which changes no report
     byte.  Each points table scores its policy's augmented objective ``E +
@@ -53,7 +54,7 @@ import functools
 import typing
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Callable, ClassVar, Optional, Sequence
+from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -656,22 +657,20 @@ def _window_holds_a_grid_point(cfg: PecComparisonConfig) -> bool:
 class _PecProblem:
     """What every scan of one pec_comparison run shares.
 
-    The field grid and its crossing-window mask, the MPO family, the
-    exact energies and ground states (the fidelity oracle), and the
-    trajectory tree through which the scans share their solved points
-    (``None`` makes every scan solve every point itself).
+    The field grid and its crossing-window mask, the exact energies, and
+    the trajectory tree that states the scan problem: the MPO family, the
+    grid, the random start state, the sweep budget and the exact ground
+    states (the fidelity oracle).
     """
 
     grid: np.ndarray
-    family: Callable
     exact_energies: np.ndarray
-    exact_states: list[np.ndarray]
     window: np.ndarray
-    trajectories: Optional[TrajectoryTree]
+    tree: TrajectoryTree
 
 
 def _pec_problem(cfg: PecComparisonConfig) -> _PecProblem:
-    """Field grid, MPO family and one exact ground state per field."""
+    """Field grid, exact ground states and the tree of the run's scans."""
     grid, window = _pec_grid(cfg)
 
     def spec(h: float) -> SpinChainSpec:
@@ -681,25 +680,15 @@ def _pec_problem(cfg: PecComparisonConfig) -> _PecProblem:
         return build_spin_chain_mpo(spec(h))
 
     exact = spin_chain_ground_states([spec(h) for h in grid])
-    return _PecProblem(grid=grid, family=family,
-                       exact_energies=np.array([e for e, _ in exact]),
-                       exact_states=[v for _, v in exact], window=window,
-                       trajectories=TrajectoryTree())
+    init = random_mps(np.random.default_rng(cfg.seed), [2] * cfg.n_sites, cfg.max_bond)
+    return _PecProblem(grid=grid, exact_energies=np.array([e for e, _ in exact]),
+                       window=window,
+                       tree=TrajectoryTree(family, grid, init, cfg.num_sweeps,
+                                           cfg.energy_tol, oracle=[v for _, v in exact]))
 
 
 def _standard_policy(cfg: PecComparisonConfig) -> TruncationPolicy:
     return TruncationPolicy(kind="standard", max_kept=cfg.max_bond)
-
-
-def _scan_for_policy(cfg: PecComparisonConfig, problem: _PecProblem,
-                     policy: TruncationPolicy) -> ContinuationScan:
-    rng = np.random.default_rng(cfg.seed)
-    init = random_mps(rng, [2] * cfg.n_sites, cfg.max_bond)
-    sweep_cfg = SweepConfig(num_sweeps=cfg.num_sweeps, energy_tol=cfg.energy_tol,
-                            policy=policy)
-    return continuation_scan(problem.family, problem.grid, sweep_cfg, init=init,
-                             oracle=problem.exact_states,
-                             shared=problem.trajectories)
 
 
 def _scan_errors(scan: ContinuationScan, problem: _PecProblem) -> np.ndarray:
@@ -772,7 +761,7 @@ def grid_search_coefficients(cfg: PecComparisonConfig, problem: _PecProblem,
         for i, policy in enumerate(_candidate_policies(kind, cfg)):
             nonzero = int(any((policy.gamma1, policy.gamma2, policy.lambda1,
                                policy.lambda2, policy.cutoff)))
-            scan = _scan_for_policy(cfg, problem, policy) if nonzero else standard
+            scan = continuation_scan(problem.tree, policy) if nonzero else standard
             scored.append((_scan_objective(cfg, scan, problem), nonzero, i, policy, scan))
         best = min(scored, key=lambda s: s[:3])
         label = METHOD_LABELS[kind]
@@ -818,7 +807,7 @@ def run_pec_comparison(cfg: PecComparisonConfig) -> ScanReport:
         raise ValueError(f"config is for {cfg.kind!r}, not pec_comparison")
     problem = _pec_problem(cfg)
     standard_policy = _standard_policy(cfg)
-    standard_scan = _scan_for_policy(cfg, problem, standard_policy)
+    standard_scan = continuation_scan(problem.tree, standard_policy)
     search = grid_search_coefficients(cfg, problem, standard_scan)
     policies = {"standard": standard_policy, **search.best_policies}
     scans = {"standard": standard_scan, **search.best_scans}

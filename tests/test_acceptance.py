@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from udmrg import dmrg
-from udmrg.dmrg import SweepConfig, continuation_scan
+from udmrg.dmrg import TrajectoryTree, continuation_scan
 from udmrg.harness import (
     CrossingScanConfig,
     DmrgBenchmarkConfig,
@@ -145,10 +145,9 @@ def test_zero_coefficient_policies_are_exactly_degenerate():
     energies = {}
     kept = {}
     for kind in POLICY_KINDS:
-        cfg = SweepConfig(num_sweeps=12, energy_tol=1e-9,
-                          policy=TruncationPolicy(kind=kind, max_kept=4))
         init = random_mps(np.random.default_rng(7), [2] * 6, 4)
-        scan = continuation_scan(family, grid, cfg, init=init)
+        scan = continuation_scan(TrajectoryTree(family, grid, init, 12, 1e-9),
+                                 TruncationPolicy(kind=kind, max_kept=4))
         energies[kind] = np.array([r.energy for r in scan.results])
         kept[kind] = [rec.kept.tolist() for r in scan.results
                       for rec in r.truncation_log]

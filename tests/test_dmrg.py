@@ -433,9 +433,9 @@ def test_sweeps_build_only_the_environments_their_steps_read(monkeypatch, n_site
     monkeypatch.setattr(dmrg, "extend_right_env", counting("right", dmrg.extend_right_env))
     monkeypatch.setattr(dmrg._ChargeContext, "advance",
                         counting("advance", dmrg._ChargeContext.advance))
-    cfg = SweepConfig(num_sweeps=6, energy_tol=1e-9, policy=TruncationPolicy(max_kept=2))
-    scan = continuation_scan(tfim_family(n_sites), np.linspace(0.8, 1.2, 3), cfg,
-                             init=random_mps(np.random.default_rng(3), [2] * n_sites, 2))
+    init = random_mps(np.random.default_rng(3), [2] * n_sites, 2)
+    scan = continuation_scan(TrajectoryTree(tfim_family(n_sites), np.linspace(0.8, 1.2, 3),
+                                            init, 6, 1e-9), TruncationPolicy(max_kept=2))
     sweeps = [len(res.sweep_energies) for res in scan.results]
     assert sum(sweeps) > len(sweeps)
     # the first point has no charge context to advance
@@ -478,14 +478,13 @@ def test_non_convergence_is_flagged_not_raised():
 
 def test_scan_grid_validation():
     family = tfim_family(4)
-    cfg = SweepConfig(policy=TruncationPolicy(max_kept=4))
     init = random_mps(np.random.default_rng(7), [2] * 4, 4)
     with pytest.raises(ValueError, match="non-empty"):
-        continuation_scan(family, [], cfg, init=init)
+        TrajectoryTree(family, [], init, 12, 1e-9)
     with pytest.raises(ValueError, match="strictly increasing"):
-        continuation_scan(family, [1.0, 1.0, 1.2], cfg, init=init)
+        TrajectoryTree(family, [1.0, 1.0, 1.2], init, 12, 1e-9)
     with pytest.raises(TypeError, match="init"):
-        continuation_scan(family, [0.8, 1.0], cfg)
+        TrajectoryTree(family, [0.8, 1.0], num_sweeps=12, energy_tol=1e-9)
 
 
 def tfim_ground_states(n_sites, grid):
@@ -497,10 +496,9 @@ def tfim_ground_states(n_sites, grid):
 def test_scan_tracks_exact_ground_states_at_full_rank():
     family = tfim_family(4)
     grid = np.array([0.6, 0.8, 1.0, 1.2])
-    cfg = SweepConfig(num_sweeps=10, energy_tol=1e-11, policy=TruncationPolicy(max_kept=4))
     init = random_mps(np.random.default_rng(8), [2] * 4, 4)
-    scan = continuation_scan(family, grid, cfg, init=init,
-                             oracle=tfim_ground_states(4, grid))
+    tree = TrajectoryTree(family, grid, init, 10, 1e-11, oracle=tfim_ground_states(4, grid))
+    scan = continuation_scan(tree, TruncationPolicy(max_kept=4))
     assert len(scan.results) == 4
     assert scan.fidelity_to_oracle is not None
     for k, value in enumerate(grid):
@@ -515,9 +513,8 @@ def test_scan_first_point_runs_without_charge_tracking():
     grid = np.array([0.8, 1.0, 1.2])
     policy = TruncationPolicy(kind="coherence_eigenvalue", gamma1=0.2,
                               lambda1=0.1, max_kept=4)
-    cfg = SweepConfig(num_sweeps=8, energy_tol=1e-10, policy=policy)
     init = random_mps(np.random.default_rng(9), [2] * 4, 4)
-    scan = continuation_scan(family, grid, cfg, init=init)
+    scan = continuation_scan(TrajectoryTree(family, grid, init, 8, 1e-10), policy)
     first = scan.records[0]
     assert all(np.all(q == 0.0) for q in first.bond_charges1)
     assert all(np.all(q == 0.0) for q in first.bond_charges2)
@@ -536,10 +533,9 @@ def test_zero_coefficient_policies_share_one_trajectory():
     energies = {}
     kept_sets = {}
     for kind in POLICY_KINDS:
-        cfg = SweepConfig(num_sweeps=8, energy_tol=1e-10,
-                          policy=TruncationPolicy(kind=kind, max_kept=4))
         init = random_mps(np.random.default_rng(10), [2] * 4, 4)
-        scan = continuation_scan(family, grid, cfg, init=init)
+        scan = continuation_scan(TrajectoryTree(family, grid, init, 8, 1e-10),
+                                 TruncationPolicy(kind=kind, max_kept=4))
         energies[kind] = [r.energy for r in scan.results]
         kept_sets[kind] = [rec.kept.tolist()
                            for r in scan.results
@@ -557,10 +553,9 @@ def test_a_constant_family_has_no_gauge_penalty_or_charge(max_kept):
     so the coherence and curvature penalties and every bond charge vanish to
     roundoff squared (measured at most 3.1e-26, 2.0e-23 and 3.6e-23)."""
     mpo = tfim_family(6)(1.0)
-    cfg = SweepConfig(num_sweeps=10, energy_tol=1e-10,
-                      policy=TruncationPolicy(max_kept=max_kept))
     init = random_mps(np.random.default_rng(13), [2] * 6, max_kept)
-    scan = continuation_scan(lambda _: mpo, np.linspace(0.8, 1.2, 5), cfg, init=init)
+    tree = TrajectoryTree(lambda _: mpo, np.linspace(0.8, 1.2, 5), init, 10, 1e-10)
+    scan = continuation_scan(tree, TruncationPolicy(max_kept=max_kept))
     for rec in scan.records:
         assert 0.0 <= rec.coherence_penalty <= 1e-20
         assert abs(rec.curvature_penalty) <= 1e-20
@@ -571,9 +566,9 @@ def test_a_constant_family_has_no_gauge_penalty_or_charge(max_kept):
 def test_scan_disables_oracle_when_requested():
     family = tfim_family(4)
     grid = np.array([0.9, 1.1])
-    cfg = SweepConfig(policy=TruncationPolicy(max_kept=4))
     init = random_mps(np.random.default_rng(12), [2] * 4, 4)
-    scan = continuation_scan(family, grid, cfg, init=init)
+    scan = continuation_scan(TrajectoryTree(family, grid, init, 12, 1e-9),
+                             TruncationPolicy(max_kept=4))
     assert scan.fidelity_to_oracle is None
 
 
@@ -585,10 +580,9 @@ def test_scan_oracle_fidelities_match_a_per_point_dense_reference():
     itself."""
     family = tfim_family(6)
     grid = np.linspace(0.8, 1.2, 5)
-    cfg = SweepConfig(num_sweeps=8, energy_tol=1e-9, policy=TruncationPolicy(max_kept=4))
     init = random_mps(np.random.default_rng(13), [2] * 6, 4)
-    scan = continuation_scan(family, grid, cfg, init=init,
-                             oracle=tfim_ground_states(6, grid))
+    tree = TrajectoryTree(family, grid, init, 8, 1e-9, oracle=tfim_ground_states(6, grid))
+    scan = continuation_scan(tree, TruncationPolicy(max_kept=4))
     reference = []
     for value, result in zip(grid, scan.results):
         _, vecs = exact_diagonalization(mpo_to_dense(family(float(value))), k=1)
@@ -597,8 +591,7 @@ def test_scan_oracle_fidelities_match_a_per_point_dense_reference():
         reference.append(float(np.abs(np.vdot(vecs[:, 0], dense)) ** 2))
     assert scan.fidelity_to_oracle == reference
     with pytest.raises(ValueError, match="oracle holds 4 states for 5 grid points"):
-        continuation_scan(family, grid, cfg, init=init,
-                          oracle=tfim_ground_states(6, grid[:4]))
+        TrajectoryTree(family, grid, init, 8, 1e-9, oracle=tfim_ground_states(6, grid[:4]))
 
 
 def test_scan_local_solves_see_no_subnormal_entries(monkeypatch):
@@ -618,10 +611,8 @@ def test_scan_local_solves_see_no_subnormal_entries(monkeypatch):
 
     monkeypatch.setattr(dmrg, "_lowest_eigenpair", spy)
     init = complex_random_mps(np.random.default_rng(7), [2] * 4, 4)
-    continuation_scan(tfim_family(4), np.linspace(0.5, 1.5, 9),
-                      SweepConfig(num_sweeps=12, energy_tol=1e-9,
-                                  policy=TruncationPolicy(max_kept=4)),
-                      init=init)
+    tree = TrajectoryTree(tfim_family(4), np.linspace(0.5, 1.5, 9), init, 12, 1e-9)
+    continuation_scan(tree, TruncationPolicy(max_kept=4))
     assert subnormal and sum(subnormal) == 0
 
 
@@ -669,15 +660,15 @@ def test_a_real_mpo_scans_like_its_complex_twin(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(dmrg, "effective_hamiltonian", spy)
-    cfg = SweepConfig(num_sweeps=8, energy_tol=1e-9, policy=TruncationPolicy(
-        kind="coherence_eigenvalue", lambda1=50.0, max_kept=3))
+    policy = TruncationPolicy(kind="coherence_eigenvalue", lambda1=50.0, max_kept=3)
     oracle = tfim_ground_states(6, grid)
     scans, solves = [], []
     init = random_mps(np.random.default_rng(14), [2] * 6, 3)
     phased = MatrixProductState([np.exp(0.3j) * init.tensors[0]] + init.tensors[1:])
     for family, start in ((real, init), (twin, phased)):
         dtypes.clear()
-        scans.append(continuation_scan(family, grid, cfg, init=start, oracle=oracle))
+        scans.append(continuation_scan(
+            TrajectoryTree(family, grid, start, 8, 1e-9, oracle=oracle), policy))
         solves.append(list(dtypes))
     a, b = scans
     kept_a, kept_b = ([[rec.kept.tolist() for rec in r.truncation_log] for r in s.results]
@@ -720,13 +711,15 @@ def tree_oracle():
     return tfim_ground_states(5, _TREE_GRID)
 
 
-def _tree_scan(policy, oracle, shared=None, family=_TREE_FAMILY, grid=_TREE_GRID,
-               seed=5, max_bond=3, num_sweeps=8, draw=random_mps):
+def _tree(oracle, draw=random_mps):
+    """A fresh tree of the 5-site problem, from ``draw``'s seed-5 start."""
+    init = draw(np.random.default_rng(5), [2] * 5, 3)
+    return TrajectoryTree(_TREE_FAMILY, _TREE_GRID, init, 8, 1e-9, oracle=oracle)
+
+
+def _tree_scan(policy, tree, max_bond=3):
     policy = dataclasses.replace(policy, max_kept=min(policy.max_kept, max_bond))
-    cfg = SweepConfig(num_sweeps=num_sweeps, energy_tol=1e-9, policy=policy)
-    init = draw(np.random.default_rng(seed), [2] * 5, 3)
-    return continuation_scan(family, grid, cfg, init=init, oracle=oracle,
-                             shared=shared)
+    return continuation_scan(tree, policy)
 
 
 def _assert_same_scan(a, b):
@@ -765,10 +758,9 @@ def _first_divergence(a, b):
 
 
 def test_scans_through_a_tree_equal_scans_without_it(tree_oracle):
-    tree = TrajectoryTree()
-    shared = [_tree_scan(p, tree_oracle, shared=tree, draw=complex_random_mps)
-              for p in _TREE_POLICIES]
-    own = [_tree_scan(p, tree_oracle, draw=complex_random_mps) for p in _TREE_POLICIES]
+    tree = _tree(tree_oracle, complex_random_mps)
+    shared = [_tree_scan(p, tree) for p in _TREE_POLICIES]
+    own = [_tree_scan(p, _tree(tree_oracle, complex_random_mps)) for p in _TREE_POLICIES]
     for a, b in zip(shared, own):
         _assert_same_scan(a, b)
     # the policies cover every case: staying on the standard trajectory,
@@ -792,14 +784,13 @@ def test_policies_with_a_choice_solve_steps_a_tree_never_charged(tree_oracle):
                 TruncationPolicy(max_kept=2),
                 TruncationPolicy(kind="coherence_eigenvalue_2", lambda1=0.5,
                                  lambda2=0.5, cutoff=0.05)]
-    tree = TrajectoryTree()
+    tree = _tree(tree_oracle)
     branches = []
     for policy in policies:
-        _assert_same_scan(_tree_scan(policy, tree_oracle, shared=tree),
-                          _tree_scan(policy, tree_oracle))
+        _assert_same_scan(_tree_scan(policy, tree), _tree_scan(policy, _tree(tree_oracle)))
         branches.append(len(tree.children))
     assert branches == [1, 1, 2, 2, 3, 4]
-    own = [_tree_scan(p, tree_oracle) for p in policies[:3]]
+    own = [_tree_scan(p, _tree(tree_oracle)) for p in policies[:3]]
     assert _first_divergence(own[0], own[2]) is None
     assert any(rec.charges1 is None for res in own[0].results for rec in res.truncation_log)
     assert all(rec.charges1 is not None for res in own[2].results
@@ -810,11 +801,11 @@ def test_a_scan_adopting_a_charged_point_drops_the_charges_it_never_measures(tre
     """A cutoff-0 scan replays the points a cutoff-1e-12 scan solved, and
 
     holds their records as its own solve would: no charges within the budget."""
-    tree = TrajectoryTree()
-    first = _tree_scan(TruncationPolicy(cutoff=1e-12), tree_oracle, shared=tree)
-    adopted = _tree_scan(TruncationPolicy(), tree_oracle, shared=tree)
+    tree = _tree(tree_oracle)
+    first = _tree_scan(TruncationPolicy(cutoff=1e-12), tree)
+    adopted = _tree_scan(TruncationPolicy(), tree)
     assert len(tree.children) == 1
-    _assert_same_scan(adopted, _tree_scan(TruncationPolicy(), tree_oracle))
+    _assert_same_scan(adopted, _tree_scan(TruncationPolicy(), _tree(tree_oracle)))
     for ra, rb in zip(first.results, adopted.results, strict=True):
         for ta, tb in zip(ra.truncation_log, rb.truncation_log, strict=True):
             assert ta.charges1 is not None
@@ -832,7 +823,7 @@ def test_a_scan_charges_only_steps_with_more_states_than_the_budget(monkeypatch,
         return charges(self, bond, u3, sigma)
 
     monkeypatch.setattr(dmrg._ChargeContext, "charges", spy)
-    scan = _tree_scan(TruncationPolicy(kind="uhlmann", gamma1=5.0), tree_oracle)
+    scan = _tree_scan(TruncationPolicy(kind="uhlmann", gamma1=5.0), _tree(tree_oracle))
     # point 0 has no earlier point to charge against
     over_budget = [rec.singular_values.size for res in scan.results[1:]
                    for rec in res.truncation_log if rec.singular_values.size > 3]
@@ -849,10 +840,9 @@ def test_scans_of_different_budgets_share_a_tree(tree_oracle):
     scans bit for bit.  On five sites no bond exceeds four states, so the
     budgets 4 and 64 keep the same states and share every node."""
     budgets = [2, 3, 4, 64]
-    tree = TrajectoryTree()
-    shared = [_tree_scan(TruncationPolicy(max_kept=k), tree_oracle, shared=tree,
-                         max_bond=64) for k in budgets]
-    own = [_tree_scan(TruncationPolicy(max_kept=k), tree_oracle, max_bond=64)
+    tree = _tree(tree_oracle)
+    shared = [_tree_scan(TruncationPolicy(max_kept=k), tree, max_bond=64) for k in budgets]
+    own = [_tree_scan(TruncationPolicy(max_kept=k), _tree(tree_oracle), max_bond=64)
            for k in budgets]
     for a, b in zip(shared, own):
         _assert_same_scan(a, b)
@@ -878,12 +868,11 @@ def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
             return _fn(*args)
         monkeypatch.setattr(dmrg, name, spy)
     for policy in _TREE_POLICIES:
-        _tree_scan(policy, tree_oracle, draw=complex_random_mps)
+        _tree_scan(policy, _tree(tree_oracle, complex_random_mps))
     independent = len(solves)
     solves.clear()
-    tree = TrajectoryTree()
-    first = [_tree_scan(p, tree_oracle, shared=tree, draw=complex_random_mps)
-             for p in _TREE_POLICIES]
+    tree = _tree(tree_oracle, complex_random_mps)
+    first = [_tree_scan(p, tree) for p in _TREE_POLICIES]
     assert 0 < len(solves) < independent
     # one node per point solved: the standard trajectory, the branch left at
     # point 1, the one both coherence_eigenvalue_2 policies share from point
@@ -896,8 +885,7 @@ def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
     assert nodes == 7 + 6 + 5 + 7 + 7
     solves.clear()
     node_work.clear()
-    again = [_tree_scan(p, tree_oracle, shared=tree, draw=complex_random_mps)
-             for p in _TREE_POLICIES]
+    again = [_tree_scan(p, tree) for p in _TREE_POLICIES]
     assert solves == []
     # charges and gauge records live on the nodes: a replay only selects
     assert node_work == []
@@ -917,9 +905,9 @@ def _scan_arrays(scan):
 
 
 def test_scans_through_a_tree_share_no_mutable_container(tree_oracle):
-    tree = TrajectoryTree()
+    tree = _tree(tree_oracle)
     # the second policy follows the first one's trajectory, re-weighing by charges
-    first, second = [_tree_scan(p, tree_oracle, shared=tree) for p in _TREE_POLICIES[:2]]
+    first, second = [_tree_scan(p, tree) for p in _TREE_POLICIES[:2]]
     shared = [(x, y) for x, y in zip(_scan_arrays(first), _scan_arrays(second), strict=True)
               if np.shares_memory(x, y)]
     assert shared
@@ -954,25 +942,24 @@ def test_scans_through_a_tree_share_no_mutable_container(tree_oracle):
         lst.append(None)
     assert contents(second) == before
     # nor did the appends reach the tree
-    _assert_same_scan(_tree_scan(_TREE_POLICIES[3], tree_oracle, shared=tree),
-                      _tree_scan(_TREE_POLICIES[3], tree_oracle))
+    _assert_same_scan(_tree_scan(_TREE_POLICIES[3], tree),
+                      _tree_scan(_TREE_POLICIES[3], _tree(tree_oracle)))
 
 
-def test_a_tree_refuses_scans_of_another_problem(tree_oracle):
-    tree = TrajectoryTree()
-    _tree_scan(TruncationPolicy(), tree_oracle, shared=tree)
-    with pytest.raises(ValueError, match="another grid"):
-        _tree_scan(TruncationPolicy(), tree_oracle, shared=tree, grid=_TREE_GRID + 0.01)
-    with pytest.raises(ValueError, match="another initial state"):
-        _tree_scan(TruncationPolicy(), tree_oracle, shared=tree, seed=6)
-    with pytest.raises(ValueError, match="another budget"):
-        _tree_scan(TruncationPolicy(), tree_oracle, shared=tree, num_sweeps=9)
-    with pytest.raises(ValueError, match="another family"):
-        _tree_scan(TruncationPolicy(), tree_oracle, shared=tree, family=tfim_family(5))
-    with pytest.raises(ValueError, match="another oracle"):
-        _tree_scan(TruncationPolicy(), None, shared=tree)
-    # another policy on the same problem is what the tree is for
-    _tree_scan(_TREE_POLICIES[2], tree_oracle, shared=tree)
+def test_a_tree_keeps_its_own_copy_of_the_problem(tree_oracle):
+    """Overwriting the caller's grid, start tensors and oracle vectors after
+
+    building a tree reaches none of its scans."""
+    init = random_mps(np.random.default_rng(5), [2] * 5, 3)
+    grid = _TREE_GRID.copy()
+    oracle = [v.copy() for v in tree_oracle]
+    tree = TrajectoryTree(_TREE_FAMILY, grid, init, 8, 1e-9, oracle=oracle)
+    rng = np.random.default_rng(6)
+    for a in (grid, *init.tensors, *oracle):
+        a[...] = rng.standard_normal(a.shape)
+    untouched = _tree(tree_oracle)
+    for policy in _TREE_POLICIES[:3]:
+        _assert_same_scan(_tree_scan(policy, tree), _tree_scan(policy, untouched))
 
 
 @settings(max_examples=80, deadline=None)
@@ -1090,9 +1077,9 @@ def test_engine_contractions_never_reach_np_tensordot(monkeypatch):
     monkeypatch.setattr(dmrg, "lanczos_lowest", counted)
 
     policy = TruncationPolicy(kind="uhlmann", gamma1=0.5, max_kept=2)
-    scan = continuation_scan(tfim_family(4), np.linspace(0.6, 1.4, 5),
-                             SweepConfig(num_sweeps=4, policy=policy),
-                             init=random_mps(np.random.default_rng(2), [2] * 4, 2))
+    init = random_mps(np.random.default_rng(2), [2] * 4, 2)
+    scan = continuation_scan(TrajectoryTree(tfim_family(4), np.linspace(0.6, 1.4, 5), init,
+                                            4, 1e-9), policy)
     assert len(scan.results) == 5
     assert any(rec.charges1 is not None and np.any(rec.charges1)
                for result in scan.results[1:] for rec in result.truncation_log)

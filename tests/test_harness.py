@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from udmrg import dmrg, gauge, harness, linalg, models, spectral, truncation
+from udmrg.dmrg import TrajectoryTree, continuation_scan
 from udmrg.harness import (
     CONFIG_TYPES,
     EXPERIMENT_KINDS,
@@ -532,7 +533,7 @@ def test_the_continued_oracle_matches_independent_solves(monkeypatch, config):
     if problem.grid[0] < 0:
         expected.append(int(np.argmax(problem.grid >= 0)))
     assert fresh == expected
-    for h, energy, state in zip(problem.grid, problem.exact_energies, problem.exact_states):
+    for h, energy, state in zip(problem.grid, problem.exact_energies, problem.tree.oracle):
         spec = SpinChainSpec("tfim", n, coupling=config.coupling_j, field=h)
         [(ref_energy, ref_state)] = spin_chain_ground_states([spec])
         assert abs(energy - ref_energy) <= 1e-12
@@ -571,7 +572,7 @@ def test_grid_search_prefers_zero_on_ties_and_never_loses():
                            gamma1_grid=(0.0, 50.0), gamma2_grid=(0.0,),
                            lambda1_grid=(0.0,), lambda2_grid=(0.0,))
     problem = harness._pec_problem(cfg)
-    standard = harness._scan_for_policy(cfg, problem, harness._standard_policy(cfg))
+    standard = continuation_scan(problem.tree, harness._standard_policy(cfg))
     search = grid_search_coefficients(cfg, problem, standard)
     assert search.best_policies["uhlmann"].gamma1 == 0.0
     rows = [r for r in search.table.rows if r[0] == "uhlmann"]
@@ -584,15 +585,20 @@ def test_grid_search_prefers_zero_on_ties_and_never_loses():
     assert selected[0][obj_idx] <= zero_row[obj_idx]
 
 
+def fresh_tree(tree: TrajectoryTree) -> TrajectoryTree:
+    """A new tree of ``tree``'s problem, holding no solved point."""
+    return TrajectoryTree(tree.family, tree.grid, tree.init, tree.num_sweeps,
+                          tree.energy_tol, oracle=tree.oracle)
+
+
 def test_zero_cells_reuse_the_standard_scan(monkeypatch):
     ran = []
-    scan_for_policy = harness._scan_for_policy
 
-    def counting(cfg, problem, policy):
+    def counting(tree, policy):
         ran.append(policy)
-        return scan_for_policy(cfg, problem, policy)
+        return continuation_scan(tree, policy)
 
-    monkeypatch.setattr(harness, "_scan_for_policy", counting)
+    monkeypatch.setattr(harness, "continuation_scan", counting)
     for overrides, own_scans, tables in [
         # one standard scan serves the three zero cells and the standard row;
         # each of the three nonzero cells runs its own
@@ -620,11 +626,12 @@ def test_zero_cells_reuse_the_standard_scan(monkeypatch):
                 if a.name.endswith("_gridsearch")] == tables
 
     # a zero cell run for real reports exactly what the shared scan reports
-    problem = dataclasses.replace(harness._pec_problem(cfg), trajectories=None)
-    shared = scan_for_policy(cfg, problem, TruncationPolicy(kind="standard", max_kept=2))
+    problem = harness._pec_problem(cfg)
+    shared = continuation_scan(fresh_tree(problem.tree),
+                               TruncationPolicy(kind="standard", max_kept=2))
     for kind in harness.PEC_POLICY_KINDS:
         policy = TruncationPolicy(kind=kind, max_kept=2)
-        own = scan_for_policy(cfg, problem, policy)
+        own = continuation_scan(fresh_tree(problem.tree), policy)
         assert harness._points_report("p", cfg, problem, own, policy).csv_bytes() == \
             harness._points_report("p", cfg, problem, shared, policy).csv_bytes()
 
@@ -650,9 +657,8 @@ def test_pec_scans_share_solves_without_changing_a_byte(monkeypatch):
         return files + [a.csv_bytes() for a in report.attachments], len(solves)
 
     shared, shared_solves = run()
-    pec_problem = harness._pec_problem
-    monkeypatch.setattr(harness, "_pec_problem", lambda c: dataclasses.replace(
-        pec_problem(c), trajectories=None))
+    monkeypatch.setattr(harness, "continuation_scan",
+                        lambda tree, policy: continuation_scan(fresh_tree(tree), policy))
     own, own_solves = run()
     assert shared == own
     assert 0 < shared_solves < own_solves
@@ -707,6 +713,24 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
         "pec_comparison_points_higher_categorical": points,
         "pec_comparison_gridsearch":
             "4eb2f515b02efe845cf14a1a356e109fdb6015960da7a900df4f468d3356e230"}
+
+
+def test_a_pec_run_draws_its_start_once(monkeypatch):
+    """The run's one tree states its scan problem: the 13 default scans
+
+    solve it from one random start."""
+    calls, count = call_counter(monkeypatch)
+    count(harness, "random_mps")
+    trees = []
+
+    def spy(tree, policy):
+        trees.append(tree)
+        return continuation_scan(tree, policy)
+
+    monkeypatch.setattr(harness, "continuation_scan", spy)
+    run_pec_comparison(PecComparisonConfig())
+    assert calls == {"random_mps": 1}
+    assert len(trees) == 13 and all(tree is trees[0] for tree in trees)
 
 
 def test_eight_site_pec_without_search_costs_what_the_readme_says(monkeypatch):

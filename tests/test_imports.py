@@ -1,11 +1,13 @@
-"""Every name a ``src/udmrg`` module imports is used in that module.
+"""Every name a ``src/udmrg`` module imports is used in that module, and
+every private helper it defines is used somewhere in the package.
 
 No linter ships with the package, so this walks each module's syntax tree
 the way pyflakes' unused-import check does.  An import inside a function
 must be used in that function; a module-level one anywhere in the module.
 ``__init__.py`` is skipped (its imports are the package's re-exports), as
 are ``from __future__`` imports and any import line marked
-``# noqa: F401``.
+``# noqa: F401``.  A private module-level function or class, or a private
+method, counts as used when any module of the package reads its name.
 """
 import ast
 from pathlib import Path
@@ -62,3 +64,54 @@ def test_the_check_sees_unused_names_in_every_scope():
         "    return os.sep\n"
     )
     assert unused_imports(source) == ["4: Optional", "7: canonicalize"]
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """``"module:line: name"`` for each private module-level function or class,
+    and each private method, that no source reads by name or attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, n) for n in [node, *node.body]
+                            if isinstance(n, (ast.ClassDef, *_FUNCTIONS))]
+            elif isinstance(node, _FUNCTIONS):
+                defined.append((module, node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module}:{node.lineno}: {node.name}" for module, node in defined
+            if node.name.startswith("_") and not node.name.endswith("__")
+            and node.name not in read]
+
+
+def test_every_private_helper_is_used():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unused_private_names(sources) == []
+
+
+def test_the_check_sees_unused_private_helpers_in_every_scope():
+    source = (
+        "from other import _shared\n"
+        "def _used():\n"
+        "    return _shared\n"
+        "def _unused():\n"
+        "    return _used()\n"
+        "class _Box:\n"
+        "    def __init__(self):\n"
+        "        self._size = 0\n"
+        "    def _read(self):\n"
+        "        return self._size\n"
+        "    def _spare(self):\n"
+        "        return None\n"
+        "class _Empty:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _Box()._read()\n"
+    )
+    other = "def _shared():\n    return 0\n"
+    assert unused_private_names({"m.py": source, "other.py": other}) == [
+        "m.py:4: _unused", "m.py:11: _spare", "m.py:13: _Empty"]
