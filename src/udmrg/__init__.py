@@ -91,6 +91,7 @@ from .truncation import (
     charge_first_order,
     charge_second_order,
     compute_weights,
+    kept_masks,
     select_states,
 )
 

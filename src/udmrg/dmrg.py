@@ -44,18 +44,20 @@ fidelities back.
 
 A :class:`TrajectoryTree` states one scan problem -- family, grid, start
 state, sweep budget and oracle -- and :func:`continuation_scan` solves it
-under one truncation policy.  A two-site step's result depends only on the
-state it starts from and the states it keeps, so a scan whose policy keeps,
-at every local step of a point, exactly the states an earlier scan kept
-there follows that scan bit for bit.  The tree holds every point solved for
-real, and its nodes carry everything about the point that no policy changes:
-its truncation records -- each step's singular values, charges and kept set
-(the path fixes the charge context, the node fixes the step's Schmidt
-states) -- and its frozen gauge record.  A scan replays a node by selection
-alone -- weights and kept sets from the recorded singular values and
-charges, with no eigensolve, SVD or charge evaluation -- and adopts the
-point when every kept set agrees; otherwise it solves the point itself and
-adds it to the tree.
+under one truncation policy, over the whole grid or a leading part of it.
+A two-site step's result depends only on the state it starts from and the
+states it keeps, so a scan whose policy keeps, at every local step of a
+point, exactly the states an earlier scan kept there follows that scan bit
+for bit.  The tree holds every point solved for real, and its nodes carry
+everything about the point that no policy changes: its truncation records
+-- each step's singular values, charges and kept set (the path fixes the
+charge context, the node fixes the step's Schmidt states) -- and its frozen
+gauge record, computed the first time a scan's records are read.  A scan
+replays a node by selection alone, with no eigensolve, SVD or charge
+evaluation: the node stacks its recorded steps by candidate count, once,
+and one weighing and one stacked selection (:func:`truncation.kept_masks`)
+per count give every kept set.  The scan adopts the point when every kept set
+agrees; otherwise it solves the point itself and adds it to the tree.
 
 A step has a choice only when it has more candidate states than
 ``max_kept`` or its policy has a cutoff above 0.  Without one every policy
@@ -67,6 +69,7 @@ point itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -92,6 +95,7 @@ from .truncation import (
     charge_first_order,
     charge_second_order,
     compute_weights,
+    kept_masks,
     select_states,
 )
 
@@ -177,12 +181,20 @@ class ScanPointRecord:
 
 @dataclass
 class ContinuationScan:
-    """Warm-started scan over a Hamiltonian family."""
+    """Warm-started scan over a Hamiltonian family, one entry per grid point.
+
+    ``records`` holds each point's gauge record, built the first time any
+    scan reads it and shared from then on.
+    """
 
     grid: np.ndarray
     results: list[DmrgResult]
-    records: list[ScanPointRecord]
+    _nodes: list[_TrajectoryNode] = field(repr=False)
     fidelity_to_oracle: Optional[list[float]] = None
+
+    @property
+    def records(self) -> list[ScanPointRecord]:
+        return [node.record for node in self._nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +516,6 @@ def _has_choice(n: int, policy: TruncationPolicy) -> bool:
     return n > policy.max_kept or policy.cutoff > 0
 
 
-def _select(sigma: np.ndarray, q1: np.ndarray, q2: np.ndarray,
-            policy: TruncationPolicy) -> np.ndarray:
-    """The states ``policy`` keeps at one bond truncation, ascending.
-
-    ``sigma`` are the singular values and ``q1``, ``q2`` their charges.
-    Both a real local step and a replayed one select here.
-    """
-    return select_states(compute_weights(sigma, q1, q2, policy), policy)[0]
-
-
 def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
                    policy: TruncationPolicy, context: Optional[_ChargeContext],
                    center_after: str):
@@ -534,7 +536,7 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
         q1, q2 = np.zeros(sigma.size), np.zeros(sigma.size)
         if context is not None:
             q1, q2 = context.charges(b, u.reshape(l, d1, sigma.size), sigma)
-        kept = _select(sigma, q1, q2, policy)
+        kept = select_states(compute_weights(sigma, q1, q2, policy), policy)[0]
         rec = TruncationRecord(sweep, b, sigma, q1, q2, kept)
         return kept
 
@@ -596,19 +598,56 @@ def _point_gauge_record(result: DmrgResult, phi, schmidt, history: list[_Traject
 class _TrajectoryNode:
     """One scan point solved for real, with everything no policy changes.
 
-    ``result.truncation_log`` holds every local step's measured record, which
-    is all a replay reads.  ``phi`` and ``schmidt`` are the left-canonical
-    state and per-bond ``(p, g)`` list of :func:`mps.bond_schmidt_data`, which
-    the next two points charge against.  Scans share the node's frozen
-    truncation and gauge records and its arrays, read-only.
+    ``result.truncation_log`` holds every local step's measured record, and
+    :attr:`steps` stacks them by candidate count for a replay.  ``phi`` and
+    ``schmidt`` are the left-canonical state and per-bond ``(p, g)`` list of
+    :func:`mps.bond_schmidt_data`, which the next two points charge against.
+    ``history`` holds the one or two points this one was charged against,
+    most recent first, and ``spacings`` the grid steps back to them;
+    :attr:`record` reads them.  Scans share the node's frozen truncation and
+    gauge records and its arrays, read-only.
     """
 
     result: DmrgResult
-    record: ScanPointRecord
     phi: MatrixProductState
     schmidt: list[tuple[np.ndarray, np.ndarray]]
     fidelity: Optional[float]
+    history: list["_TrajectoryNode"]
+    spacings: list[float]
     children: list["_TrajectoryNode"] = field(default_factory=list)
+
+    @cached_property
+    def steps(self) -> dict[int, tuple]:
+        """The local steps of each candidate count ``n``, stacked for replay
+        the first time one reads them.
+
+        Each is ``(kept, sigma, charges1, charges2)``, read-only: ``kept``
+        masks the states each step kept, ``(m, n)``, and the others stack
+        what the steps measured, or are ``None`` when some step measured no
+        charges.
+        """
+        by_size: dict[int, list[TruncationRecord]] = {}
+        for rec in self.result.truncation_log:
+            by_size.setdefault(rec.singular_values.size, []).append(rec)
+        stacks = {}
+        for n, recs in by_size.items():
+            kept = np.zeros((len(recs), n), dtype=bool)
+            for row, rec in zip(kept, recs):
+                row[rec.kept] = True
+            charged = all(rec.charges1 is not None for rec in recs)
+            stacks[n] = (kept, *(
+                np.array([getattr(rec, name) for rec in recs]) if charged else None
+                for name in ("singular_values", "charges1", "charges2")))
+            _read_only(stacks[n])
+        return stacks
+
+    @cached_property
+    def record(self) -> ScanPointRecord:
+        """The point's gauge record, computed the first time it is read."""
+        record = _point_gauge_record(self.result, self.phi, self.schmidt, self.history,
+                                     self.spacings)
+        _read_only(record.bond_charges1 + record.bond_charges2)
+        return record
 
 
 class TrajectoryTree:
@@ -651,24 +690,23 @@ class TrajectoryTree:
         self.children: list[_TrajectoryNode] = []
 
 
-def _replays(node: _TrajectoryNode, cfg: SweepConfig) -> bool:
-    """Whether ``cfg``'s policy keeps the recorded states at every step of ``node``.
+def _replays(node: _TrajectoryNode, policy: TruncationPolicy) -> bool:
+    """Whether ``policy`` keeps the recorded states at every step of ``node``.
 
-    Stops at the first step whose kept set would differ.  Where the policy has
-    no choice it keeps every state, so the step replays exactly when the
-    record kept them all.  Where it has a choice, the step is weighed and
-    selected again from its recorded singular values and charges; a record
-    whose charges were not measured does not replay, and the point is solved
-    for real.
+    Whether the policy has a choice depends only on the step's candidate
+    count, so the steps are taken by count, one stack at a time.  Where the
+    policy has no choice it keeps every state, so the steps replay exactly
+    when each kept them all.  Where it has one, they are weighed and
+    selected again from their recorded singular values and charges, all in
+    one call; a step whose charges were not measured does not replay, and
+    the point is solved for real.
     """
-    for rec in node.result.truncation_log:
-        n = rec.singular_values.size
-        if not _has_choice(n, cfg.policy):
-            if rec.kept.size != n:
+    for n, (kept, sigma, charges1, charges2) in node.steps.items():
+        if not _has_choice(n, policy):
+            if not kept.all():
                 return False
-        elif rec.charges1 is None or not np.array_equal(
-                _select(rec.singular_values, rec.charges1, rec.charges2, cfg.policy),
-                rec.kept):
+        elif sigma is None or not np.array_equal(
+                kept_masks(compute_weights(sigma, charges1, charges2, policy), policy), kept):
             return False
     return True
 
@@ -705,17 +743,21 @@ def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
         dense = to_dense(result.state)
         dense = dense / np.linalg.norm(dense)
         fidelity = float(np.abs(np.vdot(oracle_state, dense)) ** 2)
-    record = _point_gauge_record(result, phi, schmidt, history, spacings)
     for rec in result.truncation_log:
         _read_only((rec.singular_values, rec.charges1, rec.charges2, rec.kept))
     _read_only(result.state.tensors)
-    _read_only(record.bond_charges1 + record.bond_charges2)
-    return _TrajectoryNode(result=result, record=record, phi=phi, schmidt=schmidt,
-                           fidelity=fidelity)
+    return _TrajectoryNode(result=result, phi=phi, schmidt=schmidt, fidelity=fidelity,
+                           history=history, spacings=spacings)
 
 
-def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy) -> ContinuationScan:
+def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy,
+                      points: Optional[int] = None) -> ContinuationScan:
     """Solve ``tree``'s problem under ``policy``, warm-starting each point.
+
+    With ``points`` the scan stops after the first ``points`` grid points.
+    A point warm-starts from the one before it and charges against the two
+    before that, so no later point changes an earlier one: the prefix scan
+    is the full scan cut short, and a later full scan replays its points.
 
     The first point always uses the standard policy (there is no earlier
     point to difference against); later points use ``policy`` with charges
@@ -731,11 +773,14 @@ def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy) -> Continu
     it solves the point itself and adds it to the tree.  Each point is held
     once, by its node: the result, the left-canonical state and per-bond
     Schmidt data the next two points charge against, the fidelity, and the
-    gauge record, computed once and shared, frozen.  The result is identical
-    to a scan through a fresh tree of the same problem, and no two scans
-    share a list or a writable array.
+    gauge record, computed the first time a scan's ``records`` are read and
+    shared, frozen.  The result is identical to a scan through a fresh tree
+    of the same problem, and no two scans share a list or a writable array.
     """
-    grid, oracle = tree.grid, tree.oracle
+    if points is not None and not 1 <= points <= tree.grid.size:
+        raise ValueError(f"points must lie in [1, {tree.grid.size}], got {points!r}")
+    grid = tree.grid if points is None else tree.grid[:points]
+    oracle = tree.oracle
     cfg = SweepConfig(num_sweeps=tree.num_sweeps, energy_tol=tree.energy_tol,
                       policy=policy)
     results: list[DmrgResult] = []
@@ -750,8 +795,8 @@ def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy) -> Continu
         history = nodes[::-1][:2]
         spacings = [float(grid[k - j] - grid[k - j - 1]) for j in range(len(history))]
         # adopt the first solved point whose replay keeps every recorded set
-        node = next((child for child in parent.children if _replays(child, point_cfg)),
-                    None)
+        node = next((child for child in parent.children
+                     if _replays(child, point_cfg.policy)), None)
         if node is None:
             node = _solve_point(tree.family(float(value)), start, point_cfg, history,
                                 spacings, None if oracle is None else oracle[k])
@@ -768,6 +813,6 @@ def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy) -> Continu
         nodes.append(node)
 
     return ContinuationScan(
-        grid=grid, results=results, records=[node.record for node in nodes],
+        grid=grid, results=results, _nodes=nodes,
         fidelity_to_oracle=None if oracle is None else [node.fidelity for node in nodes],
     )

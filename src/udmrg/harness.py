@@ -657,13 +657,12 @@ def _window_holds_a_grid_point(cfg: PecComparisonConfig) -> bool:
 class _PecProblem:
     """What every scan of one pec_comparison run shares.
 
-    The field grid and its crossing-window mask, the exact energies, and
-    the trajectory tree that states the scan problem: the MPO family, the
-    grid, the random start state, the sweep budget and the exact ground
-    states (the fidelity oracle).
+    The exact energies, the crossing-window mask of the field grid, and the
+    trajectory tree that states the scan problem: the MPO family, the grid,
+    the random start state, the sweep budget and the exact ground states
+    (the fidelity oracle).
     """
 
-    grid: np.ndarray
     exact_energies: np.ndarray
     window: np.ndarray
     tree: TrajectoryTree
@@ -681,8 +680,7 @@ def _pec_problem(cfg: PecComparisonConfig) -> _PecProblem:
 
     exact = spin_chain_ground_states([spec(h) for h in grid])
     init = random_mps(np.random.default_rng(cfg.seed), [2] * cfg.n_sites, cfg.max_bond)
-    return _PecProblem(grid=grid, exact_energies=np.array([e for e, _ in exact]),
-                       window=window,
+    return _PecProblem(exact_energies=np.array([e for e, _ in exact]), window=window,
                        tree=TrajectoryTree(family, grid, init, cfg.num_sweeps,
                                            cfg.energy_tol, oracle=[v for _, v in exact]))
 
@@ -699,10 +697,12 @@ def _scan_errors(scan: ContinuationScan, problem: _PecProblem) -> np.ndarray:
 
 def _scan_objective(cfg: PecComparisonConfig, scan: ContinuationScan,
                     problem: _PecProblem) -> float:
+    """``cfg.objective`` over the crossing window, which ``scan`` must reach."""
+    window = problem.window[: len(scan.results)]
     if cfg.objective == "energy_error":
-        return float(_scan_errors(scan, problem)[problem.window].max())
+        return float(_scan_errors(scan, problem)[window].max())
     fids = np.array(scan.fidelity_to_oracle)
-    return float(-fids[problem.window].min())
+    return float(-fids[window].min())
 
 
 def _candidate_policies(kind: str, cfg: PecComparisonConfig) -> list[TruncationPolicy]:
@@ -739,15 +739,21 @@ def grid_search_coefficients(cfg: PecComparisonConfig, problem: _PecProblem,
                              standard: ContinuationScan) -> GridSearchResult:
     """Best of each :data:`PEC_POLICY_KINDS` kind's candidate policies.
 
-    Every candidate (see :func:`_candidate_policies`) is a full warm-started
-    scan of ``problem``, scored by ``cfg.objective`` over the crossing
-    window (energy error is minimized; fidelity is maximized).  Ties prefer
-    the all-zero candidate, then the earliest one, making the outcome
+    Every candidate (see :func:`_candidate_policies`) is a warm-started scan
+    of ``problem``, scored by ``cfg.objective`` over the crossing window
+    (energy error is minimized; fidelity is maximized).  Ties prefer the
+    all-zero candidate, then the earliest one, making the outcome
     deterministic and never worse than the standard method.
 
     A candidate whose coefficients and cutoff are all 0 selects exactly the
     states the standard rule selects and scores its points alike, so every
     such candidate shares ``standard``, the standard scan of ``problem``.
+    Where a kind has several candidates, each other one scans only up to
+    the window's last grid point, all its score reads; a later point cannot
+    change an earlier one.  Only a winner among them is then scanned to the
+    end of the grid, replaying the points its prefix solved.  A kind's only
+    candidate is reported whatever its score, so it scans the whole grid at
+    once.
     """
     table = ScanReport(
         name=f"{cfg.kind}_gridsearch",
@@ -756,16 +762,22 @@ def grid_search_coefficients(cfg: PecComparisonConfig, problem: _PecProblem,
     )
     best_policies: dict[str, TruncationPolicy] = {}
     best_scans: dict[str, ContinuationScan] = {}
+    window_end = int(np.flatnonzero(problem.window)[-1]) + 1
     for kind in PEC_POLICY_KINDS:
+        candidates = _candidate_policies(kind, cfg)
+        points = window_end if len(candidates) > 1 else None
         scored = []
-        for i, policy in enumerate(_candidate_policies(kind, cfg)):
+        for i, policy in enumerate(candidates):
             nonzero = int(any((policy.gamma1, policy.gamma2, policy.lambda1,
                                policy.lambda2, policy.cutoff)))
-            scan = continuation_scan(problem.tree, policy) if nonzero else standard
+            scan = (continuation_scan(problem.tree, policy, points=points) if nonzero
+                    else standard)
             scored.append((_scan_objective(cfg, scan, problem), nonzero, i, policy, scan))
         best = min(scored, key=lambda s: s[:3])
         label = METHOD_LABELS[kind]
         best_policies[kind], best_scans[kind] = best[3:]
+        if len(best_scans[kind].results) < problem.tree.grid.size:
+            best_scans[kind] = continuation_scan(problem.tree, best_policies[kind])
         for score, _, i, policy, _scan in scored:
             table.add_row(label, policy.gamma1, policy.gamma2, policy.lambda1,
                           policy.lambda2, score, i == best[2])
@@ -783,7 +795,7 @@ def _points_report(name: str, cfg: PecComparisonConfig, problem: _PecProblem,
     errors = _scan_errors(scan, problem)
     for k, (res, rec) in enumerate(zip(scan.results, scan.records)):
         row = [
-            k, float(problem.grid[k]), res.energy,
+            k, float(problem.tree.grid[k]), res.energy,
             float(problem.exact_energies[k]), float(errors[k]),
             float(scan.fidelity_to_oracle[k]), res.converged,
             rec.coherence_penalty, rec.curvature_penalty,

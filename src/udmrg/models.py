@@ -17,7 +17,7 @@ the dense (Kronecker-product) matrix that tests check both against:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -215,14 +215,13 @@ def spin_chain_matvec(spec: SpinChainSpec) -> Callable[[np.ndarray], np.ndarray]
     placements, then scaled by ``c``, into ``diag``.  Terms that flip the
     same sites (both flip terms of a Heisenberg bond) add, in table order,
     into one gather row per placement; the rows run in table order, then
-    site order.  Applying H is ``diag * x`` plus one stacked gather.
+    site order.  Applying H is ``diag * x`` plus one stacked gather.  Only
+    the weights depend on the coupling and field: the index arrays are built
+    once per chain length and flip layout, and shared read-only.
     """
     n = spec.n_sites
-    index = np.arange(2**n)
     terms = spec.terms
-    # the configuration of k sites at each placement: site s is bit n - 1 - s
-    local = {k: index >> np.arange(n - k, -1, -1)[:, None] & (2**k - 1)
-             for k in {len(term) - 1 for term in terms}}
+    local = {k: _configurations(n, k) for k in {len(term) - 1 for term in terms}}
     parts = {}  # 0 for the diagonal, (term length, flip pattern) for the gathers
     for c, *ops in terms:
         k = len(ops)
@@ -235,14 +234,36 @@ def spin_chain_matvec(spec: SpinChainSpec) -> Callable[[np.ndarray], np.ndarray]
                     else (0, c * weight[local[k]].sum(axis=0)))
         parts[key] = parts[key] + row if key in parts else row
     diag = parts.pop(0)
-    flips = np.concatenate([index ^ (mask << np.arange(n - k, -1, -1))[:, None]
-                            for k, mask in parts])
+    flips = _flipped(n, tuple(parts))
     weights = np.concatenate(list(parts.values()))
 
     def matvec(x: np.ndarray) -> np.ndarray:
         return diag * x + (weights * x[flips]).sum(axis=0)
 
     return matvec
+
+
+@lru_cache(maxsize=4)
+def _configurations(n: int, k: int) -> np.ndarray:
+    """Row ``s``: every basis state's bits of sites ``s`` to ``s + k - 1``, read-only.
+
+    Site ``s`` is bit ``n - 1 - s``.
+    """
+    out = np.arange(2**n) >> np.arange(n - k, -1, -1)[:, None] & (2**k - 1)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=2)
+def _flipped(n: int, patterns: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Every basis state with one placement's sites flipped, read-only: a row
+    per placement of each ``(k, mask)`` pattern in turn, ``mask`` marking the
+    sites of the ``k`` that a term flips."""
+    index = np.arange(2**n)
+    out = np.concatenate([index ^ (mask << np.arange(n - k, -1, -1))[:, None]
+                          for k, mask in patterns])
+    out.flags.writeable = False
+    return out
 
 
 def _ground_sector(spec: SpinChainSpec) -> Callable[[np.ndarray], np.ndarray]:

@@ -16,10 +16,12 @@ the standard rule.
 
 The charges and the weights take one spectrum or a stack of them with
 leading axes (a scan's points, say): every row comes out as a call of its
-own would give it.  :func:`select_states` picks from one spectrum.
+own would give it, and :func:`kept_masks` selects from a stack alike;
+:func:`select_states` picks from one spectrum.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -189,28 +191,45 @@ def compute_weights(sigma, charges1, charges2, policy: TruncationPolicy) -> Trun
     return TruncationWeights(raw=raw, effective=effective)
 
 
-def select_states(weights: TruncationWeights, policy: TruncationPolicy):
-    """Pick the retained states and renormalize their raw weights.
+def kept_masks(weights: TruncationWeights, policy: TruncationPolicy) -> np.ndarray:
+    """Which states ``policy`` keeps, as a boolean mask shaped like ``weights``.
 
-    States are ranked by effective weight descending (ties resolved toward the
-    lower original index); of those whose effective weight reaches
-    ``cutoff * max(effective)``, at most ``max_kept`` survive.  If those are
-    all of zero raw weight (an eigenvalue shift can rank such a state first),
-    the state of largest raw weight is kept alone instead, so the retained
-    block stays normalizable.  Returns
-    ``(kept, renormalized)`` with ``kept`` ascending and the retained raw
-    weights scaled to a unit vector; ``weights`` is left as it was.  Raises
+    Each row of a stack ``(..., n)`` is selected as a row of its own would
+    be.  States are ranked by effective weight descending (ties resolved
+    toward the lower original index); of those whose effective weight
+    reaches ``cutoff * max(effective)``, at most ``max_kept`` survive.  If
+    those are all of zero raw weight (an eigenvalue shift can rank such a
+    state first; a weight whose square underflows counts as zero), the state
+    of largest raw weight is kept alone instead, so the retained block stays
+    normalizable.  Raises when a row's spectrum is all zero.
+    """
+    raw, eff = weights.raw, weights.effective
+    n = raw.shape[-1]
+    # lexsort is stable, so equal weights keep their index order
+    leading = np.lexsort((-eff,))[..., : policy.max_kept]
+    mask = np.zeros(raw.shape, dtype=bool)
+    mask.put(leading + np.arange(0, raw.size, n).reshape(leading.shape[:-1] + (1,)), True)
+    # the admitted states lead the ranking, so the first max_kept hold the kept ones
+    mask &= eff >= policy.cutoff * np.maximum.reduce(eff, axis=-1, keepdims=True)
+    # the ufuncs' own reductions cost half of ``.any(axis=-1)`` on a few states
+    normalizable = np.logical_or.reduce(mask & (raw * raw > 0), axis=-1)
+    if not np.logical_and.reduce(normalizable, axis=None):
+        rows = ~normalizable
+        if not np.all(np.any(raw[rows] > 0, axis=-1)):
+            raise ValueError("all-zero spectrum: nothing to keep at this bond")
+        mask[rows] = np.arange(n) == raw[rows].argmax(axis=-1)[:, None]
+    return mask
+
+
+def select_states(weights: TruncationWeights, policy: TruncationPolicy):
+    """Pick the retained states of one spectrum and renormalize their raw weights.
+
+    The states are the ones :func:`kept_masks` keeps.  Returns ``(kept,
+    renormalized)`` with ``kept`` ascending and the retained raw weights
+    scaled to a unit vector (by ``sqrt(w . w)``, which is how
+    ``np.linalg.norm`` computes it); ``weights`` is left as it was.  Raises
     on an all-zero spectrum.
     """
-    raw = weights.raw
-    eff = weights.effective
-    if not np.any(raw > 0):
-        raise ValueError("all-zero spectrum: nothing to keep at this bond")
-    order = np.lexsort((np.arange(eff.size), -eff))
-    admitted = order[eff[order] >= policy.cutoff * float(np.max(eff))]
-    kept = np.sort(admitted[: policy.max_kept])
-    norm = float(np.linalg.norm(raw[kept]))
-    if norm == 0.0:
-        kept = np.asarray([int(np.argmax(raw))])
-        norm = float(np.linalg.norm(raw[kept]))
-    return kept, raw[kept] / norm
+    kept = kept_masks(weights, policy).nonzero()[0]
+    raw = weights.raw[kept]
+    return kept, raw / math.sqrt(raw.dot(raw))

@@ -7,7 +7,8 @@ operators) and inspect them
 eigensystem) so the tests can check the package against independent
 references, and compare an iterative eigenpair with a dense one.  Two spies
 (:func:`count_dense_calls`, :func:`count_dense_tiers`) count what the dense
-local solve of :mod:`udmrg.dmrg` computes.  The point-by-point spectral
+local solve of :mod:`udmrg.dmrg` computes, and :func:`tree_nodes` lists the
+points a trajectory tree holds.  The point-by-point spectral
 tracker (:func:`sequential_track`), the Pauli Y
 matrix, the Landau-Zener survival probability and the free-fermion TFIM
 ground energy are references of the same kind.
@@ -275,3 +276,12 @@ def count_dense_tiers(monkeypatch) -> dict[str, int]:
 
     monkeypatch.setattr(dmrg, "_lowest_eigenpair", spy)
     return tiers
+
+
+def tree_nodes(tree: dmrg.TrajectoryTree) -> list:
+    """Every node of ``tree``, each once, in no particular order."""
+    nodes, stack = [], list(tree.children)
+    while stack:
+        nodes.append(stack.pop())
+        stack += nodes[-1].children
+    return nodes

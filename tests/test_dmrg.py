@@ -40,6 +40,8 @@ from udmrg.truncation import (
     TruncationPolicy,
     charge_first_order,
     charge_second_order,
+    compute_weights,
+    select_states,
 )
 
 from helpers import (
@@ -49,6 +51,7 @@ from helpers import (
     count_dense_tiers,
     from_product_state,
     single_site_mpo,
+    tree_nodes,
 )
 
 
@@ -877,12 +880,7 @@ def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
     # one node per point solved: the standard trajectory, the branch left at
     # point 1, the one both coherence_eigenvalue_2 policies share from point
     # 2, and the two that leave at point 0
-    nodes, stack = 0, list(tree.children)
-    while stack:
-        node = stack.pop()
-        nodes += 1
-        stack += node.children
-    assert nodes == 7 + 6 + 5 + 7 + 7
+    assert len(tree_nodes(tree)) == 7 + 6 + 5 + 7 + 7
     solves.clear()
     node_work.clear()
     again = [_tree_scan(p, tree) for p in _TREE_POLICIES]
@@ -891,6 +889,77 @@ def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
     assert node_work == []
     for a, b in zip(first, again):
         _assert_same_scan(a, b)
+
+
+def _replays_step_by_step(node, policy):
+    """The replay rule one recorded step at a time: the reference the
+    stacked replay is held to."""
+    for rec in node.result.truncation_log:
+        n = rec.singular_values.size
+        if not dmrg._has_choice(n, policy):
+            if rec.kept.size != n:
+                return False
+        elif rec.charges1 is None or not np.array_equal(select_states(compute_weights(
+                rec.singular_values, rec.charges1, rec.charges2, policy), policy)[0], rec.kept):
+            return False
+    return True
+
+
+def test_a_stacked_replay_decides_as_the_steps_one_by_one(tree_oracle):
+    """Every node of a tree that scans of every kind, budget and cutoff
+    grew, replayed under each of those policies: one stacked selection per
+    candidate count says what selecting each recorded step says."""
+    policies = [dataclasses.replace(p, max_kept=min(p.max_kept, 3)) for p in _TREE_POLICIES]
+    policies += [TruncationPolicy(cutoff=1e-12), TruncationPolicy(max_kept=2),
+                 TruncationPolicy(kind="uhlmann", gamma1=5.0, cutoff=1e-9)]
+    tree = _tree(tree_oracle, complex_random_mps)
+    for policy in policies:
+        continuation_scan(tree, policy)
+    decisions = [(dmrg._replays(node, policy), _replays_step_by_step(node, policy))
+                 for node in tree_nodes(tree) for policy in policies]
+    assert all(stacked == one_by_one for stacked, one_by_one in decisions)
+    assert {stacked for stacked, _ in decisions} == {True, False}
+
+
+def test_a_prefix_scan_is_the_full_scan_cut_short(monkeypatch, tree_oracle):
+    """A scan of the first ``points`` grid points solves only those and
+    equals the full scan's first ``points`` entries; a full scan after it
+    replays them and solves the rest."""
+    solved = []
+    family = _TREE_FAMILY
+    tree = _tree(tree_oracle)
+    monkeypatch.setattr(tree, "family", lambda h: (solved.append(h), family(h))[1])
+    policy = TruncationPolicy(kind="coherence_eigenvalue", lambda1=50.0, max_kept=3)
+    prefix = continuation_scan(tree, policy, points=4)
+    assert solved == list(_TREE_GRID[:4]) and prefix.grid.tolist() == solved
+    solved.clear()
+    full = continuation_scan(tree, policy)
+    assert solved == list(_TREE_GRID[4:])
+    own = continuation_scan(_tree(tree_oracle), policy)
+    _assert_same_scan(full, own)
+    cut = dataclasses.replace(own, results=own.results[:4], _nodes=own._nodes[:4],
+                              fidelity_to_oracle=own.fidelity_to_oracle[:4])
+    _assert_same_scan(prefix, cut)
+    for points in (0, _TREE_GRID.size + 1):
+        with pytest.raises(ValueError, match="points must lie in"):
+            continuation_scan(tree, policy, points=points)
+
+
+def test_gauge_records_are_built_once_when_first_read(monkeypatch, tree_oracle):
+    built = []
+    record = dmrg._point_gauge_record
+    monkeypatch.setattr(dmrg, "_point_gauge_record",
+                        lambda *args: (built.append(1), record(*args))[1])
+    tree = _tree(tree_oracle)
+    scans = [_tree_scan(p, tree) for p in _TREE_POLICIES[:3]]
+    assert built == []
+    first = scans[0].records
+    assert len(built) == _TREE_GRID.size
+    # the second scan follows the first one's trajectory and shares its records
+    assert all(x is y for x, y in zip(scans[1].records, first, strict=True))
+    assert len(built) == _TREE_GRID.size
+    scans[2].records
+    assert len(built) == len({id(node) for scan in scans for node in scan._nodes})
 
 
 def _scan_arrays(scan):

@@ -34,7 +34,7 @@ from udmrg.models import CROSSING_POINTS, SpinChainSpec, spin_chain_ground_state
 from udmrg.reporting import canonical_json, config_hash
 from udmrg.truncation import TruncationPolicy
 
-from helpers import count_dense_tiers
+from helpers import count_dense_tiers, tree_nodes
 
 
 def report_digests(report):
@@ -530,10 +530,11 @@ def test_the_continued_oracle_matches_independent_solves(monkeypatch, config):
     fresh = [i for i, x in enumerate(starts)
              if max(abs(np.vdot(x, d)) for d in sectors) >= (1 - 1e-12) * np.linalg.norm(x)]
     expected = [0]
-    if problem.grid[0] < 0:
-        expected.append(int(np.argmax(problem.grid >= 0)))
+    if problem.tree.grid[0] < 0:
+        expected.append(int(np.argmax(problem.tree.grid >= 0)))
     assert fresh == expected
-    for h, energy, state in zip(problem.grid, problem.exact_energies, problem.tree.oracle):
+    for h, energy, state in zip(problem.tree.grid, problem.exact_energies,
+                                problem.tree.oracle):
         spec = SpinChainSpec("tfim", n, coupling=config.coupling_j, field=h)
         [(ref_energy, ref_state)] = spin_chain_ground_states([spec])
         assert abs(energy - ref_energy) <= 1e-12
@@ -594,9 +595,9 @@ def fresh_tree(tree: TrajectoryTree) -> TrajectoryTree:
 def test_zero_cells_reuse_the_standard_scan(monkeypatch):
     ran = []
 
-    def counting(tree, policy):
+    def counting(tree, policy, points=None):
         ran.append(policy)
-        return continuation_scan(tree, policy)
+        return continuation_scan(tree, policy, points)
 
     monkeypatch.setattr(harness, "continuation_scan", counting)
     for overrides, own_scans, tables in [
@@ -636,6 +637,11 @@ def test_zero_cells_reuse_the_standard_scan(monkeypatch):
             harness._points_report("p", cfg, problem, shared, policy).csv_bytes()
 
 
+def _report_bytes(report):
+    return ([report.csv_bytes(), canonical_json(report.summary_payload())]
+            + [a.csv_bytes() for a in report.attachments])
+
+
 def test_pec_scans_share_solves_without_changing_a_byte(monkeypatch):
     cfg = small_pec_config(policies=[
         TruncationPolicy(kind="uhlmann", gamma1=0.7),
@@ -652,16 +658,80 @@ def test_pec_scans_share_solves_without_changing_a_byte(monkeypatch):
 
     def run():
         solves.clear()
-        report = run_pec_comparison(cfg)
-        files = [report.csv_bytes(), canonical_json(report.summary_payload())]
-        return files + [a.csv_bytes() for a in report.attachments], len(solves)
+        return _report_bytes(run_pec_comparison(cfg)), len(solves)
 
     shared, shared_solves = run()
     monkeypatch.setattr(harness, "continuation_scan",
-                        lambda tree, policy: continuation_scan(fresh_tree(tree), policy))
+                        lambda tree, policy, points=None:
+                        continuation_scan(fresh_tree(tree), policy, points))
     own, own_solves = run()
     assert shared == own
     assert 0 < shared_solves < own_solves
+
+
+#: a grid search on the 4-site, 7-field problem: the window holds index 3
+#: alone, and the coherence_eigenvalue_2 cells with lambda2 = 0.5 leave the
+#: standard trajectory before it
+_PREFIX_GRIDS = dict(grid_search=True, gamma1_grid=(0.0, 0.5), gamma2_grid=(0.0, 0.5),
+                     lambda1_grid=(0.0, 0.5), lambda2_grid=(0.0, 0.5))
+
+
+@pytest.mark.parametrize("objective", harness.OBJECTIVES)
+def test_a_winner_scanned_to_the_window_reports_its_full_scan(monkeypatch, objective):
+    """Scored by the negated objective, a coherence_eigenvalue_2 cell that
+    leaves the standard trajectory wins.  Each nonzero cell scans to the
+    window's last point, and only the winner then scans the whole grid; the
+    report equals, byte for byte, the one from full scans of every candidate
+    through fresh trees."""
+    objective_of = harness._scan_objective
+    monkeypatch.setattr(harness, "_scan_objective",
+                        lambda cfg, scan, problem: -objective_of(cfg, scan, problem))
+    cfg = small_pec_config(objective=objective, **_PREFIX_GRIDS)
+    lengths = []
+
+    def prefix(tree, policy, points=None):
+        scan = continuation_scan(tree, policy, points)
+        lengths.append(len(scan.results))
+        return scan
+
+    monkeypatch.setattr(harness, "continuation_scan", prefix)
+    report = run_pec_comparison(cfg)
+    assert report.summary["methods"]["higher_categorical"]["coefficients"]["lambda2"] == 0.5
+    # the standard scan, 1 + 3 + 3 nonzero cells to index 3, the winner to the end
+    assert lengths == [7] + [4] * 7 + [7]
+    monkeypatch.setattr(harness, "continuation_scan", lambda tree, policy, points=None:
+                        continuation_scan(fresh_tree(tree), policy))
+    assert _report_bytes(report) == _report_bytes(run_pec_comparison(cfg))
+
+
+def test_losing_candidates_stop_at_the_window_and_build_no_gauge_record(monkeypatch):
+    solved = []
+    build = harness.build_spin_chain_mpo
+    monkeypatch.setattr(harness, "build_spin_chain_mpo",
+                        lambda spec: (solved.append(spec.field), build(spec))[1])
+    trees = []
+
+    def spy(tree, policy, points=None):
+        trees.append(tree)
+        return continuation_scan(tree, policy, points)
+
+    monkeypatch.setattr(harness, "continuation_scan", spy)
+    report = run_pec_comparison(small_pec_config(**_PREFIX_GRIDS))
+    assert all(m["coefficients"] == dict.fromkeys(m["coefficients"], 0.0)
+               for m in report.summary["methods"].values())
+    index = {h: k for k, h in enumerate(trees[0].grid.tolist())}
+    per_point = np.bincount([index[h] for h in solved], minlength=7)
+    # the losers leave the standard trajectory and stop at index 3
+    assert per_point[3] > 1 and per_point[4:].tolist() == [1, 1, 1]
+    # only the standard scan, which every row reports, built gauge records:
+    # it solved first, so its points are the first child at every level
+    standard, children = [], trees[0].children
+    while children:
+        standard.append(children[0])
+        children = children[0].children
+    nodes = tree_nodes(trees[0])
+    assert len(standard) == 7 and len(nodes) > 7
+    assert {id(n) for n in nodes if "record" in vars(n)} == {id(n) for n in standard}
 
 
 def call_counter(monkeypatch):
@@ -692,13 +762,19 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     count(dmrg._ChargeContext, "charges")
     count(dmrg, "_point_gauge_record")
     count(dmrg, "select_states")
+    count(dmrg, "_replays")
+    count(dmrg, "kept_masks", key="replayed_steps", size=lambda masks: len(masks))
     tiers = count_dense_tiers(monkeypatch)
     report = run_pec_comparison(PecComparisonConfig())
-    assert calls == {"continuation_scan": 13, "effective_hamiltonian": 800,
-                     "charges": 156, "_point_gauge_record": 40, "select_states": 1095}
+    # the candidates that lose are scanned to the window's last point, and
+    # only the reported scans' gauge records are built; each replay selects
+    # its 4 charged steps in one stacked call
+    assert calls == {"continuation_scan": 13, "effective_hamiltonian": 640,
+                     "charges": 124, "_point_gauge_record": 21, "select_states": 128,
+                     "_replays": 148, "replayed_steps": 592}
     # how each dense local solve was accepted: at the warm start, by
     # Rayleigh-quotient iteration, after eigvalsh, by the full eigh
-    assert tiers == {"start": 400, "rqi": 246, "eigvalsh": 152, "eigh": 2}
+    assert tiers == {"start": 320, "rqi": 230, "eigvalsh": 88, "eigh": 2}
     # the default report keeps its bytes, pinned as the gauge and crossing
     # reports are below (numpy 2.4, bundled OpenBLAS, 1 and 2 BLAS threads)
     assert report_digests(report) == (
@@ -723,9 +799,9 @@ def test_a_pec_run_draws_its_start_once(monkeypatch):
     count(harness, "random_mps")
     trees = []
 
-    def spy(tree, policy):
+    def spy(tree, policy, points=None):
         trees.append(tree)
-        return continuation_scan(tree, policy)
+        return continuation_scan(tree, policy, points)
 
     monkeypatch.setattr(harness, "continuation_scan", spy)
     run_pec_comparison(PecComparisonConfig())

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from udmrg.truncation import (
     PAIR_FLOOR,
@@ -12,6 +12,7 @@ from udmrg.truncation import (
     charge_first_order,
     charge_second_order,
     compute_weights,
+    kept_masks,
     select_states,
 )
 
@@ -446,3 +447,85 @@ def test_stacked_charges_check_their_shapes():
         charge_first_order(np.float64(1.0), np.zeros((1, 1)))
     with pytest.raises(ValueError, match="must be square"):
         charge_second_order(np.zeros((3, 2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# stacked selection: every row as a selection of its own
+# ---------------------------------------------------------------------------
+
+def _reference_kept(weights, policy):
+    """The selection rule on one spectrum as it was written before it took
+    stacks: the reference the stacked masks are held to."""
+    raw, eff = weights.raw, weights.effective
+    if not np.any(raw > 0):
+        raise ValueError("all-zero spectrum")
+    order = np.lexsort((np.arange(eff.size), -eff))
+    admitted = order[eff[order] >= policy.cutoff * float(np.max(eff))]
+    kept = np.sort(admitted[: policy.max_kept])
+    if float(np.linalg.norm(raw[kept])) == 0.0:
+        kept = np.asarray([int(np.argmax(raw))])
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), sigma=spectrum_stacks(max_size=8), kind=st.sampled_from(POLICY_KINDS),
+       extra=st.integers(-7, 2), cutoff=st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
+def test_stacked_selection_equals_one_selection_per_row(data, sigma, kind, extra, cutoff):
+    """``kept_masks`` of a stack, under one or two leading axes, keeps in each
+    row what ``select_states`` keeps of that row alone, and what the rule
+    written for one spectrum keeps: exact ties, budgets from 1 to beyond the
+    row, cutoffs above 0 and the zero-raw-weight fallback included."""
+    sigma = sigma[sigma.any(axis=1)]
+    assume(sigma.size)
+    charges = st.lists(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1e6)),
+                       min_size=sigma.size, max_size=sigma.size)
+    q1 = np.array(data.draw(charges)).reshape(sigma.shape)
+    q2 = np.array(data.draw(charges)).reshape(sigma.shape)
+    coefficient = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+    pol = TruncationPolicy(kind=kind, max_kept=max(1, sigma.shape[1] + extra), cutoff=cutoff,
+                           **{name: data.draw(coefficient)
+                              for name in ("gamma1", "gamma2", "lambda1", "lambda2")})
+    weights = compute_weights(sigma, q1, q2, pol)
+    rows = [compute_weights(s, a, b, pol) for s, a, b in zip(sigma, q1, q2)]
+    try:
+        expected = [_reference_kept(w, pol) for w in rows]
+    except ValueError:  # a row whose probabilities underflow to zero
+        with pytest.raises(ValueError, match="all-zero"):
+            kept_masks(weights, pol)
+        return
+    masks = kept_masks(weights, pol)
+    assert masks.dtype == bool and masks.shape == sigma.shape
+    for mask, row, kept in zip(masks, rows, expected):
+        # a kept set whose squares underflow renormalizes by zero, as it always has
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.array_equal(select_states(row, pol)[0], kept)
+        assert np.array_equal(np.flatnonzero(mask), kept)
+    split = (sigma.shape[0], 1, sigma.shape[1])
+    twice = kept_masks(compute_weights(sigma.reshape(split), q1.reshape(split),
+                                       q2.reshape(split), pol), pol)
+    assert np.array_equal(twice.reshape(sigma.shape), masks)
+
+
+def test_stacked_selection_breaks_ties_and_falls_back_row_by_row():
+    """Each row of one stack takes its own branch of the rule: an exact tie
+    goes to the lower index, a zero-raw selection falls back to the largest
+    raw weight (also when the kept weights' squares underflow), and a budget
+    beyond the row keeps every state."""
+    raw = np.array([[0.5, 0.5, 0.2], [0.9, 0.0, 0.0], [1e-200, 0.0, 0.0], [0.6, 0.3, 0.1]])
+    eff = np.array([[0.5, 0.5, 0.2], [0.0, 1.0, 0.5], [0.0, 1.0, 0.5], [0.6, 0.3, 0.1]])
+    masks = kept_masks(make_weights(raw, eff), TruncationPolicy(max_kept=1))
+    assert masks.tolist() == [[True, False, False], [True, False, False],
+                              [True, False, False], [True, False, False]]
+    masks = kept_masks(make_weights(raw, eff), TruncationPolicy(max_kept=3, cutoff=0.4))
+    assert masks.tolist() == [[True, True, True], [True, False, False],
+                              [True, False, False], [True, True, False]]
+    for row_raw, row_eff, mask in zip(raw, eff, masks):
+        weights = make_weights(row_raw, row_eff)
+        policy = TruncationPolicy(max_kept=3, cutoff=0.4)
+        assert np.array_equal(np.flatnonzero(mask), _reference_kept(weights, policy))
+
+
+def test_stacked_selection_rejects_an_all_zero_row():
+    raw = np.array([[0.5, 0.1], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="all-zero"):
+        kept_masks(make_weights(raw, raw), TruncationPolicy())
