@@ -64,12 +64,17 @@ A step has a choice only when it has more candidate states than
 keeps every state, so the step is neither charged nor weighed and its record
 holds no charges; a replay passes it when the record kept every state.  A
 policy with a choice at a step whose charges were never measured solves the
-point itself.
+point itself.  A step with a choice is charged as it is weighed, except under
+the standard kind, whose weights ignore the charges: there the step keeps
+its singular values and raw overlaps, and once the point's sweeps end its
+steps are charged in one stacked evaluation per candidate count.  Both ways
+give the same charges, bit for bit, written into the step's record before
+the solve returns it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -132,7 +137,8 @@ class TruncationRecord:
     Holds what the step measured: the singular values, their charges and
     the kept states.  Charges are measured only at a step with a choice (see
     :func:`_has_choice`), and are zeros there without a charge context; at a
-    step without one both are ``None`` and every state is kept.
+    step without one both are ``None`` and every state is kept, as one
+    read-only ``arange`` shared by all such steps.
     """
 
     sweep: int
@@ -349,38 +355,43 @@ def _flush_tiny(vec: np.ndarray) -> np.ndarray:
 # cross-point coherence context
 # ---------------------------------------------------------------------------
 
-def _aligned_square(w: np.ndarray, size: int) -> np.ndarray:
-    """``w`` clipped or zero-padded to ``size`` square, each column rotated by
-    its :func:`spectral.diagonal_phases` phase."""
-    out = np.zeros((size, size), dtype=w.dtype)
-    cols = min(size, w.shape[1])
-    out[: w.shape[0], :cols] = w[:size, :cols]
-    return out * diagonal_phases(out)
+def _aligned_squares(ws: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """Each of ``ws`` clipped or zero-padded to ``size`` square, stacked, each
+    column rotated by its :func:`spectral.diagonal_phases` phase."""
+    out = np.zeros((len(ws), size, size), dtype=np.result_type(*ws))
+    for square, w in zip(out, ws):
+        cols = min(size, w.shape[1])
+        square[: w.shape[0], :cols] = w[:size, :cols]
+    return out * diagonal_phases(out)[:, None, :]
 
 
-def _bond_charges(p: np.ndarray, w1: np.ndarray, w2: Optional[np.ndarray],
+def _bond_charges(p: np.ndarray, overlaps: Sequence[Sequence[np.ndarray]],
                   spacings: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First- and second-order charges of the Schmidt states at one bond.
+    """First- and second-order charges of the Schmidt states at ``m`` bonds.
 
-    ``p`` are the states' probabilities; ``w1`` and ``w2`` their raw overlaps
-    with the Schmidt states of the previous point and of the one before it
-    (``w2`` is ``None`` when there is no such point); ``spacings`` the grid
-    steps back to those points, most recent first.  The backward stencils
-    are ``D1 = (I - W1) / h1`` and the three-point second difference over
-    the last three points.  Returns ``(q1, q2, w1_aligned)``: the coherence
-    penalty of the scan record reuses the padded, phase-aligned ``W1``.
+    The one home of the charge stencils: a sweep's steps and a point's gauge
+    record are both charged here.  ``p`` holds each bond's ``n`` state
+    probabilities, ``(m, n)``.  ``overlaps`` holds, for the previous point
+    and, when there is one, the point before it, each bond's raw overlaps
+    ``W`` with that point's Schmidt states, of any widths: each is clipped
+    or zero-padded to ``n`` square and phase-aligned.  ``spacings`` are the
+    grid steps back to those points, most recent first.  The backward
+    stencils are ``D1 = (I - W1) / h1`` and the three-point second
+    difference over the last three points.  Every operation is elementwise
+    or reduces the last axis, so each row is bit for bit what a one-row call
+    gives.  Returns ``(q1, q2, w1_aligned)``, shaped ``(m, n)``, ``(m, n)``
+    and ``(m, n, n)``: the coherence penalty of the scan record reuses the
+    padded, phase-aligned ``W1``.
     """
-    rank = p.size
-    w1 = _aligned_square(w1, rank)
-    h1 = spacings[0]
-    d1 = (np.eye(rank) - w1) / h1
-    q1 = charge_first_order(p, d1)
-    q2 = np.zeros(rank)
-    if w2 is not None:
-        w2 = _aligned_square(w2, rank)
-        c_oldest, c_middle, c_newest = second_difference_coeffs(spacings[1], h1)
-        d2 = c_newest * np.eye(rank) + c_middle * w1 + c_oldest * w2
-        q2 = charge_second_order(d2)
+    rank = p.shape[-1]
+    w1 = _aligned_squares(overlaps[0], rank)
+    eye = np.eye(rank)
+    q1 = charge_first_order(p, (eye - w1) / spacings[0])
+    q2 = np.zeros(p.shape)
+    if len(overlaps) > 1:
+        c_oldest, c_middle, c_newest = second_difference_coeffs(spacings[1], spacings[0])
+        q2 = charge_second_order(c_newest * eye + c_middle * w1
+                                 + c_oldest * _aligned_squares(overlaps[1], rank))
     return q1, q2, w1
 
 
@@ -392,13 +403,15 @@ class _ChargeContext:
     sweeps left-to-right it pushes one overlap environment per reference
     through each updated site and caches it at the next bond, so the
     right-to-left half sweep (which leaves the sites left of each bond
-    untouched) reuses it.
+    untouched) reuses it.  :meth:`charge` queues a step and :meth:`flush`
+    charges the queue, one stacked evaluation per candidate count.
     """
 
     def __init__(self, references: list[_TrajectoryNode], spacings: list[float]):
         self.references = references
         self.spacings = spacings
         self._cache: list[list[np.ndarray]] = []
+        self._queue: list[tuple] = []
 
     def begin_sweep(self) -> None:
         self._cache = [[np.ones((1, 1))] for _ in self.references]
@@ -409,22 +422,32 @@ class _ChargeContext:
             self._cache[r].append(extend_cross_env(
                 self._cache[r][bond], new_left_tensor, ref.phi.tensors[bond]))
 
-    def _overlap(self, r: int, bond: int, u3: np.ndarray) -> np.ndarray:
-        ref = self.references[r]
-        return (extend_cross_env(self._cache[r][bond], u3, ref.phi.tensors[bond])
-                @ ref.schmidt[bond][1])
-
-    def charges(self, bond: int, u3: np.ndarray,
-                sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First- and second-order charges for the candidate states at ``bond``.
+    def charge(self, bond: int, u3: np.ndarray, sigma: np.ndarray, q1: np.ndarray,
+               q2: np.ndarray) -> None:
+        """Queue the candidate states at ``bond`` for :meth:`flush` to write
+        their first- and second-order charges into ``q1`` and ``q2``.
 
         ``u3`` is the candidate left Schmidt tensor ``(left, phys, rank)``
-        straight from the SVD, ``sigma`` the matching singular values.
+        straight from the SVD, ``sigma`` the matching singular values.  The
+        raw overlaps with each reference's Schmidt states are taken now,
+        while the sweep's environments hold.
         """
-        w1 = self._overlap(0, bond, u3)
-        w2 = self._overlap(1, bond, u3) if len(self.references) > 1 else None
-        q1, q2, _ = _bond_charges(unit_sum(sigma**2), w1, w2, self.spacings)
-        return q1, q2
+        self._queue.append((sigma, q1, q2, [
+            extend_cross_env(self._cache[r][bond], u3, ref.phi.tensors[bond])
+            @ ref.schmidt[bond][1] for r, ref in enumerate(self.references)]))
+
+    def flush(self) -> None:
+        """Charge every queued step, one stacked evaluation per candidate count."""
+        by_size: dict[int, list[tuple]] = {}
+        for step in self._queue:
+            by_size.setdefault(step[0].size, []).append(step)
+        self._queue = []
+        for steps in by_size.values():
+            sigma, q1, q2, overlaps = zip(*steps)
+            c1, c2, _ = _bond_charges(unit_sum(np.array(sigma) ** 2), list(zip(*overlaps)),
+                                      self.spacings)
+            for a, b, row1, row2 in zip(q1, q2, c1, c2):
+                a[...], b[...] = row1, row2
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +468,8 @@ def ground_state(hamiltonian: MatrixProductOperator, init: MatrixProductState,
 
 def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
               cfg: SweepConfig, context: Optional[_ChargeContext]) -> DmrgResult:
-    """The sweeps of :func:`ground_state`, charging every step against ``context``."""
+    """The sweeps of :func:`ground_state`, charging every step with a choice
+    against ``context``."""
     if hamiltonian.physical_dims != init.physical_dims:
         raise ValueError("Hamiltonian and initial state disagree on local dimensions")
     n = init.n_sites
@@ -501,10 +525,22 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
             break
         previous_energy = local_energy
 
+    if context is not None:  # the steps the standard kind left queued
+        context.flush()
     state = MatrixProductState(tensors, center=0)
     energy = float(expectation(state, hamiltonian).real)
     return DmrgResult(energy=energy, state=state, sweep_energies=sweep_energies,
                       truncation_log=log, converged=converged and solves_converged)
+
+
+@cache
+def _every_state(n: int) -> np.ndarray:
+    """``arange(n)``, read-only: the kept set of every step of ``n`` candidates
+    without a choice, one array for all of them (a scan's tree holds
+    hundreds of such steps)."""
+    kept = np.arange(n)
+    kept.flags.writeable = False
+    return kept
 
 
 def _has_choice(n: int, policy: TruncationPolicy) -> bool:
@@ -530,12 +566,15 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
 
     def select(sigma, u):
         nonlocal rec
-        if not _has_choice(sigma.size, policy):
-            rec = TruncationRecord(sweep, b, sigma, None, None, np.arange(sigma.size))
+        n = sigma.size
+        if not _has_choice(n, policy):
+            rec = TruncationRecord(sweep, b, sigma, None, None, _every_state(n))
             return rec.kept
-        q1, q2 = np.zeros(sigma.size), np.zeros(sigma.size)
+        q1, q2 = np.zeros(n), np.zeros(n)
         if context is not None:
-            q1, q2 = context.charges(b, u.reshape(l, d1, sigma.size), sigma)
+            context.charge(b, u.reshape(l, d1, n), sigma, q1, q2)
+            if policy.kind != "standard":  # the standard weights ignore the charges
+                context.flush()
         kept = select_states(compute_weights(sigma, q1, q2, policy), policy)[0]
         rec = TruncationRecord(sweep, b, sigma, q1, q2, kept)
         return kept
@@ -551,7 +590,11 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
 def _point_gauge_record(result: DmrgResult, phi, schmidt, history: list[_TrajectoryNode],
                         spacings: list[float]) -> ScanPointRecord:
     """Bond diagnostics of a point's :func:`mps.bond_schmidt_data` ``(phi,
-    schmidt)`` against up to two earlier nodes, most recent first."""
+    schmidt)`` against up to two earlier nodes, most recent first.
+
+    The bonds of one rank are charged, and their coherence terms formed, in
+    one stacked evaluation; the penalties add up in bond order.
+    """
     n_bonds = len(schmidt)
     charges1 = [np.zeros(p.size) for p, _ in schmidt]
     charges2 = [np.zeros(p.size) for p, _ in schmidt]
@@ -561,32 +604,35 @@ def _point_gauge_record(result: DmrgResult, phi, schmidt, history: list[_Traject
     coherence = 0.0
     curvature = 0.0
     if history:
-        prev = history[0]
-        envs1 = left_cross_envs(phi, prev.phi)
-        envs2 = None
-        if len(history) > 1:
-            envs2 = left_cross_envs(phi, history[1].phi)
+        envs = [left_cross_envs(phi, ref.phi) for ref in history]
         h1 = spacings[0]
-        for b in range(n_bonds):
-            p_cur, g_cur = schmidt[b]
-            p_ref, g_ref = prev.schmidt[b]
-            rank = p_cur.size
-            w2 = None
-            if envs2 is not None:
-                w2 = dag(g_cur) @ envs2[b] @ history[1].schmidt[b][1]
-            charges1[b], charges2[b], w1 = _bond_charges(
-                p_cur, dag(g_cur) @ envs1[b] @ g_ref, w2, spacings)
+        by_rank: dict[int, list[int]] = {}
+        for b, (p, _) in enumerate(schmidt):
+            by_rank.setdefault(p.size, []).append(b)
+        terms = [0.0] * n_bonds
+        for rank, bonds in by_rank.items():
+            p_cur = np.array([schmidt[b][0] for b in bonds])
+            q1, q2, w1 = _bond_charges(p_cur, [
+                [dag(schmidt[b][1]) @ env[b] @ ref.schmidt[b][1] for b in bonds]
+                for env, ref in zip(envs, history)], spacings)
             # coherence penalty: ||i d(rho)/dt - [A, rho]||_F^2 in the current basis
-            p_prev = np.zeros(rank)
-            p_prev[: min(rank, p_ref.size)] = p_ref[:rank]
-            rho_cur = np.diag(p_cur).astype(complex)
-            rho_prev = w1 @ np.diag(p_prev).astype(complex) @ dag(w1)
-            u_cur = np.diag(np.sqrt(p_cur)).astype(complex)
-            u_prev = w1 @ np.diag(np.sqrt(p_prev)).astype(complex) @ dag(w1)
+            p_prev = np.zeros(p_cur.shape)
+            for row, b in zip(p_prev, bonds):
+                p_ref = history[0].schmidt[b][0][:rank]
+                row[: p_ref.size] = p_ref
+            rho_cur, rho_prev, u_cur, u_prev = (  # diagonal matrices, stacked
+                (np.eye(rank) * v[:, None]).astype(complex)
+                for v in (p_cur, p_prev, np.sqrt(p_cur), np.sqrt(p_prev)))
+            rho_prev = w1 @ rho_prev @ dag(w1)
+            u_prev = w1 @ u_prev @ dag(w1)
             a_bond = potential_from_amplitudes(u_cur, (u_cur - u_prev) / h1)
             d_rho = covariant_rate(rho_cur, (rho_cur - rho_prev) / h1, a_bond)
-            coherence += float(np.sum(np.abs(d_rho) ** 2))
-            curvature += float(np.dot(p_cur, charges2[b]))
+            sums = np.sum((np.abs(d_rho) ** 2).reshape(len(bonds), -1), axis=-1)
+            for row, b in enumerate(bonds):
+                charges1[b], charges2[b], terms[b] = q1[row], q2[row], float(sums[row])
+        for b in range(n_bonds):
+            coherence += terms[b]
+            curvature += float(np.dot(schmidt[b][0], charges2[b]))
     return ScanPointRecord(
         bond_charges1=tuple(charges1), bond_charges2=tuple(charges2),
         bond_discarded=tuple(discarded), coherence_penalty=coherence,

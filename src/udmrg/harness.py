@@ -51,6 +51,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import functools
+import json
 import typing
 from dataclasses import dataclass, field
 from itertools import product
@@ -453,17 +454,53 @@ def _pec_policy_problems(policies: Sequence[TruncationPolicy],
     return problems
 
 
+#: the config hash payload of the four experiments' defaults, frozen when it
+#: held every field of every experiment, as JSON with lists for tuples
+_FROZEN_PAYLOAD: dict[str, Any] = {
+    name: tuple(value) if isinstance(value, list) else value
+    for name, value in json.loads("""
+{"benchmark_bond": 32, "benchmark_fields": [0.5, 1.0, 1.5],
+"benchmark_sizes": [6, 8, 10], "benchmark_sweeps": 20, "benchmark_tol": 1e-10,
+"coupling": 0.1, "coupling_j": 1.0, "crossing_center": 1.0,
+"crossing_window": 0.1, "energy_tol": 1e-09, "family_dim": 3,
+"family_points": 21, "field_max": 1.5, "field_min": 0.5,
+"gamma1_grid": [0.0, 0.5, 1.0], "gamma2_grid": [0.0, 0.5], "grid_search": true,
+"lambda1_grid": [0.0, 0.5, 1.0], "lambda2_grid": [0.0, 0.5], "lambda_max": 2.0,
+"lambda_min": -2.0, "max_bond": 4, "microgrid_spacing": 3e-05,
+"n_families": 100, "n_fields": 21, "n_points": 401, "n_sites": 6,
+"num_sweeps": 12, "objective": "energy_error",
+"refine_plane_sizes": [9, 17, 33], "refine_time_sizes": [21, 41, 81],
+"seed": 7, "spin_model": "tfim", "sweep_rate": 1.0, "time_steps": 4000,
+"policies": [
+  {"kind": "standard", "gamma1": 0.0, "gamma2": 0.0, "lambda1": 0.0,
+   "lambda2": 0.0, "max_kept": 64, "cutoff": 0.0},
+  {"kind": "uhlmann", "gamma1": 0.0, "gamma2": 0.0, "lambda1": 0.0,
+   "lambda2": 0.0, "max_kept": 64, "cutoff": 0.0},
+  {"kind": "categorified", "gamma1": 0.0, "gamma2": 0.0, "lambda1": 0.0,
+   "lambda2": 0.0, "max_kept": 64, "cutoff": 0.0},
+  {"kind": "coherence_eigenvalue_2", "gamma1": 0.0, "gamma2": 0.0, "lambda1": 0.0,
+   "lambda2": 0.0, "max_kept": 64, "cutoff": 0.0}]}
+""").items()}
+
+
 def config_payload(cfg: ExperimentConfig) -> dict:
     """Configuration as a plain dict, the input to the config hash.
 
-    The config's own fields are laid over the defaults of every experiment,
-    so the hash is the one the single configuration type that once held all
-    of them gave.
+    The config's own fields are laid over :data:`_FROZEN_PAYLOAD`, the
+    defaults of every experiment, so the hash is the one the single
+    configuration type that once held all of them gave.  A field added since
+    enters only at a value other than its default, so a new key leaves the
+    hash of every config that does not set it.  Changing such a field's
+    default would then move no hash; a test pins each one.
     """
-    payload = {}
-    for config_type in CONFIG_TYPES.values():
-        payload.update(dataclasses.asdict(config_type()))
-    payload.update(dataclasses.asdict(cfg), kind=cfg.kind)
+    payload = dict(_FROZEN_PAYLOAD)
+    plain = dataclasses.asdict(cfg)
+    for f in dataclasses.fields(cfg):
+        if f.name in payload or getattr(cfg, f.name) != (
+                f.default if f.default_factory is dataclasses.MISSING
+                else f.default_factory()):
+            payload[f.name] = plain[f.name]
+    payload["kind"] = cfg.kind
     return payload
 
 

@@ -260,20 +260,30 @@ def bond_schmidt_data(psi: MatrixProductState):
     Returns ``(phi, data)`` where ``phi`` is the left-canonical state and
     ``data[b] = (p, g)`` holds the descending Schmidt probabilities and the
     unitary rotating the bond-``b`` left-isometry basis into the Schmidt
-    eigenbasis (columns ordered like ``p``).
+    eigenbasis (columns ordered like ``p``).  The right-to-left recursion
+    forms each bond's reduced density matrix.  They share one dtype: each
+    holds the last site, which the left-canonical form makes complex when
+    any site is.  The bonds of one dimension are then diagonalized by one
+    stacked ``eigh``, which decomposes each member as a call of its own
+    would.
     """
     phi = canonicalize(psi, psi.n_sites - 1)
     norm_sq = inner_product(phi, phi).real
     n = phi.n_sites
-    data: list = [None] * (n - 1)
+    rhos: list = [None] * (n - 1)
     env = np.ones((1, 1))
     for s in range(n - 1, 0, -1):
         t = phi.tensors[s]
         env = np.einsum("idr,rs,jds->ij", t, env, t.conj())
-        rho = hermitian_part(env) / norm_sq
-        w, g = np.linalg.eigh(rho)
-        w, g = w[::-1].copy(), g[:, ::-1].copy()
-        data[s - 1] = (unit_sum(np.clip(w, 0.0, None)), g)
+        rhos[s - 1] = hermitian_part(env) / norm_sq
+    groups: dict[int, list[int]] = {}
+    for b, rho in enumerate(rhos):
+        groups.setdefault(rho.shape[0], []).append(b)
+    data: list = [None] * (n - 1)
+    for bonds in groups.values():
+        w, g = np.linalg.eigh(np.array([rhos[b] for b in bonds]))
+        for b, w_b, g_b in zip(bonds, w, g):
+            data[b] = (unit_sum(np.clip(w_b[::-1], 0.0, None)), g_b[:, ::-1].copy())
     return phi, data
 
 

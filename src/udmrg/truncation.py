@@ -41,6 +41,9 @@ POLICY_KINDS = (
 #: probability-pair floor below which a charge term is dropped
 PAIR_FLOOR = 1e-14
 
+#: the smallest normal float64, ``np.finfo(float).tiny``
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
 
 def is_integer(value) -> bool:
     """An integer of any type, ``numpy`` scalars included, but not a ``bool``.
@@ -227,9 +230,17 @@ def select_states(weights: TruncationWeights, policy: TruncationPolicy):
     The states are the ones :func:`kept_masks` keeps.  Returns ``(kept,
     renormalized)`` with ``kept`` ascending and the retained raw weights
     scaled to a unit vector (by ``sqrt(w . w)``, which is how
-    ``np.linalg.norm`` computes it); ``weights`` is left as it was.  Raises
-    on an all-zero spectrum.
+    ``np.linalg.norm`` computes it); ``weights`` is left as it was.  When
+    ``w . w`` underflows below the smallest normal float, ``w`` is first
+    divided by its largest entry, so singular values like ``[2.2e-308]``
+    renormalize to ``[1.0]`` and not by zero.  The eigenvalue-shift kinds
+    weigh ``sigma**2``, which is all zero for such a spectrum, so it raises
+    there as an all-zero spectrum does.
     """
     kept = kept_masks(weights, policy).nonzero()[0]
     raw = weights.raw[kept]
-    return kept, raw / math.sqrt(raw.dot(raw))
+    norm_sq = raw.dot(raw)
+    if norm_sq < _SMALLEST_NORMAL:
+        raw = raw / raw.max()
+        norm_sq = raw.dot(raw)
+    return kept, raw / math.sqrt(norm_sq)

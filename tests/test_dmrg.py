@@ -819,13 +819,13 @@ def test_a_scan_adopting_a_charged_point_drops_the_charges_it_never_measures(tre
 def test_a_scan_charges_only_steps_with_more_states_than_the_budget(monkeypatch,
                                                                      tree_oracle):
     sizes = []
-    charges = dmrg._ChargeContext.charges
+    charge = dmrg._ChargeContext.charge
 
-    def spy(self, bond, u3, sigma):
+    def spy(self, bond, u3, sigma, q1, q2):
         sizes.append(sigma.size)
-        return charges(self, bond, u3, sigma)
+        return charge(self, bond, u3, sigma, q1, q2)
 
-    monkeypatch.setattr(dmrg._ChargeContext, "charges", spy)
+    monkeypatch.setattr(dmrg._ChargeContext, "charge", spy)
     scan = _tree_scan(TruncationPolicy(kind="uhlmann", gamma1=5.0), _tree(tree_oracle))
     # point 0 has no earlier point to charge against
     over_budget = [rec.singular_values.size for res in scan.results[1:]
@@ -1031,6 +1031,13 @@ def test_a_tree_keeps_its_own_copy_of_the_problem(tree_oracle):
         _assert_same_scan(_tree_scan(policy, tree), _tree_scan(policy, untouched))
 
 
+def _one_bond_charges(p, w1, w2, spacings):
+    """:func:`dmrg._bond_charges` of one bond, as a stack of one row."""
+    q1, q2, aligned = _bond_charges(p[None], [[w1]] + ([] if w2 is None else [[w2]]),
+                                    spacings)
+    return q1[0], q2[0], aligned[0]
+
+
 @settings(max_examples=80, deadline=None)
 @given(rank=st.integers(1, 5), extra_cols=st.integers(-2, 1),
        seed=st.integers(0, 2**32 - 1), h1=st.floats(0.05, 1.0),
@@ -1054,8 +1061,8 @@ def test_bond_charges_ignore_column_phases(rank, extra_cols, seed, h1, h2, secon
 
     w1 = overlaps()
     w2 = overlaps() if second else None
-    q1, q2, aligned = _bond_charges(p, w1, w2, (h1, h2))
-    r1, r2, r_aligned = _bond_charges(
+    q1, q2, aligned = _one_bond_charges(p, w1, w2, (h1, h2))
+    r1, r2, r_aligned = _one_bond_charges(
         p, w1 * phases(), None if w2 is None else w2 * phases(), (h1, h2))
     for ref, rotated in ((q1, r1), (q2, r2)):
         scale = max(1.0, float(np.max(np.abs(ref))))
@@ -1106,7 +1113,7 @@ def test_bond_charges_align_like_the_per_column_loop(rank, extra_cols, seed, rea
 
     w1 = overlaps()
     w2 = overlaps() if second else None
-    q1, q2, aligned = _bond_charges(p, w1, w2, (h1, h2))
+    q1, q2, aligned = _one_bond_charges(p, w1, w2, (h1, h2))
     a1 = reference(w1)
     r1 = charge_first_order(p, (np.eye(rank) - a1) / h1)
     r2 = np.zeros(rank)
@@ -1123,6 +1130,69 @@ def test_bond_charges_align_like_the_per_column_loop(rank, extra_cols, seed, rea
     for got, want in ((q1, r1), (q2, r2)):
         scale = max(1.0, float(np.max(np.abs(want))))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * scale)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), rank=st.integers(1, 8), rows=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), real=st.booleans(), second=st.booleans(),
+       zeros=st.integers(0, 2), h1=st.floats(0.01, 2.0), h2=st.floats(0.01, 2.0))
+def test_stacked_bond_charges_equal_one_row_calls_bit_for_bit(data, rank, rows, seed, real,
+                                                              second, zeros, h1, h2):
+    """Each row of a stacked call is what a one-row call gives it, to the
+    last bit: overlaps narrower than, as wide as and wider than the rank,
+    real and complex, with and without a second point, zero probabilities,
+    and unequal spacings."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(rank), size=rows)
+    if zeros < rank:
+        p[:, rank - zeros:] = 0.0
+
+    def overlaps():
+        widths = data.draw(st.lists(st.integers(max(1, rank - 2), rank + 2),
+                                    min_size=rows, max_size=rows))
+        out = [rng.normal(size=(rank, cols)) for cols in widths]
+        return out if real else [w + 1j * rng.normal(size=w.shape) for w in out]
+
+    w1 = overlaps()
+    w2 = overlaps() if second else None
+    q1, q2, aligned = _bond_charges(p, [w1] + ([] if w2 is None else [w2]), (h1, h2))
+    assert q1.shape == q2.shape == (rows, rank) and aligned.shape == (rows, rank, rank)
+    for k in range(rows):
+        one = _one_bond_charges(p[k], w1[k], None if w2 is None else w2[k], (h1, h2))
+        for got, want in zip((q1[k], q2[k], aligned[k]), one):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("draw", [random_mps, complex_random_mps], ids=["real", "complex"])
+def test_a_standard_scan_charges_its_steps_at_the_end_of_each_point(monkeypatch,
+                                                                    tree_oracle, draw):
+    """The standard kind charges a point's steps once its sweeps end, in
+    one stacked evaluation per candidate count.  An uhlmann scan at gamma1 =
+    1e-300 damps by ``exp(-1e-300 Q) = 1``, so it keeps the same states,
+    but it charges each step as it weighs it.  Through fresh trees the two
+    scans agree bit for bit, charges included."""
+    stacks = []
+    bond_charges = dmrg._bond_charges
+
+    def spy(p, overlaps, spacings):
+        stacks.append(p.shape[0])
+        return bond_charges(p, overlaps, spacings)
+
+    monkeypatch.setattr(dmrg, "_bond_charges", spy)
+    standard = _tree_scan(TruncationPolicy(), _tree(tree_oracle, draw))
+    deferred = list(stacks)
+    stacks.clear()
+    uhlmann = _tree_scan(TruncationPolicy(kind="uhlmann", gamma1=1e-300),
+                         _tree(tree_oracle, draw))
+    monkeypatch.undo()  # the gauge records read below charge their bonds too
+    _assert_same_scan(standard, uhlmann)
+    charged = [rec for res in standard.results[1:] for rec in res.truncation_log
+               if rec.charges1 is not None]
+    assert any(np.any(rec.charges1) for rec in charged)
+    # one stack per later point against one row per charged step
+    assert len(deferred) == len(standard.results) - 1 and max(deferred) > 1
+    assert sum(deferred) == len(stacks) == len(charged)
+    assert set(stacks) == {1}
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,39 @@ def test_default_config_hashes_are_unchanged():
         assert config_hash(config_payload(CONFIG_TYPES[kind]())) == digest
 
 
+@dataclasses.dataclass(frozen=True)
+class _DirectedPecConfig(PecComparisonConfig):
+    """The pec config with one field added after the hash payload froze."""
+
+    scan_direction: str = "forward"
+
+
+def test_a_new_config_field_at_its_default_moves_no_hash(monkeypatch):
+    """Registered in place of the pec type, a type with an extra defaulted
+    field keeps all four default hashes and both pinned ones; a value other
+    than the default enters the payload and moves the hash."""
+    monkeypatch.setitem(CONFIG_TYPES, "pec_comparison", _DirectedPecConfig)
+    test_default_config_hashes_are_unchanged()
+    pinned = _DirectedPecConfig(seed=3, n_sites=8, grid_search=False)
+    assert config_hash(config_payload(pinned)) == \
+        "60e1a2a170728ceca7aaea8d9b9bfe148ecddcd8547d9f744a6683608086d3c0"
+    assert "scan_direction" not in config_payload(pinned)
+    backward = config_payload(_DirectedPecConfig(scan_direction="backward"))
+    assert backward["scan_direction"] == "backward"
+    assert config_hash(backward) != config_hash(config_payload(PecComparisonConfig()))
+
+
+def test_config_defaults_outside_the_frozen_payload_are_pinned():
+    """A field the frozen payload does not hold hashes only away from its
+    default, so a changed default would move no hash: each one is pinned
+    here, and a change shows up as an edit of this test."""
+    post_freeze = {(kind, f.name): getattr(config_type(), f.name)
+                   for kind, config_type in CONFIG_TYPES.items()
+                   for f in dataclasses.fields(config_type)
+                   if f.name not in harness._FROZEN_PAYLOAD}
+    assert post_freeze == {}
+
+
 def test_pec_requires_tfim():
     # the transverse-field scan has no spin model to choose
     with pytest.raises(TypeError, match="spin_model"):
@@ -754,12 +787,20 @@ def call_counter(monkeypatch):
     return calls, count
 
 
+def count_charges(count):
+    """Tally the charged steps, and the ``_bond_charges`` calls and their
+    rows (steps and gauge-record bonds)."""
+    count(dmrg._ChargeContext, "charge")
+    count(dmrg, "_bond_charges")
+    count(dmrg, "_bond_charges", key="charge_rows", size=lambda q: len(q[0]))
+
+
 def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     """The README's ``pec_comparison`` section states these counts."""
     calls, count = call_counter(monkeypatch)
     count(harness, "continuation_scan")
     count(dmrg, "effective_hamiltonian")
-    count(dmrg._ChargeContext, "charges")
+    count_charges(count)
     count(dmrg, "_point_gauge_record")
     count(dmrg, "select_states")
     count(dmrg, "_replays")
@@ -768,10 +809,13 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     report = run_pec_comparison(PecComparisonConfig())
     # the candidates that lose are scanned to the window's last point, and
     # only the reported scans' gauge records are built; each replay selects
-    # its 4 charged steps in one stacked call
-    assert calls == {"continuation_scan": 13, "effective_hamiltonian": 640,
-                     "charges": 124, "_point_gauge_record": 21, "select_states": 128,
-                     "_replays": 148, "replayed_steps": 592}
+    # its 4 charged steps in one stacked call.  Of the 124 charged steps, the
+    # coefficient policies charge 44 one call each and the standard scans 80
+    # in one call per point (20); the 20 records with a history charge their
+    # 100 bonds in one call per rank (40)
+    assert calls == {"continuation_scan": 13, "effective_hamiltonian": 640, "charge": 124,
+                     "_bond_charges": 104, "charge_rows": 224, "_point_gauge_record": 21,
+                     "select_states": 128, "_replays": 148, "replayed_steps": 592}
     # how each dense local solve was accepted: at the warm start, by
     # Rayleigh-quotient iteration, after eigvalsh, by the full eigh
     assert tiers == {"start": 320, "rqi": 230, "eigvalsh": 88, "eigh": 2}
@@ -815,12 +859,15 @@ def test_eight_site_pec_without_search_costs_what_the_readme_says(monkeypatch):
     calls, count = call_counter(monkeypatch)
     count(harness, "continuation_scan")
     count(dmrg, "effective_hamiltonian")
-    count(dmrg._ChargeContext, "charges")
+    count_charges(count)
     count(dmrg, "_point_gauge_record")
     count(dmrg, "select_states")
     run_pec_comparison(PecComparisonConfig(n_sites=8, grid_search=False))
-    assert calls == {"continuation_scan": 1, "effective_hamiltonian": 602,
-                     "charges": 240, "_point_gauge_record": 21, "select_states": 258}
+    # the standard scan charges its 240 steps in one call per point (20), and
+    # the 20 records with a history their 140 bonds in one call per rank (40)
+    assert calls == {"continuation_scan": 1, "effective_hamiltonian": 602, "charge": 240,
+                     "_bond_charges": 60, "charge_rows": 380, "_point_gauge_record": 21,
+                     "select_states": 258}
 
 
 @pytest.mark.parametrize("config", [

@@ -15,7 +15,7 @@ from udmrg.mps import (
     split_theta,
     to_dense,
 )
-from udmrg.linalg import dag
+from udmrg.linalg import dag, hermitian_part, unit_sum
 from udmrg.models import PAULI_X, PAULI_Z, build_spin_chain_mpo, SpinChainSpec
 
 from helpers import (
@@ -274,6 +274,44 @@ def test_bond_schmidt_data_probabilities_and_gauges():
         np.testing.assert_allclose(dag(g) @ g, np.eye(len(g)), atol=1e-12)
     np.testing.assert_allclose(np.abs(inner_product(phi, psi)), 1.0,
                                atol=1e-12)
+
+
+def _schmidt_data_bond_by_bond(psi):
+    """:func:`bond_schmidt_data` with one ``eigh`` per bond: the reference
+    the stacked eigensolves are held to."""
+    phi = canonicalize(psi, psi.n_sites - 1)
+    norm_sq = inner_product(phi, phi).real
+    data = [None] * (phi.n_sites - 1)
+    env = np.ones((1, 1))
+    for s in range(phi.n_sites - 1, 0, -1):
+        t = phi.tensors[s]
+        env = np.einsum("idr,rs,jds->ij", t, env, t.conj())
+        w, g = np.linalg.eigh(hermitian_part(env) / norm_sq)
+        data[s - 1] = (unit_sum(np.clip(w[::-1], 0.0, None)), g[:, ::-1])
+    return phi, data
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_stacked_schmidt_data_equals_one_eigh_per_bond(kind):
+    """Bonds of 2, 4 and 5 states, from real, complex and mixed-dtype
+    tensors: each bond's probabilities and basis are the per-bond loop's,
+    bit for bit and in its dtype."""
+    rng = np.random.default_rng(12)
+    draw = complex_random_mps if kind == "complex" else random_mps
+    psi = draw(rng, [2, 2, 3, 2, 2, 2], 5)
+    if kind == "mixed":
+        tensors = list(psi.tensors)
+        tensors[3] = tensors[3] * np.exp(0.3j)
+        psi = MatrixProductState(tensors, psi.center)
+    phi, data = bond_schmidt_data(psi)
+    ref_phi, ref_data = _schmidt_data_bond_by_bond(psi)
+    assert sorted({p.size for p, _ in data}) == [2, 4, 5]
+    for a, b in zip(phi.tensors, ref_phi.tensors, strict=True):
+        assert np.array_equal(a, b)
+    for (p, g), (ref_p, ref_g) in zip(data, ref_data, strict=True):
+        assert p.dtype == ref_p.dtype and g.dtype == ref_g.dtype
+        assert p.tobytes() == ref_p.tobytes() and g.tobytes() == ref_g.tobytes()
+        assert g.flags.c_contiguous
 
 
 def test_left_cross_envs_of_state_with_itself():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -496,14 +497,48 @@ def test_stacked_selection_equals_one_selection_per_row(data, sigma, kind, extra
     masks = kept_masks(weights, pol)
     assert masks.dtype == bool and masks.shape == sigma.shape
     for mask, row, kept in zip(masks, rows, expected):
-        # a kept set whose squares underflow renormalizes by zero, as it always has
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert np.array_equal(select_states(row, pol)[0], kept)
+        assert np.array_equal(select_states(row, pol)[0], kept)
         assert np.array_equal(np.flatnonzero(mask), kept)
     split = (sigma.shape[0], 1, sigma.shape[1])
     twice = kept_masks(compute_weights(sigma.reshape(split), q1.reshape(split),
                                        q2.reshape(split), pol), pol)
     assert np.array_equal(twice.reshape(sigma.shape), masks)
+
+
+def test_a_kept_set_whose_squares_underflow_renormalizes_to_a_unit_vector():
+    """``2.2e-308 ** 2`` underflows to 0: the sigma kinds keep that state and
+    renormalize it to 1 without dividing by zero (pytest turns the warning
+    into an error), and the eigenvalue-shift kinds, whose probabilities are
+    all zero, refuse the spectrum."""
+    sigma = np.array([2.2e-308])
+    for kind in ("standard", "uhlmann", "categorified"):
+        policy = TruncationPolicy(kind=kind, gamma1=1.0)
+        kept, renormalized = select_states(
+            compute_weights(sigma, np.zeros(1), np.zeros(1), policy), policy)
+        assert kept.tolist() == [0] and renormalized.tolist() == [1.0]
+    for kind in ("coherence_eigenvalue", "coherence_eigenvalue_2"):
+        policy = TruncationPolicy(kind=kind)
+        with pytest.raises(ValueError, match="all-zero spectrum"):
+            select_states(compute_weights(sigma, np.zeros(1), np.zeros(1), policy), policy)
+    # squares that underflow only in part still come out of unit norm
+    kept, renormalized = select_states(
+        compute_weights(np.array([3e-160, 1e-160, 0.0]), np.zeros(3), np.zeros(3),
+                        TruncationPolicy()), TruncationPolicy(max_kept=2))
+    assert kept.tolist() == [0, 1]
+    assert abs(float(renormalized @ renormalized) - 1.0) <= 1e-15
+
+
+def test_a_normal_norm_renormalizes_as_it_always_has():
+    """Above the underflow the weights divide by ``sqrt(w . w)`` as before,
+    down to the last bit."""
+    rng = np.random.default_rng(11)
+    for scale in (1.0, 1e-100, 1e-150):
+        sigma = np.sort(rng.uniform(size=6))[::-1] * scale
+        kept, renormalized = select_states(
+            compute_weights(sigma, np.zeros(6), np.zeros(6), TruncationPolicy()),
+            TruncationPolicy(max_kept=4))
+        raw = sigma[kept]
+        assert np.array_equal(renormalized, raw / math.sqrt(raw.dot(raw)))
 
 
 def test_stacked_selection_breaks_ties_and_falls_back_row_by_row():
