@@ -18,6 +18,11 @@ residual tolerance within its restarts flags the result as not converged
 instead of raising.
 A real MPO and a real start, such as :func:`mps.random_mps` draws, keep every
 environment, local eigensolve and split in float64 from the first sweep.
+There a local step pays for its factorizations and little more, with
+numpy's generic results bit for bit: 2-norms are ``sqrt(x . x)``
+(:func:`linalg.norm2`), Rayleigh quotients ``x . hx`` (the ``ddot`` of
+``np.vdot``), diagonal shifts go through one strided view, and the flush
+below writes a vector only when an entry falls under its floor.
 Real and imaginary parts of the local eigenvector below ``_FLUSH_RELATIVE``
 times its largest magnitude are set to zero before the split.  That matters
 only for a complex start that a caller passes: under a real MPO its
@@ -80,7 +85,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gauge import covariant_rate, potential_from_amplitudes
-from .linalg import LANCZOS_TOL, contract, dag, lanczos_lowest, unit_sum
+from .linalg import LANCZOS_TOL, contract, dag, lanczos_lowest, norm2, unit_sum
 from .mps import (
     MatrixProductOperator,
     MatrixProductState,
@@ -287,31 +292,41 @@ def _lowest_eigenpair(heff: EffectiveHamiltonian, left: np.ndarray,
     Like ``eigvalsh``, numpy's ``cholesky`` reads only the lower triangle.
     It factors ``H - s`` up to a backward error of about ``n eps ||H||``,
     which at these sizes lies far below ``tol``.
+
+    The Weinstein pre-check stays although certifying only at acceptance
+    gives the same pairs: without it a start with no ground-state weight
+    (outside its symmetry sector, say) runs three wasted solves before
+    ``eigvalsh``, as 87 of the 90 that reach it at the ``pec_comparison``
+    defaults do, all on the ``coherence_eigenvalue_2`` branch at ``lambda2 = 0.5``.
     """
     start = contract(left, right, axes=(2, 0)).reshape(-1)
-    if heff.dim > _FULL_EIGH_DIM:
+    n = heff.dim
+    if n > _FULL_EIGH_DIM:
         return lanczos_lowest(heff.matvec, start)
     dense = heff.dense()
     diagonal = dense.diagonal()
     shifted = dense.copy()
-    x = start / np.linalg.norm(start)
+    shift = shifted.reshape(-1)[:: n + 1]  # the diagonal of ``shifted``, as a view
+    # a real block from a real start stays real: ``x . hx`` is np.vdot's own ddot
+    real = not (np.iscomplexobj(dense) or np.iscomplexobj(start))
+    x = start / norm2(start)
     for solves in range(4):
         if solves:
-            shifted.flat[:: heff.dim + 1] = diagonal - energy
+            np.subtract(diagonal, energy, out=shift)
             try:
                 x = np.linalg.solve(shifted, x)
             except np.linalg.LinAlgError:  # theta is an eigenvalue to the last bit
                 break
-            x = x / np.linalg.norm(x)
+            x = x / norm2(x)
         hx = dense @ x
-        energy = float(np.vdot(x, hx).real)
-        residual = float(np.linalg.norm(hx - energy * x))
+        energy = float(x.dot(hx)) if real else float(np.vdot(x, hx).real)
+        residual = norm2(hx - energy * x)
         tol = LANCZOS_TOL * max(1.0, abs(energy))
         converged = residual <= tol
         if not converged and solves:
             continue
         floor = energy - tol if converged else energy - residual - tol
-        shifted.flat[:: heff.dim + 1] = diagonal - floor
+        np.subtract(diagonal, floor, out=shift)
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:  # an eigenvalue lies at or below the floor
@@ -319,18 +334,18 @@ def _lowest_eigenpair(heff: EffectiveHamiltonian, left: np.ndarray,
         if converged:
             return energy, x, True
     lowest = float(np.linalg.eigvalsh(dense)[0])
-    shifted.flat[:: heff.dim + 1] = diagonal - lowest
+    np.subtract(diagonal, lowest, out=shift)
     x = start
     for _ in range(2):
         try:
             x = np.linalg.solve(shifted, x)
         except np.linalg.LinAlgError:  # an exact zero pivot
             break
-        x = x / np.linalg.norm(x)
+        x = x / norm2(x)
         hx = shifted @ x
-        gap = float(np.vdot(x, hx).real)
+        gap = float(x.dot(hx)) if real else float(np.vdot(x, hx).real)
         tol = LANCZOS_TOL * max(1.0, abs(lowest + gap))
-        if abs(gap) <= tol and np.linalg.norm(hx - gap * x) <= tol:
+        if abs(gap) <= tol and norm2(hx - gap * x) <= tol:
             return lowest + gap, x, True
     w, v = np.linalg.eigh(dense)
     return float(w[0]), v[:, 0], True
@@ -343,12 +358,18 @@ def _flush_tiny(vec: np.ndarray) -> np.ndarray:
     imaginary parts are tested separately: the parts that decay toward the
     subnormal range sit in entries whose other part is of order one.  A
     complex ``vec`` left with no imaginary part comes back as its real part.
+    A real ``vec`` takes one ``abs`` pass and is written, in place, only
+    when some entry falls below the floor.
     """
-    floor = _FLUSH_RELATIVE * float(np.max(np.abs(vec)))
-    parts = (vec.real, vec.imag) if np.iscomplexobj(vec) else (vec,)
-    for part in parts:
+    magnitude = np.abs(vec)
+    floor = _FLUSH_RELATIVE * float(magnitude.max())
+    if not np.iscomplexobj(vec):
+        if magnitude.min() < floor:
+            vec[magnitude < floor] = 0.0
+        return vec
+    for part in (vec.real, vec.imag):
         part[np.abs(part) < floor] = 0.0
-    return vec.real.copy() if np.iscomplexobj(vec) and not vec.imag.any() else vec
+    return vec if vec.imag.any() else vec.real.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +620,9 @@ def _point_gauge_record(result: DmrgResult, phi, schmidt, history: list[_Traject
     charges1 = [np.zeros(p.size) for p, _ in schmidt]
     charges2 = [np.zeros(p.size) for p, _ in schmidt]
     discarded = [0.0] * n_bonds
-    for rec in result.truncation_log:  # the last sweep that touched each bond wins
-        discarded[rec.bond] = rec.discarded_weight
+    # the last sweep that touched each bond wins
+    for b, rec in {rec.bond: rec for rec in result.truncation_log}.items():
+        discarded[b] = rec.discarded_weight
     coherence = 0.0
     curvature = 0.0
     if history:

@@ -32,6 +32,9 @@ LANCZOS_RESTARTS = 100
 #: a Lanczos solve stops at residual ``||H x - E x|| <= LANCZOS_TOL * max(1, |E|)``
 LANCZOS_TOL = 1e-12
 
+#: the smallest normal float64, ``np.finfo(float).tiny``
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
 
 def dag(a: Matrix) -> Matrix:
     """Conjugate transpose; of each member for a stack ``(..., d, d)``."""
@@ -44,6 +47,31 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def hermitian_part(a: Matrix) -> Matrix:
     return 0.5 * (a + dag(a))
+
+
+def norm2(v: np.ndarray) -> float:
+    """2-norm of a vector: for a real ``v``, ``sqrt(v . v)`` over its entries
+    in memory order, bit for bit what ``np.linalg.norm`` computes, without its
+    generic dispatch; a complex ``v`` goes to ``np.linalg.norm``."""
+    if np.iscomplexobj(v):
+        return float(np.linalg.norm(v))
+    v = v.ravel(order="K")  # BLAS sums a strided vector in another order
+    return math.sqrt(v.dot(v))
+
+
+def unit_norm(w: np.ndarray) -> np.ndarray:
+    """Non-negative weights ``w``, not all zero, divided by ``sqrt(w . w)``.
+
+    When ``w . w`` falls below the smallest normal float, ``w`` is first
+    divided by its largest entry, so ``[2.2e-308]`` and ``[1e-160]`` come
+    back as ``[1.0]``; any other contiguous ``w`` keeps the bits of
+    ``w / norm2(w)``.
+    """
+    norm_sq = w.dot(w)
+    if norm_sq < _SMALLEST_NORMAL:
+        w = w / w.max()
+        norm_sq = w.dot(w)
+    return w / math.sqrt(norm_sq)
 
 
 def max_abs(a) -> float:
@@ -214,7 +242,7 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray],
     sector) finds the lowest pair it is not orthogonal to.
     """
     x = np.asarray(start).reshape(-1)
-    x = x / np.linalg.norm(x)
+    x = x / norm2(x)
     hx = matvec(x)
     size = min(LANCZOS_KRYLOV, x.size)
     basis = np.empty((size, x.size), dtype=np.result_type(x, hx))
@@ -222,7 +250,7 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray],
     cycles = 0
     while True:
         energy = float(np.vdot(x, hx).real)
-        converged = bool(np.linalg.norm(hx - energy * x)
+        converged = bool(norm2(hx - energy * x)
                          <= LANCZOS_TOL * max(1.0, abs(energy)))
         if converged or cycles == LANCZOS_RESTARTS:
             return energy, x, converged
@@ -233,13 +261,13 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray],
             w = images[k - 1]
             for _ in range(2):
                 w = w - basis[:k].T @ (basis[:k].conj() @ w)
-            norm = np.linalg.norm(w)
-            if norm <= 1e-14 * np.linalg.norm(images[k - 1]):
+            norm = norm2(w)
+            if norm <= 1e-14 * norm2(images[k - 1]):
                 break  # the basis spans an invariant subspace
             basis[k] = w / norm
             images[k] = matvec(basis[k])
             k += 1
         _, ritz = np.linalg.eigh(hermitian_part(basis[:k].conj() @ images[:k].T))
         x, hx = ritz[:, 0] @ basis[:k], ritz[:, 0] @ images[:k]
-        norm = np.linalg.norm(x)
+        norm = norm2(x)
         x, hx = x / norm, hx / norm

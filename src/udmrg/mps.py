@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import contract, hermitian_part, max_abs, unit_sum
+from .linalg import contract, hermitian_part, unit_norm, unit_sum
 
 
 def _inexact(t) -> np.ndarray:
@@ -228,23 +228,27 @@ def split_theta(theta: np.ndarray, select: Callable, center_after: str = "right"
 
     ``select(sigma, u)`` receives the descending singular values and the left
     singular vectors and returns the kept indices, ascending.  The kept
-    singular values, renormalized to a unit vector, are absorbed into the
-    side named by ``center_after``.  Returns ``(left, right)``.
+    singular values, renormalized to a unit vector by
+    :func:`linalg.unit_norm` (which scales a spectrum whose squares
+    underflow first), are absorbed into the side named by ``center_after``.
+    When every state is kept the SVD's factors are used as they are, with no
+    copy.  A block whose largest singular value is zero raises; a block
+    holding a NaN fails inside the SVD.  Returns ``(left, right)``.
     """
     l, d1, d2, r = theta.shape
-    m = theta.reshape(l * d1, d2 * r)
-    if max_abs(m) == 0.0:
+    u, s, vh = np.linalg.svd(theta.reshape(l * d1, d2 * r), full_matrices=False)
+    if s[0] == 0.0:
         raise ValueError("zero block at this bond; state has no weight here")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
     kept = np.asarray(select(s, u), dtype=int)
-    renorm = s[kept] / float(np.linalg.norm(s[kept]))
-    u_k, vh_k = u[:, kept], vh[kept, :]
+    if kept.size != s.size:
+        u, s, vh = u[:, kept], s[kept], vh[kept, :]
+    renorm = unit_norm(s)
     if center_after == "right":
-        left = u_k.reshape(l, d1, kept.size)
-        right = (renorm[:, None] * vh_k).reshape(kept.size, d2, r)
+        left = u.reshape(l, d1, kept.size)
+        right = (renorm[:, None] * vh).reshape(kept.size, d2, r)
     elif center_after == "left":
-        left = (u_k * renorm[None, :]).reshape(l, d1, kept.size)
-        right = vh_k.reshape(kept.size, d2, r)
+        left = (u * renorm[None, :]).reshape(l, d1, kept.size)
+        right = vh.reshape(kept.size, d2, r)
     else:
         raise ValueError("center_after must be 'left' or 'right'")
     return left, right

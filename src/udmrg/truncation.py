@@ -21,13 +21,12 @@ own would give it, and :func:`kept_masks` selects from a stack alike;
 """
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import unit_sum
+from .linalg import unit_norm, unit_sum
 
 #: supported policy kinds, in documentation order
 POLICY_KINDS = (
@@ -40,9 +39,6 @@ POLICY_KINDS = (
 
 #: probability-pair floor below which a charge term is dropped
 PAIR_FLOOR = 1e-14
-
-#: the smallest normal float64, ``np.finfo(float).tiny``
-_SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
 def is_integer(value) -> bool:
@@ -229,18 +225,11 @@ def select_states(weights: TruncationWeights, policy: TruncationPolicy):
 
     The states are the ones :func:`kept_masks` keeps.  Returns ``(kept,
     renormalized)`` with ``kept`` ascending and the retained raw weights
-    scaled to a unit vector (by ``sqrt(w . w)``, which is how
-    ``np.linalg.norm`` computes it); ``weights`` is left as it was.  When
-    ``w . w`` underflows below the smallest normal float, ``w`` is first
-    divided by its largest entry, so singular values like ``[2.2e-308]``
-    renormalize to ``[1.0]`` and not by zero.  The eigenvalue-shift kinds
-    weigh ``sigma**2``, which is all zero for such a spectrum, so it raises
-    there as an all-zero spectrum does.
+    scaled to a unit vector by :func:`linalg.unit_norm`, so singular values
+    like ``[2.2e-308]`` renormalize to ``[1.0]`` and not by zero;
+    ``weights`` is left as it was.  The eigenvalue-shift kinds weigh
+    ``sigma**2``, which is all zero for such a spectrum, so it raises there
+    as an all-zero spectrum does.
     """
     kept = kept_masks(weights, policy).nonzero()[0]
-    raw = weights.raw[kept]
-    norm_sq = raw.dot(raw)
-    if norm_sq < _SMALLEST_NORMAL:
-        raw = raw / raw.max()
-        norm_sq = raw.dot(raw)
-    return kept, raw / math.sqrt(norm_sq)
+    return kept, unit_norm(weights.raw[kept])

@@ -278,6 +278,28 @@ def count_dense_tiers(monkeypatch) -> dict[str, int]:
     return tiers
 
 
+def split_by_policy(monkeypatch, tiers: dict[str, int]) -> dict:
+    """The :func:`count_dense_tiers` counts ``tiers`` split by the truncation
+    policy of the solve each step belongs to, kept up to date as it runs.
+
+    A scan's first point solves under the standard kind whatever the scan's
+    policy, so its steps count there; a replayed point solves nothing.
+    """
+    by_policy: dict = {}
+    run_dmrg = dmrg._run_dmrg
+
+    def spy(hamiltonian, init, cfg, context):
+        before = dict(tiers)
+        result = run_dmrg(hamiltonian, init, cfg, context)
+        split = by_policy.setdefault(cfg.policy, dict.fromkeys(tiers, 0))
+        for name in tiers:
+            split[name] += tiers[name] - before[name]
+        return result
+
+    monkeypatch.setattr(dmrg, "_run_dmrg", spy)
+    return by_policy
+
+
 def tree_nodes(tree: dmrg.TrajectoryTree) -> list:
     """Every node of ``tree``, each once, in no particular order."""
     nodes, stack = [], list(tree.children)

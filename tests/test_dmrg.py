@@ -334,6 +334,126 @@ def test_eight_site_oracle_config_never_falls_back_to_eigh(monkeypatch):
     assert tiers == {"start": 216, "rqi": 380, "eigvalsh": 6, "eigh": 0}
 
 
+def _reference_lowest_eigenpair(heff, left, right):
+    """The dense local solve written with numpy's generic ``norm`` and
+    ``vdot`` and with ``.flat`` shifts: the reference its fast paths match."""
+    start = np.tensordot(left, right, axes=(2, 0)).reshape(-1)
+    if heff.dim > dmrg._FULL_EIGH_DIM:
+        return linalg.lanczos_lowest(heff.matvec, start)
+    dense = heff.dense()
+    diagonal = dense.diagonal()
+    shifted = dense.copy()
+    x = start / np.linalg.norm(start)
+    for solves in range(4):
+        if solves:
+            shifted.flat[:: heff.dim + 1] = diagonal - energy
+            try:
+                x = np.linalg.solve(shifted, x)
+            except np.linalg.LinAlgError:
+                break
+            x = x / np.linalg.norm(x)
+        hx = dense @ x
+        energy = float(np.vdot(x, hx).real)
+        residual = float(np.linalg.norm(hx - energy * x))
+        tol = linalg.LANCZOS_TOL * max(1.0, abs(energy))
+        converged = residual <= tol
+        if not converged and solves:
+            continue
+        floor = energy - tol if converged else energy - residual - tol
+        shifted.flat[:: heff.dim + 1] = diagonal - floor
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            break
+        if converged:
+            return energy, x, True
+    lowest = float(np.linalg.eigvalsh(dense)[0])
+    shifted.flat[:: heff.dim + 1] = diagonal - lowest
+    x = start
+    for _ in range(2):
+        try:
+            x = np.linalg.solve(shifted, x)
+        except np.linalg.LinAlgError:
+            break
+        x = x / np.linalg.norm(x)
+        hx = shifted @ x
+        gap = float(np.vdot(x, hx).real)
+        tol = linalg.LANCZOS_TOL * max(1.0, abs(lowest + gap))
+        if abs(gap) <= tol and np.linalg.norm(hx - gap * x) <= tol:
+            return lowest + gap, x, True
+    w, v = np.linalg.eigh(dense)
+    return float(w[0]), v[:, 0], True
+
+
+#: warm starts of the bit-identity cases, with the tier each one reaches:
+#: the ground state (accepted as it stands), the ground state kicked by 1e-3
+#: (Rayleigh-quotient iteration), a random start, the second eigenvector and
+#: a start orthogonal to the ground state (inverse iteration after
+#: ``eigvalsh``), a start in the upper block of a block-diagonal ``H`` whose
+#: ground state lies in the lower one, and any start under a diagonal ``H``
+#: (an exact zero pivot; both go to the full ``eigh``)
+START_TIERS = {"ground": "start", "near": "rqi", "random": None, "excited": "eigvalsh",
+               "orthogonal": "eigvalsh", "other_sector": "eigh", "diagonal": "eigh"}
+
+
+def _bit_identity_case(rng, dim, cplx, cplx_start, case):
+    """``(h, start)`` of one :data:`START_TIERS` case."""
+    def draw(size):
+        v = rng.normal(size=size)
+        return v + 1j * rng.normal(size=size) if cplx_start else v
+
+    if case == "diagonal":
+        return np.diag(rng.normal(size=dim)).astype(complex if cplx else float), draw(dim)
+    h = _random_hermitian(rng, dim, cplx)
+    if case == "other_sector":
+        upper = dim // 2
+        h[:upper, upper:] = h[upper:, :upper] = 0.0
+        h[upper:, upper:] -= 10.0 * np.eye(dim - upper)
+        start = np.zeros(dim, dtype=complex if cplx_start else float)
+        start[:upper] = draw(upper)
+        return h, start
+    levels, vectors = np.linalg.eigh(h)
+    if case == "ground":
+        return h, vectors[:, 0]
+    if case == "excited":
+        return h, vectors[:, 1]
+    if case == "near":
+        kick = draw(dim)
+        return h, vectors[:, 0] + 1e-3 * kick / np.linalg.norm(kick)
+    start = draw(dim)
+    if case == "orthogonal":
+        start = start - vectors[:, 0] * np.vdot(vectors[:, 0], start)
+    return h, start
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.integers(2, 128), cplx=st.booleans(), cplx_start=st.booleans(),
+       case=st.sampled_from(sorted(START_TIERS)), seed=st.integers(0, 2**32 - 1))
+def test_dense_solve_is_bit_identical_to_the_generic_numpy_one(dim, cplx, cplx_start,
+                                                               case, seed):
+    """Real and complex blocks of 2 to 128 dimensions, from starts that reach
+    every tier, give the pair of the same solve written with ``np.linalg.norm``,
+    ``np.vdot`` and ``.flat`` shifts, bit for bit and dtype included."""
+    h, start = _bit_identity_case(np.random.default_rng(seed), dim, cplx, cplx_start, case)
+    d1 = 2 if dim % 2 == 0 else 1
+    heff = _block_of(h, d1)
+    args = (start.reshape(1, d1, dim // d1), np.eye(dim // d1).reshape(dim // d1, dim // d1, 1))
+    energy, vector, converged = dmrg._lowest_eigenpair(heff, *args)
+    ref_energy, ref_vector, ref_converged = _reference_lowest_eigenpair(heff, *args)
+    assert (energy, converged) == (ref_energy, ref_converged)
+    assert vector.dtype == ref_vector.dtype and np.array_equal(vector, ref_vector)
+
+
+@pytest.mark.parametrize("case", [c for c, tier in START_TIERS.items() if tier])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_bit_identity_cases_reach_their_tiers(monkeypatch, case, cplx):
+    tiers = count_dense_tiers(monkeypatch)
+    h, start = _bit_identity_case(np.random.default_rng(5), 48, cplx, False, case)
+    dmrg._lowest_eigenpair(_block_of(h, 2), start.reshape(1, 2, 24),
+                           np.eye(24).reshape(24, 24, 1))
+    assert tiers[START_TIERS[case]] == 1
+
+
 # ---------------------------------------------------------------------------
 # metamorphic relations: the ground energy at full bond on six and eight sites
 # ---------------------------------------------------------------------------
@@ -638,6 +758,34 @@ def test_flush_keeps_a_complex_vector_with_an_imaginary_part_complex():
     out = dmrg._flush_tiny(vec)
     assert out.dtype == np.complex128
     np.testing.assert_array_equal(out, [1.0, -0.5, 1e-60j])
+
+
+def _reference_flush_tiny(vec):
+    """The flush with two ``abs`` passes and an unconditional write: the
+    reference the one-pass flush matches."""
+    floor = dmrg._FLUSH_RELATIVE * float(np.max(np.abs(vec)))
+    parts = (vec.real, vec.imag) if np.iscomplexobj(vec) else (vec,)
+    for part in parts:
+        part[np.abs(part) < floor] = 0.0
+    return vec.real.copy() if np.iscomplexobj(vec) and not vec.imag.any() else vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 64), cplx=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       tiny=st.lists(st.sampled_from([0.0, 1e-90, 1e-101, 1e-120, 1e-300, 5e-324]),
+                     min_size=1, max_size=8))
+def test_flush_is_bit_identical_to_the_two_pass_flush(size, cplx, seed, tiny):
+    """Vectors with real and imaginary parts below ``1e-100`` of their
+    largest magnitude, and without any, flush as the two-pass flush does,
+    dtype included."""
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=size) + (1j * rng.normal(size=size) if cplx else 0.0)
+    picks = rng.integers(size, size=len(tiny))
+    vec.real[picks] = np.array(tiny) * rng.choice([-1.0, 1.0], size=len(tiny))
+    if cplx:
+        vec.imag[picks[::-1]] = tiny
+    out, ref = dmrg._flush_tiny(vec.copy()), _reference_flush_tiny(vec.copy())
+    assert out.dtype == ref.dtype and np.array_equal(out, ref)
 
 
 def test_a_real_mpo_scans_like_its_complex_twin(monkeypatch):

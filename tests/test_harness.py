@@ -34,7 +34,7 @@ from udmrg.models import CROSSING_POINTS, SpinChainSpec, spin_chain_ground_state
 from udmrg.reporting import canonical_json, config_hash
 from udmrg.truncation import TruncationPolicy
 
-from helpers import count_dense_tiers, tree_nodes
+from helpers import count_dense_tiers, split_by_policy, tree_nodes
 
 
 def report_digests(report):
@@ -806,6 +806,7 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     count(dmrg, "_replays")
     count(dmrg, "kept_masks", key="replayed_steps", size=lambda masks: len(masks))
     tiers = count_dense_tiers(monkeypatch)
+    by_policy = split_by_policy(monkeypatch, tiers)
     report = run_pec_comparison(PecComparisonConfig())
     # the candidates that lose are scanned to the window's last point, and
     # only the reported scans' gauge records are built; each replay selects
@@ -819,6 +820,15 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     # how each dense local solve was accepted: at the warm start, by
     # Rayleigh-quotient iteration, after eigvalsh, by the full eigh
     assert tiers == {"start": 320, "rqi": 230, "eigvalsh": 88, "eigh": 2}
+    # where the escalations come from: 87 of the 90 steps that reach eigvalsh
+    # lie on the one coefficient branch solved for real, coherence_eigenvalue_2
+    # at lambda2 = 0.5, which holds 220 of the 640 steps; the standard solves
+    # (every scan's first point among them) account for 3
+    assert {policy.kind: split for policy, split in by_policy.items()} == {
+        "standard": {"start": 210, "rqi": 207, "eigvalsh": 3, "eigh": 0},
+        "coherence_eigenvalue_2": {"start": 110, "rqi": 23, "eigvalsh": 85, "eigh": 2}}
+    assert [(policy.lambda1, policy.lambda2) for policy in by_policy
+            if policy.kind != "standard"] == [(0.0, 0.5)]
     # the default report keeps its bytes, pinned as the gauge and crossing
     # reports are below (numpy 2.4, bundled OpenBLAS, 1 and 2 BLAS threads)
     assert report_digests(report) == (

@@ -12,11 +12,13 @@ from udmrg.linalg import (
     hermiticity_residual,
     lanczos_lowest,
     max_abs,
+    norm2,
     random_hermitian,
     random_unitary,
     require_hermitian,
     require_square,
     require_unitary,
+    unit_norm,
     unit_sum,
     unitarity_residual,
 )
@@ -48,6 +50,41 @@ def test_hermitian_part_symmetrizes():
 def test_max_abs_handles_empty():
     assert max_abs(np.array([])) == 0.0
     assert max_abs(np.array([[1.0, -3.0], [2.0, 0.5]])) == 3.0
+
+
+def _vector(rng, size, cplx, scale):
+    v = rng.normal(size=size) * scale
+    return v + 1j * rng.normal(size=size) * scale if cplx else v
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 300), cplx=st.booleans(),
+       scale=st.sampled_from([1e-200, 1e-150, 1e-3, 1.0, 1e150]),
+       seed=st.integers(0, 2**32 - 1))
+def test_norm2_is_numpys_norm_bit_for_bit(size, cplx, scale, seed):
+    v = _vector(np.random.default_rng(seed), size, cplx, scale)
+    assert norm2(v) == float(np.linalg.norm(v))
+    assert norm2(v[::2]) == float(np.linalg.norm(v[::2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 64), scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_unit_norm_of_a_normal_spectrum_divides_by_numpys_norm(size, scale, seed):
+    w = np.sort(np.abs(np.random.default_rng(seed).normal(size=size)))[::-1] * scale
+    assert np.array_equal(unit_norm(w), w / np.linalg.norm(w))
+
+
+@pytest.mark.parametrize("w", [[2.2e-308], [1e-160], [1e-160, 3e-161, 0.0],
+                               [5e-324, 5e-324]])
+def test_unit_norm_scales_a_spectrum_whose_squares_underflow(w):
+    w = np.array(w)
+    out = unit_norm(w)
+    assert np.all(np.isfinite(out))
+    assert out[0] == out.max() and abs(out.dot(out) - 1.0) <= 4e-16
+    np.testing.assert_allclose(out, (w / w[0]) / np.linalg.norm(w / w[0]), rtol=1e-15)
+    if w.size == 1:
+        assert out[0] == 1.0
 
 
 def test_unit_sum_normalizes_and_passes_zeros_through():
@@ -166,6 +203,60 @@ def test_lanczos_real_start_under_a_complex_operator_solves_in_complex():
     assert abs(energy - ref_energy) <= 1e-12
     assert max_abs(vector - ref_vector) <= 1e-12
     assert_same_eigenpair(energy, vector, w[0] - 0.5, v[:, 0])
+
+
+def _reference_lanczos_lowest(matvec, start):
+    """:func:`linalg.lanczos_lowest` with every 2-norm by ``np.linalg.norm``:
+    the reference it matches."""
+    x = np.asarray(start).reshape(-1)
+    x = x / np.linalg.norm(x)
+    hx = matvec(x)
+    size = min(linalg.LANCZOS_KRYLOV, x.size)
+    basis = np.empty((size, x.size), dtype=np.result_type(x, hx))
+    images = np.empty_like(basis)
+    cycles = 0
+    while True:
+        energy = float(np.vdot(x, hx).real)
+        converged = bool(np.linalg.norm(hx - energy * x)
+                         <= linalg.LANCZOS_TOL * max(1.0, abs(energy)))
+        if converged or cycles == linalg.LANCZOS_RESTARTS:
+            return energy, x, converged
+        cycles += 1
+        basis[0], images[0] = x, hx
+        k = 1
+        while k < size:
+            w = images[k - 1]
+            for _ in range(2):
+                w = w - basis[:k].T @ (basis[:k].conj() @ w)
+            norm = np.linalg.norm(w)
+            if norm <= 1e-14 * np.linalg.norm(images[k - 1]):
+                break
+            basis[k] = w / norm
+            images[k] = matvec(basis[k])
+            k += 1
+        _, ritz = np.linalg.eigh(hermitian_part(basis[:k].conj() @ images[:k].T))
+        x, hx = ritz[:, 0] @ basis[:k], ritz[:, 0] @ images[:k]
+        norm = np.linalg.norm(x)
+        x, hx = x / norm, hx / norm
+
+
+@pytest.mark.parametrize("cplx_op,cplx_start", [(False, False), (True, False), (True, True)])
+def test_lanczos_solves_a_fixed_operator_as_numpys_norm_did(cplx_op, cplx_start):
+    """Bit for bit the pair of the same solve written with ``np.linalg.norm``,
+    on a 200-dimension operator with a small gap, over several restarts."""
+    rng = np.random.default_rng(23)
+    h = _random_hermitian_of(rng, 200, cplx_op)
+    start = _vector(rng, 200, cplx_start, 1.0)
+    energy, vector, converged = lanczos_lowest(lambda x: h @ x, start)
+    ref = _reference_lanczos_lowest(lambda x: h @ x, start)
+    assert converged and ref[2]
+    assert energy == ref[0]
+    assert vector.dtype == ref[1].dtype and np.array_equal(vector, ref[1])
+
+
+def _random_hermitian_of(rng, dim, cplx):
+    g = _vector(rng, (dim, dim), cplx, 1.0)
+    return (g + g.conj().T) / np.sqrt(4 * dim)
 
 
 def test_lanczos_real_start_under_a_real_operator_stays_real():

@@ -248,6 +248,65 @@ def test_split_theta_keeping_everything_rebuilds_theta(shape, seed, center_after
     assert np.max(np.abs(rebuilt - theta)) <= 1e-12
 
 
+def _reference_split_theta(theta, select, center_after="right"):
+    """The split with a ``max_abs`` pre-pass, copies of the kept factors
+    whatever was kept, and ``np.linalg.norm``: the reference it matches."""
+    l, d1, d2, r = theta.shape
+    m = theta.reshape(l * d1, d2 * r)
+    if np.max(np.abs(m)) == 0.0:
+        raise ValueError("zero block at this bond; state has no weight here")
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    kept = np.asarray(select(s, u), dtype=int)
+    renorm = s[kept] / float(np.linalg.norm(s[kept]))
+    u_k, vh_k = u[:, kept], vh[kept, :]
+    if center_after == "right":
+        return (u_k.reshape(l, d1, kept.size),
+                (renorm[:, None] * vh_k).reshape(kept.size, d2, r))
+    return ((u_k * renorm[None, :]).reshape(l, d1, kept.size),
+            vh_k.reshape(kept.size, d2, r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 6)] * 4), cplx=st.booleans(),
+       keep_all=st.booleans(), center_after=st.sampled_from(["left", "right"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_theta_is_bit_identical_to_the_copying_split(shape, cplx, keep_all,
+                                                           center_after, seed):
+    """Keeping every state or a subset, in both directions, the factors
+    equal those of the split that copied them, dtype included."""
+    rng = np.random.default_rng(seed)
+    theta = rng.normal(size=shape) + (1j * rng.normal(size=shape) if cplx else 0.0)
+
+    def select(sigma, u):
+        if keep_all:
+            return np.arange(sigma.size)
+        kept = np.flatnonzero(rng.random(sigma.size) < 0.5)
+        return kept if kept.size else [0]
+
+    state = rng.bit_generator.state
+    left, right = split_theta(theta, select, center_after)
+    rng.bit_generator.state = state  # the reference split keeps the same subset
+    ref_left, ref_right = _reference_split_theta(theta, select, center_after)
+    for out, ref in ((left, ref_left), (right, ref_right)):
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("value", [2.2e-308, 1e-160])
+@pytest.mark.parametrize("center_after", ["left", "right"])
+def test_split_theta_renormalizes_a_block_whose_squares_underflow(value, center_after):
+    """A one-entry block at the smallest normal float, or one whose square is
+    subnormal, splits into unit-weight factors, not ``[inf, nan]`` or a kept
+    weight of 1.0000056."""
+    theta = np.zeros((1, 2, 2, 1))
+    theta[0, 0, 0, 0] = value
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        left, right = split_theta(theta, lambda sigma, u: np.array([0]), center_after)
+    expected = np.zeros_like(theta)
+    expected[0, 0, 0, 0] = 1.0
+    assert np.array_equal(np.tensordot(left, right, axes=(2, 0)), expected)
+
+
 # ---------------------------------------------------------------------------
 # schmidt data
 # ---------------------------------------------------------------------------
