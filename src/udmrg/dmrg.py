@@ -74,7 +74,10 @@ the standard kind, whose weights ignore the charges: there the step keeps
 its singular values and raw overlaps, and once the point's sweeps end its
 steps are charged in one stacked evaluation per candidate count.  Both ways
 give the same charges, bit for bit, written into the step's record before
-the solve returns it.
+the solve returns it.  A charge is read only when a coefficient policy
+replays the step, so a tree that no such policy will scan is built
+uncharged: its standard solves run without a charge context, and their
+nodes report every step as never measured.
 """
 from __future__ import annotations
 
@@ -105,6 +108,7 @@ from .truncation import (
     charge_first_order,
     charge_second_order,
     compute_weights,
+    is_integer,
     kept_masks,
     select_states,
 )
@@ -129,10 +133,12 @@ class SweepConfig:
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
 
     def __post_init__(self) -> None:
+        if not is_integer(self.num_sweeps):
+            raise ValueError(f"num_sweeps must be an integer, got {self.num_sweeps!r}")
         if self.num_sweeps < 1:
             raise ValueError("num_sweeps must be positive")
-        if self.energy_tol <= 0:
-            raise ValueError("energy_tol must be positive")
+        if not 0 < self.energy_tol < float("inf"):
+            raise ValueError(f"energy_tol must be positive and finite, got {self.energy_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -141,9 +147,11 @@ class TruncationRecord:
 
     Holds what the step measured: the singular values, their charges and
     the kept states.  Charges are measured only at a step with a choice (see
-    :func:`_has_choice`), and are zeros there without a charge context; at a
-    step without one both are ``None`` and every state is kept, as one
-    read-only ``arange`` shared by all such steps.
+    :func:`_has_choice`), and are zeros there without a charge context: in
+    :func:`ground_state`, at a scan's first point, and in a standard solve
+    on an uncharged :class:`TrajectoryTree`, whose node reports them as
+    never measured.  At a step without a choice both are ``None`` and every
+    state is kept, as one read-only ``arange`` shared by all such steps.
     """
 
     sweep: int
@@ -672,8 +680,9 @@ class _TrajectoryNode:
     :func:`mps.bond_schmidt_data`, which the next two points charge against.
     ``history`` holds the one or two points this one was charged against,
     most recent first, and ``spacings`` the grid steps back to them;
-    :attr:`record` reads them.  Scans share the node's frozen truncation and
-    gauge records and its arrays, read-only.
+    :attr:`record` reads them.  ``charged`` is false when the solve measured
+    no charges against its history.  Scans share the node's frozen
+    truncation and gauge records and its arrays, read-only.
     """
 
     result: DmrgResult
@@ -682,6 +691,7 @@ class _TrajectoryNode:
     fidelity: Optional[float]
     history: list["_TrajectoryNode"]
     spacings: list[float]
+    charged: bool
     children: list["_TrajectoryNode"] = field(default_factory=list)
 
     @cached_property
@@ -691,8 +701,8 @@ class _TrajectoryNode:
 
         Each is ``(kept, sigma, charges1, charges2)``, read-only: ``kept``
         masks the states each step kept, ``(m, n)``, and the others stack
-        what the steps measured, or are ``None`` when some step measured no
-        charges.
+        what the steps measured, or are ``None`` when some step, or the
+        node's solve, measured no charges.
         """
         by_size: dict[int, list[TruncationRecord]] = {}
         for rec in self.result.truncation_log:
@@ -702,7 +712,7 @@ class _TrajectoryNode:
             kept = np.zeros((len(recs), n), dtype=bool)
             for row, rec in zip(kept, recs):
                 row[rec.kept] = True
-            charged = all(rec.charges1 is not None for rec in recs)
+            charged = self.charged and all(rec.charges1 is not None for rec in recs)
             stacks[n] = (kept, *(
                 np.array([getattr(rec, name) for rec in recs]) if charged else None
                 for name in ("singular_values", "charges1", "charges2")))
@@ -721,13 +731,14 @@ class _TrajectoryNode:
 class TrajectoryTree:
     """One scan problem and the points its continuation scans solved.
 
-    The problem is a family ``h -> MPO``, a strictly increasing ``grid``, a
-    start state ``init``, a sweep budget (``num_sweeps`` and
-    ``energy_tol``) and, optionally, an ``oracle``: the exact normalized
-    ground state of every grid point as a dense vector.  The tree checks the
-    grid and the oracle's length once, here, and keeps read-only copies of
-    the grid, of ``init``'s tensors and of the oracle vectors, so no later
-    change to the caller's arrays reaches a scan.
+    The problem is a family ``h -> MPO``, a finite, strictly increasing
+    ``grid``, a start state ``init``, a sweep budget (``num_sweeps`` and
+    ``energy_tol``, checked by :class:`SweepConfig`'s rules) and, optionally,
+    an ``oracle``: the exact normalized ground state of every grid point as
+    a dense vector of the chain's dimension.  The tree checks all of it
+    once, here, and keeps read-only copies of the grid, of ``init``'s
+    tensors and of the oracle vectors, so no later change to the caller's
+    arrays reaches a scan.
 
     A node is one point some scan solved for real: its result with the
     truncation record of every local step (charged only at steps where the
@@ -735,25 +746,41 @@ class TrajectoryTree:
     Schmidt data, its fidelity, and its gauge record.  A path from the root
     is one distinct trajectory; its branches are where two policies first
     kept different states.
+
+    ``charged`` says whether a policy that reads charges (any kind but
+    ``standard``) will scan the tree.  When it is false, a point solved
+    under the standard kind measures no charges, and a coefficient policy
+    cannot replay its steps with a choice, so it solves the point itself,
+    charging its own steps as it always does.  A wrong value therefore
+    loses sharing, never a result bit.
     """
 
     def __init__(self, family: Callable[[float], MatrixProductOperator], grid,
                  init: MatrixProductState, num_sweeps: int, energy_tol: float,
-                 oracle: Optional[Sequence[np.ndarray]] = None) -> None:
+                 oracle: Optional[Sequence[np.ndarray]] = None,
+                 charged: bool = True) -> None:
         grid = np.array(grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("scan grid must be a non-empty 1-d array")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("scan grid must be finite")
         if grid.size > 1 and np.any(np.diff(grid) <= 0):
             raise ValueError("scan grid must be strictly increasing")
-        if oracle is not None and len(oracle) != grid.size:
-            raise ValueError(
-                f"oracle holds {len(oracle)} states for {grid.size} grid points")
+        SweepConfig(num_sweeps=num_sweeps, energy_tol=energy_tol)
+        if oracle is not None:
+            oracle = [np.array(v) for v in oracle]
+            if len(oracle) != grid.size:
+                raise ValueError(f"oracle holds {len(oracle)} states for {grid.size} grid points")
+            dim = int(np.prod(init.physical_dims))
+            if any(v.shape != (dim,) for v in oracle):
+                raise ValueError(f"oracle states must be dense vectors of shape ({dim},)")
         self.family = family
         self.grid = grid
         self.init = MatrixProductState([np.array(t) for t in init.tensors], init.center)
         self.num_sweeps = num_sweeps
         self.energy_tol = energy_tol
-        self.oracle = None if oracle is None else [np.array(v) for v in oracle]
+        self.oracle = oracle
+        self.charged = charged
         _read_only([grid, *self.init.tensors, *(self.oracle or ())])
         self.children: list[_TrajectoryNode] = []
 
@@ -798,12 +825,13 @@ def _read_only(arrays) -> None:
 
 def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
                  cfg: SweepConfig, history: list[_TrajectoryNode],
-                 spacings: list[float],
-                 oracle_state: Optional[np.ndarray]) -> _TrajectoryNode:
-    """Solve one scan point for real, charging against ``history``."""
-    context = None
-    if history:
-        context = _ChargeContext(history, spacings)
+                 spacings: list[float], oracle_state: Optional[np.ndarray],
+                 charged: bool) -> _TrajectoryNode:
+    """Solve one scan point for real, charging against ``history`` when
+    ``charged``; a first point has nothing to charge against, and its zero
+    charges count as measured."""
+    charged = charged or not history
+    context = _ChargeContext(history, spacings) if history and charged else None
     result = _run_dmrg(mpo, start, cfg, context)
     phi, schmidt = bond_schmidt_data(result.state)
     fidelity = None
@@ -815,7 +843,7 @@ def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
         _read_only((rec.singular_values, rec.charges1, rec.charges2, rec.kept))
     _read_only(result.state.tensors)
     return _TrajectoryNode(result=result, phi=phi, schmidt=schmidt, fidelity=fidelity,
-                           history=history, spacings=spacings)
+                           history=history, spacings=spacings, charged=charged)
 
 
 def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy,
@@ -838,7 +866,8 @@ def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy,
     alone and adopts the first whose every local step keeps the states its
     own policy keeps, taking that point's truncation records as they are,
     less the charges of steps where its own policy has no choice; otherwise
-    it solves the point itself and adds it to the tree.  Each point is held
+    it solves the point itself and adds it to the tree, charging its steps
+    unless the policy is standard and the tree uncharged.  Each point is held
     once, by its node: the result, the left-canonical state and per-bond
     Schmidt data the next two points charge against, the fidelity, and the
     gauge record, computed the first time a scan's ``records`` are read and
@@ -867,7 +896,8 @@ def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy,
                      if _replays(child, point_cfg.policy)), None)
         if node is None:
             node = _solve_point(tree.family(float(value)), start, point_cfg, history,
-                                spacings, None if oracle is None else oracle[k])
+                                spacings, None if oracle is None else oracle[k],
+                                tree.charged or point_cfg.policy.kind != "standard")
             parent.children.append(node)
         shared_state = node.result.state
         result = replace(node.result,

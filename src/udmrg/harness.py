@@ -23,7 +23,9 @@ Four experiments, each configured by its own frozen dataclass (see
     run, and every scan solves it, sharing its solved points: a policy that
     keeps the states an earlier scan kept at every local step of a point
     adopts that point instead of solving it again, which changes no report
-    byte.  Each points table scores its policy's augmented objective ``E +
+    byte.  When every method reuses the standard scan, nothing reads a
+    charge, so the tree is built uncharged and that scan measures none.
+    Each points table scores its policy's augmented objective ``E +
     lambda1 * coherence + lambda2 * curvature``: the coherence penalty is
     ``||i d(rho)/dt - [A, rho]||_F^2`` on each bond density, the curvature
     penalty the probability-weighted second-order charge sum.  Neither ever
@@ -717,9 +719,13 @@ def _pec_problem(cfg: PecComparisonConfig) -> _PecProblem:
 
     exact = spin_chain_ground_states([spec(h) for h in grid])
     init = random_mps(np.random.default_rng(cfg.seed), [2] * cfg.n_sites, cfg.max_bond)
+    # only a candidate that scans on its own reads the standard scan's charges
+    charged = any(_scans_alone(policy) for kind in PEC_POLICY_KINDS
+                  for policy in _candidate_policies(kind, cfg))
     return _PecProblem(exact_energies=np.array([e for e, _ in exact]), window=window,
                        tree=TrajectoryTree(family, grid, init, cfg.num_sweeps,
-                                           cfg.energy_tol, oracle=[v for _, v in exact]))
+                                           cfg.energy_tol, oracle=[v for _, v in exact],
+                                           charged=charged))
 
 
 def _standard_policy(cfg: PecComparisonConfig) -> TruncationPolicy:
@@ -740,6 +746,14 @@ def _scan_objective(cfg: PecComparisonConfig, scan: ContinuationScan,
         return float(_scan_errors(scan, problem)[window].max())
     fids = np.array(scan.fidelity_to_oracle)
     return float(-fids[window].min())
+
+
+def _scans_alone(policy: TruncationPolicy) -> bool:
+    """Whether a candidate policy needs a scan of its own: one whose
+    coefficients and cutoff are all 0 selects exactly the states the
+    standard rule selects, and shares the standard scan."""
+    return any((policy.gamma1, policy.gamma2, policy.lambda1, policy.lambda2,
+                policy.cutoff))
 
 
 def _candidate_policies(kind: str, cfg: PecComparisonConfig) -> list[TruncationPolicy]:
@@ -805,8 +819,7 @@ def grid_search_coefficients(cfg: PecComparisonConfig, problem: _PecProblem,
         points = window_end if len(candidates) > 1 else None
         scored = []
         for i, policy in enumerate(candidates):
-            nonzero = int(any((policy.gamma1, policy.gamma2, policy.lambda1,
-                               policy.lambda2, policy.cutoff)))
+            nonzero = int(_scans_alone(policy))
             scan = (continuation_scan(problem.tree, policy, points=points) if nonzero
                     else standard)
             scored.append((_scan_objective(cfg, scan, problem), nonzero, i, policy, scan))

@@ -79,6 +79,21 @@ def test_sweep_config_validation():
         SweepConfig(energy_tol=0.0)
 
 
+@pytest.mark.parametrize("energy_tol", [np.nan, np.inf], ids=["nan", "inf"])
+def test_sweep_config_rejects_an_energy_tolerance_that_is_not_finite(energy_tol):
+    """A NaN tolerance would run every solve's whole budget and flag it, an
+
+    infinite one would accept every solve after one sweep."""
+    with pytest.raises(ValueError, match="energy_tol must be positive and finite"):
+        SweepConfig(energy_tol=energy_tol)
+
+
+def test_sweep_config_rejects_a_sweep_count_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="num_sweeps must be an integer"):
+        SweepConfig(num_sweeps=2.5)
+    assert SweepConfig(num_sweeps=np.int64(3)).num_sweeps == 3
+
+
 def test_ground_state_input_validation():
     mpo = build_spin_chain_mpo(SpinChainSpec(kind="tfim", n_sites=4, field=1.0))
     rng = np.random.default_rng(0)
@@ -610,6 +625,38 @@ def test_scan_grid_validation():
         TrajectoryTree(family, [0.8, 1.0], num_sweeps=12, energy_tol=1e-9)
 
 
+@pytest.mark.parametrize("grid", [[0.5, np.nan, 1.0], [0.5, 1.0, np.inf]],
+                         ids=["nan", "inf"])
+def test_a_tree_rejects_a_grid_that_is_not_finite(grid):
+    """Both pass the strictly-increasing test, and a scan of either dies in
+
+    the eigensolver."""
+    init = random_mps(np.random.default_rng(7), [2] * 4, 4)
+    with pytest.raises(ValueError, match="scan grid must be finite"):
+        TrajectoryTree(tfim_family(4), grid, init, 12, 1e-9)
+
+
+def test_a_tree_rejects_oracle_vectors_of_the_wrong_length():
+    """Eight entries for a 4-site chain would fail only after point 0."""
+    init = random_mps(np.random.default_rng(7), [2] * 4, 4)
+    oracle = [np.full(8, 8 ** -0.5)] * 3
+    with pytest.raises(ValueError, match=r"dense vectors of shape \(16,\)"):
+        TrajectoryTree(tfim_family(4), [0.8, 1.0, 1.2], init, 12, 1e-9, oracle=oracle)
+
+
+@pytest.mark.parametrize("num_sweeps, energy_tol, match", [
+    (0, 1e-9, "num_sweeps must be positive"),
+    (2.5, 1e-9, "num_sweeps must be an integer"),
+    (12, 0.0, "energy_tol must be positive"),
+], ids=["no_sweeps", "fractional_sweeps", "zero_tolerance"])
+def test_a_tree_rejects_a_sweep_budget_by_the_sweep_config_rules(num_sweeps, energy_tol,
+                                                                  match):
+    """Each used to fail only when the first scan started."""
+    init = random_mps(np.random.default_rng(7), [2] * 4, 4)
+    with pytest.raises(ValueError, match=match):
+        TrajectoryTree(tfim_family(4), [0.8, 1.0], init, num_sweeps, energy_tol)
+
+
 def tfim_ground_states(n_sites, grid):
     return [exact_diagonalization(dense_spin_chain(SpinChainSpec(
         kind="tfim", n_sites=n_sites, coupling=1.0, field=float(h))))[1][:, 0]
@@ -862,10 +909,11 @@ def tree_oracle():
     return tfim_ground_states(5, _TREE_GRID)
 
 
-def _tree(oracle, draw=random_mps):
+def _tree(oracle, draw=random_mps, charged=True):
     """A fresh tree of the 5-site problem, from ``draw``'s seed-5 start."""
     init = draw(np.random.default_rng(5), [2] * 5, 3)
-    return TrajectoryTree(_TREE_FAMILY, _TREE_GRID, init, 8, 1e-9, oracle=oracle)
+    return TrajectoryTree(_TREE_FAMILY, _TREE_GRID, init, 8, 1e-9, oracle=oracle,
+                          charged=charged)
 
 
 def _tree_scan(policy, tree, max_bond=3):
@@ -946,6 +994,33 @@ def test_policies_with_a_choice_solve_steps_a_tree_never_charged(tree_oracle):
     assert any(rec.charges1 is None for res in own[0].results for rec in res.truncation_log)
     assert all(rec.charges1 is not None for res in own[2].results
                for rec in res.truncation_log)
+
+
+def test_a_coefficient_scan_of_an_uncharged_tree_solves_its_own_points(tree_oracle):
+    """The standard scan of an uncharged tree measures no charges, so a
+
+    coefficient policy cannot replay its points after the first, which has
+    nothing to charge against.  It solves them, charging its own steps, and
+    equals its scan through a fresh charged tree; a second coefficient scan
+    then replays the nodes it solved.  The standard scan keeps what it keeps
+    on a charged tree."""
+    tree = _tree(tree_oracle, charged=False)
+    standard = _tree_scan(TruncationPolicy(), tree)
+    policy = TruncationPolicy(kind="uhlmann", gamma1=5.0)  # keeps the standard sets
+    scan = _tree_scan(policy, tree)
+    assert scan._nodes[0] is standard._nodes[0]
+    assert not any(a is b for a, b in zip(scan._nodes[1:], standard._nodes[1:]))
+    assert _first_divergence(standard, scan) is None
+    _assert_same_scan(scan, _tree_scan(policy, _tree(tree_oracle)))
+    again = _tree_scan(TruncationPolicy(kind="categorified"), tree)
+    assert all(a is b for a, b in zip(again._nodes, scan._nodes, strict=True))
+    assert len(tree_nodes(tree)) == 2 * _TREE_GRID.size - 1
+    charged = _tree_scan(TruncationPolicy(), _tree(tree_oracle))
+    assert _first_divergence(standard, charged) is None
+    assert [r.energy for r in standard.results] == [r.energy for r in charged.results]
+    over_budget = [sigma for node in standard._nodes[1:]
+                   for n, (_, sigma, _, _) in node.steps.items() if n > 3]
+    assert over_budget and all(sigma is None for sigma in over_budget)
 
 
 def test_a_scan_adopting_a_charged_point_drops_the_charges_it_never_measures(tree_oracle):

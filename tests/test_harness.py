@@ -873,11 +873,45 @@ def test_eight_site_pec_without_search_costs_what_the_readme_says(monkeypatch):
     count(dmrg, "_point_gauge_record")
     count(dmrg, "select_states")
     run_pec_comparison(PecComparisonConfig(n_sites=8, grid_search=False))
-    # the standard scan charges its 240 steps in one call per point (20), and
-    # the 20 records with a history their 140 bonds in one call per rank (40)
-    assert calls == {"continuation_scan": 1, "effective_hamiltonian": 602, "charge": 240,
-                     "_bond_charges": 60, "charge_rows": 380, "_point_gauge_record": 21,
+    # no policy reads a charge, so the uncharged standard scan charges none of
+    # its steps; the 20 records with a history charge their 140 bonds in one
+    # call per rank (40)
+    assert calls == {"continuation_scan": 1, "effective_hamiltonian": 602, "charge": 0,
+                     "_bond_charges": 40, "charge_rows": 140, "_point_gauge_record": 21,
                      "select_states": 258}
+
+
+@pytest.mark.parametrize("overrides, charged", [
+    (dict(n_sites=8, grid_search=False), False),
+    (dict(gamma1_grid=(0.0,), gamma2_grid=(0.0,), lambda1_grid=(0.0,),
+          lambda2_grid=(0.0,)), False),
+    ({}, True),
+    (dict(grid_search=False, policies=(TruncationPolicy(kind="uhlmann", gamma1=0.5),)),
+     True),
+], ids=["eight_sites_without_search", "all_zero_grids", "defaults", "one_configured_policy"])
+def test_a_pec_tree_is_charged_when_some_candidate_scans_on_its_own(overrides, charged):
+    """Only a candidate with a nonzero coefficient or cutoff scans on its own
+    and reads the standard scan's charges."""
+    assert harness._pec_problem(PecComparisonConfig(**overrides)).tree.charged is charged
+
+
+def test_an_uncharged_run_builds_no_charge_context_and_keeps_its_bytes(monkeypatch):
+    """Eight sites without the search: no step is charged, and the report
+    equals, byte for byte, that of a run whose tree is forced charged."""
+    calls, count = call_counter(monkeypatch)
+    for name in ("advance", "charge", "flush"):
+        count(dmrg._ChargeContext, name)
+    cfg = PecComparisonConfig(n_sites=8, grid_search=False)
+    uncharged = run_experiment(cfg)
+    assert calls == {"advance": 0, "charge": 0, "flush": 0}
+    build = harness.TrajectoryTree
+    monkeypatch.setattr(harness, "TrajectoryTree",
+                        lambda *args, charged, **kwargs: build(*args, charged=True, **kwargs))
+    charged = run_experiment(cfg)
+    assert calls["charge"] == 240 and calls["flush"] == 20
+    assert report_digests(uncharged) == report_digests(charged)
+    assert [a.csv_bytes() for a in uncharged.attachments] == \
+        [a.csv_bytes() for a in charged.attachments]
 
 
 @pytest.mark.parametrize("config", [
