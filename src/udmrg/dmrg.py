@@ -68,16 +68,13 @@ A step has a choice only when it has more candidate states than
 ``max_kept`` or its policy has a cutoff above 0.  Without one every policy
 keeps every state, so the step is neither charged nor weighed and its record
 holds no charges; a replay passes it when the record kept every state.  A
-policy with a choice at a step whose charges were never measured solves the
-point itself.  A step with a choice is charged as it is weighed, except under
-the standard kind, whose weights ignore the charges: there the step keeps
-its singular values and raw overlaps, and once the point's sweeps end its
-steps are charged in one stacked evaluation per candidate count.  Both ways
-give the same charges, bit for bit, written into the step's record before
-the solve returns it.  A charge is read only when a coefficient policy
-replays the step, so a tree that no such policy will scan is built
-uncharged: its standard solves run without a charge context, and their
-nodes report every step as never measured.
+step with a choice is charged only by a policy whose weights read the
+charges, every kind but the standard one, one step at a time as it weighs
+the step.  A standard solve builds no charge context and measures nothing.
+A policy that reads charges, at a step with a choice whose charges were
+never measured, solves the point itself, so a caller that scans one tree
+under several policies scans the charge-reading ones first: the standard
+scan then adopts their points.
 """
 from __future__ import annotations
 
@@ -147,11 +144,10 @@ class TruncationRecord:
 
     Holds what the step measured: the singular values, their charges and
     the kept states.  Charges are measured only at a step with a choice (see
-    :func:`_has_choice`), and are zeros there without a charge context: in
-    :func:`ground_state`, at a scan's first point, and in a standard solve
-    on an uncharged :class:`TrajectoryTree`, whose node reports them as
-    never measured.  At a step without a choice both are ``None`` and every
-    state is kept, as one read-only ``arange`` shared by all such steps.
+    :func:`_has_choice`) of a scan point whose policy reads them; everywhere
+    else, :func:`ground_state` included, both are ``None``.  At a step
+    without a choice every state is kept, as one read-only ``arange`` shared
+    by all such steps.
     """
 
     sweep: int
@@ -432,15 +428,13 @@ class _ChargeContext:
     sweeps left-to-right it pushes one overlap environment per reference
     through each updated site and caches it at the next bond, so the
     right-to-left half sweep (which leaves the sites left of each bond
-    untouched) reuses it.  :meth:`charge` queues a step and :meth:`flush`
-    charges the queue, one stacked evaluation per candidate count.
+    untouched) reuses it.
     """
 
     def __init__(self, references: list[_TrajectoryNode], spacings: list[float]):
         self.references = references
         self.spacings = spacings
         self._cache: list[list[np.ndarray]] = []
-        self._queue: list[tuple] = []
 
     def begin_sweep(self) -> None:
         self._cache = [[np.ones((1, 1))] for _ in self.references]
@@ -451,32 +445,18 @@ class _ChargeContext:
             self._cache[r].append(extend_cross_env(
                 self._cache[r][bond], new_left_tensor, ref.phi.tensors[bond]))
 
-    def charge(self, bond: int, u3: np.ndarray, sigma: np.ndarray, q1: np.ndarray,
-               q2: np.ndarray) -> None:
-        """Queue the candidate states at ``bond`` for :meth:`flush` to write
-        their first- and second-order charges into ``q1`` and ``q2``.
+    def charge(self, bond: int, u3: np.ndarray,
+               sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First- and second-order charges of the candidate states at ``bond``.
 
         ``u3`` is the candidate left Schmidt tensor ``(left, phys, rank)``
-        straight from the SVD, ``sigma`` the matching singular values.  The
-        raw overlaps with each reference's Schmidt states are taken now,
-        while the sweep's environments hold.
+        straight from the SVD, ``sigma`` the matching singular values.
         """
-        self._queue.append((sigma, q1, q2, [
-            extend_cross_env(self._cache[r][bond], u3, ref.phi.tensors[bond])
-            @ ref.schmidt[bond][1] for r, ref in enumerate(self.references)]))
-
-    def flush(self) -> None:
-        """Charge every queued step, one stacked evaluation per candidate count."""
-        by_size: dict[int, list[tuple]] = {}
-        for step in self._queue:
-            by_size.setdefault(step[0].size, []).append(step)
-        self._queue = []
-        for steps in by_size.values():
-            sigma, q1, q2, overlaps = zip(*steps)
-            c1, c2, _ = _bond_charges(unit_sum(np.array(sigma) ** 2), list(zip(*overlaps)),
-                                      self.spacings)
-            for a, b, row1, row2 in zip(q1, q2, c1, c2):
-                a[...], b[...] = row1, row2
+        q1, q2, _ = _bond_charges(unit_sum(sigma[None] ** 2), [
+            [extend_cross_env(self._cache[r][bond], u3, ref.phi.tensors[bond])
+             @ ref.schmidt[bond][1]] for r, ref in enumerate(self.references)],
+            self.spacings)
+        return q1[0], q2[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +470,9 @@ def ground_state(hamiltonian: MatrixProductOperator, init: MatrixProductState,
     Sweeps until the per-sweep energy change drops below ``energy_tol`` or the
     sweep budget runs out; non-convergence, of the sweeps or of a local
     Lanczos solve, flags the result instead of raising.  The reported energy
-    is the exact expectation value of the final state.
+    is the exact expectation value of the final state.  There is no earlier
+    point to charge against, so every policy weighs zero charges and the
+    records hold none.
     """
     return _run_dmrg(hamiltonian, init, cfg, context=None)
 
@@ -498,7 +480,7 @@ def ground_state(hamiltonian: MatrixProductOperator, init: MatrixProductState,
 def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
               cfg: SweepConfig, context: Optional[_ChargeContext]) -> DmrgResult:
     """The sweeps of :func:`ground_state`, charging every step with a choice
-    against ``context``."""
+    against ``context`` when there is one."""
     if hamiltonian.physical_dims != init.physical_dims:
         raise ValueError("Hamiltonian and initial state disagree on local dimensions")
     n = init.n_sites
@@ -554,8 +536,6 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
             break
         previous_energy = local_energy
 
-    if context is not None:  # the steps the standard kind left queued
-        context.flush()
     state = MatrixProductState(tensors, center=0)
     energy = float(expectation(state, hamiltonian).real)
     return DmrgResult(energy=energy, state=state, sweep_energies=sweep_energies,
@@ -570,6 +550,21 @@ def _every_state(n: int) -> np.ndarray:
     kept = np.arange(n)
     kept.flags.writeable = False
     return kept
+
+
+def _reads_charges(policy: TruncationPolicy) -> bool:
+    """Whether ``policy``'s weights read the charges: every kind's but the
+    standard one's."""
+    return policy.kind != "standard"
+
+
+def _weights(sigma: np.ndarray, charges1: Optional[np.ndarray],
+             charges2: Optional[np.ndarray], policy: TruncationPolicy):
+    """:func:`truncation.compute_weights`, with zero charges where none were
+    measured."""
+    if charges1 is None:
+        charges1 = charges2 = np.zeros(sigma.shape)
+    return compute_weights(sigma, charges1, charges2, policy)
 
 
 def _has_choice(n: int, policy: TruncationPolicy) -> bool:
@@ -599,12 +594,10 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
         if not _has_choice(n, policy):
             rec = TruncationRecord(sweep, b, sigma, None, None, _every_state(n))
             return rec.kept
-        q1, q2 = np.zeros(n), np.zeros(n)
+        q1 = q2 = None
         if context is not None:
-            context.charge(b, u.reshape(l, d1, n), sigma, q1, q2)
-            if policy.kind != "standard":  # the standard weights ignore the charges
-                context.flush()
-        kept = select_states(compute_weights(sigma, q1, q2, policy), policy)[0]
+            q1, q2 = context.charge(b, u.reshape(l, d1, n), sigma)
+        kept = select_states(_weights(sigma, q1, q2, policy), policy)[0]
         rec = TruncationRecord(sweep, b, sigma, q1, q2, kept)
         return kept
 
@@ -680,9 +673,8 @@ class _TrajectoryNode:
     :func:`mps.bond_schmidt_data`, which the next two points charge against.
     ``history`` holds the one or two points this one was charged against,
     most recent first, and ``spacings`` the grid steps back to them;
-    :attr:`record` reads them.  ``charged`` is false when the solve measured
-    no charges against its history.  Scans share the node's frozen
-    truncation and gauge records and its arrays, read-only.
+    :attr:`record` reads them.  Scans share the node's frozen truncation and
+    gauge records and its arrays, read-only.
     """
 
     result: DmrgResult
@@ -691,7 +683,6 @@ class _TrajectoryNode:
     fidelity: Optional[float]
     history: list["_TrajectoryNode"]
     spacings: list[float]
-    charged: bool
     children: list["_TrajectoryNode"] = field(default_factory=list)
 
     @cached_property
@@ -701,8 +692,8 @@ class _TrajectoryNode:
 
         Each is ``(kept, sigma, charges1, charges2)``, read-only: ``kept``
         masks the states each step kept, ``(m, n)``, and the others stack
-        what the steps measured, or are ``None`` when some step, or the
-        node's solve, measured no charges.
+        what the steps measured, the charges ``None`` when some step
+        measured none.
         """
         by_size: dict[int, list[TruncationRecord]] = {}
         for rec in self.result.truncation_log:
@@ -712,10 +703,10 @@ class _TrajectoryNode:
             kept = np.zeros((len(recs), n), dtype=bool)
             for row, rec in zip(kept, recs):
                 row[rec.kept] = True
-            charged = self.charged and all(rec.charges1 is not None for rec in recs)
-            stacks[n] = (kept, *(
+            charged = all(rec.charges1 is not None for rec in recs)
+            stacks[n] = (kept, np.array([rec.singular_values for rec in recs]), *(
                 np.array([getattr(rec, name) for rec in recs]) if charged else None
-                for name in ("singular_values", "charges1", "charges2")))
+                for name in ("charges1", "charges2")))
             _read_only(stacks[n])
         return stacks
 
@@ -734,31 +725,23 @@ class TrajectoryTree:
     The problem is a family ``h -> MPO``, a finite, strictly increasing
     ``grid``, a start state ``init``, a sweep budget (``num_sweeps`` and
     ``energy_tol``, checked by :class:`SweepConfig`'s rules) and, optionally,
-    an ``oracle``: the exact normalized ground state of every grid point as
-    a dense vector of the chain's dimension.  The tree checks all of it
+    an ``oracle``: the exact ground state of every grid point as a unit
+    dense vector of the chain's dimension.  The tree checks all of it
     once, here, and keeps read-only copies of the grid, of ``init``'s
     tensors and of the oracle vectors, so no later change to the caller's
     arrays reaches a scan.
 
     A node is one point some scan solved for real: its result with the
-    truncation record of every local step (charged only at steps where the
-    solving policy had a choice), its left-canonical state and per-bond
+    truncation record of every local step (charged only where a policy
+    that reads charges had a choice), its left-canonical state and per-bond
     Schmidt data, its fidelity, and its gauge record.  A path from the root
     is one distinct trajectory; its branches are where two policies first
     kept different states.
-
-    ``charged`` says whether a policy that reads charges (any kind but
-    ``standard``) will scan the tree.  When it is false, a point solved
-    under the standard kind measures no charges, and a coefficient policy
-    cannot replay its steps with a choice, so it solves the point itself,
-    charging its own steps as it always does.  A wrong value therefore
-    loses sharing, never a result bit.
     """
 
     def __init__(self, family: Callable[[float], MatrixProductOperator], grid,
                  init: MatrixProductState, num_sweeps: int, energy_tol: float,
-                 oracle: Optional[Sequence[np.ndarray]] = None,
-                 charged: bool = True) -> None:
+                 oracle: Optional[Sequence[np.ndarray]] = None) -> None:
         grid = np.array(grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("scan grid must be a non-empty 1-d array")
@@ -774,13 +757,14 @@ class TrajectoryTree:
             dim = int(np.prod(init.physical_dims))
             if any(v.shape != (dim,) for v in oracle):
                 raise ValueError(f"oracle states must be dense vectors of shape ({dim},)")
+            if any(abs(np.linalg.norm(v) - 1.0) > 1e-10 for v in oracle):
+                raise ValueError("oracle states must be unit vectors")
         self.family = family
         self.grid = grid
         self.init = MatrixProductState([np.array(t) for t in init.tensors], init.center)
         self.num_sweeps = num_sweeps
         self.energy_tol = energy_tol
         self.oracle = oracle
-        self.charged = charged
         _read_only([grid, *self.init.tensors, *(self.oracle or ())])
         self.children: list[_TrajectoryNode] = []
 
@@ -793,15 +777,15 @@ def _replays(node: _TrajectoryNode, policy: TruncationPolicy) -> bool:
     policy has no choice it keeps every state, so the steps replay exactly
     when each kept them all.  Where it has one, they are weighed and
     selected again from their recorded singular values and charges, all in
-    one call; a step whose charges were not measured does not replay, and
-    the point is solved for real.
+    one call; a step whose charges were not measured does not replay under
+    a policy that reads them, and the point is solved for real.
     """
     for n, (kept, sigma, charges1, charges2) in node.steps.items():
         if not _has_choice(n, policy):
             if not kept.all():
                 return False
-        elif sigma is None or not np.array_equal(
-                kept_masks(compute_weights(sigma, charges1, charges2, policy), policy), kept):
+        elif (charges1 is None and _reads_charges(policy)) or not np.array_equal(
+                kept_masks(_weights(sigma, charges1, charges2, policy), policy), kept):
             return False
     return True
 
@@ -809,10 +793,12 @@ def _replays(node: _TrajectoryNode, policy: TruncationPolicy) -> bool:
 def _as_own_record(rec: TruncationRecord, policy: TruncationPolicy) -> TruncationRecord:
     """``rec`` as ``policy``'s own solve would have recorded it.
 
-    A node solved by a policy with a choice at a step carries charges that a
-    policy without one never measures there; the adopting scan drops them.
+    A node solved by a policy that charged a step carries charges that a
+    policy measures only where it reads them and has a choice; the adopting
+    scan drops them everywhere else.
     """
-    if rec.charges1 is None or _has_choice(rec.singular_values.size, policy):
+    if rec.charges1 is None or (_reads_charges(policy)
+                                and _has_choice(rec.singular_values.size, policy)):
         return rec
     return replace(rec, charges1=None, charges2=None)
 
@@ -825,13 +811,11 @@ def _read_only(arrays) -> None:
 
 def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
                  cfg: SweepConfig, history: list[_TrajectoryNode],
-                 spacings: list[float], oracle_state: Optional[np.ndarray],
-                 charged: bool) -> _TrajectoryNode:
-    """Solve one scan point for real, charging against ``history`` when
-    ``charged``; a first point has nothing to charge against, and its zero
-    charges count as measured."""
-    charged = charged or not history
-    context = _ChargeContext(history, spacings) if history and charged else None
+                 spacings: list[float], oracle_state: Optional[np.ndarray]) -> _TrajectoryNode:
+    """Solve one scan point for real, charging its steps against ``history``
+    when its policy reads charges; a scan's first point is solved under the
+    standard kind, so its empty history is never read."""
+    context = _ChargeContext(history, spacings) if _reads_charges(cfg.policy) else None
     result = _run_dmrg(mpo, start, cfg, context)
     phi, schmidt = bond_schmidt_data(result.state)
     fidelity = None
@@ -843,14 +827,15 @@ def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
         _read_only((rec.singular_values, rec.charges1, rec.charges2, rec.kept))
     _read_only(result.state.tensors)
     return _TrajectoryNode(result=result, phi=phi, schmidt=schmidt, fidelity=fidelity,
-                           history=history, spacings=spacings, charged=charged)
+                           history=history, spacings=spacings)
 
 
 def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy,
                       points: Optional[int] = None) -> ContinuationScan:
     """Solve ``tree``'s problem under ``policy``, warm-starting each point.
 
-    With ``points`` the scan stops after the first ``points`` grid points.
+    With ``points``, an integer, the scan stops after the first ``points``
+    grid points.
     A point warm-starts from the one before it and charges against the two
     before that, so no later point changes an earlier one: the prefix scan
     is the full scan cut short, and a later full scan replays its points.
@@ -865,15 +850,19 @@ def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy,
     At each point the scan replays the tree's solved points by selection
     alone and adopts the first whose every local step keeps the states its
     own policy keeps, taking that point's truncation records as they are,
-    less the charges of steps where its own policy has no choice; otherwise
-    it solves the point itself and adds it to the tree, charging its steps
-    unless the policy is standard and the tree uncharged.  Each point is held
+    less the charges its own solve would not have measured; otherwise it
+    solves the point itself and adds it to the tree.  A policy that reads
+    charges cannot replay a step with a choice that a standard solve left
+    uncharged, so a standard scan run first shares no later point with it:
+    scan the charge-reading policies first.  Each point is held
     once, by its node: the result, the left-canonical state and per-bond
     Schmidt data the next two points charge against, the fidelity, and the
     gauge record, computed the first time a scan's ``records`` are read and
     shared, frozen.  The result is identical to a scan through a fresh tree
     of the same problem, and no two scans share a list or a writable array.
     """
+    if points is not None and not is_integer(points):
+        raise ValueError(f"points must be an integer, got {points!r}")
     if points is not None and not 1 <= points <= tree.grid.size:
         raise ValueError(f"points must lie in [1, {tree.grid.size}], got {points!r}")
     grid = tree.grid if points is None else tree.grid[:points]
@@ -896,8 +885,7 @@ def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy,
                      if _replays(child, point_cfg.policy)), None)
         if node is None:
             node = _solve_point(tree.family(float(value)), start, point_cfg, history,
-                                spacings, None if oracle is None else oracle[k],
-                                tree.charged or point_cfg.policy.kind != "standard")
+                                spacings, None if oracle is None else oracle[k])
             parent.children.append(node)
         shared_state = node.result.state
         result = replace(node.result,

@@ -23,8 +23,10 @@ Four experiments, each configured by its own frozen dataclass (see
     run, and every scan solves it, sharing its solved points: a policy that
     keeps the states an earlier scan kept at every local step of a point
     adopts that point instead of solving it again, which changes no report
-    byte.  When every method reuses the standard scan, nothing reads a
-    charge, so the tree is built uncharged and that scan measures none.
+    byte.  Only the policies that scan on their own read charges, so they
+    scan first and the standard scan, which measures none, adopts their
+    points.  A scan that several methods report counts its unconverged
+    points once in ``flagged``.
     Each points table scores its policy's augmented objective ``E +
     lambda1 * coherence + lambda2 * curvature``: the coherence penalty is
     ``||i d(rho)/dt - [A, rho]||_F^2`` on each bond density, the curvature
@@ -719,17 +721,9 @@ def _pec_problem(cfg: PecComparisonConfig) -> _PecProblem:
 
     exact = spin_chain_ground_states([spec(h) for h in grid])
     init = random_mps(np.random.default_rng(cfg.seed), [2] * cfg.n_sites, cfg.max_bond)
-    # only a candidate that scans on its own reads the standard scan's charges
-    charged = any(_scans_alone(policy) for kind in PEC_POLICY_KINDS
-                  for policy in _candidate_policies(kind, cfg))
     return _PecProblem(exact_energies=np.array([e for e, _ in exact]), window=window,
                        tree=TrajectoryTree(family, grid, init, cfg.num_sweeps,
-                                           cfg.energy_tol, oracle=[v for _, v in exact],
-                                           charged=charged))
-
-
-def _standard_policy(cfg: PecComparisonConfig) -> TruncationPolicy:
-    return TruncationPolicy(kind="standard", max_kept=cfg.max_bond)
+                                           cfg.energy_tol, oracle=[v for _, v in exact]))
 
 
 def _scan_errors(scan: ContinuationScan, problem: _PecProblem) -> np.ndarray:
@@ -779,15 +773,16 @@ def _candidate_policies(kind: str, cfg: PecComparisonConfig) -> list[TruncationP
 
 @dataclass
 class GridSearchResult:
-    """Best coefficients per method plus the exhaustive evaluation table."""
+    """Best policy and its scan per method, the standard one's included, plus
+    the exhaustive evaluation table."""
 
     best_policies: dict[str, TruncationPolicy]
     best_scans: dict[str, ContinuationScan]
     table: ScanReport
 
 
-def grid_search_coefficients(cfg: PecComparisonConfig, problem: _PecProblem,
-                             standard: ContinuationScan) -> GridSearchResult:
+def grid_search_coefficients(cfg: PecComparisonConfig,
+                             problem: _PecProblem) -> GridSearchResult:
     """Best of each :data:`PEC_POLICY_KINDS` kind's candidate policies.
 
     Every candidate (see :func:`_candidate_policies`) is a warm-started scan
@@ -798,30 +793,33 @@ def grid_search_coefficients(cfg: PecComparisonConfig, problem: _PecProblem,
 
     A candidate whose coefficients and cutoff are all 0 selects exactly the
     states the standard rule selects and scores its points alike, so every
-    such candidate shares ``standard``, the standard scan of ``problem``.
-    Where a kind has several candidates, each other one scans only up to
-    the window's last grid point, all its score reads; a later point cannot
-    change an earlier one.  Only a winner among them is then scanned to the
-    end of the grid, replaying the points its prefix solved.  A kind's only
-    candidate is reported whatever its score, so it scans the whole grid at
-    once.
+    such candidate shares the standard scan of ``problem``.  Every other
+    candidate reads charges and scans first, and the standard scan then
+    adopts the points they solved, measuring no charge itself.  Where a kind
+    has several candidates, each nonzero one scans only up to the window's
+    last grid point, all its score reads; a later point cannot change an
+    earlier one.  Only a winner among them is then scanned to the end of the
+    grid, replaying the points its prefix solved.  A kind's only candidate
+    is reported whatever its score, so it scans the whole grid at once.
     """
     table = ScanReport(
         name=f"{cfg.kind}_gridsearch",
         columns=["method", "gamma1", "gamma2", "lambda1", "lambda2",
                  "objective", "selected"],
     )
-    best_policies: dict[str, TruncationPolicy] = {}
-    best_scans: dict[str, ContinuationScan] = {}
     window_end = int(np.flatnonzero(problem.window)[-1]) + 1
-    for kind in PEC_POLICY_KINDS:
-        candidates = _candidate_policies(kind, cfg)
-        points = window_end if len(candidates) > 1 else None
+    candidates = {kind: _candidate_policies(kind, cfg) for kind in PEC_POLICY_KINDS}
+    own = {kind: [continuation_scan(problem.tree, policy,
+                                    points=window_end if len(policies) > 1 else None)
+                  if _scans_alone(policy) else None for policy in policies]
+           for kind, policies in candidates.items()}
+    best_policies = {"standard": TruncationPolicy(kind="standard", max_kept=cfg.max_bond)}
+    best_scans = {"standard": continuation_scan(problem.tree, best_policies["standard"])}
+    for kind, policies in candidates.items():
         scored = []
-        for i, policy in enumerate(candidates):
-            nonzero = int(_scans_alone(policy))
-            scan = (continuation_scan(problem.tree, policy, points=points) if nonzero
-                    else standard)
+        for i, (policy, scan) in enumerate(zip(policies, own[kind])):
+            nonzero = int(scan is not None)
+            scan = scan if nonzero else best_scans["standard"]
             scored.append((_scan_objective(cfg, scan, problem), nonzero, i, policy, scan))
         best = min(scored, key=lambda s: s[:3])
         label = METHOD_LABELS[kind]
@@ -868,11 +866,8 @@ def run_pec_comparison(cfg: PecComparisonConfig) -> ScanReport:
     if cfg.kind != "pec_comparison":
         raise ValueError(f"config is for {cfg.kind!r}, not pec_comparison")
     problem = _pec_problem(cfg)
-    standard_policy = _standard_policy(cfg)
-    standard_scan = continuation_scan(problem.tree, standard_policy)
-    search = grid_search_coefficients(cfg, problem, standard_scan)
-    policies = {"standard": standard_policy, **search.best_policies}
-    scans = {"standard": standard_scan, **search.best_scans}
+    search = grid_search_coefficients(cfg, problem)
+    policies, scans = search.best_policies, search.best_scans
 
     report = ScanReport(
         name="pec_comparison",
@@ -880,8 +875,7 @@ def run_pec_comparison(cfg: PecComparisonConfig) -> ScanReport:
                  "crossing_error", "improvement_pct"],
     )
     methods: dict[str, dict] = {}
-    flagged = 0
-    standard_error = float(_scan_errors(standard_scan, problem)[problem.window].max())
+    standard_error = float(_scan_errors(scans["standard"], problem)[problem.window].max())
     for kind in TABLE_METHOD_KINDS:
         label = METHOD_LABELS[kind]
         policy, scan = policies[kind], scans[kind]
@@ -889,7 +883,6 @@ def run_pec_comparison(cfg: PecComparisonConfig) -> ScanReport:
         improvement = 0.0
         if standard_error > 0:
             improvement = 100.0 * (standard_error - window_error) / standard_error
-        flagged += sum(0 if r.converged else 1 for r in scan.results)
         report.add_row(label, kind, policy.gamma1, policy.gamma2, policy.lambda1,
                        policy.lambda2, window_error, improvement)
         report.attachments.append(
@@ -916,7 +909,9 @@ def run_pec_comparison(cfg: PecComparisonConfig) -> ScanReport:
         "window_points": int(problem.window.sum()),
         "standard_error": standard_error,
         "methods": methods,
-        "flagged": flagged,
+        # a scan that several rows report counts once
+        "flagged": sum(not r.converged for scan in {id(s): s for s in scans.values()}.values()
+                       for r in scan.results),
     }
     return report
 

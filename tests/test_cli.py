@@ -513,6 +513,20 @@ def test_flagged_run_exits_2_but_still_writes(tmp_path, capsys):
     assert manifest["exit_status"] == 2
 
 
+def test_a_scan_several_rows_report_flags_its_points_once(tmp_path, capsys):
+    """With one sweep none of the 21 fields converges.  All four method
+
+    rows report the one standard scan, so its 21 points are flagged once,
+    not once per row."""
+    path = write_config(tmp_path, "pec.json", {
+        "experiment": "pec_comparison", "num_sweeps": 1, "grid_search": False})
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 2
+    assert "21 solve(s) did not converge" in capsys.readouterr().err
+    summary = json.loads((out_dir / "pec_comparison_summary.json").read_text("utf-8"))
+    assert summary["summary"]["flagged"] == 21
+
+
 def test_runtime_failure_exits_2_without_outputs(tmp_path, capsys, monkeypatch):
     # the config validates cleanly; the run itself hits a hard numerical error
     def fail(cfg):

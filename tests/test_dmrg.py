@@ -542,14 +542,10 @@ def test_truncation_log_bookkeeping():
         assert rec.discarded_weight >= 0.0
         choices.add(rec.singular_values.size > 4)
         if rec.singular_values.size <= 4:
-            # no choice at cutoff 0: every state kept, no charges measured
+            # no choice at cutoff 0: every state kept
             np.testing.assert_array_equal(rec.kept, np.arange(rec.singular_values.size))
-            assert rec.charges1 is None and rec.charges2 is None
-        else:
-            # untracked solve: charge columns stay zero
-            assert rec.charges1.shape == rec.charges2.shape == rec.singular_values.shape
-            assert np.all(rec.charges1 == 0.0)
-            assert np.all(rec.charges2 == 0.0)
+        # a ground-state solve has no earlier point to charge against
+        assert rec.charges1 is None and rec.charges2 is None
     assert choices == {False, True}
 
 
@@ -572,8 +568,10 @@ def test_sweeps_build_only_the_environments_their_steps_read(monkeypatch, n_site
     monkeypatch.setattr(dmrg._ChargeContext, "advance",
                         counting("advance", dmrg._ChargeContext.advance))
     init = random_mps(np.random.default_rng(3), [2] * n_sites, 2)
+    # a policy that reads charges, so every later point sweeps a charge context
     scan = continuation_scan(TrajectoryTree(tfim_family(n_sites), np.linspace(0.8, 1.2, 3),
-                                            init, 6, 1e-9), TruncationPolicy(max_kept=2))
+                                            init, 6, 1e-9),
+                             TruncationPolicy(kind="uhlmann", gamma1=0.5, max_kept=2))
     sweeps = [len(res.sweep_energies) for res in scan.results]
     assert sum(sweeps) > len(sweeps)
     # the first point has no charge context to advance
@@ -642,6 +640,22 @@ def test_a_tree_rejects_oracle_vectors_of_the_wrong_length():
     oracle = [np.full(8, 8 ** -0.5)] * 3
     with pytest.raises(ValueError, match=r"dense vectors of shape \(16,\)"):
         TrajectoryTree(tfim_family(4), [0.8, 1.0, 1.2], init, 12, 1e-9, oracle=oracle)
+
+
+def test_a_tree_rejects_oracle_vectors_that_are_not_unit():
+    """A fidelity is meaningful only against a unit vector: an oracle scaled
+    by 2 would report fidelities near 4.  Roundoff below 1e-10 passes."""
+    grid = [0.8, 1.0, 1.2]
+    init = random_mps(np.random.default_rng(7), [2] * 4, 4)
+    oracle = tfim_ground_states(4, grid)
+    for scale in (2.0, 1.0 + 1e-9):
+        with pytest.raises(ValueError, match="oracle states must be unit vectors"):
+            TrajectoryTree(tfim_family(4), grid, init, 12, 1e-9,
+                           oracle=[scale * v for v in oracle])
+    tree = TrajectoryTree(tfim_family(4), grid, init, 12, 1e-9,
+                          oracle=[(1.0 + 1e-12) * v for v in oracle])
+    assert all(0.99 < f <= 1.0 + 1e-9 for f in continuation_scan(
+        tree, TruncationPolicy(max_kept=4)).fidelity_to_oracle)
 
 
 @pytest.mark.parametrize("num_sweeps, energy_tol, match", [
@@ -909,11 +923,10 @@ def tree_oracle():
     return tfim_ground_states(5, _TREE_GRID)
 
 
-def _tree(oracle, draw=random_mps, charged=True):
+def _tree(oracle, draw=random_mps):
     """A fresh tree of the 5-site problem, from ``draw``'s seed-5 start."""
     init = draw(np.random.default_rng(5), [2] * 5, 3)
-    return TrajectoryTree(_TREE_FAMILY, _TREE_GRID, init, 8, 1e-9, oracle=oracle,
-                          charged=charged)
+    return TrajectoryTree(_TREE_FAMILY, _TREE_GRID, init, 8, 1e-9, oracle=oracle)
 
 
 def _tree_scan(policy, tree, max_bond=3):
@@ -971,12 +984,15 @@ def test_scans_through_a_tree_equal_scans_without_it(tree_oracle):
 
 
 def test_policies_with_a_choice_solve_steps_a_tree_never_charged(tree_oracle):
-    """Cutoff-0 scans charge no step within the budget, so a scan that has a
+    """Cutoff-0 scans charge no step within the budget, so a policy that
 
-    choice there -- a cutoff above 0, or a smaller budget -- cannot replay
-    those steps and solves the point itself; each still equals its own scan.
-    The cutoff-1e-12 scan keeps the standard sets, yet branches at point 0;
-    the uhlmann one with a cutoff then replays that branch."""
+    reads charges and has a choice there -- a cutoff above 0, or a smaller
+    budget -- cannot replay those steps and solves the point itself; each
+    still equals its own scan.  The uhlmann scan with a cutoff solves every
+    point after the first again.  A standard policy with a choice weighs
+    singular values alone: the cutoff-1e-12 scan keeps the standard sets and
+    replays every point, and the coherence_eigenvalue_2 one with a cutoff
+    replays at point 0 the branch the budget-2 scan left on."""
     policies = [TruncationPolicy(), TruncationPolicy(kind="uhlmann", gamma1=5.0),
                 TruncationPolicy(cutoff=1e-12),
                 TruncationPolicy(kind="uhlmann", gamma1=5.0, cutoff=1e-9),
@@ -984,27 +1000,29 @@ def test_policies_with_a_choice_solve_steps_a_tree_never_charged(tree_oracle):
                 TruncationPolicy(kind="coherence_eigenvalue_2", lambda1=0.5,
                                  lambda2=0.5, cutoff=0.05)]
     tree = _tree(tree_oracle)
-    branches = []
+    branches, nodes = [], []
     for policy in policies:
         _assert_same_scan(_tree_scan(policy, tree), _tree_scan(policy, _tree(tree_oracle)))
         branches.append(len(tree.children))
-    assert branches == [1, 1, 2, 2, 3, 4]
-    own = [_tree_scan(p, _tree(tree_oracle)) for p in policies[:3]]
-    assert _first_divergence(own[0], own[2]) is None
-    assert any(rec.charges1 is None for res in own[0].results for rec in res.truncation_log)
-    assert all(rec.charges1 is not None for res in own[2].results
+        nodes.append(len(tree_nodes(tree)))
+    assert branches == [1, 1, 1, 1, 2, 2]
+    assert nodes == [7, 13, 13, 19, 26, 32]
+    own = [_tree_scan(p, _tree(tree_oracle)) for p in policies[:4]]
+    assert [_first_divergence(own[0], scan) for scan in own] == [None] * 4
+    assert any(rec.charges1 is None for res in own[1].results[1:]
+               for rec in res.truncation_log)
+    assert all(rec.charges1 is not None for res in own[3].results[1:]
                for rec in res.truncation_log)
 
 
 def test_a_coefficient_scan_of_an_uncharged_tree_solves_its_own_points(tree_oracle):
-    """The standard scan of an uncharged tree measures no charges, so a
+    """A tree that only a standard scan solved holds no charges, so a
 
-    coefficient policy cannot replay its points after the first, which has
-    nothing to charge against.  It solves them, charging its own steps, and
-    equals its scan through a fresh charged tree; a second coefficient scan
-    then replays the nodes it solved.  The standard scan keeps what it keeps
-    on a charged tree."""
-    tree = _tree(tree_oracle, charged=False)
+    coefficient policy cannot replay its points after the first, which its
+    scan solves under the standard kind too.  It solves them, charging its
+    own steps, and equals its scan through a fresh tree; a second
+    coefficient scan then replays the nodes it solved."""
+    tree = _tree(tree_oracle)
     standard = _tree_scan(TruncationPolicy(), tree)
     policy = TruncationPolicy(kind="uhlmann", gamma1=5.0)  # keeps the standard sets
     scan = _tree_scan(policy, tree)
@@ -1015,28 +1033,46 @@ def test_a_coefficient_scan_of_an_uncharged_tree_solves_its_own_points(tree_orac
     again = _tree_scan(TruncationPolicy(kind="categorified"), tree)
     assert all(a is b for a, b in zip(again._nodes, scan._nodes, strict=True))
     assert len(tree_nodes(tree)) == 2 * _TREE_GRID.size - 1
-    charged = _tree_scan(TruncationPolicy(), _tree(tree_oracle))
-    assert _first_divergence(standard, charged) is None
-    assert [r.energy for r in standard.results] == [r.energy for r in charged.results]
-    over_budget = [sigma for node in standard._nodes[1:]
-                   for n, (_, sigma, _, _) in node.steps.items() if n > 3]
-    assert over_budget and all(sigma is None for sigma in over_budget)
+    over_budget = [charges for node in standard._nodes[1:]
+                   for n, (_, _, charges, _) in node.steps.items() if n > 3]
+    assert over_budget and all(charges is None for charges in over_budget)
+
+
+def test_a_second_standard_scan_replays_the_first(tree_oracle):
+    """The standard weights read singular values alone, so a standard scan
+
+    replays the uncharged points of an earlier one: two budget-3 scans leave
+    the 7 nodes of one, not 13."""
+    tree = _tree(tree_oracle)
+    first, second = (_tree_scan(TruncationPolicy(max_kept=3), tree) for _ in range(2))
+    assert len(tree_nodes(tree)) == _TREE_GRID.size
+    assert all(charges is None for node in tree_nodes(tree)
+               for _, _, charges, _ in node.steps.values())
+    assert all(a is b for a, b in zip(first._nodes, second._nodes, strict=True))
+    _assert_same_scan(first, second)
 
 
 def test_a_scan_adopting_a_charged_point_drops_the_charges_it_never_measures(tree_oracle):
-    """A cutoff-0 scan replays the points a cutoff-1e-12 scan solved, and
+    """Cutoff-0 scans replay the points an uhlmann scan with cutoff 1e-12
 
-    holds their records as its own solve would: no charges within the budget."""
+    solved, and hold their records as their own solves would: an uhlmann
+    scan no charges within the budget or at point 0, which it solves under
+    the standard kind, and a standard scan none at all."""
     tree = _tree(tree_oracle)
-    first = _tree_scan(TruncationPolicy(cutoff=1e-12), tree)
-    adopted = _tree_scan(TruncationPolicy(), tree)
-    assert len(tree.children) == 1
-    _assert_same_scan(adopted, _tree_scan(TruncationPolicy(), _tree(tree_oracle)))
-    for ra, rb in zip(first.results, adopted.results, strict=True):
-        for ta, tb in zip(ra.truncation_log, rb.truncation_log, strict=True):
-            assert ta.charges1 is not None
-            assert (tb.charges1 is None) == (tb.singular_values.size <= 3)
-            assert tb.kept is ta.kept
+    first = _tree_scan(TruncationPolicy(kind="uhlmann", gamma1=5.0, cutoff=1e-12), tree)
+    adopting = [TruncationPolicy(kind="uhlmann", gamma1=5.0), TruncationPolicy()]
+    adopted = [_tree_scan(policy, tree) for policy in adopting]
+    assert len(tree_nodes(tree)) == _TREE_GRID.size
+    for policy, scan in zip(adopting, adopted):
+        _assert_same_scan(scan, _tree_scan(policy, _tree(tree_oracle)))
+    for k, (ra, rb, rc) in enumerate(zip(*(s.results for s in (first, *adopted)),
+                                          strict=True)):
+        for ta, tb, tc in zip(ra.truncation_log, rb.truncation_log, rc.truncation_log,
+                              strict=True):
+            assert (ta.charges1 is None) == (k == 0)
+            assert (tb.charges1 is None) == (k == 0 or tb.singular_values.size <= 3)
+            assert tc.charges1 is None
+            assert tb.kept is ta.kept and tc.kept is ta.kept
 
 
 def test_a_scan_charges_only_steps_with_more_states_than_the_budget(monkeypatch,
@@ -1044,9 +1080,9 @@ def test_a_scan_charges_only_steps_with_more_states_than_the_budget(monkeypatch,
     sizes = []
     charge = dmrg._ChargeContext.charge
 
-    def spy(self, bond, u3, sigma, q1, q2):
+    def spy(self, bond, u3, sigma):
         sizes.append(sigma.size)
-        return charge(self, bond, u3, sigma, q1, q2)
+        return charge(self, bond, u3, sigma)
 
     monkeypatch.setattr(dmrg._ChargeContext, "charge", spy)
     scan = _tree_scan(TruncationPolicy(kind="uhlmann", gamma1=5.0), _tree(tree_oracle))
@@ -1054,9 +1090,9 @@ def test_a_scan_charges_only_steps_with_more_states_than_the_budget(monkeypatch,
     over_budget = [rec.singular_values.size for res in scan.results[1:]
                    for rec in res.truncation_log if rec.singular_values.size > 3]
     assert over_budget and sizes == over_budget
-    for res in scan.results:
+    for k, res in enumerate(scan.results):
         for rec in res.truncation_log:
-            assert (rec.charges1 is None) == (rec.singular_values.size <= 3)
+            assert (rec.charges1 is None) == (k == 0 or rec.singular_values.size <= 3)
 
 
 def test_scans_of_different_budgets_share_a_tree(tree_oracle):
@@ -1098,7 +1134,9 @@ def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
     independent = len(solves)
     solves.clear()
     tree = _tree(tree_oracle, complex_random_mps)
-    first = [_tree_scan(p, tree) for p in _TREE_POLICIES]
+    # the policies that read charges first, so the standard ones adopt their points
+    policies = sorted(_TREE_POLICIES, key=lambda p: p.kind == "standard")
+    first = [_tree_scan(p, tree) for p in policies]
     assert 0 < len(solves) < independent
     # one node per point solved: the standard trajectory, the branch left at
     # point 1, the one both coherence_eigenvalue_2 policies share from point
@@ -1106,7 +1144,7 @@ def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
     assert len(tree_nodes(tree)) == 7 + 6 + 5 + 7 + 7
     solves.clear()
     node_work.clear()
-    again = [_tree_scan(p, tree) for p in _TREE_POLICIES]
+    again = [_tree_scan(p, tree) for p in policies]
     assert solves == []
     # charges and gauge records live on the nodes: a replay only selects
     assert node_work == []
@@ -1116,14 +1154,20 @@ def test_a_tree_solves_each_distinct_point_once(monkeypatch, tree_oracle):
 
 def _replays_step_by_step(node, policy):
     """The replay rule one recorded step at a time: the reference the
-    stacked replay is held to."""
+    stacked replay is held to.  Only the standard kind weighs a step whose
+    charges were never measured, and reads none."""
     for rec in node.result.truncation_log:
         n = rec.singular_values.size
+        measured = rec.charges1 is not None
         if not dmrg._has_choice(n, policy):
             if rec.kept.size != n:
                 return False
-        elif rec.charges1 is None or not np.array_equal(select_states(compute_weights(
-                rec.singular_values, rec.charges1, rec.charges2, policy), policy)[0], rec.kept):
+        elif not measured and policy.kind != "standard":
+            return False
+        elif not np.array_equal(select_states(compute_weights(
+                rec.singular_values, *((rec.charges1, rec.charges2) if measured
+                                       else (np.zeros(n), np.zeros(n))), policy),
+                policy)[0], rec.kept):
             return False
     return True
 
@@ -1166,6 +1210,10 @@ def test_a_prefix_scan_is_the_full_scan_cut_short(monkeypatch, tree_oracle):
     for points in (0, _TREE_GRID.size + 1):
         with pytest.raises(ValueError, match="points must lie in"):
             continuation_scan(tree, policy, points=points)
+    # a bool would scan one point, and a float die in numpy's slicing
+    for points in (True, 2.0):
+        with pytest.raises(ValueError, match="points must be an integer"):
+            continuation_scan(tree, policy, points=points)
 
 
 def test_gauge_records_are_built_once_when_first_read(monkeypatch, tree_oracle):
@@ -1174,14 +1222,15 @@ def test_gauge_records_are_built_once_when_first_read(monkeypatch, tree_oracle):
     monkeypatch.setattr(dmrg, "_point_gauge_record",
                         lambda *args: (built.append(1), record(*args))[1])
     tree = _tree(tree_oracle)
-    scans = [_tree_scan(p, tree) for p in _TREE_POLICIES[:3]]
+    # the standard scan runs last and adopts the uhlmann scan's points
+    scans = [_tree_scan(p, tree) for p in (*_TREE_POLICIES[1:3], _TREE_POLICIES[0])]
     assert built == []
     first = scans[0].records
     assert len(built) == _TREE_GRID.size
-    # the second scan follows the first one's trajectory and shares its records
-    assert all(x is y for x, y in zip(scans[1].records, first, strict=True))
+    # the standard scan follows the first one's trajectory and shares its records
+    assert all(x is y for x, y in zip(scans[2].records, first, strict=True))
     assert len(built) == _TREE_GRID.size
-    scans[2].records
+    scans[1].records
     assert len(built) == len({id(node) for scan in scans for node in scan._nodes})
 
 
@@ -1199,7 +1248,7 @@ def _scan_arrays(scan):
 def test_scans_through_a_tree_share_no_mutable_container(tree_oracle):
     tree = _tree(tree_oracle)
     # the second policy follows the first one's trajectory, re-weighing by charges
-    first, second = [_tree_scan(p, tree) for p in _TREE_POLICIES[:2]]
+    first, second = [_tree_scan(p, tree) for p in (_TREE_POLICIES[1], _TREE_POLICIES[-1])]
     shared = [(x, y) for x, y in zip(_scan_arrays(first), _scan_arrays(second), strict=True)
               if np.shares_memory(x, y)]
     assert shared
@@ -1387,35 +1436,38 @@ def test_stacked_bond_charges_equal_one_row_calls_bit_for_bit(data, rank, rows, 
 
 
 @pytest.mark.parametrize("draw", [random_mps, complex_random_mps], ids=["real", "complex"])
-def test_a_standard_scan_charges_its_steps_at_the_end_of_each_point(monkeypatch,
-                                                                    tree_oracle, draw):
-    """The standard kind charges a point's steps once its sweeps end, in
-    one stacked evaluation per candidate count.  An uhlmann scan at gamma1 =
-    1e-300 damps by ``exp(-1e-300 Q) = 1``, so it keeps the same states,
-    but it charges each step as it weighs it.  Through fresh trees the two
-    scans agree bit for bit, charges included."""
-    stacks = []
+def test_a_standard_scan_measures_no_charges(monkeypatch, tree_oracle, draw):
+    """The standard weights read no charge, so a standard scan builds no
+
+    charge context and its records hold none.  An uhlmann scan at gamma1 =
+    1e-300 damps by ``exp(-1e-300 Q) = 1``, so it keeps the same states, but
+    it charges each step with a choice as it weighs it, one row per
+    ``_bond_charges`` call.  A standard scan of its tree adopts every point,
+    dropping the charges, and equals the standard scan through a fresh tree
+    bit for bit."""
+    contexts, rows = [], []
+    context = dmrg._ChargeContext.__init__
     bond_charges = dmrg._bond_charges
-
-    def spy(p, overlaps, spacings):
-        stacks.append(p.shape[0])
-        return bond_charges(p, overlaps, spacings)
-
-    monkeypatch.setattr(dmrg, "_bond_charges", spy)
+    monkeypatch.setattr(dmrg._ChargeContext, "__init__",
+                        lambda self, *args: (contexts.append(1), context(self, *args))[1])
+    monkeypatch.setattr(dmrg, "_bond_charges",
+                        lambda p, *args: (rows.append(p.shape[0]), bond_charges(p, *args))[1])
     standard = _tree_scan(TruncationPolicy(), _tree(tree_oracle, draw))
-    deferred = list(stacks)
-    stacks.clear()
-    uhlmann = _tree_scan(TruncationPolicy(kind="uhlmann", gamma1=1e-300),
-                         _tree(tree_oracle, draw))
+    assert contexts == rows == []
+    tree = _tree(tree_oracle, draw)
+    uhlmann = _tree_scan(TruncationPolicy(kind="uhlmann", gamma1=1e-300), tree)
+    adopted = _tree_scan(TruncationPolicy(), tree)
     monkeypatch.undo()  # the gauge records read below charge their bonds too
-    _assert_same_scan(standard, uhlmann)
-    charged = [rec for res in standard.results[1:] for rec in res.truncation_log
+    assert len(contexts) == len(uhlmann.results) - 1
+    charged = [rec for res in uhlmann.results[1:] for rec in res.truncation_log
                if rec.charges1 is not None]
     assert any(np.any(rec.charges1) for rec in charged)
-    # one stack per later point against one row per charged step
-    assert len(deferred) == len(standard.results) - 1 and max(deferred) > 1
-    assert sum(deferred) == len(stacks) == len(charged)
-    assert set(stacks) == {1}
+    assert rows == [1] * len(charged)
+    assert all(rec.charges1 is None for scan in (standard, adopted)
+               for res in scan.results for rec in res.truncation_log)
+    assert len(tree_nodes(tree)) == _TREE_GRID.size
+    _assert_same_scan(standard, adopted)
+    assert _first_divergence(standard, uhlmann) is None
 
 
 # ---------------------------------------------------------------------------

@@ -606,9 +606,9 @@ def test_grid_search_prefers_zero_on_ties_and_never_loses():
                            gamma1_grid=(0.0, 50.0), gamma2_grid=(0.0,),
                            lambda1_grid=(0.0,), lambda2_grid=(0.0,))
     problem = harness._pec_problem(cfg)
-    standard = continuation_scan(problem.tree, harness._standard_policy(cfg))
-    search = grid_search_coefficients(cfg, problem, standard)
+    search = grid_search_coefficients(cfg, problem)
     assert search.best_policies["uhlmann"].gamma1 == 0.0
+    assert search.best_scans["uhlmann"] is search.best_scans["standard"]
     rows = [r for r in search.table.rows if r[0] == "uhlmann"]
     assert len(rows) == 2
     selected = [r for r in rows if r[-1] is True]
@@ -655,7 +655,7 @@ def test_zero_cells_reuse_the_standard_scan(monkeypatch):
         cfg = small_pec_config(n_fields=5, **overrides)
         ran.clear()
         report = run_pec_comparison(cfg)
-        assert ran == [TruncationPolicy(kind="standard", max_kept=2), *own_scans]
+        assert ran == [*own_scans, TruncationPolicy(kind="standard", max_kept=2)]
         assert [len(a.rows) for a in report.attachments
                 if a.name.endswith("_gridsearch")] == tables
 
@@ -730,8 +730,8 @@ def test_a_winner_scanned_to_the_window_reports_its_full_scan(monkeypatch, objec
     monkeypatch.setattr(harness, "continuation_scan", prefix)
     report = run_pec_comparison(cfg)
     assert report.summary["methods"]["higher_categorical"]["coefficients"]["lambda2"] == 0.5
-    # the standard scan, 1 + 3 + 3 nonzero cells to index 3, the winner to the end
-    assert lengths == [7] + [4] * 7 + [7]
+    # 1 + 3 + 3 nonzero cells to index 3, the standard scan, the winner to the end
+    assert lengths == [4] * 7 + [7] + [7]
     monkeypatch.setattr(harness, "continuation_scan", lambda tree, policy, points=None:
                         continuation_scan(fresh_tree(tree), policy))
     assert _report_bytes(report) == _report_bytes(run_pec_comparison(cfg))
@@ -742,11 +742,12 @@ def test_losing_candidates_stop_at_the_window_and_build_no_gauge_record(monkeypa
     build = harness.build_spin_chain_mpo
     monkeypatch.setattr(harness, "build_spin_chain_mpo",
                         lambda spec: (solved.append(spec.field), build(spec))[1])
-    trees = []
+    trees, scans = [], {}
 
     def spy(tree, policy, points=None):
         trees.append(tree)
-        return continuation_scan(tree, policy, points)
+        scans[policy] = continuation_scan(tree, policy, points)
+        return scans[policy]
 
     monkeypatch.setattr(harness, "continuation_scan", spy)
     report = run_pec_comparison(small_pec_config(**_PREFIX_GRIDS))
@@ -756,12 +757,8 @@ def test_losing_candidates_stop_at_the_window_and_build_no_gauge_record(monkeypa
     per_point = np.bincount([index[h] for h in solved], minlength=7)
     # the losers leave the standard trajectory and stop at index 3
     assert per_point[3] > 1 and per_point[4:].tolist() == [1, 1, 1]
-    # only the standard scan, which every row reports, built gauge records:
-    # it solved first, so its points are the first child at every level
-    standard, children = [], trees[0].children
-    while children:
-        standard.append(children[0])
-        children = children[0].children
+    # only the standard scan, which every row reports, built gauge records
+    standard = scans[TruncationPolicy(max_kept=2)]._nodes
     nodes = tree_nodes(trees[0])
     assert len(standard) == 7 and len(nodes) > 7
     assert {id(n) for n in nodes if "record" in vars(n)} == {id(n) for n in standard}
@@ -788,9 +785,11 @@ def call_counter(monkeypatch):
 
 
 def count_charges(count):
-    """Tally the charged steps, and the ``_bond_charges`` calls and their
-    rows (steps and gauge-record bonds)."""
+    """Tally the charged steps, the sites pushed through a charge context,
+    and the ``_bond_charges`` calls and their rows (steps and gauge-record
+    bonds)."""
     count(dmrg._ChargeContext, "charge")
+    count(dmrg._ChargeContext, "advance")
     count(dmrg, "_bond_charges")
     count(dmrg, "_bond_charges", key="charge_rows", size=lambda q: len(q[0]))
 
@@ -810,25 +809,36 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     report = run_pec_comparison(PecComparisonConfig())
     # the candidates that lose are scanned to the window's last point, and
     # only the reported scans' gauge records are built; each replay selects
-    # its 4 charged steps in one stacked call.  Of the 124 charged steps, the
-    # coefficient policies charge 44 one call each and the standard scans 80
-    # in one call per point (20); the 20 records with a history charge their
-    # 100 bonds in one call per rank (40)
-    assert calls == {"continuation_scan": 13, "effective_hamiltonian": 640, "charge": 124,
-                     "_bond_charges": 104, "charge_rows": 224, "_point_gauge_record": 21,
-                     "select_states": 128, "_replays": 148, "replayed_steps": 592}
+    # its 4 charged steps in one stacked call.  Only the coefficient policies
+    # charge a step, 92 of them one call each, pushing 184 sites through
+    # their charge contexts; the 20 records with a history charge their 100
+    # bonds in one call per rank (40)
+    assert calls == {"continuation_scan": 13, "effective_hamiltonian": 640, "charge": 92,
+                     "advance": 184, "_bond_charges": 132, "charge_rows": 192,
+                     "_point_gauge_record": 21, "select_states": 128, "_replays": 148,
+                     "replayed_steps": 592}
     # how each dense local solve was accepted: at the warm start, by
     # Rayleigh-quotient iteration, after eigvalsh, by the full eigh
     assert tiers == {"start": 320, "rqi": 230, "eigvalsh": 88, "eigh": 2}
     # where the escalations come from: 87 of the 90 steps that reach eigvalsh
-    # lie on the one coefficient branch solved for real, coherence_eigenvalue_2
-    # at lambda2 = 0.5, which holds 220 of the 640 steps; the standard solves
-    # (every scan's first point among them) account for 3
-    assert {policy.kind: split for policy, split in by_policy.items()} == {
-        "standard": {"start": 210, "rqi": 207, "eigvalsh": 3, "eigh": 0},
+    # lie on the one branch that leaves the standard trajectory,
+    # coherence_eigenvalue_2 at lambda2 = 0.5, which holds 220 of the 640
+    # steps.  The first candidate to scan, uhlmann at gamma1 = 0.5, solves
+    # the standard trajectory's points 1-12 (240 steps) before the standard
+    # scan, which adopts them and solves points 13-20; the standard solves
+    # (point 0 among them) account for the other 3
+    by_kind: dict = {}
+    for policy, split in by_policy.items():
+        total = by_kind.setdefault(policy.kind, dict.fromkeys(split, 0))
+        for name, steps in split.items():
+            total[name] += steps
+    assert by_kind == {
+        "standard": {"start": 90, "rqi": 87, "eigvalsh": 3, "eigh": 0},
+        "uhlmann": {"start": 120, "rqi": 120, "eigvalsh": 0, "eigh": 0},
         "coherence_eigenvalue_2": {"start": 110, "rqi": 23, "eigvalsh": 85, "eigh": 2}}
-    assert [(policy.lambda1, policy.lambda2) for policy in by_policy
-            if policy.kind != "standard"] == [(0.0, 0.5)]
+    assert [policy for policy in by_policy if policy.kind != "standard"] == [
+        TruncationPolicy(kind="uhlmann", gamma1=0.5, max_kept=4),
+        TruncationPolicy(kind="coherence_eigenvalue_2", lambda2=0.5, max_kept=4)]
     # the default report keeps its bytes, pinned as the gauge and crossing
     # reports are below (numpy 2.4, bundled OpenBLAS, 1 and 2 BLAS threads)
     assert report_digests(report) == (
@@ -873,12 +883,12 @@ def test_eight_site_pec_without_search_costs_what_the_readme_says(monkeypatch):
     count(dmrg, "_point_gauge_record")
     count(dmrg, "select_states")
     run_pec_comparison(PecComparisonConfig(n_sites=8, grid_search=False))
-    # no policy reads a charge, so the uncharged standard scan charges none of
-    # its steps; the 20 records with a history charge their 140 bonds in one
+    # no policy reads a charge, so the standard scan charges none of its
+    # steps; the 20 records with a history charge their 140 bonds in one
     # call per rank (40)
     assert calls == {"continuation_scan": 1, "effective_hamiltonian": 602, "charge": 0,
-                     "_bond_charges": 40, "charge_rows": 140, "_point_gauge_record": 21,
-                     "select_states": 258}
+                     "advance": 0, "_bond_charges": 40, "charge_rows": 140,
+                     "_point_gauge_record": 21, "select_states": 258}
 
 
 @pytest.mark.parametrize("overrides, charged", [
@@ -889,26 +899,58 @@ def test_eight_site_pec_without_search_costs_what_the_readme_says(monkeypatch):
     (dict(grid_search=False, policies=(TruncationPolicy(kind="uhlmann", gamma1=0.5),)),
      True),
 ], ids=["eight_sites_without_search", "all_zero_grids", "defaults", "one_configured_policy"])
-def test_a_pec_tree_is_charged_when_some_candidate_scans_on_its_own(overrides, charged):
+def test_a_pec_tree_is_charged_when_some_candidate_scans_on_its_own(monkeypatch, overrides,
+                                                                    charged):
     """Only a candidate with a nonzero coefficient or cutoff scans on its own
-    and reads the standard scan's charges."""
-    assert harness._pec_problem(PecComparisonConfig(**overrides)).tree.charged is charged
+
+    and reads charges; the standard scan measures none, so a run without
+    such a candidate builds no charge context."""
+    calls, count = call_counter(monkeypatch)
+    count(dmrg, "_ChargeContext")
+    run_pec_comparison(PecComparisonConfig(**overrides))
+    assert (calls["_ChargeContext"] > 0) is charged
+
+
+def test_every_candidate_that_scans_on_its_own_runs_before_the_standard_scan(monkeypatch):
+    """At the defaults the 12 nonzero candidates scan to the window's last
+
+    point first, and the standard scan then adopts their points.  Every kind
+    picks its zero cell, which shares the standard scan, so no winner scans
+    the rest of the grid."""
+    ran = []
+
+    def spy(tree, policy, points=None):
+        ran.append((policy, points))
+        return continuation_scan(tree, policy, points)
+
+    monkeypatch.setattr(harness, "continuation_scan", spy)
+    cfg = PecComparisonConfig()
+    run_pec_comparison(cfg)
+    own = [(policy, 13) for kind in harness.PEC_POLICY_KINDS
+           for policy in harness._candidate_policies(kind, cfg) if harness._scans_alone(policy)]
+    assert len(own) == 12
+    assert ran == [*own, (TruncationPolicy(max_kept=4), None)]
 
 
 def test_an_uncharged_run_builds_no_charge_context_and_keeps_its_bytes(monkeypatch):
     """Eight sites without the search: no step is charged, and the report
-    equals, byte for byte, that of a run whose tree is forced charged."""
+
+    equals, byte for byte, that of a run whose one scan charges every step
+    with a choice, under an uhlmann policy at gamma1 = 1e-300, which keeps
+    the standard states."""
     calls, count = call_counter(monkeypatch)
-    for name in ("advance", "charge", "flush"):
+    for name in ("advance", "charge"):
         count(dmrg._ChargeContext, name)
     cfg = PecComparisonConfig(n_sites=8, grid_search=False)
     uncharged = run_experiment(cfg)
-    assert calls == {"advance": 0, "charge": 0, "flush": 0}
-    build = harness.TrajectoryTree
-    monkeypatch.setattr(harness, "TrajectoryTree",
-                        lambda *args, charged, **kwargs: build(*args, charged=True, **kwargs))
+    assert calls == {"advance": 0, "charge": 0}
+    charging = TruncationPolicy(kind="uhlmann", gamma1=1e-300, max_kept=cfg.max_bond)
+    monkeypatch.setattr(harness, "continuation_scan", lambda tree, policy, points=None:
+                        continuation_scan(tree, charging, points))
     charged = run_experiment(cfg)
-    assert calls["charge"] == 240 and calls["flush"] == 20
+    # 2 sweeps at each of the 20 later points, each with 6 charged steps and
+    # 6 sites pushed through the context
+    assert calls == {"advance": 240, "charge": 240}
     assert report_digests(uncharged) == report_digests(charged)
     assert [a.csv_bytes() for a in uncharged.attachments] == \
         [a.csv_bytes() for a in charged.attachments]

@@ -7,7 +7,8 @@ must be used in that function; a module-level one anywhere in the module.
 ``__init__.py`` is skipped (its imports are the package's re-exports), as
 are ``from __future__`` imports and any import line marked
 ``# noqa: F401``.  A private module-level function or class, or a private
-method, counts as used when any module of the package reads its name.
+method or any method of a private class, counts as used when any module of
+the package reads its name.
 """
 import ast
 from pathlib import Path
@@ -68,23 +69,25 @@ def test_the_check_sees_unused_names_in_every_scope():
 
 def unused_private_names(sources: dict[str, str]) -> list[str]:
     """``"module:line: name"`` for each private module-level function or class,
-    and each private method, that no source reads by name or attribute."""
+    and each private method or method of a private class, that no source
+    reads by name or attribute."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                defined += [(module, n) for n in [node, *node.body]
+                private = node.name.startswith("_")
+                defined += [(module, n, private and n is not node) for n in [node, *node.body]
                             if isinstance(n, (ast.ClassDef, *_FUNCTIONS))]
             elif isinstance(node, _FUNCTIONS):
-                defined.append((module, node))
+                defined.append((module, node, False))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return [f"{module}:{node.lineno}: {node.name}" for module, node in defined
-            if node.name.startswith("_") and not node.name.endswith("__")
+    return [f"{module}:{node.lineno}: {node.name}" for module, node, owned in defined
+            if (owned or node.name.startswith("_")) and not node.name.endswith("__")
             and node.name not in read]
 
 
@@ -107,11 +110,16 @@ def test_the_check_sees_unused_private_helpers_in_every_scope():
         "        return self._size\n"
         "    def _spare(self):\n"
         "        return None\n"
+        "    def flush(self):\n"
+        "        return None\n"
         "class _Empty:\n"
         "    pass\n"
+        "class Public:\n"
+        "    def unread(self):\n"
+        "        return None\n"
         "def public():\n"
         "    return _Box()._read()\n"
     )
     other = "def _shared():\n    return 0\n"
     assert unused_private_names({"m.py": source, "other.py": other}) == [
-        "m.py:4: _unused", "m.py:11: _spare", "m.py:13: _Empty"]
+        "m.py:4: _unused", "m.py:11: _spare", "m.py:13: flush", "m.py:15: _Empty"]
