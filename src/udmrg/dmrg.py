@@ -34,18 +34,18 @@ dtype; numpy's type promotion then keeps the split, the environments and the
 next eigensolves real wherever the MPO is real too.
 
 Continuation scans treat the scan grid as the time axis of the gauge
-machinery.  While sweeping at grid point ``k`` the engine maintains cross
-overlaps between the current candidate Schmidt bases and the converged
-Schmidt bases of up to two earlier points, which turn into backward-stencil
-derivative overlaps and from there into the truncation charges.  Schmidt
-bases at different points live in different left-block gauges, so the scan
-records probabilities and cross-point overlap matrices -- the gauge-invariant
-content -- rather than raw eigenvector tracks.  Branches are identified
-across points by their descending-weight rank; mismatched bond dimensions
-are padded with zero-probability states.  A scan diagonalizes nothing
-densely: a caller that already holds the exact ground states passes them to
-the scan's :class:`TrajectoryTree` as ``oracle`` and gets the per-point
-fidelities back.
+machinery.  A charged step at grid point ``k`` overlaps its candidate
+Schmidt basis with the converged Schmidt bases of up to two earlier points,
+which turn into backward-stencil derivative overlaps and from there into
+the truncation charges.  Schmidt bases at different points live in
+different left-block gauges, so the scan records probabilities and
+cross-point overlap matrices -- the gauge-invariant content -- rather than
+raw eigenvector tracks.  Branches are identified across points by their
+descending-weight rank; mismatched bond dimensions are padded with
+zero-probability states.  A scan diagonalizes nothing densely: a caller
+that already holds the exact ground states passes them to the scan's
+:class:`TrajectoryTree` as ``oracle`` and gets the per-point fidelities
+back.
 
 A :class:`TrajectoryTree` states one scan problem -- family, grid, start
 state, sweep budget and oracle -- and :func:`continuation_scan` solves it
@@ -421,41 +421,36 @@ def _bond_charges(p: np.ndarray, overlaps: Sequence[Sequence[np.ndarray]],
 
 
 class _ChargeContext:
-    """Cross-point Schmidt overlaps maintained during a sweep.
+    """Cross-point Schmidt overlaps of one scan point's charged steps.
 
     Holds the previous one or two solved scan points, most recent first, and
-    reads each one's left-canonical state and Schmidt bases; while the engine
-    sweeps left-to-right it pushes one overlap environment per reference
-    through each updated site and caches it at the next bond, so the
-    right-to-left half sweep (which leaves the sites left of each bond
-    untouched) reuses it.
+    reads each one's left-canonical state and Schmidt bases.  A sweep builds
+    the overlap environments only as far as its charged steps read them:
+    the sites left of a bond stay fixed for the rest of the sweep (a
+    right-to-left step at bond ``b`` rewrites only sites ``b`` and ``b + 1``).
     """
 
     def __init__(self, references: list[_TrajectoryNode], spacings: list[float]):
         self.references = references
         self.spacings = spacings
-        self._cache: list[list[np.ndarray]] = []
+        self._envs: dict[int, list[list[np.ndarray]]] = {}  # by sweep, the current one only
 
-    def begin_sweep(self) -> None:
-        self._cache = [[np.ones((1, 1))] for _ in self.references]
-
-    def advance(self, bond: int, new_left_tensor: np.ndarray) -> None:
-        """Cache the environments at ``bond + 1``, pushed through the updated site."""
-        for r, ref in enumerate(self.references):
-            self._cache[r].append(extend_cross_env(
-                self._cache[r][bond], new_left_tensor, ref.phi.tensors[bond]))
-
-    def charge(self, bond: int, u3: np.ndarray,
+    def charge(self, tensors: list[np.ndarray], sweep: int, bond: int, u3: np.ndarray,
                sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First- and second-order charges of the candidate states at ``bond``.
 
-        ``u3`` is the candidate left Schmidt tensor ``(left, phys, rank)``
-        straight from the SVD, ``sigma`` the matching singular values.
+        ``tensors`` are the sweep's sites, read left of ``bond``; ``u3`` is the
+        candidate left Schmidt tensor ``(left, phys, rank)`` straight from the
+        SVD, ``sigma`` the matching singular values.
         """
+        if sweep not in self._envs:  # a new sweep rewrites every site
+            self._envs = {sweep: [[np.ones((1, 1))] for _ in self.references]}
+        for envs, ref in zip(self._envs[sweep], self.references):
+            for s in range(len(envs) - 1, bond):
+                envs.append(extend_cross_env(envs[s], tensors[s], ref.phi.tensors[s]))
         q1, q2, _ = _bond_charges(unit_sum(sigma[None] ** 2), [
-            [extend_cross_env(self._cache[r][bond], u3, ref.phi.tensors[bond])
-             @ ref.schmidt[bond][1]] for r, ref in enumerate(self.references)],
-            self.spacings)
+            [extend_cross_env(envs[bond], u3, ref.phi.tensors[bond]) @ ref.schmidt[bond][1]]
+            for envs, ref in zip(self._envs[sweep], self.references)], self.spacings)
         return q1[0], q2[0]
 
 
@@ -516,8 +511,6 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
     schedule = ([(b, "right") for b in range(n - 1)]
                 + [(b, "left") for b in range(n - 2, -1, -1)])
     for sweep in range(1, cfg.num_sweeps + 1):
-        if context is not None:
-            context.begin_sweep()
         for b, center_after in schedule:
             local_energy, rec, solved = _optimize_bond(
                 tensors, ws, lenvs[b], renvs[b + 1], b, sweep, cfg.policy, context,
@@ -526,8 +519,6 @@ def _run_dmrg(hamiltonian: MatrixProductOperator, init: MatrixProductState,
             log.append(rec)
             if center_after == "right" and b < n - 2:
                 lenvs[b + 1] = extend_left_env(lenvs[b], tensors[b], ws[b])
-                if context is not None:
-                    context.advance(b, tensors[b])
             elif center_after == "left" and b > 0:
                 renvs[b] = extend_right_env(renvs[b + 1], tensors[b + 1], ws[b + 1])
         sweep_energies.append(local_energy)
@@ -596,7 +587,7 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
             return rec.kept
         q1 = q2 = None
         if context is not None:
-            q1, q2 = context.charge(b, u.reshape(l, d1, n), sigma)
+            q1, q2 = context.charge(tensors, sweep, b, u.reshape(l, d1, n), sigma)
         kept = select_states(_weights(sigma, q1, q2, policy), policy)[0]
         rec = TruncationRecord(sweep, b, sigma, q1, q2, kept)
         return kept

@@ -25,6 +25,7 @@ import numpy as np
 from . import linalg
 from .linalg import dag, require_hermitian
 from .mps import MatrixProductOperator
+from .truncation import is_integer
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -179,8 +180,9 @@ class SpinChainSpec:
     def __post_init__(self) -> None:
         if self.kind not in SPIN_CHAIN_KINDS:
             raise ValueError(f"kind must be one of {SPIN_CHAIN_KINDS}, got {self.kind!r}")
-        if self.n_sites < 2:
-            raise ValueError("spin chains need at least two sites")
+        if not is_integer(self.n_sites) or self.n_sites < 2:
+            raise ValueError("n_sites must be an integer: spin chains need at least two "
+                             f"sites, got {self.n_sites!r}")
         if self.kind == "heisenberg" and self.field != 0:
             raise ValueError(f"the heisenberg chain has no field, got field={self.field!r}")
 

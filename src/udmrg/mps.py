@@ -33,6 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .linalg import contract, hermitian_part, unit_norm, unit_sum
+from .truncation import is_integer
 
 
 def _inexact(t) -> np.ndarray:
@@ -109,8 +110,10 @@ def random_mps(rng: np.random.Generator, phys_dims: Sequence[int],
 
     Each site draws one real standard normal per entry from ``rng``, so the
     tensors are float64 and a sweep of a real Hamiltonian from this start
-    stays in real arithmetic.
+    stays in real arithmetic.  ``bond_dim`` must be an integer of at least 1.
     """
+    if not is_integer(bond_dim) or bond_dim < 1:
+        raise ValueError(f"bond_dim must be an integer of at least 1, got {bond_dim!r}")
     dims = list(phys_dims)
     n = len(dims)
     bonds = [1]

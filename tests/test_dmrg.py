@@ -28,6 +28,7 @@ from udmrg.mps import (
     bond_schmidt_data,
     canonicalize,
     expectation,
+    extend_cross_env,
     extend_left_env,
     extend_right_env,
     mpo_to_dense,
@@ -553,9 +554,12 @@ def test_truncation_log_bookkeeping():
 def test_sweeps_build_only_the_environments_their_steps_read(monkeypatch, n_sites):
     """Step ``b`` reads the left environment at ``b``, the right one at
 
-    ``b + 1`` and the charge context's overlaps at ``b``, for ``b <= n - 2``.
-    So the first right build and each half sweep extend ``n - 2`` of them."""
-    calls = {"left": 0, "right": 0, "advance": 0}
+    ``b + 1`` and, when charged, the charge context's overlaps at ``b``, for
+    ``b <= n - 2``.  So the first right build and each half sweep extend
+    ``n - 2`` of them, and a charged sweep pushes each reference's overlaps
+    through as many sites as the largest bond it charges; each charged step
+    then overlaps its candidates with each reference once."""
+    calls = {"left": 0, "right": 0, "cross": 0, "charged": 0}
 
     def counting(key, fn):
         def wrapped(*args):
@@ -563,10 +567,16 @@ def test_sweeps_build_only_the_environments_their_steps_read(monkeypatch, n_site
             return fn(*args)
         return wrapped
 
+    charge = dmrg._ChargeContext.charge
+
+    def charging(self, *args):
+        calls["charged"] += len(self.references)
+        return charge(self, *args)
+
     monkeypatch.setattr(dmrg, "extend_left_env", counting("left", dmrg.extend_left_env))
     monkeypatch.setattr(dmrg, "extend_right_env", counting("right", dmrg.extend_right_env))
-    monkeypatch.setattr(dmrg._ChargeContext, "advance",
-                        counting("advance", dmrg._ChargeContext.advance))
+    monkeypatch.setattr(dmrg, "extend_cross_env", counting("cross", dmrg.extend_cross_env))
+    monkeypatch.setattr(dmrg._ChargeContext, "charge", charging)
     init = random_mps(np.random.default_rng(3), [2] * n_sites, 2)
     # a policy that reads charges, so every later point sweeps a charge context
     scan = continuation_scan(TrajectoryTree(tfim_family(n_sites), np.linspace(0.8, 1.2, 3),
@@ -574,10 +584,19 @@ def test_sweeps_build_only_the_environments_their_steps_read(monkeypatch, n_site
                              TruncationPolicy(kind="uhlmann", gamma1=0.5, max_kept=2))
     sweeps = [len(res.sweep_energies) for res in scan.results]
     assert sum(sweeps) > len(sweeps)
-    # the first point has no charge context to advance
+    # the first point has no charge context; the later ones charge against
+    # one earlier point, then two
+    pushes = charged = 0
+    for k, res in enumerate(scan.results[1:], start=1):
+        for sweep in range(1, sweeps[k] + 1):
+            bonds = [rec.bond for rec in res.truncation_log
+                     if rec.sweep == sweep and rec.charges1 is not None]
+            pushes += min(k, 2) * max(bonds, default=0)
+            charged += min(k, 2) * len(bonds)
+    assert (pushes > 0) is (n_sites > 3)
     assert calls == {"left": (n_sites - 2) * sum(sweeps),
                      "right": (n_sites - 2) * (sum(sweeps) + len(sweeps)),
-                     "advance": (n_sites - 2) * sum(sweeps[1:])}
+                     "cross": pushes + charged, "charged": charged}
 
 
 def test_truncation_record_discarded_weight():
@@ -1080,9 +1099,9 @@ def test_a_scan_charges_only_steps_with_more_states_than_the_budget(monkeypatch,
     sizes = []
     charge = dmrg._ChargeContext.charge
 
-    def spy(self, bond, u3, sigma):
+    def spy(self, tensors, sweep, bond, u3, sigma):
         sizes.append(sigma.size)
-        return charge(self, bond, u3, sigma)
+        return charge(self, tensors, sweep, bond, u3, sigma)
 
     monkeypatch.setattr(dmrg._ChargeContext, "charge", spy)
     scan = _tree_scan(TruncationPolicy(kind="uhlmann", gamma1=5.0), _tree(tree_oracle))
@@ -1093,6 +1112,49 @@ def test_a_scan_charges_only_steps_with_more_states_than_the_budget(monkeypatch,
     for k, res in enumerate(scan.results):
         for rec in res.truncation_log:
             assert (rec.charges1 is None) == (k == 0 or rec.singular_values.size <= 3)
+
+
+def test_a_charged_step_reads_the_overlaps_of_the_sites_left_of_its_bond(monkeypatch,
+                                                                         tree_oracle):
+    """The charge context builds its overlap environments only as a charged
+
+    step reads them, and reuses them for the rest of the sweep.  At every
+    charged step, in both halves of every sweep, the environment it
+    overlaps the candidates through equals, bit for bit, one built afresh
+    from the sweep's current tensors left of the bond."""
+    charge = dmrg._ChargeContext.charge
+    cross = dmrg.extend_cross_env
+    seen = []
+
+    def spy(self, tensors, sweep, bond, u3, sigma):
+        used = []
+
+        def at_the_step(env, bra, ket):
+            if bra is u3:
+                used.append(env)
+            return cross(env, bra, ket)
+
+        monkeypatch.setattr(dmrg, "extend_cross_env", at_the_step)
+        try:
+            charges = charge(self, tensors, sweep, bond, u3, sigma)
+        finally:
+            monkeypatch.setattr(dmrg, "extend_cross_env", cross)
+        assert len(used) == len(self.references)
+        for env, ref in zip(used, self.references):
+            fresh = np.ones((1, 1))
+            for s in range(bond):
+                fresh = extend_cross_env(fresh, tensors[s], ref.phi.tensors[s])
+            assert env.dtype == fresh.dtype and env.tobytes() == fresh.tobytes()
+        seen.append((self, sweep, bond))
+        return charges
+
+    monkeypatch.setattr(dmrg._ChargeContext, "charge", spy)
+    _tree_scan(TruncationPolicy(kind="uhlmann", gamma1=5.0), _tree(tree_oracle))
+    # some bond is charged in both halves of a sweep, and some point
+    # charges in several sweeps
+    assert len({(id(c), sweep, bond) for c, sweep, bond in seen}) < len(seen)
+    assert any(len({sweep for c, sweep, _ in seen if c is context}) > 1
+               for context, _, _ in seen)
 
 
 def test_scans_of_different_budgets_share_a_tree(tree_oracle):

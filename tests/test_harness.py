@@ -785,11 +785,12 @@ def call_counter(monkeypatch):
 
 
 def count_charges(count):
-    """Tally the charged steps, the sites pushed through a charge context,
-    and the ``_bond_charges`` calls and their rows (steps and gauge-record
-    bonds)."""
+    """Tally the charged steps, the charge contexts' overlap environments
+    (pushed through a sweep's sites, and one per reference at each charged
+    step), and the ``_bond_charges`` calls and their rows (steps and
+    gauge-record bonds)."""
     count(dmrg._ChargeContext, "charge")
-    count(dmrg._ChargeContext, "advance")
+    count(dmrg, "extend_cross_env")
     count(dmrg, "_bond_charges")
     count(dmrg, "_bond_charges", key="charge_rows", size=lambda q: len(q[0]))
 
@@ -810,11 +811,12 @@ def test_pec_defaults_cost_what_the_readme_says(monkeypatch):
     # the candidates that lose are scanned to the window's last point, and
     # only the reported scans' gauge records are built; each replay selects
     # its 4 charged steps in one stacked call.  Only the coefficient policies
-    # charge a step, 92 of them one call each, pushing 184 sites through
-    # their charge contexts; the 20 records with a history charge their 100
-    # bonds in one call per rank (40)
+    # charge a step, 92 of them one call each; their charge contexts push
+    # 180 overlap environments through the sweeps' sites and build 180 more,
+    # one per reference, at the charged steps; the 20 records with a history
+    # charge their 100 bonds in one call per rank (40)
     assert calls == {"continuation_scan": 13, "effective_hamiltonian": 640, "charge": 92,
-                     "advance": 184, "_bond_charges": 132, "charge_rows": 192,
+                     "extend_cross_env": 360, "_bond_charges": 132, "charge_rows": 192,
                      "_point_gauge_record": 21, "select_states": 128, "_replays": 148,
                      "replayed_steps": 592}
     # how each dense local solve was accepted: at the warm start, by
@@ -887,7 +889,7 @@ def test_eight_site_pec_without_search_costs_what_the_readme_says(monkeypatch):
     # steps; the 20 records with a history charge their 140 bonds in one
     # call per rank (40)
     assert calls == {"continuation_scan": 1, "effective_hamiltonian": 602, "charge": 0,
-                     "advance": 0, "_bond_charges": 40, "charge_rows": 140,
+                     "extend_cross_env": 0, "_bond_charges": 40, "charge_rows": 140,
                      "_point_gauge_record": 21, "select_states": 258}
 
 
@@ -939,21 +941,39 @@ def test_an_uncharged_run_builds_no_charge_context_and_keeps_its_bytes(monkeypat
     with a choice, under an uhlmann policy at gamma1 = 1e-300, which keeps
     the standard states."""
     calls, count = call_counter(monkeypatch)
-    for name in ("advance", "charge"):
-        count(dmrg._ChargeContext, name)
+    count(dmrg, "extend_cross_env")
+    count(dmrg._ChargeContext, "charge")
     cfg = PecComparisonConfig(n_sites=8, grid_search=False)
     uncharged = run_experiment(cfg)
-    assert calls == {"advance": 0, "charge": 0}
+    assert calls == {"extend_cross_env": 0, "charge": 0}
     charging = TruncationPolicy(kind="uhlmann", gamma1=1e-300, max_kept=cfg.max_bond)
     monkeypatch.setattr(harness, "continuation_scan", lambda tree, policy, points=None:
                         continuation_scan(tree, charging, points))
     charged = run_experiment(cfg)
-    # 2 sweeps at each of the 20 later points, each with 6 charged steps and
-    # 6 sites pushed through the context
-    assert calls == {"advance": 240, "charge": 240}
+    # 2 sweeps at each of the 20 later points, each with 6 charged steps at
+    # bonds 2-4, so each sweep pushes the overlaps through 4 sites per
+    # reference: 312 pushes, and 468 overlaps at the charged steps
+    assert calls == {"extend_cross_env": 780, "charge": 240}
     assert report_digests(uncharged) == report_digests(charged)
     assert [a.csv_bytes() for a in uncharged.attachments] == \
         [a.csv_bytes() for a in charged.attachments]
+
+
+def test_a_charge_reading_run_without_a_choice_builds_no_overlap(monkeypatch):
+    """Six sites at chi = 8 keep every state at every step, so an uhlmann
+
+    policy has no choice anywhere: its scan charges no step, its charge
+    contexts build no overlap environment, and its points report equals the
+    standard one byte for byte."""
+    calls, count = call_counter(monkeypatch)
+    count(dmrg, "extend_cross_env")
+    count(dmrg._ChargeContext, "charge")
+    report = run_pec_comparison(PecComparisonConfig(
+        n_sites=6, max_bond=8, grid_search=False,
+        policies=(TruncationPolicy(kind="uhlmann", gamma1=0.5),)))
+    assert calls == {"extend_cross_env": 0, "charge": 0}
+    points = {a.name: a.csv_bytes() for a in report.attachments}
+    assert points["pec_comparison_points_uhlmann"] == points["pec_comparison_points_standard"]
 
 
 @pytest.mark.parametrize("config", [

@@ -1,5 +1,6 @@
-"""Every name a ``src/udmrg`` module imports is used in that module, and
-every private helper it defines is used somewhere in the package.
+"""Every name a ``src/udmrg`` module imports is used in that module, every
+private helper it defines is used somewhere in the package, and every
+private instance attribute it sets is read somewhere in the package.
 
 No linter ships with the package, so this walks each module's syntax tree
 the way pyflakes' unused-import check does.  An import inside a function
@@ -8,7 +9,9 @@ must be used in that function; a module-level one anywhere in the module.
 are ``from __future__`` imports and any import line marked
 ``# noqa: F401``.  A private module-level function or class, or a private
 method or any method of a private class, counts as used when any module of
-the package reads its name.
+the package reads its name.  A ``self._name`` attribute counts as read
+when any module reads the attribute, updates it in place, or spells its
+name in a string.
 """
 import ast
 from pathlib import Path
@@ -91,6 +94,28 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
             and node.name not in read]
 
 
+def unread_private_attributes(sources: dict[str, str]) -> list[str]:
+    """``"module:line: name"`` for each private instance attribute, set as
+    ``self._name = ...``, that no source reads by attribute or names in a
+    string (as ``getattr`` would)."""
+    assigned, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if not isinstance(node.ctx, ast.Store):
+                    read.add(node.attr)
+                elif (isinstance(node.value, ast.Name) and node.value.id == "self"
+                      and node.attr.startswith("_") and not node.attr.endswith("__")):
+                    assigned.append((module, node))
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{module}:{node.lineno}: {node.attr}" for module, node in assigned
+            if node.attr not in read]
+
+
 def test_every_private_helper_is_used():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unused_private_names(sources) == []
@@ -123,3 +148,28 @@ def test_the_check_sees_unused_private_helpers_in_every_scope():
     other = "def _shared():\n    return 0\n"
     assert unused_private_names({"m.py": source, "other.py": other}) == [
         "m.py:4: _unused", "m.py:11: _spare", "m.py:13: flush", "m.py:15: _Empty"]
+
+
+def test_every_private_attribute_is_read():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_attributes(sources) == []
+
+
+def test_the_check_sees_private_attributes_that_are_set_and_never_read():
+    source = (
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self._size = 0\n"
+        "        self._count = 0\n"
+        "        self._cache = []\n"
+        "        self._named = None\n"
+        "        self.public = 1\n"
+        "    def grow(self):\n"
+        "        self._count += 1\n"
+        "        self._cache = [1]\n"
+        "        return getattr(self, '_named')\n"
+        "def size(box):\n"
+        "    return box._size\n"
+    )
+    assert unread_private_attributes({"m.py": source}) == [
+        "m.py:5: _cache", "m.py:10: _cache"]

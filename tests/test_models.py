@@ -239,6 +239,9 @@ def test_spin_chain_spec_validation():
         SpinChainSpec(kind="xy", n_sites=4)
     with pytest.raises(ValueError, match="at least two sites"):
         SpinChainSpec(kind="tfim", n_sites=1)
+    with pytest.raises(ValueError, match="n_sites must be an integer: .* got 2.5"):
+        SpinChainSpec(kind="tfim", n_sites=2.5, field=1.0)
+    SpinChainSpec(kind="tfim", n_sites=np.int64(4))
     with pytest.raises(ValueError, match="the heisenberg chain has no field, got field=0.5"):
         SpinChainSpec(kind="heisenberg", n_sites=4, field=0.5)
     SpinChainSpec(kind="heisenberg", n_sites=4, field=0.0)

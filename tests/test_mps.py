@@ -130,6 +130,12 @@ def test_random_mps_is_normalized_and_capped():
     assert {t.dtype for t in psi.tensors} == {np.dtype(np.float64)}
 
 
+@pytest.mark.parametrize("bond_dim", [0, 2.5, True])
+def test_random_mps_rejects_a_bond_dimension_that_is_no_positive_integer(bond_dim):
+    with pytest.raises(ValueError, match="bond_dim must be an integer of at least 1"):
+        random_mps(np.random.default_rng(1), [2] * 4, bond_dim)
+
+
 def test_random_mps_is_seed_reproducible():
     a = random_mps(np.random.default_rng(7), [2] * 5, 8)
     b = random_mps(np.random.default_rng(7), [2] * 5, 8)
