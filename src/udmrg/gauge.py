@@ -25,7 +25,7 @@ A single family is the case without leading axes, and stacking changes no
 bit of any member's result.  Every member is still validated on its own.  A
 charge residual perturbs one ``A_k`` at a time, so it computes the action
 integrand once and recomputes only the ``k``-th term for each perturbed
-direction.
+direction; :func:`action_and_charge_residual` also integrates that integrand.
 
 Note on hermiticity: with hermitian ``A`` and ``rho`` both terms of
 ``D rho`` are anti-hermitian, so the covariant derivative itself is
@@ -45,10 +45,14 @@ from .linalg import (
     hermitian_part,
     max_abs,
     random_hermitian,
-    require_hermitian,
     require_unitary,
 )
-from .spectral import SpectralTrack, derivative_overlaps, second_derivative_overlaps
+from .spectral import (
+    SpectralTrack,
+    derivative_overlaps,
+    hermitian_eigensystem,
+    second_derivative_overlaps,
+)
 
 ACTION_MODES = ("covariant", "scalar_like")
 
@@ -99,16 +103,6 @@ class GaugePotential2D:
 # purification and potentials
 # ---------------------------------------------------------------------------
 
-def _hermitian_unit_trace(rhos, tol: float) -> np.ndarray:
-    """Hermiticity and unit trace of a density matrix, or of each member of a stack."""
-    r = require_hermitian(rhos, tol, "density matrix")
-    traces = np.trace(r, axis1=-2, axis2=-1).real
-    bad = np.flatnonzero(np.abs(traces - 1.0) > 1e-10)
-    if bad.size:
-        raise ValueError(f"density matrix trace is {float(traces.flat[bad[0]])!r}, expected 1")
-    return r
-
-
 def _require_positive(eigenvalues: np.ndarray, tol: float) -> None:
     lowest = eigenvalues[..., 0]
     bad = np.flatnonzero(lowest < -tol)
@@ -116,17 +110,24 @@ def _require_positive(eigenvalues: np.ndarray, tol: float) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {lowest.flat[bad[0]]:.3e}")
 
 
-def purify(rho, tol: float = 1e-12) -> np.ndarray:
+def purify(rho, tol: float = 1e-12, eigensystem=None) -> np.ndarray:
     """Principal hermitian square root ``U`` with ``U U^H = rho``.
 
     ``rho`` must be hermitian with unit trace.  Eigenvalues inside
     ``[-tol, 0)`` are clipped to zero; anything more negative raises an
     invalid-density error.  A stack ``(..., d, d)`` is validated member by
-    member and purified by one stacked eigensolve, whose eigenvalues also
-    serve the positivity check.
+    member and purified by one stacked eigensolve,
+    :func:`udmrg.spectral.hermitian_eigensystem` at ``tol``, whose
+    eigenvalues also serve the positivity check.  A caller that holds that
+    eigensystem of ``rho`` passes it in, and ``rho`` is not decomposed again.
     """
-    r = _hermitian_unit_trace(rho, tol)
-    w, v = np.linalg.eigh(r)
+    if eigensystem is None:
+        eigensystem = hermitian_eigensystem(rho, tol, "density matrix")
+    w, v = eigensystem
+    traces = np.trace(np.asarray(rho), axis1=-2, axis2=-1).real
+    bad = np.flatnonzero(np.abs(traces - 1.0) > 1e-10)
+    if bad.size:
+        raise ValueError(f"density matrix trace is {float(traces.flat[bad[0]])!r}, expected 1")
     _require_positive(w, tol)
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dag(v)
 
@@ -145,13 +146,14 @@ def _central_differences(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
             / (grid[2:] - grid[:-2])[:, None, None])
 
 
-def uhlmann_potential(rhos, grid) -> GaugePotential:
+def uhlmann_potential(rhos, grid, eigensystem=None) -> GaugePotential:
     """Gauge potential of a density family, aligned with its full grid.
 
     Interior points use central differences; the two endpoints fall back to
     one-sided differences (first-order accurate) so the potential can be
     integrated against the same grid as ``rhos``.  The values are an
-    ``(..., n, d, d)`` stack with the leading axes of ``rhos``.
+    ``(..., n, d, d)`` stack with the leading axes of ``rhos``.  The
+    amplitudes come from :func:`purify`, which takes ``eigensystem``.
     """
     grid = np.asarray(grid, dtype=float)
     r = _family(rhos)
@@ -159,7 +161,7 @@ def uhlmann_potential(rhos, grid) -> GaugePotential:
         raise ValueError("density family must match the grid in length")
     if grid.size < 2:
         raise ValueError("need at least two grid points")
-    amps = purify(r)
+    amps = purify(r, eigensystem=eigensystem)
     du = np.concatenate([
         (amps[..., 1:2, :, :] - amps[..., :1, :, :]) / (grid[1] - grid[0]),
         _central_differences(amps, grid),
@@ -306,15 +308,17 @@ def _traces(m: np.ndarray) -> np.ndarray:
 
 
 def _integrate(weights: np.ndarray, integrand: np.ndarray):
-    """Weighted sum of an integrand, or of each row of a stacked one.
+    """Weighted sum of a C-contiguous integrand, or of each row of a stacked one.
 
-    Every sum is one ``np.dot`` of two contiguous 1-D arrays: a
-    matrix-vector product over the stack takes another BLAS kernel, which
-    rounds differently.  A float for one row, an array for a stack.
+    Every sum is one ``np.dot`` of two contiguous 1-D arrays, the rows taken
+    in one flat pass over the stack: a matrix-vector product over the stack
+    takes another BLAS kernel, which rounds differently.  A float for one
+    row, an array over the leading axes for a stack.
     """
     if integrand.ndim == 1:
         return float(np.dot(weights, integrand))
-    return np.array([_integrate(weights, row) for row in integrand])
+    rows = integrand.reshape(-1, integrand.shape[-1])
+    return np.array([np.dot(weights, row) for row in rows]).reshape(integrand.shape[:-1])
 
 
 def _covariant_integrand(r: np.ndarray, a: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -375,23 +379,12 @@ def curvature(a2d: GaugePotential2D, i: int, j: int) -> np.ndarray:
 # charge residuals
 # ---------------------------------------------------------------------------
 
-def gauge_charge_residual(rhos, potential: GaugePotential, k: int,
-                          eps: float = 1e-5) -> np.ndarray:
-    """Finite-difference functional derivative of the covariant action.
+def action_and_charge_residual(rhos, potential: GaugePotential, k: int,
+                               eps: float = 1e-5) -> tuple:
+    """The covariant :func:`action_functional` and the
+    :func:`gauge_charge_residual` at ``k``, from one covariant integrand.
 
-    Entry ``(a, b)`` is the central difference of the action under a
-    perturbation of ``A_k`` along the Frobenius-orthonormal hermitian basis
-    element indexed by ``(a, b)``; see
-    :func:`udmrg.linalg.hermitian_basis_element` for the index convention.
-    Real-valued because the action is real.  ``eps`` must lie in
-    ``[1e-7, 1e-3]``.
-
-    Only the ``k``-th integrand term depends on ``A_k``: the integrand and
-    the trapezoid weights are computed once, and each perturbed action
-    recomputes that one term in a copy of the integrand, so it equals the
-    full action of the perturbed potential bit for bit.  All ``2 d^2``
-    perturbed terms of every family of a stack form one stacked integrand;
-    the residuals come back as ``(..., d, d)``.
+    Each equals what its own function returns, bit for bit.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps must lie in [1e-7, 1e-3], got {eps!r}")
@@ -416,9 +409,32 @@ def gauge_charge_residual(rhos, potential: GaugePotential, k: int,
     terms = np.broadcast_to(integrand[..., None, None, :],
                             perturbed_terms.shape + integrand.shape[-1:]).copy()
     terms[..., k - 1] = perturbed_terms
-    actions = _integrate(_trapezoid_weights(grid[1:-1]), terms)
+    weights = _trapezoid_weights(grid[1:-1])
+    actions = _integrate(weights, terms)
     residual = (actions[..., 0, :] - actions[..., 1, :]) / (2.0 * eps)
-    return residual.reshape(residual.shape[:-1] + (dim, dim))
+    return _integrate(weights, integrand), residual.reshape(residual.shape[:-1] + (dim, dim))
+
+
+def gauge_charge_residual(rhos, potential: GaugePotential, k: int,
+                          eps: float = 1e-5) -> np.ndarray:
+    """Finite-difference functional derivative of the covariant action.
+
+    Entry ``(a, b)`` is the central difference of the action under a
+    perturbation of ``A_k`` along the Frobenius-orthonormal hermitian basis
+    element indexed by ``(a, b)``; see
+    :func:`udmrg.linalg.hermitian_basis_element` for the index convention.
+    Real-valued because the action is real.  ``eps`` must lie in
+    ``[1e-7, 1e-3]``.
+
+    Only the ``k``-th integrand term depends on ``A_k``: the integrand and
+    the trapezoid weights are computed once, and each perturbed action
+    recomputes that one term in a copy of the integrand, so it equals the
+    full action of the perturbed potential bit for bit.  All ``2 d^2``
+    perturbed terms of every family of a stack form one stacked integrand;
+    the residuals come back as ``(..., d, d)``.  A caller that also needs
+    the covariant action takes both from :func:`action_and_charge_residual`.
+    """
+    return action_and_charge_residual(rhos, potential, k, eps)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +454,10 @@ def _per_family(rng, draw) -> tuple:
 
 def _unitary_draws(rng: np.random.Generator, dim: int, scale: float) -> tuple:
     """Two generators ``(2, d, d)`` and the amplitudes, frequencies and phases
-    of their angles, in draw order."""
-    generators = np.stack([random_hermitian(rng, dim, scale) for _ in range(2)])
+    of their angles, in draw order; the generators' one normal draw is the
+    stream and arithmetic of two :func:`udmrg.linalg.random_hermitian` calls."""
+    parts = rng.normal(size=(2, 2, dim, dim))
+    generators = scale * hermitian_part(parts[:, 0] + 1j * parts[:, 1])
     return (generators, rng.uniform(0.3, 0.8, size=2), rng.uniform(0.5, 1.0, size=2),
             rng.uniform(0.0, 2 * np.pi, size=2))
 

@@ -183,6 +183,9 @@ class SpinChainSpec:
         if not is_integer(self.n_sites) or self.n_sites < 2:
             raise ValueError("n_sites must be an integer: spin chains need at least two "
                              f"sites, got {self.n_sites!r}")
+        for name in ("coupling", "field"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.kind == "heisenberg" and self.field != 0:
             raise ValueError(f"the heisenberg chain has no field, got field={self.field!r}")
 

@@ -110,11 +110,16 @@ def random_mps(rng: np.random.Generator, phys_dims: Sequence[int],
 
     Each site draws one real standard normal per entry from ``rng``, so the
     tensors are float64 and a sweep of a real Hamiltonian from this start
-    stays in real arithmetic.  ``bond_dim`` must be an integer of at least 1.
+    stays in real arithmetic.  ``bond_dim`` and every physical dimension
+    must be integers of at least 1.
     """
     if not is_integer(bond_dim) or bond_dim < 1:
         raise ValueError(f"bond_dim must be an integer of at least 1, got {bond_dim!r}")
     dims = list(phys_dims)
+    for site, dim in enumerate(dims):
+        if not is_integer(dim) or dim < 1:
+            raise ValueError(f"site {site} physical dimension must be an integer of "
+                             f"at least 1, got {dim!r}")
     n = len(dims)
     bonds = [1]
     for s in range(1, n):

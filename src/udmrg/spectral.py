@@ -105,20 +105,26 @@ def diagonal_phases(m: np.ndarray) -> np.ndarray:
     return _unit_phases(np.diagonal(m, axis1=-2, axis2=-1))
 
 
-def track_hermitian_family(grid, matrices) -> SpectralTrack:
+def hermitian_eigensystem(matrices, tol: float = 1e-12, name: str = "input") -> tuple:
+    """``(w, v)`` of a hermitian matrix or stack, validated to ``tol`` and
+    symmetrized by :func:`udmrg.linalg.require_hermitian`, by one ``eigh``."""
+    return np.linalg.eigh(require_hermitian(matrices, tol, name))
+
+
+def track_hermitian_family(grid, matrices, eigensystem=None) -> SpectralTrack:
     """Decompose and align a family of hermitian matrices over ``grid``.
 
     ``grid`` must be strictly increasing and match ``matrices``, an
-    ``(..., n, d, d)`` stack, in length ``n``.  Every member is validated as
-    hermitian to 1e-12 relative to its scale, and all members are decomposed
-    by one stacked eigensolve.  A point whose diagonal overlap magnitude with
-    its predecessor's columns falls below ``DEGENERACY_THRESHOLD`` is flagged
-    in ``degenerate`` and reordered by :func:`max_overlap_permutation`; only
-    these reorders walk the grid, from the first flagged step on.  Each
-    column's phase is then the running product along the grid of its
-    neighbour-overlap phases (discrete parallel transport), which makes every
-    neighbour diagonal overlap real and non-negative; a column whose overlap
-    is exactly 0 keeps its phase.
+    ``(..., n, d, d)`` stack, in length ``n``.  The stack is decomposed by
+    :func:`hermitian_eigensystem` at its default tolerance, unless the
+    caller passes that eigensystem in, which the track copies.  A point whose
+    diagonal overlap magnitude with its predecessor's columns falls below
+    ``DEGENERACY_THRESHOLD`` is flagged in ``degenerate`` and reordered by
+    :func:`max_overlap_permutation`; only these reorders walk the grid, from
+    the first flagged step on.  Each column's phase is then the running
+    product along the grid of its neighbour-overlap phases (discrete
+    parallel transport), which makes every neighbour diagonal overlap real
+    and non-negative; a column whose overlap is exactly 0 keeps its phase.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -128,7 +134,8 @@ def track_hermitian_family(grid, matrices) -> SpectralTrack:
         raise ValueError("grid and matrices must have matching lengths")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    w, v = np.linalg.eigh(require_hermitian(matrices, 1e-12, "input"))
+    w, v = (hermitian_eigensystem(matrices) if eigensystem is None
+            else (eigensystem[0].copy(), eigensystem[1].copy()))
     # links[..., k, a] = <a(k)|a(k + 1)>
     links = np.vecdot(v[..., :-1, :, :], v[..., 1:, :, :], axis=-2)
     degenerate = np.zeros(w.shape[:-1], dtype=bool)

@@ -7,7 +7,9 @@ from scipy.optimize import minimize
 from udmrg.gauge import (
     GaugePotential,
     GaugePotential2D,
+    _integrate,
     _trapezoid_weights,
+    action_and_charge_residual,
     action_functional,
     categorical_potential_1,
     categorical_potential_2,
@@ -34,7 +36,7 @@ from udmrg.linalg import (
     random_unitary,
 )
 from udmrg.models import PAULI_X, PAULI_Z
-from udmrg.spectral import track_hermitian_family
+from udmrg.spectral import hermitian_eigensystem, track_hermitian_family
 
 from helpers import PAULI_Y
 
@@ -79,6 +81,9 @@ def test_density_validation():
         purify(np.diag([1.1, -0.1]))
     with pytest.raises(ValueError, match="hermitian"):
         purify(np.array([[0.5, 0.3], [0.0, 0.5]]))
+    # a passed eigensystem skips only the decomposition
+    with pytest.raises(ValueError, match="trace"):
+        purify(np.diag([0.5, 0.4]), eigensystem=np.linalg.eigh(np.diag([0.5, 0.4])))
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +520,22 @@ def looped_unitary_family(rng, dim, grid, scale=0.5):
     return values, derivatives
 
 
-def test_stacked_families_equal_their_pointwise_loops():
-    """The stacked forms do the per-point arithmetic, so every bit agrees."""
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_stacked_unitary_family_equals_its_pointwise_loop(dim, seed):
+    """The stacked form draws both generators at once and does the
+    per-point arithmetic, so every bit agrees with the loop's
+    ``random_hermitian`` draws."""
     grid = np.linspace(0.0, 1.0, 11)
-    fam = smooth_unitary_family(np.random.default_rng(40), 3, grid)
-    values, derivatives = looped_unitary_family(np.random.default_rng(40), 3, grid)
+    fam = smooth_unitary_family(np.random.default_rng(seed), dim, grid)
+    values, derivatives = looped_unitary_family(np.random.default_rng(seed), dim, grid)
     assert np.array_equal(fam.values, values)
     assert np.array_equal(fam.derivatives, derivatives)
 
+
+def test_stacked_families_equal_their_pointwise_loops():
+    """The stacked forms do the per-point arithmetic, so every bit agrees."""
+    grid = np.linspace(0.0, 1.0, 11)
     rhos = smooth_density_family(np.random.default_rng(41), 3, grid)
     amps = [purify(rho) for rho in rhos]
     pot = uhlmann_potential(rhos, grid)
@@ -536,6 +549,17 @@ def test_stacked_families_equal_their_pointwise_loops():
         terms[k - 1] = float(np.trace(rhos[k] @ dag(d) @ d).real)
     weights = _trapezoid_weights(grid[1:-1])
     assert action_functional(rhos, pot) == float(np.dot(weights, terms))
+
+
+def test_a_stack_integrates_row_by_row():
+    """Each row of a stacked integrand is one ``np.dot`` of contiguous rows."""
+    weights = _trapezoid_weights(np.linspace(0.0, 1.0, 5) ** 2)
+    integrand = np.random.default_rng(43).normal(size=(2, 3, 5))
+    sums = _integrate(weights, integrand)
+    assert sums.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            assert sums[i, j] == float(np.dot(weights, integrand[i, j]))
 
 
 def test_families_drawn_in_a_stack_equal_families_drawn_alone():
@@ -578,6 +602,14 @@ def test_stacked_gauge_stages_equal_their_families_one_by_one(dim):
         for mode, stacked in zip(modes, actions):
             assert stacked[f] == action_functional(rhos, pot, mode)
         assert np.array_equal(residuals[f], gauge_charge_residual(rhos, pot, n // 2))
+    # a passed eigensystem gives the same potential, and one integrand the
+    # same covariant actions and residuals
+    eigensystem = hermitian_eigensystem(families)
+    assert np.array_equal(uhlmann_potential(families, grid, eigensystem).values,
+                          potential.values)
+    action, residual = action_and_charge_residual(families, potential, n // 2)
+    assert np.array_equal(action, actions[0])
+    assert np.array_equal(residual, residuals)
     # two leading axes run the same arithmetic
     pairs = families.reshape((2, 2) + families.shape[1:])
     pair_potential = uhlmann_potential(pairs, grid)

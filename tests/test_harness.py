@@ -1021,6 +1021,7 @@ def test_eight_site_pec_report_keeps_its_bytes():
 def test_gauge_defaults_cost_what_the_readme_says(monkeypatch):
     """The README's ``gauge_diagnostics`` section states these counts."""
     calls, count = call_counter(monkeypatch)
+    count(harness, "action_and_charge_residual")
     count(harness, "gauge_charge_residual")
     count(harness, "covariant_derivative")
     count(harness, "action_functional")
@@ -1029,13 +1030,18 @@ def test_gauge_defaults_cost_what_the_readme_says(monkeypatch):
     count(gauge, "_covariant_derivatives")
     count(gauge, "_covariant_derivatives", key="covariant_derivatives_formed",
           size=lambda d: d[..., 0, 0].size)
+    count(np.linalg, "eigh", key="eigh_of_the_stack",
+          size=lambda wv: int(wv[1].shape == (101, 21, 3, 3)))
     run_gauge_diagnostics(GaugeDiagnosticsConfig())
-    # every stage runs once over the 101 families; the three refinement
-    # levels track one family each
-    assert calls == {"gauge_charge_residual": 1, "covariant_derivative": 2,
-                     "action_functional": 3, "track_hermitian_family": 4,
-                     "action_functional_in_gauge": 0, "_covariant_derivatives": 6,
-                     "covariant_derivatives_formed": 7758}
+    # every stage runs once over the 101 families: one eigensolve purifies
+    # the stack and starts its track, and one covariant integrand gives its
+    # action and charge residuals; the three refinement levels track one
+    # family each
+    assert calls == {"action_and_charge_residual": 1, "gauge_charge_residual": 0,
+                     "covariant_derivative": 2, "action_functional": 2,
+                     "track_hermitian_family": 4, "action_functional_in_gauge": 0,
+                     "_covariant_derivatives": 5, "covariant_derivatives_formed": 5839,
+                     "eigh_of_the_stack": 1}
 
 
 def test_crossing_defaults_cost_what_the_readme_says(monkeypatch):

@@ -245,6 +245,11 @@ def test_spin_chain_spec_validation():
     with pytest.raises(ValueError, match="the heisenberg chain has no field, got field=0.5"):
         SpinChainSpec(kind="heisenberg", n_sites=4, field=0.5)
     SpinChainSpec(kind="heisenberg", n_sites=4, field=0.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            SpinChainSpec(kind="tfim", n_sites=4, coupling=bad, field=1.0)
+        with pytest.raises(ValueError, match="field must be finite"):
+            SpinChainSpec(kind="tfim", n_sites=4, field=bad)
 
 
 def test_every_table_operator_maps_a_basis_state_to_one_other():

@@ -136,6 +136,13 @@ def test_random_mps_rejects_a_bond_dimension_that_is_no_positive_integer(bond_di
         random_mps(np.random.default_rng(1), [2] * 4, bond_dim)
 
 
+@pytest.mark.parametrize("dim", [0, 2.5, True])
+def test_random_mps_rejects_a_physical_dimension_that_is_no_positive_integer(dim):
+    with pytest.raises(ValueError, match="site 1 physical dimension must be an integer "
+                                         "of at least 1"):
+        random_mps(np.random.default_rng(1), [2, dim, 2], 2)
+
+
 def test_random_mps_is_seed_reproducible():
     a = random_mps(np.random.default_rng(7), [2] * 5, 8)
     b = random_mps(np.random.default_rng(7), [2] * 5, 8)

@@ -8,14 +8,22 @@ installed.
 """
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from udmrg import harness
 from udmrg.truncation import TruncationPolicy, compute_weights, select_states
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: functions ``harness`` imports from ``gauge`` and ``spectral`` that the
+#: tracer does not bind there, so their time shows as ``harness.self_s``;
+#: the next benchmark change binds them (ROADMAP item 1)
+UNBOUND_IN_HARNESS = {"action_and_charge_residual", "hermitian_eigensystem",
+                      "second_derivative_overlaps"}
 
 
 def load_tracer(monkeypatch):
@@ -36,6 +44,15 @@ def test_every_traced_binding_resolves_to_a_callable_in_src(monkeypatch):
         assert Path(module.__file__).resolve().is_relative_to(src), module_name
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
         assert layer in tracer.LAYERS
+
+
+def test_the_tracer_binds_what_harness_imports_from_gauge_and_spectral(monkeypatch):
+    tracer = load_tracer(monkeypatch)
+    bound = {attr for module, attr, _ in tracer.WRAPPED if module == "udmrg.harness"}
+    imported = {name for name, value in vars(harness).items()
+                if inspect.isfunction(value)
+                and value.__module__ in ("udmrg.gauge", "udmrg.spectral")}
+    assert imported - bound == UNBOUND_IN_HARNESS
 
 
 def test_the_tracer_counts_a_real_reranking_selection(monkeypatch):

@@ -9,6 +9,7 @@ from udmrg.spectral import (
     DEGENERACY_THRESHOLD,
     derivative_overlaps,
     diagonal_phases,
+    hermitian_eigensystem,
     max_overlap_permutation,
     second_difference_coeffs,
     second_derivative_overlaps,
@@ -241,12 +242,13 @@ def assert_tracks_as_the_reference(grid, matrices):
 
 
 def first_track_input(run, cfg):
-    """The ``(grid, matrices)`` of the first stack ``run(cfg)`` tracks."""
+    """The ``(grid, matrices)`` of the first stack ``run(cfg)`` tracks,
+    whether or not the run passes the stack's eigensystem in too."""
     seen = []
 
-    def recording(grid, matrices):
+    def recording(grid, matrices, *eigensystem):
         seen.append((grid, matrices))
-        return track_hermitian_family(grid, matrices)
+        return track_hermitian_family(grid, matrices, *eigensystem)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "track_hermitian_family", recording)
@@ -284,6 +286,23 @@ def test_a_reorder_carried_over_many_points_tracks_as_the_reference():
     moved = np.any(order != np.arange(3), axis=-1)
     assert moved.tolist() == [[False] * 4 + [True] * 4, [False] * 8,
                               [False] * 4 + [True] * 4]
+
+
+def test_a_passed_eigensystem_tracks_bit_for_bit_and_stays_unchanged():
+    """A caller's eigensystem of the stack tracks as the tracker's own
+    eigensolve does, reorders included, and the tracker works on a copy."""
+    grid = np.linspace(-0.35, 0.35, 8)
+    rng = np.random.default_rng(23)
+    families = np.array([crossing_family(grid, rng), rotating_basis_family(grid, rng)])
+    w, v = hermitian_eigensystem(families)
+    w0, v0 = w.copy(), v.copy()
+    track = track_hermitian_family(grid, families, (w, v))
+    own = track_hermitian_family(grid, families)
+    assert track.degenerate.any()
+    assert np.array_equal(track.degenerate, own.degenerate)
+    assert np.array_equal(track.eigenvalues, own.eigenvalues)
+    assert np.array_equal(track.vectors, own.vectors)
+    assert np.array_equal(w, w0) and np.array_equal(v, v0)
 
 
 def test_a_nan_member_fails_validation():
