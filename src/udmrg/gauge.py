@@ -53,6 +53,7 @@ from .spectral import (
     hermitian_eigensystem,
     second_derivative_overlaps,
 )
+from .truncation import is_integer
 
 ACTION_MODES = ("covariant", "scalar_like")
 
@@ -441,25 +442,47 @@ def gauge_charge_residual(rhos, potential: GaugePotential, k: int,
 # seeded smooth families (shared by diagnostics and tests)
 # ---------------------------------------------------------------------------
 
-def _per_family(rng, draw) -> tuple:
-    """``draw(rng)``; for a sequence of generators, each one's draws stacked.
+#: ``(low, high)`` of each run of uniform parameters, in draw order: a
+#: unitary path's two angle amplitudes, frequencies and phases, then a
+#: density path's ``d`` population offsets, amplitudes and frequencies
+_UNIFORM_BOUNDS = np.array([(0.3, 0.8), (0.5, 1.0), (0.0, 2 * np.pi),
+                            (-0.5, 0.5), (0.1, 0.4), (0.5, 1.0)])
 
-    Each generator makes its draws in turn, so a family draws the same
-    numbers whether it is drawn alone or in a stack.
+
+def _uniform(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``low + (high - low) u`` for each ``(low, high)`` row of ``bounds``:
+    what ``Generator.uniform`` computes from the same ``random`` draws."""
+    return bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u
+
+
+def _seeded_draws(rng, dim, grid, scale: float, counts: tuple) -> tuple:
+    """The validated grid, then a family's two hermitian generators
+    ``(2, d, d)`` and its uniform parameters: ``counts[i]`` of them in the
+    bounds ``_UNIFORM_BOUNDS[i]``, one array per count.
+
+    ``rng`` is a generator, or a non-empty sequence of them for a stack of
+    families, whose draws then gain a leading axis.  Each generator makes
+    two calls: one normal draw of both generators (the stream and arithmetic
+    of two :func:`udmrg.linalg.random_hermitian` calls) and one ``random``
+    block of every uniform parameter (the stream and arithmetic of one
+    ``Generator.uniform`` call per count), so a family draws the same
+    numbers alone as in a stack.  Each transform runs once over the stack.
     """
-    if isinstance(rng, np.random.Generator):
-        return draw(rng)
-    return tuple(np.stack(parts) for parts in zip(*(draw(g) for g in rng)))
-
-
-def _unitary_draws(rng: np.random.Generator, dim: int, scale: float) -> tuple:
-    """Two generators ``(2, d, d)`` and the amplitudes, frequencies and phases
-    of their angles, in draw order; the generators' one normal draw is the
-    stream and arithmetic of two :func:`udmrg.linalg.random_hermitian` calls."""
-    parts = rng.normal(size=(2, 2, dim, dim))
-    generators = scale * hermitian_part(parts[:, 0] + 1j * parts[:, 1])
-    return (generators, rng.uniform(0.3, 0.8, size=2), rng.uniform(0.5, 1.0, size=2),
-            rng.uniform(0.0, 2 * np.pi, size=2))
+    if not is_integer(dim) or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be a 1-D array of finite values")
+    alone = isinstance(rng, np.random.Generator)
+    generators = [rng] if alone else list(rng)
+    if not generators:
+        raise ValueError("rng must be a generator or a non-empty sequence of them")
+    bounds = np.repeat(_UNIFORM_BOUNDS[:len(counts)], counts, axis=0)
+    normals = np.array([g.normal(size=(2, 2, dim, dim)) for g in generators])
+    uniforms = _uniform(np.array([g.random(len(bounds)) for g in generators]), bounds)
+    draws = (scale * hermitian_part(normals[:, :, 0] + 1j * normals[:, :, 1]),
+             *np.split(uniforms, np.cumsum(counts)[:-1], axis=-1))
+    return grid, *(tuple(x[0] for x in draws) if alone else draws)
 
 
 def _exponential_path(generator: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -498,11 +521,10 @@ def smooth_unitary_family(rng, dim: int, grid, scale: float = 0.5) -> SmoothUnit
 
     Angles are gentle sinusoids so third derivatives stay O(1); the exact
     product-rule derivative is returned alongside the values.  ``rng`` is a
-    generator, or a sequence of them for a stack of families: each draws its
-    own parameters, and the paths are evaluated together.
+    generator, or a non-empty sequence of them for a stack of families: each
+    draws its own parameters, and the paths are evaluated together.
     """
-    grid = np.asarray(grid, dtype=float)
-    generators, amp, freq, phase = _per_family(rng, lambda g: _unitary_draws(g, dim, scale))
+    grid, generators, amp, freq, phase = _seeded_draws(rng, dim, grid, scale, (2, 2, 2))
     u1, u2 = _unitary_factors(generators, amp, freq, phase, grid)
 
     def factor_derivative(k: int, u: np.ndarray) -> np.ndarray:
@@ -518,13 +540,6 @@ def smooth_unitary_family(rng, dim: int, grid, scale: float = 0.5) -> SmoothUnit
     return SmoothUnitaryFamily(grid=grid, values=u1 @ u2, derivatives=derivatives)
 
 
-def _density_draws(rng: np.random.Generator, dim: int, scale: float) -> tuple:
-    """The unitary path's draws, then the populations' offsets, amplitudes
-    and frequencies."""
-    return (*_unitary_draws(rng, dim, scale), rng.uniform(-0.5, 0.5, size=dim),
-            rng.uniform(0.1, 0.4, size=dim), rng.uniform(0.5, 1.0, size=dim))
-
-
 def smooth_density_family(rng, dim: int, grid, scale: float = 0.5) -> np.ndarray:
     """Random full-rank density path ``V(t) diag(p(t)) V(t)^H``, an ``(n, d, d)`` stack.
 
@@ -532,8 +547,8 @@ def smooth_density_family(rng, dim: int, grid, scale: float = 0.5) -> np.ndarray
     the family stays strictly inside the density simplex.  For a sequence of
     generators the result is ``(F, n, d, d)``, one family per generator.
     """
-    grid = np.asarray(grid, dtype=float)
-    *path, offsets, amps, freqs = _per_family(rng, lambda g: _density_draws(g, dim, scale))
+    grid, *path, offsets, amps, freqs = _seeded_draws(rng, dim, grid, scale,
+                                                      (2, 2, 2, dim, dim, dim))
     v = np.matmul(*_unitary_factors(*path, grid))
     p = np.exp(offsets[..., None, :]
                + amps[..., None, :] * np.sin(freqs[..., None, :] * grid[:, None]))

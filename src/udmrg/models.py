@@ -111,8 +111,8 @@ def midpoint_schedule(times, substeps=1) -> tuple[np.ndarray, np.ndarray]:
 
     Interval ``k`` splits into ``substeps[k]`` equal steps of
     ``dt_k = (times[k+1] - times[k]) / substeps[k]`` with midpoints
-    ``times[k] + (j + 0.5) dt_k``; ``substeps`` is one count for every
-    interval or one per interval.  Taking ``exp(-i H(mid) dt)`` per step
+    ``times[k] + (j + 0.5) dt_k``; ``substeps`` is one integer count for
+    every interval or one per interval.  Taking ``exp(-i H(mid) dt)`` per step
     (:func:`evolution_step`, then :func:`propagate`) is the midpoint rule:
     exactly norm-preserving and second-order accurate in ``dt``.  Every
     ``times[k]`` is hit exactly by a step boundary.
@@ -124,6 +124,8 @@ def midpoint_schedule(times, substeps=1) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(seg > 0):
         raise ValueError("times must run forward, strictly increasing")
     substeps = np.broadcast_to(substeps, seg.shape)
+    if substeps.dtype.kind not in "iu":
+        raise ValueError(f"substeps must be integer counts, got {substeps.dtype}")
     if np.any(substeps < 1):
         raise ValueError("need at least one time step per interval")
     ends = np.cumsum(substeps)

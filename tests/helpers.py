@@ -8,7 +8,8 @@ eigensystem) so the tests can check the package against independent
 references, and compare an iterative eigenpair with a dense one.  Two spies
 (:func:`count_dense_calls`, :func:`count_dense_tiers`) count what the dense
 local solve of :mod:`udmrg.dmrg` computes, and :func:`tree_nodes` lists the
-points a trajectory tree holds.  The point-by-point spectral
+points a trajectory tree holds; a :class:`CountingGenerator` tallies its
+draw calls.  The point-by-point spectral
 tracker (:func:`sequential_track`), the Pauli Y
 matrix, the Landau-Zener survival probability and the free-fermion TFIM
 ground energy are references of the same kind.
@@ -16,6 +17,7 @@ ground energy are references of the same kind.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -307,3 +309,22 @@ def tree_nodes(tree: dmrg.TrajectoryTree) -> list:
         nodes.append(stack.pop())
         stack += nodes[-1].children
     return nodes
+
+
+class CountingGenerator(np.random.Generator):
+    """``np.random.default_rng(seed)`` that tallies its draw calls by method."""
+
+    def __init__(self, seed=None):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = Counter()
+
+
+def _counted(name: str):
+    def draw(self, *args, **kwargs):
+        self.calls[name] += 1
+        return getattr(np.random.Generator, name)(self, *args, **kwargs)
+    return draw
+
+
+for _name in ("random", "uniform", "normal", "standard_normal", "integers", "choice"):
+    setattr(CountingGenerator, _name, _counted(_name))

@@ -7,8 +7,10 @@ from scipy.optimize import minimize
 from udmrg.gauge import (
     GaugePotential,
     GaugePotential2D,
+    _UNIFORM_BOUNDS,
     _integrate,
     _trapezoid_weights,
+    _uniform,
     action_and_charge_residual,
     action_functional,
     categorical_potential_1,
@@ -38,7 +40,7 @@ from udmrg.linalg import (
 from udmrg.models import PAULI_X, PAULI_Z
 from udmrg.spectral import hermitian_eigensystem, track_hermitian_family
 
-from helpers import PAULI_Y
+from helpers import PAULI_Y, CountingGenerator
 
 
 def constant_potential_2d(a1, a2, axis):
@@ -576,6 +578,46 @@ def test_families_drawn_in_a_stack_equal_families_drawn_alone():
         alone = smooth_unitary_family(np.random.default_rng(seed), 3, grid)
         assert np.array_equal(unitaries.values[f], alone.values)
         assert np.array_equal(unitaries.derivatives[f], alone.derivatives)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_uniform_bounds_map_random_draws_as_generator_uniform_does(seed):
+    """Every ``(low, high)`` in the bounds table maps a ``random`` draw onto
+    what ``Generator.uniform`` draws from the same stream, bit for bit."""
+    for bounds in _UNIFORM_BOUNDS:
+        u = np.random.default_rng(seed).random(1000)
+        expected = np.random.default_rng(seed).uniform(*bounds, size=1000)
+        assert np.array_equal(_uniform(u, bounds[None, :]), expected)
+
+
+@pytest.mark.parametrize("family", [smooth_density_family, smooth_unitary_family])
+def test_each_generator_draws_a_family_in_two_calls(family):
+    """One normal draw and one ``random`` block per generator and family,
+    alone or in a stack."""
+    grid = np.linspace(0.0, 1.0, 5)
+    alone = CountingGenerator(70)
+    family(alone, 3, grid)
+    stack = [CountingGenerator(seed) for seed in (71, 72, 73)]
+    family(stack, 3, grid)
+    family(stack, 2, grid)
+    assert alone.calls == {"normal": 1, "random": 1}
+    for g in stack:
+        assert g.calls == {"normal": 2, "random": 2}
+
+
+@pytest.mark.parametrize("family", [smooth_density_family, smooth_unitary_family])
+def test_smooth_families_reject_bad_inputs(family):
+    grid = np.linspace(0.0, 1.0, 5)
+    rng = CountingGenerator(0)
+    with pytest.raises(ValueError, match="rng"):
+        family([], 3, grid)
+    for dim in (0, -1, 2.0, True, "3"):
+        with pytest.raises(ValueError, match="dim"):
+            family(rng, dim, grid)
+    for bad in (np.ones((2, 2)), [0.0, np.nan, 1.0], [0.0, np.inf], 0.5):
+        with pytest.raises(ValueError, match="grid"):
+            family(rng, 2, bad)
+    assert not rng.calls  # rejected before any draw
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

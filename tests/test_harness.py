@@ -4,6 +4,7 @@ import hashlib
 import io
 import types
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from udmrg.models import CROSSING_POINTS, SpinChainSpec, spin_chain_ground_state
 from udmrg.reporting import canonical_json, config_hash
 from udmrg.truncation import TruncationPolicy
 
-from helpers import count_dense_tiers, split_by_policy, tree_nodes
+from helpers import CountingGenerator, count_dense_tiers, split_by_policy, tree_nodes
 
 
 def report_digests(report):
@@ -1032,7 +1033,20 @@ def test_gauge_defaults_cost_what_the_readme_says(monkeypatch):
           size=lambda d: d[..., 0, 0].size)
     count(np.linalg, "eigh", key="eigh_of_the_stack",
           size=lambda wv: int(wv[1].shape == (101, 21, 3, 3)))
+    generators = []
+
+    def counting_rng(seed=None):
+        generators.append(CountingGenerator(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
     run_gauge_diagnostics(GaugeDiagnosticsConfig())
+    # each random family's generator draws its density, microgrid density,
+    # microgrid unitary and transport families in two calls each
+    assert len(generators) == 107
+    assert all(g.calls == {"normal": 4, "random": 4} for g in generators[1:101])
+    draws = sum((g.calls for g in generators), Counter())
+    assert draws == {"normal": 412, "random": 404, "uniform": 6}
     # every stage runs once over the 101 families: one eigensolve purifies
     # the stack and starts its track, and one covariant integrand gives its
     # action and charge residuals; the three refinement levels track one

@@ -124,6 +124,11 @@ def test_midpoint_schedule_validation_and_values():
         midpoint_schedule([0.0, 1.0, 1.0], 10)
     with pytest.raises(ValueError, match="at least two"):
         midpoint_schedule([0.0], 10)
+    for substeps in (2.0, 1.5, True, np.float64(2.0), [2, 1.5], [True, False]):
+        with pytest.raises(ValueError, match="substeps must be integer"):
+            midpoint_schedule([0.0, 1.0, 2.0], substeps)
+    midpoints, dt = midpoint_schedule([0.0, 1.0, 3.0], np.array([2, 1], dtype=np.int32))
+    np.testing.assert_allclose(dt, [0.5, 0.5, 2.0])
 
 
 def test_evolution_step_diagonal_phase():
