@@ -64,17 +64,14 @@ and one weighing and one stacked selection (:func:`truncation.kept_masks`)
 per count give every kept set.  The scan adopts the point when every kept set
 agrees; otherwise it solves the point itself and adds it to the tree.
 
-A step has a choice only when it has more candidate states than
-``max_kept`` or its policy has a cutoff above 0.  Without one every policy
-keeps every state, so the step is neither charged nor weighed and its record
-holds no charges; a replay passes it when the record kept every state.  A
-step with a choice is charged only by a policy whose weights read the
-charges, every kind but the standard one, one step at a time as it weighs
-the step.  A standard solve builds no charge context and measures nothing.
-A policy that reads charges, at a step with a choice whose charges were
-never measured, solves the point itself, so a caller that scans one tree
-under several policies scans the charge-reading ones first: the standard
-scan then adopts their points.
+Which steps have a choice and which are charged is :mod:`truncation`'s
+rule.  A step without a choice records no charges, and a replay passes it
+when the record kept every state.  A step is charged as the policy weighs
+it; a standard solve builds no charge context.  A policy that reads
+charges, at a step with a choice whose charges were never measured, solves
+the point itself, so a caller that scans one tree under several policies
+scans the charge-reading ones first: the standard scan then adopts their
+points.
 """
 from __future__ import annotations
 
@@ -106,6 +103,7 @@ from .truncation import (
     charge_second_order,
     compute_weights,
     is_integer,
+    is_real,
     kept_masks,
     select_states,
 )
@@ -123,6 +121,7 @@ class SweepConfig:
     """Sweep budget and truncation policy for a ground-state solve.
 
     ``policy.max_kept`` is the bond budget: no truncation keeps more states.
+    Like the policy's, the numbers are stored as ``int`` and ``float``.
     """
 
     num_sweeps: int = 12
@@ -134,8 +133,12 @@ class SweepConfig:
             raise ValueError(f"num_sweeps must be an integer, got {self.num_sweeps!r}")
         if self.num_sweeps < 1:
             raise ValueError("num_sweeps must be positive")
+        if not is_real(self.energy_tol):
+            raise ValueError(f"energy_tol must be a real number, got {self.energy_tol!r}")
         if not 0 < self.energy_tol < float("inf"):
             raise ValueError(f"energy_tol must be positive and finite, got {self.energy_tol!r}")
+        object.__setattr__(self, "num_sweeps", int(self.num_sweeps))
+        object.__setattr__(self, "energy_tol", float(self.energy_tol))
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,8 @@ class TruncationRecord:
     """One bond truncation event inside a sweep.
 
     Holds what the step measured: the singular values, their charges and
-    the kept states.  Charges are measured only at a step with a choice (see
-    :func:`_has_choice`) of a scan point whose policy reads them; everywhere
+    the kept states.  Charges are measured only at a scan point's steps
+    where :mod:`truncation`'s rule charges them; everywhere
     else, :func:`ground_state` included, both are ``None``.  At a step
     without a choice every state is kept, as one read-only ``arange`` shared
     by all such steps.
@@ -543,30 +546,6 @@ def _every_state(n: int) -> np.ndarray:
     return kept
 
 
-def _reads_charges(policy: TruncationPolicy) -> bool:
-    """Whether ``policy``'s weights read the charges: every kind's but the
-    standard one's."""
-    return policy.kind != "standard"
-
-
-def _weights(sigma: np.ndarray, charges1: Optional[np.ndarray],
-             charges2: Optional[np.ndarray], policy: TruncationPolicy):
-    """:func:`truncation.compute_weights`, with zero charges where none were
-    measured."""
-    if charges1 is None:
-        charges1 = charges2 = np.zeros(sigma.shape)
-    return compute_weights(sigma, charges1, charges2, policy)
-
-
-def _has_choice(n: int, policy: TruncationPolicy) -> bool:
-    """Whether ``policy`` can discard any of ``n`` candidate states.
-
-    At cutoff 0 every kind's effective weight is non-negative, so every state
-    is admitted and ``n <= max_kept`` keeps them all, whatever the charges.
-    """
-    return n > policy.max_kept or policy.cutoff > 0
-
-
 def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
                    policy: TruncationPolicy, context: Optional[_ChargeContext],
                    center_after: str):
@@ -582,13 +561,13 @@ def _optimize_bond(tensors, ws, lenv, renv, b: int, sweep: int,
     def select(sigma, u):
         nonlocal rec
         n = sigma.size
-        if not _has_choice(n, policy):
+        if not policy.has_choice(n):
             rec = TruncationRecord(sweep, b, sigma, None, None, _every_state(n))
             return rec.kept
         q1 = q2 = None
         if context is not None:
             q1, q2 = context.charge(tensors, sweep, b, u.reshape(l, d1, n), sigma)
-        kept = select_states(_weights(sigma, q1, q2, policy), policy)[0]
+        kept = select_states(compute_weights(sigma, q1, q2, policy), policy)[0]
         rec = TruncationRecord(sweep, b, sigma, q1, q2, kept)
         return kept
 
@@ -715,17 +694,17 @@ class TrajectoryTree:
 
     The problem is a family ``h -> MPO``, a finite, strictly increasing
     ``grid``, a start state ``init``, a sweep budget (``num_sweeps`` and
-    ``energy_tol``, checked by :class:`SweepConfig`'s rules) and, optionally,
-    an ``oracle``: the exact ground state of every grid point as a unit
-    dense vector of the chain's dimension.  The tree checks all of it
+    ``energy_tol``, checked and stored by :class:`SweepConfig`'s rules)
+    and, optionally, an ``oracle``: the exact ground state of every grid
+    point as a unit dense vector of the chain's dimension.  The tree checks all of it
     once, here, and keeps read-only copies of the grid, of ``init``'s
     tensors and of the oracle vectors, so no later change to the caller's
     arrays reaches a scan.
 
     A node is one point some scan solved for real: its result with the
-    truncation record of every local step (charged only where a policy
-    that reads charges had a choice), its left-canonical state and per-bond
-    Schmidt data, its fidelity, and its gauge record.  A path from the root
+    truncation record of every local step (charged where :mod:`truncation`'s
+    rule charges it), its left-canonical state and per-bond Schmidt data,
+    its fidelity, and its gauge record.  A path from the root
     is one distinct trajectory; its branches are where two policies first
     kept different states.
     """
@@ -740,7 +719,7 @@ class TrajectoryTree:
             raise ValueError("scan grid must be finite")
         if grid.size > 1 and np.any(np.diff(grid) <= 0):
             raise ValueError("scan grid must be strictly increasing")
-        SweepConfig(num_sweeps=num_sweeps, energy_tol=energy_tol)
+        sweeps = SweepConfig(num_sweeps=num_sweeps, energy_tol=energy_tol)
         if oracle is not None:
             oracle = [np.array(v) for v in oracle]
             if len(oracle) != grid.size:
@@ -753,8 +732,8 @@ class TrajectoryTree:
         self.family = family
         self.grid = grid
         self.init = MatrixProductState([np.array(t) for t in init.tensors], init.center)
-        self.num_sweeps = num_sweeps
-        self.energy_tol = energy_tol
+        self.num_sweeps = sweeps.num_sweeps
+        self.energy_tol = sweeps.energy_tol
         self.oracle = oracle
         _read_only([grid, *self.init.tensors, *(self.oracle or ())])
         self.children: list[_TrajectoryNode] = []
@@ -764,19 +743,19 @@ def _replays(node: _TrajectoryNode, policy: TruncationPolicy) -> bool:
     """Whether ``policy`` keeps the recorded states at every step of ``node``.
 
     Whether the policy has a choice depends only on the step's candidate
-    count, so the steps are taken by count, one stack at a time.  Where the
-    policy has no choice it keeps every state, so the steps replay exactly
-    when each kept them all.  Where it has one, they are weighed and
-    selected again from their recorded singular values and charges, all in
-    one call; a step whose charges were not measured does not replay under
-    a policy that reads them, and the point is solved for real.
+    count (see :mod:`truncation`), so the steps are taken by count, one
+    stack at a time.  Where the policy has no choice the steps replay
+    exactly when each kept every state.  Where it has one, they are weighed
+    and selected again from their recorded singular values and charges, all
+    in one call; a step whose charges were not measured does not replay
+    under a policy that reads them, and the point is solved for real.
     """
     for n, (kept, sigma, charges1, charges2) in node.steps.items():
-        if not _has_choice(n, policy):
+        if not policy.has_choice(n):
             if not kept.all():
                 return False
-        elif (charges1 is None and _reads_charges(policy)) or not np.array_equal(
-                kept_masks(_weights(sigma, charges1, charges2, policy), policy), kept):
+        elif (charges1 is None and policy.reads_charges) or not np.array_equal(
+                kept_masks(compute_weights(sigma, charges1, charges2, policy), policy), kept):
             return False
     return True
 
@@ -784,12 +763,12 @@ def _replays(node: _TrajectoryNode, policy: TruncationPolicy) -> bool:
 def _as_own_record(rec: TruncationRecord, policy: TruncationPolicy) -> TruncationRecord:
     """``rec`` as ``policy``'s own solve would have recorded it.
 
-    A node solved by a policy that charged a step carries charges that a
-    policy measures only where it reads them and has a choice; the adopting
-    scan drops them everywhere else.
+    A node solved by a policy that charged a step carries charges that
+    another policy measures only where :mod:`truncation`'s rule charges the
+    step; the adopting scan drops them everywhere else.
     """
-    if rec.charges1 is None or (_reads_charges(policy)
-                                and _has_choice(rec.singular_values.size, policy)):
+    if rec.charges1 is None or (policy.reads_charges
+                                and policy.has_choice(rec.singular_values.size)):
         return rec
     return replace(rec, charges1=None, charges2=None)
 
@@ -804,9 +783,9 @@ def _solve_point(mpo: MatrixProductOperator, start: MatrixProductState,
                  cfg: SweepConfig, history: list[_TrajectoryNode],
                  spacings: list[float], oracle_state: Optional[np.ndarray]) -> _TrajectoryNode:
     """Solve one scan point for real, charging its steps against ``history``
-    when its policy reads charges; a scan's first point is solved under the
-    standard kind, so its empty history is never read."""
-    context = _ChargeContext(history, spacings) if _reads_charges(cfg.policy) else None
+    where :mod:`truncation`'s rule charges them; a scan's first point is
+    solved under the standard kind, so its empty history is never read."""
+    context = _ChargeContext(history, spacings) if cfg.policy.reads_charges else None
     result = _run_dmrg(mpo, start, cfg, context)
     phi, schmidt = bond_schmidt_data(result.state)
     fidelity = None
@@ -840,16 +819,14 @@ def continuation_scan(tree: TrajectoryTree, policy: TruncationPolicy,
 
     At each point the scan replays the tree's solved points by selection
     alone and adopts the first whose every local step keeps the states its
-    own policy keeps, taking that point's truncation records as they are,
-    less the charges its own solve would not have measured; otherwise it
-    solves the point itself and adds it to the tree.  A policy that reads
-    charges cannot replay a step with a choice that a standard solve left
-    uncharged, so a standard scan run first shares no later point with it:
-    scan the charge-reading policies first.  Each point is held
-    once, by its node: the result, the left-canonical state and per-bond
-    Schmidt data the next two points charge against, the fidelity, and the
-    gauge record, computed the first time a scan's ``records`` are read and
-    shared, frozen.  The result is identical to a scan through a fresh tree
+    own policy keeps, taking that point's truncation records less the
+    charges its own solve would not have measured (see :mod:`truncation`);
+    otherwise it solves the point itself and adds it to the tree.  Scan the
+    charge-reading policies first (see the module docstring).  Each point is
+    held once, by its node: the result, the left-canonical state and
+    per-bond Schmidt data the next two points charge against, the fidelity,
+    and the gauge record, computed the first time a scan's ``records`` are
+    read and shared, frozen.  The result is identical to a scan through a fresh tree
     of the same problem, and no two scans share a list or a writable array.
     """
     if points is not None and not is_integer(points):

@@ -120,7 +120,7 @@ from .spectral import (
     second_derivative_overlaps,
     track_hermitian_family,
 )
-from .truncation import TruncationPolicy, compute_weights, is_integer, is_real
+from .truncation import KIND_COEFFICIENTS, TruncationPolicy, compute_weights, is_integer, is_real
 
 #: the four comparison-table methods, in row order
 TABLE_METHOD_KINDS = ("standard", "uhlmann", "categorified", "coherence_eigenvalue_2")
@@ -755,22 +755,18 @@ def _scans_alone(policy: TruncationPolicy) -> bool:
 def _candidate_policies(kind: str, cfg: PecComparisonConfig) -> list[TruncationPolicy]:
     """The policies one of :data:`PEC_POLICY_KINDS` competes with, at ``max_bond``.
 
-    Under grid search, the kind's coefficient grid; otherwise its one entry
-    in ``cfg.policies``, all zero when that holds none.
+    Under grid search, the product of the ``<name>_grid`` fields of the
+    coefficients the kind reads (:data:`truncation.KIND_COEFFICIENTS`), in
+    that order; otherwise its one entry in ``cfg.policies``, all zero when
+    that holds none.
     """
     if not cfg.grid_search:
         configured = next((p for p in cfg.policies if p.kind == kind),
                           TruncationPolicy(kind=kind))
         return [dataclasses.replace(configured, max_kept=cfg.max_bond)]
-    if kind == "uhlmann":
-        cells = [{"gamma1": g} for g in cfg.gamma1_grid]
-    elif kind == "categorified":
-        cells = [{"gamma1": a, "gamma2": b}
-                 for a, b in product(cfg.gamma1_grid, cfg.gamma2_grid)]
-    else:
-        cells = [{"lambda1": a, "lambda2": b}
-                 for a, b in product(cfg.lambda1_grid, cfg.lambda2_grid)]
-    return [TruncationPolicy(kind=kind, max_kept=cfg.max_bond, **cell) for cell in cells]
+    names = KIND_COEFFICIENTS[kind]
+    return [TruncationPolicy(kind=kind, max_kept=cfg.max_bond, **dict(zip(names, cell)))
+            for cell in product(*(getattr(cfg, f"{name}_grid") for name in names))]
 
 
 @dataclass

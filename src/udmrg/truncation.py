@@ -18,6 +18,14 @@ The charges and the weights take one spectrum or a stack of them with
 leading axes (a scan's points, say): every row comes out as a call of its
 own would give it, and :func:`kept_masks` selects from a stack alike;
 :func:`select_states` picks from one spectrum.
+
+:data:`KIND_COEFFICIENTS` lists the coefficients each kind reads.  A policy
+has a choice among ``n`` states (:meth:`TruncationPolicy.has_choice`) only
+when ``n > max_kept`` or its cutoff is above 0: every effective weight is
+non-negative, so otherwise it keeps every state whatever the charges, and
+the step need be neither charged nor weighed.  A step is charged only where
+a policy with a choice reads charges (:attr:`TruncationPolicy.reads_charges`):
+every kind but the standard one.  Charges never measured weigh as zeros.
 """
 from __future__ import annotations
 
@@ -28,14 +36,18 @@ import numpy as np
 
 from .linalg import unit_norm, unit_sum
 
+#: the coefficients each policy kind reads, in documentation order; the
+#: ``gamma`` kinds damp singular values, the ``lambda`` kinds shift probabilities
+KIND_COEFFICIENTS = {
+    "standard": (),
+    "uhlmann": ("gamma1",),
+    "categorified": ("gamma1", "gamma2"),
+    "coherence_eigenvalue": ("lambda1",),
+    "coherence_eigenvalue_2": ("lambda1", "lambda2"),
+}
+
 #: supported policy kinds, in documentation order
-POLICY_KINDS = (
-    "standard",
-    "uhlmann",
-    "categorified",
-    "coherence_eigenvalue",
-    "coherence_eigenvalue_2",
-)
+POLICY_KINDS = tuple(KIND_COEFFICIENTS)
 
 #: probability-pair floor below which a charge term is dropped
 PAIR_FLOOR = 1e-14
@@ -60,15 +72,14 @@ class TruncationPolicy:
 
     ``gamma1``/``gamma2`` damp singular values exponentially; ``lambda1`` /
     ``lambda2`` shift eigenvalue weights additively.  A policy only reads the
-    coefficients its kind uses: ``standard`` ignores all of them, ``uhlmann``
-    ignores everything but ``gamma1``, and so on.  ``max_kept`` is the bond
-    budget, the most states a truncation keeps; it is an ``int`` and the
-    coefficients and ``cutoff`` are real numbers (see :func:`is_integer` and
-    :func:`is_real`).  Construction checks every value, raising
-    :class:`ValueError` at the first problem, and stores the coefficients and
-    ``cutoff`` as ``float`` and ``max_kept`` as ``int``, so ``gamma1=1``
-    hashes and reports like ``gamma1=1.0`` and a ``numpy`` scalar like the
-    number it holds.
+    coefficients :data:`KIND_COEFFICIENTS` lists for its kind.  ``max_kept``
+    is the bond budget, the most states a truncation keeps; it is an ``int``
+    and the coefficients and ``cutoff`` are real numbers (see
+    :func:`is_integer` and :func:`is_real`).  Construction checks every
+    value, raising :class:`ValueError` at the first problem, and stores the
+    coefficients and ``cutoff`` as ``float`` and ``max_kept`` as ``int``, so
+    ``gamma1=1`` hashes and reports like ``gamma1=1.0`` and a ``numpy``
+    scalar like the number it holds.
     """
 
     kind: str = "standard"
@@ -96,6 +107,15 @@ class TruncationPolicy:
             raise ValueError(f"max_kept must be positive, got {self.max_kept}")
         if not 0.0 <= self.cutoff < 1.0:
             raise ValueError(f"cutoff must lie in [0, 1), got {self.cutoff}")
+
+    @property
+    def reads_charges(self) -> bool:
+        """Whether the weights read charges: the kind reads a coefficient."""
+        return bool(KIND_COEFFICIENTS[self.kind])
+
+    def has_choice(self, n: int) -> bool:
+        """Whether the policy can discard any of ``n`` candidate states."""
+        return n > self.max_kept or self.cutoff > 0
 
 
 @dataclass(frozen=True)
@@ -150,16 +170,17 @@ def charge_second_order(d2_overlaps) -> np.ndarray:
 def compute_weights(sigma, charges1, charges2, policy: TruncationPolicy) -> TruncationWeights:
     """Bundle singular values and charges into ranked weights for ``policy``.
 
-    ``standard`` ranks by the singular values themselves; ``uhlmann`` and
-    ``categorified`` damp them to ``sigma * exp(-g1 Q - g2 Q2)``, with
-    ``uhlmann`` forcing ``g2 = 0``.  The eigenvalue-shift kinds operate on
-    probabilities ``p = sigma^2`` (normalized) and shift them to
-    ``p + L1 Q`` (``+ L2 Q2`` for ``coherence_eigenvalue_2``).  ``sigma``
-    must be a non-empty 1-d array, or a stack of them with leading axes, and
-    every row non-negative and sorted descending; each row is checked,
-    normalized and weighed as a call of its own would be.  The charges are taken as given --
-    callers are responsible for computing them from the matching probability
-    vector -- but must match ``sigma`` in shape.
+    ``standard`` ranks by the singular values themselves; the ``gamma`` kinds
+    damp them to ``sigma * exp(-g1 Q - g2 Q2)``, and the ``lambda`` kinds
+    shift the probabilities ``p = sigma^2`` (normalized) to ``p + L1 Q + L2
+    Q2``, each term only for a coefficient :data:`KIND_COEFFICIENTS` lists
+    for the kind.  ``sigma`` must be a non-empty 1-d array, or a stack of
+    them with leading axes, and every row non-negative and sorted
+    descending; each row is checked, normalized and weighed as a call of its
+    own would be.  The charges are taken as given -- callers are responsible
+    for computing them from the matching probability vector -- but must
+    match ``sigma`` in shape and be finite and non-negative, so every
+    effective weight is; ``None`` charges, never measured, weigh as zeros.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim == 0 or sigma.size == 0:
@@ -168,25 +189,26 @@ def compute_weights(sigma, charges1, charges2, policy: TruncationPolicy) -> Trun
         raise ValueError("sigma must be non-negative")
     if np.any(np.diff(sigma, axis=-1) > 0):
         raise ValueError("sigma must be sorted descending")
-    q1 = np.asarray(charges1, dtype=float)
-    q2 = np.asarray(charges2, dtype=float)
+    q1, q2 = (np.zeros(sigma.shape) if q is None else np.asarray(q, dtype=float)
+              for q in (charges1, charges2))
     for name, q in (("charges1", q1), ("charges2", q2)):
         if q.shape != sigma.shape:
             raise ValueError(f"{name} must match sigma in shape")
-    if policy.kind == "standard":
+        if not (q.min() >= 0 and q.max() < np.inf):  # NaN fails too
+            raise ValueError(f"{name} must be finite and non-negative")
+    reads = KIND_COEFFICIENTS[policy.kind]
+    if not reads:
         raw = sigma
         effective = sigma.copy()
-    elif policy.kind in ("uhlmann", "categorified"):
+    elif "gamma1" in reads:
         raw = sigma
-        g2 = policy.gamma2 if policy.kind == "categorified" else 0.0
+        g2 = policy.gamma2 if "gamma2" in reads else 0.0
         effective = sigma * np.exp(-policy.gamma1 * q1 - g2 * q2)
-    elif policy.kind in ("coherence_eigenvalue", "coherence_eigenvalue_2"):
+    else:
         raw = unit_sum(sigma**2)
         effective = raw + policy.lambda1 * q1
-        if policy.kind == "coherence_eigenvalue_2":
+        if "lambda2" in reads:
             effective = effective + policy.lambda2 * q2
-    else:  # pragma: no cover - guarded by TruncationPolicy.__post_init__
-        raise ValueError(f"unknown policy kind {policy.kind!r}")
     return TruncationWeights(raw=raw, effective=effective)
 
 

@@ -95,6 +95,31 @@ def test_sweep_config_rejects_a_sweep_count_that_is_not_an_integer():
     assert SweepConfig(num_sweeps=np.int64(3)).num_sweeps == 3
 
 
+@pytest.mark.parametrize("energy_tol", [True, "1e-9", None], ids=["bool", "str", "none"])
+def test_sweep_config_takes_only_a_real_energy_tolerance(energy_tol):
+    """A bool is no number, and a string used to raise a ``TypeError`` from
+    the comparison; each fails with a ``ValueError`` naming the field."""
+    with pytest.raises(ValueError, match="^energy_tol must be a real number"):
+        SweepConfig(energy_tol=energy_tol)
+
+
+def test_sweep_config_stores_python_numbers():
+    """Like a truncation policy's fields, so a ``numpy`` scalar compares and
+    reports like the number it holds."""
+    cfg = SweepConfig(num_sweeps=np.int64(3), energy_tol=np.float32(0.5))
+    assert type(cfg.num_sweeps) is int and type(cfg.energy_tol) is float
+    assert cfg == SweepConfig(num_sweeps=3, energy_tol=0.5)
+
+
+def test_a_tree_checks_and_stores_its_sweep_budget_as_the_sweep_config_does():
+    init = random_mps(np.random.default_rng(7), [2] * 4, 4)
+    tree = TrajectoryTree(tfim_family(4), [0.8, 1.0], init, np.int64(12), np.float32(0.5))
+    assert (type(tree.num_sweeps), type(tree.energy_tol)) == (int, float)
+    assert (tree.num_sweeps, tree.energy_tol) == (12, 0.5)
+    with pytest.raises(ValueError, match="energy_tol must be a real number"):
+        TrajectoryTree(tfim_family(4), [0.8, 1.0], init, 12, True)
+
+
 def test_ground_state_input_validation():
     mpo = build_spin_chain_mpo(SpinChainSpec(kind="tfim", n_sites=4, field=1.0))
     rng = np.random.default_rng(0)
@@ -1221,10 +1246,10 @@ def _replays_step_by_step(node, policy):
     for rec in node.result.truncation_log:
         n = rec.singular_values.size
         measured = rec.charges1 is not None
-        if not dmrg._has_choice(n, policy):
+        if not policy.has_choice(n):
             if rec.kept.size != n:
                 return False
-        elif not measured and policy.kind != "standard":
+        elif not measured and policy.reads_charges:
             return False
         elif not np.array_equal(select_states(compute_weights(
                 rec.singular_values, *((rec.charges1, rec.charges2) if measured

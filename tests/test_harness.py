@@ -33,7 +33,7 @@ from udmrg.harness import (
 )
 from udmrg.models import CROSSING_POINTS, SpinChainSpec, spin_chain_ground_states
 from udmrg.reporting import canonical_json, config_hash
-from udmrg.truncation import TruncationPolicy
+from udmrg.truncation import KIND_COEFFICIENTS, TruncationPolicy
 
 from helpers import CountingGenerator, count_dense_tiers, split_by_policy, tree_nodes
 
@@ -669,6 +669,26 @@ def test_zero_cells_reuse_the_standard_scan(monkeypatch):
         own = continuation_scan(fresh_tree(problem.tree), policy)
         assert harness._points_report("p", cfg, problem, own, policy).csv_bytes() == \
             harness._points_report("p", cfg, problem, shared, policy).csv_bytes()
+
+
+def test_a_kinds_grid_cells_are_the_product_of_the_grids_it_reads():
+    """Every PEC kind reads coefficients that the config grids, and its cells
+    run over their grids' product in table order, the last grid fastest."""
+    fields = {f.name for f in dataclasses.fields(PecComparisonConfig)}
+    for kind in harness.PEC_POLICY_KINDS:
+        assert KIND_COEFFICIENTS[kind]
+        assert {f"{name}_grid" for name in KIND_COEFFICIENTS[kind]} <= fields
+    cfg = PecComparisonConfig(gamma1_grid=(0.0, 1.0), gamma2_grid=(0.0, 0.5),
+                              lambda1_grid=(0.0, 2.0), lambda2_grid=(0.0, 0.25))
+    cells = {kind: [(p.gamma1, p.gamma2, p.lambda1, p.lambda2)
+                    for p in harness._candidate_policies(kind, cfg)]
+             for kind in harness.PEC_POLICY_KINDS}
+    assert cells == {
+        "uhlmann": [(0, 0, 0, 0), (1, 0, 0, 0)],
+        "categorified": [(0, 0, 0, 0), (0, 0.5, 0, 0), (1, 0, 0, 0), (1, 0.5, 0, 0)],
+        "coherence_eigenvalue_2": [(0, 0, 0, 0), (0, 0, 0, 0.25), (0, 0, 2, 0),
+                                   (0, 0, 2, 0.25)],
+    }
 
 
 def _report_bytes(report):

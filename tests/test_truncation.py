@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from udmrg.truncation import (
+    KIND_COEFFICIENTS,
     PAIR_FLOOR,
     POLICY_KINDS,
     TruncationPolicy,
@@ -102,6 +103,29 @@ def test_weights_validation():
                               TruncationPolicy())
     with pytest.raises(dataclasses.FrozenInstanceError):
         weights.raw = np.zeros(2)
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -100.0, np.nan, np.inf, -np.inf],
+                         ids=["tiny_negative", "negative", "nan", "inf", "minus_inf"])
+def test_weights_reject_a_negative_or_non_finite_charge(bad):
+    """Every kind, each charge order, one spectrum or a stack with one bad row.
+
+    The choice rule needs every effective weight non-negative: a charge of
+    -100 under ``coherence_eigenvalue`` at lambda1 = 1 would drop a state at a
+    step without a choice, and a NaN charge would rank its state first under
+    ``uhlmann``."""
+    sigma = np.array([0.8, 0.6, 0.3])
+    bad_row = np.array([0.0, 0.5, bad])
+    for kind in POLICY_KINDS:
+        policy = TruncationPolicy(kind=kind, gamma1=1.0, lambda1=1.0, max_kept=3)
+        assert not policy.has_choice(3)
+        with pytest.raises(ValueError, match="charges1 must be finite and non-negative"):
+            compute_weights(sigma, bad_row, np.zeros(3), policy)
+        with pytest.raises(ValueError, match="charges2 must be finite and non-negative"):
+            compute_weights(sigma, None, bad_row, policy)
+        stack = np.stack([sigma, sigma])
+        with pytest.raises(ValueError, match="charges2 must be finite and non-negative"):
+            compute_weights(stack, np.zeros((2, 3)), np.stack([np.zeros(3), bad_row]), policy)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +391,52 @@ def test_a_step_within_the_budget_keeps_every_state_at_cutoff_0(data, sigma, kin
     q1, q2 = np.array(data.draw(charges)), np.array(data.draw(charges))
     kept = select_states(compute_weights(sigma, q1, q2, pol), pol)[0]
     np.testing.assert_array_equal(kept, np.arange(sigma.size))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), sigma=spectra(), kind=st.sampled_from(POLICY_KINDS),
+       max_kept=st.integers(1, 12), cutoff=st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
+def test_the_coefficient_table_and_the_policy_members_state_what_the_rules_do(
+        data, sigma, kind, max_kept, cutoff):
+    """A step without a choice keeps every state; a policy that reads no
+    charges weighs alike whatever they are; unmeasured charges weigh as
+    zeros; a coefficient the kind does not read changes nothing."""
+    names = ("gamma1", "gamma2", "lambda1", "lambda2")
+    coefficient = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+    charges = st.lists(st.floats(0.0, 1e6), min_size=sigma.size, max_size=sigma.size)
+    pol = TruncationPolicy(kind=kind, max_kept=max_kept, cutoff=cutoff,
+                           **{name: data.draw(coefficient) for name in names})
+    q1, q2 = np.array(data.draw(charges)), np.array(data.draw(charges))
+    weights = compute_weights(sigma, q1, q2, pol)
+    zeros = compute_weights(sigma, np.zeros(sigma.size), np.zeros(sigma.size), pol)
+    unmeasured = compute_weights(sigma, None, None, pol)
+    assert _same_bits(unmeasured.raw, zeros.raw)
+    assert _same_bits(unmeasured.effective, zeros.effective)
+    assert pol.reads_charges == bool(KIND_COEFFICIENTS[kind])
+    if not pol.reads_charges:
+        assert _same_bits(weights.effective, zeros.effective)
+    if not pol.has_choice(sigma.size):
+        assert kept_masks(weights, pol).all()
+    unread = [name for name in names if name not in KIND_COEFFICIENTS[kind]]
+    other = dataclasses.replace(pol, **{name: data.draw(coefficient) for name in unread})
+    assert _same_bits(compute_weights(sigma, q1, q2, other).effective, weights.effective)
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_every_coefficient_a_kind_lists_moves_its_weights(kind):
+    """The table lists no coefficient a kind ignores: each one, alone at 1,
+    moves the weights of unit charges."""
+    sigma = np.array([0.8, 0.6, 0.3])
+    ones = np.ones(3)
+    base = compute_weights(sigma, ones, ones, TruncationPolicy(kind=kind)).effective
+    for name in KIND_COEFFICIENTS[kind]:
+        pol = TruncationPolicy(kind=kind, **{name: 1.0})
+        assert not np.array_equal(compute_weights(sigma, ones, ones, pol).effective, base)
+    assert POLICY_KINDS == tuple(KIND_COEFFICIENTS)
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
