@@ -21,6 +21,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -40,7 +41,7 @@ from .harness import (
     run_experiment,
 )
 from .reporting import ScanReport, sha256_file, write_json, write_report_csv
-from .truncation import TruncationPolicy
+from .truncation import TruncationPolicy, is_integer
 
 
 def _build_policies(kwargs: dict[str, Any], errors: list[str]) -> None:
@@ -137,15 +138,15 @@ def _write_report(report: ScanReport, out_dir: Path) -> list[Path]:
 
 
 @functools.lru_cache(maxsize=None)
-def _bundled_openblas() -> tuple[tuple[str, Any, Any], ...]:
-    """``(package, get, set)`` thread calls of numpy's own OpenBLAS.
+def _bundled_openblas() -> Optional[tuple[Any, Any]]:
+    """``(get, set)``, the thread calls of numpy's own OpenBLAS, or ``None``.
 
     numpy loads its OpenBLAS, and starts its thread pool, at import; the
     ``*_NUM_THREADS`` variables are read only then.  A running process
     changes the pool size through the library's own setter.  The bundled
     library's file name, ``lib<prefix>openblas[64_]...``, carries the
     prefix and suffix of its symbols.  A numpy built against another BLAS
-    contributes nothing.
+    gives ``None``.
     """
     import ctypes
 
@@ -154,7 +155,7 @@ def _bundled_openblas() -> tuple[tuple[str, Any, Any], ...]:
     libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
     paths = sorted(libs.glob("lib*openblas*.so"))
     if not paths:
-        return ()
+        return None
     name = paths[0].name
     prefix = name[len("lib"):name.index("openblas")]
     suffix = "64_" if "openblas64_" in name else ""
@@ -163,28 +164,24 @@ def _bundled_openblas() -> tuple[tuple[str, Any, Any], ...]:
     get.argtypes, get.restype = [], ctypes.c_int
     put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
     put.argtypes, put.restype = [ctypes.c_int], None
-    return (("numpy", get, put),)
+    return get, put
 
 
 @contextlib.contextmanager
 def _blas_threads(threads: Optional[int]) -> Iterator[dict[str, int]]:
-    """Cap the bundled OpenBLAS pools at ``threads`` for the ``with`` block.
+    """Cap numpy's bundled OpenBLAS pool at ``threads`` for the ``with`` block.
 
-    Yields the thread count each library reports back, keyed by package;
-    ``None`` leaves the pools alone and only reads them.  The previous
-    counts are restored on exit.
+    Yields ``{"numpy": n}``, the thread count the library reports back, or
+    ``{}`` without a bundled OpenBLAS; ``None`` leaves the pool alone and
+    only reads it.  The previous count is restored on exit.
     """
-    libs = _bundled_openblas()
-    before = [get() for _, get, _ in libs]
-    if threads is not None:
-        for _, _, put in libs:
+    blas = _bundled_openblas()
+    with contextlib.ExitStack() as restore:
+        if blas is not None and threads is not None:
+            get, put = blas
+            restore.callback(put, get())
             put(threads)
-    try:
-        yield {name: get() for name, get, _ in libs}
-    finally:
-        if threads is not None:
-            for (_, _, put), count in zip(libs, before):
-                put(count)
+        yield {} if blas is None else {"numpy": blas[0]()}
 
 
 def _replaceable(out_dir: Path) -> bool:
@@ -214,18 +211,23 @@ def dispatch(cfg: ExperimentConfig, out_dir: Path,
              threads: Optional[int] = None) -> int:
     """Run one experiment, write outputs and the manifest, return exit status.
 
-    ``threads`` caps the BLAS thread pools for the run; the manifest records
-    the cap and the count each bundled OpenBLAS reports back.  The outputs
+    ``threads`` caps the BLAS thread pool for the run; the manifest records
+    the cap and the count numpy's bundled OpenBLAS reports back.  The outputs
     are written into a temporary sibling of ``out_dir`` that is then renamed
     into place, so ``out_dir`` holds either the earlier run or this one in
     full.  An existing ``out_dir`` is replaced as a whole, so it must be
-    empty or hold an earlier run's ``manifest.json``.  A bad ``threads`` or
+    empty or hold an earlier run's ``manifest.json``.  A bad ``threads`` (not
+    an integer, below 1, or above the CPUs this process may use) or
     ``out_dir`` raises :class:`ConfigError` before anything runs.
     """
     out_dir = Path(out_dir)
     problems = []
-    if threads is not None and threads < 1:
-        problems.append("--threads must be at least 1")
+    if threads is not None:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        if not (is_integer(threads) and 1 <= threads <= cpus):
+            problems.append(f"--threads must be at least 1 and at most {cpus}, the CPUs "
+                            f"this process may use, and an integer; got {threads!r}")
     if not _replaceable(out_dir):
         problems.append(f"output directory {out_dir} exists and holds no run "
                         "manifest; remove it or choose another")
@@ -234,7 +236,7 @@ def dispatch(cfg: ExperimentConfig, out_dir: Path,
     started = datetime.now(timezone.utc).isoformat()
     with _blas_threads(threads) as in_effect:
         report = run_experiment(cfg)
-    flagged = int(report.summary.get("flagged", 0))
+    flagged = int(report.summary["flagged"])
     status = 2 if flagged else 0
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))

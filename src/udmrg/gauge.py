@@ -104,32 +104,27 @@ class GaugePotential2D:
 # purification and potentials
 # ---------------------------------------------------------------------------
 
-def _require_positive(eigenvalues: np.ndarray, tol: float) -> None:
-    lowest = eigenvalues[..., 0]
-    bad = np.flatnonzero(lowest < -tol)
-    if bad.size:
-        raise ValueError(f"density matrix has negative eigenvalue {lowest.flat[bad[0]]:.3e}")
-
-
-def purify(rho, tol: float = 1e-12, eigensystem=None) -> np.ndarray:
+def purify(rho, eigensystem=None) -> np.ndarray:
     """Principal hermitian square root ``U`` with ``U U^H = rho``.
 
     ``rho`` must be hermitian with unit trace.  Eigenvalues inside
-    ``[-tol, 0)`` are clipped to zero; anything more negative raises an
+    ``[-1e-12, 0)`` are clipped to zero; anything more negative raises an
     invalid-density error.  A stack ``(..., d, d)`` is validated member by
     member and purified by one stacked eigensolve,
-    :func:`udmrg.spectral.hermitian_eigensystem` at ``tol``, whose
-    eigenvalues also serve the positivity check.  A caller that holds that
+    :func:`udmrg.spectral.hermitian_eigensystem`, whose eigenvalues also
+    serve the positivity check.  A caller that holds that
     eigensystem of ``rho`` passes it in, and ``rho`` is not decomposed again.
     """
     if eigensystem is None:
-        eigensystem = hermitian_eigensystem(rho, tol, "density matrix")
+        eigensystem = hermitian_eigensystem(rho, "density matrix")
     w, v = eigensystem
     traces = np.trace(np.asarray(rho), axis1=-2, axis2=-1).real
     bad = np.flatnonzero(np.abs(traces - 1.0) > 1e-10)
     if bad.size:
         raise ValueError(f"density matrix trace is {float(traces.flat[bad[0]])!r}, expected 1")
-    _require_positive(w, tol)
+    bad = np.flatnonzero(w[..., 0] < -1e-12)
+    if bad.size:
+        raise ValueError(f"density matrix has negative eigenvalue {w[..., 0].flat[bad[0]]:.3e}")
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ dag(v)
 
 
@@ -455,10 +450,10 @@ def _uniform(u: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u
 
 
-def _seeded_draws(rng, dim, grid, scale: float, counts: tuple) -> tuple:
+def _seeded_draws(rng, dim, grid, counts: tuple) -> tuple:
     """The validated grid, then a family's two hermitian generators
-    ``(2, d, d)`` and its uniform parameters: ``counts[i]`` of them in the
-    bounds ``_UNIFORM_BOUNDS[i]``, one array per count.
+    ``(2, d, d)`` at scale 0.5 and its uniform parameters: ``counts[i]`` of
+    them in the bounds ``_UNIFORM_BOUNDS[i]``, one array per count.
 
     ``rng`` is a generator, or a non-empty sequence of them for a stack of
     families, whose draws then gain a leading axis.  Each generator makes
@@ -480,7 +475,7 @@ def _seeded_draws(rng, dim, grid, scale: float, counts: tuple) -> tuple:
     bounds = np.repeat(_UNIFORM_BOUNDS[:len(counts)], counts, axis=0)
     normals = np.array([g.normal(size=(2, 2, dim, dim)) for g in generators])
     uniforms = _uniform(np.array([g.random(len(bounds)) for g in generators]), bounds)
-    draws = (scale * hermitian_part(normals[:, :, 0] + 1j * normals[:, :, 1]),
+    draws = (0.5 * hermitian_part(normals[:, :, 0] + 1j * normals[:, :, 1]),
              *np.split(uniforms, np.cumsum(counts)[:-1], axis=-1))
     return grid, *(tuple(x[0] for x in draws) if alone else draws)
 
@@ -516,7 +511,7 @@ class SmoothUnitaryFamily:
     derivatives: np.ndarray  # (..., n, d, d)
 
 
-def smooth_unitary_family(rng, dim: int, grid, scale: float = 0.5) -> SmoothUnitaryFamily:
+def smooth_unitary_family(rng, dim: int, grid) -> SmoothUnitaryFamily:
     """Random two-generator unitary path ``exp(i t1(t) G1) exp(i t2(t) G2)``.
 
     Angles are gentle sinusoids so third derivatives stay O(1); the exact
@@ -524,7 +519,7 @@ def smooth_unitary_family(rng, dim: int, grid, scale: float = 0.5) -> SmoothUnit
     generator, or a non-empty sequence of them for a stack of families: each
     draws its own parameters, and the paths are evaluated together.
     """
-    grid, generators, amp, freq, phase = _seeded_draws(rng, dim, grid, scale, (2, 2, 2))
+    grid, generators, amp, freq, phase = _seeded_draws(rng, dim, grid, (2, 2, 2))
     u1, u2 = _unitary_factors(generators, amp, freq, phase, grid)
 
     def factor_derivative(k: int, u: np.ndarray) -> np.ndarray:
@@ -540,15 +535,14 @@ def smooth_unitary_family(rng, dim: int, grid, scale: float = 0.5) -> SmoothUnit
     return SmoothUnitaryFamily(grid=grid, values=u1 @ u2, derivatives=derivatives)
 
 
-def smooth_density_family(rng, dim: int, grid, scale: float = 0.5) -> np.ndarray:
+def smooth_density_family(rng, dim: int, grid) -> np.ndarray:
     """Random full-rank density path ``V(t) diag(p(t)) V(t)^H``, an ``(n, d, d)`` stack.
 
     Populations follow smooth positive curves normalized to unit trace, so
     the family stays strictly inside the density simplex.  For a sequence of
     generators the result is ``(F, n, d, d)``, one family per generator.
     """
-    grid, *path, offsets, amps, freqs = _seeded_draws(rng, dim, grid, scale,
-                                                      (2, 2, 2, dim, dim, dim))
+    grid, *path, offsets, amps, freqs = _seeded_draws(rng, dim, grid, (2, 2, 2, dim, dim, dim))
     v = np.matmul(*_unitary_factors(*path, grid))
     p = np.exp(offsets[..., None, :]
                + amps[..., None, :] * np.sin(freqs[..., None, :] * grid[:, None]))
@@ -556,22 +550,22 @@ def smooth_density_family(rng, dim: int, grid, scale: float = 0.5) -> np.ndarray
     return (v * p[..., :, None, :]) @ dag(v)
 
 
-def pure_gauge_potential_2d(rng: np.random.Generator, dim: int, axis1, axis2,
-                            scale: float = 0.5) -> GaugePotential2D:
+def pure_gauge_potential_2d(rng: np.random.Generator, dim: int, axis1, axis2) -> GaugePotential2D:
     """Pure-gauge two-axis potential ``A_mu = i (d_mu V) V^H`` with ``F = 0``.
 
     Built from a single-generator family ``V(x, y) = exp(i theta(x, y) G)``,
-    giving ``A_mu = -d_mu(theta) G`` exactly.  With one generator the
-    commutator term of the field strength vanishes identically and the
-    continuum curl of a gradient is zero, so any numerical field strength is
-    pure stencil error.  (Multi-generator families are *not* flat under the
+    ``G`` a random hermitian matrix at scale 0.5, giving
+    ``A_mu = -d_mu(theta) G`` exactly.  With one generator the commutator
+    term of the field strength vanishes identically and the continuum curl
+    of a gradient is zero, so any numerical field strength is pure stencil
+    error.  (Multi-generator families are *not* flat under the
     ``dA + [A, A]`` convention used here -- the derivative and commutator
     parts of the Maurer-Cartan identity pick up mismatched factors of ``i``
     for a hermitian potential.)
     """
     axis1 = np.asarray(axis1, dtype=float)
     axis2 = np.asarray(axis2, dtype=float)
-    generator = random_hermitian(rng, dim, scale)
+    generator = random_hermitian(rng, dim, 0.5)
     c = rng.uniform(0.3, 0.7, size=2)
     k = rng.uniform(0.4, 1.4, size=4)
     x, y = axis1[:, None], axis2[None, :]

@@ -148,9 +148,9 @@ _MAX_CHAIN_SITES = 12
 _MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
-def default_policies(max_kept: int = 64) -> list[TruncationPolicy]:
-    """The four comparison methods with all coefficients zero."""
-    return [TruncationPolicy(kind=k, max_kept=max_kept) for k in TABLE_METHOD_KINDS]
+def default_policies() -> list[TruncationPolicy]:
+    """The four comparison methods with all coefficients zero, keeping 64 states."""
+    return [TruncationPolicy(kind=k) for k in TABLE_METHOD_KINDS]
 
 
 #: each config field type: the check a value (or, for ``tuple[X, ...]``, each
@@ -273,6 +273,13 @@ class CrossingScanConfig(ExperimentConfig):
             errs.append("n_points must be at least 5")
         if not self.sweep_rate > 0:
             errs.append("sweep_rate must be positive")
+        ends = (self.lambda_min, self.lambda_max)
+        if np.all(np.isfinite(ends)):
+            reach = max(map(abs, ends))  # its square overflows whenever the span does
+            if not np.isfinite(reach * reach):
+                errs.append("the largest |lambda| squared must be finite")
+            if self.sweep_rate > 0 and not np.isfinite(reach / self.sweep_rate):
+                errs.append("the largest |lambda| / sweep_rate must be finite")
         if self.time_steps < 10:
             errs.append("time_steps must be at least 10")
         return errs
@@ -330,12 +337,15 @@ class PecComparisonConfig(ExperimentConfig):
             )
         if not self.field_min < self.field_max:
             errs.append("field_min must be below field_max")
+        elif (np.all(np.isfinite((self.field_min, self.field_max)))
+              and not np.isfinite(self.field_max - self.field_min)):
+            errs.append("field_max - field_min must be finite")
         if self.n_fields < 3:
             errs.append("n_fields must be at least 3")
         if not self.crossing_window > 0:
             errs.append("crossing_window must be positive")
         elif (3 <= self.n_fields <= _MAX_COUNT and self.field_min < self.field_max
-              and np.all(np.isfinite((self.field_min, self.field_max, self.crossing_center)))
+              and np.all(np.isfinite((self.field_max - self.field_min, self.crossing_center)))
               and not _window_holds_a_grid_point(self)):
             errs.append("crossing window contains no grid points; widen it")
         if self.max_bond < 1:
@@ -537,7 +547,7 @@ def _crossing_grid(cfg: CrossingScanConfig) -> np.ndarray:
 def _policy_labels(policies: Sequence[TruncationPolicy]) -> list[str]:
     labels: list[str] = []
     for pol in policies:
-        base = METHOD_LABELS.get(pol.kind, pol.kind)
+        base = METHOD_LABELS[pol.kind]
         label = base
         n = 2
         while label in labels:
@@ -683,8 +693,8 @@ def _window_holds_a_grid_point(cfg: PecComparisonConfig) -> bool:
     """Whether the mask of :func:`_pec_grid` holds a point, without the grid.
 
     ``np.linspace``'s points ``i * step + field_min``, the last ``field_max``,
-    ascend, so the nearest to ``crossing_center`` is one of the two around it
-    or, when ``step`` overflows, an end."""
+    ascend, so the nearest to ``crossing_center`` is one of the two around it;
+    validation refuses a span, and so a ``step``, that overflows."""
     n, centre = cfg.n_fields, cfg.crossing_center
     step = (cfg.field_max - cfg.field_min) / (n - 1)
 
@@ -693,7 +703,7 @@ def _window_holds_a_grid_point(cfg: PecComparisonConfig) -> bool:
 
     above = bisect.bisect_left(range(n), centre, key=point)
     return any(abs(point(i) - centre) <= cfg.crossing_window + 1e-12
-               for i in {0, above - 1, above, n - 1} if 0 <= i < n)
+               for i in (above - 1, above) if 0 <= i < n)
 
 
 @dataclass
@@ -850,11 +860,7 @@ def _points_report(name: str, cfg: PecComparisonConfig, problem: _PecProblem,
         ]
         for discarded, q1, q2 in zip(rec.bond_discarded, rec.bond_charges1,
                                      rec.bond_charges2):
-            row += [
-                float(discarded),
-                float(q1.max()) if q1.size else 0.0,
-                float(q2.max()) if q2.size else 0.0,
-            ]
+            row += [float(discarded), float(q1.max()), float(q2.max())]
         report.add_row(*row)
     return report
 

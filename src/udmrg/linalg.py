@@ -140,14 +140,12 @@ def unitarity_residual(v: Matrix) -> float:
     return max_abs(dag(v) @ v - eye)
 
 
-def require_unitary(v, tol: float = 1e-10, name: str = "matrix") -> Matrix:
-    """Validate unitarity within ``tol``; a stack fails on its worst member."""
+def require_unitary(v, name: str = "matrix") -> Matrix:
+    """Validate unitarity within 1e-10; a stack fails on its worst member."""
     v = require_square(v, name)
     res = unitarity_residual(v)
-    if not res <= tol:  # NaN fails too
-        raise ValueError(
-            f"{name} is not unitary: max |V^H V - I| = {res:.3e} exceeds {tol:.1e}"
-        )
+    if not res <= 1e-10:  # NaN fails too
+        raise ValueError(f"{name} is not unitary: max |V^H V - I| = {res:.3e} exceeds 1.0e-10")
     return v
 
 

@@ -41,27 +41,27 @@ def _inexact(t) -> np.ndarray:
     return t.astype(np.result_type(t, np.float64), copy=False)
 
 
-class MatrixProductState:
-    """Open-boundary MPS over arbitrary local dimensions."""
+class _TensorChain:
+    """Site tensors ``[left, phys, ..., right]`` of rank :attr:`tensor_rank`,
+    with unit boundary bonds and matching neighbouring bonds."""
 
-    def __init__(self, tensors: Sequence[np.ndarray], center: Optional[int] = None):
+    tensor_rank: int
+    what: str
+
+    def __init__(self, tensors: Sequence[np.ndarray]):
         if len(tensors) == 0:
-            raise ValueError("an MPS needs at least one site")
+            raise ValueError(f"an {self.what} needs at least one site")
         self.tensors = [_inexact(t) for t in tensors]
         for s, t in enumerate(self.tensors):
-            if t.ndim != 3:
-                raise ValueError(f"site {s} tensor must be rank 3, got shape {t.shape}")
-        if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[2] != 1:
-            raise ValueError("boundary bond dimensions must be 1")
-        for s in range(len(self.tensors) - 1):
-            if self.tensors[s].shape[2] != self.tensors[s + 1].shape[0]:
+            if t.ndim != self.tensor_rank:
                 raise ValueError(
-                    f"bond mismatch between sites {s} and {s + 1}: "
-                    f"{self.tensors[s].shape[2]} vs {self.tensors[s + 1].shape[0]}"
-                )
-        if center is not None and not 0 <= center < len(self.tensors):
-            raise ValueError(f"canonical center {center} out of range")
-        self.center = center
+                    f"site {s} tensor must be rank {self.tensor_rank}, got shape {t.shape}")
+        if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[-1] != 1:
+            raise ValueError("boundary bond dimensions must be 1")
+        for s, (a, b) in enumerate(zip(self.tensors, self.tensors[1:])):
+            if a.shape[-1] != b.shape[0]:
+                raise ValueError(f"bond mismatch between {self.what} sites {s} and {s + 1}: "
+                                 f"{a.shape[-1]} vs {b.shape[0]}")
 
     @property
     def n_sites(self) -> int:
@@ -70,34 +70,27 @@ class MatrixProductState:
     @property
     def physical_dims(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.tensors)
+
+
+class MatrixProductState(_TensorChain):
+    """Open-boundary MPS over arbitrary local dimensions."""
+
+    tensor_rank, what = 3, "MPS"
+
+    def __init__(self, tensors: Sequence[np.ndarray], center: Optional[int] = None):
+        super().__init__(tensors)
+        if center is not None and not 0 <= center < self.n_sites:
+            raise ValueError(f"canonical center {center} out of range")
+        self.center = center
 
     def norm(self) -> float:
         return float(np.sqrt(max(inner_product(self, self).real, 0.0)))
 
 
-class MatrixProductOperator:
+class MatrixProductOperator(_TensorChain):
     """Open-boundary MPO; square local dimensions per site."""
 
-    def __init__(self, tensors: Sequence[np.ndarray]):
-        if len(tensors) == 0:
-            raise ValueError("an MPO needs at least one site")
-        self.tensors = [_inexact(t) for t in tensors]
-        for s, t in enumerate(self.tensors):
-            if t.ndim != 4:
-                raise ValueError(f"site {s} tensor must be rank 4, got shape {t.shape}")
-        if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[3] != 1:
-            raise ValueError("boundary bond dimensions must be 1")
-        for s in range(len(self.tensors) - 1):
-            if self.tensors[s].shape[3] != self.tensors[s + 1].shape[0]:
-                raise ValueError(f"bond mismatch between MPO sites {s} and {s + 1}")
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.tensors)
-
-    @property
-    def physical_dims(self) -> tuple[int, ...]:
-        return tuple(t.shape[1] for t in self.tensors)
+    tensor_rank, what = 4, "MPO"
 
 
 # ---------------------------------------------------------------------------

@@ -105,10 +105,10 @@ def diagonal_phases(m: np.ndarray) -> np.ndarray:
     return _unit_phases(np.diagonal(m, axis1=-2, axis2=-1))
 
 
-def hermitian_eigensystem(matrices, tol: float = 1e-12, name: str = "input") -> tuple:
-    """``(w, v)`` of a hermitian matrix or stack, validated to ``tol`` and
+def hermitian_eigensystem(matrices, name: str = "input") -> tuple:
+    """``(w, v)`` of a hermitian matrix or stack, validated to 1e-12 and
     symmetrized by :func:`udmrg.linalg.require_hermitian`, by one ``eigh``."""
-    return np.linalg.eigh(require_hermitian(matrices, tol, name))
+    return np.linalg.eigh(require_hermitian(matrices, name=name))
 
 
 def track_hermitian_family(grid, matrices, eigensystem=None) -> SpectralTrack:
@@ -116,8 +116,8 @@ def track_hermitian_family(grid, matrices, eigensystem=None) -> SpectralTrack:
 
     ``grid`` must be strictly increasing and match ``matrices``, an
     ``(..., n, d, d)`` stack, in length ``n``.  The stack is decomposed by
-    :func:`hermitian_eigensystem` at its default tolerance, unless the
-    caller passes that eigensystem in, which the track copies.  A point whose
+    :func:`hermitian_eigensystem`, unless the caller passes that eigensystem
+    in, which the track copies.  A point whose
     diagonal overlap magnitude with its predecessor's columns falls below
     ``DEGENERACY_THRESHOLD`` is flagged in ``degenerate`` and reordered by
     :func:`max_overlap_permutation`; only these reorders walk the grid, from

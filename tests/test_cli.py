@@ -575,6 +575,31 @@ def test_non_finite_numbers_exit_1_without_outputs(tmp_path, capsys, config, pro
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
+@pytest.mark.parametrize("config, problem", [
+    ({"experiment": "pec_comparison", "n_sites": 4, "max_bond": 2, "n_fields": 3,
+      "field_min": -1e308, "field_max": 1e308, "crossing_center": 0.0,
+      "crossing_window": 1.5e308, "grid_search": False},
+     "field_max - field_min must be finite"),
+    ({"experiment": "crossing_scan", "lambda_min": -1e200, "lambda_max": 1e200},
+     "the largest |lambda| squared must be finite"),
+    ({"experiment": "crossing_scan", "sweep_rate": 1e-310},
+     "the largest |lambda| / sweep_rate must be finite"),
+], ids=["pec_field_span", "crossing_lambda_squared", "crossing_lambda_over_rate"])
+def test_finite_ends_whose_grid_overflows_exit_1_without_outputs(tmp_path, capsys, config,
+                                                                 problem):
+    # each end is finite, but the grid or the traversal times built from them
+    # are not: the run would fail partway with a misleading numerical error
+    path = write_config(tmp_path, "wide.json", config)
+    assert main(["validate", str(path)]) == 1
+    out_dir = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("configuration invalid") == 2
+    assert err.count(f"  - {problem}\n") == 2
+    assert not out_dir.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["wide.json"]
+
+
 @pytest.mark.parametrize("config, name", [
     ({"experiment": "crossing_scan", "n_points": 10**400}, "n_points"),
     ({"experiment": "pec_comparison", "n_fields": 10**400}, "n_fields"),
@@ -617,22 +642,53 @@ def test_dispatch_refuses_threads_below_one_before_running(tmp_path, monkeypatch
 
 
 def test_threads_caps_the_bundled_blas_and_the_manifest_reads_it_back(tmp_path):
-    libs = _bundled_openblas()
-    if not libs:
+    blas = _bundled_openblas()
+    if blas is None:
         pytest.skip("numpy bundles no OpenBLAS here")
-    before = {name: get() for name, get, _ in libs}
+    get, _ = blas
+    before = get()
     path = write_config(tmp_path, "gauge.json", GAUGE_TINY)
     out_dir = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out_dir), "--threads", "1"]) == 0
     manifest = json.loads((out_dir / "manifest.json").read_text("utf-8"))
     assert manifest["threads"] == 1
-    assert manifest["blas_threads"] == {name: 1 for name in before}
+    assert manifest["blas_threads"] == {"numpy": 1}
     # the cap holds for the run only
-    assert {name: get() for name, get, _ in libs} == before
+    assert get() == before
     assert main(["run", str(path), "--out", str(tmp_path / "free")]) == 0
     manifest = json.loads((tmp_path / "free" / "manifest.json").read_text("utf-8"))
     assert manifest["threads"] is None
-    assert manifest["blas_threads"] == before
+    assert manifest["blas_threads"] == {"numpy": before}
+
+
+def test_a_run_without_a_bundled_openblas_records_no_blas_threads(tmp_path, monkeypatch):
+    monkeypatch.setattr("udmrg.cli._bundled_openblas", lambda: None)
+    out_dir = tmp_path / "out"
+    assert dispatch(parse_config_data(GAUGE_TINY), out_dir, threads=1) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text("utf-8"))
+    assert manifest["threads"] == 1
+    assert manifest["blas_threads"] == {}
+
+
+def test_dispatch_refuses_a_bad_thread_count_before_any_blas_call(tmp_path, monkeypatch):
+    """The setter takes a C ``int``, which wraps a larger count (2**32 + 2
+    would reach it as 2), so a count is checked before any BLAS call: an
+    integer, not a ``bool``, from 1 to the CPUs this process may use."""
+    set_calls = []
+    monkeypatch.setattr("udmrg.cli._bundled_openblas",
+                        lambda: (lambda: 1, set_calls.append))
+    monkeypatch.setattr("udmrg.cli.run_experiment", lambda cfg: pytest.fail("ran"))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    cfg = parse_config_data(GAUGE_TINY)
+    for threads in (0, 2.5, True, cpus + 1, 2**32 + 2):
+        with pytest.raises(ConfigError) as exc:
+            dispatch(cfg, tmp_path / "out", threads=threads)
+        assert exc.value.problems == [
+            f"--threads must be at least 1 and at most {cpus}, the CPUs this process "
+            f"may use, and an integer; got {threads!r}"]
+    assert set_calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_the_cli_loads_and_validates_without_scipy():

@@ -130,9 +130,10 @@ def test_crossing_window_validation_builds_no_field_grid():
     with pytest.raises(ConfigError) as exc:
         PecComparisonConfig(n_fields=10**12, crossing_center=2.0, crossing_window=0.4)
     assert exc.value.problems == ["crossing window contains no grid points; widen it"]
-    # a step that overflows leaves only the ends finite, and field_max is in the window
-    assert PecComparisonConfig(field_min=-1e308, field_max=1e308,
-                               crossing_center=1e308).field_max == 1e308
+    # finite ends whose span overflows are refused once, with no window check
+    with pytest.raises(ConfigError) as exc:
+        PecComparisonConfig(field_min=-1e308, field_max=1e308, crossing_center=1e308)
+    assert exc.value.problems == ["field_max - field_min must be finite"]
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,8 @@
 """Every name a ``src/udmrg`` module imports is used in that module, every
-private helper it defines is used somewhere in the package, and every
-private instance attribute it sets is read somewhere in the package.
+private helper it defines is used somewhere in the package, every private
+instance attribute it sets is read somewhere in the package, and every
+defaulted parameter of its functions is set by some call in ``src/`` or
+``tests/``.
 
 No linter ships with the package, so this walks each module's syntax tree
 the way pyflakes' unused-import check does.  An import inside a function
@@ -11,14 +13,17 @@ are ``from __future__`` imports and any import line marked
 method or any method of a private class, counts as used when any module of
 the package reads its name.  A ``self._name`` attribute counts as read
 when any module reads the attribute, updates it in place, or spells its
-name in a string.
+name in a string.  A defaulted parameter counts as set when a call of its
+function's name (a class's name for ``__init__``) passes it by keyword, by
+position, or through ``*args`` or ``**kwargs``.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "udmrg"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "udmrg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -173,3 +178,84 @@ def test_the_check_sees_private_attributes_that_are_set_and_never_read():
     )
     assert unread_private_attributes({"m.py": source}) == [
         "m.py:5: _cache", "m.py:10: _cache"]
+
+
+def _callables(tree: ast.AST):
+    """``(called name, leading arguments a call does not pass, function)``
+    for every function below ``tree``; a method's ``self`` is passed by the
+    call's receiver, and ``__init__`` is called by its class's name."""
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, _FUNCTIONS):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    name = node.name if item.name == "__init__" else item.name
+                    methods[item] = (name, 0 if static else 1)
+    for node in ast.walk(tree):
+        if isinstance(node, _FUNCTIONS):
+            yield (*methods.get(node, (node.name, 0)), node)
+
+
+def unset_defaults(definitions: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """``"module:line: function(parameter)"`` for each defaulted parameter of a
+    function in ``definitions`` that no call in ``callers`` sets."""
+    calls = {}
+    for source in callers.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = getattr(node.func, "id", None) or node.func.attr
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for module, source in definitions.items():
+        for name, offset, fn in _callables(ast.parse(source)):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for param, index in defaulted:
+                if not any(any(k.arg in (param, None) for k in call.keywords)
+                           or index is not None and (
+                               offset + len(call.args) > index
+                               or any(isinstance(a, ast.Starred) for a in call.args))
+                           for call in calls.get(name, [])):
+                    unset.append(f"{module}:{fn.lineno}: {fn.name}({param})")
+    return unset
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    callers = {**sources, **{p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}}
+    assert unset_defaults(sources, callers) == []
+
+
+def test_the_check_sees_defaulted_parameters_that_no_call_sets():
+    source = (
+        "def by_keyword(a, tol=1.0, scale=2.0):\n"
+        "    return a\n"
+        "def by_position(a, b=0, c=0, *, flag=False):\n"
+        "    return a\n"
+        "def spread(a=0, b=0, *, key=None):\n"
+        "    return a\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, name=''):\n"
+        "        self.size = size\n"
+        "    def grow(self, by=1, limit=None):\n"
+        "        return self\n"
+        "    @staticmethod\n"
+        "    def make(n=1):\n"
+        "        return Box(n)\n"
+        "def use(box, rest, opts):\n"
+        "    by_keyword(1, scale=3.0)\n"
+        "    by_position(1, 2)\n"
+        "    spread(*rest)\n"
+        "    spread(**opts)\n"
+        "    box.grow(2)\n"
+        "    return Box(2), Box.make()\n"
+    )
+    assert unset_defaults({"m.py": source}, {"m.py": source}) == [
+        "m.py:1: by_keyword(tol)", "m.py:3: by_position(c)", "m.py:3: by_position(flag)",
+        "m.py:8: __init__(name)", "m.py:10: grow(limit)", "m.py:13: make(n)"]

@@ -66,6 +66,8 @@ def test_mps_constructor_validation():
 
 
 def test_mpo_constructor_validation():
+    with pytest.raises(ValueError, match="an MPO needs at least one site"):
+        MatrixProductOperator([])
     with pytest.raises(ValueError, match="rank 4"):
         MatrixProductOperator([np.zeros((1, 2, 2))])
     with pytest.raises(ValueError, match="boundary"):
